@@ -6,7 +6,6 @@ import (
 
 	"scioto/internal/core"
 	"scioto/internal/pgas"
-	"scioto/internal/pgas/dsim"
 	"scioto/internal/uts"
 )
 
@@ -24,7 +23,6 @@ func Ablations(quick bool) []*Table {
 		AblationColoring(p, tree),
 		AblationAffinity(p, tree),
 		AblationStealOverhead(p, quick),
-		AblationHierarchical(p, tree),
 		AblationTermination(p, tree),
 	}
 }
@@ -211,58 +209,6 @@ func AblationStealOverhead(n int, quick bool) *Table {
 			name = "disabled"
 		}
 		t.Rows = append(t.Rows, []string{name, secs(elapsed), fmt.Sprint(g.StealAttempts)})
-	}
-	return t
-}
-
-// AblationHierarchical compares flat random victim selection with the
-// node-aware policy (the paper's "multicore scheduling enhancements"
-// future-work item) on a multicore-node machine model.
-func AblationHierarchical(n int, tree uts.Params) *Table {
-	const ppn = 4
-	t := &Table{
-		ID:      "ablation-hierarchical",
-		Title:   fmt.Sprintf("Node-aware victim selection on UTS (P=%d, %d cores/node)", n, ppn),
-		Columns: []string{"Victim policy", "Mnodes/s", "Elapsed (s)", "Near probes"},
-		Notes: []string{
-			"intra-node steals cost 0.5µs/op vs 2.9µs over the network",
-		},
-	}
-	for _, hier := range []bool{false, true} {
-		cfg := ClusterConfig(n, 5)
-		cfg.ProcsPerNode = ppn
-		cfg.IntraNodeLatency = 500 * time.Nanosecond
-		var nodes int64
-		var elapsed time.Duration
-		var g core.Stats
-		mustRun(dsim.NewWorld(cfg), func(p pgas.Proc) {
-			p.Barrier()
-			t0 := p.Now()
-			st, ts, err := uts.RunScioto(p, uts.DriverConfig{
-				Tree:        tree,
-				PerNodeCost: OpteronNodeCost,
-				TC: core.Config{
-					ChunkSize:            10,
-					MaxTasks:             1 << 15,
-					ProcsPerNode:         ppn,
-					HierarchicalStealing: hier,
-				},
-			})
-			if err != nil {
-				panic(err)
-			}
-			p.Barrier()
-			if p.Rank() == 0 {
-				nodes = st.Nodes
-				elapsed = p.Now() - t0
-				g = ts
-			}
-		})
-		name := "flat random"
-		if hier {
-			name = "node-aware"
-		}
-		t.Rows = append(t.Rows, []string{name, mnps(nodes, elapsed), secs(elapsed), fmt.Sprint(g.NearStealProbes)})
 	}
 	return t
 }

@@ -26,7 +26,6 @@ type Stats struct {
 	TasksReacquired int64
 
 	StealAttempts    int64
-	NearStealProbes  int64 // hierarchical stealing: node-local probes
 	StealsOK         int64
 	StealsEmpty      int64
 	StealsBusy       int64
@@ -65,7 +64,6 @@ func (s *Stats) add(o *Stats) {
 	s.Reacquires += o.Reacquires
 	s.TasksReacquired += o.TasksReacquired
 	s.StealAttempts += o.StealAttempts
-	s.NearStealProbes += o.NearStealProbes
 	s.StealsOK += o.StealsOK
 	s.StealsEmpty += o.StealsEmpty
 	s.StealsBusy += o.StealsBusy
@@ -92,7 +90,7 @@ func (s *Stats) asSlice() []int64 {
 		s.TasksAdded, s.TasksExecuted, s.ExecutedLocal, s.InlineExecs,
 		s.LocalInserts, s.LocalSharedInserts, s.RemoteInserts, s.LocalGets,
 		s.Releases, s.TasksReleased, s.Reacquires, s.TasksReacquired,
-		s.StealAttempts, s.NearStealProbes, s.StealsOK, s.StealsEmpty, s.StealsBusy,
+		s.StealAttempts, s.StealsOK, s.StealsEmpty, s.StealsBusy,
 		s.TasksStolen, s.DirtyMarksSent, s.DirtyMarksElided,
 		s.WavesSeen, s.Votes, s.BlackVotes, s.TermCounterOps,
 		s.DeferredRegistered, s.DeferredLaunched,
@@ -102,20 +100,19 @@ func (s *Stats) asSlice() []int64 {
 }
 
 // statsWords is the number of words asSlice produces.
-const statsWords = 31
+const statsWords = 30
 
 // fromSlice restores counters flattened by asSlice.
 func (s *Stats) fromSlice(v []int64) {
 	s.TasksAdded, s.TasksExecuted, s.ExecutedLocal, s.InlineExecs = v[0], v[1], v[2], v[3]
 	s.LocalInserts, s.LocalSharedInserts, s.RemoteInserts, s.LocalGets = v[4], v[5], v[6], v[7]
 	s.Releases, s.TasksReleased, s.Reacquires, s.TasksReacquired = v[8], v[9], v[10], v[11]
-	s.StealAttempts, s.NearStealProbes = v[12], v[13]
-	s.StealsOK, s.StealsEmpty, s.StealsBusy = v[14], v[15], v[16]
-	s.TasksStolen, s.DirtyMarksSent, s.DirtyMarksElided = v[17], v[18], v[19]
-	s.WavesSeen, s.Votes, s.BlackVotes, s.TermCounterOps = v[20], v[21], v[22], v[23]
-	s.DeferredRegistered, s.DeferredLaunched = v[24], v[25]
-	s.Recoveries, s.TasksRecovered, s.SalvagedExecs = v[26], v[27], v[28]
-	s.IdleTime, s.WorkTime = time.Duration(v[29]), time.Duration(v[30])
+	s.StealAttempts, s.StealsOK, s.StealsEmpty, s.StealsBusy = v[12], v[13], v[14], v[15]
+	s.TasksStolen, s.DirtyMarksSent, s.DirtyMarksElided = v[16], v[17], v[18]
+	s.WavesSeen, s.Votes, s.BlackVotes, s.TermCounterOps = v[19], v[20], v[21], v[22]
+	s.DeferredRegistered, s.DeferredLaunched = v[23], v[24]
+	s.Recoveries, s.TasksRecovered, s.SalvagedExecs = v[25], v[26], v[27]
+	s.IdleTime, s.WorkTime = time.Duration(v[28]), time.Duration(v[29])
 }
 
 // String renders the headline counters compactly.

@@ -45,19 +45,10 @@ type Config struct {
 	// used by AddDeferred/Satisfy (inter-task dependencies). Zero disables
 	// the dependency API for this collection.
 	MaxDeferred int
-	// ProcsPerNode, when > 1, tells the scheduler that consecutive ranks
-	// share multicore nodes (matching the transport's node model).
-	ProcsPerNode int
 	// Termination selects the termination detection algorithm: the
 	// paper's token waves (default) or the eager global counter
 	// alternative kept for ablation.
 	Termination TerminationMode
-	// HierarchicalStealing, with ProcsPerNode > 1, makes idle processes
-	// alternate between node-local victims (cheap shared-memory steals)
-	// and machine-wide random victims, instead of always choosing
-	// uniformly. This is the paper's "multicore scheduling enhancements"
-	// future-work item.
-	HierarchicalStealing bool
 }
 
 // Conventional affinity values.
@@ -113,8 +104,7 @@ type TC struct {
 
 	stats      Stats
 	processing bool
-	sinceOrder int  // executed tasks since last ordered release check
-	stealNear  bool // hierarchical stealing: next probe is node-local
+	sinceOrder int // executed tasks since last ordered release check
 
 	tracer  *trace.Recorder // nil = tracing disabled
 	metrics *Metrics        // nil = metrics disabled
@@ -635,34 +625,12 @@ func (tc *TC) GlobalStats() Stats {
 	return total
 }
 
-// pickVictim chooses a steal target. Uniform random by default; with
-// hierarchical stealing enabled, probes alternate between a random
-// node-mate (cheap intra-node transfer) and a random machine-wide victim
-// (so imbalance still diffuses globally).
+// pickVictim chooses a steal target uniformly at random among the other
+// (live) ranks.
 func (tc *TC) pickVictim() int {
 	p := tc.rt.p
 	n := tc.rt.NProcs()
 	me := tc.rt.Rank()
-	ppn := tc.cfg.ProcsPerNode
-	if tc.cfg.HierarchicalStealing && ppn > 1 {
-		tc.stealNear = !tc.stealNear
-		nodeBase := (me / ppn) * ppn
-		nodeSize := ppn
-		if nodeBase+nodeSize > n {
-			nodeSize = n - nodeBase
-		}
-		if tc.stealNear && nodeSize > 1 {
-			v := nodeBase + p.Rand().Intn(nodeSize-1)
-			if v >= me {
-				v++
-			}
-			if tc.rec == nil || tc.rec.alive[v] {
-				tc.stats.NearStealProbes++
-				return v
-			}
-			// Node-mate is dead: fall through to a machine-wide probe.
-		}
-	}
 	v := p.Rand().Intn(n - 1)
 	if v >= me {
 		v++

@@ -60,14 +60,6 @@ type Config struct {
 	PollInterval time.Duration
 	// MaxBackoff caps the exponential lock-retry backoff.
 	MaxBackoff time.Duration
-	// ProcsPerNode, when > 1, groups consecutive ranks onto multicore
-	// nodes: ranks r and q share a node iff r/ProcsPerNode == q/ProcsPerNode.
-	// One-sided operations between node-mates cost IntraNodeLatency
-	// instead of Latency (shared-memory transfer instead of NIC).
-	ProcsPerNode int
-	// IntraNodeLatency is the one-sided cost between node-mates when
-	// ProcsPerNode > 1. Zero leaves intra-node costs at the network price.
-	IntraNodeLatency time.Duration
 	// Occupancy, when nonzero, models serialization at the target of
 	// remote one-sided operations (NIC/memory-controller occupancy): each
 	// remote operation against a process occupies that process's interface

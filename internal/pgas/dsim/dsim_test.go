@@ -304,18 +304,6 @@ func TestConformanceWithOccupancy(t *testing.T) {
 	})
 }
 
-// TestConformanceWithNodes: and with the multicore node model.
-func TestConformanceWithNodes(t *testing.T) {
-	pgastest.RunConformance(t, func(n int) pgas.World {
-		return dsim.NewWorld(dsim.Config{
-			NProcs:           n,
-			Seed:             1,
-			ProcsPerNode:     2,
-			IntraNodeLatency: 500 * time.Nanosecond,
-		})
-	})
-}
-
 // TestAbortUnblocksWaitingReceivers: when one rank panics, ranks blocked in
 // Recv must be torn down rather than hanging the world.
 func TestAbortUnblocksWaitingReceivers(t *testing.T) {

@@ -154,10 +154,6 @@ func (p *proc) opCost(target, n int) time.Duration {
 	if target == p.rank {
 		return p.w.cfg.LocalOpCost
 	}
-	if c := p.w.cfg; c.ProcsPerNode > 1 && c.IntraNodeLatency > 0 &&
-		target/c.ProcsPerNode == p.rank/c.ProcsPerNode {
-		return c.IntraNodeLatency + time.Duration(n)*c.PerByte
-	}
 	return p.w.cfg.Latency + time.Duration(n)*p.w.cfg.PerByte
 }
 

@@ -1,6 +1,7 @@
 package pgas
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -68,4 +69,61 @@ func AsFault(err error) (*FaultError, bool) {
 		return fe, true
 	}
 	return nil, false
+}
+
+// AppendFault appends the cross-process form of fe to b: the one wire
+// format every transport uses to move a fault between OS processes (tcp
+// faulted replies and child exit reports, the ipc fault record and report
+// slots). Layout, little-endian:
+//
+//	[rank i32] [len i32][Phase] [len i32][Detail] [len i32][Err text]
+//
+// Op is not shipped: it names the operation the *sender* was performing,
+// and each receiver fills in its own.
+func AppendFault(b []byte, fe *FaultError) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(int32(fe.Rank)))
+	errText := ""
+	if fe.Err != nil {
+		errText = fe.Err.Error()
+	}
+	for _, s := range [...]string{fe.Phase, fe.Detail, errText} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
+	}
+	return b
+}
+
+// DecodeFault is the inverse of AppendFault. The bytes come from another
+// process, so any input decodes without panicking: a buffer cut short (the
+// ipc regions are fixed-size) yields every field that arrived intact plus
+// the surviving head of the field the cut landed in, and trailing bytes
+// are ignored. A buffer too short to name a rank decodes as an
+// unattributed peer death. The result is a fresh FaultError the caller
+// may annotate (Op, Detail) without racing other observers of the fault.
+func DecodeFault(b []byte) *FaultError {
+	if len(b) < 4 {
+		return &FaultError{Rank: -1, Phase: "peer-death",
+			Err: fmt.Errorf("malformed fault record (%d bytes)", len(b))}
+	}
+	fe := &FaultError{Rank: int(GetI32(b))}
+	b = b[4:]
+	next := func() string {
+		if len(b) < 4 {
+			b = nil
+			return ""
+		}
+		n := int(GetI32(b))
+		b = b[4:]
+		if n < 0 || n > len(b) {
+			n = len(b)
+		}
+		s := string(b[:n])
+		b = b[n:]
+		return s
+	}
+	fe.Phase, fe.Detail = next(), next()
+	if errText := next(); errText != "" {
+		fe.Err = errors.New(errText)
+	}
+	return fe
 }

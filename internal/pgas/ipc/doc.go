@@ -10,15 +10,16 @@
 //
 // # Launch
 //
-// Rank processes are launched with the tcp transport's self-exec pattern:
-// the parent re-executes the current binary once per rank with
-// SCIOTO_IPC_RANK / SCIOTO_IPC_FILE / SCIOTO_IPC_WORLD / SCIOTO_IPC_NPROCS
-// in the environment. A child re-runs the same deterministic program; the
-// NewWorld call whose sequence number matches SCIOTO_IPC_WORLD returns the
-// child's handle, earlier calls return inert worlds. There is no
-// rendezvous: the mapped file exists fully-formed before the first child
-// starts, so a rank may issue one-sided operations against a sibling that
-// has not even finished exec'ing.
+// Rank processes are created, watched and reaped by the shared self-exec
+// launcher (package launch, which documents the SCIOTO_IPC_RANK / WORLD /
+// NPROCS handshake, the deterministic world-creation order it requires,
+// exit reports and root-cause selection). ipc's own part: the launcher
+// creates, sizes, maps and stamps the file and passes its path in
+// SCIOTO_IPC_FILE; a child opens and maps it and checks the header against
+// its own configuration. There is no rendezvous: the mapped file exists
+// fully-formed before the first child starts, so a rank may issue
+// one-sided operations against a sibling that has not even finished
+// exec'ing.
 //
 // # Memory layout
 //
@@ -68,8 +69,10 @@
 // parent, which also maps the file and reaps children, registers the
 // death on its behalf (phase "exit") the moment the wait returns.
 // Survivors observe faultSeq on their next operation and panic the
-// recorded fault; the parent selects the root cause among the report
-// slots like the tcp launcher does among report frames.
+// recorded fault — without writing a report of their own, so the shared
+// launcher's root-cause selection (package launch) gets one transport
+// tier from ipc: the fault record itself. The record and the report
+// slots hold the pgas.AppendFault form every transport shares.
 //
 // With Config.Survivable the world keeps operating instead: each death is
 // delivered to each survivor exactly once, acknowledged via

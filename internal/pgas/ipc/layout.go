@@ -1,7 +1,6 @@
 package ipc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -13,6 +12,7 @@ import (
 	"unsafe"
 
 	"scioto/internal/pgas"
+	"scioto/internal/pgas/launch"
 )
 
 // File geometry. Everything the processes share lives at offsets computed
@@ -37,14 +37,6 @@ const (
 
 	wordSize  = 8
 	pageAlign = 4096
-)
-
-// Report slot states, stored in the slot's state word by a failing child
-// just before it exits.
-const (
-	reportNone  = int64(0)
-	reportFault = int64(1)
-	reportText  = int64(2)
 )
 
 // ctlLockParent tags the control spinlock as held by the launcher (ranks
@@ -265,12 +257,13 @@ func (m *mapping) breakCtlOf(dead int, parentTag int64) {
 	}
 }
 
-// Fault record encoding, written and read under the control lock: the
-// encodeFault payload copied into the record area, truncated to fit.
+// The fault record, written and read under the control lock: the
+// pgas.AppendFault form copied into the record area, truncated to fit
+// (pgas.DecodeFault keeps the intact head of a truncated record).
 
 func (m *mapping) writeFaultRec(fe *pgas.FaultError) {
 	rec := m.bytes(m.l.faultRec, faultRecBytes)
-	enc := encodeFault(fe)
+	enc := pgas.AppendFault(nil, fe)
 	if len(enc) > len(rec) {
 		enc = enc[:len(rec)]
 	}
@@ -280,7 +273,7 @@ func (m *mapping) writeFaultRec(fe *pgas.FaultError) {
 func (m *mapping) readFaultRec() *pgas.FaultError {
 	rec := make([]byte, faultRecBytes)
 	copy(rec, m.bytes(m.l.faultRec, faultRecBytes))
-	return decodeFault(rec)
+	return pgas.DecodeFault(rec)
 }
 
 // currentFault reads the registered fault (nil when none), cloning it so
@@ -344,83 +337,24 @@ func (m *mapping) releaseDeadLocks(dead int) {
 // the parent reads it after reaping the child, so the write is complete
 // and visible by then.
 
-func (m *mapping) writeReport(rank int, kind int64, payload []byte) {
+func (m *mapping) writeReport(rank int, kind byte, payload []byte) {
 	slot := m.l.report(rank)
 	if len(payload) > reportBuf {
 		payload = payload[:reportBuf]
 	}
 	copy(m.bytes(slot+2*wordSize, reportBuf), payload)
 	m.store(slot+wordSize, int64(len(payload)))
-	m.store(slot, kind)
+	m.store(slot, int64(kind))
 }
 
-func (m *mapping) readReport(rank int) (kind int64, payload []byte) {
+func (m *mapping) readReport(rank int) (kind byte, payload []byte) {
 	slot := m.l.report(rank)
-	kind = m.load(slot)
-	if kind == reportNone {
-		return kind, nil
-	}
+	kind = byte(m.load(slot))
 	n := m.load(slot + wordSize)
-	if n < 0 || n > reportBuf {
-		return reportNone, nil
+	if kind == launch.ReportNone || n < 0 || n > reportBuf {
+		return launch.ReportNone, nil
 	}
 	payload = make([]byte, n)
 	copy(payload, m.bytes(slot+2*wordSize, n))
 	return kind, payload
-}
-
-// Fault payload encoding, shared by the fault record and the reportFault
-// report slots: [rank][phase len][phase][detail len][detail][err len][err]
-// with little-endian words and strings padded to word boundaries (so a
-// truncated copy still decodes its intact prefix).
-
-func encodeFault(fe *pgas.FaultError) []byte {
-	errText := ""
-	if fe.Err != nil {
-		errText = fe.Err.Error()
-	}
-	out := make([]byte, 0, 64+len(fe.Phase)+len(fe.Detail)+len(errText))
-	putWord := func(v int64) {
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	putStr := func(s string) {
-		putWord(int64(len(s)))
-		out = append(out, s...)
-		for len(out)%wordSize != 0 {
-			out = append(out, 0)
-		}
-	}
-	putWord(int64(fe.Rank))
-	putStr(fe.Phase)
-	putStr(fe.Detail)
-	putStr(errText)
-	return out
-}
-
-func decodeFault(b []byte) *pgas.FaultError {
-	off := 0
-	getWord := func() int64 {
-		if off+wordSize > len(b) {
-			return 0
-		}
-		v := int64(binary.LittleEndian.Uint64(b[off:]))
-		off += wordSize
-		return v
-	}
-	getStr := func() string {
-		n := int(getWord())
-		if n < 0 || off+n > len(b) {
-			return ""
-		}
-		s := string(b[off : off+n])
-		off = int(align8(int64(off + n)))
-		return s
-	}
-	fe := &pgas.FaultError{Rank: int(getWord())}
-	fe.Phase = getStr()
-	fe.Detail = getStr()
-	if errText := getStr(); errText != "" {
-		fe.Err = fmt.Errorf("%s", errText)
-	}
-	return fe
 }

@@ -451,14 +451,7 @@ func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
 }
 
 func (p *proc) Compute(d time.Duration) {
-	scale := p.cfg.ComputeScale
-	if scale == 0 {
-		scale = 1.0
-	}
-	scaled := time.Duration(float64(d) * scale * p.speed)
-	if scaled > 0 {
-		spin(scaled)
-	}
+	pgas.Spin(time.Duration(float64(d) * p.cfg.ComputeScale * p.speed))
 }
 
 // Charge is a no-op: like shm and tcp, modeled bookkeeping costs are
@@ -503,12 +496,4 @@ func (p *proc) SalvageLoad64(rank int, seg pgas.Seg, idx int) (int64, bool) {
 		return 0, false
 	}
 	return p.m.load(p.wordAt(rank, seg, idx)), true
-}
-
-// spin busy-waits for d, as in shm and tcp: it models a process occupied
-// with computation at microsecond granularity.
-func spin(d time.Duration) {
-	t0 := time.Now()
-	for time.Since(t0) < d {
-	}
 }

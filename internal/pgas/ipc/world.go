@@ -1,17 +1,13 @@
 package ipc
 
 import (
+	"cmp"
 	"fmt"
 	"os"
-	"os/exec"
-	"os/signal"
-	"runtime"
-	"strconv"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"scioto/internal/pgas"
+	"scioto/internal/pgas/launch"
 )
 
 // Config parameterizes a multi-process ipc world.
@@ -54,439 +50,166 @@ type Config struct {
 	Dir string
 }
 
-// Environment variables of the self-exec launch protocol (see doc.go).
+// Environment of the ipc world: the shared file's path (the transport's
+// own variable in the launch handshake, see package launch) and the knobs
+// read where the matching Config field is zero.
 const (
-	envRank   = "SCIOTO_IPC_RANK"
-	envFile   = "SCIOTO_IPC_FILE"
-	envWorld  = "SCIOTO_IPC_WORLD"
-	envNProcs = "SCIOTO_IPC_NPROCS"
-)
-
-// Environment knobs, read where the matching Config field is zero. Both
-// parent and children resolve them, and children inherit the parent's
-// environment, so the values agree.
-const (
+	envFile  = "SCIOTO_IPC_FILE"
 	envArena = "SCIOTO_IPC_ARENA"
 	envRing  = "SCIOTO_IPC_RING"
-	envGrace = "SCIOTO_IPC_GRACE"
 	envDir   = "SCIOTO_IPC_DIR"
 )
 
-const (
-	defaultArenaBytes = 64 << 20
-	defaultRingBytes  = 256 << 10
-	defaultGrace      = 3 * time.Second
-)
-
-// envBytes resolves a byte-size knob: the Config value if positive, else
-// the environment, else def.
-func envBytes(cfgVal int64, name string, def int64) int64 {
-	if cfgVal > 0 {
-		return cfgVal
-	}
-	if v := os.Getenv(name); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n > 0 {
-			return n
-		}
-		fmt.Fprintf(os.Stderr, "ipc: ignoring malformed %s=%q\n", name, v)
-	}
-	return def
-}
-
-// envDuration resolves a duration knob: the Config value if nonzero
-// (negative meaning "disabled" normalizes to 0), else the environment,
-// else def.
-func envDuration(cfgVal time.Duration, name string, def time.Duration) time.Duration {
-	if cfgVal < 0 {
-		return 0
-	}
-	if cfgVal > 0 {
-		return cfgVal
-	}
-	if v := os.Getenv(name); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d >= 0 {
-			return d
-		}
-		fmt.Fprintf(os.Stderr, "ipc: ignoring malformed %s=%q\n", name, v)
-	}
-	return def
-}
-
-// worldSeq counts NewWorld calls in this process. Parent and children
-// execute the same deterministic program, so call k here is call k there;
-// the counter is what lets a child recognize which NewWorld call it was
-// spawned for. ipc worlds must therefore be created in a deterministic
-// order (never concurrently from multiple goroutines).
-var worldSeq int64
-
-// NewWorld creates an ipc world. In the launching process the returned
-// World creates the shared file and spawns one OS process per rank when
-// Run is called; in a spawned rank process the matching NewWorld call
-// returns that rank's handle and earlier calls return inert worlds whose
+// NewWorld creates an ipc world on the shared self-exec launcher (package
+// launch): in the launching process Run creates the shared file and spawns
+// one OS process per rank; in a spawned rank process the matching NewWorld
+// call returns that rank's handle and the others return inert worlds whose
 // Run is a no-op.
 func NewWorld(cfg Config) pgas.World {
-	if cfg.NProcs <= 0 {
-		panic("ipc: NProcs must be positive")
-	}
 	if cfg.ComputeScale == 0 {
 		cfg.ComputeScale = 1.0
 	}
-	cfg.ArenaBytes = envBytes(cfg.ArenaBytes, envArena, defaultArenaBytes)
-	cfg.RingBytes = envBytes(cfg.RingBytes, envRing, defaultRingBytes)
-	cfg.Grace = envDuration(cfg.Grace, envGrace, defaultGrace)
-	seq := atomic.AddInt64(&worldSeq, 1)
-	rankStr := os.Getenv(envRank)
-	if rankStr == "" {
-		return &parentWorld{cfg: cfg, seq: seq}
+	cfg.ArenaBytes = launch.Bytes("ipc", cfg.ArenaBytes, envArena, 64<<20)
+	cfg.RingBytes = launch.Bytes("ipc", cfg.RingBytes, envRing, 256<<10)
+	g := &region{cfg: cfg}
+	s := &launch.Spec{
+		Transport: "ipc",
+		NProcs:    cfg.NProcs,
+		Grace:     cfg.Grace,
+		ExtraEnv:  envFile,
+		Open:      g.open,
+		Close:     g.close,
+		Fetch:     func(rank int) (byte, []byte) { return g.m.readReport(rank) },
+		Killed:    g.killed,
+		Blamed:    g.registered,
+		Join:      g.join,
 	}
-	target, err := strconv.ParseInt(os.Getenv(envWorld), 10, 64)
-	if err != nil {
-		panic(fmt.Sprintf("ipc: bad %s: %v", envWorld, err))
+	if cfg.Survivable {
+		s.Recovered = g.recovered
 	}
-	if seq != target {
-		return &skipWorld{n: cfg.NProcs}
-	}
-	rank, err := strconv.Atoi(rankStr)
-	if err != nil {
-		panic(fmt.Sprintf("ipc: bad %s: %v", envRank, err))
-	}
-	if want, err := strconv.Atoi(os.Getenv(envNProcs)); err != nil || want != cfg.NProcs {
-		panic(fmt.Sprintf("ipc: world %d: launcher expects %s ranks, program configured %d — "+
-			"the program's world creation sequence is not deterministic", seq, os.Getenv(envNProcs), cfg.NProcs))
-	}
-	return &childWorld{cfg: cfg, rank: rank, path: os.Getenv(envFile)}
+	return launch.NewWorld(s)
 }
-
-// skipWorld is returned in a rank process for NewWorld calls preceding
-// the one the process was spawned for: the parent already ran (or will
-// run) those worlds with their own children, so here they are inert.
-type skipWorld struct{ n int }
-
-func (w *skipWorld) NProcs() int                 { return w.n }
-func (w *skipWorld) Run(func(p pgas.Proc)) error { return nil }
 
 // mapDir picks the directory for the shared file, preferring a tmpfs so
 // the pages never touch a disk.
 func mapDir(cfg Config) string {
-	if cfg.Dir != "" {
-		return cfg.Dir
+	shm := "/dev/shm"
+	if fi, err := os.Stat(shm); err != nil || !fi.IsDir() {
+		shm = os.TempDir()
 	}
-	if d := os.Getenv(envDir); d != "" {
-		return d
-	}
-	if fi, err := os.Stat("/dev/shm"); err == nil && fi.IsDir() {
-		return "/dev/shm"
-	}
-	return os.TempDir()
+	return cmp.Or(cfg.Dir, os.Getenv(envDir), shm)
 }
 
-// parentWorld is the launcher side: Run creates and initializes the
-// shared file, spawns the rank processes, and waits for them all to exit.
-type parentWorld struct {
+// region carries ipc's steps of the launch. The launching process creates
+// the shared file and maps it too — the control region is where failed
+// ranks leave their exit reports and where the launcher registers the
+// deaths of ranks that could not; a rank process only joins.
+type region struct {
 	cfg Config
-	seq int64
-	ran bool
+	f   *os.File
+	m   *mapping
 }
 
-func (w *parentWorld) NProcs() int { return w.cfg.NProcs }
-
-func (w *parentWorld) Run(func(p pgas.Proc)) error {
-	if w.ran {
-		return fmt.Errorf("ipc: World.Run called twice")
-	}
-	w.ran = true
-	n := w.cfg.NProcs
-
-	f, err := os.CreateTemp(mapDir(w.cfg), "scioto-ipc-*")
+// open creates the file fully-formed before any child starts: there is no
+// rendezvous, a child maps and goes.
+func (g *region) open() (path string, err error) {
+	g.f, err = os.CreateTemp(mapDir(g.cfg), "scioto-ipc-*")
 	if err != nil {
-		return fmt.Errorf("ipc: creating shared file: %v", err)
+		return "", fmt.Errorf("ipc: creating shared file: %v", err)
 	}
-	defer os.Remove(f.Name())
-	defer f.Close()
-	l := computeLayout(n, w.cfg.ArenaBytes, w.cfg.RingBytes)
-	if err := f.Truncate(l.total); err != nil {
-		return fmt.Errorf("ipc: sizing shared file to %d bytes: %v", l.total, err)
+	l := computeLayout(g.cfg.NProcs, g.cfg.ArenaBytes, g.cfg.RingBytes)
+	if err = g.f.Truncate(l.total); err != nil {
+		err = fmt.Errorf("ipc: sizing shared file to %d bytes: %v", l.total, err)
+	} else {
+		g.m, err = mapFile(g.f, l)
 	}
-	m, err := mapFile(f, l)
 	if err != nil {
-		return err
+		g.close()
+		return "", err
 	}
-	defer m.unmap()
-	m.writeHeader()
-	m.store(l.liveCount, int64(n))
+	g.m.writeHeader()
+	g.m.store(l.liveCount, int64(g.cfg.NProcs))
+	return g.f.Name(), nil
+}
 
-	// The file exists fully-formed before any child starts: there is no
-	// rendezvous, a child maps and goes.
-	exe, err := os.Executable()
+func (g *region) close() {
+	if g.m != nil {
+		g.m.unmap()
+	}
+	g.f.Close()
+	os.Remove(g.f.Name())
+}
+
+// killed registers the death of a rank a signal killed — it could not
+// register itself — breaking the control lock if the victim died holding
+// it, so the survivors observe the death on their next operation.
+func (g *region) killed(fe *pgas.FaultError) {
+	parentTag := ctlLockParent(g.cfg.NProcs)
+	g.m.breakCtlOf(fe.Rank, parentTag)
+	g.m.unlockCtl(parentTag)
+	g.m.registerDeath(parentTag, fe)
+}
+
+// registered is ipc's tier of root-cause selection: the control region's
+// fault record. Survivors that exited silently (cascade clones write no
+// report) still left the origin fault registered.
+func (g *region) registered([]launch.Report) (reporter int, fe *pgas.FaultError) {
+	if g.m.load(g.m.l.faultSeq) == 0 {
+		return 0, nil
+	}
+	fe = g.m.readFaultRec()
+	return fe.Rank, fe
+}
+
+// recovered is the survivable world's verdict: a death happened, but every
+// rank not registered dead finished cleanly — the job completed despite
+// the fault.
+func (g *region) recovered(reports []launch.Report) bool {
+	for _, r := range reports {
+		if g.m.load(g.m.l.deadFlag(r.Rank)) == 0 {
+			return false
+		}
+	}
+	return g.m.load(g.m.l.faultSeq) > 0
+}
+
+// join is the rank-side boot step: map the shared file, check it is the
+// world this process was configured for, and build the rank's Proc.
+func (g *region) join(rank int, path string) (*launch.Rank, error) {
+	cfg := g.cfg
+	fw, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
-		return fmt.Errorf("ipc: cannot locate current binary: %v", err)
+		return nil, fmt.Errorf("opening shared file: %v", err)
 	}
-	args := childArgs(os.Args[1:])
-	cmds := make([]*exec.Cmd, n)
-	for i := range cmds {
-		cmd := exec.Command(exe, args...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		cmd.Env = append(os.Environ(),
-			envRank+"="+strconv.Itoa(i),
-			envFile+"="+f.Name(),
-			envWorld+"="+strconv.FormatInt(w.seq, 10),
-			envNProcs+"="+strconv.Itoa(n),
-		)
-		if err := cmd.Start(); err != nil {
-			for _, c := range cmds[:i] {
-				c.Process.Kill()
-				c.Wait()
-			}
-			return fmt.Errorf("ipc: spawning rank %d: %v", i, err)
-		}
-		cmds[i] = cmd
-	}
-
-	// Relay termination signals to rank 0: a daemon built on an ipc world
-	// (sciotod) installs its drain handler in the rank process, but the
-	// operator signals the process they started — the launcher.
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-	relayDone := make(chan struct{})
-	defer close(relayDone)
-	go func() {
-		for {
-			select {
-			case s := <-sigCh:
-				cmds[0].Process.Signal(s)
-			case <-relayDone:
-				return
-			}
-		}
-	}()
-
-	type exitMsg struct {
-		rank int
-		err  error
-	}
-	exitCh := make(chan exitMsg, n)
-	for i, cmd := range cmds {
-		go func(rank int, cmd *exec.Cmd) {
-			exitCh <- exitMsg{rank, cmd.Wait()}
-		}(i, cmd)
-	}
-
-	// Containment policy, as in the tcp launcher: the first failure
-	// starts a grace timer; survivors observe the registered death
-	// through the control region and exit with their own reports; ranks
-	// still alive when the timer fires are killed. In a survivable world
-	// no timer runs — survivors legitimately keep working after a death —
-	// and Run returns nil when every non-dead rank finished cleanly.
-	// A signal death cannot register itself, so the parent registers it
-	// (breaking the control lock if the victim died holding it) the
-	// moment the wait returns.
-	parentTag := ctlLockParent(n)
-	var reports []*rankReport
-	var graceCh <-chan time.Time
-	killed := false
-	killAll := func() {
-		if killed {
-			return
-		}
-		killed = true
-		for _, c := range cmds {
-			c.Process.Kill()
-		}
-	}
-	defer killAll() // safety net: unreachable exits above still reap
-	for exited := 0; exited < n; {
-		select {
-		case e := <-exitCh:
-			exited++
-			if e.err != nil && !killed {
-				// Failures observed after killAll are the kills
-				// themselves and carry no attribution value.
-				r := &rankReport{rank: e.rank, exitErr: e.err}
-				if ee, ok := e.err.(*exec.ExitError); ok && ee.ExitCode() == -1 {
-					// Signal death: the child registered nothing.
-					r.signal = true
-					m.breakCtlOf(e.rank, parentTag)
-					m.unlockCtl(parentTag)
-					m.registerDeath(parentTag, &pgas.FaultError{
-						Rank: e.rank, Phase: "exit", Err: e.err,
-					})
-				} else if kind, payload := m.readReport(e.rank); kind == reportFault {
-					r.fault = decodeFault(payload)
-				} else if kind == reportText {
-					r.text = payload
-				}
-				reports = append(reports, r)
-				if graceCh == nil && !w.cfg.Survivable {
-					graceCh = time.After(w.cfg.Grace)
-				}
-			}
-		case <-graceCh:
-			graceCh = nil
-			killAll()
-		}
-	}
-	if w.cfg.Survivable && m.load(l.faultSeq) > 0 {
-		// Recovered world: a death happened but every rank not registered
-		// dead finished cleanly — the job completed despite the fault.
-		recovered := true
-		for _, r := range reports {
-			if m.load(l.deadFlag(r.rank)) == 0 {
-				recovered = false
-			}
-		}
-		if recovered {
-			return nil
-		}
-	}
-	return worldError(reports, m)
-}
-
-// rankReport is one failed child's contribution to root-cause selection.
-type rankReport struct {
-	rank    int
-	exitErr error
-	signal  bool             // killed by a signal we did not send
-	fault   *pgas.FaultError // decoded structured report, if any
-	text    []byte           // plain text report, if any
-}
-
-// worldError selects the root cause among the collected failure reports.
-// Near-simultaneous exits reach the launcher in scheduler order, so
-// "first exit processed" may be a secondary observer. Preference order,
-// arrival order within each tier:
-//
-//  1. a rank killed by a signal the launcher did not send — an actual
-//     process death, and the likeliest root;
-//  2. an origin fault report (any phase but "peer-death"): the rank that
-//     crashed by injection or transport error names the cause directly;
-//  3. a plain panic report — an application failure, reported verbatim;
-//  4. the control region's registered fault record: survivors that exited
-//     silently (cascade clones write no report) still left the origin
-//     fault registered;
-//  5. any exit error at all.
-func worldError(reports []*rankReport, m *mapping) error {
-	for _, r := range reports {
-		if r.signal {
-			return fmt.Errorf("ipc: rank %d killed: %w", r.rank,
-				&pgas.FaultError{Rank: r.rank, Phase: "exit", Err: r.exitErr})
-		}
-	}
-	for _, r := range reports {
-		if r.fault != nil && r.fault.Phase != "peer-death" {
-			return fmt.Errorf("ipc: rank %d reported: %w", r.rank, r.fault)
-		}
-	}
-	for _, r := range reports {
-		if r.text != nil {
-			return fmt.Errorf("ipc: rank %d: %v\n%s", r.rank, r.exitErr, r.text)
-		}
-	}
-	for _, r := range reports {
-		if r.fault != nil {
-			return fmt.Errorf("ipc: rank %d reported: %w", r.rank, r.fault)
-		}
-	}
-	if len(reports) > 0 {
-		if m.load(m.l.faultSeq) > 0 {
-			fe := m.readFaultRec()
-			return fmt.Errorf("ipc: rank %d reported: %w", fe.Rank, fe)
-		}
-		r := reports[0]
-		return fmt.Errorf("ipc: rank %d: %v", r.rank, r.exitErr)
-	}
-	return nil
-}
-
-// childWorld is one spawned rank's side of the world.
-type childWorld struct {
-	cfg  Config
-	rank int
-	path string
-}
-
-func (w *childWorld) NProcs() int { return w.cfg.NProcs }
-
-// Run maps the shared file, executes the SPMD body for this rank, enters
-// the completion barrier, and exits the process: on a rank process,
-// nothing after the launching Run call ever executes. A panicking rank
-// registers its death in the control region (poisoning the survivors),
-// writes its exit-report slot, and exits nonzero — unless the panic is a
-// cascade clone of a death already registered, in which case it exits
-// silently and the parent attributes the world error to the origin.
-func (w *childWorld) Run(body func(p pgas.Proc)) error {
-	fw, err := os.OpenFile(w.path, os.O_RDWR, 0)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ipc: rank %d: opening shared file: %v\n", w.rank, err)
-		os.Exit(1)
-	}
-	l := computeLayout(w.cfg.NProcs, w.cfg.ArenaBytes, w.cfg.RingBytes)
-	m, err := mapFile(fw, l)
+	m, err := mapFile(fw, computeLayout(cfg.NProcs, cfg.ArenaBytes, cfg.RingBytes))
 	fw.Close() // the mapping outlives the descriptor
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ipc: rank %d: %v\n", w.rank, err)
-		os.Exit(1)
+		return nil, err
 	}
 	if err := m.checkHeader(); err != nil {
-		fmt.Fprintf(os.Stderr, "ipc: rank %d: %v\n", w.rank, err)
-		os.Exit(1)
+		return nil, err
 	}
-
 	speed := 1.0
-	if w.cfg.SpeedFactor != nil {
-		speed = w.cfg.SpeedFactor(w.rank)
+	if cfg.SpeedFactor != nil {
+		speed = cfg.SpeedFactor(rank)
 	}
-	p := newProc(w.cfg, m, w.rank, speed)
-
-	func() {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
+	p := newProc(cfg, m, rank, speed)
+	return &launch.Rank{
+		Proc: p,
+		// A failing rank registers its death in the control region
+		// (poisoning the survivors) and writes its exit-report slot —
+		// unless the fault is a cascade clone of a death already
+		// registered, in which case it exits silently and the launcher
+		// attributes the world error to the origin.
+		Fail: func(fe *pgas.FaultError, kind byte, payload []byte) {
+			if m.registerDeath(p.tag(), fe) || kind == launch.ReportText {
+				m.writeReport(rank, kind, payload)
 			}
-			if fe, ok := rec.(*pgas.FaultError); ok {
-				fresh := m.registerDeath(p.tag(), fe)
-				fmt.Fprintf(os.Stderr, "ipc: rank %d: %v\n", w.rank, fe)
-				if fresh {
-					m.writeReport(w.rank, reportFault, encodeFault(fe))
-				}
-				os.Exit(1)
-			}
-			buf := make([]byte, 16<<10)
-			n := runtime.Stack(buf, false)
-			msg := fmt.Sprintf("ipc: rank %d panicked: %v\n%s", w.rank, rec, buf[:n])
-			m.registerDeath(p.tag(), &pgas.FaultError{
-				Rank: w.rank, Phase: "exit", Err: fmt.Errorf("rank %d panicked: %v", w.rank, rec),
-			})
-			fmt.Fprintln(os.Stderr, msg)
-			m.writeReport(w.rank, reportText, []byte(msg))
-			os.Exit(1)
-		}()
-		body(p)
-
+		},
 		// Completion barrier: no rank may exit while a sibling still has
 		// operations or messages in flight against its arena — the file
 		// stays mapped in the survivors, but the program contract is that
 		// Run returns only after every rank finished.
-		p.Barrier()
-	}()
-	os.Exit(0)
-	return nil
-}
-
-// childArgs is the argv a rank process is launched with: the parent's own
-// arguments, minus -test.paniconexit0. `go test` passes that flag so a
-// TestMain calling os.Exit(0) without running tests is caught; a rank
-// process exits through os.Exit(0) inside Run by design, which the flag
-// would turn into a panic.
-func childArgs(args []string) []string {
-	out := make([]string, 0, len(args))
-	for _, a := range args {
-		if a == "-test.paniconexit0" || a == "--test.paniconexit0" {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
+		Finish: p.Barrier,
+	}, nil
 }

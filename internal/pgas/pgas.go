@@ -283,3 +283,15 @@ const (
 	TransportIPC  Transport = "ipc"
 	TransportTCP  Transport = "tcp"
 )
+
+// Spin busy-waits for d. The wall-clock transports (shm, ipc, tcp) use it
+// for Proc.Compute and modeled delays: busy waiting, rather than sleeping,
+// models a process occupied with computation and is accurate at
+// microsecond granularity where timer sleeps are not.
+func Spin(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	for t0 := time.Now(); time.Since(t0) < d; {
+	}
+}

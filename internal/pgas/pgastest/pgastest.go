@@ -64,6 +64,7 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	t.Run("MessageOrderPerPair", func(t *testing.T) { testMessageOrder(t, newWorld) })
 	t.Run("RelaxedOwnerWords", func(t *testing.T) { testRelaxedWords(t, newWorld) })
 	t.Run("SingleProc", func(t *testing.T) { testSingleProc(t, newWorld) })
+	t.Run("EmptyBodyRelaunch", func(t *testing.T) { testEmptyBodyRelaunch(t, newWorld) })
 	t.Run("PanicPropagates", func(t *testing.T) { testPanicPropagates(t, newWorld) })
 	t.Run("RandDeterministicPerRank", func(t *testing.T) { testRand(t, newWorld, opts) })
 	t.Run("NbCompletionOrdering", func(t *testing.T) { testNbCompletionOrdering(t, newWorld) })
@@ -549,6 +550,22 @@ func testSingleProc(t *testing.T, f Factory) {
 		}
 		p.Barrier()
 	})
+}
+
+// testEmptyBodyRelaunch: a world whose ranks have nothing to do is still a
+// clean run, every time. On the multi-process transports the ranks exit
+// within a millisecond of joining, which is the schedule that races the
+// launcher's bootstrap bookkeeping against its exit reaping.
+func testEmptyBodyRelaunch(t *testing.T, f Factory) {
+	launches := 300
+	if testing.Short() {
+		launches = 20
+	}
+	for i := 0; i < launches; i++ {
+		if err := f(2).Run(func(pgas.Proc) {}); err != nil {
+			t.Fatalf("launch %d of an empty body failed: %v", i, err)
+		}
+	}
 }
 
 func testPanicPropagates(t *testing.T, f Factory) {

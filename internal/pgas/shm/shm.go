@@ -419,10 +419,7 @@ func (p *proc) netDelay(proc, nbytes int) {
 	if proc == p.rank {
 		return
 	}
-	d := p.w.cfg.RemoteLatency + time.Duration(nbytes)*p.w.cfg.RemotePerByte
-	if d > 0 {
-		spin(d)
-	}
+	pgas.Spin(p.w.cfg.RemoteLatency + time.Duration(nbytes)*p.w.cfg.RemotePerByte)
 }
 
 func (p *proc) Get(dst []byte, proc int, seg pgas.Seg, off int) {
@@ -587,10 +584,7 @@ func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
 }
 
 func (p *proc) Compute(d time.Duration) {
-	scaled := time.Duration(float64(d) * p.w.cfg.ComputeScale * p.speed)
-	if scaled > 0 {
-		spin(scaled)
-	}
+	pgas.Spin(time.Duration(float64(d) * p.w.cfg.ComputeScale * p.speed))
 }
 
 // Charge is a no-op on the shm transport: modeled bookkeeping costs are
@@ -640,13 +634,4 @@ func (p *proc) SalvageLoad64(rank int, seg pgas.Seg, idx int) (int64, bool) {
 		return 0, false
 	}
 	return atomic.LoadInt64(&p.w.wordSegs[seg][rank][idx]), true
-}
-
-// spin busy-waits for d. Busy waiting (rather than sleeping) models a
-// process that is occupied issuing a blocking one-sided operation, and is
-// accurate at microsecond granularity where timer sleeps are not.
-func spin(d time.Duration) {
-	t0 := time.Now()
-	for time.Since(t0) < d {
-	}
 }

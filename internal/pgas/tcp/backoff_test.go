@@ -13,7 +13,7 @@ import (
 // and these tests create no worlds, so skipping them cannot desynchronize
 // the world sequence.
 func skipInRankProcess(t *testing.T) {
-	if os.Getenv(envRank) != "" {
+	if os.Getenv("SCIOTO_TCP_RANK") != "" {
 		t.Skip("rank process: no need to re-test dial backoff per rank")
 	}
 }

@@ -5,59 +5,27 @@
 // ranks with goroutines and dsim simulates them in virtual time, while tcp
 // runs them as processes that share nothing but the wire.
 //
-// # Execution model: self-exec SPMD launch
+// # Launch and bootstrap
 //
-// tcp borrows the classic MPI launcher shape but needs no external tool.
-// NewWorld in the launching ("parent") process records the configuration;
-// World.Run then
-//
-//  1. opens a rendezvous listener on 127.0.0.1,
-//  2. re-executes the current binary NProcs times with the environment
-//     variables SCIOTO_TCP_RANK (the child's rank), SCIOTO_TCP_ADDR (the
-//     rendezvous address), SCIOTO_TCP_WORLD (the parent's NewWorld call
-//     sequence number) and SCIOTO_TCP_NPROCS set,
-//  3. waits for every child to exit, relaying the first failure.
-//
-// Each child re-runs the same program from the start. Because parent and
-// children execute the same deterministic code path with the same argv,
-// the child's k-th call to NewWorld corresponds to the parent's k-th:
-// calls before the SCIOTO_TCP_WORLD target return an inert world whose Run
-// is a no-op, and the target call returns the world the child was spawned
-// for. The child's Run executes the SPMD body for its own rank, enters a
-// completion barrier, and exits the process — so code after Run never
-// executes in a child, and the closure passed to Run is obtained by
-// re-execution rather than serialization. Two consequences follow:
-//
-//   - Code before Run executes once per rank plus once in the parent.
-//   - tcp worlds must be created in a deterministic order in every
-//     process: concurrent NewWorld calls from multiple goroutines would
-//     desynchronize the parent's and children's call numbering.
-//
-// The SPMD body runs in the children only; variables captured from the
-// parent's scope are copies in separate address spaces, so results must
-// travel through the PGAS itself (or through rank 0's output).
-//
-// # Bootstrap handshake
-//
-// Each child opens its own peer listener before anything else, so it can
-// service remote operations as soon as its address is known. It then dials
-// the rendezvous address and sends a hello frame
+// Rank processes are created, watched and reaped by the shared self-exec
+// launcher (package launch, which documents the SCIOTO_TCP_RANK / WORLD /
+// NPROCS handshake, the deterministic world-creation order it requires,
+// exit reports and root-cause selection). tcp's own part is the
+// rendezvous. The launcher opens a listener on 127.0.0.1 and passes its
+// address in SCIOTO_TCP_ADDR. Each child opens its own peer listener
+// before anything else, so it can service remote operations as soon as
+// its address is known, then dials the rendezvous address and sends a
+// hello frame
 //
 //	[rank int32][peer listen address bytes]
 //
 // When all NProcs hellos have arrived, the parent broadcasts the address
-// table
-//
-//	[n int32] then n × ([len int32][address bytes])
-//
-// on every rendezvous connection. Each child dials every other rank's peer
-// listener (with jittered exponential backoff — see backoff.go) and sends
-// an opHello frame naming its rank, forming a full mesh, and starts the
-// body. A child that fails sends a final report frame on its rendezvous
-// connection before exiting nonzero — [childReportFault][encoded fault]
-// for a structured *pgas.FaultError, [childReportText][error text] for any
-// other panic — which the parent folds into Run's returned error; on
-// success it simply exits 0.
+// table — one address per line, in rank order — on every rendezvous
+// connection. Each child dials every other rank's peer listener (with
+// jittered exponential backoff — see backoff.go) and sends an opHello
+// frame naming its rank, forming a full mesh, and starts the body. The
+// rendezvous connection stays open: a failing child sends its exit report
+// on it as one final frame, [report kind byte][payload].
 //
 // # Wire protocol
 //
@@ -101,9 +69,9 @@
 //	opBarrier []                                        -> [] when released
 //	opPing    []                                        -> []
 //
-// An encoded fault is [rank i32][phase-len i32][phase bytes][error text];
-// the observer-local Op and Detail fields are not shipped, because the
-// operation that surfaced the fault differs at each observer.
+// An encoded fault is the pgas.AppendFault form every transport shares.
+// The observer-local Op field is not shipped, because the operation that
+// surfaced the fault differs at each observer.
 //
 // # The service engine
 //
@@ -143,19 +111,14 @@
 //     severs outgoing connections so in-flight RPCs unblock, and makes
 //     the service refuse all subsequent requests with a replyFaulted
 //     carrying the registered fault. Each survivor's Run body panics with
-//     the rank-attributed fault, ships it to the launcher as a
-//     childReportFault frame, and exits nonzero.
-//   - Teardown. The launcher kills the whole world on any pre-bootstrap
-//     failure; after bootstrap it gives survivors a grace period
-//     (Config.Grace, default 3s) to self-report before killing and reaps
-//     every child either way, so no rank process outlives Run. Because
-//     near-simultaneous exits arrive in scheduler order and survivors can
-//     cascade-blame each other (a survivor's dying connections EOF at
-//     ranks that have not yet observed the true death), the launcher
-//     collects all failure reports and picks the root cause by authority:
-//     a signal-killed rank first, then a self-attributed origin fault
-//     (e.g. an injected crash), then a plain panic report, then a
-//     peer-death report naming a rank that never reported.
+//     the rank-attributed fault, ships it to the launcher as its exit
+//     report, and exits nonzero.
+//   - Teardown. Kill-before-bootstrap, the grace period (Config.Grace,
+//     default 3s) and root-cause selection are the shared launcher's
+//     (package launch). tcp's contribution to the selection: survivors
+//     can cascade-blame each other (a survivor's dying connections EOF
+//     at ranks that have not yet observed the true death), so among
+//     peer-death reports the one naming a rank that never reported wins.
 //
 // During clean shutdown each rank arms a teardown flag (non-zero ranks
 // before entering the completion barrier, rank 0 after its local release)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"scioto/internal/pgas"
 )
 
 // startHeartbeat launches one pinger goroutine per peer. Each pinger owns
@@ -66,7 +68,7 @@ func pingLoop(own *owner, self, peer int, addr string, interval time.Duration, r
 			if len(reply) >= 5 && reply[4] == replyFaulted {
 				// The peer is alive but its world is faulted: adopt its
 				// attribution rather than blaming the messenger.
-				fe := decodeFault(reply[5:])
+				fe := pgas.DecodeFault(reply[5:])
 				fe.Op = fmt.Sprintf("Ping(rank=%d)", peer)
 				own.adopt(fe)
 				return

@@ -316,7 +316,7 @@ func (pc *peerConn) demux(r *bufio.Reader) {
 			}
 			op.n = len(payload)
 		case replyFaulted:
-			op.fault = decodeFault(payload) // copies; safe past putFrame
+			op.fault = pgas.DecodeFault(payload) // copies; safe past putFrame
 		default:
 			op.err = fmt.Errorf("corrupt reply status %d", status)
 		}
@@ -344,7 +344,7 @@ func (pc *peerConn) abort(err error) {
 
 // wait blocks for op's completion. A transport error or faulted reply has
 // no meaningful local recovery in a SPMD program, so it panics with a
-// *pgas.FaultError; the recover in childWorld.Run reports it to the
+// *pgas.FaultError; the recover in the rank-side Run (package launch) reports it to the
 // parent. On success the caller owns the op again and normally pools it.
 func (pc *peerConn) wait(op *pendingOp, info func() string) {
 	<-op.done
@@ -871,10 +871,7 @@ func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
 }
 
 func (p *proc) Compute(d time.Duration) {
-	scaled := time.Duration(float64(d) * p.cfg.ComputeScale * p.speed)
-	if scaled > 0 {
-		spin(scaled)
-	}
+	pgas.Spin(time.Duration(float64(d) * p.cfg.ComputeScale * p.speed))
 }
 
 // Charge is a no-op: like shm, modeled bookkeeping costs are already paid
@@ -883,11 +880,3 @@ func (p *proc) Charge(time.Duration) {}
 
 func (p *proc) Now() time.Duration { return time.Since(p.start) }
 func (p *proc) Rand() *rand.Rand   { return p.rng }
-
-// spin busy-waits for d, as in the shm transport: it models a process
-// occupied with computation at microsecond granularity.
-func spin(d time.Duration) {
-	t0 := time.Now()
-	for time.Since(t0) < d {
-	}
-}

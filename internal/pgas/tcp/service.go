@@ -194,10 +194,10 @@ func granter(seq uint32, send func(uint32, byte, []byte)) func(error) {
 			return
 		}
 		if fe, ok := pgas.AsFault(err); ok {
-			send(seq, replyFaulted, encodeFault(fe))
+			send(seq, replyFaulted, pgas.AppendFault(nil, fe))
 			return
 		}
-		send(seq, replyFaulted, encodeFault(&pgas.FaultError{Rank: -1, Phase: "service", Err: err}))
+		send(seq, replyFaulted, pgas.AppendFault(nil, &pgas.FaultError{Rank: -1, Phase: "service", Err: err}))
 	}
 }
 
@@ -213,7 +213,7 @@ func (o *owner) apply(seq uint32, req []byte, send func(seq uint32, status byte,
 		panic("tcp: empty request frame")
 	}
 	if fe := o.getFault(); fe != nil {
-		send(seq, replyFaulted, encodeFault(fe))
+		send(seq, replyFaulted, pgas.AppendFault(nil, fe))
 		return
 	}
 	op, b := req[0], req[1:]

@@ -54,7 +54,7 @@ const (
 
 // Reply status bytes. Every reply frame starts with one (after the
 // sequence number); the payload documented in doc.go follows an ok
-// status, an encoded fault (see encodeFault) follows a faulted status.
+// status, an encoded fault (pgas.AppendFault) follows a faulted status.
 const (
 	replyOK      = byte(0)
 	replyFaulted = byte(1)
@@ -171,42 +171,4 @@ func appendI64(b []byte, v int64) []byte {
 	var w [8]byte
 	pgas.PutI64(w[:], v)
 	return append(b, w[:]...)
-}
-
-// encodeFault serializes a FaultError's rank-attribution for shipment to
-// another process (a faulted reply, or a child's exit report to the
-// launcher): [rank i32][phase-len i32][phase][text]. Op and Detail are
-// observer-local (they describe the operation the *receiver* was
-// performing), so they are not shipped; the receiver fills in its own.
-func encodeFault(fe *pgas.FaultError) []byte {
-	b := appendI32(nil, int32(fe.Rank))
-	b = appendI32(b, int32(len(fe.Phase)))
-	b = append(b, fe.Phase...)
-	if fe.Err != nil {
-		b = append(b, fe.Err.Error()...)
-	}
-	return b
-}
-
-// decodeFault is the inverse of encodeFault. It returns a fresh
-// FaultError the caller may annotate (Op, Detail) without racing other
-// observers of the same fault.
-func decodeFault(b []byte) *pgas.FaultError {
-	fe := &pgas.FaultError{Rank: -1, Phase: "peer-death"}
-	if len(b) < 8 {
-		fe.Err = fmt.Errorf("malformed fault frame (%d bytes)", len(b))
-		return fe
-	}
-	fe.Rank = int(pgas.GetI32(b))
-	k := int(pgas.GetI32(b[4:]))
-	b = b[8:]
-	if k < 0 || k > len(b) {
-		fe.Err = fmt.Errorf("malformed fault frame phase length %d", k)
-		return fe
-	}
-	fe.Phase = string(b[:k])
-	if text := b[k:]; len(text) > 0 {
-		fe.Err = fmt.Errorf("%s", text)
-	}
-	return fe
 }

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
-	"os/exec"
-	"runtime"
-	"strconv"
-	"sync/atomic"
+	"slices"
+	"strings"
 	"time"
 
 	"scioto/internal/pgas"
+	"scioto/internal/pgas/launch"
 )
 
 // Config parameterizes a multi-process tcp world.
@@ -48,333 +46,82 @@ type Config struct {
 	Heartbeat time.Duration
 }
 
-// Environment variables of the self-exec launch protocol (see doc.go).
+// Environment of the tcp world: the rendezvous address (the transport's
+// own variable in the launch handshake, see package launch) and the
+// failure-model knobs, read where the matching Config field is zero.
 const (
-	envRank   = "SCIOTO_TCP_RANK"
-	envAddr   = "SCIOTO_TCP_ADDR"
-	envWorld  = "SCIOTO_TCP_WORLD"
-	envNProcs = "SCIOTO_TCP_NPROCS"
-)
-
-// Environment knobs for the failure model, read where the matching
-// Config field is zero. Both parent and children resolve them, and
-// children inherit the parent's environment, so the values agree.
-const (
+	envAddr      = "SCIOTO_TCP_ADDR"
 	envOpTimeout = "SCIOTO_TCP_OP_TIMEOUT"
-	envGrace     = "SCIOTO_TCP_GRACE"
 	envHeartbeat = "SCIOTO_TCP_HEARTBEAT"
-)
-
-const (
-	defaultOpTimeout = 60 * time.Second
-	defaultGrace     = 3 * time.Second
 )
 
 // bootTimeout bounds the rendezvous and mesh dials, so a lost child fails
 // the world instead of hanging it.
 const bootTimeout = 60 * time.Second
 
-// envDuration resolves a duration knob: the Config value if nonzero
-// (negative meaning "disabled" normalizes to 0), else the environment,
-// else def.
-func envDuration(cfgVal time.Duration, name string, def time.Duration) time.Duration {
-	if cfgVal < 0 {
-		return 0
-	}
-	if cfgVal > 0 {
-		return cfgVal
-	}
-	if v := os.Getenv(name); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d >= 0 {
-			return d
-		}
-		fmt.Fprintf(os.Stderr, "tcp: ignoring malformed %s=%q\n", name, v)
-	}
-	return def
-}
-
-// worldSeq counts NewWorld calls in this process. Parent and children
-// execute the same deterministic program, so call k here is call k there;
-// the counter is what lets a child recognize which NewWorld call it was
-// spawned for. tcp worlds must therefore be created in a deterministic
-// order (never concurrently from multiple goroutines).
-var worldSeq int64
-
-// NewWorld creates a tcp world. In the launching process the returned
-// World spawns one OS process per rank when Run is called; in a spawned
-// rank process the matching NewWorld call returns that rank's handle and
-// earlier calls return inert worlds whose Run is a no-op.
+// NewWorld creates a tcp world on the shared self-exec launcher (package
+// launch): in the launching process Run spawns one OS process per rank and
+// brokers their rendezvous; in a spawned rank process the matching
+// NewWorld call returns that rank's handle and the others return inert
+// worlds whose Run is a no-op.
 func NewWorld(cfg Config) pgas.World {
-	if cfg.NProcs <= 0 {
-		panic("tcp: NProcs must be positive")
-	}
 	if cfg.ComputeScale == 0 {
 		cfg.ComputeScale = 1.0
 	}
-	cfg.OpTimeout = envDuration(cfg.OpTimeout, envOpTimeout, defaultOpTimeout)
-	cfg.Grace = envDuration(cfg.Grace, envGrace, defaultGrace)
-	cfg.Heartbeat = envDuration(cfg.Heartbeat, envHeartbeat, 0)
-	seq := atomic.AddInt64(&worldSeq, 1)
-	rankStr := os.Getenv(envRank)
-	if rankStr == "" {
-		return &parentWorld{cfg: cfg, seq: seq}
-	}
-	target, err := strconv.ParseInt(os.Getenv(envWorld), 10, 64)
+	cfg.OpTimeout = launch.Duration("tcp", cfg.OpTimeout, envOpTimeout, 60*time.Second)
+	cfg.Heartbeat = launch.Duration("tcp", cfg.Heartbeat, envHeartbeat, 0)
+	b := &broker{cfg: cfg}
+	return launch.NewWorld(&launch.Spec{
+		Transport: "tcp",
+		NProcs:    cfg.NProcs,
+		Grace:     cfg.Grace,
+		ExtraEnv:  envAddr,
+		Open:      b.open,
+		Close:     b.close,
+		Boot:      b.rendezvous,
+		AbortBoot: func() { b.l.Close() },
+		Fetch:     b.fetch,
+		Blamed:    silentBlame,
+		Join:      b.join,
+	})
+}
+
+// broker carries tcp's steps of the launch: in the launching process the
+// rendezvous listener and one connection per rank, which stays open after
+// the address table went out so a failing child can send its exit report
+// on it; in a rank process, join.
+type broker struct {
+	cfg   Config
+	l     net.Listener
+	conns []net.Conn
+}
+
+func (b *broker) open() (addr string, err error) {
+	b.l, err = net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		panic(fmt.Sprintf("tcp: bad %s: %v", envWorld, err))
+		return "", fmt.Errorf("tcp: rendezvous listen: %v", err)
 	}
-	if seq != target {
-		return &skipWorld{n: cfg.NProcs}
-	}
-	rank, err := strconv.Atoi(rankStr)
-	if err != nil {
-		panic(fmt.Sprintf("tcp: bad %s: %v", envRank, err))
-	}
-	if want, err := strconv.Atoi(os.Getenv(envNProcs)); err != nil || want != cfg.NProcs {
-		panic(fmt.Sprintf("tcp: world %d: launcher expects %s ranks, program configured %d — "+
-			"the program's world creation sequence is not deterministic", seq, os.Getenv(envNProcs), cfg.NProcs))
-	}
-	return &childWorld{cfg: cfg, rank: rank, parentAddr: os.Getenv(envAddr)}
+	b.l.(*net.TCPListener).SetDeadline(time.Now().Add(bootTimeout))
+	b.conns = make([]net.Conn, b.cfg.NProcs)
+	return b.l.Addr().String(), nil
 }
 
-// skipWorld is returned in a rank process for NewWorld calls preceding
-// the one the process was spawned for: the parent already ran (or will
-// run) those worlds with their own children, so here they are inert.
-type skipWorld struct{ n int }
-
-func (w *skipWorld) NProcs() int                 { return w.n }
-func (w *skipWorld) Run(func(p pgas.Proc)) error { return nil }
-
-// parentWorld is the launcher side: Run spawns the rank processes,
-// brokers the rendezvous, and waits for them all to exit.
-type parentWorld struct {
-	cfg Config
-	seq int64
-	ran bool
+func (b *broker) close() {
+	b.l.Close()
+	for _, c := range b.conns {
+		if c != nil {
+			c.Close()
+		}
+	}
 }
-
-func (w *parentWorld) NProcs() int { return w.cfg.NProcs }
-
-func (w *parentWorld) Run(func(p pgas.Proc)) error {
-	if w.ran {
-		return fmt.Errorf("tcp: World.Run called twice")
-	}
-	w.ran = true
-	n := w.cfg.NProcs
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fmt.Errorf("tcp: rendezvous listen: %v", err)
-	}
-	defer l.Close()
-	l.(*net.TCPListener).SetDeadline(time.Now().Add(bootTimeout))
-
-	exe, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("tcp: cannot locate current binary: %v", err)
-	}
-	args := childArgs(os.Args[1:])
-	cmds := make([]*exec.Cmd, n)
-	for i := range cmds {
-		cmd := exec.Command(exe, args...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		cmd.Env = append(os.Environ(),
-			envRank+"="+strconv.Itoa(i),
-			envAddr+"="+l.Addr().String(),
-			envWorld+"="+strconv.FormatInt(w.seq, 10),
-			envNProcs+"="+strconv.Itoa(n),
-		)
-		if err := cmd.Start(); err != nil {
-			for _, c := range cmds[:i] {
-				c.Process.Kill()
-				c.Wait()
-			}
-			return fmt.Errorf("tcp: spawning rank %d: %v", i, err)
-		}
-		cmds[i] = cmd
-	}
-
-	// Broker the rendezvous concurrently with watching for child exits,
-	// so a rank that dies before dialing in fails the world promptly.
-	conns := make([]net.Conn, n)
-	bootCh := make(chan error, 1)
-	go func() { bootCh <- rendezvous(l, conns) }()
-	defer func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-
-	type exitMsg struct {
-		rank int
-		err  error
-	}
-	exitCh := make(chan exitMsg, n)
-	for i, cmd := range cmds {
-		go func(rank int, cmd *exec.Cmd) {
-			exitCh <- exitMsg{rank, cmd.Wait()}
-		}(i, cmd)
-	}
-
-	// Containment policy. Before the bootstrap completes, any child
-	// failure kills the world immediately: ranks parked in rendezvous
-	// have no mesh yet and cannot detect the death themselves. After
-	// bootstrap, the first failure starts a grace timer instead —
-	// survivors detect the death through the mesh (EOF, broken barrier,
-	// fault replies) and exit with their own rank-attributed reports;
-	// only ranks still alive when the timer fires are killed. Run
-	// returns only after every child has been reaped, so no rank
-	// process outlives the world.
-	var reports []*rankReport
-	var bootErr error
-	var graceCh <-chan time.Time
-	killed := false
-	killAll := func() {
-		if killed {
-			return
-		}
-		killed = true
-		for _, c := range cmds {
-			c.Process.Kill()
-		}
-	}
-	defer killAll() // safety net: unreachable exits above still reap
-	bootDone := false
-	for exited := 0; exited < n; {
-		select {
-		case e := <-exitCh:
-			exited++
-			if e.err != nil && !killed {
-				// Failures observed after killAll are the kills
-				// themselves and carry no attribution value.
-				reports = append(reports, newRankReport(e.rank, e.err, conns[e.rank]))
-				if !bootDone {
-					killAll()
-				} else if graceCh == nil {
-					graceCh = time.After(w.cfg.Grace)
-				}
-			}
-		case err := <-bootCh:
-			bootCh = nil
-			bootDone = true
-			if err != nil {
-				bootErr = err
-				killAll()
-			}
-		case <-graceCh:
-			graceCh = nil
-			killAll()
-		}
-	}
-	if err := worldError(reports, bootErr); err != nil {
-		return err
-	}
-	if !bootDone {
-		return fmt.Errorf("tcp: all ranks exited before completing the bootstrap " +
-			"(was the world created in a different order in the child processes?)")
-	}
-	return nil
-}
-
-// rankReport is one failed child's contribution to root-cause selection.
-type rankReport struct {
-	rank    int
-	exitErr error
-	signal  bool             // killed by a signal we did not send
-	fault   *pgas.FaultError // decoded structured report, if any
-	text    []byte           // plain text report, if any
-}
-
-func newRankReport(rank int, exitErr error, conn net.Conn) *rankReport {
-	r := &rankReport{rank: rank, exitErr: exitErr}
-	if ee, ok := exitErr.(*exec.ExitError); ok && ee.ExitCode() == -1 {
-		// Signal death: no report frame is coming.
-		r.signal = true
-		return r
-	}
-	frame := childReport(conn)
-	if len(frame) >= 1 {
-		switch frame[0] {
-		case childReportFault:
-			r.fault = decodeFault(frame[1:])
-		case childReportText:
-			r.text = frame[1:]
-		}
-	}
-	return r
-}
-
-// worldError selects the root cause among the collected failure reports.
-// When a rank dies, every survivor fails too, and near-simultaneous exits
-// reach the launcher in scheduler order — so "first exit processed" may
-// be a secondary observer blaming another secondary casualty. Preference
-// order, arrival order within each tier:
-//
-//  1. a rank killed by a signal the launcher did not send — an actual
-//     process death, and the likeliest root;
-//  2. an origin fault report (any phase but "peer-death"): the rank that
-//     crashed by injection, deadline, or transport error names the cause
-//     directly;
-//  3. a plain panic report — an application failure, reported verbatim;
-//  4. a peer-death report naming a silent rank: a rank every survivor
-//     blames but which never managed to report is dead or wedged;
-//  5. any report at all.
-func worldError(reports []*rankReport, bootErr error) error {
-	for _, r := range reports {
-		if r.signal {
-			return fmt.Errorf("tcp: rank %d killed: %w", r.rank,
-				&pgas.FaultError{Rank: r.rank, Phase: "exit", Err: r.exitErr})
-		}
-	}
-	for _, r := range reports {
-		if r.fault != nil && r.fault.Phase != "peer-death" {
-			return fmt.Errorf("tcp: rank %d reported: %w", r.rank, r.fault)
-		}
-	}
-	for _, r := range reports {
-		if r.text != nil {
-			return fmt.Errorf("tcp: rank %d: %v\n%s", r.rank, r.exitErr, r.text)
-		}
-	}
-	reported := make(map[int]bool, len(reports))
-	for _, r := range reports {
-		reported[r.rank] = true
-	}
-	for _, r := range reports {
-		if r.fault != nil && !reported[r.fault.Rank] {
-			return fmt.Errorf("tcp: rank %d reported: %w", r.rank, r.fault)
-		}
-	}
-	for _, r := range reports {
-		if r.fault != nil {
-			return fmt.Errorf("tcp: rank %d reported: %w", r.rank, r.fault)
-		}
-	}
-	if len(reports) > 0 {
-		r := reports[0]
-		return fmt.Errorf("tcp: rank %d: %v", r.rank, r.exitErr)
-	}
-	return bootErr
-}
-
-// Child report frame kinds, sent on the rendezvous connection just
-// before a failing child exits.
-const (
-	childReportText  = byte(1)
-	childReportFault = byte(2)
-)
 
 // rendezvous accepts one hello per rank, then broadcasts the peer address
-// table on every connection. The connections stay open so a failing child
-// can report its error text before exiting.
-func rendezvous(l net.Listener, conns []net.Conn) error {
-	n := len(conns)
+// table (one address per line, in rank order) on every connection.
+func (b *broker) rendezvous() error {
+	n := len(b.conns)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		c, err := l.Accept()
+		c, err := b.l.Accept()
 		if err != nil {
 			return fmt.Errorf("tcp: rendezvous accept: %v", err)
 		}
@@ -384,19 +131,15 @@ func rendezvous(l net.Listener, conns []net.Conn) error {
 			return fmt.Errorf("tcp: rendezvous hello: %v", err)
 		}
 		rank := int(pgas.GetI32(hello))
-		if rank < 0 || rank >= n || conns[rank] != nil {
+		if rank < 0 || rank >= n || b.conns[rank] != nil {
 			c.Close()
 			return fmt.Errorf("tcp: rendezvous hello from unexpected rank %d", rank)
 		}
-		conns[rank] = c
+		b.conns[rank] = c
 		addrs[rank] = string(hello[4:])
 	}
-	table := appendI32(nil, int32(n))
-	for _, a := range addrs {
-		table = appendI32(table, int32(len(a)))
-		table = append(table, a...)
-	}
-	for _, c := range conns {
+	table := []byte(strings.Join(addrs, "\n"))
+	for _, c := range b.conns {
 		if err := writeFrame(c, table); err != nil {
 			return fmt.Errorf("tcp: broadcasting address table: %v", err)
 		}
@@ -404,77 +147,79 @@ func rendezvous(l net.Listener, conns []net.Conn) error {
 	return nil
 }
 
-// childReport drains the report frame a failing child sends on its
-// rendezvous connection just before exiting, if one is there.
-func childReport(c net.Conn) []byte {
-	if c == nil {
-		return nil
+// fetch drains the report frame ([kind][payload]) a failing child sends
+// on its rendezvous connection just before exiting, if one is there.
+func (b *broker) fetch(rank int) (kind byte, payload []byte) {
+	if c := b.conns[rank]; c != nil {
+		c.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		if frame, err := readFrame(c); err == nil && len(frame) > 0 {
+			return frame[0], frame[1:]
+		}
 	}
-	c.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-	frame, err := readFrame(c)
-	if err != nil {
-		return nil
-	}
-	return frame
+	return launch.ReportNone, nil
 }
 
-// childWorld is one spawned rank's side of the world.
-type childWorld struct {
-	cfg        Config
-	rank       int
-	parentAddr string
+// silentBlame is tcp's tier of root-cause selection: a peer-death report
+// naming a rank that never managed to report. A rank every survivor
+// blames but which stayed silent is dead or wedged.
+func silentBlame(reports []launch.Report) (reporter int, fe *pgas.FaultError) {
+	for _, r := range reports {
+		if r.Fault != nil && !slices.ContainsFunc(reports, func(o launch.Report) bool { return o.Rank == r.Fault.Rank }) {
+			return r.Rank, r.Fault
+		}
+	}
+	return 0, nil
 }
 
-func (w *childWorld) NProcs() int { return w.cfg.NProcs }
-
-// Run bootstraps the mesh, executes the SPMD body for this rank, enters
-// the completion barrier, and exits the process: on a rank process,
-// nothing after the launching Run call ever executes. A body panic is
-// reported to the parent and exits nonzero; a *pgas.FaultError panic is
-// shipped structurally so the parent's error keeps the rank attribution.
-func (w *childWorld) Run(body func(p pgas.Proc)) error {
-	own := newOwner(w.rank, w.cfg.NProcs)
-	dialRng := rand.New(rand.NewSource(w.cfg.Seed*6151 + int64(w.rank) + 3))
+// join is the rank-side boot step: open the peer listener, check in at
+// the rendezvous, dial the full mesh, and build the rank's Proc.
+func (b *broker) join(rank int, parentAddr string) (*launch.Rank, error) {
+	cfg := b.cfg
+	own := newOwner(rank, cfg.NProcs)
+	dialRng := rand.New(rand.NewSource(cfg.Seed*6151 + int64(rank) + 3))
 
 	// The peer listener must exist before the hello is sent: the moment
 	// any peer learns our address from the table, it may dial and issue
 	// operations, even while we are still dialing others.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		childFail(nil, w.rank, fmt.Errorf("peer listen: %v", err))
+		return nil, fmt.Errorf("peer listen: %v", err)
 	}
 	go own.acceptLoop(l)
 
-	parent, err := dialRetry(w.parentAddr, bootTimeout, dialRng)
+	parent, err := dialRetry(parentAddr, bootTimeout, dialRng)
 	if err != nil {
-		childFail(nil, w.rank, fmt.Errorf("dialing rendezvous %s: %v", w.parentAddr, err))
+		return nil, fmt.Errorf("dialing rendezvous %s: %v", parentAddr, err)
 	}
-	hello := appendI32(nil, int32(w.rank))
+	r := &launch.Rank{Fail: func(_ *pgas.FaultError, kind byte, payload []byte) {
+		writeFrame(parent, append([]byte{kind}, payload...))
+	}}
+	hello := appendI32(nil, int32(rank))
 	hello = append(hello, l.Addr().String()...)
 	if err := writeFrame(parent, hello); err != nil {
-		childFail(parent, w.rank, fmt.Errorf("sending hello: %v", err))
+		return r, fmt.Errorf("sending hello: %v", err)
 	}
 	table, err := readFrame(parent)
 	if err != nil {
-		childFail(parent, w.rank, fmt.Errorf("reading address table: %v", err))
+		return r, fmt.Errorf("reading address table: %v", err)
 	}
-	addrs, err := decodeTable(table, w.cfg.NProcs)
-	if err != nil {
-		childFail(parent, w.rank, err)
+	addrs := strings.Split(string(table), "\n")
+	if len(addrs) != cfg.NProcs {
+		return r, fmt.Errorf("malformed address table (%d entries for %d ranks)", len(addrs), cfg.NProcs)
 	}
 
-	peers := make([]*peerConn, w.cfg.NProcs)
+	peers := make([]*peerConn, cfg.NProcs)
 	for j, addr := range addrs {
-		if j == w.rank {
+		if j == rank {
 			continue
 		}
 		c, err := dialRetry(addr, bootTimeout, dialRng)
 		if err != nil {
-			childFail(parent, w.rank, fmt.Errorf("dialing rank %d at %s: %v", j, addr, err))
+			return r, fmt.Errorf("dialing rank %d at %s: %v", j, addr, err)
 		}
-		pc, err := newPeerConn(w.rank, j, c, own, w.cfg.OpTimeout)
+		pc, err := newPeerConn(rank, j, c, own, cfg.OpTimeout)
 		if err != nil {
-			childFail(parent, w.rank, fmt.Errorf("hello to rank %d: %v", j, err))
+			return r, fmt.Errorf("hello to rank %d: %v", j, err)
 		}
 		peers[j] = pc
 	}
@@ -487,101 +232,30 @@ func (w *childWorld) Run(body func(p pgas.Proc)) error {
 			}
 		}
 	})
-	if w.cfg.Heartbeat > 0 {
-		startHeartbeat(own, w.rank, addrs, w.cfg)
+	if cfg.Heartbeat > 0 {
+		startHeartbeat(own, rank, addrs, cfg)
 	}
 
 	speed := 1.0
-	if w.cfg.SpeedFactor != nil {
-		speed = w.cfg.SpeedFactor(w.rank)
+	if cfg.SpeedFactor != nil {
+		speed = cfg.SpeedFactor(rank)
 	}
-	p := newProc(w.cfg, w.rank, speed, own, peers)
-
-	func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if fe, ok := rec.(*pgas.FaultError); ok {
-					childFailFault(parent, w.rank, fe)
-				}
-				buf := make([]byte, 16<<10)
-				n := runtime.Stack(buf, false)
-				childFail(parent, w.rank, fmt.Errorf("rank %d panicked: %v\n%s", w.rank, rec, buf[:n]))
-			}
-		}()
-		body(p)
-
-		// Completion barrier: no rank may tear down its service while a
-		// sibling still has operations in flight. Non-zero ranks arm the
-		// teardown flag first — once they are released, siblings start
-		// exiting and the resulting EOFs must not register as deaths.
-		// Rank 0 stays armed through the barrier: it hosts the counter,
-		// and a rank dying mid-completion-barrier must still break the
-		// barrier for the survivors; its own EOFs can only arrive after
-		// the round has completed.
-		if w.rank != 0 {
+	p := newProc(cfg, rank, speed, own, peers)
+	r.Proc = p
+	// Completion barrier: no rank may tear down its service while a
+	// sibling still has operations in flight. Non-zero ranks arm the
+	// teardown flag first — once they are released, siblings start
+	// exiting and the resulting EOFs must not register as deaths.
+	// Rank 0 stays armed through the barrier: it hosts the counter,
+	// and a rank dying mid-completion-barrier must still break the
+	// barrier for the survivors; its own EOFs can only arrive after
+	// the round has completed.
+	r.Finish = func() {
+		if rank != 0 {
 			own.enterTeardown()
 		}
 		p.Barrier()
-	}()
-	own.enterTeardown()
-	os.Exit(0)
-	return nil
-}
-
-// childFail reports a child-side error on the rendezvous connection (for
-// the parent's Run error) and on stderr, then exits nonzero.
-func childFail(parent net.Conn, rank int, err error) {
-	msg := fmt.Sprintf("tcp: rank %d: %v", rank, err)
-	fmt.Fprintln(os.Stderr, msg)
-	if parent != nil {
-		writeFrame(parent, append([]byte{childReportText}, msg...))
+		own.enterTeardown()
 	}
-	os.Exit(1)
-}
-
-// childFailFault ships a structured fault report so the parent's error
-// keeps the rank attribution, then exits nonzero.
-func childFailFault(parent net.Conn, rank int, fe *pgas.FaultError) {
-	fmt.Fprintf(os.Stderr, "tcp: rank %d: %v\n", rank, fe)
-	if parent != nil {
-		writeFrame(parent, append([]byte{childReportFault}, encodeFault(fe)...))
-	}
-	os.Exit(1)
-}
-
-// childArgs is the argv a rank process is launched with: the parent's own
-// arguments, minus -test.paniconexit0. `go test` passes that flag so a
-// TestMain calling os.Exit(0) without running tests is caught; a rank
-// process exits through os.Exit(0) inside Run by design, which the flag
-// would turn into a panic.
-func childArgs(args []string) []string {
-	out := make([]string, 0, len(args))
-	for _, a := range args {
-		if a == "-test.paniconexit0" || a == "--test.paniconexit0" {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
-func decodeTable(table []byte, n int) ([]string, error) {
-	if len(table) < 4 || int(pgas.GetI32(table)) != n {
-		return nil, fmt.Errorf("malformed address table")
-	}
-	table = table[4:]
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		if len(table) < 4 {
-			return nil, fmt.Errorf("truncated address table")
-		}
-		k := int(pgas.GetI32(table))
-		table = table[4:]
-		if len(table) < k {
-			return nil, fmt.Errorf("truncated address table")
-		}
-		addrs[i] = string(table[:k])
-		table = table[k:]
-	}
-	return addrs, nil
+	return r, nil
 }

@@ -58,22 +58,28 @@ func TestRunWithObservability(t *testing.T) {
 			found = true
 			url := "http://" + strings.TrimSuffix(line[i+len(marker):], "/metrics")
 			go func() {
-				resp, err := http.Get(url + "/metrics")
-				if err != nil {
-					scrapeErr <- err
-					return
+				// The endpoint announces itself before the body has
+				// created its task collection, so scrape until the
+				// collection's counters are there (rank 0 holds the
+				// world open meanwhile, and gives up after 10s).
+				for {
+					resp, err := http.Get(url + "/metrics")
+					if err != nil {
+						scrapeErr <- err
+						return
+					}
+					body, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK {
+						scrapeErr <- fmt.Errorf("GET /metrics: %s, %v", resp.Status, err)
+						return
+					}
+					if strings.Contains(string(body), `scioto_tasks_executed_total{rank="0"}`) {
+						scraped <- string(body)
+						return
+					}
+					time.Sleep(time.Millisecond)
 				}
-				defer resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					scrapeErr <- fmt.Errorf("GET /metrics: %s", resp.Status)
-					return
-				}
-				body, err := io.ReadAll(resp.Body)
-				if err != nil {
-					scrapeErr <- err
-					return
-				}
-				scraped <- string(body)
 			}()
 		}
 	}()
