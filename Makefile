@@ -75,23 +75,34 @@ bench-compare:
 bench-harness:
 	cd benchmark && $(GO) test ./...
 
-# Ten seconds of native fuzzing on the one codec that reads another
-# process's bytes on every transport (tcp fault replies and exit reports,
-# ipc fault record and report slots). A smoke, not a campaign: it proves
-# the target still builds, its seed corpus passes, and a short search
-# finds nothing. CI runs the same target.
+# Ten seconds of native fuzzing on each decoder that reads another
+# process's bytes on the operation path: the fault codec every transport
+# shares (tcp fault replies and exit reports, ipc fault record and report
+# slots) and the tcp service's request decoder with the heap's range
+# checks behind it. A smoke, not a campaign: it proves the targets still
+# build, their seed corpora pass, and a short search finds nothing. CI runs
+# the same target.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFault -fuzztime=10s ./internal/pgas/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeOp -fuzztime=10s ./internal/pgas/tcp/
 
 # Code-line ledger for the simplification round (ROADMAP: "track the round
 # with a make loc line in CHANGES.md per PR"): Go lines that are neither
 # blank nor comment-only, tests excluded, for the two packages the round
 # targets and for the repo without the benchmark harness and the linter.
+# The spi line sizes the transport SPI: methods of pgas.Kernel (what a
+# transport implements), methods declared on the two wrappers' proc types
+# (what a wrapper overrides), and capability type assertions outside
+# pgas.Find (what a wrapper would have to forward by hand).
 LOC = awk '!/^[[:space:]]*($$|\/\/)/ {n++} END {print n+0}'
+SRC = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './tools/*' ! -path './.bench_build/*'
 loc:
 	@echo "internal/pgas  $$(find internal/pgas -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "internal/core  $$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
-	@echo "repo           $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './tools/*' ! -path './.bench_build/*' | xargs cat | $(LOC))"
+	@echo "repo           $$($(SRC) | xargs cat | $(LOC))"
+	@echo "spi            Kernel $$(awk '/^type Kernel interface/ {k=1; next} k && /^}/ {k=0} k && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n+0}' internal/pgas/pgas.go) methods;" \
+		"faulty proc $$(grep -c '^func (p \*proc)' internal/pgas/faulty/faulty.go), instr proc $$(grep -c '^func (p \*proc)' internal/pgas/instr/proc.go);" \
+		"capability assertions $$($(SRC) | xargs grep -E '\.\((pgas\.)?Resilient\)|\.\((occ\.)?Attacher\)' | grep -vc '^[^:]*:[[:space:]]*//')"
 
 # End-to-end observability smoke: UTS on shm with the live endpoint and
 # trace dumps on, a mid-run /metrics + /healthz scrape, and a 2-rank

@@ -147,7 +147,7 @@ func NewTC(rt *Runtime, cfg Config) *TC {
 		// queue capacity so remote adds beyond the local patch still fit.
 		// Collective allocations — the facade enables recovery uniformly,
 		// so every rank takes this branch congruently.
-		if res, ok := rt.p.(pgas.Resilient); ok {
+		if res, ok := pgas.Find[pgas.Resilient](rt.p); ok {
 			tc.jn = newJournal(rt.p, 2*cfg.MaxTasks, slotSize)
 			tc.rec = newRecovery(rt.p, res)
 		}

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"scioto/internal/obs"
+	"scioto/internal/pgas"
 )
 
 // Resource identifies one tracked runtime resource. The catalogue is
@@ -261,21 +262,21 @@ func sortIntervals(iv [][4]int64) {
 	})
 }
 
-// Attacher is implemented by transports (and transparent wrappers) that
-// accept a per-rank occupancy buffer for transport-level resources: the
-// dsim NIC model, the tcp flush window, the ipc ring and barrier.
+// Attacher is implemented by transports that accept a per-rank occupancy
+// buffer for transport-level resources: the dsim NIC model, the tcp flush
+// window, the ipc ring and barrier.
 type Attacher interface {
 	AttachOcc(b *Buffer)
 }
 
-// Attach offers b to p's transport-level occupancy hook, if the proc
-// (or whatever it wraps — instrumentation and fault-injection wrappers
-// forward) implements Attacher. It reports whether the buffer was
-// accepted. A nil buffer detaches.
+// Attach offers b to the transport-level occupancy hook of p or of
+// whatever p wraps (pgas.Find walks the instrumentation and
+// fault-injection wrappers). It reports whether the buffer was accepted.
+// A nil buffer detaches.
 func Attach(p any, b *Buffer) bool {
-	if a, ok := p.(Attacher); ok {
+	a, ok := pgas.Find[Attacher](p)
+	if ok {
 		a.AttachOcc(b)
-		return true
 	}
-	return false
+	return ok
 }

@@ -220,6 +220,7 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 			if m.abort {
 				panic(abortPanic{})
 			}
+			p.Bind(p)
 			body(p)
 		}()
 	}

@@ -4,8 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"scioto/internal/obs"
 	"scioto/internal/pgas"
 	"scioto/internal/pgas/dsim"
+	"scioto/internal/pgas/faulty"
+	"scioto/internal/pgas/instr"
 	"scioto/internal/pgas/pgastest"
 )
 
@@ -389,4 +392,14 @@ func TestSpeedFactorAffectsBarrierSkew(t *testing.T) {
 	if fastWait < 2*time.Millisecond {
 		t.Errorf("fast rank waited %v, want ~2ms of skew", fastWait)
 	}
+}
+
+// TestCapabilitiesThroughWrappers: what pgas.Find reaches through
+// instr∘faulty is what the bare transport offers.
+func TestCapabilitiesThroughWrappers(t *testing.T) {
+	pgastest.RunCapabilities(t, func(n int) pgas.World {
+		w := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 6, Survivable: true})
+		w = faulty.Wrap(w, faulty.Config{Seed: 3, DelayProb: 0.2, MaxDelay: 20 * time.Microsecond, CrashRank: faulty.NoCrash})
+		return instr.Wrap(w, obs.NewHub(), instr.Options{})
+	})
 }

@@ -12,6 +12,7 @@ import (
 // proc is a simulated process. All of its methods must be called from the
 // process's own goroutine, while it holds the scheduler token.
 type proc struct {
+	pgas.Front
 	w     *world
 	rank  int
 	speed float64
@@ -43,12 +44,9 @@ type proc struct {
 	ackedSeq int64
 
 	// Pending non-blocking operations, completed (and their data movement
-	// performed) at the next Wait/Flush. nbSeq counts issued handles and
-	// nbDone completed ones, so a handle from an already-completed batch
-	// waits for nothing.
-	nb     []nbOp
-	nbSeq  uint64
-	nbDone uint64
+	// performed) at the next Flush. Descriptors are held by value so the
+	// pending slice is reusable without per-issue allocation.
+	nb []pgas.Op
 
 	// occ, when attached, receives the NIC service window of every remote
 	// operation this process issues, in virtual time. Windows are derived
@@ -58,29 +56,6 @@ type proc struct {
 
 // AttachOcc wires an occupancy buffer into this process's handle.
 func (p *proc) AttachOcc(b *occ.Buffer) { p.occ = b }
-
-// nbOp records one initiated non-blocking operation. Parameters are held
-// as plain fields (not a closure) so the pending slice is reusable without
-// per-issue allocation.
-type nbOp struct {
-	kind   byte
-	target int
-	seg    pgas.Seg
-	off    int // byte offset (data ops) or word index (word ops)
-	n      int // payload bytes, for the cost model
-	dst    []byte
-	src    []byte
-	val    int64
-	out    *int64
-}
-
-const (
-	nbGet = byte(iota)
-	nbPut
-	nbLoad
-	nbStore
-	nbFAdd
-)
 
 var _ pgas.Proc = (*proc)(nil)
 
@@ -210,106 +185,44 @@ func (p *proc) AllocLock() pgas.LockID {
 	return pgas.LockID(id)
 }
 
-// --- Data segments ----------------------------------------------------------
+// --- One-sided operations ------------------------------------------------------
 
-func (p *proc) Get(dst []byte, proc int, seg pgas.Seg, off int) {
-	p.orderedRemote(proc, len(dst))
-	copy(dst, p.w.dataSegs[seg][proc][off:off+len(dst)])
+// apply moves the data of one operation; the caller holds the scheduler
+// token at the operation's virtual completion time.
+func (p *proc) apply(op *pgas.Op) {
+	if op.Kind.IsWord() {
+		op.ApplyWord(&p.w.wordSegs[op.Seg][op.Target][op.Off])
+		return
+	}
+	op.ApplyData(p.w.dataSegs[op.Seg][op.Target][op.Off : op.Off+op.Bytes()])
 }
 
-func (p *proc) Put(proc int, seg pgas.Seg, off int, src []byte) {
-	p.orderedRemote(proc, len(src))
-	copy(p.w.dataSegs[seg][proc][off:off+len(src)], src)
-}
-
-func (p *proc) AccF64(proc int, seg pgas.Seg, off int, vals []float64) {
-	p.orderedRemote(proc, len(vals)*pgas.F64Bytes)
-	pgas.AccF64Bytes(p.w.dataSegs[seg][proc][off:], vals)
+// Issue has two charging rules. A blocking operation pays its own latency
+// and target occupancy in full, then moves its data. A non-blocking one
+// models communication/latency overlap: issuing is nearly free (one local
+// injection cost, no yield), and completion at Flush charges max(op
+// latencies) — the transfers travel the network concurrently — plus each
+// operation's NIC occupancy at its target, instead of the serial sum the
+// blocking path pays. This is the model that moves the Table 1 / Figure 7
+// virtual-time numbers.
+//
+// The data movement of a pending operation is deferred to the completion
+// point and applied in issue order while holding the scheduler token,
+// which is a legal linearization of operations whose completion window is
+// [issue, Flush]. Per-target issue-order application is also what the
+// per-pair FIFO rule requires.
+func (p *proc) Issue(op *pgas.Op) pgas.Nb {
+	if op.Nb {
+		p.advance(p.w.cfg.LocalOpCost)
+		p.nb = append(p.nb, *op)
+		return pgas.NbPending
+	}
+	p.orderedRemote(op.Target, op.Bytes())
+	p.apply(op)
+	return pgas.NbDone
 }
 
 func (p *proc) Local(seg pgas.Seg) []byte { return p.w.dataSegs[seg][p.rank] }
-
-// --- Word segments ----------------------------------------------------------
-
-func (p *proc) Load64(proc int, seg pgas.Seg, idx int) int64 {
-	p.orderedRemote(proc, 8)
-	return p.w.wordSegs[seg][proc][idx]
-}
-
-func (p *proc) Store64(proc int, seg pgas.Seg, idx int, val int64) {
-	p.orderedRemote(proc, 8)
-	p.w.wordSegs[seg][proc][idx] = val
-}
-
-func (p *proc) FetchAdd64(proc int, seg pgas.Seg, idx int, delta int64) int64 {
-	p.orderedRemote(proc, 8)
-	old := p.w.wordSegs[seg][proc][idx]
-	p.w.wordSegs[seg][proc][idx] = old + delta
-	return old
-}
-
-func (p *proc) CAS64(proc int, seg pgas.Seg, idx int, old, new int64) bool {
-	p.orderedRemote(proc, 8)
-	cell := &p.w.wordSegs[seg][proc][idx]
-	if *cell != old {
-		return false
-	}
-	*cell = new
-	return true
-}
-
-// --- Non-blocking operations -------------------------------------------------
-
-// Non-blocking operations model communication/latency overlap: issuing is
-// nearly free (one local injection cost, no yield), and completion at
-// Wait/Flush charges max(op latencies) — the transfers travel the network
-// concurrently — plus each operation's NIC occupancy at its target,
-// instead of the serial sum the blocking path pays. This is the model that
-// moves the Table 1 / Figure 7 virtual-time numbers.
-//
-// The data movement itself is deferred to the completion point and applied
-// in issue order while holding the scheduler token, which is a legal
-// linearization of operations whose completion window is [issue, Wait].
-// Per-target issue-order application is also what the Proc contract's
-// per-pair FIFO rule requires.
-
-// issueNb queues one operation, charging only the local injection cost.
-func (p *proc) issueNb(op nbOp) pgas.Nb {
-	p.advance(p.w.cfg.LocalOpCost)
-	p.nb = append(p.nb, op)
-	p.nbSeq++
-	return pgas.Nb(p.nbSeq)
-}
-
-func (p *proc) NbGet(dst []byte, proc int, seg pgas.Seg, off int) pgas.Nb {
-	return p.issueNb(nbOp{kind: nbGet, target: proc, seg: seg, off: off, n: len(dst), dst: dst})
-}
-
-func (p *proc) NbPut(proc int, seg pgas.Seg, off int, src []byte) pgas.Nb {
-	return p.issueNb(nbOp{kind: nbPut, target: proc, seg: seg, off: off, n: len(src), src: src})
-}
-
-func (p *proc) NbLoad64(proc int, seg pgas.Seg, idx int, out *int64) pgas.Nb {
-	return p.issueNb(nbOp{kind: nbLoad, target: proc, seg: seg, off: idx, n: 8, out: out})
-}
-
-func (p *proc) NbStore64(proc int, seg pgas.Seg, idx int, val int64) pgas.Nb {
-	return p.issueNb(nbOp{kind: nbStore, target: proc, seg: seg, off: idx, n: 8, val: val})
-}
-
-func (p *proc) NbFetchAdd64(proc int, seg pgas.Seg, idx int, delta int64, old *int64) pgas.Nb {
-	return p.issueNb(nbOp{kind: nbFAdd, target: proc, seg: seg, off: idx, n: 8, val: delta, out: old})
-}
-
-// Wait completes the batch containing h. Completing the whole pending set
-// is permitted by the contract (Wait may complete other operations) and
-// matches how a batched NIC drains its injection queue.
-func (p *proc) Wait(h pgas.Nb) {
-	if h == pgas.NbDone || uint64(h) <= p.nbDone {
-		return
-	}
-	p.Flush()
-}
 
 // Flush completes every pending operation. The batch is charged
 // max(op latencies) — the round trips overlap — plus per-op NIC occupancy
@@ -329,7 +242,7 @@ func (p *proc) Flush() {
 	start := p.clock
 	var maxCost time.Duration
 	for i := range p.nb {
-		if c := p.opCost(p.nb[i].target, p.nb[i].n); c > maxCost {
+		if c := p.opCost(p.nb[i].Target, p.nb[i].Bytes()); c > maxCost {
 			maxCost = c
 		}
 	}
@@ -337,17 +250,17 @@ func (p *proc) Flush() {
 	if p.w.cfg.Occupancy > 0 {
 		for i := range p.nb {
 			op := &p.nb[i]
-			if op.target == p.rank {
+			if op.Target == p.rank {
 				continue
 			}
-			nic := p.w.busyUntil[op.target]
+			nic := p.w.busyUntil[op.Target]
 			if nic < start {
 				nic = start
 			}
 			svc0 := nic
-			nic += p.w.cfg.Occupancy + time.Duration(op.n)*p.w.cfg.PerByte
-			p.w.busyUntil[op.target] = nic
-			p.occ.Record(occ.DsimNIC, svc0, nic, int64(op.target))
+			nic += p.w.cfg.Occupancy + time.Duration(op.Bytes())*p.w.cfg.PerByte
+			p.w.busyUntil[op.Target] = nic
+			p.occ.Record(occ.DsimNIC, svc0, nic, int64(op.Target))
 			if nic > end {
 				end = nic
 			}
@@ -355,25 +268,10 @@ func (p *proc) Flush() {
 	}
 	p.ordered(end - start)
 	for i := range p.nb {
-		op := &p.nb[i]
-		switch op.kind {
-		case nbGet:
-			copy(op.dst, p.w.dataSegs[op.seg][op.target][op.off:op.off+len(op.dst)])
-		case nbPut:
-			copy(p.w.dataSegs[op.seg][op.target][op.off:op.off+len(op.src)], op.src)
-		case nbLoad:
-			*op.out = p.w.wordSegs[op.seg][op.target][op.off]
-		case nbStore:
-			p.w.wordSegs[op.seg][op.target][op.off] = op.val
-		case nbFAdd:
-			old := p.w.wordSegs[op.seg][op.target][op.off]
-			p.w.wordSegs[op.seg][op.target][op.off] = old + op.val
-			*op.out = old
-		}
-		*op = nbOp{} // drop buffer references so the reused slice does not pin them
+		p.apply(&p.nb[i])
+		p.nb[i] = pgas.Op{} // drop buffer references so the reused slice does not pin them
 	}
 	p.nb = p.nb[:0]
-	p.nbDone = p.nbSeq
 }
 
 // RelaxedLoad64 observes the process's own word as of its last yield point

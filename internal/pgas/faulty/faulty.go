@@ -30,8 +30,11 @@
 // wrapped Proc lives in a separate OS process.
 //
 // Purely local accessors (Rank, NProcs, Local, RelaxedLoad64,
-// RelaxedStore64, Compute, Charge, Now, Rand) and collective allocation
-// are never faulted: faults model the network, not the local heap.
+// RelaxedStore64, Compute, Charge, Now, Rand), collective allocation and
+// Flush are never faulted: faults model the network, not the local heap.
+// They are not even intercepted — the wrapper embeds the kernel below it
+// and overrides only what it faults, so those calls are the inner
+// kernel's own methods.
 package faulty
 
 import (
@@ -41,7 +44,6 @@ import (
 	"strconv"
 	"time"
 
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
 )
 
@@ -168,55 +170,69 @@ type world struct {
 func (w *world) NProcs() int { return w.inner.NProcs() }
 
 func (w *world) Run(body func(p pgas.Proc)) error {
-	return w.inner.Run(func(p pgas.Proc) {
-		body(&proc{
-			inner: p,
-			cfg:   w.cfg,
-			rng:   rand.New(rand.NewSource(w.cfg.Seed*104729 + int64(p.Rank()) + 17)),
-		})
+	return w.inner.Run(func(inner pgas.Proc) {
+		p := &proc{
+			Kernel: inner,
+			cfg:    w.cfg,
+			rng:    rand.New(rand.NewSource(w.cfg.Seed*104729 + int64(inner.Rank()) + 17)),
+		}
+		p.Bind(p)
+		body(p)
 	})
 }
 
-// proc wraps one rank's handle. It is used only from the goroutine that
-// received it (the pgas.Proc contract), so the rng and op counter need no
+// proc wraps one rank's handle: the embedded Kernel is the layer below,
+// and only the operations that can fault are overridden — the typed
+// one-sided methods reach Issue through the Front, everything purely
+// local is the inner kernel's own method. It is used only from the
+// goroutine that received it, so the rng and op counter need no
 // synchronization.
 type proc struct {
-	inner pgas.Proc
-	cfg   Config
-	rng   *rand.Rand
-	ops   int64
+	pgas.Front
+	pgas.Kernel
+	cfg Config
+	rng *rand.Rand
+	ops int64
 }
 
 var _ pgas.Proc = (*proc)(nil)
+
+// Unwrap exposes the wrapped layer to pgas.Find, which is how the inner
+// transport's capabilities (pgas.Resilient, occ.Attacher) stay reachable.
+// The salvage path is therefore never fault-injected: it models
+// post-mortem memory access, not live network traffic, and runs during
+// recovery when a second injected fault would just re-kill the healer.
+func (p *proc) Unwrap() pgas.Kernel { return p.Kernel }
 
 // observe reports one injected fault to the configured observer, just
 // before the fault takes effect.
 func (p *proc) observe(kind, op string, target int) {
 	if p.cfg.Observe != nil {
-		p.cfg.Observe(p.inner.Now(), p.inner.Rank(), kind, op, target)
+		p.cfg.Observe(p.Now(), p.Rank(), kind, op, target)
 	}
 }
 
 // inject runs the fault schedule for one communication operation: crash
 // first (the process dies before the frame leaves), then drop, then
-// delay. target is the rank the operation addresses; detail is formatted
-// lazily only when a fault fires.
-func (p *proc) inject(target int, op string, detail func() string) {
+// delay, then the op's stall class (stallKind for stall, when nonzero).
+// target is the rank the operation addresses; detail renders the
+// operation with its operands and is only called when a fault fires.
+func (p *proc) inject(target int, op string, detail func() string, stallKind string, stall time.Duration) {
 	p.ops++
-	if p.cfg.CrashRank == p.inner.Rank() && p.ops >= max64(p.cfg.CrashAfterOps, 1) {
-		p.observe("crash", op, p.inner.Rank())
+	if p.cfg.CrashRank == p.Rank() && p.ops >= max(p.cfg.CrashAfterOps, 1) {
+		p.observe("crash", op, p.Rank())
 		panic(&pgas.FaultError{
-			Rank:  p.inner.Rank(),
-			Op:    op + "(" + detail() + ")",
+			Rank:  p.Rank(),
+			Op:    detail(),
 			Phase: "injected-crash",
-			Err:   fmt.Errorf("faulty: rank %d crashed at op %d (seed %d)", p.inner.Rank(), p.ops, p.cfg.Seed),
+			Err:   fmt.Errorf("faulty: rank %d crashed at op %d (seed %d)", p.Rank(), p.ops, p.cfg.Seed),
 		})
 	}
-	if p.cfg.DropProb > 0 && target != p.inner.Rank() && p.rng.Float64() < p.cfg.DropProb {
+	if p.cfg.DropProb > 0 && target != p.Rank() && p.rng.Float64() < p.cfg.DropProb {
 		p.observe("drop", op, target)
 		panic(&pgas.FaultError{
 			Rank:  target,
-			Op:    op + "(" + detail() + ")",
+			Op:    detail(),
 			Phase: "injected-drop",
 			Err:   fmt.Errorf("faulty: frame to rank %d dropped at op %d (seed %d)", target, p.ops, p.cfg.Seed),
 		})
@@ -227,200 +243,62 @@ func (p *proc) inject(target int, op string, detail func() string) {
 		// something observable in wall-clock traces.
 		time.Sleep(time.Duration(1 + p.rng.Int63n(int64(p.cfg.MaxDelay))))
 	}
+	if stall > 0 {
+		p.observe(stallKind, op, target)
+		time.Sleep(stall)
+	}
 }
 
 // Ops reports the number of fault-eligible operations p has issued so
-// far, when p is a faulty-wrapped proc (0 otherwise). Chaos tests use it
-// to pin CrashAfterOps values inside the execution window of interest
-// instead of guessing at op counts.
+// far, when a faulty wrapper is among p's layers (0 otherwise). Chaos
+// tests use it to pin CrashAfterOps values inside the execution window of
+// interest instead of guessing at op counts.
 func Ops(p pgas.Proc) int64 {
-	if fp, ok := p.(*proc); ok {
+	if fp, ok := pgas.Find[*proc](p); ok {
 		return fp.ops
 	}
 	return 0
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Local accessors and collective allocation: pure delegation.
-
-func (p *proc) Rank() int                                 { return p.inner.Rank() }
-func (p *proc) NProcs() int                               { return p.inner.NProcs() }
-func (p *proc) AllocData(nbytes int) pgas.Seg             { return p.inner.AllocData(nbytes) }
-func (p *proc) AllocWords(nwords int) pgas.Seg            { return p.inner.AllocWords(nwords) }
-func (p *proc) AllocLock() pgas.LockID                    { return p.inner.AllocLock() }
-func (p *proc) Local(seg pgas.Seg) []byte                 { return p.inner.Local(seg) }
-func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 { return p.inner.RelaxedLoad64(seg, idx) }
-func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
-	p.inner.RelaxedStore64(seg, idx, val)
-}
-func (p *proc) Compute(d time.Duration) { p.inner.Compute(d) }
-func (p *proc) Charge(d time.Duration)  { p.inner.Charge(d) }
-func (p *proc) Now() time.Duration      { return p.inner.Now() }
-func (p *proc) Rand() *rand.Rand        { return p.inner.Rand() }
-
 // Communication operations: inject, then delegate.
 
 func (p *proc) Barrier() {
-	p.inject(p.inner.Rank(), "Barrier", func() string { return "" })
-	if p.cfg.BarrierStall > 0 {
-		p.observe("barrier-stall", "Barrier", p.inner.Rank())
-		time.Sleep(p.cfg.BarrierStall)
-	}
-	p.inner.Barrier()
+	p.inject(p.Rank(), "Barrier", func() string { return "Barrier()" }, "barrier-stall", p.cfg.BarrierStall)
+	p.Kernel.Barrier()
 }
 
-func (p *proc) Get(dst []byte, proc int, seg pgas.Seg, off int) {
-	p.inject(proc, "Get", func() string {
-		return fmt.Sprintf("seg=%d, off=%d, n=%d", seg, off, len(dst))
-	})
-	p.inner.Get(dst, proc, seg, off)
+// Issue injects at issue time for blocking and non-blocking operations
+// alike — the fault stream sees the same operation sequence whether a
+// program uses blocking or non-blocking forms, so an injected crash/drop
+// schedule is insensitive to pipelining. Flush is a completion point, not
+// a new operation, and is the inner kernel's own.
+func (p *proc) Issue(op *pgas.Op) pgas.Nb {
+	p.inject(op.Target, op.Name(), op.String, "", 0)
+	return p.Kernel.Issue(op)
 }
 
-func (p *proc) Put(proc int, seg pgas.Seg, off int, src []byte) {
-	p.inject(proc, "Put", func() string {
-		return fmt.Sprintf("seg=%d, off=%d, n=%d", seg, off, len(src))
-	})
-	p.inner.Put(proc, seg, off, src)
-}
-
-func (p *proc) AccF64(proc int, seg pgas.Seg, off int, vals []float64) {
-	p.inject(proc, "AccF64", func() string {
-		return fmt.Sprintf("seg=%d, off=%d, n=%d", seg, off, len(vals))
-	})
-	p.inner.AccF64(proc, seg, off, vals)
-}
-
-func (p *proc) Load64(proc int, seg pgas.Seg, idx int) int64 {
-	p.inject(proc, "Load64", func() string { return fmt.Sprintf("seg=%d, idx=%d", seg, idx) })
-	return p.inner.Load64(proc, seg, idx)
-}
-
-func (p *proc) Store64(proc int, seg pgas.Seg, idx int, val int64) {
-	p.inject(proc, "Store64", func() string { return fmt.Sprintf("seg=%d, idx=%d", seg, idx) })
-	p.inner.Store64(proc, seg, idx, val)
-}
-
-func (p *proc) FetchAdd64(proc int, seg pgas.Seg, idx int, delta int64) int64 {
-	p.inject(proc, "FetchAdd64", func() string { return fmt.Sprintf("seg=%d, idx=%d", seg, idx) })
-	return p.inner.FetchAdd64(proc, seg, idx, delta)
-}
-
-func (p *proc) CAS64(proc int, seg pgas.Seg, idx int, old, new int64) bool {
-	p.inject(proc, "CAS64", func() string { return fmt.Sprintf("seg=%d, idx=%d", seg, idx) })
-	return p.inner.CAS64(proc, seg, idx, old, new)
-}
-
-// Non-blocking operations inject at issue time — the fault stream sees
-// the same operation sequence whether a program uses blocking or
-// non-blocking forms, so an injected crash/drop schedule is insensitive
-// to pipelining. Wait and Flush are completion points, not new
-// operations, and delegate without injection.
-
-func (p *proc) NbGet(dst []byte, proc int, seg pgas.Seg, off int) pgas.Nb {
-	p.inject(proc, "NbGet", func() string {
-		return fmt.Sprintf("seg=%d, off=%d, n=%d", seg, off, len(dst))
-	})
-	return p.inner.NbGet(dst, proc, seg, off)
-}
-
-func (p *proc) NbPut(proc int, seg pgas.Seg, off int, src []byte) pgas.Nb {
-	p.inject(proc, "NbPut", func() string {
-		return fmt.Sprintf("seg=%d, off=%d, n=%d", seg, off, len(src))
-	})
-	return p.inner.NbPut(proc, seg, off, src)
-}
-
-func (p *proc) NbLoad64(proc int, seg pgas.Seg, idx int, out *int64) pgas.Nb {
-	p.inject(proc, "NbLoad64", func() string { return fmt.Sprintf("seg=%d, idx=%d", seg, idx) })
-	return p.inner.NbLoad64(proc, seg, idx, out)
-}
-
-func (p *proc) NbStore64(proc int, seg pgas.Seg, idx int, val int64) pgas.Nb {
-	p.inject(proc, "NbStore64", func() string { return fmt.Sprintf("seg=%d, idx=%d", seg, idx) })
-	return p.inner.NbStore64(proc, seg, idx, val)
-}
-
-func (p *proc) NbFetchAdd64(proc int, seg pgas.Seg, idx int, delta int64, old *int64) pgas.Nb {
-	p.inject(proc, "NbFetchAdd64", func() string { return fmt.Sprintf("seg=%d, idx=%d", seg, idx) })
-	return p.inner.NbFetchAdd64(proc, seg, idx, delta, old)
-}
-
-func (p *proc) Wait(h pgas.Nb) { p.inner.Wait(h) }
-func (p *proc) Flush()         { p.inner.Flush() }
-
-// Resilience forwards to the inner transport when it is survivable; the
-// salvage path is never fault-injected (it models post-mortem memory
-// access, not live network traffic, and runs during recovery when a
-// second injected fault would just re-kill the healer by design).
-
-var _ pgas.Resilient = (*proc)(nil)
-
-func (p *proc) SurviveFault(fe *pgas.FaultError) ([]bool, bool) {
-	if res, ok := p.inner.(pgas.Resilient); ok {
-		return res.SurviveFault(fe)
-	}
-	return nil, false
-}
-
-func (p *proc) Salvage(dst []byte, rank int, seg pgas.Seg, off int) bool {
-	if res, ok := p.inner.(pgas.Resilient); ok {
-		return res.Salvage(dst, rank, seg, off)
-	}
-	return false
-}
-
-func (p *proc) SalvageLoad64(rank int, seg pgas.Seg, idx int) (int64, bool) {
-	if res, ok := p.inner.(pgas.Resilient); ok {
-		return res.SalvageLoad64(rank, seg, idx)
-	}
-	return 0, false
-}
-
-// AttachOcc forwards an occupancy buffer to the inner transport when it
-// records resource occupancy. Fault injection adds no resources of its
-// own — injected stalls show up in the inner transport's windows.
-func (p *proc) AttachOcc(b *occ.Buffer) {
-	if a, ok := p.inner.(occ.Attacher); ok {
-		a.AttachOcc(b)
-	}
+func lockDetail(op string, proc int, id pgas.LockID) string {
+	return fmt.Sprintf("%s(host=%d, id=%d)", op, proc, id)
 }
 
 func (p *proc) Lock(proc int, id pgas.LockID) {
-	p.inject(proc, "Lock", func() string { return fmt.Sprintf("host=%d, id=%d", proc, id) })
-	if p.cfg.LockStall > 0 {
-		p.observe("lock-stall", "Lock", proc)
-		time.Sleep(p.cfg.LockStall)
-	}
-	p.inner.Lock(proc, id)
+	p.inject(proc, "Lock", func() string { return lockDetail("Lock", proc, id) }, "lock-stall", p.cfg.LockStall)
+	p.Kernel.Lock(proc, id)
 }
 
 func (p *proc) TryLock(proc int, id pgas.LockID) bool {
-	p.inject(proc, "TryLock", func() string { return fmt.Sprintf("host=%d, id=%d", proc, id) })
-	if p.cfg.LockStall > 0 {
-		p.observe("lock-stall", "TryLock", proc)
-		time.Sleep(p.cfg.LockStall)
-	}
-	return p.inner.TryLock(proc, id)
+	p.inject(proc, "TryLock", func() string { return lockDetail("TryLock", proc, id) }, "lock-stall", p.cfg.LockStall)
+	return p.Kernel.TryLock(proc, id)
 }
 
 func (p *proc) Unlock(proc int, id pgas.LockID) {
-	p.inject(proc, "Unlock", func() string { return fmt.Sprintf("host=%d, id=%d", proc, id) })
-	if p.cfg.LockStall > 0 {
-		p.observe("lock-stall", "Unlock", proc)
-		time.Sleep(p.cfg.LockStall)
-	}
-	p.inner.Unlock(proc, id)
+	p.inject(proc, "Unlock", func() string { return lockDetail("Unlock", proc, id) }, "lock-stall", p.cfg.LockStall)
+	p.Kernel.Unlock(proc, id)
 }
 
 func (p *proc) Send(to int, tag int32, data []byte) {
-	p.inject(to, "Send", func() string { return fmt.Sprintf("to=%d, tag=%d, n=%d", to, tag, len(data)) })
-	p.inner.Send(to, tag, data)
+	p.inject(to, "Send", func() string { return fmt.Sprintf("Send(to=%d, tag=%d, n=%d)", to, tag, len(data)) }, "", 0)
+	p.Kernel.Send(to, tag, data)
 }
 
 func (p *proc) Recv(from int, tag int32) ([]byte, int) {
@@ -430,9 +308,5 @@ func (p *proc) Recv(from int, tag int32) ([]byte, int) {
 		p.observe("delay", "Recv", from)
 		time.Sleep(time.Duration(1 + p.rng.Int63n(int64(p.cfg.MaxDelay))))
 	}
-	return p.inner.Recv(from, tag)
-}
-
-func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
-	return p.inner.TryRecv(from, tag)
+	return p.Kernel.Recv(from, tag)
 }

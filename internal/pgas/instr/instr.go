@@ -3,8 +3,9 @@
 // transferred-byte counters, non-blocking issue→completion window
 // tracking, and an opt-in live introspection HTTP endpoint. It composes
 // the same way the fault-injection wrapper does — Wrap returns a World
-// whose Run hands the SPMD body instrumented Procs — so all three
-// transports (shm, dsim, tcp) are observed identically, and the wrapping
+// whose Run hands the SPMD body instrumented Procs, kernels that embed
+// the one below and override only what is timed — so all four transports
+// are observed identically, and the wrapping
 // order transport → faulty → instr means injected delays and stalls are
 // measured like any other latency.
 //

@@ -33,7 +33,7 @@ func TestInstrumentedOpsRecord(t *testing.T) {
 		buf := make([]byte, 16)
 		p.Put(other, data, 0, buf)
 		p.Get(buf, other, data, 0)
-		p.Get(buf, me, data, 0) // local scope
+		p.Get(buf, me, data, 48) // local scope; bytes no peer writes
 		p.Store64(other, words, 0, 7)
 		p.Load64(other, words, 0)
 		p.FetchAdd64(other, words, 1, 1)

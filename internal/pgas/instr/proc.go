@@ -1,16 +1,17 @@
 package instr
 
 import (
-	"math/rand"
 	"time"
 
 	"scioto/internal/obs"
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
 )
 
 // opKind indexes the pre-created instrument tables. The order is the
-// registration order and therefore part of the cross-rank merge schema.
+// registration order and therefore part of the cross-rank merge schema:
+// the blocking one-sided kinds sit at opGet+pgas.OpKind, the non-blocking
+// ones at nbIndex[kind]. There is no wait slot: Front.Wait reaches this
+// layer as a Flush and is timed as one.
 type opKind int
 
 const (
@@ -27,7 +28,6 @@ const (
 	opNbLoad64
 	opNbStore64
 	opNbFetchAdd64
-	opWait
 	opFlush
 	opLock
 	opTryLock
@@ -40,12 +40,12 @@ const (
 var opNames = [numOps]string{
 	"barrier", "get", "put", "accf64", "load64", "store64", "fetchadd64",
 	"cas64", "nbget", "nbput", "nbload64", "nbstore64", "nbfetchadd64",
-	"wait", "flush", "lock", "trylock", "unlock", "send", "recv",
+	"flush", "lock", "trylock", "unlock", "send", "recv",
 }
 
 // scopes for the latency histograms: index 0 = the op addressed this
-// rank's own heap, 1 = a remote rank (or, for barrier/wait/flush, the
-// world as a whole).
+// rank's own heap, 1 = a remote rank (or, for barrier/flush, the world as
+// a whole).
 const (
 	scopeLocal = iota
 	scopeRemote
@@ -54,38 +54,42 @@ const (
 
 var scopeNames = [numScopes]string{"local", "remote"}
 
-// nbWindowOf maps a non-blocking op to its window-histogram slot
-// (-1 for ops without one).
-var nbWindowOf = [numOps]int{
-	opBarrier: -1, opGet: -1, opPut: -1, opAccF64: -1, opLoad64: -1,
-	opStore64: -1, opFetchAdd64: -1, opCAS64: -1,
-	opNbGet: 0, opNbPut: 1, opNbLoad64: 2, opNbStore64: 3, opNbFetchAdd64: 4,
-	opWait: -1, opFlush: -1, opLock: -1, opTryLock: -1, opUnlock: -1,
-	opSend: -1, opRecv: -1,
+// nbIndex maps a one-sided kind to its non-blocking instrument slot.
+var nbIndex = [pgas.NumOpKinds]opKind{
+	pgas.OpGet: opNbGet, pgas.OpPut: opNbPut, pgas.OpLoad64: opNbLoad64,
+	pgas.OpStore64: opNbStore64, pgas.OpFetchAdd64: opNbFetchAdd64,
 }
 
-const numNbWindows = 5
+const numNbWindows = int(opNbFetchAdd64-opNbGet) + 1
 
-// pending is one in-flight non-blocking operation awaiting Wait/Flush.
+// bytesInOf reports, per one-sided kind, whether the payload counts as
+// received (true) or sent; CAS64 moves no counted payload.
+var bytesInOf = [pgas.NumOpKinds]bool{pgas.OpGet: true, pgas.OpLoad64: true, pgas.OpFetchAdd64: true}
+
+// pending is one in-flight non-blocking operation awaiting Flush.
 type pending struct {
-	h     pgas.Nb
 	start time.Duration
-	win   int // nb window slot
+	win   opKind // nb window slot
 }
 
-// proc instruments one rank's handle. Like every pgas.Proc it is used
-// only from the goroutine that received it, so the pending list needs no
-// synchronization; the instruments themselves are atomic, so the live
-// endpoint reads them concurrently without coordination.
-type proc struct {
-	inner pgas.Proc
-
+// instruments is one rank's instrument set. The instruments are atomic,
+// so the live endpoint reads them concurrently without coordination.
+type instruments struct {
 	lat      [numOps][numScopes]*obs.Histogram
 	nbWin    [numNbWindows]*obs.Histogram
 	bytesIn  *obs.Counter // payload bytes received (get, recv, fetched words)
 	bytesOut *obs.Counter // payload bytes sent (put, acc, send, stored words)
 	inflight *obs.Gauge
+}
 
+// proc instruments one rank's handle: the embedded Kernel is the layer
+// below, and only the operations worth timing are overridden. Like every
+// pgas.Proc it is used only from the goroutine that received it, so the
+// pending list needs no synchronization.
+type proc struct {
+	pgas.Front
+	pgas.Kernel
+	instruments
 	pend []pending
 }
 
@@ -93,8 +97,9 @@ var _ pgas.Proc = (*proc)(nil)
 
 // newProc pre-creates the full instrument set in deterministic order so
 // every rank's registry has the same schema.
-func newProc(inner pgas.Proc, reg *obs.Registry) *proc {
-	p := &proc{inner: inner, pend: make([]pending, 0, 16)}
+func newProc(inner pgas.Kernel, reg *obs.Registry) *proc {
+	p := &proc{Kernel: inner, pend: make([]pending, 0, 16)}
+	p.Bind(p)
 	for op := opKind(0); op < numOps; op++ {
 		for s := 0; s < numScopes; s++ {
 			p.lat[op][s] = reg.Histogram(
@@ -103,13 +108,11 @@ func newProc(inner pgas.Proc, reg *obs.Registry) *proc {
 			)
 		}
 	}
-	for op := opKind(0); op < numOps; op++ {
-		if w := nbWindowOf[op]; w >= 0 {
-			p.nbWin[w] = reg.Histogram(
-				`scioto_pgas_nb_window_seconds{op="`+opNames[op]+`"}`,
-				"non-blocking operation issue-to-completion window (Wait/Flush)",
-			)
-		}
+	for w := range p.nbWin {
+		p.nbWin[w] = reg.Histogram(
+			`scioto_pgas_nb_window_seconds{op="`+opNames[opNbGet+opKind(w)]+`"}`,
+			"non-blocking operation issue-to-completion window (Wait/Flush)",
+		)
 	}
 	p.bytesIn = reg.Counter(`scioto_pgas_bytes_total{dir="in"}`,
 		"payload bytes moved by one-sided and message operations")
@@ -120,266 +123,113 @@ func newProc(inner pgas.Proc, reg *obs.Registry) *proc {
 	return p
 }
 
-// scope classifies an operation's target.
-func (p *proc) scope(target int) int {
-	if target == p.inner.Rank() {
-		return scopeLocal
-	}
-	return scopeRemote
-}
+// Unwrap exposes the wrapped layer to pgas.Find, which is how the inner
+// transport's capabilities stay reachable. Salvage traffic is therefore
+// left out of the latency histograms: it is recovery-path, not
+// steady-state. The wrapper records no occupancy of its own either: its
+// view of latency is already covered by the histograms.
+func (p *proc) Unwrap() pgas.Kernel { return p.Kernel }
 
-// observe records one completed operation's latency. Called after the
-// delegated call returns; an op that panics (injected or transport
-// fault) records nothing, because it never completed.
-func (p *proc) observe(op opKind, sc int, start time.Duration) time.Duration {
-	now := p.inner.Now()
-	p.lat[op][sc].Observe(now - start)
+// observe records one completed operation's latency against start and
+// returns the completion time. Called after the delegated call returns; an
+// op that panics (injected or transport fault) records nothing, because it
+// never completed. target < 0 selects the whole-world scope.
+func (in *instruments) observe(k pgas.Kernel, op opKind, target int, start time.Duration) time.Duration {
+	sc := scopeRemote
+	if target == k.Rank() {
+		sc = scopeLocal
+	}
+	now := k.Now()
+	in.lat[op][sc].Observe(now - start)
 	return now
 }
 
-// issueNb tracks a non-blocking handle from issue until Wait/Flush. An
-// inline-completed handle (NbDone) has its window recorded immediately —
-// the issue call was the whole window.
-func (p *proc) issueNb(op opKind, h pgas.Nb, start, now time.Duration) pgas.Nb {
-	w := nbWindowOf[op]
-	if h == pgas.NbDone {
-		p.nbWin[w].Observe(now - start)
+// Communication operations: delegate, then record.
+
+func (p *proc) Barrier() {
+	start := p.Now()
+	p.Kernel.Barrier()
+	p.observe(p, opBarrier, -1, start)
+}
+
+// Issue records the issue latency of every one-sided operation and, for a
+// non-blocking one, opens its issue→completion window. An op the inner
+// kernel completed inline (NbDone) has its window recorded immediately —
+// the issue call was the whole window; the rest close at Flush.
+func (p *proc) Issue(op *pgas.Op) pgas.Nb {
+	slot := opGet + opKind(op.Kind)
+	if op.Nb {
+		slot = nbIndex[op.Kind]
+	}
+	start := p.Now()
+	h := p.Kernel.Issue(op)
+	now := p.observe(p, slot, op.Target, start)
+	if bytesInOf[op.Kind] {
+		p.bytesIn.Add(int64(op.Bytes()))
+	} else if op.Kind != pgas.OpCAS64 {
+		p.bytesOut.Add(int64(op.Bytes()))
+	}
+	if !op.Nb {
 		return h
 	}
-	p.pend = append(p.pend, pending{h: h, start: start, win: w})
+	if h == pgas.NbDone {
+		p.nbWin[slot-opNbGet].Observe(now - start)
+		return h
+	}
+	p.pend = append(p.pend, pending{start: start, win: slot - opNbGet})
 	p.inflight.Add(1)
 	return h
 }
 
-// completeNb closes the window of handle h, if tracked.
-func (p *proc) completeNb(h pgas.Nb, now time.Duration) {
-	for i := range p.pend {
-		if p.pend[i].h == h {
-			p.nbWin[p.pend[i].win].Observe(now - p.pend[i].start)
-			p.pend = append(p.pend[:i], p.pend[i+1:]...)
-			p.inflight.Add(-1)
-			return
-		}
-	}
-}
-
-// completeAllNb closes every tracked window (Flush semantics).
-func (p *proc) completeAllNb(now time.Duration) {
-	for i := range p.pend {
-		p.nbWin[p.pend[i].win].Observe(now - p.pend[i].start)
+func (p *proc) Flush() {
+	start := p.Now()
+	p.Kernel.Flush()
+	now := p.observe(p, opFlush, -1, start)
+	for _, pd := range p.pend {
+		p.nbWin[pd.win].Observe(now - pd.start)
 	}
 	p.inflight.Add(-int64(len(p.pend)))
 	p.pend = p.pend[:0]
 }
 
-// Local accessors: pure delegation, nothing to measure.
-
-func (p *proc) Rank() int                                 { return p.inner.Rank() }
-func (p *proc) NProcs() int                               { return p.inner.NProcs() }
-func (p *proc) AllocData(nbytes int) pgas.Seg             { return p.inner.AllocData(nbytes) }
-func (p *proc) AllocWords(nwords int) pgas.Seg            { return p.inner.AllocWords(nwords) }
-func (p *proc) AllocLock() pgas.LockID                    { return p.inner.AllocLock() }
-func (p *proc) Local(seg pgas.Seg) []byte                 { return p.inner.Local(seg) }
-func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 { return p.inner.RelaxedLoad64(seg, idx) }
-func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
-	p.inner.RelaxedStore64(seg, idx, val)
-}
-func (p *proc) Compute(d time.Duration) { p.inner.Compute(d) }
-func (p *proc) Charge(d time.Duration)  { p.inner.Charge(d) }
-func (p *proc) Now() time.Duration      { return p.inner.Now() }
-func (p *proc) Rand() *rand.Rand        { return p.inner.Rand() }
-
-// Communication operations: delegate, then record.
-
-func (p *proc) Barrier() {
-	start := p.inner.Now()
-	p.inner.Barrier()
-	p.observe(opBarrier, scopeRemote, start)
-}
-
-func (p *proc) Get(dst []byte, proc int, seg pgas.Seg, off int) {
-	start := p.inner.Now()
-	p.inner.Get(dst, proc, seg, off)
-	p.observe(opGet, p.scope(proc), start)
-	p.bytesIn.Add(int64(len(dst)))
-}
-
-func (p *proc) Put(proc int, seg pgas.Seg, off int, src []byte) {
-	start := p.inner.Now()
-	p.inner.Put(proc, seg, off, src)
-	p.observe(opPut, p.scope(proc), start)
-	p.bytesOut.Add(int64(len(src)))
-}
-
-func (p *proc) AccF64(proc int, seg pgas.Seg, off int, vals []float64) {
-	start := p.inner.Now()
-	p.inner.AccF64(proc, seg, off, vals)
-	p.observe(opAccF64, p.scope(proc), start)
-	p.bytesOut.Add(int64(8 * len(vals)))
-}
-
-func (p *proc) Load64(proc int, seg pgas.Seg, idx int) int64 {
-	start := p.inner.Now()
-	v := p.inner.Load64(proc, seg, idx)
-	p.observe(opLoad64, p.scope(proc), start)
-	p.bytesIn.Add(8)
-	return v
-}
-
-func (p *proc) Store64(proc int, seg pgas.Seg, idx int, val int64) {
-	start := p.inner.Now()
-	p.inner.Store64(proc, seg, idx, val)
-	p.observe(opStore64, p.scope(proc), start)
-	p.bytesOut.Add(8)
-}
-
-func (p *proc) FetchAdd64(proc int, seg pgas.Seg, idx int, delta int64) int64 {
-	start := p.inner.Now()
-	v := p.inner.FetchAdd64(proc, seg, idx, delta)
-	p.observe(opFetchAdd64, p.scope(proc), start)
-	p.bytesIn.Add(8)
-	return v
-}
-
-func (p *proc) CAS64(proc int, seg pgas.Seg, idx int, old, new int64) bool {
-	start := p.inner.Now()
-	ok := p.inner.CAS64(proc, seg, idx, old, new)
-	p.observe(opCAS64, p.scope(proc), start)
-	return ok
-}
-
-// Non-blocking operations record both the issue latency and, via
-// issueNb, the issue→completion window.
-
-func (p *proc) NbGet(dst []byte, proc int, seg pgas.Seg, off int) pgas.Nb {
-	start := p.inner.Now()
-	h := p.inner.NbGet(dst, proc, seg, off)
-	now := p.observe(opNbGet, p.scope(proc), start)
-	p.bytesIn.Add(int64(len(dst)))
-	return p.issueNb(opNbGet, h, start, now)
-}
-
-func (p *proc) NbPut(proc int, seg pgas.Seg, off int, src []byte) pgas.Nb {
-	start := p.inner.Now()
-	h := p.inner.NbPut(proc, seg, off, src)
-	now := p.observe(opNbPut, p.scope(proc), start)
-	p.bytesOut.Add(int64(len(src)))
-	return p.issueNb(opNbPut, h, start, now)
-}
-
-func (p *proc) NbLoad64(proc int, seg pgas.Seg, idx int, out *int64) pgas.Nb {
-	start := p.inner.Now()
-	h := p.inner.NbLoad64(proc, seg, idx, out)
-	now := p.observe(opNbLoad64, p.scope(proc), start)
-	p.bytesIn.Add(8)
-	return p.issueNb(opNbLoad64, h, start, now)
-}
-
-func (p *proc) NbStore64(proc int, seg pgas.Seg, idx int, val int64) pgas.Nb {
-	start := p.inner.Now()
-	h := p.inner.NbStore64(proc, seg, idx, val)
-	now := p.observe(opNbStore64, p.scope(proc), start)
-	p.bytesOut.Add(8)
-	return p.issueNb(opNbStore64, h, start, now)
-}
-
-func (p *proc) NbFetchAdd64(proc int, seg pgas.Seg, idx int, delta int64, old *int64) pgas.Nb {
-	start := p.inner.Now()
-	h := p.inner.NbFetchAdd64(proc, seg, idx, delta, old)
-	now := p.observe(opNbFetchAdd64, p.scope(proc), start)
-	p.bytesIn.Add(8)
-	return p.issueNb(opNbFetchAdd64, h, start, now)
-}
-
-func (p *proc) Wait(h pgas.Nb) {
-	start := p.inner.Now()
-	p.inner.Wait(h)
-	now := p.observe(opWait, scopeRemote, start)
-	p.completeNb(h, now)
-}
-
-func (p *proc) Flush() {
-	start := p.inner.Now()
-	p.inner.Flush()
-	now := p.observe(opFlush, scopeRemote, start)
-	p.completeAllNb(now)
-}
-
 func (p *proc) Lock(proc int, id pgas.LockID) {
-	start := p.inner.Now()
-	p.inner.Lock(proc, id)
-	p.observe(opLock, p.scope(proc), start)
+	start := p.Now()
+	p.Kernel.Lock(proc, id)
+	p.observe(p, opLock, proc, start)
 }
 
 func (p *proc) TryLock(proc int, id pgas.LockID) bool {
-	start := p.inner.Now()
-	ok := p.inner.TryLock(proc, id)
-	p.observe(opTryLock, p.scope(proc), start)
+	start := p.Now()
+	ok := p.Kernel.TryLock(proc, id)
+	p.observe(p, opTryLock, proc, start)
 	return ok
 }
 
 func (p *proc) Unlock(proc int, id pgas.LockID) {
-	start := p.inner.Now()
-	p.inner.Unlock(proc, id)
-	p.observe(opUnlock, p.scope(proc), start)
+	start := p.Now()
+	p.Kernel.Unlock(proc, id)
+	p.observe(p, opUnlock, proc, start)
 }
 
 func (p *proc) Send(to int, tag int32, data []byte) {
-	start := p.inner.Now()
-	p.inner.Send(to, tag, data)
-	p.observe(opSend, p.scope(to), start)
+	start := p.Now()
+	p.Kernel.Send(to, tag, data)
+	p.observe(p, opSend, to, start)
 	p.bytesOut.Add(int64(len(data)))
 }
 
 func (p *proc) Recv(from int, tag int32) ([]byte, int) {
-	start := p.inner.Now()
-	data, src := p.inner.Recv(from, tag)
-	p.observe(opRecv, scopeRemote, start)
+	start := p.Now()
+	data, src := p.Kernel.Recv(from, tag)
+	p.observe(p, opRecv, -1, start)
 	p.bytesIn.Add(int64(len(data)))
 	return data, src
 }
 
 func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
-	data, src, ok := p.inner.TryRecv(from, tag)
+	data, src, ok := p.Kernel.TryRecv(from, tag)
 	if ok {
 		p.bytesIn.Add(int64(len(data)))
 	}
 	return data, src, ok
-}
-
-// Resilience forwards to the inner transport when it is survivable.
-// Salvage traffic is recovery-path, not steady-state, so it is left out
-// of the latency histograms.
-
-var _ pgas.Resilient = (*proc)(nil)
-
-func (p *proc) SurviveFault(fe *pgas.FaultError) ([]bool, bool) {
-	if res, ok := p.inner.(pgas.Resilient); ok {
-		return res.SurviveFault(fe)
-	}
-	return nil, false
-}
-
-func (p *proc) Salvage(dst []byte, rank int, seg pgas.Seg, off int) bool {
-	if res, ok := p.inner.(pgas.Resilient); ok {
-		return res.Salvage(dst, rank, seg, off)
-	}
-	return false
-}
-
-func (p *proc) SalvageLoad64(rank int, seg pgas.Seg, idx int) (int64, bool) {
-	if res, ok := p.inner.(pgas.Resilient); ok {
-		return res.SalvageLoad64(rank, seg, idx)
-	}
-	return 0, false
-}
-
-// AttachOcc forwards an occupancy buffer to the inner transport when it
-// records resource occupancy (dsim NIC windows, tcp flush windows, ipc
-// ring/barrier waits). The wrapper records nothing itself: its view of
-// latency is already covered by the histograms above.
-func (p *proc) AttachOcc(b *occ.Buffer) {
-	if a, ok := p.inner.(occ.Attacher); ok {
-		a.AttachOcc(b)
-	}
 }

@@ -3,9 +3,13 @@ package ipc_test
 import (
 	"os"
 	"testing"
+	"time"
 
 	"scioto/internal/core"
+	"scioto/internal/obs"
 	"scioto/internal/pgas"
+	"scioto/internal/pgas/faulty"
+	"scioto/internal/pgas/instr"
 	"scioto/internal/pgas/ipc"
 	"scioto/internal/pgas/pgastest"
 	"scioto/internal/uts"
@@ -85,4 +89,14 @@ func TestUTSGeometricMatchesSequential(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCapabilitiesThroughWrappers: what pgas.Find reaches through
+// instr∘faulty is what the bare transport offers.
+func TestCapabilitiesThroughWrappers(t *testing.T) {
+	pgastest.RunCapabilities(t, func(n int) pgas.World {
+		w := ipc.NewWorld(ipc.Config{NProcs: n, Seed: 6, Survivable: true})
+		w = faulty.Wrap(w, faulty.Config{Seed: 3, DelayProb: 0.2, MaxDelay: 20 * time.Microsecond, CrashRank: faulty.NoCrash})
+		return instr.Wrap(w, obs.NewHub(), instr.Options{})
+	})
 }

@@ -15,6 +15,7 @@ import (
 // symmetric segment offset) and acts on the mapped bytes directly; there
 // is no request path and no goroutine besides the rank's own.
 type proc struct {
+	pgas.Front
 	cfg   Config
 	m     *mapping
 	rank  int
@@ -58,7 +59,7 @@ var _ pgas.Proc = (*proc)(nil)
 var _ pgas.Resilient = (*proc)(nil)
 
 func newProc(cfg Config, m *mapping, rank int, speed float64) *proc {
-	return &proc{
+	p := &proc{
 		cfg:   cfg,
 		m:     m,
 		rank:  rank,
@@ -66,6 +67,8 @@ func newProc(cfg Config, m *mapping, rank int, speed float64) *proc {
 		rng:   rand.New(rand.NewSource(cfg.Seed*7919 + int64(rank) + 1)),
 		start: time.Now(),
 	}
+	p.Bind(p)
+	return p
 }
 
 func (p *proc) tag() int64  { return int64(p.rank) + 1 }
@@ -209,89 +212,40 @@ func (p *proc) wordAt(rank int, seg pgas.Seg, idx int) int64 {
 	return p.m.l.arena(rank) + p.wordOff[seg] + int64(idx)*wordSize
 }
 
-func (p *proc) Get(dst []byte, proc int, seg pgas.Seg, off int) {
-	p.check()
-	copy(dst, p.dataAt(proc, seg, off, len(dst)))
-}
-
-func (p *proc) Put(proc int, seg pgas.Seg, off int, src []byte) {
-	p.check()
-	copy(p.dataAt(proc, seg, off, len(src)), src)
-}
-
+// Issue completes every operation inline, non-blocking ones included, like
+// shm: the data path is a memory access, so there is nothing to overlap.
 // AccF64 serializes accumulates per target rank through a holder-tagged
 // spin word (the ARMCI_Acc atomicity contract), released on the holder's
 // behalf by the death registrar if it dies mid-accumulate.
-func (p *proc) AccF64(proc int, seg pgas.Seg, off int, vals []float64) {
+func (p *proc) Issue(op *pgas.Op) pgas.Nb {
 	p.check()
-	w := p.m.l.accLock(proc)
+	if op.Kind.IsWord() {
+		op.ApplyWord(p.m.word(p.wordAt(op.Target, op.Seg, op.Off)))
+		return pgas.NbDone
+	}
+	win := p.dataAt(op.Target, op.Seg, op.Off, op.Bytes())
+	if op.Kind != pgas.OpAccF64 {
+		op.ApplyData(win)
+		return pgas.NbDone
+	}
+	w := p.m.l.accLock(op.Target)
 	var bo backoff
 	for !p.m.cas(w, 0, p.tag()) {
 		p.check()
 		bo.pause()
 	}
-	pgas.AccF64Bytes(p.dataAt(proc, seg, off, len(vals)*pgas.F64Bytes), vals)
+	op.ApplyData(win)
 	if !p.m.cas(w, p.tag(), 0) {
 		panic("ipc: accumulate lock released by a non-holder")
 	}
+	return pgas.NbDone
 }
+
+func (p *proc) Flush() {}
 
 func (p *proc) Local(seg pgas.Seg) []byte {
 	return p.dataAt(p.rank, seg, 0, int(p.dataLen[seg]))
 }
-
-func (p *proc) Load64(proc int, seg pgas.Seg, idx int) int64 {
-	p.check()
-	return p.m.load(p.wordAt(proc, seg, idx))
-}
-
-func (p *proc) Store64(proc int, seg pgas.Seg, idx int, val int64) {
-	p.check()
-	p.m.store(p.wordAt(proc, seg, idx), val)
-}
-
-func (p *proc) FetchAdd64(proc int, seg pgas.Seg, idx int, delta int64) int64 {
-	p.check()
-	return p.m.add(p.wordAt(proc, seg, idx), delta) - delta
-}
-
-func (p *proc) CAS64(proc int, seg pgas.Seg, idx int, old, new int64) bool {
-	p.check()
-	return p.m.cas(p.wordAt(proc, seg, idx), old, new)
-}
-
-// Non-blocking operations complete inline, like shm: the data path is a
-// memory access, so there is nothing to overlap, and NbDone with no-op
-// Wait/Flush is a legal (maximally eager) completion schedule under the
-// Proc contract.
-
-func (p *proc) NbGet(dst []byte, proc int, seg pgas.Seg, off int) pgas.Nb {
-	p.Get(dst, proc, seg, off)
-	return pgas.NbDone
-}
-
-func (p *proc) NbPut(proc int, seg pgas.Seg, off int, src []byte) pgas.Nb {
-	p.Put(proc, seg, off, src)
-	return pgas.NbDone
-}
-
-func (p *proc) NbLoad64(proc int, seg pgas.Seg, idx int, out *int64) pgas.Nb {
-	*out = p.Load64(proc, seg, idx)
-	return pgas.NbDone
-}
-
-func (p *proc) NbStore64(proc int, seg pgas.Seg, idx int, val int64) pgas.Nb {
-	p.Store64(proc, seg, idx, val)
-	return pgas.NbDone
-}
-
-func (p *proc) NbFetchAdd64(proc int, seg pgas.Seg, idx int, delta int64, old *int64) pgas.Nb {
-	*old = p.FetchAdd64(proc, seg, idx, delta)
-	return pgas.NbDone
-}
-
-func (p *proc) Wait(pgas.Nb) {}
-func (p *proc) Flush()       {}
 
 // The relaxed owner-side accessors still use atomics: the words are
 // shared with other processes, and on the hardware level a plain load of

@@ -8,7 +8,15 @@
 // small two-sided message layer (standing in for MPI point-to-point, used by
 // the UTS-MPI work-stealing baseline).
 //
-// Four transports implement the interface:
+// Two interfaces split the work. Proc is what a SPMD body calls. Kernel is
+// what a transport implements: 21 methods, in which every one-sided
+// operation, blocking or not, is one Op descriptor passed to Issue. Front
+// derives Proc's typed one-sided methods from a Kernel, once, and the
+// wrappers (pgas/faulty, pgas/instr) are Kernels that embed the one below
+// and override only the operations they act on; an optional capability of
+// the transport (Resilient, occ.Attacher) is found behind them by Find.
+//
+// Four transports implement the Kernel:
 //
 //   - pgas/shm: real concurrency. Every simulated process is a goroutine and
 //     all operations are performed with real atomics and mutexes. Optionally
@@ -45,13 +53,14 @@
 // segments hold 64-bit integers and are accessed with atomic operations.
 // Bulk data operations are not atomic with respect to one another except as
 // documented; callers synchronize with locks, exactly as ARMCI programs do.
-// Every one-sided operation also has a non-blocking form (NbGet, NbPut,
-// NbLoad64, NbStore64, NbFetchAdd64) returning a handle completed by
-// Wait/Flush; see the Proc interface for the overlap and ordering rules.
+// Every one-sided operation but AccF64 and CAS64 also has a non-blocking
+// form (NbGet, NbPut, NbLoad64, NbStore64, NbFetchAdd64) returning a handle
+// completed by Wait/Flush; see the Proc interface for the overlap and
+// ordering rules and Op for what a transport may do with the Nb flag.
 //
 // Failure model. A transport operation that cannot complete — the target
 // process died, a frame was lost, a deadline expired — has no meaningful
-// local recovery in a SPMD program, so Proc methods report such failures by
+// local recovery in a SPMD program, so Kernel methods report such failures by
 // panicking with a *FaultError that attributes the fault to a rank and
 // names the operation and phase in progress. World.Run recovers the panic
 // and returns the *FaultError. What is tolerated differs per transport:
@@ -105,10 +114,15 @@ type World interface {
 	Run(body func(p Proc)) error
 }
 
-// Proc is the per-process handle through which a SPMD body performs all
-// communication. A Proc must only be used from the goroutine that received
-// it from World.Run.
-type Proc interface {
+// Kernel is the transport SPI: the one interface a transport or a wrapper
+// implements. Everything else a SPMD body calls — the typed one-sided
+// methods of Proc, handle numbering, Wait — is derived from it once, by
+// Front. Adding a transport means implementing these 21 methods; see
+// DESIGN.md "Transports" for the contract of each group.
+//
+// A Kernel must only be used from the goroutine that received it from
+// World.Run.
+type Kernel interface {
 	// Rank reports this process's rank in [0, NProcs).
 	Rank() int
 	// NProcs reports the number of processes in the world.
@@ -128,73 +142,21 @@ type Proc interface {
 	AllocWords(nwords int) Seg
 	// AllocLock collectively allocates a lock (one instance per process).
 	AllocLock() LockID
-
-	// Get copies len(dst) bytes starting at offset off of data segment seg
-	// on process proc into dst.
-	Get(dst []byte, proc int, seg Seg, off int)
-	// Put copies src into data segment seg on process proc at offset off.
-	Put(proc int, seg Seg, off int, src []byte)
-	// AccF64 atomically adds vals element-wise into the float64 values
-	// stored (in native encoding, see Float64Slice) at byte offset off of
-	// data segment seg on process proc. The accumulate is atomic with
-	// respect to other AccF64 calls targeting the same process, mirroring
-	// ARMCI_Acc.
-	AccF64(proc int, seg Seg, off int, vals []float64)
 	// Local returns this process's own instance of data segment seg for
 	// direct access. The caller must guarantee, at the application
 	// protocol level, that no remote operation concurrently accesses the
 	// bytes it touches.
 	Local(seg Seg) []byte
 
-	// Load64 atomically reads word idx of word segment seg on process proc.
-	Load64(proc int, seg Seg, idx int) int64
-	// Store64 atomically writes word idx of word segment seg on process proc.
-	Store64(proc int, seg Seg, idx int, val int64)
-	// FetchAdd64 atomically adds delta to the word and returns the previous
-	// value.
-	FetchAdd64(proc int, seg Seg, idx int, delta int64) int64
-	// CAS64 atomically compares-and-swaps the word, reporting success.
-	CAS64(proc int, seg Seg, idx int, old, new int64) bool
-
-	// Non-blocking one-sided operations, mirroring ARMCI_NbGet/NbPut.
-	// Each Nb method initiates the transfer and returns a handle; the
-	// operation is guaranteed complete only once Wait on its handle or
-	// Flush has returned. Until then the caller must not read an output
-	// location (dst of NbGet, out of NbLoad64, old of NbFetchAdd64) and
-	// must not modify an input buffer (src of NbPut).
-	//
-	// Ordering rules (the contract the split queue's pipelined steal
-	// depends on; see DESIGN.md):
-	//
-	//   - Operations issued by one process to the SAME target rank are
-	//     applied at the target in issue order, including relative to this
-	//     process's blocking operations (per origin-target FIFO, the order
-	//     of frames on one connection).
-	//   - No ordering holds between operations to DIFFERENT targets until
-	//     Wait or Flush returns.
-	//   - Wait(h) completes h; it may complete other pending operations as
-	//     well. Flush completes every pending operation of this Proc.
-	//
-	// Transports may complete an operation at issue time and return NbDone;
-	// shm does so for every operation, keeping race-detector interleavings
-	// identical to the blocking path.
-
-	// NbGet initiates a Get of len(dst) bytes into dst.
-	NbGet(dst []byte, proc int, seg Seg, off int) Nb
-	// NbPut initiates a Put of src.
-	NbPut(proc int, seg Seg, off int, src []byte) Nb
-	// NbLoad64 initiates an atomic read whose result is stored into *out
-	// at completion.
-	NbLoad64(proc int, seg Seg, idx int, out *int64) Nb
-	// NbStore64 initiates an atomic write.
-	NbStore64(proc int, seg Seg, idx int, val int64) Nb
-	// NbFetchAdd64 initiates an atomic fetch-and-add; the previous value is
-	// stored into *old at completion.
-	NbFetchAdd64(proc int, seg Seg, idx int, delta int64, old *int64) Nb
-	// Wait blocks until the operation identified by h has completed.
-	Wait(h Nb)
+	// Issue performs the one-sided operation op describes (see Op). A
+	// blocking op (op.Nb unset) is complete when Issue returns and the
+	// result is NbDone. A non-blocking op may instead stay pending until
+	// the next Flush, reported by a result other than NbDone; until then
+	// op.Buf and *op.Out belong to the transport. The callee must not
+	// retain op itself past returning: the caller reuses the descriptor.
+	Issue(op *Op) Nb
 	// Flush blocks until every pending non-blocking operation issued by
-	// this Proc has completed.
+	// this process has completed.
 	Flush()
 
 	// RelaxedLoad64 reads word idx of this process's own instance of seg
@@ -243,13 +205,83 @@ type Proc interface {
 	Rand() *rand.Rand
 }
 
+// Proc is the per-process handle through which a SPMD body performs all
+// communication: the Kernel plus the typed one-sided operations, which
+// Front implements once over Kernel.Issue. Application and runtime code
+// calls the typed methods; Issue is the level transports and wrappers
+// meet at. A Proc must only be used from the goroutine that received it
+// from World.Run.
+type Proc interface {
+	Kernel
+
+	// Get copies len(dst) bytes starting at offset off of data segment seg
+	// on process proc into dst.
+	Get(dst []byte, proc int, seg Seg, off int)
+	// Put copies src into data segment seg on process proc at offset off.
+	Put(proc int, seg Seg, off int, src []byte)
+	// AccF64 atomically adds vals element-wise into the float64 values
+	// stored (in native encoding, see Float64Slice) at byte offset off of
+	// data segment seg on process proc. The accumulate is atomic with
+	// respect to other AccF64 calls targeting the same process, mirroring
+	// ARMCI_Acc.
+	AccF64(proc int, seg Seg, off int, vals []float64)
+
+	// Load64 atomically reads word idx of word segment seg on process proc.
+	Load64(proc int, seg Seg, idx int) int64
+	// Store64 atomically writes word idx of word segment seg on process proc.
+	Store64(proc int, seg Seg, idx int, val int64)
+	// FetchAdd64 atomically adds delta to the word and returns the previous
+	// value.
+	FetchAdd64(proc int, seg Seg, idx int, delta int64) int64
+	// CAS64 atomically compares-and-swaps the word, reporting success.
+	CAS64(proc int, seg Seg, idx int, old, new int64) bool
+
+	// Non-blocking one-sided operations, mirroring ARMCI_NbGet/NbPut.
+	// Each Nb method initiates the transfer and returns a handle; the
+	// operation is guaranteed complete only once Wait on its handle or
+	// Flush has returned. Until then the caller must not read an output
+	// location (dst of NbGet, out of NbLoad64, old of NbFetchAdd64) and
+	// must not modify an input buffer (src of NbPut).
+	//
+	// Ordering rules (the contract the split queue's pipelined steal
+	// depends on; see DESIGN.md):
+	//
+	//   - Operations issued by one process to the SAME target rank are
+	//     applied at the target in issue order, including relative to this
+	//     process's blocking operations (per origin-target FIFO, the order
+	//     of frames on one connection).
+	//   - No ordering holds between operations to DIFFERENT targets until
+	//     Wait or Flush returns.
+	//   - Wait(h) completes h; it may complete other pending operations as
+	//     well. Flush completes every pending operation of this Proc.
+	//
+	// Transports may complete an operation at issue time and return NbDone;
+	// shm does so for every operation, keeping race-detector interleavings
+	// identical to the blocking path.
+
+	// NbGet initiates a Get of len(dst) bytes into dst.
+	NbGet(dst []byte, proc int, seg Seg, off int) Nb
+	// NbPut initiates a Put of src.
+	NbPut(proc int, seg Seg, off int, src []byte) Nb
+	// NbLoad64 initiates an atomic read whose result is stored into *out
+	// at completion.
+	NbLoad64(proc int, seg Seg, idx int, out *int64) Nb
+	// NbStore64 initiates an atomic write.
+	NbStore64(proc int, seg Seg, idx int, val int64) Nb
+	// NbFetchAdd64 initiates an atomic fetch-and-add; the previous value is
+	// stored into *old at completion.
+	NbFetchAdd64(proc int, seg Seg, idx int, delta int64, old *int64) Nb
+	// Wait blocks until the operation identified by h has completed.
+	Wait(h Nb)
+}
+
 // Resilient is the optional fault-survival extension of Proc. A transport
 // that can outlive the death of a rank — marking it dead, releasing its
 // locks, shrinking its barriers to the live membership, and exposing the
 // dead rank's symmetric heap for post-mortem reads — implements Resilient
-// on its Proc. Wrapper transports (faulty, instr) forward the interface to
-// their inner Proc. The core runtime's work-replay recovery requires it;
-// on a transport without it (or one whose Proc returns ok=false) a fault
+// on its Kernel type; the runtime looks it up with Find, which sees
+// through the wrappers. The core runtime's work-replay recovery requires
+// it; on a transport without it (or one that returns ok=false) a fault
 // stays fatal and the job unwinds as before.
 type Resilient interface {
 	// SurviveFault transitions the world into a recovery epoch after fe:

@@ -187,6 +187,39 @@ func testNbFlushBeforeUnlock(t *testing.T, f Factory) {
 	})
 }
 
+// testNbOutNotReused: a completed operation's result pointer belongs to the
+// application again — no later operation, of any kind, may write through
+// it. This is the steal path's shape: non-blocking metadata reads, then a
+// bulk Get from the same victim.
+func testNbOutNotReused(t *testing.T, f Factory) {
+	const size = 16
+	run(t, f(2), func(p pgas.Proc) {
+		data := p.AllocData(size)
+		words := p.AllocWords(1)
+		other := 1 - p.Rank()
+		local := p.Local(data)
+		for i := range local {
+			local[i] = 0xAB
+		}
+		p.RelaxedStore64(words, 0, 42)
+		p.Barrier()
+
+		var x, old int64
+		p.NbLoad64(other, words, 0, &x)
+		p.NbFetchAdd64(other, words, 0, 0, &old)
+		p.Flush()
+		buf := make([]byte, size)
+		p.Get(buf, other, data, 0)
+		h := p.NbGet(buf, other, data, 0)
+		p.Wait(h)
+		p.Load64(other, words, 0)
+		if x != 42 || old != 42 {
+			panic(fmt.Sprintf("NbLoad64, NbFetchAdd64 results = %#x, %#x after later operations, want 42, 42", x, old))
+		}
+		p.Barrier()
+	})
+}
+
 // RunNbFaultInjection drives non-blocking operations on worlds produced by
 // a factory that injects faults (pgas/faulty with a drop or crash
 // schedule), asserting that a fault injected on a pending operation

@@ -125,3 +125,63 @@ func testOccMerge(t *testing.T, f Factory) {
 		}
 	})
 }
+
+// RunCapabilities checks that wrapping a transport does not change what
+// the runtime can ask of it. newWorld must build its worlds wrapped at
+// least twice (instr over faulty over the transport, as the facade does);
+// inside the body the case unwraps to the bare transport and requires that
+// pgas.Find reaches, through the wrappers, the very capability values the
+// bare transport offers: the same pgas.Resilient with the same verdict,
+// and the same occupancy hook, so an attached buffer is delivered to the
+// transport or to nobody exactly as it would be unwrapped.
+func RunCapabilities(t *testing.T, newWorld Factory) {
+	t.Helper()
+	run(t, newWorld(2), func(p pgas.Proc) {
+		var bare pgas.Kernel = p
+		depth := 0
+		for {
+			w, ok := bare.(interface{ Unwrap() pgas.Kernel })
+			if !ok {
+				break
+			}
+			bare, depth = w.Unwrap(), depth+1
+		}
+		if depth < 2 {
+			panic(fmt.Sprintf("world is wrapped %d deep; the case needs instr over faulty", depth))
+		}
+
+		res, ok := pgas.Find[pgas.Resilient](p)
+		bareRes, bareOK := pgas.Find[pgas.Resilient](bare)
+		if ok != bareOK || res != bareRes {
+			panic(fmt.Sprintf("Resilient through the wrappers = (%v, %t), bare transport = (%v, %t)", res, ok, bareRes, bareOK))
+		}
+		if ok {
+			fe := &pgas.FaultError{Rank: -1}
+			alive, verdict := res.SurviveFault(fe)
+			bareAlive, bareVerdict := bareRes.SurviveFault(fe)
+			if verdict != bareVerdict || fmt.Sprint(alive) != fmt.Sprint(bareAlive) {
+				panic(fmt.Sprintf("SurviveFault through the wrappers = (%v, %t), bare = (%v, %t)", alive, verdict, bareAlive, bareVerdict))
+			}
+		}
+
+		att, ok := pgas.Find[occ.Attacher](p)
+		bareAtt, bareOK := pgas.Find[occ.Attacher](bare)
+		if ok != bareOK || att != bareAtt {
+			panic(fmt.Sprintf("occ.Attacher through the wrappers = (%v, %t), bare transport = (%v, %t)", att, ok, bareAtt, bareOK))
+		}
+		b := occ.NewBuffer(p.Rank(), 64, obs.NewRegistry(p.Rank()))
+		if delivered := occ.Attach(p, b); delivered != bareOK {
+			panic(fmt.Sprintf("occ.Attach delivered = %t through the wrappers, bare transport accepts = %t", delivered, bareOK))
+		}
+		// Traffic with the buffer attached: delivery must not disturb the ops.
+		ws := p.AllocWords(1)
+		p.Barrier()
+		p.FetchAdd64(0, ws, 0, 1)
+		p.Barrier()
+		if got := p.Load64(0, ws, 0); got != 2 {
+			panic(fmt.Sprintf("counter = %d after both ranks incremented it", got))
+		}
+		occ.Attach(p, nil)
+		p.Barrier()
+	})
+}

@@ -63,11 +63,14 @@ type Config struct {
 type world struct {
 	cfg Config
 
-	allocMu  sync.Mutex
-	dataSegs [][][]byte   // [seg][proc]bytes
-	wordSegs [][][]int64  // [seg][proc]words
-	locks    [][]lockChan // cap-1 channels: send = acquire, receive = release
-	holders  [][]int32    // lock holder ranks (-1 free), for dead-holder release
+	// The segment and lock tables. Collective allocation appends under
+	// allocMu and publishes a new snapshot; the operation path loads the
+	// current one and indexes it, with no lock. A snapshot is never
+	// modified after publication (an append that reuses spare capacity
+	// writes only past every published length), so an op on an existing
+	// segment does not race a peer that is still allocating the next one.
+	allocMu sync.Mutex
+	tab     atomic.Pointer[tables]
 
 	accMu []sync.Mutex // per-process accumulate lock (ARMCI_Acc atomicity)
 
@@ -100,6 +103,13 @@ type world struct {
 	start time.Time
 }
 
+type tables struct {
+	data    [][][]byte   // [seg][proc]bytes
+	words   [][][]int64  // [seg][proc]words
+	locks   [][]lockChan // cap-1 channels: send = acquire, receive = release
+	holders [][]int32    // lock holder ranks (-1 free), for dead-holder release
+}
+
 // lockChan is a PGAS lock instance: a buffered channel of capacity 1,
 // chosen over sync.Mutex so a waiter can also select on world death.
 type lockChan chan struct{}
@@ -113,6 +123,7 @@ func NewWorld(cfg Config) pgas.World {
 		cfg.ComputeScale = 1.0
 	}
 	w := &world{cfg: cfg}
+	w.tab.Store(&tables{})
 	w.deadCh = make(chan struct{})
 	w.barCv = sync.NewCond(&w.barMu)
 	w.deadRanks = make([]bool, cfg.NProcs)
@@ -172,13 +183,12 @@ func (w *world) fail(fe *pgas.FaultError) {
 // the dead rank: it died mid-critical-section and its unwind skipped the
 // unlock, so without this survivors would park on the channel forever.
 func (w *world) releaseDeadLocks(dead int) {
-	w.allocMu.Lock()
-	defer w.allocMu.Unlock()
-	for id := range w.locks {
-		for target := range w.locks[id] {
-			if atomic.CompareAndSwapInt32(&w.holders[id][target], int32(dead), -1) {
+	t := w.tab.Load()
+	for id := range t.locks {
+		for target := range t.locks[id] {
+			if atomic.CompareAndSwapInt32(&t.holders[id][target], int32(dead), -1) {
 				select {
-				case <-w.locks[id][target]:
+				case <-t.locks[id][target]:
 				default:
 				}
 			}
@@ -229,6 +239,7 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 				speed: speed,
 				rng:   rand.New(rand.NewSource(w.cfg.Seed*7919 + int64(rank) + 1)),
 			}
+			p.Bind(p)
 			body(p)
 		}(r)
 	}
@@ -265,6 +276,7 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 }
 
 type proc struct {
+	pgas.Front
 	w     *world
 	rank  int
 	speed float64
@@ -365,13 +377,15 @@ func (p *proc) AllocData(nbytes int) pgas.Seg {
 	w.allocMu.Lock()
 	defer w.allocMu.Unlock()
 	seg := p.dataCount
-	if seg == len(w.dataSegs) {
+	if t := w.tab.Load(); seg == len(t.data) {
 		inst := make([][]byte, w.cfg.NProcs)
 		for i := range inst {
 			inst[i] = make([]byte, nbytes)
 		}
-		w.dataSegs = append(w.dataSegs, inst)
-	} else if got := len(w.dataSegs[seg][0]); got != nbytes {
+		nt := *t
+		nt.data = append(nt.data, inst)
+		w.tab.Store(&nt)
+	} else if got := len(t.data[seg][0]); got != nbytes {
 		panic(fmt.Sprintf("shm: collective AllocData size mismatch on rank %d: %d vs %d", p.rank, nbytes, got))
 	}
 	p.dataCount++
@@ -383,13 +397,15 @@ func (p *proc) AllocWords(nwords int) pgas.Seg {
 	w.allocMu.Lock()
 	defer w.allocMu.Unlock()
 	seg := p.wordCount
-	if seg == len(w.wordSegs) {
+	if t := w.tab.Load(); seg == len(t.words) {
 		inst := make([][]int64, w.cfg.NProcs)
 		for i := range inst {
 			inst[i] = make([]int64, nwords)
 		}
-		w.wordSegs = append(w.wordSegs, inst)
-	} else if got := len(w.wordSegs[seg][0]); got != nwords {
+		nt := *t
+		nt.words = append(nt.words, inst)
+		w.tab.Store(&nt)
+	} else if got := len(t.words[seg][0]); got != nwords {
 		panic(fmt.Sprintf("shm: collective AllocWords size mismatch on rank %d: %d vs %d", p.rank, nwords, got))
 	}
 	p.wordCount++
@@ -401,15 +417,17 @@ func (p *proc) AllocLock() pgas.LockID {
 	w.allocMu.Lock()
 	defer w.allocMu.Unlock()
 	id := p.lockCount
-	if id == len(w.locks) {
+	if t := w.tab.Load(); id == len(t.locks) {
 		inst := make([]lockChan, w.cfg.NProcs)
 		hold := make([]int32, w.cfg.NProcs)
 		for i := range inst {
 			inst[i] = make(lockChan, 1)
 			hold[i] = -1
 		}
-		w.locks = append(w.locks, inst)
-		w.holders = append(w.holders, hold)
+		nt := *t
+		nt.locks = append(nt.locks, inst)
+		nt.holders = append(nt.holders, hold)
+		w.tab.Store(&nt)
 	}
 	p.lockCount++
 	return pgas.LockID(id)
@@ -422,103 +440,48 @@ func (p *proc) netDelay(proc, nbytes int) {
 	pgas.Spin(p.w.cfg.RemoteLatency + time.Duration(nbytes)*p.w.cfg.RemotePerByte)
 }
 
-func (p *proc) Get(dst []byte, proc int, seg pgas.Seg, off int) {
+// Issue completes every operation inline, non-blocking ones included:
+// the transport's value is race-detector coverage of the real memory
+// operations, and deferring them to Flush would hide exactly the
+// interleavings the detector should see. Always-NbDone with a no-op Flush
+// is a legal (maximally eager) completion schedule under the contract.
+func (p *proc) Issue(op *pgas.Op) pgas.Nb {
 	p.check()
-	p.netDelay(proc, len(dst))
-	copy(dst, p.w.dataSegs[seg][proc][off:off+len(dst)])
-}
-
-func (p *proc) Put(proc int, seg pgas.Seg, off int, src []byte) {
-	p.check()
-	p.netDelay(proc, len(src))
-	copy(p.w.dataSegs[seg][proc][off:off+len(src)], src)
-}
-
-func (p *proc) AccF64(proc int, seg pgas.Seg, off int, vals []float64) {
-	p.check()
-	p.netDelay(proc, len(vals)*pgas.F64Bytes)
-	mu := &p.w.accMu[proc]
-	mu.Lock()
-	pgas.AccF64Bytes(p.w.dataSegs[seg][proc][off:], vals)
-	mu.Unlock()
-}
-
-func (p *proc) Local(seg pgas.Seg) []byte { return p.w.dataSegs[seg][p.rank] }
-
-func (p *proc) Load64(proc int, seg pgas.Seg, idx int) int64 {
-	p.check()
-	p.netDelay(proc, 8)
-	return atomic.LoadInt64(&p.w.wordSegs[seg][proc][idx])
-}
-
-func (p *proc) Store64(proc int, seg pgas.Seg, idx int, val int64) {
-	p.check()
-	p.netDelay(proc, 8)
-	atomic.StoreInt64(&p.w.wordSegs[seg][proc][idx], val)
-}
-
-func (p *proc) FetchAdd64(proc int, seg pgas.Seg, idx int, delta int64) int64 {
-	p.check()
-	p.netDelay(proc, 8)
-	return atomic.AddInt64(&p.w.wordSegs[seg][proc][idx], delta) - delta
-}
-
-func (p *proc) CAS64(proc int, seg pgas.Seg, idx int, old, new int64) bool {
-	p.check()
-	p.netDelay(proc, 8)
-	return atomic.CompareAndSwapInt64(&p.w.wordSegs[seg][proc][idx], old, new)
-}
-
-// Non-blocking operations complete inline: the shm transport's value is
-// race-detector coverage of the real memory operations, and deferring them
-// to Wait/Flush would hide exactly the interleavings the detector should
-// see. Handles are therefore always NbDone and Wait/Flush are no-ops,
-// which is a legal (maximally eager) completion schedule under the Proc
-// contract.
-
-func (p *proc) NbGet(dst []byte, proc int, seg pgas.Seg, off int) pgas.Nb {
-	p.Get(dst, proc, seg, off)
+	p.netDelay(op.Target, op.Bytes())
+	t := p.w.tab.Load()
+	if op.Kind.IsWord() {
+		op.ApplyWord(&t.words[op.Seg][op.Target][op.Off])
+		return pgas.NbDone
+	}
+	if op.Kind == pgas.OpAccF64 {
+		mu := &p.w.accMu[op.Target]
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	op.ApplyData(t.data[op.Seg][op.Target][op.Off : op.Off+op.Bytes()])
 	return pgas.NbDone
 }
 
-func (p *proc) NbPut(proc int, seg pgas.Seg, off int, src []byte) pgas.Nb {
-	p.Put(proc, seg, off, src)
-	return pgas.NbDone
-}
+func (p *proc) Flush() {}
 
-func (p *proc) NbLoad64(proc int, seg pgas.Seg, idx int, out *int64) pgas.Nb {
-	*out = p.Load64(proc, seg, idx)
-	return pgas.NbDone
-}
-
-func (p *proc) NbStore64(proc int, seg pgas.Seg, idx int, val int64) pgas.Nb {
-	p.Store64(proc, seg, idx, val)
-	return pgas.NbDone
-}
-
-func (p *proc) NbFetchAdd64(proc int, seg pgas.Seg, idx int, delta int64, old *int64) pgas.Nb {
-	*old = p.FetchAdd64(proc, seg, idx, delta)
-	return pgas.NbDone
-}
-
-func (p *proc) Wait(pgas.Nb) {}
-func (p *proc) Flush()       {}
+func (p *proc) Local(seg pgas.Seg) []byte { return p.w.tab.Load().data[seg][p.rank] }
 
 func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 {
-	return atomic.LoadInt64(&p.w.wordSegs[seg][p.rank][idx])
+	return atomic.LoadInt64(&p.w.tab.Load().words[seg][p.rank][idx])
 }
 
 func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
-	atomic.StoreInt64(&p.w.wordSegs[seg][p.rank][idx], val)
+	atomic.StoreInt64(&p.w.tab.Load().words[seg][p.rank][idx], val)
 }
 
 func (p *proc) Lock(proc int, id pgas.LockID) {
 	p.check()
 	p.netDelay(proc, 8)
+	t := p.w.tab.Load()
 	for {
 		select {
-		case p.w.locks[id][proc] <- struct{}{}:
-			atomic.StoreInt32(&p.w.holders[id][proc], int32(p.rank))
+		case t.locks[id][proc] <- struct{}{}:
+			atomic.StoreInt32(&t.holders[id][proc], int32(p.rank))
 			return
 		case <-p.w.deadCh:
 			// The holder may be the dead rank; waiting would hang forever.
@@ -535,9 +498,10 @@ func (p *proc) Lock(proc int, id pgas.LockID) {
 func (p *proc) TryLock(proc int, id pgas.LockID) bool {
 	p.check()
 	p.netDelay(proc, 8)
+	t := p.w.tab.Load()
 	select {
-	case p.w.locks[id][proc] <- struct{}{}:
-		atomic.StoreInt32(&p.w.holders[id][proc], int32(p.rank))
+	case t.locks[id][proc] <- struct{}{}:
+		atomic.StoreInt32(&t.holders[id][proc], int32(p.rank))
 		return true
 	default:
 		return false
@@ -548,9 +512,10 @@ func (p *proc) TryLock(proc int, id pgas.LockID) bool {
 // deferred unlocks run while a fault panic is already unwinding.
 func (p *proc) Unlock(proc int, id pgas.LockID) {
 	p.netDelay(proc, 8)
-	atomic.StoreInt32(&p.w.holders[id][proc], -1)
+	t := p.w.tab.Load()
+	atomic.StoreInt32(&t.holders[id][proc], -1)
 	select {
-	case <-p.w.locks[id][proc]:
+	case <-t.locks[id][proc]:
 	default:
 		panic(fmt.Sprintf("shm: rank %d unlocked lock %d@%d that is not held", p.rank, id, proc))
 	}
@@ -624,7 +589,7 @@ func (p *proc) Salvage(dst []byte, rank int, seg pgas.Seg, off int) bool {
 	if !p.w.cfg.Survivable {
 		return false
 	}
-	copy(dst, p.w.dataSegs[seg][rank][off:off+len(dst)])
+	copy(dst, p.w.tab.Load().data[seg][rank][off:off+len(dst)])
 	return true
 }
 
@@ -633,5 +598,5 @@ func (p *proc) SalvageLoad64(rank int, seg pgas.Seg, idx int) (int64, bool) {
 	if !p.w.cfg.Survivable {
 		return 0, false
 	}
-	return atomic.LoadInt64(&p.w.wordSegs[seg][rank][idx]), true
+	return atomic.LoadInt64(&p.w.tab.Load().words[seg][rank][idx]), true
 }

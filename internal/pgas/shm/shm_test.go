@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"scioto/internal/obs"
 	"scioto/internal/pgas"
+	"scioto/internal/pgas/faulty"
+	"scioto/internal/pgas/instr"
 	"scioto/internal/pgas/pgastest"
 	"scioto/internal/pgas/shm"
 )
@@ -74,5 +77,57 @@ func TestNowAdvances(t *testing.T) {
 func TestEdgeCases(t *testing.T) {
 	pgastest.RunEdgeCases(t, func(n int) pgas.World {
 		return shm.NewWorld(shm.Config{NProcs: n, Seed: 2})
+	})
+}
+
+// TestAllocWhilePeerOperates is the -race regression for the segment and
+// lock tables: collective allocation is not a barrier, so one rank may be
+// appending its next segments while a peer still operates on an existing
+// one. The operation path must read the tables without racing the append.
+func TestAllocWhilePeerOperates(t *testing.T) {
+	const extra = 200
+	w := shm.NewWorld(shm.Config{NProcs: 2, Seed: 5})
+	err := w.Run(func(p pgas.Proc) {
+		words := p.AllocWords(2) // on rank 1 — word 0: hammered counter, word 1: done flag
+		data := p.AllocData(64)
+		lk := p.AllocLock()
+		p.Barrier()
+		allocMore := func() {
+			for i := 0; i < extra; i++ {
+				p.AllocWords(1)
+				p.AllocData(8)
+				p.AllocLock()
+			}
+		}
+		if p.Rank() == 1 {
+			allocMore()
+			p.Store64(1, words, 1, 1)
+		} else {
+			buf := make([]byte, 8)
+			for p.Load64(1, words, 1) == 0 {
+				p.FetchAdd64(1, words, 0, 1)
+				p.Put(1, data, 0, buf)
+				p.Get(buf, 1, data, 8)
+				p.RelaxedLoad64(words, 0)
+				p.Local(data)[0]++
+				p.Lock(1, lk)
+				p.Unlock(1, lk)
+			}
+			allocMore()
+		}
+		p.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCapabilitiesThroughWrappers: what pgas.Find reaches through
+// instr∘faulty is what the bare transport offers.
+func TestCapabilitiesThroughWrappers(t *testing.T) {
+	pgastest.RunCapabilities(t, func(n int) pgas.World {
+		w := shm.NewWorld(shm.Config{NProcs: n, Seed: 6, Survivable: true})
+		w = faulty.Wrap(w, faulty.Config{Seed: 3, DelayProb: 0.2, MaxDelay: 20 * time.Microsecond, CrashRank: faulty.NoCrash})
+		return instr.Wrap(w, obs.NewHub(), instr.Options{})
 	})
 }

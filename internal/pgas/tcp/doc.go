@@ -51,8 +51,9 @@
 // syscall per flush and allocates nothing.
 //
 // The first frame on every mesh connection is opHello (seq 0), so the
-// serving rank can attribute a mid-run EOF to the dialing rank. One
-// request/reply op exists per remote Proc method:
+// serving rank can attribute a mid-run EOF to the dialing rank. The
+// one-sided opcodes are pgas.OpKind+1 and share one encoder (encodeOp) for
+// blocking and non-blocking issue; the rest are the control operations:
 //
 //	opHello   [rank i32]                                   (no reply)
 //	opGet     [seg i32][off i64][n i64]                 -> [n data bytes]
@@ -61,7 +62,7 @@
 //	opLoad    [seg i32][idx i64]                        -> [val i64]
 //	opStore   [seg i32][idx i64][val i64]               -> []
 //	opFAdd    [seg i32][idx i64][delta i64]             -> [old i64]
-//	opCAS     [seg i32][idx i64][old i64][new i64]      -> [ok byte]
+//	opCAS     [seg i32][idx i64][old i64][new i64]      -> [swapped i64, 0 or 1]
 //	opLock    [id i32]                                  -> [] when granted
 //	opTryLock [id i32]                                  -> [ok byte]
 //	opUnlock  [id i32]                                  -> []
@@ -133,9 +134,14 @@
 // The tcp transport models nothing: latency, bandwidth and Occupancy
 // configuration are ignored because the network is real. Compute spins
 // (scaled by ComputeScale and SpeedFactor) and Now reports wall-clock
-// time. Out-of-range offsets in remote operations crash the owner rank
-// rather than the requester. Cross-world state (e.g. comparing random
-// draws between two worlds through captured variables) is impossible by
-// construction; the conformance suite's pgastest.Options{MultiProcess:
-// true} mode validates everything through the PGAS instead.
+// time. A request the service cannot decode (decodeOp: wrong length for its
+// opcode, unknown opcode, negative offset or count, segment or lock id
+// outside [0, 2^20)), that addresses memory outside its segment, or that
+// sends a message under a rank other than its connection's is refused: the
+// owner blames the requesting rank with a FaultError in phase "service",
+// answers the request with that fault, and stops reading the connection
+// (FuzzDecodeOp). Cross-world state (e.g. comparing random draws between
+// two worlds through captured variables) is impossible by construction;
+// the conformance suite's pgastest.Options{MultiProcess: true} mode
+// validates everything through the PGAS instead.
 package tcp

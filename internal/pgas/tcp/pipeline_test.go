@@ -20,8 +20,7 @@ import (
 // connection has four pending requests at once.
 func TestStealPipelineOutstanding(t *testing.T) {
 	w := NewWorld(Config{NProcs: 2, Seed: 1})
-	if err := w.Run(func(pp pgas.Proc) {
-		p := pp.(*proc)
+	if err := w.Run(func(p pgas.Proc) {
 		seg := p.AllocData(1024)
 		words := p.AllocWords(2)
 		p.Barrier()
@@ -33,7 +32,7 @@ func TestStealPipelineOutstanding(t *testing.T) {
 			p.NbFetchAdd64(1, words, 1, 1, &old)
 			p.NbStore64(1, words, 0, 7)
 			p.Flush()
-			if got := p.peers[1].maxOutstanding(); got < 2 {
+			if got := p.(*proc).peers[1].maxOutstanding(); got < 2 {
 				panic(fmt.Sprintf(
 					"steal-shaped Nb batch peaked at %d outstanding request(s) on the rank-1 connection; pipelining is broken",
 					got))
@@ -52,8 +51,7 @@ func TestStealPipelineOutstanding(t *testing.T) {
 // package-wide wire accounting, bracketing exactly the batch + Flush.
 func TestFlushWindowCoalesces(t *testing.T) {
 	w := NewWorld(Config{NProcs: 2, Seed: 2})
-	if err := w.Run(func(pp pgas.Proc) {
-		p := pp.(*proc)
+	if err := w.Run(func(p pgas.Proc) {
 		seg := p.AllocData(1024)
 		words := p.AllocWords(8)
 		p.Barrier()
@@ -91,8 +89,7 @@ func TestFlushWindowCoalesces(t *testing.T) {
 // replies start streaming back) before any blocking op.
 func TestAutoFlushBoundsWindow(t *testing.T) {
 	w := NewWorld(Config{NProcs: 2, Seed: 3})
-	if err := w.Run(func(pp pgas.Proc) {
-		p := pp.(*proc)
+	if err := w.Run(func(p pgas.Proc) {
 		seg := p.AllocData(16 << 10)
 		p.Barrier()
 		if p.Rank() == 0 {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scioto/internal/obs/occ"
@@ -60,10 +61,8 @@ type pendingOp struct {
 	done    chan struct{}
 	bounded bool
 	dst     []byte // Get destination: reply payload is copied here
-	out     *int64 // NbLoad64/NbFetchAdd64 result cell
-	v       int64  // first 8 payload bytes as i64 (Load64, FetchAdd64)
-	b       byte   // first payload byte (TryLock, CAS64)
-	n       int    // reply payload length
+	out     *int64 // word result cell (pgas.Op.Out): the reply's i64 lands here
+	b       byte   // first payload byte (TryLock)
 	fault   *pgas.FaultError
 	err     error
 }
@@ -80,9 +79,7 @@ func putOp(op *pendingOp) {
 	op.bounded = false
 	op.dst = nil
 	op.out = nil
-	op.v = 0
 	op.b = 0
-	op.n = 0
 	op.fault = nil
 	op.err = nil
 	opPool.Put(op)
@@ -305,16 +302,12 @@ func (pc *peerConn) demux(r *bufio.Reader) {
 			if op.dst != nil {
 				copy(op.dst, payload)
 			}
-			if len(payload) >= 8 {
-				op.v = pgas.GetI64(payload)
-				if op.out != nil {
-					*op.out = op.v
-				}
+			if op.out != nil && len(payload) >= 8 {
+				*op.out = pgas.GetI64(payload)
 			}
 			if len(payload) > 0 {
 				op.b = payload[0]
 			}
-			op.n = len(payload)
 		case replyFaulted:
 			op.fault = pgas.DecodeFault(payload) // copies; safe past putFrame
 		default:
@@ -410,6 +403,7 @@ func faultFor(err error, op string) *pgas.FaultError {
 // paths coherent; operations targeting a peer are framed requests on the
 // pipelined peer connections.
 type proc struct {
+	pgas.Front
 	cfg   Config
 	rank  int
 	speed float64
@@ -417,19 +411,17 @@ type proc struct {
 	peers []*peerConn // peers[rank] == nil
 	rng   *rand.Rand
 	start time.Time
-	alloc procAlloc
 
-	// req is the request-assembly scratch. A Proc is single-goroutine by
-	// contract, and writeFrameSeq copies the bytes before returning, so
-	// one buffer serves every operation without allocating.
-	req []byte
+	// req is the request-assembly scratch and enc the AccF64 payload
+	// scratch. A Proc is single-goroutine by contract, and queueFrame
+	// copies the bytes before returning, so one buffer of each serves
+	// every operation without allocating.
+	req, enc []byte
 
 	// Pending non-blocking operations, in issue order, plus the set of
 	// connections holding their (possibly still unflushed) frames.
 	nb      []nbRef
 	nbConns []*peerConn
-	nbSeq   uint64 // handles issued; Nb(k) names the k-th
-	nbDone  uint64 // handles at or below this value have completed
 }
 
 type nbRef struct {
@@ -437,15 +429,8 @@ type nbRef struct {
 	pc *peerConn
 }
 
-// procAlloc tracks this rank's collective allocation order.
-type procAlloc struct {
-	nextData int
-	nextWord int
-	nextLock int
-}
-
 func newProc(cfg Config, rank int, speed float64, own *owner, peers []*peerConn) *proc {
-	return &proc{
+	p := &proc{
 		cfg:   cfg,
 		rank:  rank,
 		speed: speed,
@@ -454,6 +439,8 @@ func newProc(cfg Config, rank int, speed float64, own *owner, peers []*peerConn)
 		rng:   rand.New(rand.NewSource(cfg.Seed*7919 + int64(rank) + 1)),
 		start: time.Now(),
 	}
+	p.Bind(p)
+	return p
 }
 
 func (p *proc) Rank() int   { return p.rank }
@@ -475,6 +462,17 @@ func (p *proc) AttachOcc(b *occ.Buffer) {
 	}
 }
 
+// rpc is the blocking exchange of the control operations (barrier, locks,
+// send): the request head is in p.req; the reply's first byte, if any, is
+// returned.
+func (p *proc) rpc(target int, tail []byte, bounded bool, info func() string) byte {
+	op := getOp()
+	p.peers[target].roundTrip(op, p.req, tail, bounded, info)
+	b := op.b
+	putOp(op)
+	return b
+}
+
 // Barrier enters the counter barrier hosted on rank 0. Rank 0 enters
 // locally and parks on a channel until the round completes; other ranks
 // block on the opBarrier reply, which is the release. A fault breaks
@@ -489,20 +487,13 @@ func (p *proc) Barrier() {
 		return
 	}
 	p.req = append(p.req[:0], opBarrier)
-	op := getOp()
-	p.peers[0].roundTrip(op, p.req, nil, false, barrierInfo)
-	putOp(op)
+	p.rpc(0, nil, false, barrierInfo)
 }
 
 // Operation-context formatters for the non-allocating paths: package-level
 // func values capture nothing, so passing them costs no allocation.
 var (
 	barrierInfo = func() string { return "Barrier()" }
-	nbGetInfo   = func() string { return "NbGet(pipelined)" }
-	nbPutInfo   = func() string { return "NbPut(pipelined)" }
-	nbLoadInfo  = func() string { return "NbLoad64(pipelined)" }
-	nbStoreInfo = func() string { return "NbStore64(pipelined)" }
-	nbFAddInfo  = func() string { return "NbFetchAdd64(pipelined)" }
 	nbFlushInfo = func() string { return "Flush()" }
 )
 
@@ -510,169 +501,44 @@ var (
 // heap in the same order, so handle k names the same logical segment on
 // every rank (the collective-order discipline of pgas.Seg).
 
-func (p *proc) AllocData(nbytes int) pgas.Seg {
-	seg := p.own.heap.addData(nbytes)
-	if seg != p.alloc.nextData {
-		panic("tcp: AllocData outside collective order")
-	}
-	p.alloc.nextData++
-	return pgas.Seg(seg)
-}
-
-func (p *proc) AllocWords(nwords int) pgas.Seg {
-	seg := p.own.heap.addWords(nwords)
-	if seg != p.alloc.nextWord {
-		panic("tcp: AllocWords outside collective order")
-	}
-	p.alloc.nextWord++
-	return pgas.Seg(seg)
-}
-
-func (p *proc) AllocLock() pgas.LockID {
-	id := p.own.locks.add()
-	if id != p.alloc.nextLock {
-		panic("tcp: AllocLock outside collective order")
-	}
-	p.alloc.nextLock++
-	return pgas.LockID(id)
-}
-
-// reqGet assembles the shared opGet request for Get and NbGet.
-func (p *proc) reqGet(seg pgas.Seg, off, n int) {
-	p.req = append(p.req[:0], opGet)
-	p.req = appendI32(p.req, int32(seg))
-	p.req = appendI64(p.req, int64(off))
-	p.req = appendI64(p.req, int64(n))
-}
-
-func (p *proc) Get(dst []byte, proc int, seg pgas.Seg, off int) {
-	if proc == p.rank {
-		copy(dst, p.own.heap.dataSeg(int(seg))[off:off+len(dst)])
-		return
-	}
-	p.reqGet(seg, off, len(dst))
-	op := getOp()
-	op.dst = dst
-	p.peers[proc].roundTrip(op, p.req, nil, true, func() string {
-		return fmt.Sprintf("Get(rank=%d, seg=%d, off=%d, n=%d)", proc, seg, off, len(dst))
-	})
-	putOp(op)
-}
-
-func (p *proc) Put(proc int, seg pgas.Seg, off int, src []byte) {
-	if proc == p.rank {
-		copy(p.own.heap.dataSeg(int(seg))[off:off+len(src)], src)
-		return
-	}
-	p.req = append(p.req[:0], opPut)
-	p.req = appendI32(p.req, int32(seg))
-	p.req = appendI64(p.req, int64(off))
-	op := getOp()
-	p.peers[proc].roundTrip(op, p.req, src, true, func() string {
-		return fmt.Sprintf("Put(rank=%d, seg=%d, off=%d, n=%d)", proc, seg, off, len(src))
-	})
-	putOp(op)
-}
-
-func (p *proc) AccF64(proc int, seg pgas.Seg, off int, vals []float64) {
-	if proc == p.rank {
-		p.own.heap.acc(int(seg), off, vals)
-		return
-	}
-	p.req = append(p.req[:0], opAcc)
-	p.req = appendI32(p.req, int32(seg))
-	p.req = appendI64(p.req, int64(off))
-	enc := make([]byte, len(vals)*pgas.F64Bytes)
-	pgas.PutF64Slice(enc, vals)
-	op := getOp()
-	p.peers[proc].roundTrip(op, p.req, enc, true, func() string {
-		return fmt.Sprintf("AccF64(rank=%d, seg=%d, off=%d, n=%d)", proc, seg, off, len(vals))
-	})
-	putOp(op)
-}
+func (p *proc) AllocData(n int) pgas.Seg  { return pgas.Seg(p.own.heap.addData(n)) }
+func (p *proc) AllocWords(n int) pgas.Seg { return pgas.Seg(p.own.heap.addWords(n)) }
+func (p *proc) AllocLock() pgas.LockID    { return pgas.LockID(p.own.locks.add()) }
 
 func (p *proc) Local(seg pgas.Seg) []byte { return p.own.heap.dataSeg(int(seg)) }
 
-// reqWord assembles the shared [op][seg][idx] prefix of the word ops.
-func (p *proc) reqWord(op byte, seg pgas.Seg, idx int) {
-	p.req = append(p.req[:0], op)
-	p.req = appendI32(p.req, int32(seg))
-	p.req = appendI64(p.req, int64(idx))
-}
-
-func (p *proc) Load64(proc int, seg pgas.Seg, idx int) int64 {
-	if proc == p.rank {
-		return p.own.heap.load(int(seg), idx)
+// Issue applies a self-targeting operation to the owner heap inline — the
+// same heap.apply the service runs for remote peers. A remote operation
+// becomes one request frame. Blocking, it is flushed at once and awaited.
+// Non-blocking, it is queued on the connection without flushing, so a
+// batch of issues to one peer leaves as a single wire write and their
+// replies stream back while later issues are still being written; it
+// completes at Flush. The per-pair FIFO ordering falls out of frame
+// order: the remote service applies one connection's frames sequentially.
+func (p *proc) Issue(op *pgas.Op) pgas.Nb {
+	if op.Target == p.rank {
+		if err := p.own.heap.apply(op); err != nil {
+			panic(fmt.Sprintf("tcp: rank %d: %s: %v", p.rank, op, err))
+		}
+		return pgas.NbDone
 	}
-	p.reqWord(opLoad, seg, idx)
-	op := getOp()
-	p.peers[proc].roundTrip(op, p.req, nil, true, func() string {
-		return fmt.Sprintf("Load64(rank=%d, seg=%d, idx=%d)", proc, seg, idx)
-	})
-	v := op.v
-	putOp(op)
-	return v
-}
-
-func (p *proc) Store64(proc int, seg pgas.Seg, idx int, val int64) {
-	if proc == p.rank {
-		p.own.heap.store(int(seg), idx, val)
-		return
+	tail := p.encodeOp(op)
+	po := getOp()
+	// The reply lands through exactly one of these, chosen by kind: demux
+	// must never write through an operand this kind does not define.
+	if op.Kind.IsWord() {
+		po.out = op.Out
+	} else if op.Kind == pgas.OpGet {
+		po.dst = op.Buf
 	}
-	p.reqWord(opStore, seg, idx)
-	p.req = appendI64(p.req, val)
-	op := getOp()
-	p.peers[proc].roundTrip(op, p.req, nil, true, func() string {
-		return fmt.Sprintf("Store64(rank=%d, seg=%d, idx=%d)", proc, seg, idx)
-	})
-	putOp(op)
-}
-
-func (p *proc) FetchAdd64(proc int, seg pgas.Seg, idx int, delta int64) int64 {
-	if proc == p.rank {
-		return p.own.heap.fetchAdd(int(seg), idx, delta)
+	pc := p.peers[op.Target]
+	if !op.Nb {
+		pc.roundTrip(po, p.req, tail, true, op.String)
+		putOp(po)
+		return pgas.NbDone
 	}
-	p.reqWord(opFAdd, seg, idx)
-	p.req = appendI64(p.req, delta)
-	op := getOp()
-	p.peers[proc].roundTrip(op, p.req, nil, true, func() string {
-		return fmt.Sprintf("FetchAdd64(rank=%d, seg=%d, idx=%d)", proc, seg, idx)
-	})
-	v := op.v
-	putOp(op)
-	return v
-}
-
-func (p *proc) CAS64(proc int, seg pgas.Seg, idx int, old, new int64) bool {
-	if proc == p.rank {
-		return p.own.heap.cas(int(seg), idx, old, new)
-	}
-	p.reqWord(opCAS, seg, idx)
-	p.req = appendI64(p.req, old)
-	p.req = appendI64(p.req, new)
-	op := getOp()
-	p.peers[proc].roundTrip(op, p.req, nil, true, func() string {
-		return fmt.Sprintf("CAS64(rank=%d, seg=%d, idx=%d)", proc, seg, idx)
-	})
-	ok := op.b == 1
-	putOp(op)
-	return ok
-}
-
-// Non-blocking operations. Remote issues write their request frame into
-// the connection's write buffer without flushing, so a batch of Nb issues
-// to one peer leaves as a single wire write — and their replies stream
-// back while later issues are still being written. Self-targeting
-// operations complete inline and return NbDone. The per-pair FIFO
-// ordering promised by pgas.Proc falls out of frame order: the remote
-// service applies one connection's frames sequentially.
-
-// issueNb registers a pending remote operation and returns its handle.
-func (p *proc) issueNb(target int, op *pendingOp, tail []byte, info func() string) pgas.Nb {
-	pc := p.peers[target]
-	pc.issue(op, p.req, tail, true, false, info)
-	p.nb = append(p.nb, nbRef{op: op, pc: pc})
-	p.nbSeq++
+	pc.issue(po, p.req, tail, true, false, op.String)
+	p.nb = append(p.nb, nbRef{op: po, pc: pc})
 	seen := false
 	for _, c := range p.nbConns {
 		if c == pc {
@@ -683,72 +549,7 @@ func (p *proc) issueNb(target int, op *pendingOp, tail []byte, info func() strin
 	if !seen {
 		p.nbConns = append(p.nbConns, pc)
 	}
-	return pgas.Nb(p.nbSeq)
-}
-
-func (p *proc) NbGet(dst []byte, proc int, seg pgas.Seg, off int) pgas.Nb {
-	if proc == p.rank {
-		copy(dst, p.own.heap.dataSeg(int(seg))[off:off+len(dst)])
-		return pgas.NbDone
-	}
-	p.reqGet(seg, off, len(dst))
-	op := getOp()
-	op.dst = dst
-	return p.issueNb(proc, op, nil, nbGetInfo)
-}
-
-func (p *proc) NbPut(proc int, seg pgas.Seg, off int, src []byte) pgas.Nb {
-	if proc == p.rank {
-		copy(p.own.heap.dataSeg(int(seg))[off:off+len(src)], src)
-		return pgas.NbDone
-	}
-	p.req = append(p.req[:0], opPut)
-	p.req = appendI32(p.req, int32(seg))
-	p.req = appendI64(p.req, int64(off))
-	return p.issueNb(proc, getOp(), src, nbPutInfo)
-}
-
-func (p *proc) NbLoad64(proc int, seg pgas.Seg, idx int, out *int64) pgas.Nb {
-	if proc == p.rank {
-		*out = p.own.heap.load(int(seg), idx)
-		return pgas.NbDone
-	}
-	p.reqWord(opLoad, seg, idx)
-	op := getOp()
-	op.out = out
-	return p.issueNb(proc, op, nil, nbLoadInfo)
-}
-
-func (p *proc) NbStore64(proc int, seg pgas.Seg, idx int, val int64) pgas.Nb {
-	if proc == p.rank {
-		p.own.heap.store(int(seg), idx, val)
-		return pgas.NbDone
-	}
-	p.reqWord(opStore, seg, idx)
-	p.req = appendI64(p.req, val)
-	return p.issueNb(proc, getOp(), nil, nbStoreInfo)
-}
-
-func (p *proc) NbFetchAdd64(proc int, seg pgas.Seg, idx int, delta int64, old *int64) pgas.Nb {
-	if proc == p.rank {
-		*old = p.own.heap.fetchAdd(int(seg), idx, delta)
-		return pgas.NbDone
-	}
-	p.reqWord(opFAdd, seg, idx)
-	p.req = appendI64(p.req, delta)
-	op := getOp()
-	op.out = old
-	return p.issueNb(proc, op, nil, nbFAddInfo)
-}
-
-func (p *proc) Wait(h pgas.Nb) {
-	if h == pgas.NbDone || uint64(h) <= p.nbDone {
-		return
-	}
-	// Completing one pipelined handle means flushing its connection and
-	// draining the reply stream up to it; the Proc contract allows
-	// completing the rest as well, which keeps the bookkeeping O(1).
-	p.Flush()
+	return pgas.NbPending
 }
 
 func (p *proc) Flush() {
@@ -766,56 +567,45 @@ func (p *proc) Flush() {
 	}
 	p.nb = p.nb[:0]
 	p.nbConns = p.nbConns[:0]
-	p.nbDone = p.nbSeq
 }
 
-// The relaxed owner-side accessors use the same atomics as Load64/Store64:
+// The relaxed owner-side accessors use the same atomics as the word ops:
 // the cells are shared with service goroutines, so plain loads would be
 // data races under the Go memory model even where the algorithm tolerates
 // stale values.
 
 func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 {
-	return p.own.heap.load(int(seg), idx)
+	return atomic.LoadInt64(&p.own.heap.wordSeg(int(seg))[idx])
 }
 
 func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
-	p.own.heap.store(int(seg), idx, val)
+	atomic.StoreInt64(&p.own.heap.wordSeg(int(seg))[idx], val)
 }
 
 func (p *proc) Lock(proc int, id pgas.LockID) {
+	info := func() string { return fmt.Sprintf("Lock(host=%d, id=%d)", proc, id) }
 	if proc == p.rank {
 		done := make(chan error, 1)
 		p.own.locks.lock(int(id), func(err error) { done <- err })
 		if err := <-done; err != nil {
-			panic(faultFor(err, fmt.Sprintf("Lock(host=%d, id=%d)", proc, id)))
+			panic(faultFor(err, info()))
 		}
 		return
 	}
-	p.req = append(p.req[:0], opLock)
-	p.req = appendI32(p.req, int32(id))
-	op := getOp()
-	p.peers[proc].roundTrip(op, p.req, nil, false, func() string {
-		return fmt.Sprintf("Lock(host=%d, id=%d)", proc, id)
-	})
-	putOp(op)
+	p.req = appendI32(append(p.req[:0], opLock), int32(id))
+	p.rpc(proc, nil, false, info)
 }
 
 func (p *proc) TryLock(proc int, id pgas.LockID) bool {
+	info := func() string { return fmt.Sprintf("TryLock(host=%d, id=%d)", proc, id) }
 	if proc == p.rank {
 		if fe := p.own.getFault(); fe != nil {
-			panic(refault(fe, fmt.Sprintf("TryLock(host=%d, id=%d)", proc, id)))
+			panic(refault(fe, info()))
 		}
 		return p.own.locks.tryLock(int(id))
 	}
-	p.req = append(p.req[:0], opTryLock)
-	p.req = appendI32(p.req, int32(id))
-	op := getOp()
-	p.peers[proc].roundTrip(op, p.req, nil, true, func() string {
-		return fmt.Sprintf("TryLock(host=%d, id=%d)", proc, id)
-	})
-	ok := op.b == 1
-	putOp(op)
-	return ok
+	p.req = appendI32(append(p.req[:0], opTryLock), int32(id))
+	return p.rpc(proc, nil, true, info) == 1
 }
 
 func (p *proc) Unlock(proc int, id pgas.LockID) {
@@ -823,13 +613,8 @@ func (p *proc) Unlock(proc int, id pgas.LockID) {
 		p.own.locks.unlock(int(id))
 		return
 	}
-	p.req = append(p.req[:0], opUnlock)
-	p.req = appendI32(p.req, int32(id))
-	op := getOp()
-	p.peers[proc].roundTrip(op, p.req, nil, true, func() string {
-		return fmt.Sprintf("Unlock(host=%d, id=%d)", proc, id)
-	})
-	putOp(op)
+	p.req = appendI32(append(p.req[:0], opUnlock), int32(id))
+	p.rpc(proc, nil, true, func() string { return fmt.Sprintf("Unlock(host=%d, id=%d)", proc, id) })
 }
 
 func (p *proc) Send(to int, tag int32, data []byte) {
@@ -841,14 +626,8 @@ func (p *proc) Send(to int, tag int32, data []byte) {
 		p.own.mbox.push(message{from: p.rank, tag: tag, data: cp})
 		return
 	}
-	p.req = append(p.req[:0], opSend)
-	p.req = appendI32(p.req, int32(p.rank))
-	p.req = appendI32(p.req, tag)
-	op := getOp()
-	p.peers[to].roundTrip(op, p.req, data, true, func() string {
-		return fmt.Sprintf("Send(to=%d, tag=%d, n=%d)", to, tag, len(data))
-	})
-	putOp(op)
+	p.req = appendI32(appendI32(append(p.req[:0], opSend), int32(p.rank)), tag)
+	p.rpc(to, data, true, func() string { return fmt.Sprintf("Send(to=%d, tag=%d, n=%d)", to, tag, len(data)) })
 }
 
 func (p *proc) Recv(from int, tag int32) ([]byte, int) {

@@ -25,6 +25,7 @@ import (
 // of hanging on a reply the dead rank will never send.
 type owner struct {
 	rank  int
+	n     int // world size
 	heap  *heap
 	locks *lockMgr
 	mbox  *mailbox
@@ -44,6 +45,7 @@ type owner struct {
 func newOwner(rank, nprocs int) *owner {
 	o := &owner{
 		rank:  rank,
+		n:     nprocs,
 		heap:  newHeap(),
 		locks: newLockMgr(),
 		mbox:  newMailbox(),
@@ -148,6 +150,9 @@ func (o *owner) serve(conn net.Conn) {
 		return // never identified itself; nothing to attribute
 	}
 	peer := int(pgas.GetI32(hello[5:]))
+	if peer < 0 || peer >= o.n {
+		return // no rank of this world; nothing to attribute
+	}
 
 	var wmu sync.Mutex
 	send := func(seq uint32, status byte, payload []byte) {
@@ -159,6 +164,7 @@ func (o *owner) serve(conn net.Conn) {
 		}
 		w.Flush()
 	}
+	var req request // decode scratch, reused for every frame of this connection
 	for {
 		fb, err := readFrameP(r)
 		if err != nil {
@@ -173,10 +179,19 @@ func (o *owner) serve(conn net.Conn) {
 			return
 		}
 		seq := binary.LittleEndian.Uint32(fb.b)
-		o.apply(seq, fb.b[4:], send)
+		err = o.apply(peer, seq, fb.b[4:], &req, send)
 		// apply never retains request bytes (bulk payloads are copied into
 		// the heap or mailbox), so the frame can be recycled immediately.
 		putFrame(fb)
+		if err != nil {
+			// The peer sent bytes no correct rank sends: blame it, tell it
+			// so (its pending op unwinds with the fault), and stop reading a
+			// stream that can no longer be trusted.
+			fe := &pgas.FaultError{Rank: peer, Phase: "service", Err: fmt.Errorf("bad request from rank %d: %v", peer, err)}
+			o.adopt(fe)
+			send(seq, replyFaulted, pgas.AppendFault(nil, fe))
+			return
+		}
 	}
 }
 
@@ -201,92 +216,71 @@ func granter(seq uint32, send func(uint32, byte, []byte)) func(error) {
 	}
 }
 
-// apply executes one request against the local state and delivers the
-// reply — immediately, or (Lock, Barrier) when granted — tagged with the
-// request's sequence number. It must not retain req past returning: the
-// caller recycles the frame. Once the world is faulted every operation is
-// refused with the registered fault, so a requester that has not yet
-// observed the death learns of it on its next operation instead of acting
-// on a half-dead world.
-func (o *owner) apply(seq uint32, req []byte, send func(seq uint32, status byte, payload []byte)) {
-	if len(req) == 0 {
-		panic("tcp: empty request frame")
-	}
+// apply executes one of peer's requests against the local state and
+// delivers the reply — immediately, or (Lock, Barrier) when granted —
+// tagged with the request's sequence number. It must not retain frame past
+// returning: the caller recycles it. Once the world is faulted every
+// operation is refused with the registered fault, so a requester that has
+// not yet observed the death learns of it on its next operation instead of
+// acting on a half-dead world. An error means the request was malformed,
+// addressed memory outside its segment or named a source other than peer;
+// nothing was applied or replied.
+func (o *owner) apply(peer int, seq uint32, frame []byte, r *request, send func(seq uint32, status byte, payload []byte)) error {
 	if fe := o.getFault(); fe != nil {
 		send(seq, replyFaulted, pgas.AppendFault(nil, fe))
-		return
+		return nil
 	}
-	op, b := req[0], req[1:]
-	switch op {
+	if err := decodeOp(frame, r); err != nil {
+		return err
+	}
+	switch r.code {
 	case opGet:
-		seg, off, n := pgas.GetI32(b), pgas.GetI64(b[4:]), pgas.GetI64(b[12:])
 		// Reply straight from the heap slice: writeFrameSeq copies it into
 		// the pooled frame buffer, so no per-request buffer is needed. The
-		// unsynchronized read window is the same as the old copy-then-send
+		// unsynchronized read window is the same as a copy-then-send
 		// (bulk ops are unordered unless the application locks).
-		send(seq, replyOK, o.heap.dataSeg(int(seg))[off:off+n])
-	case opPut:
-		seg, off := pgas.GetI32(b), pgas.GetI64(b[4:])
-		src := b[12:]
-		copy(o.heap.dataSeg(int(seg))[off:int(off)+len(src)], src)
-		send(seq, replyOK, nil)
-	case opAcc:
-		seg, off := pgas.GetI32(b), pgas.GetI64(b[4:])
-		enc := b[12:]
-		vals := make([]float64, len(enc)/pgas.F64Bytes)
-		pgas.GetF64Slice(vals, enc)
-		o.heap.acc(int(seg), int(off), vals)
-		send(seq, replyOK, nil)
-	case opLoad:
-		seg, idx := pgas.GetI32(b), pgas.GetI64(b[4:])
-		var out [8]byte
-		pgas.PutI64(out[:], o.heap.load(int(seg), int(idx)))
-		send(seq, replyOK, out[:])
-	case opStore:
-		seg, idx, val := pgas.GetI32(b), pgas.GetI64(b[4:]), pgas.GetI64(b[12:])
-		o.heap.store(int(seg), int(idx), val)
-		send(seq, replyOK, nil)
-	case opFAdd:
-		seg, idx, delta := pgas.GetI32(b), pgas.GetI64(b[4:]), pgas.GetI64(b[12:])
-		var out [8]byte
-		pgas.PutI64(out[:], o.heap.fetchAdd(int(seg), int(idx), delta))
-		send(seq, replyOK, out[:])
-	case opCAS:
-		seg, idx := pgas.GetI32(b), pgas.GetI64(b[4:])
-		old, new := pgas.GetI64(b[12:]), pgas.GetI64(b[20:])
-		if o.heap.cas(int(seg), int(idx), old, new) {
-			send(seq, replyOK, okByte)
-		} else {
-			send(seq, replyOK, noByte)
+		win, err := o.heap.window(r.op.Seg, r.op.Off, r.n)
+		if err != nil {
+			return err
 		}
+		send(seq, replyOK, win)
+	case opPut, opAcc, opLoad, opStore, opFAdd, opCAS:
+		if err := o.heap.apply(&r.op); err != nil {
+			return err
+		}
+		if r.code == opPut || r.code == opAcc || r.code == opStore {
+			send(seq, replyOK, nil)
+			break
+		}
+		var out [8]byte
+		pgas.PutI64(out[:], r.res)
+		send(seq, replyOK, out[:])
 	case opLock:
-		id := pgas.GetI32(b)
-		o.locks.lock(int(id), granter(seq, send))
+		o.locks.lock(r.id, granter(seq, send))
 	case opTryLock:
-		id := pgas.GetI32(b)
-		if o.locks.tryLock(int(id)) {
+		if o.locks.tryLock(r.id) {
 			send(seq, replyOK, okByte)
 		} else {
 			send(seq, replyOK, noByte)
 		}
 	case opUnlock:
-		id := pgas.GetI32(b)
-		o.locks.unlock(int(id))
+		o.locks.unlock(r.id)
 		send(seq, replyOK, nil)
 	case opSend:
-		from, tag := pgas.GetI32(b), pgas.GetI32(b[4:])
-		data := make([]byte, len(b)-8)
-		copy(data, b[8:])
-		o.mbox.push(message{from: int(from), tag: tag, data: data})
+		if r.from != peer {
+			return fmt.Errorf("opSend names source rank %d", r.from)
+		}
+		data := make([]byte, len(r.data))
+		copy(data, r.data)
+		o.mbox.push(message{from: r.from, tag: r.tag, data: data})
 		send(seq, replyOK, nil)
 	case opBarrier:
 		if o.bar == nil {
-			panic(fmt.Sprintf("tcp: rank %d received opBarrier but is not the barrier host", o.rank))
+			return fmt.Errorf("opBarrier sent to rank %d, which is not the barrier host", o.rank)
 		}
 		o.bar.enter(granter(seq, send))
 	case opPing:
 		send(seq, replyOK, nil)
-	default:
-		panic(fmt.Sprintf("tcp: rank %d received unknown opcode %d", o.rank, op))
 	}
+	return nil
 }

@@ -1,8 +1,8 @@
 package tcp
 
 import (
+	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"scioto/internal/pgas"
 )
@@ -71,27 +71,38 @@ func (h *heap) wordSeg(seg int) []int64 {
 	return h.words[seg]
 }
 
-func (h *heap) load(seg, idx int) int64 {
-	return atomic.LoadInt64(&h.wordSeg(seg)[idx])
+// window returns bytes [off, off+n) of data segment seg, waiting for the
+// segment's allocation; an error means the range is not inside it.
+func (h *heap) window(seg pgas.Seg, off, n int) ([]byte, error) {
+	b := h.dataSeg(int(seg))
+	if off < 0 || n < 0 || off > len(b)-n {
+		return nil, fmt.Errorf("data access [%d, %d) outside segment %d (%d bytes)", off, off+n, seg, len(b))
+	}
+	return b[off : off+n], nil
 }
 
-func (h *heap) store(seg, idx int, val int64) {
-	atomic.StoreInt64(&h.wordSeg(seg)[idx], val)
-}
-
-func (h *heap) fetchAdd(seg, idx int, delta int64) int64 {
-	return atomic.AddInt64(&h.wordSeg(seg)[idx], delta) - delta
-}
-
-func (h *heap) cas(seg, idx int, old, new int64) bool {
-	return atomic.CompareAndSwapInt64(&h.wordSeg(seg)[idx], old, new)
-}
-
-func (h *heap) acc(seg, off int, vals []float64) {
-	b := h.dataSeg(seg)
-	h.accMu.Lock()
-	pgas.AccF64Bytes(b[off:], vals)
-	h.accMu.Unlock()
+// apply performs one one-sided operation on this heap: the single path of
+// the owner's self-targeting operations and of the service applying a
+// peer's request.
+func (h *heap) apply(op *pgas.Op) error {
+	if op.Kind.IsWord() {
+		w := h.wordSeg(int(op.Seg))
+		if op.Off < 0 || op.Off >= len(w) {
+			return fmt.Errorf("word access %d outside segment %d (%d words)", op.Off, op.Seg, len(w))
+		}
+		op.ApplyWord(&w[op.Off])
+		return nil
+	}
+	win, err := h.window(op.Seg, op.Off, op.Bytes())
+	if err != nil {
+		return err
+	}
+	if op.Kind == pgas.OpAccF64 {
+		h.accMu.Lock()
+		defer h.accMu.Unlock()
+	}
+	op.ApplyData(win)
+	return nil
 }
 
 // lockMgr holds this rank's instances of every collectively allocated

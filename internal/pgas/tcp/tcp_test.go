@@ -3,9 +3,13 @@ package tcp_test
 import (
 	"os"
 	"testing"
+	"time"
 
 	"scioto/internal/core"
+	"scioto/internal/obs"
 	"scioto/internal/pgas"
+	"scioto/internal/pgas/faulty"
+	"scioto/internal/pgas/instr"
 	"scioto/internal/pgas/pgastest"
 	"scioto/internal/pgas/tcp"
 	"scioto/internal/uts"
@@ -86,4 +90,14 @@ func TestUTSGeometricMatchesSequential(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCapabilitiesThroughWrappers: what pgas.Find reaches through
+// instr∘faulty is what the bare transport offers.
+func TestCapabilitiesThroughWrappers(t *testing.T) {
+	pgastest.RunCapabilities(t, func(n int) pgas.World {
+		w := factory(n)
+		w = faulty.Wrap(w, faulty.Config{Seed: 3, DelayProb: 0.2, MaxDelay: 20 * time.Microsecond, CrashRank: faulty.NoCrash})
+		return instr.Wrap(w, obs.NewHub(), instr.Options{})
+	})
 }

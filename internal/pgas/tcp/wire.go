@@ -26,10 +26,11 @@ func WireStats() (frames, writes int64) {
 	return wireFrames.Load(), wireWrites.Load()
 }
 
-// Request opcodes, one per remote Proc method (see doc.go for the frame
-// layouts). Mesh frames are sequence-numbered in both directions: a reply
-// carries the request's sequence number instead of an opcode, so one
-// connection may carry many outstanding requests at once (pipelining).
+// Request opcodes (see doc.go for the frame layouts): the one-sided
+// operations, numbered pgas.OpKind+1, then the control operations. Mesh
+// frames are sequence-numbered in both directions: a reply carries the
+// request's sequence number instead of an opcode, so one connection may
+// carry many outstanding requests at once (pipelining).
 const (
 	opGet = byte(iota + 1)
 	opPut
@@ -157,6 +158,111 @@ func readFrameP(r io.Reader) (*frameBuf, error) {
 		return nil, err
 	}
 	return fb, nil
+}
+
+// encodeOp assembles the request of a one-sided operation, blocking or
+// not: [opcode][seg i32][off|idx i64] then the kind's operands go into
+// p.req, and a bulk payload is returned as the frame's tail.
+func (p *proc) encodeOp(op *pgas.Op) (tail []byte) {
+	p.req = appendI64(appendI32(append(p.req[:0], byte(op.Kind)+1), int32(op.Seg)), int64(op.Off))
+	switch op.Kind {
+	case pgas.OpGet:
+		p.req = appendI64(p.req, int64(len(op.Buf)))
+	case pgas.OpPut:
+		return op.Buf
+	case pgas.OpAccF64:
+		n := op.Bytes()
+		if cap(p.enc) < n {
+			p.enc = make([]byte, n)
+		}
+		p.enc = p.enc[:n]
+		pgas.PutF64Slice(p.enc, op.F64)
+		return p.enc
+	case pgas.OpStore64, pgas.OpFetchAdd64:
+		p.req = appendI64(p.req, op.Val)
+	case pgas.OpCAS64:
+		p.req = appendI64(appendI64(p.req, op.Old), op.Val)
+	}
+	return nil
+}
+
+// request is one decoded service frame.
+type request struct {
+	code byte
+	op   pgas.Op // one-sided codes; Buf (a Put's payload) aliases the frame
+	n    int     // opGet: bytes requested (the reply is cut from the heap)
+	res  int64   // where op.Out points
+	id   int     // lock codes: lock id
+	from int     // opSend: sending rank
+	tag  int32   // opSend
+	data []byte  // opSend payload, aliasing the frame
+}
+
+// reqLen is the fixed part of each opcode's request body, after the opcode
+// byte; only Put, Acc and Send carry more. -1 marks an opcode that is
+// never a request (opHello is a connection's first frame only).
+var reqLen = [...]int{opGet: 20, opPut: 12, opAcc: 12, opLoad: 12, opStore: 20, opFAdd: 20, opCAS: 28,
+	opLock: 4, opTryLock: 4, opUnlock: 4, opSend: 8, opBarrier: 0, opHello: -1, opPing: 0}
+
+// maxID bounds the segment and lock ids a request may name. The service
+// waits for an id its owner has not allocated yet (the requester may be
+// ahead in the collective schedule), so an id no program reaches must be
+// refused here or it parks the connection's service goroutine for good.
+const maxID = 1 << 20
+
+// decodeOp parses one request frame (after its sequence number) into r.
+// The bytes come from another process: every length is checked against
+// the opcode before a field is read, segment and lock ids must lie in
+// [0, maxID), and offset and count must be non-negative. Whether an offset
+// lies inside its segment is for the heap to say, which knows the segment;
+// whether a Send's source is the connection's peer is for the service.
+func decodeOp(frame []byte, r *request) error {
+	if len(frame) == 0 {
+		return fmt.Errorf("empty request frame")
+	}
+	code, b := frame[0], frame[1:]
+	if code == 0 || int(code) >= len(reqLen) || reqLen[code] < 0 {
+		return fmt.Errorf("unknown opcode %d", code)
+	}
+	fixed := reqLen[code]
+	variable := code == opPut || code == opAcc || code == opSend
+	if len(b) < fixed || (!variable && len(b) != fixed) {
+		return fmt.Errorf("opcode %d: request body of %d bytes, want %d", code, len(b), fixed)
+	}
+	*r = request{code: code}
+	switch {
+	case code <= opCAS:
+		r.op = pgas.Op{Kind: pgas.OpKind(code - 1), Seg: pgas.Seg(pgas.GetI32(b)), Off: int(pgas.GetI64(b[4:])), Out: &r.res}
+		if r.op.Seg < 0 || r.op.Seg >= maxID || r.op.Off < 0 {
+			return fmt.Errorf("opcode %d: segment %d or offset %d out of range", code, r.op.Seg, r.op.Off)
+		}
+		switch code {
+		case opGet:
+			if r.n = int(pgas.GetI64(b[12:])); r.n < 0 || r.n > maxFrame {
+				return fmt.Errorf("opGet: bad length %d", r.n)
+			}
+		case opPut:
+			r.op.Buf = b[12:]
+		case opAcc:
+			enc := b[12:]
+			if len(enc)%pgas.F64Bytes != 0 {
+				return fmt.Errorf("opAcc: payload of %d bytes is not whole float64s", len(enc))
+			}
+			r.op.F64 = make([]float64, len(enc)/pgas.F64Bytes)
+			pgas.GetF64Slice(r.op.F64, enc)
+		case opStore, opFAdd:
+			r.op.Val = pgas.GetI64(b[12:])
+		case opCAS:
+			r.op.Old, r.op.Val = pgas.GetI64(b[12:]), pgas.GetI64(b[20:])
+		}
+	case code <= opUnlock:
+		if r.id = int(pgas.GetI32(b)); r.id < 0 || r.id >= maxID {
+			return fmt.Errorf("opcode %d: lock id %d out of range", code, r.id)
+		}
+	case code == opSend:
+		r.from, r.tag, r.data = int(pgas.GetI32(b)), pgas.GetI32(b[4:]), b[8:]
+	}
+	return nil
 }
 
 // Payload append helpers, little-endian like the codec in package pgas.

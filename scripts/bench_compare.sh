@@ -17,10 +17,13 @@
 # drift against the baseline.
 #
 # Machine metadata: every BENCH_*.json carries the producing host's
-# GOMAXPROCS/NumCPU/GOOS/GOARCH/go version. A mismatch against the
-# current host does not fail the gate (the bands are meant to absorb
-# runner variance) but warns loudly, because cross-machine drift is not
-# a regression signal.
+# GOMAXPROCS/NumCPU/GOOS/GOARCH/go version. When it matches the current
+# host every check is hard. When it differs, the comparisons against the
+# baseline's absolute numbers (the serve band, the per-transport Remote
+# Steal band) are printed as warnings and do not fail the gate —
+# cross-machine drift is not a regression signal — while the
+# host-independent checks stay hard: both tables have the baseline's
+# shape, and ipc Remote Steal < tcp on the fresh run.
 #
 # On a band failure the script additionally runs a deterministic 2-rank
 # dsim UTS trace, produces the attribution report with `sciototrace
@@ -39,8 +42,9 @@ tband="${SCIOTO_BENCH_TRANSPORT_BAND:-1.0}"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# machine_check FRESH BASELINE — loud (but non-fatal) warning when the
-# artifact was recorded on a different machine than the current host.
+# machine_check FRESH BASELINE — prints "same" or "differs" on stdout,
+# with a loud warning on stderr when the artifact was recorded on a
+# different machine than the current host.
 machine_check() {
 	python3 - "$1" "$2" <<'EOF'
 import json, sys
@@ -51,6 +55,7 @@ with open(fresh_path) as f:
 with open(base_path) as f:
     base = json.load(f).get("machine") or {}
 
+print("same" if base and base == fresh else "differs")
 if not base:
     print(f"WARNING: {base_path} has no machine block; regenerate it with "
           "`sciotobench -json` to record the baseline host", file=sys.stderr)
@@ -62,10 +67,11 @@ elif base != fresh:
           file=sys.stderr)
     for d in diffs:
         print("  " + d, file=sys.stderr)
-    print("  absolute comparisons below are not apples-to-apples; trust the",
+    print("  absolute comparisons below only warn; the table shape and the",
           file=sys.stderr)
-    print("  ordering invariants, re-record baselines on this host to reset.",
+    print("  ordering invariant still gate. Re-record baselines on this host",
           file=sys.stderr)
+    print("  to make the bands binding again.", file=sys.stderr)
     print("=" * 72, file=sys.stderr)
 EOF
 }
@@ -73,12 +79,13 @@ EOF
 fail=0
 
 go run ./cmd/sciotobench -exp serve -json >"$tmp/fresh.json"
-machine_check "$tmp/fresh.json" BENCH_serve.json
+host=$(machine_check "$tmp/fresh.json" BENCH_serve.json)
 
-python3 - "$tmp/fresh.json" BENCH_serve.json "$band" <<'EOF' || fail=1
+python3 - "$tmp/fresh.json" BENCH_serve.json "$band" "$host" <<'EOF' || fail=1
 import json, re, sys
 
 fresh_path, base_path, band = sys.argv[1], sys.argv[2], float(sys.argv[3])
+same_host = sys.argv[4] == "same"
 
 UNITS = {"ns": 1, "µs": 1e3, "us": 1e3, "ms": 1e6, "s": 1e9}
 
@@ -111,7 +118,8 @@ with open(fresh_path) as f:
 with open(base_path) as f:
     base = rows(json.load(f))
 
-failures = []
+failures = []  # hard: the fresh table lost a row or a cell the baseline has
+drift = []     # outside the band: hard on the baseline's host, a warning elsewhere
 checked = 0
 for scenario, brow in base.items():
     frow = fresh.get(scenario)
@@ -132,27 +140,35 @@ for scenario, brow in base.items():
         verdict = "ok" if worse <= 1 + band else "REGRESSION"
         print(f"{scenario} {col}: baseline {brow[col]}, fresh {frow[col]} ({verdict})")
         if worse > 1 + band:
-            failures.append(
+            drift.append(
                 f"{scenario} {col}: {frow[col]} vs baseline {brow[col]} "
                 f"({(worse - 1) * 100:.1f}% worse, band ±{band * 100:.0f}%)")
 
 if checked == 0:
     failures.append("no comparable cells found: baseline and fresh tables do not overlap")
-if failures:
-    print("FAIL: serve benchmark outside the regression band:", file=sys.stderr)
-    for f in failures:
+if drift and not same_host:
+    print("WARNING: serve benchmark outside the band of a baseline from another host (not gating):",
+          file=sys.stderr)
+    for d in drift:
+        print("  " + d, file=sys.stderr)
+    drift = []
+if failures or drift:
+    print("FAIL: serve benchmark outside the regression gate:", file=sys.stderr)
+    for f in failures + drift:
         print("  " + f, file=sys.stderr)
     sys.exit(1)
-print(f"PASS: {checked} cells within ±{band * 100:.0f}% of BENCH_serve.json")
+print(f"PASS: {checked} cells compared against BENCH_serve.json "
+      + (f"within ±{band * 100:.0f}%" if same_host else "for shape; bands not binding on this host"))
 EOF
 
 go run ./cmd/sciotobench -exp transports -json >"$tmp/transports.json"
-machine_check "$tmp/transports.json" BENCH_transport.json
+host=$(machine_check "$tmp/transports.json" BENCH_transport.json)
 
-python3 - "$tmp/transports.json" BENCH_transport.json "$tband" <<'EOF' || fail=1
+python3 - "$tmp/transports.json" BENCH_transport.json "$tband" "$host" <<'EOF' || fail=1
 import json, sys
 
 fresh_path, base_path, band = sys.argv[1], sys.argv[2], float(sys.argv[3])
+same_host = sys.argv[4] == "same"
 
 def steal_row(doc):
     """The Remote Steal row of the transports table as {transport: µs}."""
@@ -170,7 +186,8 @@ with open(fresh_path) as f:
 with open(base_path) as f:
     base = steal_row(json.load(f))
 
-failures = []
+failures = []  # hard: table shape and the ordering invariant
+drift = []     # outside the band: hard on the baseline's host, a warning elsewhere
 if fresh is None:
     failures.append("fresh run has no transports table with a Remote Steal row")
 if base is None:
@@ -186,23 +203,31 @@ if not failures:
         verdict = "ok" if worse <= 1 + band else "REGRESSION"
         print(f"Remote Steal {tr}: baseline {want:.4f}µs, fresh {got:.4f}µs ({verdict})")
         if worse > 1 + band:
-            failures.append(
+            drift.append(
                 f"Remote Steal {tr}: {got:.4f}µs vs baseline {want:.4f}µs "
                 f"({(worse - 1) * 100:.0f}% worse, band +{band * 100:.0f}%)")
     # The invariant the artifact exists to guard: the zero-copy ipc
     # transport must beat loopback tcp on the steal path, whatever the
     # host. Both numbers come from the same fresh run, so this check is
     # immune to baseline staleness and runner speed.
-    if fresh["ipc"] >= fresh["tcp"]:
+    if "ipc" in fresh and "tcp" in fresh and fresh["ipc"] >= fresh["tcp"]:
         failures.append(
             f"ordering inverted: ipc Remote Steal {fresh['ipc']:.4f}µs >= tcp {fresh['tcp']:.4f}µs")
 
-if failures:
+if drift and not same_host:
+    print("WARNING: Remote Steal outside the band of a baseline from another host (not gating):",
+          file=sys.stderr)
+    for d in drift:
+        print("  " + d, file=sys.stderr)
+    drift = []
+if failures or drift:
     print("FAIL: transport benchmark outside the regression gate:", file=sys.stderr)
-    for f in failures:
+    for f in failures + drift:
         print("  " + f, file=sys.stderr)
     sys.exit(1)
-print(f"PASS: Remote Steal within +{band * 100:.0f}% of BENCH_transport.json, ipc < tcp holds")
+print("PASS: ipc < tcp holds, Remote Steal "
+      + (f"within +{band * 100:.0f}% of BENCH_transport.json" if same_host
+         else "compared against BENCH_transport.json for shape; band not binding on this host"))
 EOF
 
 if [ "$fail" != 0 ]; then
