@@ -59,12 +59,14 @@ chaos-recovery:
 bench-smoke:
 	$(GO) test -run=NONE -bench=Table1 -benchtime=1x ./internal/bench/
 
-# Perf regression gates over the checked-in artifacts: `sciotobench -exp
-# serve -json` vs BENCH_serve.json (p95 latency and sustained tasks/s,
-# +/-15% band via SCIOTO_BENCH_BAND) and `sciotobench -exp transports
-# -json` vs BENCH_transport.json (Remote Steal per transport, wide 2x
-# band via SCIOTO_BENCH_TRANSPORT_BAND, plus the hard invariant that the
-# ipc steal stays below tcp's). CI runs the same target.
+# Perf regression gates over the checked-in artifacts: the dsim
+# attribution report vs BENCH_attrib.json (virtual time: exact equality,
+# always hard), then `sciotobench -exp serve -json` vs BENCH_serve.json
+# (p95 latency and sustained tasks/s, +/-15% band via SCIOTO_BENCH_BAND)
+# and `sciotobench -exp transports -json` vs BENCH_transport.json (Remote
+# Steal per transport, wide 2x band via SCIOTO_BENCH_TRANSPORT_BAND, plus
+# the hard invariant that the ipc steal stays below tcp's). CI runs the
+# same target.
 bench-compare:
 	bash scripts/bench_compare.sh
 
@@ -76,33 +78,40 @@ bench-harness:
 	cd benchmark && $(GO) test ./...
 
 # Ten seconds of native fuzzing on each decoder that reads another
-# process's bytes on the operation path: the fault codec every transport
-# shares (tcp fault replies and exit reports, ipc fault record and report
-# slots) and the tcp service's request decoder with the heap's range
-# checks behind it. A smoke, not a campaign: it proves the targets still
-# build, their seed corpora pass, and a short search finds nothing. CI runs
-# the same target.
+# process's bytes: the fault codec every transport shares (tcp fault
+# replies and exit reports, ipc fault record and report slots), the tcp
+# service's request decoder with the heap's range checks behind it, and
+# the trace dump reader with the attribution engine behind it (its seeds
+# are whole dumps of a few kB, so minimising each new-coverage input would
+# eat the ten seconds: off). A smoke, not a campaign: it proves the targets
+# still build, their seed corpora pass, and a short search finds nothing.
+# CI runs the same target.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFault -fuzztime=10s ./internal/pgas/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeOp -fuzztime=10s ./internal/pgas/tcp/
+	$(GO) test -run='^$$' -fuzz=FuzzReadDump -fuzztime=10s -fuzzminimizetime=0 ./internal/trace/
 
 # Code-line ledger for the simplification round (ROADMAP: "track the round
 # with a make loc line in CHANGES.md per PR"): Go lines that are neither
 # blank nor comment-only, tests excluded, for the two packages the round
 # targets and for the repo without the benchmark harness and the linter.
-# The spi line sizes the transport SPI: methods of pgas.Kernel (what a
-# transport implements), methods declared on the two wrappers' proc types
-# (what a wrapper overrides), and capability type assertions outside
-# pgas.Find (what a wrapper would have to forward by hand).
+# The obs line is the observability stack (ROADMAP "One event spine"):
+# the recorder, dump and attribution engine, the metrics registry, the
+# instrumenting wrapper and the trace tool. The spi line sizes the
+# transport SPI: methods of pgas.Kernel (what a transport implements),
+# methods declared on the two wrappers' proc types (what a wrapper
+# overrides), and capability type assertions outside pgas.Find (what a
+# wrapper would have to forward by hand).
 LOC = awk '!/^[[:space:]]*($$|\/\/)/ {n++} END {print n+0}'
 SRC = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './tools/*' ! -path './.bench_build/*'
 loc:
 	@echo "internal/pgas  $$(find internal/pgas -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "internal/core  $$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "repo           $$($(SRC) | xargs cat | $(LOC))"
+	@echo "obs            $$(find internal/trace internal/obs internal/pgas/instr cmd/sciototrace -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "spi            Kernel $$(awk '/^type Kernel interface/ {k=1; next} k && /^}/ {k=0} k && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n+0}' internal/pgas/pgas.go) methods;" \
 		"faulty proc $$(grep -c '^func (p \*proc)' internal/pgas/faulty/faulty.go), instr proc $$(grep -c '^func (p \*proc)' internal/pgas/instr/proc.go);" \
-		"capability assertions $$($(SRC) | xargs grep -E '\.\((pgas\.)?Resilient\)|\.\((occ\.)?Attacher\)' | grep -vc '^[^:]*:[[:space:]]*//')"
+		"capability assertions $$($(SRC) | xargs grep -E '\.\((pgas\.)?Resilient\)|\.\((trace\.)?Attacher\)' | grep -vc '^[^:]*:[[:space:]]*//')"
 
 # End-to-end observability smoke: UTS on shm with the live endpoint and
 # trace dumps on, a mid-run /metrics + /healthz scrape, and a 2-rank

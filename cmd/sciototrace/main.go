@@ -2,11 +2,14 @@
 // with SCIOTO_OBS_TRACE_DIR (or Config.Obs.TraceDir) into a single Chrome
 // trace-event JSON file, viewable in chrome://tracing or Perfetto.
 //
-// Each rank becomes one thread row. Task executions and steal attempts
-// render as duration spans (TaskExec..TaskExecEnd, StealBegin..outcome);
-// successful steals draw a flow arrow from the thief's span to the
-// victim's row; votes, waves, releases, reacquires, task adds, injected
-// faults, and termination render as instants.
+// Each rank becomes one thread row. Every record is drawn once: a span
+// kind as a complete duration event — task executions and steal attempts
+// on the rank's row, the other occupancy resources on a row of their own
+// in a second process group — and an instant kind (votes, waves,
+// releases, reacquires, task adds, injected faults, recovery steps,
+// termination) as an instant. A successful steal draws a flow arrow from
+// the thief's span to the victim's row. Names, categories and argument
+// labels come from the kind table each dump carries.
 //
 // With -report the merge instead feeds the attribution engine: the
 // output is a machine-readable bottleneck report — per-rank occupancy
@@ -63,10 +66,7 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", path, err))
 		}
 		if d.Dropped > 0 {
-			fmt.Fprintf(os.Stderr, "sciototrace: warning: rank %d dropped %d events (raise SCIOTO_OBS_TRACE_LIMIT)\n", d.Rank, d.Dropped)
-		}
-		if d.OccDropped > 0 {
-			fmt.Fprintf(os.Stderr, "sciototrace: warning: rank %d dropped %d occupancy intervals (aggregates stay exact; the timeline is truncated)\n", d.Rank, d.OccDropped)
+			fmt.Fprintf(os.Stderr, "sciototrace: warning: rank %d dropped %d records; the timeline is truncated, the /metrics aggregates stay exact (raise SCIOTO_OBS_TRACE_LIMIT)\n", d.Rank, d.Dropped)
 		}
 		dumps = append(dumps, d)
 	}
@@ -150,176 +150,73 @@ type chromeEvent struct {
 
 func micros(ns int64) float64 { return float64(ns) / 1e3 }
 
-func durPtr(beginNs, endNs int64) *float64 {
-	d := micros(endNs - beginNs)
-	if d < 0 {
-		d = 0
-	}
-	return &d
-}
+// chromeName gives the two span kinds drawn on the rank rows their short
+// viewer names (scripts/obs_smoke.sh greps for them); every other kind
+// keeps its catalogue name.
+var chromeName = map[string]string{"task_exec": "exec", "steal_window": "steal"}
 
-// openSpan is a begin event awaiting its close.
-type openSpan struct {
-	atNs int64
-	ev   [4]int64
-}
-
-// convert merges per-rank dumps into Chrome trace events. Spans are
-// emitted as complete ("X") events — matching begins to ends here, rather
-// than leaning on the viewer's B/E pairing, keeps a trace with a
-// truncated tail (recorder limit hit mid-span) well-formed: an unclosed
-// begin is synthesized shut at the rank's last timestamp.
+// convert merges per-rank dumps into Chrome trace events: one event per
+// record (every span in a dump is closed, so there is nothing to pair),
+// plus a flow arrow per successful steal and the row labels.
 func convert(dumps []*trace.Dump) []chromeEvent {
 	const pid = 1
 	const occPid = 2 // occupancy rows in their own process group
-	var out []chromeEvent
-	out = append(out, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]any{"name": "scioto"},
-	})
-	for _, d := range dumps {
-		if len(d.Occ) > 0 {
-			out = append(out, chromeEvent{
-				Name: "process_name", Ph: "M", Pid: occPid,
-				Args: map[string]any{"name": "scioto occupancy"},
-			})
-			break
-		}
+	out := []chromeEvent{
+		{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": "scioto"}},
+		{Name: "process_name", Ph: "M", Pid: occPid, Args: map[string]any{"name": "scioto occupancy"}},
 	}
 	var flowID int64
 	for _, d := range dumps {
 		rank := d.Rank
-		out = append(out, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: rank,
-			Args: map[string]any{"name": fmt.Sprintf("rank %d", rank)},
-		})
-		var lastNs int64
-		var execStack []openSpan
-		var steal *openSpan
-		for _, q := range d.Events {
-			atNs, kind := q[0], trace.Kind(q[1])
-			if atNs > lastNs {
-				lastNs = atNs
-			}
-			switch kind {
-			case trace.TaskExec:
-				execStack = append(execStack, openSpan{atNs: atNs, ev: q})
-			case trace.TaskExecEnd:
-				if len(execStack) == 0 {
-					continue // end with no begin: tolerate malformed input
-				}
-				b := execStack[len(execStack)-1]
-				execStack = execStack[:len(execStack)-1]
-				out = append(out, execSpan(pid, rank, b, atNs))
-			case trace.StealBegin:
-				steal = &openSpan{atNs: atNs, ev: q}
-			case trace.StealOK, trace.StealEmpty, trace.StealBusy:
-				if steal == nil {
-					continue
-				}
-				sp := stealSpan(pid, rank, *steal, atNs, kind, q[3])
-				out = append(out, sp)
-				if kind == trace.StealOK {
-					// Flow arrow thief → victim at the moment of success.
-					flowID++
-					victim := int(q[2])
-					out = append(out,
-						chromeEvent{Name: "steal", Cat: "flow", Ph: "s", Ts: micros(atNs), Pid: pid, Tid: rank, ID: flowID},
-						chromeEvent{Name: "steal", Cat: "flow", Ph: "f", BP: "e", Ts: micros(atNs), Pid: pid, Tid: victim, ID: flowID},
-					)
-				}
-				steal = nil
-			default:
-				out = append(out, instant(pid, rank, atNs, kind, q[2], q[3]))
-			}
-		}
-		// Synthesize closes for spans the recorder never saw end.
-		for i := len(execStack) - 1; i >= 0; i-- {
-			out = append(out, execSpan(pid, rank, execStack[i], lastNs))
-		}
-		if steal != nil {
-			out = append(out, stealSpan(pid, rank, *steal, lastNs, trace.StealBegin, 0))
-		}
-		// Occupancy intervals become complete spans in their own process
-		// group (they overlap freely; nesting them under the task spans
-		// would misrender).
-		if len(d.Occ) > 0 {
+		for _, p := range []int{pid, occPid} {
 			out = append(out, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: occPid, Tid: rank,
+				Name: "thread_name", Ph: "M", Pid: p, Tid: rank,
 				Args: map[string]any{"name": fmt.Sprintf("rank %d", rank)},
 			})
-			for _, q := range d.Occ {
-				res := "resource(?)"
-				if int(q[0]) < len(d.OccResources) {
-					res = d.OccResources[q[0]]
+		}
+		for _, q := range d.Records {
+			k, start, end, a1, a2 := d.Kinds[q[0]], q[1], q[2], q[3], q[4]
+			ev := chromeEvent{Name: k.Name, Cat: k.Cat, Ph: "i", S: "t", Ts: micros(start), Pid: pid, Tid: rank, Args: map[string]any{}}
+			if n, ok := chromeName[k.Name]; ok {
+				ev.Name = n
+			}
+			for i, name := range k.Args {
+				if name != "" {
+					ev.Args[name] = q[3+i]
 				}
-				out = append(out, chromeEvent{
-					Name: res, Cat: "occ", Ph: "X",
-					Ts: micros(q[1]), Dur: durPtr(q[1], q[2]), Pid: occPid, Tid: rank,
-					Args: map[string]any{"detail": q[3]},
-				})
+			}
+			if k.Prio > 0 {
+				dur := micros(end - start)
+				ev.Ph, ev.S, ev.Dur = "X", "", &dur
+				if k.Cat == "occ" {
+					// Occupancy spans overlap freely; nesting them under
+					// the task spans would misrender.
+					ev.Pid = occPid
+				}
+			}
+			switch k.Name {
+			case "fault":
+				ev.Args["kind"] = obs.FaultKindName(a1)
+			case "steal_window":
+				ev.Args["outcome"] = "ok"
+				switch a2 {
+				case trace.StealEmpty:
+					ev.Args["outcome"] = "empty"
+				case trace.StealBusy:
+					ev.Args["outcome"], ev.Args["tasks"] = "busy", 0
+				}
+			}
+			out = append(out, ev)
+			if k.Name == "steal_window" && a2 > 0 {
+				// Flow arrow thief → victim at the moment of success.
+				flowID++
+				out = append(out,
+					chromeEvent{Name: "steal", Cat: "flow", Ph: "s", Ts: micros(end), Pid: pid, Tid: rank, ID: flowID},
+					chromeEvent{Name: "steal", Cat: "flow", Ph: "f", BP: "e", Ts: micros(end), Pid: pid, Tid: int(a1), ID: flowID},
+				)
 			}
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Ts < out[j].Ts })
 	return out
-}
-
-func execSpan(pid, rank int, b openSpan, endNs int64) chromeEvent {
-	return chromeEvent{
-		Name: "exec", Cat: "task", Ph: "X",
-		Ts: micros(b.atNs), Dur: durPtr(b.atNs, endNs), Pid: pid, Tid: rank,
-		Args: map[string]any{"handle": b.ev[2], "origin": b.ev[3]},
-	}
-}
-
-func stealSpan(pid, rank int, b openSpan, endNs int64, outcome trace.Kind, tasks int64) chromeEvent {
-	args := map[string]any{"victim": b.ev[2]}
-	switch outcome {
-	case trace.StealOK:
-		args["outcome"] = "ok"
-		args["tasks"] = tasks
-	case trace.StealEmpty:
-		args["outcome"] = "empty"
-	case trace.StealBusy:
-		args["outcome"] = "busy"
-	default:
-		args["outcome"] = "truncated"
-	}
-	return chromeEvent{
-		Name: "steal", Cat: "steal", Ph: "X",
-		Ts: micros(b.atNs), Dur: durPtr(b.atNs, endNs), Pid: pid, Tid: rank,
-		Args: args,
-	}
-}
-
-func instant(pid, rank int, atNs int64, kind trace.Kind, arg1, arg2 int64) chromeEvent {
-	args := map[string]any{"arg1": arg1, "arg2": arg2}
-	cat := "sched"
-	switch kind {
-	case trace.TaskAdd:
-		args = map[string]any{"dest": arg1, "affinity": arg2}
-	case trace.Release, trace.Reacquire:
-		args = map[string]any{"tasks": arg1}
-	case trace.Vote:
-		color := "white"
-		if arg2 != 0 {
-			color = "black"
-		}
-		args = map[string]any{"wave": arg1, "color": color}
-		cat = "td"
-	case trace.WaveDown:
-		args = map[string]any{"wave": arg1}
-		cat = "td"
-	case trace.Terminate:
-		args = map[string]any{"wave": arg1}
-		cat = "td"
-	case trace.Fault:
-		args = map[string]any{"kind": obs.FaultKindName(arg1), "target": arg2}
-		cat = "fault"
-	}
-	return chromeEvent{
-		Name: kind.String(), Cat: cat, Ph: "i", S: "t",
-		Ts: micros(atNs), Pid: pid, Tid: rank, Args: args,
-	}
 }

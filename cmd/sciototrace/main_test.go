@@ -14,7 +14,7 @@ import (
 // produces the on-disk files.
 func dumpOf(t *testing.T, rank int, record func(r *trace.Recorder)) *trace.Dump {
 	t.Helper()
-	rec := trace.NewRecorder(rank, 0)
+	rec := trace.NewRecorder(rank, 64, nil)
 	record(rec)
 	dir := t.TempDir()
 	path, err := rec.WriteFile(dir)
@@ -50,32 +50,31 @@ func find(events []chromeEvent, match func(chromeEvent) bool) []chromeEvent {
 
 func TestConvertSpansFlowsAndInstants(t *testing.T) {
 	us := func(n int64) time.Duration { return time.Duration(n) * time.Microsecond }
-	// Rank 1 (thief): a failed probe, then a successful steal from rank 0,
-	// then executes the stolen task.
+	// Rank 1 (thief): a failed probe, then a successful steal from rank 0
+	// under the victim's queue lock, then executes the stolen task.
 	thief := dumpOf(t, 1, func(r *trace.Recorder) {
-		r.Record(us(10), trace.StealBegin, 0, 0)
-		r.Record(us(12), trace.StealEmpty, 0, 0)
-		r.Record(us(20), trace.StealBegin, 0, 0)
-		r.Record(us(25), trace.StealOK, 0, 4)
-		r.Record(us(30), trace.TaskExec, 7, 0)
-		r.Record(us(40), trace.TaskExecEnd, 7, 0)
-		r.Record(us(41), trace.Vote, 1, 1)
+		r.Record(trace.Steal, us(10), us(12), 0, trace.StealEmpty)
+		r.Record(trace.QueueLockHeld, us(21), us(24), 0, 0)
+		r.Record(trace.Steal, us(20), us(25), 0, 4)
+		r.Record(trace.Exec, us(30), us(40), 7, 0)
+		r.Record(trace.Vote, us(41), us(41), 1, 1)
 	})
-	// Rank 0 (victim): adds work, releases, sees a fault, and its last
-	// exec span is cut off by the recorder limit — must synthesize a close.
+	// Rank 0 (victim): adds work, releases, sees a fault that ends its last
+	// task mid-callback — that execution never closed, so it is not drawn;
+	// the fault instant is.
 	victim := dumpOf(t, 0, func(r *trace.Recorder) {
-		r.Record(us(1), trace.TaskAdd, 0, 100)
-		r.Record(us(2), trace.Release, 4, 0)
-		r.Record(us(5), trace.Fault, obs.FaultDelay, 1)
-		r.Record(us(8), trace.TaskExec, 7, 0)
-		r.Record(us(50), trace.Terminate, 1, 0)
+		r.Record(trace.Add, us(1), us(1), 0, 100)
+		r.Record(trace.Release, us(2), us(2), 4, 0)
+		r.Record(trace.Exec, us(3), us(4), 7, 0)
+		r.Record(trace.Fault, us(5), us(5), obs.FaultDelay, 1)
+		r.Record(trace.Terminate, us(50), us(50), 1, 0)
 	})
 
 	events := convert([]*trace.Dump{victim, thief})
 
 	steals := find(events, func(e chromeEvent) bool { return e.Ph == "X" && e.Cat == "steal" })
-	if len(steals) != 2 {
-		t.Fatalf("got %d steal spans, want 2", len(steals))
+	if len(steals) != 2 || steals[0].Name != "steal" {
+		t.Fatalf("got %d steal spans %+v, want 2 named steal", len(steals), steals)
 	}
 	byOutcome := map[string]chromeEvent{}
 	for _, e := range steals {
@@ -85,7 +84,7 @@ func TestConvertSpansFlowsAndInstants(t *testing.T) {
 	if !found {
 		t.Fatal("no ok-outcome steal span")
 	}
-	if ok.Ts != 20 || ok.Dur == nil || *ok.Dur != 5 {
+	if ok.Ts != 20 || ok.Dur == nil || *ok.Dur != 5 || ok.Args["tasks"] != int64(4) || ok.Args["victim"] != int64(0) {
 		t.Fatalf("ok steal span ts=%v dur=%v, want ts=20 dur=5", ok.Ts, ok.Dur)
 	}
 	if _, found := byOutcome["empty"]; !found {
@@ -109,22 +108,24 @@ func TestConvertSpansFlowsAndInstants(t *testing.T) {
 		t.Fatalf("flow pair malformed: start=%+v finish=%+v", start, finish)
 	}
 
-	execs := find(events, func(e chromeEvent) bool { return e.Ph == "X" && e.Cat == "task" })
+	// Each execution is drawn once, with its recorded length.
+	execs := find(events, func(e chromeEvent) bool { return e.Ph == "X" && e.Name == "exec" && e.Cat == "task" })
 	if len(execs) != 2 {
-		t.Fatalf("got %d exec spans, want 2 (one synthesized)", len(execs))
+		t.Fatalf("got %d exec spans, want 2", len(execs))
 	}
 	for _, e := range execs {
-		switch e.Tid {
-		case 1:
-			if e.Ts != 30 || *e.Dur != 10 {
-				t.Fatalf("thief exec span ts=%v dur=%v", e.Ts, *e.Dur)
-			}
-		case 0:
-			// Unclosed at dump time: synthesized shut at the rank's last ts.
-			if e.Ts != 8 || *e.Dur != 42 {
-				t.Fatalf("synthesized exec span ts=%v dur=%v, want ts=8 dur=42", e.Ts, *e.Dur)
-			}
+		if want := map[int][2]float64{1: {30, 10}, 0: {3, 1}}[e.Tid]; e.Ts != want[0] || *e.Dur != want[1] || e.Pid != 1 {
+			t.Fatalf("rank %d exec span ts=%v dur=%v pid=%d, want %v on the rank row", e.Tid, e.Ts, *e.Dur, e.Pid, want)
 		}
+	}
+	if execs[0].Args["handle"] != int64(7) {
+		t.Fatalf("exec args = %v, want the catalogue's labels", execs[0].Args)
+	}
+
+	// The other span kinds go to the occupancy rows.
+	occ := find(events, func(e chromeEvent) bool { return e.Cat == "occ" })
+	if len(occ) != 1 || occ[0].Name != "queue_lock_held" || occ[0].Ph != "X" || occ[0].Pid != 2 || occ[0].Tid != 1 || *occ[0].Dur != 3 {
+		t.Fatalf("occupancy spans: %+v", occ)
 	}
 
 	faults := find(events, func(e chromeEvent) bool { return e.Cat == "fault" })
@@ -148,8 +149,8 @@ func TestConvertSpansFlowsAndInstants(t *testing.T) {
 func TestResolveInputsDirectory(t *testing.T) {
 	dir := t.TempDir()
 	for _, rank := range []int{2, 0, 1} {
-		rec := trace.NewRecorder(rank, 0)
-		rec.Record(time.Microsecond, trace.UserEvent, 0, 0)
+		rec := trace.NewRecorder(rank, 1, nil)
+		rec.Record(trace.UserEvent, time.Microsecond, time.Microsecond, 0, 0)
 		if _, err := rec.WriteFile(dir); err != nil {
 			t.Fatal(err)
 		}

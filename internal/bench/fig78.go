@@ -7,8 +7,8 @@ import (
 
 	"scioto/internal/core"
 	"scioto/internal/mpiws"
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
+	"scioto/internal/trace"
 	"scioto/internal/uts"
 )
 
@@ -74,20 +74,18 @@ func runUTSPoint(w pgas.World, o UTSOptions, s utsSeries, perNode time.Duration)
 		var st uts.Stats
 		switch s {
 		case seriesSciotoSplit, seriesSciotoNoSplit:
-			// One occupancy buffer per rank: the runtime layers inherit it
-			// through the proc-observer registration and the transport (the
-			// dsim NIC model) through AttachOcc. Aggregates stay exact even
-			// if the interval timeline truncates, so the columns are safe at
-			// any scale.
-			ob := occ.NewBuffer(p.Rank(), 1<<14, nil)
-			core.RegisterProcObserver(p, nil, nil, ob)
+			// One aggregates-only recorder per rank: the runtime layers
+			// inherit it through the proc-observer registration and the
+			// transport (the dsim NIC model) through the observer. The
+			// aggregates are exact at any scale.
+			rec := trace.NewRecorder(p.Rank(), 0, nil)
+			core.RegisterProcObserver(p, core.NewObserver(p, nil, rec))
 			defer core.UnregisterProcObserver(p)
-			occ.Attach(p, ob)
 			defer func() {
-				ot.exec.Add(ob.BusyNs(occ.TaskExec))
-				ot.lock.Add(ob.BusyNs(occ.QueueLockHeld) + ob.BusyNs(occ.QueueLockWait))
-				ot.steal.Add(ob.BusyNs(occ.StealWindow))
-				ot.nic.Add(ob.BusyNs(occ.DsimNIC))
+				ot.exec.Add(rec.BusyNs(trace.Exec))
+				ot.lock.Add(rec.BusyNs(trace.QueueLockHeld) + rec.BusyNs(trace.QueueLockWait))
+				ot.steal.Add(rec.BusyNs(trace.Steal))
+				ot.nic.Add(rec.BusyNs(trace.DsimNIC))
 			}()
 			mode := core.ModeSplit
 			if s == seriesSciotoNoSplit {

@@ -12,9 +12,10 @@ import (
 	"scioto/internal/trace"
 )
 
-// TestMetricsCaptureSchedule runs an imbalanced workload with observers
-// attached via Runtime.SetObserver and checks the scheduler metrics
-// agree with the runtime's own statistics, per rank and merged.
+// TestMetricsCaptureSchedule runs an imbalanced workload with an observer
+// attached via Runtime.SetObserver and checks the scheduler metrics and
+// the recorder agree with the runtime's own statistics, per rank and
+// merged.
 func TestMetricsCaptureSchedule(t *testing.T) {
 	const n = 4
 	const total = 200
@@ -27,14 +28,15 @@ func TestMetricsCaptureSchedule(t *testing.T) {
 		me := p.Rank()
 		rt := core.Attach(p)
 		reg := hub.Registry(me)
-		rec := trace.NewRecorder(me, 1<<21)
-		hub.SetTracer(me, rec)
-		rt.SetObserver(reg, rec)
-
-		tc := core.NewTC(rt, core.Config{MaxBodySize: 8, MaxTasks: 1024, ChunkSize: 4})
-		if tc.Metrics() == nil || tc.Tracer() != rec {
-			panic("NewTC did not auto-wire the observer")
+		rec := trace.NewRecorder(me, 1<<16, reg)
+		rt.SetObserver(core.NewObserver(p, reg, rec))
+		if rt.Registry() != reg {
+			panic("the runtime does not answer with its observer's registry")
 		}
+
+		// NewTC wires the collection to the runtime's observer: the
+		// agreement checked below is the proof.
+		tc := core.NewTC(rt, core.Config{MaxBodySize: 8, MaxTasks: 1024, ChunkSize: 4})
 		h := tc.Register(func(tc *core.TC, t *core.Task) {
 			tc.Proc().Compute(15 * time.Microsecond)
 		})
@@ -67,18 +69,20 @@ func TestMetricsCaptureSchedule(t *testing.T) {
 			panic("steal latency counts disagree with stats")
 		}
 
-		// Steal spans: every StealBegin is closed by exactly one outcome
-		// event, and TaskExec/TaskExecEnd pair up.
-		if rec.Dropped() == 0 {
-			counts := rec.Counts()
-			begins := counts[trace.StealBegin]
-			ends := counts[trace.StealOK] + counts[trace.StealEmpty] + counts[trace.StealBusy]
-			if begins != ends {
-				panic("unbalanced steal spans")
-			}
-			if counts[trace.TaskExec] != counts[trace.TaskExecEnd] {
-				panic("unbalanced task exec spans")
-			}
+		// Each number is stored once: the span aggregates the registry
+		// exports are the recorder's own, and they count every execution
+		// and every steal attempt exactly once.
+		if got := reg.Counter(`scioto_occ_intervals_total{resource="task_exec"}`, "").Value(); got != st.TasksExecuted {
+			panic("task_exec interval series disagrees with stats")
+		}
+		if got := reg.Counter(`scioto_occ_intervals_total{resource="steal_window"}`, "").Value(); got != st.StealAttempts {
+			panic("steal_window interval series disagrees with stats")
+		}
+		if got := reg.Histogram("scioto_task_exec_seconds", "").Sum(); int64(got) != rec.BusyNs(trace.Exec) || got != st.WorkTime {
+			panic("exec time disagrees between histogram, recorder and stats")
+		}
+		if rec.Dropped() != 0 || counts(rec)[trace.Exec] != st.TasksExecuted {
+			panic("retained exec spans disagree with stats")
 		}
 
 		// Merged: the global view adds up to the seeded workload.
@@ -113,19 +117,18 @@ func TestMetricsCaptureSchedule(t *testing.T) {
 }
 
 // TestMetricsNilSafe: a collection without an observer must run with every
-// metric call a no-op — this is the disabled-by-default path every
-// existing test already exercises, asserted here explicitly.
+// report a no-op — this is the disabled-by-default path every existing
+// test already exercises, asserted here explicitly.
 func TestMetricsNilSafe(t *testing.T) {
-	var m *core.Metrics
-	if m != core.NewMetrics(nil) {
-		t.Fatal("NewMetrics(nil) must be nil")
-	}
 	w := shm.NewWorld(shm.Config{NProcs: 2, Seed: 5})
 	if err := w.Run(func(p pgas.Proc) {
+		if core.NewObserver(p, nil, nil) != nil {
+			panic("an observer with nothing to report to must be nil")
+		}
 		rt := core.Attach(p)
 		tc := core.NewTC(rt, core.Config{MaxBodySize: 8})
-		if tc.Metrics() != nil {
-			panic("metrics must default to disabled")
+		if rt.Registry() != nil {
+			panic("observability must default to disabled")
 		}
 		h := tc.Register(func(tc *core.TC, t *core.Task) {})
 		if p.Rank() == 0 {

@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"time"
 
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
+	"scioto/internal/trace"
 )
 
 // OpTimings holds the per-operation average costs of the four core task
@@ -124,10 +124,10 @@ func MeasureStealAllocs(p pgas.Proc, bodySize, chunk, iters int) float64 {
 	slotSize := HeaderBytes + bodySize
 	capacity := iters*chunk + 8
 	q := newTaskQueue(p, ModeSplit, slotSize, capacity)
-	// Occupancy accounting is attached so the zero-alloc gate proves the
-	// steal path stays allocation-free with interval recording *enabled*,
-	// not just in the nil-buffer no-op mode.
-	q.occ = occ.NewBuffer(p.Rank(), iters*4+64, nil)
+	// An observer with a retaining recorder is attached so the zero-alloc
+	// gate proves the steal path stays allocation-free with recording
+	// *enabled*, not just in the nil-observer no-op mode.
+	q.obs = NewObserver(p, nil, trace.NewRecorder(p.Rank(), iters*4+64, nil))
 	var s Stats
 	task := NewTask(0, bodySize)
 	wire := task.wire()

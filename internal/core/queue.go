@@ -4,9 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
-	"scioto/internal/trace"
 )
 
 // QueueMode selects the queue synchronization discipline.
@@ -87,9 +85,7 @@ type taskQueue struct {
 	// heap allocation per steal.
 	nbBottom, nbLimit int64
 
-	tracer  *trace.Recorder // nil = tracing disabled
-	metrics *Metrics        // nil = metrics disabled
-	occ     *occ.Buffer     // nil = occupancy accounting disabled
+	obs *Observer // nil = observability disabled
 }
 
 // newTaskQueue collectively allocates a task queue. All processes must call
@@ -106,6 +102,20 @@ func newTaskQueue(p pgas.Proc, mode QueueMode, slotSize, capacity int) *taskQueu
 		heldLock: -1,
 	}
 	return q
+}
+
+// locked notes that this rank now holds rank proc's queue lock, asked for
+// at t0, and returns the start of the hold for unlocked. Both follow the
+// literal Lock/Unlock call at every site (the lockbalance lint is
+// intraprocedural).
+func (q *taskQueue) locked(t0 time.Duration, proc int) time.Duration {
+	q.heldLock = proc
+	return q.obs.lockWait(t0, proc)
+}
+
+func (q *taskQueue) unlocked(lockT time.Duration, proc int) {
+	q.heldLock = -1
+	q.obs.lockHeld(lockT, proc)
 }
 
 // releaseHeldLock drops a queue lock left held by a mid-critical-section
@@ -234,8 +244,7 @@ func (q *taskQueue) maybeRelease(ordered bool, s *Stats) {
 	}
 	k := (top - split) / 2
 	q.p.Store64(me, q.meta, wSplit, split+k)
-	q.tracer.Record(q.p.Now(), trace.Release, k, 0)
-	q.metrics.noteRelease()
+	q.obs.release(k)
 	s.Releases++
 	s.TasksReleased += k
 }
@@ -253,27 +262,22 @@ func (q *taskQueue) reacquire(s *Stats) bool {
 			return false
 		}
 	}
-	t0 := q.p.Now()
+	t0 := q.obs.now()
 	q.p.Lock(me, q.lock)
-	q.heldLock = me
-	lockT := q.p.Now()
-	q.occ.Record(occ.QueueLockWait, t0, lockT, int64(me))
+	lockT := q.locked(t0, me)
 	bottom := q.p.Load64(me, q.meta, wBottom)
 	split := q.p.Load64(me, q.meta, wSplit)
 	avail := split - bottom
 	if avail <= 0 {
 		q.p.Unlock(me, q.lock)
-		q.heldLock = -1
-		q.occ.Record(occ.QueueLockHeld, lockT, q.p.Now(), int64(me))
+		q.unlocked(lockT, me)
 		return false
 	}
 	k := (avail + 1) / 2
 	q.p.Store64(me, q.meta, wSplit, split-k)
 	q.p.Unlock(me, q.lock)
-	q.heldLock = -1
-	q.occ.Record(occ.QueueLockHeld, lockT, q.p.Now(), int64(me))
-	q.tracer.Record(q.p.Now(), trace.Reacquire, k, 0)
-	q.metrics.noteReacquire()
+	q.unlocked(lockT, me)
+	q.obs.reacquire(k)
 	s.Reacquires++
 	s.TasksReacquired += k
 	return true
@@ -284,25 +288,21 @@ func (q *taskQueue) reacquire(s *Stats) bool {
 // pushLocked inserts at the owner end under the queue lock (ModeLocked).
 func (q *taskQueue) pushLocked(wire []byte, s *Stats) bool {
 	me := q.p.Rank()
-	t0 := q.p.Now()
+	t0 := q.obs.now()
 	q.p.Lock(me, q.lock)
-	q.heldLock = me
-	lockT := q.p.Now()
-	q.occ.Record(occ.QueueLockWait, t0, lockT, int64(me))
+	lockT := q.locked(t0, me)
 	top := q.p.Load64(me, q.meta, wTop)
 	bottom := q.p.Load64(me, q.meta, wBottom)
 	if top-bottom >= int64(q.capacity) {
 		q.p.Unlock(me, q.lock)
-		q.heldLock = -1
-		q.occ.Record(occ.QueueLockHeld, lockT, q.p.Now(), int64(me))
+		q.unlocked(lockT, me)
 		return false
 	}
 	off := q.slotOff(top)
 	copy(q.p.Local(q.data)[off:off+len(wire)], wire)
 	q.p.Store64(me, q.meta, wTop, top+1)
 	q.p.Unlock(me, q.lock)
-	q.heldLock = -1
-	q.occ.Record(occ.QueueLockHeld, lockT, q.p.Now(), int64(me))
+	q.unlocked(lockT, me)
 	q.p.Charge(localCost(len(wire)))
 	s.LocalInserts++
 	return true
@@ -311,25 +311,21 @@ func (q *taskQueue) pushLocked(wire []byte, s *Stats) bool {
 // popLocked removes from the owner end under the queue lock (ModeLocked).
 func (q *taskQueue) popLocked(s *Stats) (*Task, bool) {
 	me := q.p.Rank()
-	t0 := q.p.Now()
+	t0 := q.obs.now()
 	q.p.Lock(me, q.lock)
-	q.heldLock = me
-	lockT := q.p.Now()
-	q.occ.Record(occ.QueueLockWait, t0, lockT, int64(me))
+	lockT := q.locked(t0, me)
 	top := q.p.Load64(me, q.meta, wTop)
 	bottom := q.p.Load64(me, q.meta, wBottom)
 	if top <= bottom {
 		q.p.Unlock(me, q.lock)
-		q.heldLock = -1
-		q.occ.Record(occ.QueueLockHeld, lockT, q.p.Now(), int64(me))
+		q.unlocked(lockT, me)
 		return nil, false
 	}
 	off := q.slotOff(top - 1)
 	t := decodeTask(q.p.Local(q.data)[off : off+q.slotSize])
 	q.p.Store64(me, q.meta, wTop, top-1)
 	q.p.Unlock(me, q.lock)
-	q.heldLock = -1
-	q.occ.Record(occ.QueueLockHeld, lockT, q.p.Now(), int64(me))
+	q.unlocked(lockT, me)
 	q.p.Charge(localCost(len(t.wire())))
 	s.LocalGets++
 	return t, true
@@ -344,11 +340,9 @@ func (q *taskQueue) popLocked(s *Stats) (*Task, bool) {
 //
 //scioto:noalloc
 func (q *taskQueue) addRemote(proc int, wire []byte, s *Stats) bool {
-	t0 := q.p.Now()
+	t0 := q.obs.now()
 	q.p.Lock(proc, q.lock)
-	q.heldLock = proc
-	lockT := q.p.Now()
-	q.occ.Record(occ.QueueLockWait, t0, lockT, int64(proc))
+	lockT := q.locked(t0, proc)
 	// Both index words travel in one pipelined round instead of two
 	// sequential remote loads.
 	q.p.NbLoad64(proc, q.meta, wBottom, &q.nbBottom)
@@ -357,8 +351,7 @@ func (q *taskQueue) addRemote(proc int, wire []byte, s *Stats) bool {
 	bottom, top := q.nbBottom, q.nbLimit
 	if top-(bottom-1) > int64(q.capacity) {
 		q.p.Unlock(proc, q.lock)
-		q.heldLock = -1
-		q.occ.Record(occ.QueueLockHeld, lockT, q.p.Now(), int64(proc))
+		q.unlocked(lockT, proc)
 		return false
 	}
 	newBottom := bottom - 1
@@ -371,8 +364,7 @@ func (q *taskQueue) addRemote(proc int, wire []byte, s *Stats) bool {
 	q.p.NbStore64(proc, q.meta, wBottom, newBottom)
 	q.p.Flush()
 	q.p.Unlock(proc, q.lock)
-	q.heldLock = -1
-	q.occ.Record(occ.QueueLockHeld, lockT, q.p.Now(), int64(proc))
+	q.unlocked(lockT, proc)
 	if proc == q.p.Rank() {
 		s.LocalSharedInserts++
 	} else {
@@ -423,16 +415,16 @@ func (b *stealBatch) recycle() {
 //scioto:noalloc
 func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBatch, stealResult) {
 	s.StealAttempts++
-	t0 := q.p.Now()
+	t0 := q.obs.now()
 	if !q.p.TryLock(victim, q.lock) {
 		// A failed probe is the contended window: the victim's lock was
 		// held by someone else for the whole TryLock round trip.
-		q.occ.Record(occ.QueueLockWait, t0, q.p.Now(), int64(victim))
+		q.obs.lockWait(t0, victim)
 		s.StealsBusy++
 		return nil, stealBusy
 	}
 	q.heldLock = victim
-	lockT := q.p.Now()
+	lockT := q.obs.now()
 	limitWord := wSplit
 	if q.mode != ModeSplit {
 		limitWord = wTop
@@ -444,8 +436,7 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBa
 	avail := limit - bottom
 	if avail <= 0 {
 		q.p.Unlock(victim, q.lock)
-		q.heldLock = -1
-		q.occ.Record(occ.QueueLockHeld, lockT, q.p.Now(), int64(victim))
+		q.unlocked(lockT, victim)
 		s.StealsEmpty++
 		return nil, stealEmpty
 	}
@@ -483,8 +474,7 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBa
 	q.p.NbStore64(victim, q.meta, wBottom, bottom+k)
 	q.p.Flush()
 	q.p.Unlock(victim, q.lock)
-	q.heldLock = -1
-	q.occ.Record(occ.QueueLockHeld, lockT, q.p.Now(), int64(victim))
+	q.unlocked(lockT, victim)
 	for i := 0; i < int(k); i++ {
 		b.slots = append(b.slots, buf[i*q.slotSize:(i+1)*q.slotSize])
 	}

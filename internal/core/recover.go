@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"scioto/internal/pgas"
-	"scioto/internal/trace"
 )
 
 // Work-replay recovery: the healing protocol survivors run when a peer
@@ -223,7 +222,7 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	p := tc.rt.p
 	me := p.Rank()
 	healer := rec.healer()
-	tc.tracer.Record(p.Now(), trace.RecoverBegin, int64(dead), rec.epoch)
+	tc.obs.recoverBegin(dead, rec.epoch)
 
 	// A fault delivered mid-critical-section unwound with a queue lock
 	// held; release it before anyone scans.
@@ -317,8 +316,7 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 
 	tc.stats.TasksRecovered += replayed
 	tc.stats.Recoveries++
-	tc.metrics.noteRecovery(replayed)
-	tc.tracer.Record(p.Now(), trace.RecoverReplay, replayed, tc.stats.SalvagedExecs)
+	tc.obs.recoverReplay(replayed, tc.stats.SalvagedExecs)
 
 	// --- Heal the termination tree and re-enter. -----------------------
 	tc.td.rebuild(rec.alive)
@@ -327,7 +325,7 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	// every pool owner has finished reading launcher journal states, so
 	// nobody can mistake the freed slot for a progressed launch.
 	tc.jn.freePending()
-	tc.tracer.Record(p.Now(), trace.RecoverEnd, int64(dead), rec.epoch)
+	tc.obs.recoverEnd(dead, rec.epoch)
 }
 
 // sweepDeferred scans this rank's own pending pool for deferred tasks whose

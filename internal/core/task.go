@@ -27,9 +27,7 @@ import (
 	"sync"
 
 	"scioto/internal/obs"
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
-	"scioto/internal/trace"
 )
 
 // Handle is a portable reference to a collectively registered task callback.
@@ -159,13 +157,10 @@ type Runtime struct {
 	clos []any
 	rng  *rand.Rand
 
-	// Observer state, attached by the facade when observability is on.
-	// Collections created after SetObserver auto-wire their metrics,
-	// tracer, and occupancy buffer from these; all are nil-safe when
-	// disabled.
-	obsReg *obs.Registry
-	tracer *trace.Recorder
-	occ    *occ.Buffer
+	// obs is the rank's observer, attached by the facade when
+	// observability is on; collections created afterwards report to it.
+	// Nil is the disabled observer.
+	obs *Observer
 
 	// recoverOn arms work-replay recovery: collections created on this
 	// runtime journal their insertions and heal around rank death when the
@@ -174,31 +169,24 @@ type Runtime struct {
 	recoverOn bool
 }
 
-// Observer state registered per proc handle. Application drivers
+// Observers registered per proc handle. Application drivers
 // (internal/uts, scf, tce) attach their own Runtime from a raw pgas.Proc,
 // so the facade cannot hand them an observer-wired Runtime; instead it
 // registers the observer against the proc and every Attach on that proc
 // inherits it.
 var (
 	procObsMu sync.Mutex
-	procObs   map[pgas.Proc]procObserver
+	procObs   map[pgas.Proc]*Observer
 )
 
-type procObserver struct {
-	reg    *obs.Registry
-	tracer *trace.Recorder
-	occ    *occ.Buffer
-}
-
-// RegisterProcObserver makes every future Attach on p observer-wired.
-// Any argument may be nil to leave that channel disabled. Pair with
-// UnregisterProcObserver when the proc's run ends.
-func RegisterProcObserver(p pgas.Proc, reg *obs.Registry, tracer *trace.Recorder, ob *occ.Buffer) {
+// RegisterProcObserver makes every future Attach on p report to o. Pair
+// with UnregisterProcObserver when the proc's run ends.
+func RegisterProcObserver(p pgas.Proc, o *Observer) {
 	procObsMu.Lock()
 	if procObs == nil {
-		procObs = make(map[pgas.Proc]procObserver)
+		procObs = make(map[pgas.Proc]*Observer)
 	}
-	procObs[p] = procObserver{reg: reg, tracer: tracer, occ: ob}
+	procObs[p] = o
 	procObsMu.Unlock()
 }
 
@@ -248,11 +236,7 @@ func (rt *Runtime) EnableRecovery() { rt.recoverOn = true }
 func Attach(p pgas.Proc) *Runtime {
 	rt := &Runtime{p: p, rng: p.Rand()}
 	procObsMu.Lock()
-	if st, ok := procObs[p]; ok {
-		rt.obsReg = st.reg
-		rt.tracer = st.tracer
-		rt.occ = st.occ
-	}
+	rt.obs = procObs[p]
 	procObsMu.Unlock()
 	procRecMu.Lock()
 	rt.recoverOn = procRec[p]
@@ -265,30 +249,13 @@ func Attach(p pgas.Proc) *Runtime {
 // case: Global Arrays access from inside tasks).
 func (rt *Runtime) Proc() pgas.Proc { return rt.p }
 
-// SetObserver attaches this rank's metrics registry and trace recorder.
-// Task collections created afterwards wire themselves automatically;
-// either argument may be nil to leave that channel disabled.
-func (rt *Runtime) SetObserver(reg *obs.Registry, tracer *trace.Recorder) {
-	rt.obsReg = reg
-	rt.tracer = tracer
-}
+// SetObserver attaches this rank's observer (nil detaches). Task
+// collections created afterwards report to it.
+func (rt *Runtime) SetObserver(o *Observer) { rt.obs = o }
 
-// SetOcc attaches this rank's occupancy buffer. Task collections
-// created afterwards record busy/wait windows into it; nil (the
-// default) leaves occupancy accounting disabled.
-func (rt *Runtime) SetOcc(b *occ.Buffer) { rt.occ = b }
-
-// Occ returns the runtime's attached occupancy buffer (nil when
-// disabled — itself a valid, disabled buffer).
-func (rt *Runtime) Occ() *occ.Buffer { return rt.occ }
-
-// Tracer returns the runtime's attached trace recorder (nil when tracing
-// is disabled — itself a valid, disabled recorder).
-func (rt *Runtime) Tracer() *trace.Recorder { return rt.tracer }
-
-// Registry returns the runtime's attached metrics registry (nil when
+// Registry returns the observer's metrics registry (nil when
 // observability is disabled — itself a valid, disabled registry).
-func (rt *Runtime) Registry() *obs.Registry { return rt.obsReg }
+func (rt *Runtime) Registry() *obs.Registry { return rt.obs.Registry() }
 
 // Rank returns the calling process's rank.
 func (rt *Runtime) Rank() int { return rt.p.Rank() }

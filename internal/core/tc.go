@@ -6,9 +6,7 @@ import (
 	"runtime"
 	"time"
 
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
-	"scioto/internal/trace"
 )
 
 // Config parameterizes a task collection, mirroring tc_create's arguments
@@ -106,9 +104,7 @@ type TC struct {
 	processing bool
 	sinceOrder int // executed tasks since last ordered release check
 
-	tracer  *trace.Recorder // nil = tracing disabled
-	metrics *Metrics        // nil = metrics disabled
-	occ     *occ.Buffer     // nil = occupancy accounting disabled
+	obs *Observer // nil = observability disabled
 
 	execHook ExecHook // nil = no completion notification
 }
@@ -122,9 +118,8 @@ type ExecHook func(tc *TC, t *Task, elapsed time.Duration)
 
 // NewTC collectively creates a task collection. All processes must call it
 // with an identical configuration, and must then register the same
-// callbacks in the same order. When the runtime has an observer attached
-// (Runtime.SetObserver), the collection auto-wires its metrics and tracer
-// from it.
+// callbacks in the same order. The collection reports to the runtime's
+// observer (Runtime.SetObserver), if it has one.
 func NewTC(rt *Runtime, cfg Config) *TC {
 	cfg = cfg.withDefaults()
 	if cfg.MaxBodySize < 0 || cfg.ChunkSize <= 0 || cfg.MaxTasks <= 0 {
@@ -152,49 +147,16 @@ func NewTC(rt *Runtime, cfg Config) *TC {
 			tc.rec = newRecovery(rt.p, res)
 		}
 	}
-	if rt.obsReg != nil {
-		// NewMetrics lookups are idempotent, so every collection a rank
-		// creates shares one instrument set; series reflect the rank's
-		// whole task-parallel activity.
-		tc.SetMetrics(NewMetrics(rt.obsReg))
-	}
-	if rt.tracer != nil {
-		tc.SetTracer(rt.tracer)
-	}
-	if rt.occ != nil {
-		tc.SetOcc(rt.occ)
-	}
+	tc.SetObserver(rt.obs)
 	rt.p.Barrier()
 	return tc
 }
 
-// SetTracer attaches an event recorder to this collection (nil detaches).
-// Local operation; typically every rank attaches its own recorder and the
-// deterministic dsim timeline is merged with trace.Timeline afterwards.
-func (tc *TC) SetTracer(r *trace.Recorder) {
-	tc.tracer = r
-	tc.q.tracer = r
-	tc.td.tracer = r
-}
-
-// SetMetrics attaches scheduler metrics to this collection (nil detaches).
-// Local operation, usually performed automatically by NewTC when the
-// runtime carries an observer.
-func (tc *TC) SetMetrics(m *Metrics) {
-	tc.metrics = m
-	tc.q.metrics = m
-	tc.td.metrics = m
-}
-
-// SetOcc attaches an occupancy buffer to this collection (nil
-// detaches). Local operation, usually performed automatically by NewTC
-// when the runtime carries one; the scheduler then records busy/wait
-// windows — task execution, queue-lock held/contended, the steal
-// pipeline, termination-detection waves — into the buffer.
-func (tc *TC) SetOcc(b *occ.Buffer) {
-	tc.occ = b
-	tc.q.occ = b
-	tc.td.occ = b
+// SetObserver makes this collection — its queue and termination detector
+// included — report to o (nil detaches). Local operation, performed by
+// NewTC with the runtime's observer.
+func (tc *TC) SetObserver(o *Observer) {
+	tc.obs, tc.q.obs, tc.td.obs = o, o, o
 }
 
 // SetExecHook attaches a completion-notification hook invoked after every
@@ -204,12 +166,6 @@ func (tc *TC) SetOcc(b *occ.Buffer) {
 // per-task completions (matched by Task.ID) without wrapping every
 // callback.
 func (tc *TC) SetExecHook(h ExecHook) { tc.execHook = h }
-
-// Metrics returns the attached metrics (nil when disabled).
-func (tc *TC) Metrics() *Metrics { return tc.metrics }
-
-// Tracer returns the attached recorder (nil when tracing is disabled).
-func (tc *TC) Tracer() *trace.Recorder { return tc.tracer }
 
 // Runtime returns the runtime the collection is attached to.
 func (tc *TC) Runtime() *Runtime { return tc.rt }
@@ -274,8 +230,7 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 	affinity := t.Affinity()
 	wire := t.wire()
 
-	tc.tracer.Record(tc.rt.p.Now(), trace.TaskAdd, int64(proc), int64(affinity))
-	tc.metrics.noteAdd()
+	tc.obs.add(proc, affinity)
 	if tc.ctd != nil {
 		// Counter-based termination charges the outstanding count before
 		// the task becomes visible anywhere.
@@ -307,7 +262,7 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 	// bounding queue memory (work-first fallback).
 	tc.stats.TasksAdded++
 	tc.stats.InlineExecs++
-	tc.metrics.noteInline()
+	tc.obs.inline()
 	tc.execute(decodeTask(wire))
 	return nil
 }
@@ -356,12 +311,9 @@ func (tc *TC) execute(t *Task) {
 		}
 	}
 	t0 := tc.rt.p.Now()
-	tc.tracer.Record(t0, trace.TaskExec, int64(h), int64(t.Origin()))
 	tc.callbacks[h](tc, t)
 	d := tc.rt.p.Now() - t0
-	tc.tracer.Record(t0+d, trace.TaskExecEnd, int64(h), 0)
-	tc.occ.Record(occ.TaskExec, t0, t0+d, int64(h))
-	tc.metrics.noteExec(d)
+	tc.obs.exec(t0, d, h, t.Origin())
 	tc.stats.WorkTime += d
 	tc.stats.TasksExecuted++
 	if t.Origin() == tc.rt.Rank() {
@@ -463,7 +415,6 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 		idle0 := p.Now()
 		if !tc.cfg.DisableStealing && n > 1 {
 			victim := tc.pickVictim()
-			tc.tracer.Record(idle0, trace.StealBegin, int64(victim), 0)
 			markDirty := tc.ctd == nil
 			if markDirty && !tc.cfg.DisableColoringOpt {
 				// §5.3: the victim only needs to be marked dirty if the
@@ -479,31 +430,19 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 			if res == stealOK {
 				stolen = len(batch.slots)
 			}
-			stealEnd := p.Now()
-			switch res {
-			case stealOK:
-				tc.tracer.Record(stealEnd, trace.StealOK, int64(victim), int64(stolen))
-			case stealEmpty:
-				tc.tracer.Record(stealEnd, trace.StealEmpty, int64(victim), 0)
-			case stealBusy:
-				tc.tracer.Record(stealEnd, trace.StealBusy, int64(victim), 0)
-			}
-			// The steal window covers the whole pipelined exchange —
-			// victim choice through the final completion round.
-			tc.occ.Record(occ.StealWindow, idle0, stealEnd, int64(victim))
-			tc.metrics.noteSteal(res, stealEnd-idle0, stolen)
+			tc.obs.steal(idle0, victim, res, stolen)
 			if res == stealOK {
 				tc.td.noteBalance()
 				tc.enqueueStolen(batch.slots)
 				batch.recycle()
-				tc.metrics.setQueueDepth(tc.q.totalCountHint())
+				tc.obs.setQueueDepth(tc.q.totalCountHint())
 				tc.stats.IdleTime += p.Now() - idle0
 				continue
 			}
-			tc.metrics.setQueueDepth(0)
+			tc.obs.setQueueDepth(0)
 		}
 		if tc.jn != nil {
-			tc.metrics.setJournalDepth(tc.jn.depth)
+			tc.obs.setJournalDepth(tc.jn.depth)
 		}
 
 		// Passive: we just verified the queue is empty and failed to find
@@ -556,7 +495,7 @@ func (tc *TC) requeue(slot []byte) {
 	}
 	if !ok {
 		tc.stats.InlineExecs++
-		tc.metrics.noteInline()
+		tc.obs.inline()
 		tc.execute(t)
 	}
 }

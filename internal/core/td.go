@@ -1,12 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"scioto/internal/obs/occ"
-	"scioto/internal/pgas"
-	"scioto/internal/trace"
-)
+import "scioto/internal/pgas"
 
 // Termination detection, following Section 5.2 of the paper: a wave-based
 // algorithm in the style of Francez and Rodeh. A binary spanning tree is
@@ -99,10 +93,8 @@ type termDetector struct {
 
 	terminated bool
 
-	stats   *Stats
-	tracer  *trace.Recorder // nil = tracing disabled
-	metrics *Metrics        // nil = metrics disabled
-	occ     *occ.Buffer     // nil = occupancy accounting disabled
+	stats *Stats
+	obs   *Observer // nil = observability disabled
 }
 
 // newTermDetector collectively allocates the detector's word segment.
@@ -215,14 +207,10 @@ func (td *termDetector) step(passive bool, queueDirty func() int64) bool {
 		return true
 	}
 	me := td.p.Rank()
-	// Wave-activity occupancy: the step's start is captured lazily (the
-	// detector polls in the idle loop, so an unconditional Now per call
-	// would dominate) and an interval is recorded only when the step did
-	// real wave work — observed a wave, voted, or terminated.
-	var stepT0 time.Duration
-	if td.occ != nil {
-		stepT0 = td.p.Now()
-	}
+	// Wave activity is reported as a span from here only when the step
+	// did real wave work — observed a wave, voted, or terminated; the
+	// detector polls in the idle loop.
+	stepT0 := td.obs.now()
 
 	if td.nLive == 1 {
 		// Sole live process: passivity is termination.
@@ -242,9 +230,7 @@ func (td *termDetector) step(passive bool, queueDirty func() int64) bool {
 		down := td.p.Load64(me, td.seg, tdDown)
 		if down == termSignal {
 			td.propagateDown(termSignal)
-			td.tracer.Record(td.p.Now(), trace.Terminate, td.wave, 0)
-			td.occ.Record(occ.TDWave, stepT0, td.p.Now(), td.wave)
-			td.metrics.noteTerminate()
+			td.obs.terminate(stepT0, td.wave)
 			td.terminated = true
 			return true
 		}
@@ -253,9 +239,7 @@ func (td *termDetector) step(passive bool, queueDirty func() int64) bool {
 			td.forwarded = false
 			td.voted = false
 			td.stats.WavesSeen++
-			td.tracer.Record(td.p.Now(), trace.WaveDown, down, 0)
-			td.occ.Record(occ.TDWave, stepT0, td.p.Now(), down)
-			td.metrics.noteWave()
+			td.obs.wave(stepT0, down)
 		}
 		if td.wave > 0 && !td.forwarded {
 			td.propagateDown(td.wave)
@@ -302,23 +286,19 @@ func (td *termDetector) step(passive bool, queueDirty func() int64) bool {
 		// Root completes the wave.
 		if color == colorWhite {
 			td.propagateDown(termSignal)
-			td.tracer.Record(td.p.Now(), trace.Terminate, td.wave, 0)
-			td.occ.Record(occ.TDWave, stepT0, td.p.Now(), td.wave)
-			td.metrics.noteTerminate()
+			td.obs.terminate(stepT0, td.wave)
 			td.terminated = true
 			td.voted = true
 			return true
 		}
 		td.startWave(td.wave + 1)
-		td.occ.Record(occ.TDWave, stepT0, td.p.Now(), td.wave)
+		td.obs.waveRestart(stepT0, td.wave)
 		return false
 	}
 
 	// Cast our vote upward.
 	td.p.Store64(td.parent, td.seg, td.upCellOf(me), encodeVote(td.wave, color))
-	td.tracer.Record(td.p.Now(), trace.Vote, td.wave, color)
-	td.occ.Record(occ.TDWave, stepT0, td.p.Now(), td.wave)
-	td.metrics.noteVote()
+	td.obs.vote(stepT0, td.wave, color)
 	td.voted = true
 	td.stats.Votes++
 	if color == colorBlack {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -23,8 +24,8 @@ func tracedRun(t *testing.T, seed int64) (string, []*trace.Recorder) {
 	if err := w.Run(func(p pgas.Proc) {
 		rt := core.Attach(p)
 		tc := core.NewTC(rt, core.Config{MaxBodySize: 8, MaxTasks: 1024, ChunkSize: 4})
-		rec := trace.NewRecorder(p.Rank(), 0)
-		tc.SetTracer(rec)
+		rec := trace.NewRecorder(p.Rank(), 1<<16, nil)
+		tc.SetObserver(core.NewObserver(p, nil, rec))
 		recs[p.Rank()] = rec
 		h := tc.Register(func(tc *core.TC, t *core.Task) {
 			tc.Proc().Compute(15 * time.Microsecond)
@@ -38,27 +39,43 @@ func tracedRun(t *testing.T, seed int64) (string, []*trace.Recorder) {
 			}
 		}
 		tc.Process()
-		// Cross-check: trace exec count equals the stats counter.
-		if int64(rec.Counts()[trace.TaskExec]) != tc.Stats().TasksExecuted {
-			panic(fmt.Sprintf("rank %d: trace execs %d != stats %d",
-				p.Rank(), rec.Counts()[trace.TaskExec], tc.Stats().TasksExecuted))
+		// Cross-check: one exec span and one steal span per occurrence.
+		st := tc.Stats()
+		if c := counts(rec); c[trace.Exec] != st.TasksExecuted || c[trace.Steal] != st.StealAttempts {
+			panic(fmt.Sprintf("rank %d: trace execs/steals %d/%d != stats %d/%d",
+				p.Rank(), c[trace.Exec], c[trace.Steal], st.TasksExecuted, st.StealAttempts))
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	trace.Timeline(&b, recs)
-	return b.String(), recs
+	// The merged timeline: every rank's records by (start, rank).
+	var rows []string
+	for rank, rec := range recs {
+		for _, e := range rec.Records() {
+			rows = append(rows, fmt.Sprintf("%12d rank%-3d %-16s %d %d %d", e.Start, rank, e.Kind, e.End, e.A1, e.A2))
+		}
+	}
+	sort.Strings(rows)
+	return strings.Join(rows, "\n"), recs
+}
+
+// counts tallies a recorder's retained records per kind.
+func counts(rec *trace.Recorder) map[trace.Kind]int64 {
+	out := make(map[trace.Kind]int64)
+	for _, e := range rec.Records() {
+		out[e.Kind]++
+	}
+	return out
 }
 
 // TestTraceCapturesSchedule: every rank terminates, steals are recorded,
 // and the event totals match runtime statistics.
 func TestTraceCapturesSchedule(t *testing.T) {
 	timeline, recs := tracedRun(t, 31)
-	totalExec := 0
+	var totalExec int64
 	for rank, rec := range recs {
-		c := rec.Counts()
-		totalExec += c[trace.TaskExec]
+		c := counts(rec)
+		totalExec += c[trace.Exec]
 		if c[trace.Terminate] == 0 {
 			t.Errorf("rank %d never recorded termination", rank)
 		}

@@ -91,7 +91,7 @@ func (h *Hub) WriteProm(w io.Writer) {
 	}
 }
 
-// Fault-kind codes stamped into trace events (trace.Fault's Arg1), so the
+// Fault-kind codes stamped into trace records (trace.Fault's a1), so the
 // merged trace can distinguish injected fault classes without strings.
 const (
 	FaultDrop int64 = iota
@@ -140,12 +140,12 @@ func faultKindCode(kind string) int64 {
 
 // RecordFault notes one injected fault against the observing rank: a
 // per-(kind, target) counter on the rank's registry and, when the rank
-// has a trace recorder attached, a trace event at the fault's timestamp.
+// has a trace recorder attached, a trace instant at the fault's timestamp.
 // Signature matches faulty.Config.Observe.
 func (h *Hub) RecordFault(now time.Duration, rank int, kind, op string, target int) {
 	h.Registry(rank).Counter(
 		fmt.Sprintf(`scioto_faults_injected_total{kind=%q,target="%d"}`, kind, target),
 		"injected faults observed by this rank, by fault kind and target rank",
 	).Inc()
-	h.Tracer(rank).Record(now, trace.Fault, faultKindCode(kind), int64(target))
+	h.Tracer(rank).Record(trace.Fault, now, now, faultKindCode(kind), int64(target))
 }

@@ -253,6 +253,16 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return &r.lookup(name, help, KindCounter).c
 }
 
+// CounterWord finds or creates a counter and returns its storage word,
+// for a recorder below this package whose aggregates are the series
+// themselves (trace.Exporter). A nil registry hands out a private word.
+func (r *Registry) CounterWord(name, help string) *atomic.Int64 {
+	if r == nil {
+		return new(atomic.Int64)
+	}
+	return &r.lookup(name, help, KindCounter).c.v
+}
+
 // Gauge finds or creates a gauge. Safe on a nil registry.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"time"
 
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
+	"scioto/internal/trace"
 )
 
 // proc is a simulated process. All of its methods must be called from the
@@ -48,14 +48,15 @@ type proc struct {
 	// pending slice is reusable without per-issue allocation.
 	nb []pgas.Op
 
-	// occ, when attached, receives the NIC service window of every remote
+	// rec, when attached, receives the NIC service window of every remote
 	// operation this process issues, in virtual time. Windows are derived
 	// from the deterministic clock, so traced runs stay bit-reproducible.
-	occ *occ.Buffer
+	rec *trace.Recorder
 }
 
-// AttachOcc wires an occupancy buffer into this process's handle.
-func (p *proc) AttachOcc(b *occ.Buffer) { p.occ = b }
+// AttachRecorder wires the rank's recorder into this process's handle
+// (trace.Attacher).
+func (p *proc) AttachRecorder(r *trace.Recorder) { p.rec = r }
 
 var _ pgas.Proc = (*proc)(nil)
 
@@ -120,7 +121,7 @@ func (p *proc) orderedRemote(target, n int) {
 	}
 	nic := p.clock + p.w.cfg.Occupancy + time.Duration(n)*p.w.cfg.PerByte
 	p.w.busyUntil[target] = nic
-	p.occ.Record(occ.DsimNIC, p.clock, nic, int64(target))
+	p.rec.Record(trace.DsimNIC, p.clock, nic, int64(target), 0)
 }
 
 // opCost is the cost of a one-sided operation of n payload bytes targeting
@@ -260,7 +261,7 @@ func (p *proc) Flush() {
 			svc0 := nic
 			nic += p.w.cfg.Occupancy + time.Duration(op.Bytes())*p.w.cfg.PerByte
 			p.w.busyUntil[op.Target] = nic
-			p.occ.Record(occ.DsimNIC, svc0, nic, int64(op.Target))
+			p.rec.Record(trace.DsimNIC, svc0, nic, int64(op.Target), 0)
 			if nic > end {
 				end = nic
 			}

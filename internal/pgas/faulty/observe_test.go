@@ -99,7 +99,7 @@ func TestObserveCrash(t *testing.T) {
 // faults land as obs counters and trace events.
 func TestObserveFeedsHub(t *testing.T) {
 	hub := obs.NewHub()
-	rec := trace.NewRecorder(0, 100)
+	rec := trace.NewRecorder(0, 100, nil)
 	hub.SetTracer(0, rec)
 	w := faulty.Wrap(shm.NewWorld(shm.Config{NProcs: 2, Seed: 4}), faulty.Config{
 		Seed: 4, DelayProb: 1, MaxDelay: time.Microsecond,
@@ -119,13 +119,13 @@ func TestObserveFeedsHub(t *testing.T) {
 		t.Fatal("hub counter saw no delays for rank 0 → 1")
 	}
 	found := false
-	for _, e := range rec.Events() {
-		if e.Kind == trace.Fault && e.Arg1 == obs.FaultDelay {
+	for _, e := range rec.Records() {
+		if e.Kind == trace.Fault && e.A1 == obs.FaultDelay && e.Start == e.End {
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Fatal("rank 0's trace has no Fault event")
+		t.Fatal("rank 0's trace has no Fault instant")
 	}
 }

@@ -276,7 +276,7 @@ func (f *Front) Wait(h Nb) {
 
 // Find returns the outermost layer of p — p itself, then whatever each
 // wrapper's Unwrap exposes — that implements the capability T (Resilient,
-// occ.Attacher, a wrapper's own type). Wrappers therefore forward no
+// trace.Attacher, a wrapper's own type). Wrappers therefore forward no
 // capability by hand: they only say what they wrap.
 func Find[T any](p any) (T, bool) {
 	for {

@@ -44,10 +44,6 @@ type Options struct {
 	// would otherwise race for one port. With an ephemeral port the shift
 	// is skipped — every process just picks its own.
 	PerRankPort bool
-	// TraceLimit caps each rank's trace recorder when tracing is enabled
-	// by the facade (0 = recorder default). Held here so tcp child
-	// processes inherit it through the environment-driven config path.
-	TraceLimit int
 }
 
 // Wrap composes instrumentation over an existing world, recording into

@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"time"
 
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
+	"scioto/internal/trace"
 )
 
 // proc is the pgas.Proc handle of one rank process. Every one-sided
@@ -41,13 +41,14 @@ type proc struct {
 	// per-pair FIFO holds while non-matching messages stay queued.
 	inbox []message
 
-	// occ, when attached, receives barrier-park and ring-backpressure
+	// rec, when attached, receives barrier-park and ring-backpressure
 	// windows against the proc's Now() epoch. Own-goroutine only.
-	occ *occ.Buffer
+	rec *trace.Recorder
 }
 
-// AttachOcc wires an occupancy buffer into this rank's handle.
-func (p *proc) AttachOcc(b *occ.Buffer) { p.occ = b }
+// AttachRecorder wires the rank's recorder into this rank's handle
+// (trace.Attacher).
+func (p *proc) AttachRecorder(r *trace.Recorder) { p.rec = r }
 
 type message struct {
 	from int
@@ -122,13 +123,13 @@ func (p *proc) Barrier() {
 	// Parked: the round is incomplete and this rank now burns cycles on
 	// the epoch word. The park window is charged to the round's epoch.
 	var park0 time.Duration
-	if p.occ != nil {
+	if p.rec != nil {
 		park0 = time.Since(p.start)
 	}
 	var bo backoff
 	for {
 		if m.load(l.barEpoch) != e {
-			p.occ.Record(occ.IPCBarrierPark, park0, time.Since(p.start), e)
+			p.rec.Record(trace.IPCBarrierPark, park0, time.Since(p.start), e, 0)
 			return
 		}
 		if seq := m.load(l.faultSeq); seq > 0 && (!p.cfg.Survivable || seq > p.ackedSeq) {
@@ -310,7 +311,7 @@ func (p *proc) Send(to int, tag int32, data []byte) {
 	for tail-p.m.load(headW)+need > l.ringBytes {
 		// Backpressure: the receiver is behind. The fault poll keeps a
 		// send to (or past) a dead world from spinning forever.
-		if !waited && p.occ != nil {
+		if !waited && p.rec != nil {
 			wait0 = time.Since(p.start)
 			waited = true
 		}
@@ -318,7 +319,7 @@ func (p *proc) Send(to int, tag int32, data []byte) {
 		bo.pause()
 	}
 	if waited {
-		p.occ.Record(occ.IPCRingWait, wait0, time.Since(p.start), int64(to))
+		p.rec.Record(trace.IPCRingWait, wait0, time.Since(p.start), int64(to), 0)
 	}
 	ring := p.m.bytes(l.ring(to, p.rank), l.ringBytes)
 	pos := tail % l.ringBytes

@@ -14,7 +14,7 @@
 // derives Proc's typed one-sided methods from a Kernel, once, and the
 // wrappers (pgas/faulty, pgas/instr) are Kernels that embed the one below
 // and override only the operations they act on; an optional capability of
-// the transport (Resilient, occ.Attacher) is found behind them by Find.
+// the transport (Resilient, trace.Attacher) is found behind them by Find.
 //
 // Four transports implement the Kernel:
 //

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"scioto/internal/obs"
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
+	"scioto/internal/trace"
 )
 
 // testObsMerge: the metrics merge collective must produce the exact global
@@ -69,27 +69,27 @@ func testObsMerge(t *testing.T, f Factory) {
 	})
 }
 
-// testOccMerge: occupancy aggregates are ordinary registry counters, so
+// testOccMerge: the recorder's span aggregates are registry counters, so
 // they must merge cross-rank exactly like hand-registered instruments.
-// Each rank records a closed-form interval pattern into a registry-backed
-// occ.Buffer and validates the merged busy-ns and interval-count totals
-// per resource — again entirely inside the body, so the check exercises
-// the separate OS processes of multi-process transports too.
+// Each rank records a closed-form span pattern into a registry-backed
+// trace.Recorder and validates the merged busy-ns and interval-count
+// totals per resource — again entirely inside the body, so the check
+// exercises the separate OS processes of multi-process transports too.
 func testOccMerge(t *testing.T, f Factory) {
 	const n = 4
 	w := f(n)
 	run(t, w, func(p pgas.Proc) {
 		me := p.Rank()
 		reg := obs.NewRegistry(me)
-		b := occ.NewBuffer(me, 64, reg)
+		b := trace.NewRecorder(me, 64, reg)
 
 		// Rank r: r+1 lock-held intervals of (r+1)µs each, and one
 		// task-exec interval of 10·(r+1)µs.
 		us := func(k int64) time.Duration { return time.Duration(k) * time.Microsecond }
 		for i := int64(0); i <= int64(me); i++ {
-			b.Record(occ.QueueLockHeld, us(100*i), us(100*i)+us(int64(me)+1), int64(me))
+			b.Record(trace.QueueLockHeld, us(100*i), us(100*i)+us(int64(me)+1), int64(me), 0)
 		}
-		b.Record(occ.TaskExec, 0, us(10*(int64(me)+1)), 0)
+		b.Record(trace.Exec, 0, us(10*(int64(me)+1)), 0, 0)
 
 		m := obs.NewMerger(p, reg)
 		snap := m.Merge()
@@ -115,13 +115,13 @@ func testOccMerge(t *testing.T, f Factory) {
 			panic(fmt.Sprintf("rank %d: merged task-exec busy ns %d, want %d", me, got, wantExecNs))
 		}
 
-		// The local detailed timeline must agree with the aggregates it
-		// mirrors: me+2 intervals retained, none dropped.
-		if got := int64(b.Len()); got != int64(me)+2 {
-			panic(fmt.Sprintf("rank %d: %d retained intervals, want %d", me, got, me+2))
+		// The retained records must agree with the aggregates: me+2
+		// spans, none dropped.
+		if got := int64(len(b.Records())); got != int64(me)+2 {
+			panic(fmt.Sprintf("rank %d: %d retained records, want %d", me, got, me+2))
 		}
-		if b.OccDropped() != 0 {
-			panic(fmt.Sprintf("rank %d: unexpected occupancy drops", me))
+		if b.Dropped() != 0 {
+			panic(fmt.Sprintf("rank %d: unexpected record drops", me))
 		}
 	})
 }
@@ -132,7 +132,7 @@ func testOccMerge(t *testing.T, f Factory) {
 // inside the body the case unwraps to the bare transport and requires that
 // pgas.Find reaches, through the wrappers, the very capability values the
 // bare transport offers: the same pgas.Resilient with the same verdict,
-// and the same occupancy hook, so an attached buffer is delivered to the
+// and the same trace.Attacher, so the rank's recorder is delivered to the
 // transport or to nobody exactly as it would be unwrapped.
 func RunCapabilities(t *testing.T, newWorld Factory) {
 	t.Helper()
@@ -164,16 +164,15 @@ func RunCapabilities(t *testing.T, newWorld Factory) {
 			}
 		}
 
-		att, ok := pgas.Find[occ.Attacher](p)
-		bareAtt, bareOK := pgas.Find[occ.Attacher](bare)
+		att, ok := pgas.Find[trace.Attacher](p)
+		bareAtt, bareOK := pgas.Find[trace.Attacher](bare)
 		if ok != bareOK || att != bareAtt {
-			panic(fmt.Sprintf("occ.Attacher through the wrappers = (%v, %t), bare transport = (%v, %t)", att, ok, bareAtt, bareOK))
+			panic(fmt.Sprintf("trace.Attacher through the wrappers = (%v, %t), bare transport = (%v, %t)", att, ok, bareAtt, bareOK))
 		}
-		b := occ.NewBuffer(p.Rank(), 64, obs.NewRegistry(p.Rank()))
-		if delivered := occ.Attach(p, b); delivered != bareOK {
-			panic(fmt.Sprintf("occ.Attach delivered = %t through the wrappers, bare transport accepts = %t", delivered, bareOK))
+		if ok {
+			att.AttachRecorder(trace.NewRecorder(p.Rank(), 64, obs.NewRegistry(p.Rank())))
 		}
-		// Traffic with the buffer attached: delivery must not disturb the ops.
+		// Traffic with the recorder attached: delivery must not disturb the ops.
 		ws := p.AllocWords(1)
 		p.Barrier()
 		p.FetchAdd64(0, ws, 0, 1)
@@ -181,7 +180,9 @@ func RunCapabilities(t *testing.T, newWorld Factory) {
 		if got := p.Load64(0, ws, 0); got != 2 {
 			panic(fmt.Sprintf("counter = %d after both ranks incremented it", got))
 		}
-		occ.Attach(p, nil)
+		if ok {
+			att.AttachRecorder(nil)
+		}
 		p.Barrier()
 	})
 }

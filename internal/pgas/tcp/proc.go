@@ -10,8 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
+	"scioto/internal/trace"
 )
 
 // peerConn is this rank's connection to one remote rank's service. The
@@ -36,12 +36,12 @@ type peerConn struct {
 	wBytes   int         // bytes queued in wfbs; autoFlushBytes caps the window
 	wBounded bool        // some queued frame belongs to a deadline-bounded op
 
-	// Occupancy accounting (nil = disabled). Intervals are recorded
-	// against occEpoch so they share the owning proc's Now() timeline.
-	// winT0 is the open flush-window's start (first frame queued),
-	// guarded by wmu like the window itself.
-	occ      *occ.Buffer
-	occEpoch time.Time
+	// The rank's recorder (nil = disabled). Spans are recorded against
+	// recEpoch so they share the owning proc's Now() timeline. winT0 is
+	// the open flush-window's start (first frame queued), guarded by wmu
+	// like the window itself.
+	rec      *trace.Recorder
+	recEpoch time.Time
 	winT0    time.Duration
 
 	pmu         sync.Mutex // guards the fields below
@@ -166,8 +166,8 @@ const autoFlushBytes = 64 << 10
 // the write deadline is armed (and the syscall paid) at flush time, when
 // the bytes actually move.
 func (pc *peerConn) queueFrame(seq uint32, head, tail []byte, bounded bool) {
-	if pc.occ != nil && len(pc.wfbs) == 0 {
-		pc.winT0 = time.Since(pc.occEpoch)
+	if pc.rec != nil && len(pc.wfbs) == 0 {
+		pc.winT0 = time.Since(pc.recEpoch)
 	}
 	fb := getFrame()
 	fb.b = append(fb.b[:0], 0, 0, 0, 0, 0, 0, 0, 0)
@@ -197,8 +197,8 @@ func (pc *peerConn) flushLocked() error {
 		}
 	}
 	var wv0 time.Duration
-	if pc.occ != nil {
-		wv0 = time.Since(pc.occEpoch)
+	if pc.rec != nil {
+		wv0 = time.Since(pc.recEpoch)
 	}
 	var err error
 	if len(pc.wfbs) == 1 {
@@ -214,13 +214,13 @@ func (pc *peerConn) flushLocked() error {
 			pc.wvec[i] = nil // do not pin pooled frames past the flush
 		}
 	}
-	if pc.occ != nil {
-		now := time.Since(pc.occEpoch)
+	if pc.rec != nil {
+		now := time.Since(pc.recEpoch)
 		nf := int64(len(pc.wfbs))
 		// Window depth (first frame queued -> wire) and the syscall stall
 		// itself, both blamed on the frame count that rode the write.
-		pc.occ.Record(occ.TCPFlushWindow, pc.winT0, now, nf)
-		pc.occ.Record(occ.TCPWritev, wv0, now, nf)
+		pc.rec.Record(trace.TCPFlushWindow, pc.winT0, now, nf, 0)
+		pc.rec.Record(trace.TCPWritev, wv0, now, nf, 0)
 	}
 	wireWrites.Add(1)
 	wireFrames.Add(int64(len(pc.wfbs)))
@@ -446,18 +446,18 @@ func newProc(cfg Config, rank int, speed float64, own *owner, peers []*peerConn)
 func (p *proc) Rank() int   { return p.rank }
 func (p *proc) NProcs() int { return p.cfg.NProcs }
 
-// AttachOcc wires occupancy accounting into this rank's peer connections:
-// flush-window spans and writev stalls are recorded against the proc's
-// Now() epoch. The wmu handshake publishes the buffer to any concurrent
-// flusher.
-func (p *proc) AttachOcc(b *occ.Buffer) {
+// AttachRecorder wires the rank's recorder into its peer connections
+// (trace.Attacher): flush-window spans and writev stalls are recorded
+// against the proc's Now() epoch. The wmu handshake publishes the recorder
+// to any concurrent flusher.
+func (p *proc) AttachRecorder(r *trace.Recorder) {
 	for _, pc := range p.peers {
 		if pc == nil {
 			continue
 		}
 		pc.wmu.Lock()
-		pc.occ = b
-		pc.occEpoch = p.start
+		pc.rec = r
+		pc.recEpoch = p.start
 		pc.wmu.Unlock()
 	}
 }

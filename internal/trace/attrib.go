@@ -11,36 +11,18 @@ import (
 // executing a task, blamed to the resource that was occupying the
 // machine, the rank carrying it, and the op's peer).
 //
-// The engine consumes self-describing dumps only: occupancy intervals
-// come from the dump's occ quadruples (drained from occ.Buffer), task
-// execution and steal windows are derived from the event stream, so a
-// pre-occupancy dump still attributes exec vs. steal vs. idle.
+// The engine consumes self-describing dumps only: the resources are the
+// span kinds of the dumps' own kind tables, ordered by the priority the
+// tables give them, and every interval is one closed span record.
 //
-// A rank can be inside several windows at once (a steal window encloses
-// a lock-held window encloses a tcp writev). Fractions would then sum
+// A rank can be inside several spans at once (a steal encloses a
+// lock-held window encloses a tcp writev). Fractions would then sum
 // past 1.0, so the engine projects each rank's overlapping intervals
 // onto a single-state timeline: at any instant the rank is attributed
-// to exactly one resource — the most specific active one, per the fixed
-// priority order below — or to idle. Projected fractions per rank are
+// to exactly one resource — the most specific active one, per the
+// priority order — or to idle. Projected fractions per rank are
 // disjoint and sum to ≤ 1.0 by construction, and the projection is
 // deterministic, so a dsim run reports bit-identically.
-
-// attribPriority is the canonical resource priority, most specific
-// first: an instant inside both a writev stall and the enclosing flush
-// window belongs to the writev. Resource names a dump carries beyond
-// this list (a future catalogue) are appended in sorted-name order.
-var attribPriority = []string{
-	"task_exec",
-	"tcp_writev",
-	"dsim_nic",
-	"ipc_ring_wait",
-	"ipc_barrier_park",
-	"queue_lock_wait",
-	"queue_lock_held",
-	"tcp_flush_window",
-	"steal_window",
-	"td_wave",
-}
 
 // ResourceShare is one resource's projected share of a rank's window.
 type ResourceShare struct {
@@ -59,7 +41,6 @@ type RankAttrib struct {
 	IdleNs       int64           `json:"idle_ns"`
 	IdleFraction float64         `json:"idle_fraction"`
 	Dropped      int64           `json:"dropped,omitempty"`
-	OccDropped   int64           `json:"occ_dropped,omitempty"`
 }
 
 // Bottleneck is one resource's share of the serialized critical path:
@@ -94,8 +75,8 @@ type AttribReport struct {
 	// resource. Empty when the ranks never stalled together.
 	Bottlenecks []Bottleneck `json:"bottlenecks"`
 
-	// Truncated reports that some dump dropped events or occupancy
-	// intervals, so the attribution under-counts.
+	// Truncated reports that some dump dropped records, so the
+	// attribution under-counts.
 	Truncated bool `json:"truncated,omitempty"`
 }
 
@@ -122,8 +103,8 @@ type interval struct {
 }
 
 // Attribute computes the attribution report for [t0, t1) nanoseconds.
-// A t1 ≤ t0 window means "the whole run": the hull of every event and
-// interval across the dumps.
+// A t1 ≤ t0 window means "the whole run": the hull of every record
+// across the dumps.
 func Attribute(dumps []*Dump, t0, t1 int64) (*AttribReport, error) {
 	if len(dumps) == 0 {
 		return nil, fmt.Errorf("trace: attribute: no dumps")
@@ -150,7 +131,7 @@ func Attribute(dumps []*Dump, t0, t1 int64) (*AttribReport, error) {
 		busy, tl := project(iv, t0, t1, len(prio.names))
 		timelines[i] = tl
 
-		ra := RankAttrib{Rank: d.Rank, Dropped: d.Dropped, OccDropped: d.OccDropped}
+		ra := RankAttrib{Rank: d.Rank, Dropped: d.Dropped}
 		var busyTotal int64
 		counts := make([]int64, len(prio.names))
 		for _, v := range iv {
@@ -171,7 +152,7 @@ func Attribute(dumps []*Dump, t0, t1 int64) (*AttribReport, error) {
 		ra.IdleNs = window - busyTotal
 		ra.IdleFraction = frac(ra.IdleNs, window)
 		rep.Ranks = append(rep.Ranks, ra)
-		if d.Dropped > 0 || d.OccDropped > 0 {
+		if d.Dropped > 0 {
 			rep.Truncated = true
 		}
 	}
@@ -181,7 +162,8 @@ func Attribute(dumps []*Dump, t0, t1 int64) (*AttribReport, error) {
 }
 
 // blameStalls walks the merged single-state timelines and carves the
-// stall time (no rank in task_exec) into per-resource blame.
+// stall time (no rank in the useful-work resource) into per-resource
+// blame.
 func (r *AttribReport) blameStalls(timelines [][]seg, ivs [][]interval, prio *prioTable, t0, t1 int64) {
 	window := t1 - t0
 	cuts := make([]int64, 0, 64)
@@ -220,7 +202,7 @@ func (r *AttribReport) blameStalls(timelines [][]seg, ivs [][]interval, prio *pr
 			if s.start > lo {
 				continue // rank idle over this cut
 			}
-			if s.prio == 0 {
+			if s.prio == prio.exec {
 				anyExec = true
 				break
 			}
@@ -289,99 +271,65 @@ func longestDetail(iv []interval, p int) int64 {
 	return best.detail
 }
 
-// prioTable maps resource names to projection priorities.
+// prioTable is the run's resource list: the span kinds of every dump's
+// kind table, most specific first, keyed by name so dumps need not agree
+// on kind numbering.
 type prioTable struct {
 	names []string
 	index map[string]int
+	exec  int // position of the useful-work (priority 1) resource, -1 if none
 }
 
-// priorityTable builds the priority table: the canonical order,
-// extended (sorted) with any unknown resource names the dumps carry.
+// priorityTable orders the dumps' span kinds by (priority, name); the
+// first dump to name a resource decides its priority.
 func priorityTable(dumps []*Dump) *prioTable {
-	t := &prioTable{index: make(map[string]int)}
-	for _, n := range attribPriority {
-		t.index[n] = len(t.names)
-		t.names = append(t.names, n)
-	}
-	var extra []string
+	t := &prioTable{index: make(map[string]int), exec: -1}
+	prio := make(map[string]int)
 	for _, d := range dumps {
-		for _, n := range d.OccResources {
-			if _, ok := t.index[n]; !ok {
-				t.index[n] = -1 // mark seen
-				extra = append(extra, n)
+		for _, k := range d.Kinds {
+			if _, seen := prio[k.Name]; k.Prio > 0 && !seen {
+				prio[k.Name] = k.Prio
+				t.names = append(t.names, k.Name)
 			}
 		}
 	}
-	sort.Strings(extra)
-	for _, n := range extra {
-		t.index[n] = len(t.names)
-		t.names = append(t.names, n)
+	sort.Slice(t.names, func(i, j int) bool {
+		if pi, pj := prio[t.names[i]], prio[t.names[j]]; pi != pj {
+			return pi < pj
+		}
+		return t.names[i] < t.names[j]
+	})
+	for i, n := range t.names {
+		t.index[n] = i
+	}
+	if len(t.names) > 0 && prio[t.names[0]] == 1 {
+		t.exec = 0
 	}
 	return t
 }
 
-// rankIntervals collects one dump's occupancy intervals — occ quadruples
-// plus event-derived exec and steal windows — clipped to [t0, t1) and
-// mapped to projection priorities.
+// rankIntervals collects one dump's span records, clipped to [t0, t1)
+// and mapped to projection priorities; a span's detail is its a1.
 func rankIntervals(d *Dump, prio *prioTable, t0, t1 int64) []interval {
 	var out []interval
-	add := func(p int, start, end, detail int64) {
-		if start < t0 {
-			start = t0
-		}
-		if end > t1 {
-			end = t1
-		}
-		if end > start {
-			out = append(out, interval{start: start, end: end, prio: p, detail: detail})
+	for _, q := range d.Records {
+		k := d.Kinds[q[0]]
+		start, end := max(q[1], t0), min(q[2], t1)
+		if k.Prio > 0 && end > start {
+			out = append(out, interval{start: start, end: end, prio: prio.index[k.Name], detail: q[3]})
 		}
 	}
-	for _, q := range d.Occ {
-		add(prio.index[d.OccResources[q[0]]], q[1], q[2], q[3])
-	}
-	execP := prio.index["task_exec"]
-	stealP := prio.index["steal_window"]
-	var execStack []int64
-	var stealBegin, stealVictim int64 = -1, 0
-	var lastNs int64
-	for _, q := range d.Events {
-		atNs, kind := q[0], Kind(q[1])
-		if atNs > lastNs {
-			lastNs = atNs
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		switch {
+		case a.start != b.start:
+			return a.start < b.start
+		case a.end != b.end:
+			return a.end < b.end
+		case a.prio != b.prio:
+			return a.prio < b.prio
 		}
-		switch kind {
-		case TaskExec:
-			execStack = append(execStack, atNs)
-		case TaskExecEnd:
-			if n := len(execStack); n > 0 {
-				add(execP, execStack[n-1], atNs, q[2])
-				execStack = execStack[:n-1]
-			}
-		case StealBegin:
-			stealBegin, stealVictim = atNs, q[2]
-		case StealOK, StealEmpty, StealBusy:
-			if stealBegin >= 0 {
-				add(stealP, stealBegin, atNs, stealVictim)
-				stealBegin = -1
-			}
-		}
-	}
-	// Close spans the recorder never saw end at the last timestamp, as
-	// the Chrome converter does, so a truncated trace stays attributable.
-	for i := len(execStack) - 1; i >= 0; i-- {
-		add(execP, execStack[i], lastNs, 0)
-	}
-	if stealBegin >= 0 {
-		add(stealP, stealBegin, lastNs, stealVictim)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].start != out[j].start {
-			return out[i].start < out[j].start
-		}
-		if out[i].end != out[j].end {
-			return out[i].end < out[j].end
-		}
-		return out[i].prio < out[j].prio
+		return a.detail < b.detail
 	})
 	return out
 }
@@ -442,23 +390,12 @@ func project(iv []interval, t0, t1 int64, nPrio int) ([]int64, []seg) {
 	return busy, tl
 }
 
-// hull returns the [min, max) time hull over every event and interval.
+// hull returns the [min, max) time hull over every record.
 func hull(dumps []*Dump) (int64, int64) {
 	lo, hi := int64(1<<62), int64(-1<<62)
-	note := func(a, b int64) {
-		if a < lo {
-			lo = a
-		}
-		if b > hi {
-			hi = b
-		}
-	}
 	for _, d := range dumps {
-		for _, q := range d.Events {
-			note(q[0], q[0])
-		}
-		for _, q := range d.Occ {
-			note(q[1], q[2])
+		for _, q := range d.Records {
+			lo, hi = min(lo, q[1]), max(hi, q[2])
 		}
 	}
 	if hi < lo {

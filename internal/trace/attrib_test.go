@@ -1,15 +1,30 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
 )
 
-// occDump builds a dump carrying only occupancy intervals, with the
-// resource catalogue restricted to the names the test uses.
+// occDump builds a dump of span records [kind, start, end, detail] over
+// a kind table restricted to the names the test uses, with the
+// catalogue's priorities.
 func occDump(rank int, names []string, iv [][4]int64) *Dump {
-	return &Dump{Rank: rank, OccResources: names, Occ: iv}
+	d := &Dump{Rank: rank}
+	for _, n := range names {
+		info := KindInfo{Name: n, Prio: 99}
+		for _, c := range catalogue {
+			if c.Name == n {
+				info = c
+			}
+		}
+		d.Kinds = append(d.Kinds, info)
+	}
+	for _, q := range iv {
+		d.Records = append(d.Records, [5]int64{q[0], q[1], q[2], q[3], 0})
+	}
+	return d
 }
 
 func share(ra RankAttrib, resource string) ResourceShare {
@@ -94,25 +109,38 @@ func TestCriticalPathBlame(t *testing.T) {
 	}
 }
 
-func TestEventDerivedIntervals(t *testing.T) {
-	// A pre-occupancy dump (events only, no occ quadruples) still yields
-	// exec and steal attribution.
-	d := &Dump{Rank: 0, Events: [][4]int64{
-		{10, int64(TaskExec), 1, 0},
-		{60, int64(TaskExecEnd), 4, 0},
-		{60, int64(StealBegin), 2, 0},
-		{90, int64(StealOK), 2, 5},
-	}}
+func TestInstantsAreNotAttributed(t *testing.T) {
+	// Instants extend the run's hull but are charged to nothing, and each
+	// span record is exactly one interval.
+	r := NewRecorder(0, 16, nil)
+	r.Record(Add, 0, 0, 0, 2)
+	r.Record(Exec, 10, 60, 1, 0)
+	r.Record(Steal, 60, 90, 2, 5)
+	r.Record(Terminate, 100, 100, 1, 0)
+	var buf bytes.Buffer
+	if err := r.WriteDump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadDump(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := Attribute([]*Dump{d}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ra := rep.Ranks[0]
-	if got := share(ra, "task_exec").Ns; got != 50 {
-		t.Errorf("event-derived task_exec = %d ns, want 50", got)
+	if rep.WindowStartNs != 0 || rep.WindowEndNs != 100 || ra.IdleNs != 20 {
+		t.Errorf("window [%d,%d) idle %d, want [0,100) idle 20", rep.WindowStartNs, rep.WindowEndNs, ra.IdleNs)
 	}
-	if got := share(ra, "steal_window").Ns; got != 30 {
-		t.Errorf("event-derived steal_window = %d ns, want 30", got)
+	if got := share(ra, "task_exec"); got.Ns != 50 || got.Intervals != 1 {
+		t.Errorf("task_exec = %+v, want 50 ns in 1 interval", got)
+	}
+	if got := share(ra, "steal_window"); got.Ns != 30 || got.Intervals != 1 {
+		t.Errorf("steal_window = %+v, want 30 ns in 1 interval", got)
+	}
+	if len(ra.Busy) != 2 {
+		t.Errorf("busy = %+v, want exec and steal only", ra.Busy)
 	}
 }
 
@@ -132,10 +160,10 @@ func TestExplicitWindowClips(t *testing.T) {
 	}
 }
 
-func TestUnknownResourceAppends(t *testing.T) {
-	// A future catalogue name the canonical priority list doesn't know
-	// must still attribute — appended after every known resource, so any
-	// known window shadows it.
+func TestPriorityComesFromTheDump(t *testing.T) {
+	// A kind the compiled-in catalogue has never heard of attributes by the
+	// priority its own dump gives it: after every more specific resource,
+	// so any such window shadows it.
 	names := []string{"task_exec", "warp_drive"}
 	d := occDump(0, names, [][4]int64{
 		{1, 0, 100, 0},
@@ -152,16 +180,33 @@ func TestUnknownResourceAppends(t *testing.T) {
 	if got := share(ra, "warp_drive").Ns; got != 50 {
 		t.Errorf("warp_drive = %d ns, want 50 (shadowed by exec up to 50)", got)
 	}
+	// Dumps need not number their kinds alike: resources meet by name.
+	d1 := occDump(1, []string{"warp_drive", "task_exec"}, [][4]int64{{0, 0, 100, 0}})
+	rep, err = Attribute([]*Dump{d, d1}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := share(rep.Ranks[1], "warp_drive").Ns; got != 100 {
+		t.Errorf("rank 1 warp_drive = %d ns, want 100", got)
+	}
+	// Without a priority-1 kind nothing counts as useful work: all stall.
+	rep, err = Attribute([]*Dump{occDump(0, []string{"warp_drive"}, [][4]int64{{0, 0, 100, 0}})}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ExecNs != 0 || rep.StallNs != 100 || rep.TopBottleneck() != "warp_drive" {
+		t.Errorf("exec/stall = %d/%d top %q, want 0/100 warp_drive", rep.ExecNs, rep.StallNs, rep.TopBottleneck())
+	}
 }
 
 func TestTruncationFlag(t *testing.T) {
 	d := occDump(0, []string{"task_exec"}, [][4]int64{{0, 0, 10, 0}})
-	d.OccDropped = 4
+	d.Dropped = 4
 	rep, err := Attribute([]*Dump{d}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Truncated || rep.Ranks[0].OccDropped != 4 {
+	if !rep.Truncated || rep.Ranks[0].Dropped != 4 {
 		t.Errorf("truncation not reported: %+v", rep.Ranks[0])
 	}
 }
@@ -228,7 +273,7 @@ func TestAttributeEmptyInput(t *testing.T) {
 	if _, err := Attribute(nil, 0, 0); err == nil {
 		t.Fatal("expected error on no dumps")
 	}
-	// A dump with no events or intervals: empty hull, empty report, no panic.
+	// A dump with no records: empty hull, empty report, no panic.
 	rep, err := Attribute([]*Dump{{Rank: 0}}, 0, 0)
 	if err != nil {
 		t.Fatal(err)

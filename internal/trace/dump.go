@@ -6,44 +6,29 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 )
 
-// Dump is the on-disk form of one rank's trace, written per rank at the
-// end of a run and merged across ranks by cmd/sciototrace. Events are
-// encoded as compact [at, kind, arg1, arg2] quadruples to keep multi-
-// megabyte traces readable by eye and cheap to parse.
+// Dump is the on-disk form of one rank's recorder, written per rank at
+// the end of a run and merged across ranks by cmd/sciototrace. It is
+// self-describing: Records are [kind, startNs, endNs, a1, a2] with kind
+// indexing the dump's own Kinds table, so a consumer needs no catalogue
+// of its own.
 type Dump struct {
 	Rank    int        `json:"rank"`
 	Dropped int64      `json:"dropped"`
-	Events  [][4]int64 `json:"events"`
-
-	// Occupancy intervals drained from the rank's occ.Buffer (when one
-	// was attached with SetOccSource): [resource, startNs, endNs, detail]
-	// quadruples, with resource indexing OccResources. The dump is
-	// self-describing — the resource catalogue travels with it — so the
-	// attribution engine and old tools need no occ import or version
-	// negotiation.
-	OccResources []string   `json:"occ_resources,omitempty"`
-	OccDropped   int64      `json:"occ_dropped,omitempty"`
-	Occ          [][4]int64 `json:"occ,omitempty"`
+	Kinds   []KindInfo `json:"kinds"`
+	Records [][5]int64 `json:"records"`
 }
 
-// WriteDump serializes the recorder's current events to w.
+// WriteDump serializes the recorder's retained records to w.
 func (r *Recorder) WriteDump(w io.Writer) error {
-	d := Dump{Rank: r.Rank(), Dropped: r.Dropped()}
-	evs := r.Events()
-	d.Events = make([][4]int64, len(evs))
-	for i, e := range evs {
-		d.Events[i] = [4]int64{int64(e.At), int64(e.Kind), e.Arg1, e.Arg2}
+	d := Dump{Rank: r.Rank(), Dropped: r.Dropped(), Kinds: catalogue[:]}
+	recs := r.Records()
+	d.Records = make([][5]int64, len(recs))
+	for i, e := range recs {
+		d.Records[i] = [5]int64{int64(e.Kind), int64(e.Start), int64(e.End), e.A1, e.A2}
 	}
-	if src := r.occSource(); src != nil {
-		d.OccResources = src.OccResourceNames()
-		d.OccDropped = src.OccDropped()
-		d.Occ = src.OccIntervals()
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&d)
+	return json.NewEncoder(w).Encode(&d)
 }
 
 // WriteFile dumps the recorder to dir/trace-rankNNNN.json, creating dir
@@ -64,33 +49,36 @@ func (r *Recorder) WriteFile(dir string) (string, error) {
 	return path, f.Close()
 }
 
-// ReadDump parses a dump written by WriteDump, validating event kinds.
+// maxNs bounds a dump's timestamps (nanoseconds since the run began) so
+// that consumers' window arithmetic cannot overflow.
+const maxNs = 1 << 62
+
+// ReadDump parses a dump written by WriteDump. The bytes come from another
+// process, so every record is checked before a consumer indexes or
+// computes with it: five words, a kind inside the dump's own table, and
+// 0 ≤ start ≤ end < maxNs.
 func ReadDump(rd io.Reader) (*Dump, error) {
-	var d Dump
-	if err := json.NewDecoder(rd).Decode(&d); err != nil {
+	// Records shadows Dump.Records: a fixed-size array would silently pad
+	// or truncate a record of the wrong length.
+	var raw struct {
+		Dump
+		Records [][]int64 `json:"records"`
+	}
+	if err := json.NewDecoder(rd).Decode(&raw); err != nil {
 		return nil, fmt.Errorf("trace: parse dump: %w", err)
 	}
-	for i, q := range d.Events {
-		if q[1] < 0 || q[1] >= int64(NumKinds) {
-			return nil, fmt.Errorf("trace: dump event %d has unknown kind %d", i, q[1])
+	d := &raw.Dump
+	d.Records = make([][5]int64, len(raw.Records))
+	for i, q := range raw.Records {
+		switch {
+		case len(q) != 5:
+			return nil, fmt.Errorf("trace: dump record %d has %d words, want 5", i, len(q))
+		case q[0] < 0 || q[0] >= int64(len(d.Kinds)):
+			return nil, fmt.Errorf("trace: dump record %d names kind %d of %d", i, q[0], len(d.Kinds))
+		case q[1] < 0 || q[2] < q[1] || q[2] >= maxNs:
+			return nil, fmt.Errorf("trace: dump record %d spans [%d, %d], want 0 ≤ start ≤ end < 2^62", i, q[1], q[2])
 		}
+		d.Records[i] = [5]int64(q)
 	}
-	for i, q := range d.Occ {
-		if q[0] < 0 || q[0] >= int64(len(d.OccResources)) {
-			return nil, fmt.Errorf("trace: dump occ interval %d names resource %d of %d", i, q[0], len(d.OccResources))
-		}
-		if q[2] < q[1] {
-			return nil, fmt.Errorf("trace: dump occ interval %d ends (%d) before it starts (%d)", i, q[2], q[1])
-		}
-	}
-	return &d, nil
-}
-
-// DumpEvents converts a dump's quadruples back into Events.
-func (d *Dump) DumpEvents() []Event {
-	out := make([]Event, len(d.Events))
-	for i, q := range d.Events {
-		out[i] = Event{At: time.Duration(q[0]), Kind: Kind(q[1]), Arg1: q[2], Arg2: q[3]}
-	}
-	return out
+	return d, nil
 }

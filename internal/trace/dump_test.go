@@ -5,71 +5,17 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-func TestConcurrentRecord(t *testing.T) {
-	r := NewRecorder(0, 100000)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Record(time.Duration(i), TaskExec, int64(g), int64(i))
-			}
-		}(g)
-	}
-	// Read concurrently with the writers.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			_ = r.Events()
-			_ = r.Dropped()
-		}
-	}()
-	wg.Wait()
-	<-done
-	if got := len(r.Events()); got != 8000 {
-		t.Fatalf("events = %d, want 8000", got)
-	}
-	if r.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", r.Dropped())
-	}
-}
-
-func TestDroppedCount(t *testing.T) {
-	r := NewRecorder(1, 3)
-	for i := 0; i < 10; i++ {
-		r.Record(time.Duration(i), UserEvent, 0, 0)
-	}
-	if len(r.Events()) != 3 {
-		t.Fatalf("events = %d, want 3", len(r.Events()))
-	}
-	if r.Dropped() != 7 {
-		t.Fatalf("dropped = %d, want 7", r.Dropped())
-	}
-}
-
-func TestEventsReturnsSnapshot(t *testing.T) {
-	r := NewRecorder(0, 10)
-	r.Record(1, TaskExec, 1, 2)
-	evs := r.Events()
-	r.Record(2, Terminate, 0, 0)
-	if len(evs) != 1 {
-		t.Fatal("snapshot must not see later records")
-	}
-}
-
 func TestDumpRoundTrip(t *testing.T) {
-	r := NewRecorder(3, 100)
-	r.Record(10*time.Microsecond, TaskExec, 7, 1)
-	r.Record(20*time.Microsecond, StealBegin, 2, 0)
-	r.Record(30*time.Microsecond, StealOK, 2, 5)
-	r.Record(40*time.Microsecond, Fault, 1, 2)
+	r := NewRecorder(3, 100, nil)
+	us := time.Microsecond
+	r.Record(Exec, 10*us, 18*us, 7, 1)
+	r.Record(Steal, 20*us, 30*us, 2, 5)
+	r.Record(QueueLockHeld, 22*us, 23*us, 2, 0)
+	r.Record(Fault, 40*us, 40*us, 1, 2)
 
 	var buf bytes.Buffer
 	if err := r.WriteDump(&buf); err != nil {
@@ -82,42 +28,26 @@ func TestDumpRoundTrip(t *testing.T) {
 	if d.Rank != 3 || d.Dropped != 0 {
 		t.Fatalf("header = %+v", d)
 	}
-	evs := d.DumpEvents()
-	if len(evs) != 4 {
-		t.Fatalf("events = %d, want 4", len(evs))
+	// Self-describing: the kind table travels with the records.
+	if len(d.Kinds) != int(NumKinds) || d.Kinds[Steal] != catalogue[Steal] || d.Kinds[Fault].Name != "fault" {
+		t.Fatalf("kind table = %+v", d.Kinds)
 	}
-	if evs[1].Kind != StealBegin || evs[1].At != 20*time.Microsecond || evs[1].Arg1 != 2 {
-		t.Fatalf("event 1 = %+v", evs[1])
+	if len(d.Records) != 4 {
+		t.Fatalf("records = %d, want 4", len(d.Records))
 	}
-	if evs[3].Kind != Fault {
-		t.Fatalf("event 3 kind = %v", evs[3].Kind)
+	if d.Records[1] != [5]int64{int64(Steal), 20_000, 30_000, 2, 5} {
+		t.Fatalf("record 1 = %v", d.Records[1])
+	}
+	if d.Records[3] != [5]int64{int64(Fault), 40_000, 40_000, 1, 2} {
+		t.Fatalf("record 3 = %v", d.Records[3])
 	}
 }
 
-// fakeOccSource is a stand-in occ.Buffer for round-trip tests (trace
-// cannot import occ — the dependency runs the other way).
-type fakeOccSource struct {
-	names   []string
-	iv      [][4]int64
-	dropped int64
-}
-
-func (f *fakeOccSource) OccResourceNames() []string { return f.names }
-func (f *fakeOccSource) OccIntervals() [][4]int64   { return f.iv }
-func (f *fakeOccSource) OccDropped() int64          { return f.dropped }
-
-func TestDumpRoundTripOcc(t *testing.T) {
-	r := NewRecorder(5, 100)
-	r.Record(10*time.Microsecond, TaskExec, 1, 1)
-	r.SetOccSource(&fakeOccSource{
-		names: []string{"task_exec", "queue_lock_held"},
-		iv: [][4]int64{
-			{0, 10_000, 40_000, 7},
-			{1, 12_000, 13_000, 2},
-		},
-		dropped: 3,
-	})
-
+func TestDumpCarriesDropCount(t *testing.T) {
+	r := NewRecorder(1, 3, nil)
+	for i := 0; i < 10; i++ {
+		r.Record(UserEvent, time.Duration(i), time.Duration(i), 0, 0)
+	}
 	var buf bytes.Buffer
 	if err := r.WriteDump(&buf); err != nil {
 		t.Fatal(err)
@@ -126,41 +56,41 @@ func TestDumpRoundTripOcc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.OccResources) != 2 || d.OccResources[1] != "queue_lock_held" {
-		t.Fatalf("occ resources = %v", d.OccResources)
-	}
-	if len(d.Occ) != 2 || d.Occ[0] != [4]int64{0, 10_000, 40_000, 7} {
-		t.Fatalf("occ intervals = %v", d.Occ)
-	}
-	if d.OccDropped != 3 {
-		t.Fatalf("occ dropped = %d, want 3", d.OccDropped)
+	if len(d.Records) != 3 || d.Dropped != 7 {
+		t.Fatalf("records=%d dropped=%d, want 3/7", len(d.Records), d.Dropped)
 	}
 }
 
-func TestReadDumpRejectsBadOcc(t *testing.T) {
-	// Resource index beyond the dump's own catalogue.
-	in := strings.NewReader(`{"rank":0,"events":[],"occ_resources":["task_exec"],"occ":[[1,0,5,0]]}`)
-	if _, err := ReadDump(in); err == nil {
-		t.Fatal("expected error for out-of-catalogue resource index")
+func TestReadDumpRejectsBadRecords(t *testing.T) {
+	const kinds = `"kinds":[{"name":"task_exec","prio":1,"cat":"task","args":["",""]}]`
+	for name, records := range map[string]string{
+		"kind outside the table": `[[1,0,5,0,0]]`,
+		"negative kind":          `[[-1,0,5,0,0]]`,
+		"ends before it starts":  `[[0,9,3,0,0]]`,
+		"starts before the run":  `[[0,-4,3,0,0]]`,
+		"ends past any run":      `[[0,0,4611686018427387904,0,0]]`,
+		"four words":             `[[0,0,5,0]]`,
+		"six words":              `[[0,0,5,0,0,0]]`,
+		"empty record":           `[[]]`,
+	} {
+		in := strings.NewReader(`{"rank":0,` + kinds + `,"records":` + records + `}`)
+		if _, err := ReadDump(in); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	// Interval that ends before it starts.
-	in = strings.NewReader(`{"rank":0,"events":[],"occ_resources":["task_exec"],"occ":[[0,9,3,0]]}`)
-	if _, err := ReadDump(in); err == nil {
-		t.Fatal("expected error for inverted interval")
+	// A record against a dump with no kind table at all.
+	if _, err := ReadDump(strings.NewReader(`{"rank":0,"records":[[0,0,0,0,0]]}`)); err == nil {
+		t.Error("record with no kind table: accepted")
 	}
-}
-
-func TestReadDumpRejectsBadKind(t *testing.T) {
-	in := strings.NewReader(`{"rank":0,"dropped":0,"events":[[1,99,0,0]]}`)
-	if _, err := ReadDump(in); err == nil {
-		t.Fatal("expected error for unknown kind")
+	if _, err := ReadDump(strings.NewReader(`{"rank":0,` + kinds + `,"records":[[0,1,5,7,8]]}`)); err != nil {
+		t.Errorf("well-formed dump rejected: %v", err)
 	}
 }
 
 func TestWriteFile(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "traces")
-	r := NewRecorder(12, 10)
-	r.Record(1, Terminate, 0, 0)
+	r := NewRecorder(12, 10, nil)
+	r.Record(Terminate, 1, 1, 0, 0)
 	path, err := r.WriteFile(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -177,15 +107,7 @@ func TestWriteFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Rank != 12 || len(d.Events) != 1 {
+	if d.Rank != 12 || len(d.Records) != 1 {
 		t.Fatalf("dump = %+v", d)
-	}
-}
-
-func TestNewKindStrings(t *testing.T) {
-	for k := Kind(0); int(k) < NumKinds; k++ {
-		if strings.HasPrefix(k.String(), "kind(") {
-			t.Errorf("kind %d has no name", k)
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package uts_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"scioto/internal/pgas"
 	"scioto/internal/pgas/dsim"
 	"scioto/internal/pgas/shm"
+	"scioto/internal/trace"
 	"scioto/internal/uts"
 )
 
@@ -112,5 +114,67 @@ func TestSciotoTinyQueueInlineFallback(t *testing.T) {
 		_ = st
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAttributionCountsEachOccurrenceOnce: a 2-rank traversal on dsim with
+// recording on. From the per-rank dumps alone, the attribution report
+// must count one task_exec interval per executed task and one
+// steal_window interval per steal attempt — every occurrence is one
+// closed span record, not a begin/end event pair beside an interval.
+func TestAttributionCountsEachOccurrenceOnce(t *testing.T) {
+	const n = 2
+	cfg := uts.DriverConfig{
+		Tree:        uts.TreeSmall,
+		PerNodeCost: 300 * time.Nanosecond,
+		TC:          core.Config{ChunkSize: 5, MaxTasks: 1 << 15},
+	}
+	dumps := make([]*trace.Dump, n)
+	var tasks core.Stats
+	err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 9, Latency: 2 * time.Microsecond}).Run(func(p pgas.Proc) {
+		rec := trace.NewRecorder(p.Rank(), 1<<16, nil)
+		core.RegisterProcObserver(p, core.NewObserver(p, nil, rec))
+		defer core.UnregisterProcObserver(p)
+		_, st, err := uts.RunScioto(p, cfg)
+		if err != nil {
+			panic(err)
+		}
+		var buf bytes.Buffer
+		if err := rec.WriteDump(&buf); err != nil {
+			panic(err)
+		}
+		d, err := trace.ReadDump(&buf)
+		if err != nil {
+			panic(err)
+		}
+		dumps[p.Rank()] = d
+		if p.Rank() == 0 {
+			tasks = st
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := trace.Attribute(dumps, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Truncated {
+		t.Fatal("the recorder dropped records; raise the test's limit")
+	}
+	intervals := map[string]int64{}
+	for _, ra := range rep.Ranks {
+		for _, b := range ra.Busy {
+			intervals[b.Resource] += b.Intervals
+		}
+	}
+	if tasks.TasksExecuted == 0 || tasks.StealAttempts == 0 {
+		t.Fatalf("vacuous run: %d tasks, %d steal attempts", tasks.TasksExecuted, tasks.StealAttempts)
+	}
+	if got := intervals["task_exec"]; got != tasks.TasksExecuted {
+		t.Errorf("task_exec intervals = %d, want one per executed task (%d)", got, tasks.TasksExecuted)
+	}
+	if got := intervals["steal_window"]; got != tasks.StealAttempts {
+		t.Errorf("steal_window intervals = %d, want one per steal attempt (%d)", got, tasks.StealAttempts)
 	}
 }

@@ -95,10 +95,7 @@ func TestRunWithObservability(t *testing.T) {
 	}
 	runErr := scioto.Run(cfg, func(rt *scioto.Runtime) {
 		if rt.Registry() == nil {
-			panic("Obs set but runtime has no registry")
-		}
-		if rt.Tracer() == nil {
-			panic("TraceDir set but runtime has no tracer")
+			panic("Obs set but runtime has no observer")
 		}
 		tc := scioto.NewTC(rt, scioto.TCConfig{MaxBodySize: 8, ChunkSize: 2})
 		h := tc.Register(func(tc *scioto.TC, t *scioto.Task) {
@@ -158,8 +155,8 @@ func TestRunWithObservability(t *testing.T) {
 		if d.Rank != rank {
 			t.Errorf("trace file for rank %d records rank %d", rank, d.Rank)
 		}
-		if len(d.Events) == 0 {
-			t.Errorf("rank %d trace dump has no events", rank)
+		if len(d.Records) == 0 {
+			t.Errorf("rank %d trace dump has no records", rank)
 		}
 	}
 }
@@ -171,7 +168,7 @@ func TestRunObsDisabled(t *testing.T) {
 	t.Setenv("SCIOTO_OBS_TRACE_DIR", "")
 	t.Setenv("SCIOTO_OBS_TRACE_LIMIT", "")
 	err := scioto.Run(scioto.Config{Procs: 2, Seed: 3}, func(rt *scioto.Runtime) {
-		if rt.Registry() != nil || rt.Tracer() != nil {
+		if rt.Registry() != nil {
 			panic("observability must default to off")
 		}
 		rt.Proc().Barrier()
@@ -212,14 +209,15 @@ func TestObsFromEnv(t *testing.T) {
 }
 
 // TestRunEnvEnablesObs: setting only SCIOTO_OBS_TRACE_DIR on an unmodified
-// program is enough to get trace dumps.
+// program is enough to get trace dumps, and SCIOTO_OBS_TRACE_LIMIT caps
+// what each rank's one recorder retains for them.
 func TestRunEnvEnablesObs(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv(scioto.EnvObsAddr, "")
-	t.Setenv(scioto.EnvObsTraceLimit, "")
+	t.Setenv(scioto.EnvObsTraceLimit, "8")
 	t.Setenv(scioto.EnvObsTraceDir, dir)
 	err := scioto.Run(scioto.Config{Procs: 2, Transport: scioto.TransportDSim, Seed: 9}, func(rt *scioto.Runtime) {
-		if rt.Registry() == nil || rt.Tracer() == nil {
+		if rt.Registry() == nil {
 			panic("SCIOTO_OBS_TRACE_DIR must enable the observer")
 		}
 		tc := scioto.NewTC(rt, scioto.TCConfig{MaxBodySize: 8})
@@ -238,8 +236,19 @@ func TestRunEnvEnablesObs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank := 0; rank < 2; rank++ {
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("trace-rank%04d.json", rank))); err != nil {
-			t.Errorf("rank %d trace dump missing: %v", rank, err)
+		f, err := os.Open(filepath.Join(dir, fmt.Sprintf("trace-rank%04d.json", rank)))
+		if err != nil {
+			t.Fatalf("rank %d trace dump missing: %v", rank, err)
+		}
+		d, err := trace.ReadDump(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("rank %d trace dump unreadable: %v", rank, err)
+		}
+		// Every kind of record — scheduler instants, spans, the transport's
+		// NIC windows — shares the one limit; the excess is counted.
+		if len(d.Records) != 8 || d.Dropped == 0 {
+			t.Errorf("rank %d retained %d records and dropped %d, want the limit 8 and the rest dropped", rank, len(d.Records), d.Dropped)
 		}
 	}
 }

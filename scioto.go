@@ -43,7 +43,6 @@ import (
 
 	"scioto/internal/core"
 	"scioto/internal/obs"
-	"scioto/internal/obs/occ"
 	"scioto/internal/pgas"
 	"scioto/internal/pgas/dsim"
 	"scioto/internal/pgas/faulty"
@@ -212,12 +211,14 @@ type ObsConfig struct {
 	// port (logged to stderr). On the tcp transport each rank process
 	// serves on port+rank.
 	Addr string
-	// TraceDir, when non-empty, attaches a trace recorder to every rank
-	// and dumps each rank's events to TraceDir/trace-rankNNNN.json when
-	// the rank's body returns (or panics — the dump is deferred). Merge
-	// the per-rank files into a Chrome trace with cmd/sciototrace.
+	// TraceDir, when non-empty, makes every rank's recorder retain its
+	// records and dump them to TraceDir/trace-rankNNNN.json when the
+	// rank's body returns (or panics — the dump is deferred). Merge the
+	// per-rank files into a Chrome trace or an attribution report with
+	// cmd/sciototrace. Without it the recorder keeps aggregates only.
 	TraceDir string
-	// TraceLimit caps each rank's recorder (0 = the recorder default).
+	// TraceLimit caps the records each rank retains for the dump (0 =
+	// trace.DefaultLimit); later ones are dropped and counted.
 	TraceLimit int
 }
 
@@ -366,7 +367,6 @@ func (c Config) NewWorld() (pgas.World, error) {
 		w = instr.Wrap(w, hub, instr.Options{
 			Addr:        obsCfg.Addr,
 			PerRankPort: c.Transport == TransportTCP || c.Transport == TransportIPC,
-			TraceLimit:  obsCfg.TraceLimit,
 		})
 	}
 	return w, nil
@@ -390,20 +390,22 @@ func Run(cfg Config, body func(rt *Runtime)) error {
 		if hub != nil {
 			rank := p.Rank()
 			reg := hub.Registry(rank)
-			// Occupancy accounting rides with observability: a per-rank
-			// interval buffer shared by the runtime layers (queue, TD,
-			// executor) and, via AttachOcc, by the transport underneath.
-			ob := occ.NewBuffer(rank, occ.DefaultCap, reg)
-			occ.Attach(p, ob)
-			var rec *trace.Recorder
+			// One recorder per rank, shared by the runtime layers (queue,
+			// TD, executor), the transport underneath and the fault hook.
+			// Its aggregates are registry series; it retains records only
+			// when there is somewhere to dump them.
+			limit := 0
 			if obsCfg.TraceDir != "" {
-				rec = trace.NewRecorder(rank, obsCfg.TraceLimit)
-				rec.SetDropCounter(reg.Counter("scioto_trace_dropped_total",
-					"Trace events discarded after the per-rank ring filled."))
-				rec.SetOccSource(ob)
-				hub.SetTracer(rank, rec)
+				limit = obsCfg.TraceLimit
+				if limit == 0 {
+					limit = trace.DefaultLimit
+				}
+			}
+			rec := trace.NewRecorder(rank, limit, reg)
+			hub.SetTracer(rank, rec)
+			if limit > 0 {
 				// Deferred without a recover: a crashing rank still dumps
-				// the events leading up to the fault, then the panic
+				// the records leading up to the fault, then the panic
 				// continues into World.Run's containment.
 				defer func() {
 					if _, err := rec.WriteFile(obsCfg.TraceDir); err != nil {
@@ -414,7 +416,7 @@ func Run(cfg Config, body func(rt *Runtime)) error {
 			// Registered against the proc rather than set on one Runtime:
 			// application drivers attach their own Runtime from the raw
 			// proc handle, and must inherit the observer too.
-			core.RegisterProcObserver(p, reg, rec, ob)
+			core.RegisterProcObserver(p, core.NewObserver(p, reg, rec))
 			defer core.UnregisterProcObserver(p)
 		}
 		if recoverOn {

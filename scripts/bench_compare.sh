@@ -1,6 +1,14 @@
 #!/usr/bin/env bash
 # bench_compare.sh — regression gate for the checked-in perf artifacts.
 #
+# Attribution (first, always, hard): runs the deterministic 2-rank dsim
+# UTS trace, produces the attribution report with `sciototrace -report`
+# and requires it to be identical to the checked-in BENCH_attrib.json.
+# dsim runs in virtual time, so the report is bit-reproducible on any
+# host: a difference is a real behaviour change (a resource's occupancy
+# or the critical path moved), never runner noise, and the diff says
+# which resource. Re-record the baseline only with the reason stated.
+#
 # Serve: re-runs `sciotobench -exp serve -json` and compares the measured
 # p95 latency and sustained tasks/s against the checked-in
 # BENCH_serve.json baseline, failing when either drifts outside the
@@ -24,12 +32,6 @@
 # cross-machine drift is not a regression signal — while the
 # host-independent checks stay hard: both tables have the baseline's
 # shape, and ipc Remote Steal < tcp on the fresh run.
-#
-# On a band failure the script additionally runs a deterministic 2-rank
-# dsim UTS trace, produces the attribution report with `sciototrace
-# -report`, and diffs it against the checked-in BENCH_attrib.json so the
-# failure log says *which resource's occupancy moved*, not just that a
-# wall-clock number did.
 #
 # Run via `make bench-compare`; CI runs the same target after the
 # recovery matrix so a healing-path change that taxes a steady-state hot
@@ -77,6 +79,17 @@ EOF
 }
 
 fail=0
+
+go run ./cmd/uts -transport dsim -procs 2 -depth 8 \
+	-trace-dir "$tmp/attrib-traces" >/dev/null
+go run ./cmd/sciototrace -report -o "$tmp/attrib.json" "$tmp/attrib-traces"
+if diff -u BENCH_attrib.json "$tmp/attrib.json" >&2; then
+	echo "PASS: dsim attribution report identical to BENCH_attrib.json"
+else
+	echo "FAIL: dsim attribution report differs from BENCH_attrib.json (diff above):" \
+		"virtual time is host-independent, so behaviour changed" >&2
+	fail=1
+fi
 
 go run ./cmd/sciotobench -exp serve -json >"$tmp/fresh.json"
 host=$(machine_check "$tmp/fresh.json" BENCH_serve.json)
@@ -230,26 +243,4 @@ print("PASS: ipc < tcp holds, Remote Steal "
          else "compared against BENCH_transport.json for shape; band not binding on this host"))
 EOF
 
-if [ "$fail" != 0 ]; then
-	# A band tripped: attribute the drift. The dsim transport runs in
-	# virtual time, so this 2-rank UTS trace and its report are
-	# bit-reproducible on any host — any diff against the checked-in
-	# BENCH_attrib.json is a real behavior change (a resource's occupancy
-	# or the critical path moved), not runner noise.
-	echo "band failure: attributing against BENCH_attrib.json ..." >&2
-	if [ -f BENCH_attrib.json ]; then
-		go run ./cmd/uts -transport dsim -procs 2 -depth 8 \
-			-trace-dir "$tmp/attrib-traces" >/dev/null
-		go run ./cmd/sciototrace -report -o "$tmp/attrib.json" "$tmp/attrib-traces"
-		if diff -u BENCH_attrib.json "$tmp/attrib.json" >&2; then
-			echo "attribution unchanged: the drift is outside the modeled resources" \
-				"(host noise or an unmodeled path)" >&2
-		else
-			echo "attribution CHANGED (diff above): the moved resource is the" \
-				"place to look first" >&2
-		fi
-	else
-		echo "no BENCH_attrib.json baseline checked in; skipping attribution diff" >&2
-	fi
-	exit 1
-fi
+exit "$fail"

@@ -12,7 +12,7 @@ import (
 //
 // A Program joins every loaded target package (over the shared FileSet)
 // into one function table and a static call graph. Functions are keyed by
-// their types.Func full name — e.g. `scioto/internal/core.NewMetrics` or
+// their types.Func full name — e.g. `scioto/internal/core.NewObserver` or
 // `(*scioto/internal/core.taskQueue).steal` — which is identical whether
 // the object came from type-checking the defining package's source or
 // from a dependency's export data, so call edges resolve across package

@@ -26,17 +26,17 @@ import (
 //     parameters: different call histories yield different schemas, so
 //     whether ranks converge depends on dynamic behavior, not code.
 //
-// Occupancy-resource registration has the same obligation: occ.NewBuffer
-// registers the fixed resource catalogue as obs counters when handed a
+// Recorder construction has the same obligation: trace.NewRecorder
+// registers the span kinds' aggregates as obs counters when handed a
 // registry, so its call sites are checked like any other registration
 // (map iteration, rank-derived control flow). The names themselves come
-// from the compile-time catalogue inside the occ package, so the
+// from the compile-time kind catalogue inside the trace package, so the
 // parameter-dependent-name check does not apply to them.
 //
 // Functions declared in the obs package itself are exempt — they
-// implement the registry, they don't consume it. The occ package is
+// implement the registry, they don't consume it. The trace package is
 // exempt for the same reason: it implements the catalogue registration
-// (constant names, declaration order, an array loop), and its congruence
+// (constant names, catalogue order, an array loop), and its congruence
 // is asserted by its own tests rather than re-derived here.
 var ObsDeterminism = &analysis.Analyzer{
 	Name: "obsdeterminism",
@@ -48,9 +48,10 @@ var ObsDeterminism = &analysis.Analyzer{
 
 // obsRegisterMethods are the Registry methods that extend the schema.
 var obsRegisterMethods = map[string]bool{
-	"Counter":   true,
-	"Gauge":     true,
-	"Histogram": true,
+	"Counter":     true,
+	"CounterWord": true,
+	"Gauge":       true,
+	"Histogram":   true,
 }
 
 // obsPkgName matches by package name for the same reason pgasPkgName
@@ -58,13 +59,13 @@ var obsRegisterMethods = map[string]bool{
 // on the fixtures' stub.
 const obsPkgName = "obs"
 
-// occPkgName / occRegisterFuncs: the occupancy layer's entry points that
-// register the resource catalogue on a registry. Matched by package name
+// recPkgName / recRegisterFuncs: the recorder's entry points that
+// register the span-kind catalogue on a registry. Matched by package name
 // like the obs methods, for the same fixture reason.
-const occPkgName = "occ"
+const recPkgName = "trace"
 
-var occRegisterFuncs = map[string]bool{
-	"NewBuffer": true,
+var recRegisterFuncs = map[string]bool{
+	"NewRecorder": true,
 }
 
 func runObsDeterminism(pass *analysis.ProgramPass) error {
@@ -83,7 +84,7 @@ func runObsDeterminism(pass *analysis.ProgramPass) error {
 				return false
 			}
 			if call, ok := n.(*ast.CallExpr); ok &&
-				(obsRegisterCall(f.Pkg.Info, call) || occRegisterCall(f.Pkg.Info, call)) {
+				(obsRegisterCall(f.Pkg.Info, call) || recRegisterCall(f.Pkg.Info, call)) {
 				found = true
 			}
 			return !found
@@ -102,7 +103,7 @@ func runObsDeterminism(pass *analysis.ProgramPass) error {
 // registration machinery.
 func exemptObsPkg(f *analysis.Func) bool {
 	name := f.Pkg.Types.Name()
-	return name == obsPkgName || name == occPkgName
+	return name == obsPkgName || name == recPkgName
 }
 
 type obsChecker struct {
@@ -130,10 +131,10 @@ func obsRegisterCall(info *types.Info, call *ast.CallExpr) bool {
 	return obsRegisterMethods[fn.Name()]
 }
 
-// occRegisterCall reports whether call creates an occupancy buffer (and
-// with it, when a registry is passed, the catalogue's obs counters): a
-// call to one of occRegisterFuncs declared in a package named "occ".
-func occRegisterCall(info *types.Info, call *ast.CallExpr) bool {
+// recRegisterCall reports whether call creates a recorder (and with it,
+// when a registry is passed, the catalogue's obs counters): a call to one
+// of recRegisterFuncs declared in a package named "trace".
+func recRegisterCall(info *types.Info, call *ast.CallExpr) bool {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
@@ -144,10 +145,10 @@ func occRegisterCall(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	fn, ok := info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != occPkgName {
+	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != recPkgName {
 		return false
 	}
-	return occRegisterFuncs[fn.Name()]
+	return recRegisterFuncs[fn.Name()]
 }
 
 func (c *obsChecker) checkFunc(f *analysis.Func) {
@@ -174,20 +175,20 @@ func (c *obsChecker) checkFunc(f *analysis.Func) {
 			return true
 		}
 		direct := obsRegisterCall(info, call)
-		directOcc := !direct && occRegisterCall(info, call)
+		directRec := !direct && recRegisterCall(info, call)
 		viaCallee := false
-		if !direct && !directOcc {
+		if !direct && !directRec {
 			if callee := c.prog.ResolveCall(f.Pkg, call); callee != nil && c.registers[callee] {
 				viaCallee = true
 			}
 		}
-		if !direct && !directOcc && !viaCallee {
+		if !direct && !directRec && !viaCallee {
 			return true
 		}
 		what := "instrument registration"
 		switch {
-		case directOcc:
-			what = "occupancy-resource registration"
+		case directRec:
+			what = "recorder-catalogue registration"
 		case viaCallee:
 			what = "call that registers instruments"
 		}

@@ -9,5 +9,6 @@ type Gauge struct{}
 type Histogram struct{}
 
 func (r *Registry) Counter(name, help string) *Counter     { return nil }
+func (r *Registry) CounterWord(name, help string) *int64   { return nil }
 func (r *Registry) Gauge(name, help string) *Gauge         { return nil }
 func (r *Registry) Histogram(name, help string) *Histogram { return nil }

@@ -4,8 +4,8 @@ package obsdeterminism
 
 import (
 	"obs"
-	"occ"
 	"pgas"
+	"trace"
 )
 
 // registerOne is an unconditional, fixed-name registering helper; calling
@@ -79,36 +79,44 @@ func okArrayRange(r *obs.Registry) {
 	}
 }
 
-// Positive: occupancy-buffer creation registers the resource catalogue
-// on the registry, so rank-conditional creation diverges the schema like
-// any other registration.
-func badOccRankCond(p pgas.Proc, r *obs.Registry) {
+// Positive: recorder creation registers the span-kind catalogue's
+// aggregates on the registry, so rank-conditional creation diverges the
+// schema like any other registration.
+func badRecorderRankCond(p pgas.Proc, r *obs.Registry) {
 	if p.Rank() == 0 {
-		occ.NewBuffer(p.Rank(), 0, r) // want `conditional on the process rank`
+		trace.NewRecorder(p.Rank(), 0, r) // want `conditional on the process rank`
 	}
 }
 
 // Positive: catalogue registration under map iteration reorders the
-// schema run to run (one buffer per map entry is wrong regardless).
-func badOccMapRange(r *obs.Registry, m map[string]int) {
+// schema run to run (one recorder per map entry is wrong regardless).
+func badRecorderMapRange(r *obs.Registry, m map[string]int) {
 	for range m {
-		occ.NewBuffer(0, 0, r) // want `range over a map`
+		trace.NewRecorder(0, 0, r) // want `range over a map`
 	}
 }
 
-// Positive: a helper that creates a registered buffer propagates the
+// Positive: a helper that creates a registered recorder propagates the
 // obligation to its callers.
-func makeOccBuffer(r *obs.Registry) *occ.Buffer { return occ.NewBuffer(0, 0, r) }
+func makeRecorder(r *obs.Registry) *trace.Recorder { return trace.NewRecorder(0, 0, r) }
 
-func badOccViaHelper(p pgas.Proc, r *obs.Registry) {
+func badRecorderViaHelper(p pgas.Proc, r *obs.Registry) {
 	if p.Rank() != 0 {
-		makeOccBuffer(r) // want `conditional on the process rank`
+		makeRecorder(r) // want `conditional on the process rank`
 	}
 }
 
-// Negative: the intended idiom — one unconditional per-rank buffer; the
+// Negative: the intended idiom — one unconditional per-rank recorder; the
 // rank-derived *arguments* are fine, only rank-derived control flow
 // around the call diverges the schema.
-func okOccPerRank(p pgas.Proc, r *obs.Registry) {
-	occ.NewBuffer(p.Rank(), 0, r)
+func okRecorderPerRank(p pgas.Proc, r *obs.Registry) {
+	trace.NewRecorder(p.Rank(), 0, r)
+}
+
+// Positive: adopting a series' storage word extends the schema like
+// Counter does.
+func badWordRankCond(p pgas.Proc, r *obs.Registry) {
+	if p.Rank() == 0 {
+		r.CounterWord("root_only_total", "root bookkeeping") // want `conditional on the process rank`
+	}
 }
