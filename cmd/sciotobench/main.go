@@ -30,7 +30,6 @@ import (
 
 	"scioto/cmd/internal/transportflag"
 	"scioto/internal/bench"
-	"scioto/internal/tce"
 	"scioto/internal/uts"
 )
 
@@ -81,10 +80,7 @@ func main() {
 		ran = true
 		o := bench.AppSweepOptions{}
 		if *quick {
-			o.Ps = []int{1, 2, 4, 8}
-			o.SCFAtoms = 32
-			o.SCFMaxIter = 2
-			o.TCEParams = tce.Params{NB: 12, BS: 4, Density: 0.35, Band: 1, Seed: 11}
+			o = bench.QuickAppSweep()
 		}
 		sweep := bench.RunAppSweep(o)
 		if want("fig5") {

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -126,5 +129,39 @@ func TestFig7Shape(t *testing.T) {
 	}
 	if occ8.steal.Load() == 0 {
 		t.Errorf("8-rank run recorded no steal-window occupancy")
+	}
+}
+
+var update = flag.Bool("update", false, "re-record testdata/*.golden from this run")
+
+// TestFig56QuickGolden pins the application figures in virtual time: the
+// -quick Figure 5/6 sweep must reproduce, to the nanosecond, the elapsed
+// times recorded in testdata/fig56_quick.golden. dsim is deterministic, so
+// any difference is a change to what SCF, TCE, ga, core or the cluster
+// model charge; a PR that means to move these re-records the file with
+//
+//	go test ./internal/bench -run TestFig56QuickGolden -update
+//
+// and says why in EXPERIMENTS.md.
+func TestFig56QuickGolden(t *testing.T) {
+	const golden = "testdata/fig56_quick.golden"
+	s := RunAppSweep(QuickAppSweep())
+	var b strings.Builder
+	b.WriteString("# virtual ns of `sciotobench -exp fig5 -quick`; see TestFig56QuickGolden\n")
+	for i, n := range s.Ps {
+		fmt.Fprintf(&b, "P=%d SCF=%d SCF-Original=%d TCE=%d TCE-Original=%d\n",
+			n, s.SCF[i], s.SCFOrig[i], s.TCE[i], s.TCEOrig[i])
+	}
+	if *update {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("virtual time moved (re-record with -update if it was meant to):\ngot:\n%swant:\n%s", got, want)
 	}
 }

@@ -7,12 +7,15 @@ import (
 )
 
 // Dgemm computes c = a*b collectively with the owner-computes rule: every
-// process produces the output blocks it owns, fetching the needed operand
-// blocks with one-sided gets (the GA_Dgemm usage the paper's matmul example
-// builds its task-parallel version on). Block shapes must tile compatibly:
-// a is M x K, b is K x N, c is M x N, with a.BlockCols == b.BlockRows,
-// c.BlockRows == a.BlockRows and c.BlockCols == b.BlockCols. Callers must
-// barrier before reading c.
+// process produces the output blocks it owns, reading the operand blocks
+// through Views of a and b (the GA_Dgemm usage the paper's matmul example
+// builds its task-parallel version on) — one window per output block for
+// the row of a and the column of b it has not fetched yet, so an operand
+// block reaches a process once. Block shapes must tile compatibly: a is
+// M x K, b is K x N, c is M x N, with a.BlockCols == b.BlockRows,
+// c.BlockRows == a.BlockRows and c.BlockCols == b.BlockCols. The operands
+// must not be written during the call; callers must barrier before reading
+// c.
 func Dgemm(c, a, b *Array) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("ga: Dgemm shapes %dx%d * %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
@@ -20,28 +23,24 @@ func Dgemm(c, a, b *Array) {
 	if a.BlockCols != b.BlockRows || c.BlockRows != a.BlockRows || c.BlockCols != b.BlockCols {
 		panic("ga: Dgemm block shapes incompatible")
 	}
-	me := c.p.Rank()
-	abuf := make([]float64, a.blockCap)
-	bbuf := make([]float64, b.blockCap)
+	va, vb := NewView(a), NewView(b)
 	out := make([]float64, c.blockCap)
-	for bi := 0; bi < c.nbr; bi++ {
-		for bj := 0; bj < c.nbc; bj++ {
-			if c.Owner(bi, bj) != me {
-				continue
-			}
-			cr, cc := c.BlockDims(bi, bj)
-			for i := range out[:cr*cc] {
-				out[i] = 0
-			}
-			for bk := 0; bk < a.nbc; bk++ {
-				ar, ac := a.GetBlock(bi, bk, abuf)
-				br, bc := b.GetBlock(bk, bj, bbuf)
-				if ac != br || ar != cr || bc != cc {
-					panic("ga: Dgemm inner block mismatch")
-				}
-				linalg.GemmBlock(out, abuf, bbuf, ar, ac, bc)
-			}
-			c.PutBlock(bi, bj, out)
+	c.ownedBlocks(func(bi, bj, _, _, _, _ int) {
+		for bk := 0; bk < a.nbc; bk++ {
+			va.Want(bi, bk)
+			vb.Want(bk, bj)
 		}
-	}
+		Fetch(va, vb)
+		cr, cc := c.BlockDims(bi, bj)
+		clear(out[:cr*cc])
+		for bk := 0; bk < a.nbc; bk++ {
+			ar, ac := a.BlockDims(bi, bk)
+			br, bc := b.BlockDims(bk, bj)
+			if ac != br || ar != cr || bc != cc {
+				panic("ga: Dgemm inner block mismatch")
+			}
+			linalg.GemmBlock(out, va.Block(bi, bk), vb.Block(bk, bj), ar, ac, bc)
+		}
+		c.PutBlock(bi, bj, out)
+	})
 }

@@ -7,12 +7,22 @@
 //
 // An Array is created collectively. Its element space is tiled into blocks
 // of BlockRows x BlockCols elements (edge blocks may be smaller); block
-// (bi, bj) in row-major block order is owned by process (bi*nbc+bj) mod P,
-// giving the block-cyclic layout GA programs commonly use for contraction
-// workloads. Each process stores its blocks contiguously in symmetric
-// memory, so any block is reachable with a single one-sided transfer —
-// mirroring how GA's data server locates patches via the distribution
-// function rather than a directory lookup.
+// (bi, bj), numbered seq = bi*nbc+bj in row-major block order, is owned by
+// process seq mod P and stored at offset (seq / P) * blockCap of the
+// owner's segment — the block-cyclic layout GA programs commonly use for
+// contraction workloads. Any block is therefore reachable with a single
+// one-sided transfer, located by the distribution function rather than a
+// directory lookup, as GA's data server does; and because a process's
+// blocks are one contiguous span of its segment, any run of consecutive
+// block numbers is at most P contiguous spans. Every operation that moves
+// more than one block (Gather, ScatterFrom, GetPatch, Copy, Dgemm, a
+// View's Fetch) rides that: one non-blocking transfer per span and one
+// Flush (window), instead of a blocking round trip per block.
+//
+// A View is a read-only cache of an Array's blocks for the phases of a
+// program in which the array is not written: blocks are fetched once, many
+// per window, and then read in place. The SCF density and the TCE operands
+// are read through one.
 package ga
 
 import (
@@ -31,6 +41,13 @@ type Array struct {
 	nbr, nbc int // number of block rows / cols
 	seg      pgas.Seg
 	blockCap int // elements reserved per block (nominal block size)
+
+	// Scratch, reused by every call: an Array belongs to one rank's
+	// goroutine. blk carries the single-block and element operations, mark
+	// and stage the windowed ones (see window).
+	blk   []byte
+	mark  []bool // by seq: the block takes part in the next window
+	stage []byte // every block of the array, block seq at slot(seq); allocated by the first window
 }
 
 // New collectively creates a distributed array. All processes must call it
@@ -58,6 +75,8 @@ func New(p pgas.Proc, rows, cols, blockRows, blockCols int) *Array {
 		}
 	}
 	a.seg = p.AllocData(maxLocal * a.blockCap * pgas.F64Bytes)
+	a.blk = make([]byte, a.blockCap*pgas.F64Bytes)
+	a.mark = make([]bool, a.nbr*a.nbc)
 	return a
 }
 
@@ -125,7 +144,7 @@ func (a *Array) GetBlock(bi, bj int, dst []float64) (r, c int) {
 	if len(dst) < n {
 		panic(fmt.Sprintf("ga: GetBlock dst %d < block %d", len(dst), n))
 	}
-	buf := make([]byte, n*pgas.F64Bytes)
+	buf := a.blk[:n*pgas.F64Bytes]
 	a.p.Get(buf, a.Owner(bi, bj), a.seg, a.blockOffset(bi, bj))
 	pgas.GetF64Slice(dst[:n], buf)
 	return a.BlockDims(bi, bj)
@@ -138,7 +157,7 @@ func (a *Array) PutBlock(bi, bj int, src []float64) {
 	if len(src) < n {
 		panic(fmt.Sprintf("ga: PutBlock src %d < block %d", len(src), n))
 	}
-	buf := make([]byte, n*pgas.F64Bytes)
+	buf := a.blk[:n*pgas.F64Bytes]
 	pgas.PutF64Slice(buf, src[:n])
 	a.p.Put(a.Owner(bi, bj), a.seg, a.blockOffset(bi, bj), buf)
 }
@@ -181,7 +200,7 @@ func (a *Array) Get(i, j int) float64 {
 	bi, bj := i/a.BlockRows, j/a.BlockCols
 	_, c := a.BlockDims(bi, bj)
 	li, lj := i%a.BlockRows, j%a.BlockCols
-	buf := make([]byte, pgas.F64Bytes)
+	buf := a.blk[:pgas.F64Bytes]
 	a.p.Get(buf, a.Owner(bi, bj), a.seg, a.blockOffset(bi, bj)+(li*c+lj)*pgas.F64Bytes)
 	return pgas.GetF64(buf)
 }
@@ -191,44 +210,36 @@ func (a *Array) Set(i, j int, v float64) {
 	bi, bj := i/a.BlockRows, j/a.BlockCols
 	_, c := a.BlockDims(bi, bj)
 	li, lj := i%a.BlockRows, j%a.BlockCols
-	buf := make([]byte, pgas.F64Bytes)
+	buf := a.blk[:pgas.F64Bytes]
 	pgas.PutF64(buf, v)
 	a.p.Put(a.Owner(bi, bj), a.seg, a.blockOffset(bi, bj)+(li*c+lj)*pgas.F64Bytes, buf)
 }
 
 // Gather assembles the full array on the calling process (verification and
-// small-matrix math, e.g. the SCF eigensolve). Row-major rows x cols.
+// small-matrix math, e.g. the SCF eigensolve) in one window. Row-major
+// rows x cols.
 func (a *Array) Gather() []float64 {
 	out := make([]float64, a.Rows*a.Cols)
-	blk := make([]float64, a.blockCap)
-	for bi := 0; bi < a.nbr; bi++ {
-		for bj := 0; bj < a.nbc; bj++ {
-			r, c := a.GetBlock(bi, bj, blk)
-			for x := 0; x < r; x++ {
-				row := bi*a.BlockRows + x
-				copy(out[row*a.Cols+bj*a.BlockCols:row*a.Cols+bj*a.BlockCols+c], blk[x*c:(x+1)*c])
-			}
-		}
-	}
+	a.GetPatch(0, a.Rows, 0, a.Cols, out)
 	return out
 }
 
 // ScatterFrom distributes a full row-major matrix from the calling process
-// into the array (inverse of Gather; typically rank 0 after a collective
-// decision, followed by a barrier).
+// into the array in one window (inverse of Gather; typically rank 0 after
+// a collective decision, followed by a barrier).
 func (a *Array) ScatterFrom(m []float64) {
 	if len(m) != a.Rows*a.Cols {
 		panic(fmt.Sprintf("ga: ScatterFrom size %d, want %d", len(m), a.Rows*a.Cols))
 	}
-	blk := make([]float64, a.blockCap)
 	for bi := 0; bi < a.nbr; bi++ {
 		for bj := 0; bj < a.nbc; bj++ {
+			blk := a.want(a.blockSeq(bi, bj))
 			r, c := a.BlockDims(bi, bj)
 			for x := 0; x < r; x++ {
-				row := bi*a.BlockRows + x
-				copy(blk[x*c:(x+1)*c], m[row*a.Cols+bj*a.BlockCols:row*a.Cols+bj*a.BlockCols+c])
+				at := (bi*a.BlockRows+x)*a.Cols + bj*a.BlockCols
+				pgas.PutF64Slice(blk[x*c*pgas.F64Bytes:], m[at:at+c])
 			}
-			a.PutBlock(bi, bj, blk)
 		}
 	}
+	window(true, a)
 }

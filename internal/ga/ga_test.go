@@ -32,15 +32,8 @@ func forBothTransports(t *testing.T, n int, body func(p pgas.Proc)) {
 // TestScatterGatherRoundTrip: distributing a matrix and reassembling it is
 // the identity, for awkward shapes that exercise partial edge blocks.
 func TestScatterGatherRoundTrip(t *testing.T) {
-	shapes := []struct{ rows, cols, br, bc int }{
-		{8, 8, 4, 4},
-		{10, 7, 3, 2}, // partial edge blocks both ways
-		{5, 5, 8, 8},  // single partial block
-		{1, 9, 1, 4},
-		{16, 16, 16, 16}, // one block
-	}
 	forBothTransports(t, 3, func(p pgas.Proc) {
-		for _, s := range shapes {
+		for _, s := range awkwardShapes {
 			a := ga.New(p, s.rows, s.cols, s.br, s.bc)
 			if p.Rank() == 0 {
 				m := make([]float64, s.rows*s.cols)

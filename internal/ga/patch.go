@@ -2,13 +2,18 @@ package ga
 
 import (
 	"fmt"
+
+	"scioto/internal/pgas"
 )
 
 // Arbitrary rectangular patch access in the style of NGA_Get / NGA_Put /
 // NGA_Acc: the requested region [ilo, ihi) x [jlo, jhi) may span any set of
-// blocks and any set of owners; the implementation decomposes it into
-// per-block transfers (each a single one-sided operation, plus per-row
-// packing when the patch covers a block only partially).
+// blocks and any set of owners. GetPatch (and Gather and Copy, which are
+// built on it) fetches the blocks the patch intersects in one window and
+// unpacks the covered rows. PutPatch and AccPatch go block by block, each a
+// single blocking one-sided operation: an accumulate has no non-blocking
+// form, a partial-block put must read the block before it writes it, and
+// nothing on a measured path calls either.
 
 // checkPatch validates patch bounds.
 func (a *Array) checkPatch(ilo, ihi, jlo, jhi int) {
@@ -41,20 +46,34 @@ func (a *Array) patchBlocks(ilo, ihi, jlo, jhi int, fn func(bi, bj, rLo, rHi, cL
 }
 
 // GetPatch fetches the rectangular patch [ilo, ihi) x [jlo, jhi) into dst
-// (row-major, (ihi-ilo) x (jhi-jlo)).
+// (row-major, (ihi-ilo) x (jhi-jlo)) in one window.
 func (a *Array) GetPatch(ilo, ihi, jlo, jhi int, dst []float64) {
 	a.checkPatch(ilo, ihi, jlo, jhi)
-	cols := jhi - jlo
-	if len(dst) < (ihi-ilo)*cols {
+	if len(dst) < (ihi-ilo)*(jhi-jlo) {
 		panic("ga: GetPatch dst too short")
 	}
-	blk := make([]float64, a.blockCap)
+	a.wantPatch(ilo, ihi, jlo, jhi)
+	window(false, a)
+	a.unpackPatch(ilo, ihi, jlo, jhi, dst)
+}
+
+// wantPatch marks the blocks the patch intersects for the next window.
+func (a *Array) wantPatch(ilo, ihi, jlo, jhi int) {
+	a.patchBlocks(ilo, ihi, jlo, jhi, func(bi, bj, _, _, _, _ int) {
+		a.want(a.blockSeq(bi, bj))
+	})
+}
+
+// unpackPatch decodes the patch into dst from the staged copies of the
+// blocks it intersects, which a get window has filled.
+func (a *Array) unpackPatch(ilo, ihi, jlo, jhi int, dst []float64) {
+	cols := jhi - jlo
 	a.patchBlocks(ilo, ihi, jlo, jhi, func(bi, bj, rLo, rHi, cLo, cHi int) {
-		_, bc := a.GetBlock(bi, bj, blk)
+		_, bc := a.BlockDims(bi, bj)
+		blk := a.staged(a.blockSeq(bi, bj))
 		for r := rLo; r < rHi; r++ {
-			lr := r - bi*a.BlockRows
-			src := blk[lr*bc+(cLo-bj*a.BlockCols) : lr*bc+(cHi-bj*a.BlockCols)]
-			copy(dst[(r-ilo)*cols+(cLo-jlo):], src)
+			at := (r-bi*a.BlockRows)*bc + cLo - bj*a.BlockCols
+			pgas.GetF64Slice(dst[(r-ilo)*cols+cLo-jlo:][:cHi-cLo], blk[at*pgas.F64Bytes:])
 		}
 	})
 }
@@ -112,38 +131,34 @@ func (a *Array) AccPatch(ilo, ihi, jlo, jhi int, src []float64) {
 }
 
 // Copy copies src into dst (same shape required; block layouts may
-// differ). Collective when all processes call it; each process copies the
-// block rows it owns in dst.
+// differ). Collective when all processes call it; each process fetches, in
+// one window, the blocks of src that cover the blocks it owns in dst.
 func Copy(dst, src *Array) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic(fmt.Sprintf("ga: Copy shape mismatch %dx%d vs %dx%d", dst.Rows, dst.Cols, src.Rows, src.Cols))
 	}
-	me := dst.p.Rank()
+	dst.ownedBlocks(func(bi, bj, iLo, iHi, jLo, jHi int) {
+		src.wantPatch(iLo, iHi, jLo, jHi)
+	})
+	window(false, src)
 	buf := make([]float64, dst.blockCap)
-	for bi := 0; bi < dst.nbr; bi++ {
-		for bj := 0; bj < dst.nbc; bj++ {
-			if dst.Owner(bi, bj) != me {
+	dst.ownedBlocks(func(bi, bj, iLo, iHi, jLo, jHi int) {
+		src.unpackPatch(iLo, iHi, jLo, jHi, buf)
+		dst.PutBlock(bi, bj, buf)
+	})
+}
+
+// ownedBlocks invokes fn for every block the calling process owns, with the
+// block's element range.
+func (a *Array) ownedBlocks(fn func(bi, bj, iLo, iHi, jLo, jHi int)) {
+	me := a.p.Rank()
+	for bi := 0; bi < a.nbr; bi++ {
+		for bj := 0; bj < a.nbc; bj++ {
+			if a.Owner(bi, bj) != me {
 				continue
 			}
-			iLo := bi * dst.BlockRows
-			jLo := bj * dst.BlockCols
-			r, c := dst.BlockDims(bi, bj)
-			src.GetPatch(iLo, iLo+r, jLo, jLo+c, buf)
-			dst.PutBlock(bi, bj, buf)
+			r, c := a.BlockDims(bi, bj)
+			fn(bi, bj, bi*a.BlockRows, bi*a.BlockRows+r, bj*a.BlockCols, bj*a.BlockCols+c)
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

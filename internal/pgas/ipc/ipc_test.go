@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"scioto/internal/apptest"
 	"scioto/internal/core"
 	"scioto/internal/obs"
 	"scioto/internal/pgas"
@@ -89,6 +90,17 @@ func TestUTSGeometricMatchesSequential(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSCFAndTCEMatchReferences runs the Global Arrays applications across 3
+// rank processes: over ipc a window's non-blocking transfers land in another process's memory,
+// which no in-process transport exercises. See apptest.RunApplications for
+// what is run and what it is held to.
+func TestSCFAndTCEMatchReferences(t *testing.T) {
+	if testing.Short() {
+		t.Skip("SCF and TCE runs over ipc; skipped in -short")
+	}
+	apptest.RunApplications(t, ipc.NewWorld(ipc.Config{NProcs: 3, Seed: 4}))
 }
 
 // TestCapabilitiesThroughWrappers: what pgas.Find reaches through

@@ -220,8 +220,9 @@ type Proc interface {
 	// Put copies src into data segment seg on process proc at offset off.
 	Put(proc int, seg Seg, off int, src []byte)
 	// AccF64 atomically adds vals element-wise into the float64 values
-	// stored (in native encoding, see Float64Slice) at byte offset off of
-	// data segment seg on process proc. The accumulate is atomic with
+	// stored (little-endian IEEE-754, as codec.go's PutF64Slice and
+	// GetF64Slice lay them out) at byte offset off of data segment seg on
+	// process proc. The accumulate is atomic with
 	// respect to other AccF64 calls targeting the same process, mirroring
 	// ARMCI_Acc.
 	AccF64(proc int, seg Seg, off int, vals []float64)

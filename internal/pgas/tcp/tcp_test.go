@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"scioto/internal/apptest"
 	"scioto/internal/core"
 	"scioto/internal/obs"
 	"scioto/internal/pgas"
@@ -90,6 +91,17 @@ func TestUTSGeometricMatchesSequential(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSCFAndTCEMatchReferences runs the Global Arrays applications across 3
+// rank processes: over tcp a window's non-blocking transfers really pend until its Flush,
+// which no in-process transport exercises. See apptest.RunApplications for
+// what is run and what it is held to.
+func TestSCFAndTCEMatchReferences(t *testing.T) {
+	if testing.Short() {
+		t.Skip("SCF and TCE runs over tcp; skipped in -short")
+	}
+	apptest.RunApplications(t, tcp.NewWorld(tcp.Config{NProcs: 3, Seed: 4}))
 }
 
 // TestCapabilitiesThroughWrappers: what pgas.Find reaches through

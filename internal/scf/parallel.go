@@ -84,6 +84,10 @@ func Run(p pgas.Proc, cfg RunConfig) (Result, error) {
 
 	dGA := ga.New(p, sys.N, sys.N, bs, bs)
 	gGA := ga.New(p, sys.N, sys.N, bs, bs)
+	fock := &fockBuilder{
+		p: p, sys: sys, d: ga.NewView(dGA), g: gGA,
+		out: make([]float64, bs*bs), perIntegral: cfg.PerIntegral,
+	}
 
 	var res Result
 	start := p.Now()
@@ -105,8 +109,7 @@ func Run(p pgas.Proc, cfg RunConfig) (Result, error) {
 		handle = tc.Register(func(tc *core.TC, t *core.Task) {
 			bi := int(pgas.GetI32(t.Body()))
 			bj := int(pgas.GetI32(t.Body()[4:]))
-			n := runFockBlock(tc.Proc(), sys, dGA, gGA, bi, bj, cfg.PerIntegral)
-			tc.Proc().FetchAdd64(0, buildSeg, 0, n)
+			fock.block(bi, bj)
 		})
 	}
 	var counter *ga.Counter
@@ -119,7 +122,10 @@ func Run(p pgas.Proc, cfg RunConfig) (Result, error) {
 	// broadcasts of the post-processing results.
 	loop := sys.newLoop(opts)
 	for it := 0; it < opts.maxIter; it++ {
-		// Publish the density and clear the Fock accumulator.
+		// Publish the density and clear the Fock accumulator. The barrier
+		// below opens the build, during which nobody writes D: the ranks
+		// read it through a cache that lives exactly that long.
+		fock.d.Invalidate()
 		if p.Rank() == 0 {
 			dGA.ScatterFrom(loop.density().Data)
 			p.Store64(0, buildSeg, 0, 0)
@@ -140,8 +146,7 @@ func Run(p pgas.Proc, cfg RunConfig) (Result, error) {
 				if idx >= total {
 					break
 				}
-				n := runFockBlock(p, sys, dGA, gGA, idx/sys.NB, idx%sys.NB, cfg.PerIntegral)
-				p.FetchAdd64(0, buildSeg, 0, n)
+				fock.block(idx/sys.NB, idx%sys.NB)
 			}
 		case MethodScioto:
 			task := core.NewTask(handle, fockTaskBody)
@@ -162,6 +167,10 @@ func Run(p pgas.Proc, cfg RunConfig) (Result, error) {
 		default:
 			return res, fmt.Errorf("scf: unknown method %d", cfg.Method)
 		}
+		// One remote atomic per rank per build: whichever rank executed a
+		// task tallied its integrals, so the sum is exact under stealing.
+		p.FetchAdd64(0, buildSeg, 0, fock.integrals)
+		fock.integrals = 0
 		p.Barrier()
 		res.FockTime += p.Now() - t0
 		res.SCF.Integrals += p.Load64(0, buildSeg, 0)
@@ -187,26 +196,36 @@ func Run(p pgas.Proc, cfg RunConfig) (Result, error) {
 	return res, nil
 }
 
-// runFockBlock computes Fock block (bi, bj), fetching density blocks from
-// the Global Array on demand and accumulating the result into the G array.
-// It returns the number of integrals evaluated and charges the modeled
-// integral cost.
-func runFockBlock(p pgas.Proc, sys *System, dGA, gGA *ga.Array, bi, bj int, perIntegral time.Duration) int64 {
-	bs := sys.Cfg.BlockSize
-	cache := make(map[[2]int][]float64)
-	getD := func(bk, bl int) []float64 {
-		key := [2]int{bk, bl}
-		if blk, ok := cache[key]; ok {
-			return blk
+// fockBuilder is one rank's state across the Fock builds of a run, shared
+// by both load-balancing methods: the cached view of the density, the
+// output scratch, and the tally of integrals this rank has evaluated in
+// the current build.
+type fockBuilder struct {
+	p           pgas.Proc
+	sys         *System
+	d           *ga.View  // density; valid for one build
+	g           *ga.Array // Fock accumulator
+	out         []float64
+	perIntegral time.Duration
+	integrals   int64
+}
+
+// block computes Fock block (bi, bj) and accumulates it into the G array,
+// charging the modeled integral cost. The density blocks that survive
+// screening, less those an earlier task of this build already brought in,
+// arrive in one window; FockBlock then reads them in place.
+func (b *fockBuilder) block(bi, bj int) {
+	sys := b.sys
+	for bk := 0; bk < sys.NB; bk++ {
+		for bl := 0; bl < sys.NB; bl++ {
+			if j, k := sys.needs(bi, bj, bk, bl); j || k {
+				b.d.Want(bk, bl)
+			}
 		}
-		blk := make([]float64, bs*bs)
-		dGA.GetBlock(bk, bl, blk)
-		cache[key] = blk
-		return blk
 	}
-	out := make([]float64, bs*bs)
-	n := sys.FockBlock(bi, bj, out, getD)
-	p.Compute(time.Duration(n) * perIntegral)
-	gGA.AccBlock(bi, bj, out)
-	return n
+	ga.Fetch(b.d)
+	n := sys.FockBlock(bi, bj, b.out, b.d.Block)
+	b.p.Compute(time.Duration(n) * b.perIntegral)
+	b.g.AccBlock(bi, bj, b.out)
+	b.integrals += n
 }

@@ -1,9 +1,12 @@
 package scf_test
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
+	"scioto/internal/apptest"
 	"scioto/internal/core"
 	"scioto/internal/linalg"
 	"scioto/internal/pgas"
@@ -194,5 +197,70 @@ func TestMethodsBothCompleteAtP8(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
+	}
+}
+
+// TestFockBuildFetchesEachDensityBlockOnce is the host-independent form of
+// the benchmark's pgas.get_n and pgas.ops_per_task rows. In a two-iteration
+// run on four ranks, with either load-balancing method, a rank fetches a
+// density block at most once per Fock build (all of a build's reads fall
+// between two barriers), it does fetch again in the second build, whose
+// density is new, and it completes at most one fetch window per task.
+func TestFockBuildFetchesEachDensityBlockOnce(t *testing.T) {
+	const n, iters = 4, 2
+	sys := scf.SystemConfig{NAtoms: 24, BlockSize: 4, Seed: 7}
+	const nblocks, blockBytes = 6 * 6, 4 * 4 * pgas.F64Bytes
+	for _, method := range []scf.Method{scf.MethodCounter, scf.MethodScioto} {
+		var mu sync.Mutex
+		windows, fetched := 0, 0
+		err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 5}).Run(func(bare pgas.Proc) {
+			p := &apptest.OpLog{Proc: bare}
+			res, err := scf.Run(p, scf.RunConfig{Sys: sys, Method: method, MaxIter: iters, ConvTol: 1e-13, TC: core.Config{ChunkSize: 2}})
+			if err != nil {
+				panic(err)
+			}
+			dSeg := p.DataSegs[0] // Run allocates the density array first
+			myWindows, myFetched, builds := 0, 0, 0
+			start, pending := 0, false
+			for i, op := range p.Ops {
+				switch {
+				case op.Name == "NbGet" && op.Seg == dSeg:
+					pending = true
+				case op.Name == "Flush" && pending:
+					myWindows++
+					pending = false
+				case op.Name == "Barrier":
+					total := 0
+					for seq, k := range apptest.BlockFetches(p.Ops[start:i], dSeg, blockBytes, n, nblocks) {
+						if k > 1 {
+							panic(fmt.Sprintf("rank %d fetched density block %d %d times between two barriers", p.Rank(), seq, k))
+						}
+						total += k
+					}
+					if total > 0 {
+						builds++
+					}
+					myFetched += total
+					start = i
+				}
+			}
+			if builds != iters {
+				panic(fmt.Sprintf("rank %d fetched density blocks in %d builds, want %d", p.Rank(), builds, iters))
+			}
+			if method == scf.MethodScioto && int64(myWindows) > res.TaskStats.TasksExecuted {
+				panic(fmt.Sprintf("rank %d completed %d fetch windows for %d tasks", p.Rank(), myWindows, res.TaskStats.TasksExecuted))
+			}
+			mu.Lock()
+			windows += myWindows
+			fetched += myFetched
+			mu.Unlock()
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", method, err)
+		}
+		if windows > iters*nblocks {
+			t.Errorf("%v: %d fetch windows for %d tasks", method, windows, iters*nblocks)
+		}
+		t.Logf("%v: %d density blocks fetched in %d windows by %d ranks over %d builds of %d tasks", method, fetched, windows, n, iters, nblocks)
 	}
 }

@@ -209,6 +209,17 @@ func (sys *System) blockRange(b int) (lo, hi int) {
 	return lo, hi
 }
 
+// needs is the block-level Schwarz screen: whether any Coulomb integral
+// (ij|kl), and whether any exchange integral (ik|jl), with ij in block
+// (bi, bj) and kl in block (bk, bl) can exceed the screening threshold.
+// Density block (bk, bl) contributes to Fock block (bi, bj) — and a parallel
+// builder has to fetch it — exactly when either does.
+func (sys *System) needs(bi, bj, bk, bl int) (coulomb, exchange bool) {
+	tol := sys.Cfg.ScreenTol
+	return sys.SmaxBlk.At(bi, bj)*sys.SmaxBlk.At(bk, bl) > tol,
+		sys.SmaxBlk.At(bi, bk)*sys.SmaxBlk.At(bj, bl) > tol
+}
+
 // FockBlock computes the contribution of all (significant) integrals to
 // Fock block (bi, bj) for density d (full, replicated or fetched), writing
 // into out (row-major block) and returning the number of integrals
@@ -226,8 +237,7 @@ func (sys *System) FockBlock(bi, bj int, out []float64, getD func(bk, bl int) []
 	var count int64
 	for bk := 0; bk < sys.NB; bk++ {
 		for bl := 0; bl < sys.NB; bl++ {
-			needJ := sys.SmaxBlk.At(bi, bj)*sys.SmaxBlk.At(bk, bl) > tol
-			needK := sys.SmaxBlk.At(bi, bk)*sys.SmaxBlk.At(bj, bl) > tol
+			needJ, needK := sys.needs(bi, bj, bk, bl)
 			if !needJ && !needK {
 				continue
 			}

@@ -120,19 +120,24 @@ type Contraction struct {
 	pat *Pattern
 
 	A, B, C *ga.Array
+
+	// The operands are immutable once New returns, so every process reads
+	// them through caches that are never invalidated.
+	va, vb *ga.View
+	out    []float64 // output-block scratch
 }
 
 // New collectively allocates and fills the operands. Present blocks get
 // deterministic synthetic data; absent blocks are zero.
 func New(p pgas.Proc, prm Params) *Contraction {
 	prm = prm.withDefaults()
-	c := &Contraction{p: p, prm: prm, pat: NewPattern(prm)}
+	c := &Contraction{p: p, prm: prm, pat: NewPattern(prm), out: make([]float64, prm.BS*prm.BS)}
 	dim := prm.NB * prm.BS
 	c.A = ga.New(p, dim, dim, prm.BS, prm.BS)
 	c.B = ga.New(p, dim, dim, prm.BS, prm.BS)
 	c.C = ga.New(p, dim, dim, prm.BS, prm.BS)
 	// Each process fills the operand blocks it owns.
-	blk := make([]float64, prm.BS*prm.BS)
+	blk := c.out
 	fill := func(arr *ga.Array, pat []bool, which byte) {
 		for bi := 0; bi < prm.NB; bi++ {
 			for bj := 0; bj < prm.NB; bj++ {
@@ -155,6 +160,7 @@ func New(p pgas.Proc, prm Params) *Contraction {
 	fill(c.A, c.pat.A, 'A')
 	fill(c.B, c.pat.B, 'B')
 	p.Barrier()
+	c.va, c.vb = ga.NewView(c.A), ga.NewView(c.B)
 	return c
 }
 
@@ -184,31 +190,36 @@ type Result struct {
 	TaskStats core.Stats
 }
 
-// computeBlock produces output block (bi, bj): fetch the surviving operand
-// block pairs, multiply-accumulate locally, and accumulate the result into
-// C with one atomic GA accumulate. perMAC is the modeled cost of one block
-// multiply (the real dgemm the synthetic data stands in for).
-func (c *Contraction) computeBlock(bi, bj int, perMAC time.Duration) int64 {
+// computeBlock adds to output block (bi, bj) the contributions of the
+// inner blocks [bkLo, bkHi): the surviving operand block pairs that are not
+// cached yet arrive in one window, the multiply-accumulates read them in
+// place, and the result goes into C with one atomic GA accumulate. perMAC
+// is the modeled cost of one block multiply (the real dgemm the synthetic
+// data stands in for). It returns the number of block multiplies.
+func (c *Contraction) computeBlock(bi, bj, bkLo, bkHi int, perMAC time.Duration) int64 {
 	bs := c.prm.BS
-	out := make([]float64, bs*bs)
-	abuf := make([]float64, bs*bs)
-	bbuf := make([]float64, bs*bs)
 	var macs int64
-	for bk := 0; bk < c.prm.NB; bk++ {
-		if !c.pat.HasA(bi, bk) || !c.pat.HasB(bk, bj) {
-			continue
+	for bk := bkLo; bk < bkHi; bk++ {
+		if c.pat.HasA(bi, bk) && c.pat.HasB(bk, bj) {
+			c.va.Want(bi, bk)
+			c.vb.Want(bk, bj)
+			macs++
 		}
-		c.A.GetBlock(bi, bk, abuf)
-		c.B.GetBlock(bk, bj, bbuf)
-		linalg.GemmBlock(out, abuf, bbuf, bs, bs, bs)
-		macs++
 	}
-	if perMAC > 0 && macs > 0 {
+	if macs == 0 {
+		return 0
+	}
+	ga.Fetch(c.va, c.vb)
+	clear(c.out)
+	for bk := bkLo; bk < bkHi; bk++ {
+		if c.pat.HasA(bi, bk) && c.pat.HasB(bk, bj) {
+			linalg.GemmBlock(c.out, c.va.Block(bi, bk), c.vb.Block(bk, bj), bs, bs, bs)
+		}
+	}
+	if perMAC > 0 {
 		c.p.Compute(time.Duration(macs) * perMAC)
 	}
-	if macs > 0 {
-		c.C.AccBlock(bi, bj, out)
-	}
+	c.C.AccBlock(bi, bj, c.out)
 	return macs
 }
 
@@ -230,33 +241,15 @@ func (c *Contraction) RunCounter(counter *ga.Counter, perMAC time.Duration) Resu
 	var res Result
 	nb := int64(c.prm.NB)
 	total := nb * nb * nb
-	bs := c.prm.BS
-	out := make([]float64, bs*bs)
-	abuf := make([]float64, bs*bs)
-	bbuf := make([]float64, bs*bs)
 	for {
 		idx := counter.Next()
 		if idx >= total {
 			break
 		}
-		bi := int(idx / (nb * nb))
-		bj := int(idx / nb % nb)
 		bk := int(idx % nb)
-		if !c.pat.HasA(bi, bk) || !c.pat.HasB(bk, bj) {
-			continue
-		}
-		c.A.GetBlock(bi, bk, abuf)
-		c.B.GetBlock(bk, bj, bbuf)
-		for i := range out {
-			out[i] = 0
-		}
-		linalg.GemmBlock(out, abuf, bbuf, bs, bs, bs)
-		if perMAC > 0 {
-			p.Compute(perMAC)
-		}
-		c.C.AccBlock(bi, bj, out)
-		res.MACs++
-		res.BlocksComputed++
+		n := c.computeBlock(int(idx/(nb*nb)), int(idx/nb%nb), bk, bk+1, perMAC)
+		res.MACs += n
+		res.BlocksComputed += n
 	}
 	p.Barrier()
 	res.Elapsed = p.Now() - t0
@@ -306,7 +299,7 @@ func (c *Contraction) NewSciotoTC(rt *core.Runtime, cfg core.Config, perMAC time
 	h := tc.Register(func(tc *core.TC, t *core.Task) {
 		bi := int(pgas.GetI32(t.Body()))
 		bj := int(pgas.GetI32(t.Body()[4:]))
-		*macs += c.computeBlock(bi, bj, perMAC)
+		*macs += c.computeBlock(bi, bj, 0, c.prm.NB, perMAC)
 		*blocks++
 	})
 	return tc, h

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"scioto/internal/apptest"
 	"scioto/internal/core"
 	"scioto/internal/ga"
 	"scioto/internal/pgas"
@@ -198,5 +199,45 @@ func TestWorkAccounting(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOperandBlocksFetchedOnce is the host-independent form of the
+// benchmark's pgas.get_n row for this application: with either
+// load-balancing method, on four ranks, an operand block reaches a rank at
+// most once however many tasks there read it, and no absent block is
+// fetched at all.
+func TestOperandBlocksFetchedOnce(t *testing.T) {
+	const n = 4
+	pat := tce.NewPattern(testParams)
+	for _, scioto := range []bool{false, true} {
+		err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 31}).Run(func(bare pgas.Proc) {
+			p := &apptest.OpLog{Proc: bare}
+			c := tce.New(p, testParams)
+			c.ResetC()
+			p.Ops = p.Ops[:0]
+			if scioto {
+				var blocks, macs int64
+				tc, h := c.NewSciotoTC(core.Attach(p), core.Config{ChunkSize: 2}, time.Microsecond, &blocks, &macs)
+				c.RunScioto(tc, h, time.Microsecond)
+			} else {
+				c.RunCounter(ga.NewCounter(p, 0), time.Microsecond)
+			}
+			blockBytes := testParams.BS * testParams.BS * pgas.F64Bytes
+			for i, present := range [][]bool{pat.A, pat.B} { // New allocates A, then B
+				for seq, k := range apptest.BlockFetches(p.Ops, p.DataSegs[i], blockBytes, n, len(present)) {
+					if k > 1 || (k == 1 && !present[seq]) {
+						panic(fmt.Sprintf("rank %d fetched block %d of operand %d %d times (present: %v)", p.Rank(), seq, i, k, present[seq]))
+					}
+				}
+			}
+			p.Barrier()
+			if err := c.VerifyDense(); err != nil {
+				panic(err)
+			}
+		})
+		if err != nil {
+			t.Fatalf("scioto=%v: %v", scioto, err)
+		}
 	}
 }
