@@ -51,14 +51,15 @@ chaos:
 chaos-recovery:
 	bash scripts/chaos_recovery.sh
 
-# One iteration of the Table 1 benchmarks (shm and simulated cluster) and
-# of the Figure 5/6 SCF and TCE benchmarks (both load-balancing methods on
-# the cluster model). This is a smoke test, not a measurement: it proves
-# the benchmark harness still builds and runs, so a refactor cannot
-# silently rot the perf tooling between full EXPERIMENTS.md regenerations.
-# CI runs the same target.
+# One iteration of the Table 1 benchmarks (shm and simulated cluster), of
+# the Figure 5/6 SCF and TCE benchmarks (both load-balancing methods on
+# the cluster model) and of internal/core's two path benchmarks (owner
+# path: Add + pop + execute; remote steal). This is a smoke test, not a
+# measurement: it proves the benchmark harness still builds and runs, so a
+# refactor cannot silently rot the perf tooling between full
+# EXPERIMENTS.md regenerations. CI runs the same target.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Table1|Fig5|Fig6' -benchtime=1x . ./internal/bench/
+	$(GO) test -run=NONE -bench='Table1|Fig5|Fig6|OwnerPath|RemoteSteal' -benchtime=1x . ./internal/bench/ ./internal/core/
 
 # Perf regression gates over the checked-in artifacts: the dsim
 # attribution report vs BENCH_attrib.json (virtual time: exact equality,

@@ -82,13 +82,12 @@ func coloringRun(n int, tree uts.Params, disable bool) (elapsed time.Duration, g
 		}
 		tc := core.NewTC(rt, tcCfg)
 		statsH := rt.RegisterCLO(&uts.Stats{})
-		var h core.Handle
-		h = tc.Register(func(tc *core.TC, t *core.Task) {
+		child := core.NewTask(0, uts.NodeBytes) // one per rank: Add copies in
+		h := tc.Register(func(tc *core.TC, t *core.Task) {
 			node := uts.DecodeNode(t.Body())
 			s := tc.Runtime().CLO(statsH).(*uts.Stats)
 			c := s.Visit(tree, node)
 			tc.Proc().Compute(OpteronNodeCost)
-			child := core.NewTask(h, uts.NodeBytes)
 			for i := 0; i < c; i++ {
 				cn := uts.Child(node, i)
 				cn.Encode(child.Body())
@@ -97,6 +96,7 @@ func coloringRun(n int, tree uts.Params, disable bool) (elapsed time.Duration, g
 				}
 			}
 		})
+		child.SetHandle(h)
 		p.Barrier()
 		t0 := p.Now()
 		if p.Rank() == 0 {

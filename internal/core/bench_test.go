@@ -1,12 +1,96 @@
 package core
 
 import (
+	"fmt"
 	"runtime/debug"
 	"testing"
 
 	"scioto/internal/pgas"
 	"scioto/internal/pgas/shm"
+	"scioto/internal/trace"
 )
+
+// ownerCycle is one steady-state trip down the owner path: a local add,
+// the pop that brings the task back, and its execution.
+func ownerCycle(tc *TC, task *Task) {
+	if err := tc.Add(tc.rt.Rank(), AffinityHigh, task); err != nil {
+		panic(err)
+	}
+	t, ok := tc.popLocal()
+	if !ok {
+		panic("core: the task just added is not there to pop")
+	}
+	tc.execute(t)
+}
+
+// BenchmarkOwnerPath times what the runtime adds to a task that never
+// leaves its rank — Add, pop, execute of an empty callback — on shm with
+// one rank, for both queue disciplines. The steady state allocates
+// nothing (TestOwnerPathZeroAllocs is the hard assertion).
+func BenchmarkOwnerPath(b *testing.B) {
+	for _, mode := range []QueueMode{ModeSplit, ModeLocked} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			if err := shm.NewWorld(shm.Config{NProcs: 1, Seed: 5}).Run(func(p pgas.Proc) {
+				tc := NewTC(Attach(p), Config{MaxBodySize: 24, QueueMode: mode})
+				task := NewTask(tc.Register(func(*TC, *Task) {}), 24)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ownerCycle(tc, task)
+				}
+			}); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestOwnerPathZeroAllocs is the allocation gate on the owner path: a
+// steady-state Add, pop and execute allocates nothing in either queue
+// mode, with observability off and with an observer recording into a
+// retaining recorder, and neither does taking in a stolen batch.
+func TestOwnerPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the gate runs in normal builds")
+	}
+	const chunk = 4
+	for _, mode := range []QueueMode{ModeSplit, ModeLocked} {
+		for _, observed := range []bool{false, true} {
+			name := fmt.Sprintf("%v/observed=%v", mode, observed)
+			if err := shm.NewWorld(shm.Config{NProcs: 1, Seed: 6}).Run(func(p pgas.Proc) {
+				rt := Attach(p)
+				if observed {
+					rt.SetObserver(NewObserver(p, nil, trace.NewRecorder(0, 1<<10, nil)))
+				}
+				tc := NewTC(rt, Config{MaxBodySize: 24, QueueMode: mode})
+				ran := 0
+				task := NewTask(tc.Register(func(*TC, *Task) { ran++ }), 24)
+				if a := testing.AllocsPerRun(200, func() { ownerCycle(tc, task) }); a != 0 {
+					panic(fmt.Sprintf("Add + pop + execute allocates %.2f objects per task, want 0", a))
+				}
+				// A stolen batch: chunk slot images (the task fills a slot)
+				// pushed straight onto the queue, then popped and run.
+				slots := make([][]byte, chunk)
+				for i := range slots {
+					slots[i] = append([]byte(nil), task.wire()...)
+				}
+				ran = 0
+				a := testing.AllocsPerRun(50, func() {
+					tc.enqueueStolen(slots)
+					for range slots {
+						t, _ := tc.popLocal()
+						tc.execute(t)
+					}
+				})
+				if a != 0 || ran != 51*chunk {
+					panic(fmt.Sprintf("a stolen batch of %d allocates %.2f objects (%d executions), want 0 (%d)", chunk, a, ran, 51*chunk))
+				}
+			}); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+	}
+}
 
 // BenchmarkRemoteSteal times the pipelined steal path end to end on the
 // shm transport: rank 1 keeps its queue topped up while rank 0 performs

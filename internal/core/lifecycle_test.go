@@ -134,3 +134,60 @@ func TestExecHookFiresOnInlineExec(t *testing.T) {
 		}
 	})
 }
+
+// TestDescriptorSurvivesNestedInlineExecs: the descriptor a callback
+// receives is the runtime's reusable one, valid until the callback and the
+// exec hook return — also when the callback adds past the queue's capacity
+// and its children (and theirs) run inline inside it. Every task arrives
+// with its own body, finds it intact after the nested executions return,
+// and the hook sees each task's own scribbled result.
+func TestDescriptorSurvivesNestedInlineExecs(t *testing.T) {
+	const fanout = 8
+	const total = 1 + fanout + fanout*fanout
+	forBothTransports(t, 1, func(tr pgas.Transport, p pgas.Proc) {
+		tc := core.NewTC(core.Attach(p), core.Config{MaxBodySize: 8, MaxTasks: 4})
+		hooked, depth, deepest := 0, 0, 0
+		tc.SetExecHook(func(tc *core.TC, t *core.Task, _ time.Duration) {
+			if got := pgas.GetU64(t.Body()); got != t.ID()+1000 {
+				panic(fmt.Sprintf("hook saw body %d for task %d", got, t.ID()))
+			}
+			hooked++
+		})
+		var h core.Handle
+		h = tc.Register(func(tc *core.TC, t *core.Task) {
+			id := t.ID()
+			if got := pgas.GetU64(t.Body()); got != id {
+				panic(fmt.Sprintf("task %d arrived with body %d", id, got))
+			}
+			if depth++; depth > deepest {
+				deepest = depth
+			}
+			if id < 100 { // the root (1) and its children (10..17) fan out
+				child := core.NewTask(h, 8)
+				for i := uint64(0); i < fanout; i++ {
+					child.SetID(id*10 + i)
+					pgas.PutU64(child.Body(), id*10+i)
+					if err := tc.Add(0, core.AffinityHigh, child); err != nil {
+						panic(err)
+					}
+				}
+			}
+			if t.ID() != id || pgas.GetU64(t.Body()) != id {
+				panic(fmt.Sprintf("task %d: descriptor reads task %d, body %d after its nested executions", id, t.ID(), pgas.GetU64(t.Body())))
+			}
+			pgas.PutU64(t.Body(), id+1000)
+			depth--
+		})
+		root := core.NewTask(h, 8)
+		root.SetID(1)
+		pgas.PutU64(root.Body(), 1)
+		if err := tc.Add(0, core.AffinityHigh, root); err != nil {
+			panic(err)
+		}
+		tc.Process()
+		if st := tc.Stats(); hooked != total || st.TasksExecuted != total || st.InlineExecs == 0 || deepest < 3 {
+			panic(fmt.Sprintf("hook fired %d times, %d executed (%d inline, nesting %d), want %d with inline executions nested 3 deep",
+				hooked, st.TasksExecuted, st.InlineExecs, deepest, total))
+		}
+	})
+}

@@ -78,8 +78,10 @@ func TestMetricsCaptureSchedule(t *testing.T) {
 		if got := reg.Counter(`scioto_occ_intervals_total{resource="steal_window"}`, "").Value(); got != st.StealAttempts {
 			panic("steal_window interval series disagrees with stats")
 		}
-		if got := reg.Histogram("scioto_task_exec_seconds", "").Sum(); int64(got) != rec.BusyNs(trace.Exec) || got != st.WorkTime {
-			panic("exec time disagrees between histogram, recorder and stats")
+		// Exact per-task time lives in the observer; Stats.WorkTime is the
+		// busy share of the phase loop, which contains every callback.
+		if got := reg.Histogram("scioto_task_exec_seconds", "").Sum(); int64(got) != rec.BusyNs(trace.Exec) || st.WorkTime < got {
+			panic("exec time disagrees between histogram and recorder, or exceeds the loop's busy time")
 		}
 		if rec.Dropped() != 0 || counts(rec)[trace.Exec] != st.TasksExecuted {
 			panic("retained exec spans disagree with stats")

@@ -22,7 +22,7 @@ type OpTimings struct {
 func (o OpTimings) String() string {
 	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
 	return fmt.Sprintf("local insert %.4fµs, remote insert %.4fµs, local get %.4fµs, remote steal %.4fµs",
-		us(o.LocalInsert), us(o.LocalGet), us(o.RemoteInsert), us(o.RemoteSteal))
+		us(o.LocalInsert), us(o.RemoteInsert), us(o.LocalGet), us(o.RemoteSteal))
 }
 
 // MeasureOps reproduces the paper's Table 1 microbenchmark: the average

@@ -1,0 +1,135 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"scioto/internal/pgas"
+	"scioto/internal/pgas/dsim"
+)
+
+// storeFault is what the ranks of one TestMirrorsFollowPublishedWords run
+// share (dsim runs one rank at a time, so plain fields do).
+type storeFault struct {
+	word int   // wSplit or wTop
+	dir  int64 // +1: the store raises the word, -1: lowers it
+	nth  int   // fault the survivors' nth such store
+
+	seen    int
+	die     bool   // the victim crashes in its next operation
+	verdict string // what the faulted store left behind: "ok" or the disagreement
+}
+
+// storeFaulter is a proc that delivers a peer's death out of the chosen
+// ordered store to an owner-written queue word. It tells the victim to
+// die, waits until the transport reports the death, and lets that surface
+// in place of the store — so the store unwinds with a FaultError and is
+// never applied.
+type storeFaulter struct {
+	pgas.Proc
+	q *taskQueue // set while the phase runs; nil = disarmed
+	*storeFault
+}
+
+const mirrorVictim = 2
+
+func (f *storeFaulter) Unwrap() pgas.Kernel { return f.Proc }
+
+// dieIfAsked crashes the victim rank from inside one of its own operations.
+func (f *storeFaulter) dieIfAsked() {
+	if f.Rank() == mirrorVictim && f.die {
+		panic(&pgas.FaultError{Rank: mirrorVictim, Phase: "injected-crash"})
+	}
+}
+
+func (f *storeFaulter) Load64(proc int, seg pgas.Seg, idx int) int64 {
+	f.dieIfAsked()
+	return f.Proc.Load64(proc, seg, idx)
+}
+
+func (f *storeFaulter) TryLock(proc int, id pgas.LockID) bool {
+	f.dieIfAsked()
+	return f.Proc.TryLock(proc, id)
+}
+
+func (f *storeFaulter) Store64(proc int, seg pgas.Seg, idx int, val int64) {
+	q := f.q
+	if q != nil && f.Rank() != mirrorVictim && proc == f.Rank() && seg == q.meta && idx == f.word &&
+		(val-f.Proc.RelaxedLoad64(seg, idx))*f.dir > 0 {
+		if f.seen++; f.seen == f.nth {
+			defer func() {
+				// The store did not happen; the mirrors must not have moved
+				// either, or owner and thieves now disagree.
+				f.verdict = "ok"
+				if top, split := f.Proc.RelaxedLoad64(seg, wTop), f.Proc.RelaxedLoad64(seg, wSplit); q.top != top || q.split != split {
+					f.verdict = fmt.Sprintf("mirrors (top %d, split %d) left the words (top %d, split %d) behind", q.top, q.split, top, split)
+				}
+			}()
+			f.die = true
+			for {
+				f.Proc.Load64(proc, seg, wDirty) // panics once the death is registered
+			}
+		}
+	}
+	f.Proc.Store64(proc, seg, idx, val)
+}
+
+// TestMirrorsFollowPublishedWords: the owner's mirrors of wTop and wSplit
+// change only after the store that publishes the word has returned. A
+// rank dies such that a survivor learns of it inside a release, a
+// reacquire (queue lock held), a locked-mode push and a locked-mode pop;
+// each time the mirrors still equal the words when the fault leaves the
+// store, and the recovered run executes every task exactly once.
+func TestMirrorsFollowPublishedWords(t *testing.T) {
+	const n = 3
+	const seeded = 200
+	for _, c := range []struct {
+		name string
+		mode QueueMode
+		word int
+		dir  int64
+	}{
+		{"release", ModeSplit, wSplit, +1},
+		{"reacquire", ModeSplit, wSplit, -1},
+		{"locked push", ModeLocked, wTop, +1},
+		{"locked pop", ModeLocked, wTop, -1},
+	} {
+		for _, nth := range []int{1, 2, 3} {
+			sf := &storeFault{word: c.word, dir: c.dir, nth: nth}
+			var durable int64
+			err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3, Survivable: true}).Run(func(p pgas.Proc) {
+				f := &storeFaulter{Proc: p, storeFault: sf}
+				rt := Attach(f)
+				rt.EnableRecovery()
+				tc := NewTC(rt, Config{MaxBodySize: 8, ChunkSize: 8, MaxTasks: 256, QueueMode: c.mode})
+				// Callbacks add nothing: a locked-mode add is checked
+				// communication, and a fault delivered inside a callback
+				// loses the rest of that callback by design.
+				task := NewTask(tc.Register(func(tc *TC, _ *Task) { tc.Proc().Compute(5 * time.Microsecond) }), 8)
+				// Rank 1 starts empty: whatever it runs it stole and pushed
+				// first.
+				for i := 0; i < seeded && p.Rank() != 1; i++ {
+					if err := tc.Add(p.Rank(), AffinityHigh, task); err != nil {
+						panic(err)
+					}
+				}
+				f.q = tc.q
+				tc.Process()
+				f.q = nil
+				if g := tc.GlobalStats(); p.Rank() == 0 {
+					durable = g.TasksExecuted + g.SalvagedExecs
+				}
+			})
+			if sf.verdict != "ok" {
+				t.Fatalf("%s %d: the faulted store: %q (empty: vacuous, no fault left the chosen store)", c.name, nth, sf.verdict)
+			}
+			if err != nil {
+				t.Fatalf("%s %d: %v", c.name, nth, err)
+			}
+			if durable != 2*seeded {
+				t.Fatalf("%s %d: %d durable completions after recovery, want %d", c.name, nth, durable, 2*seeded)
+			}
+		}
+	}
+}

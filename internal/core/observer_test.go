@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,10 +15,12 @@ import (
 	"scioto/internal/trace"
 )
 
-// nowCounter is a proc that counts clock reads.
+// nowCounter is a proc that counts clock reads, queue-lock acquisitions
+// and steal probes.
 type nowCounter struct {
 	pgas.Proc
-	calls int
+	calls, locks int
+	probes       *atomic.Int64 // TryLock calls, when non-nil
 }
 
 func (c *nowCounter) Now() time.Duration {
@@ -24,61 +28,129 @@ func (c *nowCounter) Now() time.Duration {
 	return c.Proc.Now()
 }
 
-// TestObservabilityOffReadsNoClock: with no observer attached the
-// scheduler reads the clock only for its own statistics — twice per
-// executed task (Stats.WorkTime) and twice per idle pass (Stats.IdleTime).
-// Adds, the local pop, release and reacquire paths and the queue-lock
-// brackets read it zero times: every timestamp that exists only to be
-// reported is taken inside the observer.
+func (c *nowCounter) Lock(proc int, id pgas.LockID) {
+	c.locks++
+	c.Proc.Lock(proc, id)
+}
+
+func (c *nowCounter) TryLock(proc int, id pgas.LockID) bool {
+	if c.probes != nil {
+		c.probes.Add(1)
+	}
+	return c.Proc.TryLock(proc, id)
+}
+
+// TestObservabilityOffReadsNoClock accounts for every clock read of a
+// one-rank phase. With nothing attached the scheduler reads the clock
+// only where the phase loop changes state — entering the loop, going
+// idle, leaving — which is what Stats.WorkTime and IdleTime partition:
+// zero reads between two consecutive callbacks, and none on adds, the
+// local pop, release, reacquire or the queue-lock brackets. A consumer of
+// per-task durations — an exec hook or an observer — costs exactly two
+// reads per execution, and an observer three more per queue-lock bracket
+// it reports and one per termination-detector step.
 func TestObservabilityOffReadsNoClock(t *testing.T) {
 	const tasks = 64
 	for _, mode := range []core.QueueMode{core.ModeSplit, core.ModeLocked} {
-		err := shm.NewWorld(shm.Config{NProcs: 1, Seed: 1}).Run(func(p pgas.Proc) {
-			clock := &nowCounter{Proc: p}
-			tc := core.NewTC(core.Attach(clock), core.Config{MaxBodySize: 8, QueueMode: mode})
-			lastExit, ran := -1, 0
-			h := tc.Register(func(tc *core.TC, t *core.Task) {
-				// Between one callback's return and the next one's entry:
-				// the end of the first execution and the start of the
-				// second, and nothing for the pop, the release check or a
-				// reacquire in between.
-				if lastExit >= 0 && clock.calls-lastExit != 2 {
-					panic(fmt.Sprintf("%d clock reads between two callbacks, want execute's 2", clock.calls-lastExit))
+		for _, consumer := range []string{"none", "hook", "observer"} {
+			err := shm.NewWorld(shm.Config{NProcs: 1, Seed: 1}).Run(func(p pgas.Proc) {
+				clock := &nowCounter{Proc: p}
+				rt := core.Attach(clock)
+				// One rank: loop entry, the one change to idle, loop exit.
+				perExec, perLock, perPhase := 0, 0, 3
+				if consumer == "observer" {
+					rt.SetObserver(core.NewObserver(clock, nil, trace.NewRecorder(0, 0, nil)))
+					// The phase's one detector step opens a span too.
+					perExec, perLock, perPhase = 2, 3, 4
 				}
-				if ran++; ran > tasks/4 && t.Body()[0] == 1 {
-					// A low-affinity add goes to the shared end, through the
-					// queue lock (late, so the first release finds the shared
-					// portion empty).
-					t.Body()[0] = 0
-					if err := tc.Add(0, core.AffinityLow, t); err != nil {
+				tc := core.NewTC(rt, core.Config{MaxBodySize: 8, QueueMode: mode})
+				if consumer == "hook" {
+					tc.SetExecHook(func(*core.TC, *core.Task, time.Duration) {})
+					perExec = 2
+				}
+				// reads is the clock reads not explained by a lock bracket.
+				reads := func() int { return clock.calls - perLock*clock.locks }
+				lastExit, ran := -1, 0
+				h := tc.Register(func(tc *core.TC, t *core.Task) {
+					// Between one callback's return and the next one's
+					// entry: nothing for the pop, the release check or a
+					// reacquire, and execute's two only for a consumer.
+					if lastExit >= 0 && reads()-lastExit != perExec {
+						panic(fmt.Sprintf("%d clock reads between two callbacks, want %d", reads()-lastExit, perExec))
+					}
+					if ran++; ran > tasks/4 && t.Body()[0] == 1 {
+						// A low-affinity add goes to the shared end, through
+						// the queue lock (late, so the first release finds
+						// the shared portion empty).
+						t.Body()[0] = 0
+						if err := tc.Add(0, core.AffinityLow, t); err != nil {
+							panic(err)
+						}
+					}
+					lastExit = reads()
+				})
+				task := core.NewTask(h, 8)
+				task.Body()[0] = 1
+				for i := 0; i < tasks/2; i++ {
+					if err := tc.Add(0, core.AffinityHigh, task); err != nil {
 						panic(err)
 					}
 				}
-				lastExit = clock.calls
-			})
-			task := core.NewTask(h, 8)
-			task.Body()[0] = 1
-			for i := 0; i < tasks/2; i++ {
-				if err := tc.Add(0, core.AffinityHigh, task); err != nil {
-					panic(err)
+				if reads() != 0 {
+					panic(fmt.Sprintf("%d adds read the clock %d times, want 0", tasks/2, reads()))
 				}
+				tc.Process()
+				st := tc.Stats()
+				if mode == core.ModeSplit && (st.Releases == 0 || st.Reacquires == 0 || clock.locks == 0) {
+					panic(fmt.Sprintf("vacuous: %d releases, %d reacquires, %d locks", st.Releases, st.Reacquires, clock.locks))
+				}
+				if want := perExec*int(st.TasksExecuted) + perPhase; st.TasksExecuted <= tasks/2 || reads() != want {
+					panic(fmt.Sprintf("%d tasks, %d clock reads in all, want more than %d tasks and %d reads", st.TasksExecuted, reads(), tasks/2, want))
+				}
+			})
+			if err != nil {
+				t.Fatalf("%v queue, consumer %s: %v", mode, consumer, err)
 			}
-			if clock.calls != 0 {
-				panic(fmt.Sprintf("%d adds read the clock %d times, want 0", tasks/2, clock.calls))
-			}
-			tc.Process()
-			st := tc.Stats()
-			if mode == core.ModeSplit && (st.Releases == 0 || st.Reacquires == 0) {
-				panic(fmt.Sprintf("vacuous: %d releases, %d reacquires", st.Releases, st.Reacquires))
-			}
-			// One rank: a single idle pass ends the phase.
-			if want := 2*int(st.TasksExecuted) + 2; st.TasksExecuted <= tasks/2 || clock.calls != want {
-				panic(fmt.Sprintf("%d tasks, %d clock reads in all, want more than %d tasks and %d reads", st.TasksExecuted, clock.calls, tasks/2, want))
+		}
+	}
+}
+
+// TestIdleEpisodeReadsClockTwice: an idle episode — from running out of
+// local work to finding some or terminating — costs two clock reads, one
+// at each end, however many steal attempts fail inside it.
+func TestIdleEpisodeReadsClockTwice(t *testing.T) {
+	const attempts = 16
+	var probes atomic.Int64
+	err := shm.NewWorld(shm.Config{NProcs: 2, Seed: 1}).Run(func(p pgas.Proc) {
+		clock := &nowCounter{Proc: p}
+		if p.Rank() == 1 {
+			clock.probes = &probes
+		}
+		tc := core.NewTC(core.Attach(clock), core.Config{MaxBodySize: 8})
+		h := tc.Register(func(*core.TC, *core.Task) {
+			// Rank 0's only task outlasts a run of failed steals by rank 1.
+			for probes.Load() < attempts {
+				runtime.Gosched()
 			}
 		})
-		if err != nil {
-			t.Fatalf("%v queue: %v", mode, err)
+		if p.Rank() == 0 {
+			if err := tc.Add(0, core.AffinityHigh, core.NewTask(h, 8)); err != nil {
+				panic(err)
+			}
 		}
+		tc.Process()
+		// Loop entry, then two per episode: one per successful steal and
+		// the last, which ends in termination.
+		st := tc.Stats()
+		if want := 1 + 2*(int(st.StealsOK)+1); clock.calls != want {
+			panic(fmt.Sprintf("%d clock reads over %d steal attempts (%d ok), want %d", clock.calls, st.StealAttempts, st.StealsOK, want))
+		}
+		if p.Rank() == 1 && st.StealAttempts < attempts {
+			panic(fmt.Sprintf("vacuous: only %d steal attempts", st.StealAttempts))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -162,3 +162,57 @@ func TestPendingLocal(t *testing.T) {
 		}
 	})
 }
+
+// barrierClock is a proc that notes the clock on either side of every
+// barrier.
+type barrierClock struct {
+	pgas.Proc
+	enter, leave []time.Duration
+}
+
+func (b *barrierClock) Barrier() {
+	b.enter = append(b.enter, b.Proc.Now())
+	b.Proc.Barrier()
+	b.leave = append(b.leave, b.Proc.Now())
+}
+
+// TestWorkPlusIdleIsThePhaseLoop: Stats.WorkTime and Stats.IdleTime
+// partition the phase loop — on every rank their sum is, to the
+// nanosecond of virtual time, what passed between the barrier that opens
+// the loop and the one that closes it, over two phases of an imbalanced
+// workload that is stolen, released and reacquired.
+func TestWorkPlusIdleIsThePhaseLoop(t *testing.T) {
+	const n = 4
+	if err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 17}).Run(func(p pgas.Proc) {
+		clock := &barrierClock{Proc: p}
+		tc := core.NewTC(core.Attach(clock), core.Config{MaxBodySize: 8, MaxTasks: 1024, ChunkSize: 4})
+		h := tc.Register(func(tc *core.TC, t *core.Task) {
+			tc.Proc().Compute(15 * time.Microsecond)
+		})
+		var loops time.Duration
+		for phase := 0; phase < 2; phase++ {
+			if p.Rank() == phase {
+				task := core.NewTask(h, 8)
+				for i := 0; i < 200; i++ {
+					if err := tc.Add(p.Rank(), core.AffinityHigh, task); err != nil {
+						panic(err)
+					}
+				}
+			}
+			tc.Process()
+			// Process is barrier, detector reset, barrier, loop, barrier.
+			last := len(clock.enter) - 1
+			loops += clock.enter[last] - clock.leave[last-1]
+			tc.Reset()
+		}
+		st := tc.Stats()
+		if st.WorkTime+st.IdleTime != loops || st.WorkTime <= 0 || st.IdleTime <= 0 {
+			panic(fmt.Sprintf("work %v + idle %v, the two phase loops took %v", st.WorkTime, st.IdleTime, loops))
+		}
+		if g := tc.GlobalStats(); g.TasksStolen == 0 || g.Releases == 0 {
+			panic("vacuous: nothing was stolen")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

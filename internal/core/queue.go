@@ -68,6 +68,18 @@ type taskQueue struct {
 	meta pgas.Seg // nQWords words per process
 	lock pgas.LockID
 
+	// top and split mirror wTop and wSplit, the two words no rank but the
+	// owner writes, so the owner's paths do not load them back through
+	// pgas.Proc. A mirror changes only after the store that publishes its
+	// word has returned: an ordered store can unwind with a FaultError, and
+	// a mirror moved first leaves owner and thieves disagreeing about the
+	// split.
+	top, split int64
+
+	// desc is the descriptor the owner's pops decode into, reused from task
+	// to task: valid until the next pop.
+	desc Task
+
 	// heldLock is the rank whose queue-lock instance this rank currently
 	// holds (-1 when none). A fault delivered mid-critical-section unwinds
 	// with the lock still held; recovery consults this to release it.
@@ -100,6 +112,7 @@ func newTaskQueue(p pgas.Proc, mode QueueMode, slotSize, capacity int) *taskQueu
 		meta:     p.AllocWords(nQWords),
 		lock:     p.AllocLock(),
 		heldLock: -1,
+		desc:     Task{buf: make([]byte, slotSize)},
 	}
 	return q
 }
@@ -153,26 +166,33 @@ func (q *taskQueue) reset() {
 	q.p.Store64(me, q.meta, wSplit, 0)
 	q.p.Store64(me, q.meta, wTop, 0)
 	q.p.Store64(me, q.meta, wDirty, 0)
+	q.top, q.split = 0, 0
+}
+
+// decode copies the descriptor in slot into the queue's reusable
+// descriptor, after the same header checks as decodeTask.
+func (q *taskQueue) decode(slot []byte) *Task {
+	q.desc.buf = q.desc.buf[:wireLen(slot)] // its capacity is a slot
+	copy(q.desc.buf, slot)
+	return &q.desc
 }
 
 // --- Owner-side size probes (relaxed; hints unless stated otherwise) -----
 
 // privateCount is exact: both words are owner-written.
-func (q *taskQueue) privateCount() int64 {
-	return q.p.RelaxedLoad64(q.meta, wTop) - q.p.RelaxedLoad64(q.meta, wSplit)
-}
+func (q *taskQueue) privateCount() int64 { return q.top - q.split }
 
 // sharedCountHint may be stale; shared-portion decisions are revalidated
 // under the queue lock.
 func (q *taskQueue) sharedCountHint() int64 {
 	//lint:ignore relaxedword stale-read of wBottom is a hint; reacquire revalidates with ordered loads under the queue lock
-	return q.p.RelaxedLoad64(q.meta, wSplit) - q.p.RelaxedLoad64(q.meta, wBottom)
+	return q.split - q.p.RelaxedLoad64(q.meta, wBottom)
 }
 
 // totalCountHint may be stale.
 func (q *taskQueue) totalCountHint() int64 {
 	//lint:ignore relaxedword stale-read of wBottom only under-reports queue size; callers treat the count as advisory
-	return q.p.RelaxedLoad64(q.meta, wTop) - q.p.RelaxedLoad64(q.meta, wBottom)
+	return q.top - q.p.RelaxedLoad64(q.meta, wBottom)
 }
 
 // --- Split-mode owner fast paths -----------------------------------------
@@ -183,14 +203,13 @@ func (q *taskQueue) totalCountHint() int64 {
 //
 //scioto:noalloc
 func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
-	me := q.p.Rank()
-	top := q.p.RelaxedLoad64(q.meta, wTop)
+	top := q.top
 	//lint:ignore relaxedword stale wBottom can only make the queue look fuller; the full case below refreshes it with an ordered load
 	bottom := q.p.RelaxedLoad64(q.meta, wBottom)
 	if top-bottom >= int64(q.capacity) {
 		// The hint says full; refresh bottom with an ordered load in case
 		// thieves have made room.
-		bottom = q.p.Load64(me, q.meta, wBottom)
+		bottom = q.p.Load64(q.p.Rank(), q.meta, wBottom)
 		if top-bottom >= int64(q.capacity) {
 			return false
 		}
@@ -198,24 +217,26 @@ func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
 	off := q.slotOff(top)
 	copy(q.p.Local(q.data)[off:off+len(wire)], wire)
 	q.p.RelaxedStore64(q.meta, wTop, top+1)
+	q.top = top + 1
 	q.p.Charge(localCost(len(wire)))
 	s.LocalInserts++
 	return true
 }
 
-// popPrivate removes and returns the task at the owner end of the private
-// portion without locking. ok is false when the private portion is empty.
+// popPrivate removes the task at the owner end of the private portion
+// without locking and returns it in the queue's descriptor (valid until
+// the next pop). ok is false when the private portion is empty.
 //
 //scioto:noalloc
 func (q *taskQueue) popPrivate(s *Stats) (*Task, bool) {
-	top := q.p.RelaxedLoad64(q.meta, wTop)
-	split := q.p.RelaxedLoad64(q.meta, wSplit)
-	if top <= split {
+	top := q.top
+	if top <= q.split {
 		return nil, false
 	}
 	off := q.slotOff(top - 1)
-	t := decodeTask(q.p.Local(q.data)[off : off+q.slotSize])
+	t := q.decode(q.p.Local(q.data)[off : off+q.slotSize])
 	q.p.RelaxedStore64(q.meta, wTop, top-1)
+	q.top = top - 1
 	q.p.Charge(localCost(len(t.wire())))
 	s.LocalGets++
 	return t, true
@@ -226,12 +247,11 @@ func (q *taskQueue) popPrivate(s *Stats) (*Task, bool) {
 // pointer is raised with a single ordered store — no lock and no copying.
 // ordered forces a fresh read of the steal-end index.
 func (q *taskQueue) maybeRelease(ordered bool, s *Stats) {
-	me := q.p.Rank()
-	top := q.p.RelaxedLoad64(q.meta, wTop)
-	split := q.p.RelaxedLoad64(q.meta, wSplit)
+	top, split := q.top, q.split
 	if top-split < 2 {
 		return // nothing to spare
 	}
+	me := q.p.Rank()
 	var bottom int64
 	if ordered {
 		bottom = q.p.Load64(me, q.meta, wBottom)
@@ -244,6 +264,7 @@ func (q *taskQueue) maybeRelease(ordered bool, s *Stats) {
 	}
 	k := (top - split) / 2
 	q.p.Store64(me, q.meta, wSplit, split+k)
+	q.split = split + k
 	q.obs.release(k)
 	s.Releases++
 	s.TasksReleased += k
@@ -275,6 +296,7 @@ func (q *taskQueue) reacquire(s *Stats) bool {
 	}
 	k := (avail + 1) / 2
 	q.p.Store64(me, q.meta, wSplit, split-k)
+	q.split = split - k
 	q.p.Unlock(me, q.lock)
 	q.unlocked(lockT, me)
 	q.obs.reacquire(k)
@@ -301,6 +323,7 @@ func (q *taskQueue) pushLocked(wire []byte, s *Stats) bool {
 	off := q.slotOff(top)
 	copy(q.p.Local(q.data)[off:off+len(wire)], wire)
 	q.p.Store64(me, q.meta, wTop, top+1)
+	q.top = top + 1
 	q.p.Unlock(me, q.lock)
 	q.unlocked(lockT, me)
 	q.p.Charge(localCost(len(wire)))
@@ -308,7 +331,10 @@ func (q *taskQueue) pushLocked(wire []byte, s *Stats) bool {
 	return true
 }
 
-// popLocked removes from the owner end under the queue lock (ModeLocked).
+// popLocked removes from the owner end under the queue lock (ModeLocked);
+// like popPrivate it returns the queue's descriptor.
+//
+//scioto:noalloc
 func (q *taskQueue) popLocked(s *Stats) (*Task, bool) {
 	me := q.p.Rank()
 	t0 := q.obs.now()
@@ -322,8 +348,9 @@ func (q *taskQueue) popLocked(s *Stats) (*Task, bool) {
 		return nil, false
 	}
 	off := q.slotOff(top - 1)
-	t := decodeTask(q.p.Local(q.data)[off : off+q.slotSize])
+	t := q.decode(q.p.Local(q.data)[off : off+q.slotSize])
 	q.p.Store64(me, q.meta, wTop, top-1)
+	q.top = top - 1
 	q.p.Unlock(me, q.lock)
 	q.unlocked(lockT, me)
 	q.p.Charge(localCost(len(t.wire())))
@@ -384,8 +411,8 @@ const (
 
 // stealBatch carries the slot bytes taken by one steal: slots are
 // slotSize-sized windows into one bulk buffer. Batches are pooled — the
-// caller recycles them once the slots are decoded (decodeTask copies), so
-// the steady-state steal path allocates nothing.
+// caller recycles them once the slots are pushed (a push copies), so the
+// steady-state steal path allocates nothing.
 type stealBatch struct {
 	buf   []byte
 	slots [][]byte

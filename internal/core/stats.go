@@ -45,8 +45,16 @@ type Stats struct {
 	TasksRecovered int64 // lost descriptors this process re-inserted during healing
 	SalvagedExecs  int64 // durable completions credited to dead ranks by this healer
 
-	IdleTime time.Duration // virtual/wall time spent without local work
-	WorkTime time.Duration // time spent inside task callbacks
+	// WorkTime and IdleTime partition the phase loop of every Process call
+	// that ran to termination: the loop is busy while it holds local work
+	// (callbacks and the queue operations between them) and idle otherwise
+	// (stealing, termination detection, yielding), and the clock is read
+	// when it changes state, not per task. Exact per-task execution time
+	// lives with whoever asked for it: the observer's
+	// scioto_task_exec_seconds histogram and exec spans, or the ExecHook's
+	// elapsed argument.
+	IdleTime time.Duration // virtual/wall time the phase loop spent without local work
+	WorkTime time.Duration // virtual/wall time the phase loop spent holding local work
 }
 
 // add accumulates other into s.

@@ -59,3 +59,13 @@ func TestStatsString(t *testing.T) {
 		}
 	}
 }
+
+// TestOpTimingsString: each of the four Table 1 operations is printed
+// under its own label.
+func TestOpTimingsString(t *testing.T) {
+	o := OpTimings{LocalInsert: 1000, RemoteInsert: 2000, LocalGet: 3000, RemoteSteal: 4000}
+	want := "local insert 1.0000µs, remote insert 2.0000µs, local get 3.0000µs, remote steal 4.0000µs"
+	if got := o.String(); got != want {
+		t.Errorf("OpTimings.String() = %q, want %q", got, want)
+	}
+}

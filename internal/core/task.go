@@ -44,7 +44,10 @@ type CLOHandle int32
 // TaskFunc is a task execution callback. It receives the task collection
 // the task is executing on (usable to spawn subtasks or reach the runtime)
 // and the task descriptor holding the task's arguments. The descriptor is a
-// private copy; the callback may scribble on it freely.
+// private copy the runtime reuses for the next task: the callback may
+// scribble on it freely and re-add it (Add copies in), but it is valid
+// only until the callback (and the ExecHook after it) returns — copy out
+// whatever must live longer.
 type TaskFunc func(tc *TC, t *Task)
 
 // Header layout inside a task descriptor slot (little-endian):
@@ -72,8 +75,7 @@ const (
 // body. The in-memory representation matches the wire representation, so
 // adding a task to a collection is a single contiguous copy.
 type Task struct {
-	buf     []byte // HeaderBytes + body capacity
-	bodyLen int
+	buf []byte // the wire image: header, then the body
 }
 
 // NewTask creates a task descriptor with the given callback handle and body
@@ -82,7 +84,7 @@ func NewTask(h Handle, bodySize int) *Task {
 	if bodySize < 0 {
 		panic("core: negative task body size")
 	}
-	t := &Task{buf: make([]byte, HeaderBytes+bodySize), bodyLen: bodySize}
+	t := &Task{buf: make([]byte, HeaderBytes+bodySize)}
 	t.SetHandle(h)
 	pgas.PutI32(t.buf[hdrBodyLen:], int32(bodySize))
 	pgas.PutI32(t.buf[hdrJHome:], -1)
@@ -130,21 +132,33 @@ func (t *Task) SetID(id uint64) { pgas.PutU64(t.buf[hdrID:], id) }
 
 // Body returns the task's user-defined body. Callers may encode arguments
 // in any format; the contents travel with the task.
-func (t *Task) Body() []byte { return t.buf[HeaderBytes : HeaderBytes+t.bodyLen] }
+func (t *Task) Body() []byte { return t.buf[HeaderBytes:] }
 
 // BodyLen returns the length of the task body in bytes.
-func (t *Task) BodyLen() int { return t.bodyLen }
+func (t *Task) BodyLen() int { return len(t.buf) - HeaderBytes }
 
 // wire returns the descriptor's wire representation (header + body).
-func (t *Task) wire() []byte { return t.buf[:HeaderBytes+t.bodyLen] }
+func (t *Task) wire() []byte { return t.buf }
 
-// decodeTask reconstructs a task descriptor from slot bytes.
-func decodeTask(slot []byte) *Task {
+// wireLen validates the header of the descriptor held in slot and returns
+// the descriptor's wire length (header + body).
+func wireLen(slot []byte) int {
 	bodyLen := int(pgas.GetI32(slot[hdrBodyLen:]))
 	if bodyLen < 0 || HeaderBytes+bodyLen > len(slot) {
 		panic(fmt.Sprintf("core: corrupt task descriptor: body length %d in %d-byte slot", bodyLen, len(slot)))
 	}
-	t := &Task{buf: make([]byte, HeaderBytes+bodyLen), bodyLen: bodyLen}
+	return HeaderBytes + bodyLen
+}
+
+// decodeTask reconstructs a task descriptor from slot bytes into storage
+// of its own. The owner's pop decodes into the queue's reusable descriptor
+// instead (taskQueue.decode); this allocating form is for a descriptor
+// that must outlive the pop or coexist with the popped one: the
+// full-queue inline executions (they run inside an outer callback whose
+// descriptor is live, to any depth), Satisfy's launch, and the recovery
+// salvage paths.
+func decodeTask(slot []byte) *Task {
+	t := &Task{buf: make([]byte, wireLen(slot))}
 	copy(t.buf, slot)
 	return t
 }
@@ -156,6 +170,8 @@ type Runtime struct {
 	p    pgas.Proc
 	clos []any
 	rng  *rand.Rand
+
+	rank, nprocs int // p's, read once: the Add and execute paths ask per task
 
 	// obs is the rank's observer, attached by the facade when
 	// observability is on; collections created afterwards report to it.
@@ -235,6 +251,7 @@ func (rt *Runtime) EnableRecovery() { rt.recoverOn = true }
 // all processes must attach before creating task collections.
 func Attach(p pgas.Proc) *Runtime {
 	rt := &Runtime{p: p, rng: p.Rand()}
+	rt.rank, rt.nprocs = p.Rank(), p.NProcs()
 	procObsMu.Lock()
 	rt.obs = procObs[p]
 	procObsMu.Unlock()
@@ -258,10 +275,10 @@ func (rt *Runtime) SetObserver(o *Observer) { rt.obs = o }
 func (rt *Runtime) Registry() *obs.Registry { return rt.obs.Registry() }
 
 // Rank returns the calling process's rank.
-func (rt *Runtime) Rank() int { return rt.p.Rank() }
+func (rt *Runtime) Rank() int { return rt.rank }
 
 // NProcs returns the number of processes.
-func (rt *Runtime) NProcs() int { return rt.p.NProcs() }
+func (rt *Runtime) NProcs() int { return rt.nprocs }
 
 // RegisterCLO collectively registers a common local object and returns its
 // portable handle. Every process must register its local instance in the

@@ -113,7 +113,9 @@ type TC struct {
 // TC.SetExecHook). It runs on the rank that executed the task, after the
 // task's callback has returned, and receives the executed descriptor (the
 // callback may have scribbled results into its body) and the execution
-// time.
+// time, which is measured per task only while a hook or an observer is
+// attached. Like the callback's, the descriptor is valid until the hook
+// returns.
 type ExecHook func(tc *TC, t *Task, elapsed time.Duration)
 
 // NewTC collectively creates a task collection. All processes must call it
@@ -263,7 +265,7 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 	tc.stats.TasksAdded++
 	tc.stats.InlineExecs++
 	tc.obs.inline()
-	tc.execute(decodeTask(wire))
+	tc.execute(decodeTask(wire)) // a descriptor of its own: the caller's is live
 	return nil
 }
 
@@ -293,9 +295,12 @@ func (tc *TC) journalizePending(t *Task) int {
 }
 
 // execute dispatches a task to its callback.
+//
+//scioto:noalloc
 func (tc *TC) execute(t *Task) {
 	h := int(t.Handle())
 	if h < 0 || h >= len(tc.callbacks) {
+		//scioto:alloc-ok formats the message of a panic no healthy run reaches
 		panic(fmt.Sprintf("core: executing task with unregistered handle %d", h))
 	}
 	if tc.jn != nil {
@@ -310,11 +315,17 @@ func (tc *TC) execute(t *Task) {
 			tc.jn.markDone(home, t.jSlot(), tc.rt.Rank())
 		}
 	}
-	t0 := tc.rt.p.Now()
-	tc.callbacks[h](tc, t)
-	d := tc.rt.p.Now() - t0
-	tc.obs.exec(t0, d, h, t.Origin())
-	tc.stats.WorkTime += d
+	// The clock is read per task only when someone consumes the duration:
+	// an observer (exec span and latency histogram) or the exec hook.
+	var d time.Duration
+	if tc.obs != nil || tc.execHook != nil {
+		t0 := tc.rt.p.Now()
+		tc.callbacks[h](tc, t)
+		d = tc.rt.p.Now() - t0
+		tc.obs.exec(t0, d, h, t.Origin())
+	} else {
+		tc.callbacks[h](tc, t)
+	}
 	tc.stats.TasksExecuted++
 	if t.Origin() == tc.rt.Rank() {
 		tc.stats.ExecutedLocal++
@@ -329,6 +340,9 @@ func (tc *TC) execute(t *Task) {
 
 // popLocal fetches the next local task: private end first; when the
 // private portion is empty, reacquire shared-portion work under the lock.
+// The task arrives in the queue's reusable descriptor.
+//
+//scioto:noalloc
 func (tc *TC) popLocal() (*Task, bool) {
 	if tc.cfg.QueueMode == ModeLocked {
 		return tc.q.popLocked(&tc.stats)
@@ -399,8 +413,15 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 	tc.processing = true
 
 	n := tc.rt.NProcs()
+	// The loop is busy (it holds local work) or idle (steal, termination
+	// step, yield) since mark; the clock is read when that changes, never
+	// per task, so Stats.WorkTime and IdleTime partition the loop.
+	busy, mark := true, p.Now()
 	for {
 		if t, ok := tc.popLocal(); ok {
+			if !busy {
+				busy, mark = true, tc.charge(&tc.stats.IdleTime, mark)
+			}
 			tc.execute(t)
 			tc.sinceOrder++
 			if tc.cfg.QueueMode == ModeSplit {
@@ -412,8 +433,11 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 			continue
 		}
 
-		idle0 := p.Now()
+		if busy {
+			busy, mark = false, tc.charge(&tc.stats.WorkTime, mark)
+		}
 		if !tc.cfg.DisableStealing && n > 1 {
+			stealT0 := tc.obs.now()
 			victim := tc.pickVictim()
 			markDirty := tc.ctd == nil
 			if markDirty && !tc.cfg.DisableColoringOpt {
@@ -430,13 +454,12 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 			if res == stealOK {
 				stolen = len(batch.slots)
 			}
-			tc.obs.steal(idle0, victim, res, stolen)
+			tc.obs.steal(stealT0, victim, res, stolen)
 			if res == stealOK {
 				tc.td.noteBalance()
 				tc.enqueueStolen(batch.slots)
 				batch.recycle()
 				tc.obs.setQueueDepth(tc.q.totalCountHint())
-				tc.stats.IdleTime += p.Now() - idle0
 				continue
 			}
 			tc.obs.setQueueDepth(0)
@@ -453,7 +476,6 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 		} else {
 			done = tc.td.step(true, tc.q.dirtyCounter)
 		}
-		tc.stats.IdleTime += p.Now() - idle0
 		if done {
 			break
 		}
@@ -463,13 +485,22 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 		// microsecond phase into a timeslice-bound one.
 		runtime.Gosched()
 	}
+	tc.charge(&tc.stats.IdleTime, mark) // the loop always leaves idle
 
 	tc.processing = false
 	p.Barrier()
 	return nil
 }
 
-// enqueueStolen pushes stolen slot images onto the local queue. decodeTask
+// charge adds the time since mark to one of the two phase-loop totals and
+// returns the new mark.
+func (tc *TC) charge(total *time.Duration, mark time.Duration) time.Duration {
+	now := tc.rt.p.Now()
+	*total += now - mark
+	return now
+}
+
+// enqueueStolen pushes stolen slot images onto the local queue. A push
 // copies the slot bytes, so the caller may recycle the batch afterwards.
 //
 //scioto:journal-exempt stolen descriptors carry the journal reference stamped at the origin rank's Add; re-recording here would double-count them
@@ -485,18 +516,20 @@ func (tc *TC) enqueueStolen(slots [][]byte) {
 // queue falls back to inline execution, as in Add.
 //
 //scioto:journaled callers pass descriptors whose journal record already exists (stolen images or recovery replays)
+//scioto:noalloc
 func (tc *TC) requeue(slot []byte) {
-	t := decodeTask(slot)
+	wire := slot[:wireLen(slot)]
 	var ok bool
 	if tc.cfg.QueueMode == ModeLocked {
-		ok = tc.q.pushLocked(t.wire(), &tc.stats)
+		ok = tc.q.pushLocked(wire, &tc.stats)
 	} else {
-		ok = tc.q.pushPrivate(t.wire(), &tc.stats)
+		ok = tc.q.pushPrivate(wire, &tc.stats)
 	}
 	if !ok {
 		tc.stats.InlineExecs++
 		tc.obs.inline()
-		tc.execute(t)
+		//scioto:alloc-ok the full-queue inline fallback runs the task from a descriptor of its own; a push that fits allocates nothing
+		tc.execute(decodeTask(wire))
 	}
 }
 

@@ -39,11 +39,14 @@ const (
 
 // dialRetry dials addr, retrying failed attempts with jittered
 // exponential backoff until one succeeds or the total budget elapses.
-// Every dial failure during bootstrap is treated as transient: the
-// listener may not be accepting yet (child dialed before the broker
-// listens), or its backlog may be momentarily full when a whole world
-// dials one rank at once.
-func dialRetry(addr string, total time.Duration, rng *rand.Rand) (net.Conn, error) {
+// A dial failure during bootstrap is treated as transient — the listener
+// may not be accepting yet (child dialed before the broker listens), or
+// its backlog may be momentarily full when a whole world dials one rank at
+// once — but only while the world is whole. Once own has registered a
+// fault the retries stop with it: a peer that finished its own bootstrap
+// first may have connected to this rank, run, and died, and nobody will
+// ever listen at its address again.
+func dialRetry(addr string, total time.Duration, rng *rand.Rand, own *owner) (net.Conn, error) {
 	deadline := time.Now().Add(total)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -54,6 +57,9 @@ func dialRetry(addr string, total time.Duration, rng *rand.Rand) (net.Conn, erro
 		c, err := net.DialTimeout("tcp", addr, remaining)
 		if err == nil {
 			return c, nil
+		}
+		if fe := own.getFault(); fe != nil {
+			return nil, fe
 		}
 		lastErr = err
 		pause := backoffDelay(attempt, dialBackoffBase, dialBackoffMax, rng)

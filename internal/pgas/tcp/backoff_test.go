@@ -1,11 +1,14 @@
 package tcp
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"os"
 	"testing"
 	"time"
+
+	"scioto/internal/pgas"
 )
 
 // skipInRankProcess skips real-time-sleeping tests inside spawned rank
@@ -93,7 +96,7 @@ func TestDialRetryLateListener(t *testing.T) {
 		listening <- l2
 	}()
 
-	c, err := dialRetry(addr, 5*time.Second, rand.New(rand.NewSource(8)))
+	c, err := dialRetry(addr, 5*time.Second, rand.New(rand.NewSource(8)), newOwner(0, 2))
 	if err != nil {
 		t.Fatalf("dialRetry never reached the late listener: %v", err)
 	}
@@ -115,11 +118,41 @@ func TestDialRetryBudgetExpires(t *testing.T) {
 	l.Close() // nobody will ever listen again
 
 	start := time.Now()
-	_, err = dialRetry(addr, 300*time.Millisecond, rand.New(rand.NewSource(9)))
+	_, err = dialRetry(addr, 300*time.Millisecond, rand.New(rand.NewSource(9)), newOwner(0, 2))
 	if err == nil {
 		t.Fatal("dialRetry succeeded against a dead address")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("dialRetry overshot its budget: %v", elapsed)
+	}
+}
+
+// TestDialRetryStopsOnRegisteredFault: a refused mesh dial is retried only
+// while the world is whole. A peer that booted first, connected to this
+// rank, ran and died has closed its listener for good; once this rank's
+// service has registered that death the dial returns it instead of
+// retrying out the whole boot budget (which parked a rank of
+// TestOpContextInFaults until the launcher's grace timer killed it).
+func TestDialRetryStopsOnRegisteredFault(t *testing.T) {
+	skipInRankProcess(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close() // the peer came and went
+
+	own := newOwner(1, 2)
+	go func() {
+		time.Sleep(20 * time.Millisecond) // a few refused attempts first
+		own.markDead(0, errors.New("connection from rank 0 lost: EOF"))
+	}()
+	start := time.Now()
+	_, err = dialRetry(addr, 30*time.Second, rand.New(rand.NewSource(10)), own)
+	if fe, ok := pgas.AsFault(err); !ok || fe.Rank != 0 || fe.Phase != "peer-death" {
+		t.Fatalf("dialRetry returned %v, want the registered peer-death of rank 0", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("dialRetry kept retrying for %v after the fault registered", elapsed)
 	}
 }

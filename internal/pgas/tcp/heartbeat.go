@@ -36,7 +36,7 @@ func startHeartbeat(own *owner, self int, addrs []string, cfg Config) {
 }
 
 func pingLoop(own *owner, self, peer int, addr string, interval time.Duration, rng *rand.Rand) {
-	c, err := dialRetry(addr, bootTimeout, rng)
+	c, err := dialRetry(addr, bootTimeout, rng, own)
 	if err != nil {
 		own.markDead(peer, fmt.Errorf("heartbeat dial to rank %d: %v", peer, err))
 		return

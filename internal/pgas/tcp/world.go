@@ -187,7 +187,7 @@ func (b *broker) join(rank int, parentAddr string) (*launch.Rank, error) {
 	}
 	go own.acceptLoop(l)
 
-	parent, err := dialRetry(parentAddr, bootTimeout, dialRng)
+	parent, err := dialRetry(parentAddr, bootTimeout, dialRng, own)
 	if err != nil {
 		return nil, fmt.Errorf("dialing rendezvous %s: %v", parentAddr, err)
 	}
@@ -213,7 +213,7 @@ func (b *broker) join(rank int, parentAddr string) (*launch.Rank, error) {
 		if j == rank {
 			continue
 		}
-		c, err := dialRetry(addr, bootTimeout, dialRng)
+		c, err := dialRetry(addr, bootTimeout, dialRng, own)
 		if err != nil {
 			return r, fmt.Errorf("dialing rank %d at %s: %v", j, addr, err)
 		}

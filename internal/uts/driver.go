@@ -45,8 +45,9 @@ func RunScioto(p pgas.Proc, cfg DriverConfig) (Stats, core.Stats, error) {
 	statsH := rt.RegisterCLO(&Stats{})
 	var overflow bool
 
-	var h core.Handle
-	h = tc.Register(func(tc *core.TC, t *core.Task) {
+	// One child descriptor per rank, re-encoded for every Add (copy-in).
+	child := core.NewTask(0, NodeBytes)
+	h := tc.Register(func(tc *core.TC, t *core.Task) {
 		n := DecodeNode(t.Body())
 		s := tc.Runtime().CLO(statsH).(*Stats)
 		c := s.Visit(cfg.Tree, n)
@@ -57,7 +58,6 @@ func RunScioto(p pgas.Proc, cfg DriverConfig) (Stats, core.Stats, error) {
 		if cfg.PerNodeCost > 0 {
 			tc.Proc().Compute(cfg.PerNodeCost)
 		}
-		child := core.NewTask(h, NodeBytes)
 		aff := core.AffinityHigh
 		if cfg.LowAffinityChildren {
 			aff = core.AffinityLow
@@ -70,6 +70,7 @@ func RunScioto(p pgas.Proc, cfg DriverConfig) (Stats, core.Stats, error) {
 			}
 		}
 	})
+	child.SetHandle(h)
 
 	if p.Rank() == 0 {
 		root := core.NewTask(h, NodeBytes)

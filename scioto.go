@@ -63,7 +63,9 @@ type (
 	TCConfig = core.Config
 	// Task is a task descriptor: standard header plus opaque body.
 	Task = core.Task
-	// TaskFunc is a task execution callback.
+	// TaskFunc is a task execution callback. The descriptor it receives is
+	// the runtime's reusable one: scribble on it and re-add it freely (Add
+	// copies in), but it is valid only until the callback returns.
 	TaskFunc = core.TaskFunc
 	// Handle is a portable task-callback reference.
 	Handle = core.Handle
