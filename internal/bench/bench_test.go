@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"scioto/internal/pgas"
 	"scioto/internal/pgas/shm"
 	"scioto/internal/uts"
 )
@@ -36,8 +37,11 @@ func TestTable1Ordering(t *testing.T) {
 	if cl.LocalInsert > 2*time.Microsecond {
 		t.Errorf("local insert should be sub-2µs, got %v", cl.LocalInsert)
 	}
-	if cl.RemoteInsert < 10*time.Microsecond || cl.RemoteInsert > 40*time.Microsecond {
-		t.Errorf("remote insert should land near the paper's ~18µs, got %v", cl.RemoteInsert)
+	// Two rounds of the cluster model's 2.9 µs latency and a 1 kB Put: the
+	// split queue adds without the queue lock, whose two more round trips
+	// put the paper's insert at ~18 µs (EXPERIMENTS.md, Table 1).
+	if cl.RemoteInsert < 5*time.Microsecond || cl.RemoteInsert > 40*time.Microsecond {
+		t.Errorf("remote insert should cost about two network round trips, got %v", cl.RemoteInsert)
 	}
 	if cl.RemoteSteal < cl.RemoteInsert {
 		t.Errorf("steal (%v) should cost at least a remote insert (%v)", cl.RemoteSteal, cl.RemoteInsert)
@@ -134,26 +138,20 @@ func TestFig7Shape(t *testing.T) {
 
 var update = flag.Bool("update", false, "re-record testdata/*.golden from this run")
 
-// TestFig56QuickGolden pins the application figures in virtual time: the
-// -quick Figure 5/6 sweep must reproduce, to the nanosecond, the elapsed
-// times recorded in testdata/fig56_quick.golden. dsim is deterministic, so
-// any difference is a change to what SCF, TCE, ga, core or the cluster
-// model charge; a PR that means to move these re-records the file with
+// checkGolden compares got with the recorded file, after re-recording it
+// under -update. dsim is deterministic, so the virtual times in these
+// files repeat to the nanosecond on any host: a difference is a change to
+// what the runtime, an application or the machine model charges. A PR that
+// means to move them re-records with
 //
-//	go test ./internal/bench -run TestFig56QuickGolden -update
+//	go test ./internal/bench -run Golden -update
 //
-// and says why in EXPERIMENTS.md.
-func TestFig56QuickGolden(t *testing.T) {
-	const golden = "testdata/fig56_quick.golden"
-	s := RunAppSweep(QuickAppSweep())
-	var b strings.Builder
-	b.WriteString("# virtual ns of `sciotobench -exp fig5 -quick`; see TestFig56QuickGolden\n")
-	for i, n := range s.Ps {
-		fmt.Fprintf(&b, "P=%d SCF=%d SCF-Original=%d TCE=%d TCE-Original=%d\n",
-			n, s.SCF[i], s.SCFOrig[i], s.TCE[i], s.TCEOrig[i])
-	}
+// and says why in EXPERIMENTS.md; the diff of the golden file then shows
+// which columns moved and which did not.
+func checkGolden(t *testing.T, golden, got string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +159,55 @@ func TestFig56QuickGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.String(); got != string(want) {
+	if got != string(want) {
 		t.Errorf("virtual time moved (re-record with -update if it was meant to):\ngot:\n%swant:\n%s", got, want)
 	}
+}
+
+// TestFig56QuickGolden pins the application figures in virtual time: the
+// -quick Figure 5/6 sweep must reproduce the elapsed times recorded in
+// testdata/fig56_quick.golden.
+func TestFig56QuickGolden(t *testing.T) {
+	s := RunAppSweep(QuickAppSweep())
+	var b strings.Builder
+	b.WriteString("# virtual ns of `sciotobench -exp fig5 -quick`; see TestFig56QuickGolden\n")
+	for i, n := range s.Ps {
+		fmt.Fprintf(&b, "P=%d SCF=%d SCF-Original=%d TCE=%d TCE-Original=%d\n",
+			n, s.SCF[i], s.SCFOrig[i], s.TCE[i], s.TCEOrig[i])
+	}
+	checkGolden(t, "testdata/fig56_quick.golden", b.String())
+}
+
+// TestFig7QuickGolden pins the three UTS series of `sciotobench -exp fig7
+// -quick` in virtual time. The MPI-WS and No-Split columns are the paper's
+// baselines: a change to the split queue must leave them as recorded.
+func TestFig7QuickGolden(t *testing.T) {
+	o := UTSOptions{Tree: uts.TreeSmall}.withDefaults()
+	var b strings.Builder
+	b.WriteString("# virtual ns of `sciotobench -exp fig7 -quick`; see TestFig7QuickGolden\n")
+	for _, n := range []int{1, 2, 4, 8} {
+		nodes, split, _ := runUTSPoint(ClusterWorld(n, 5), o, seriesSciotoSplit, OpteronNodeCost)
+		_, mpi, _ := runUTSPoint(ClusterWorld(n, 5), o, seriesMPIWS, OpteronNodeCost)
+		_, locked, _ := runUTSPoint(ClusterWorld(n, 5), o, seriesSciotoNoSplit, OpteronNodeCost)
+		fmt.Fprintf(&b, "P=%d nodes=%d Split-Queues=%d MPI-WS=%d No-Split=%d\n", n, nodes, split, mpi, locked)
+	}
+	checkGolden(t, "testdata/fig7_quick.golden", b.String())
+}
+
+// TestTable1Golden pins the two model columns of `sciotobench -exp table1`
+// in virtual time (the microbenchmark runs on a split queue; the shm
+// column is wall-clock and not recorded).
+func TestTable1Golden(t *testing.T) {
+	o := Table1Options{}.withDefaults()
+	var b strings.Builder
+	b.WriteString("# virtual ns of `sciotobench -exp table1`, model columns; see TestTable1Golden\n")
+	for _, m := range []struct {
+		name string
+		w    pgas.World
+	}{{"cluster", ClusterWorld(2, 1)}, {"xt4", XT4World(2, 1)}} {
+		tm := measureOpsOn(m.w, o)
+		fmt.Fprintf(&b, "%s LocalInsert=%d RemoteInsert=%d LocalGet=%d RemoteSteal=%d\n", m.name,
+			tm.LocalInsert, tm.RemoteInsert, tm.LocalGet, tm.RemoteSteal)
+	}
+	checkGolden(t, "testdata/table1.golden", b.String())
 }

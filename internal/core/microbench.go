@@ -70,7 +70,7 @@ func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
 		}
 		out.LocalGet = per(p.Now() - t0)
 
-		// Remote insert: one-sided locked adds into rank 1's queue.
+		// Remote insert: one-sided adds at the shared end of rank 1's queue.
 		t0 = p.Now()
 		for i := 0; i < iters; i++ {
 			if !q.addRemote(1, wire, &s) {
@@ -82,7 +82,7 @@ func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
 	p.Barrier()
 	if p.Rank() == 1 {
 		// Seed the shared portion of our queue so rank 0 can steal
-		// full chunks. Local adds at the shared end keep split == 0 < b.
+		// full chunks: local adds at the shared end.
 		for i := 0; i < iters*chunk; i++ {
 			if !q.addRemote(1, wire, &s) {
 				panic("core: microbench victim overflow")

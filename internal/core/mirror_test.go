@@ -12,20 +12,21 @@ import (
 // storeFault is what the ranks of one TestMirrorsFollowPublishedWords run
 // share (dsim runs one rank at a time, so plain fields do).
 type storeFault struct {
-	word int   // wSplit or wTop
-	dir  int64 // +1: the store raises the word, -1: lowers it
-	nth  int   // fault the survivors' nth such store
+	word int   // wShared or wTop
+	dir  int64 // +1: the op raises the word, -1: lowers it
+	nth  int   // fault the survivors' nth such op
 
 	seen    int
 	die     bool   // the victim crashes in its next operation
-	verdict string // what the faulted store left behind: "ok" or the disagreement
+	verdict string // what the faulted op left behind: "ok" or the disagreement
 }
 
 // storeFaulter is a proc that delivers a peer's death out of the chosen
-// ordered store to an owner-written queue word. It tells the victim to
-// die, waits until the transport reports the death, and lets that surface
-// in place of the store — so the store unwinds with a FaultError and is
-// never applied.
+// ordered op publishing an owner-moved queue word: the Store64 of a locked
+// push or pop, the FetchAdd64 of a release, the CAS64 of a reacquire. It
+// tells the victim to die, waits until the transport reports the death,
+// and lets that surface in place of the op — which unwinds with a
+// FaultError and is never applied.
 type storeFaulter struct {
 	pgas.Proc
 	q *taskQueue // set while the phase runs; nil = disarmed
@@ -53,34 +54,53 @@ func (f *storeFaulter) TryLock(proc int, id pgas.LockID) bool {
 	return f.Proc.TryLock(proc, id)
 }
 
-func (f *storeFaulter) Store64(proc int, seg pgas.Seg, idx int, val int64) {
+// publishing is called ahead of an ordered op that moves word idx of rank
+// proc's seg by change; the chosen one never returns from here.
+func (f *storeFaulter) publishing(proc int, seg pgas.Seg, idx int, change int64) {
 	q := f.q
-	if q != nil && f.Rank() != mirrorVictim && proc == f.Rank() && seg == q.meta && idx == f.word &&
-		(val-f.Proc.RelaxedLoad64(seg, idx))*f.dir > 0 {
-		if f.seen++; f.seen == f.nth {
-			defer func() {
-				// The store did not happen; the mirrors must not have moved
-				// either, or owner and thieves now disagree.
-				f.verdict = "ok"
-				if top, split := f.Proc.RelaxedLoad64(seg, wTop), f.Proc.RelaxedLoad64(seg, wSplit); q.top != top || q.split != split {
-					f.verdict = fmt.Sprintf("mirrors (top %d, split %d) left the words (top %d, split %d) behind", q.top, q.split, top, split)
-				}
-			}()
-			f.die = true
-			for {
-				f.Proc.Load64(proc, seg, wDirty) // panics once the death is registered
-			}
-		}
+	if q == nil || f.Rank() == mirrorVictim || proc != f.Rank() || seg != q.meta || idx != f.word || change*f.dir <= 0 {
+		return
 	}
+	if f.seen++; f.seen != f.nth {
+		return
+	}
+	defer func() {
+		// The op did not happen; the mirrors must not have moved either, or
+		// owner and thieves now disagree.
+		f.verdict = "ok"
+		top, w, m := f.Proc.RelaxedLoad64(seg, wTop), q.sharedHint(), 2*int64(q.capacity)
+		if q.top != top || emod(q.split, m) != emod(wordB(w)+wordN(w), m) {
+			f.verdict = fmt.Sprintf("mirrors (top %d, split %d) left the words (top %d, b %d + n %d) behind", q.top, q.split, top, wordB(w), wordN(w))
+		}
+	}()
+	f.die = true
+	for {
+		f.Proc.Load64(proc, seg, wDirty) // panics once the death is registered
+	}
+}
+
+func (f *storeFaulter) Store64(proc int, seg pgas.Seg, idx int, val int64) {
+	f.publishing(proc, seg, idx, val-f.Proc.RelaxedLoad64(seg, idx))
 	f.Proc.Store64(proc, seg, idx, val)
 }
 
-// TestMirrorsFollowPublishedWords: the owner's mirrors of wTop and wSplit
-// change only after the store that publishes the word has returned. A
-// rank dies such that a survivor learns of it inside a release, a
-// reacquire (queue lock held), a locked-mode push and a locked-mode pop;
-// each time the mirrors still equal the words when the fault leaves the
-// store, and the recovered run executes every task exactly once.
+func (f *storeFaulter) FetchAdd64(proc int, seg pgas.Seg, idx int, delta int64) int64 {
+	f.publishing(proc, seg, idx, delta)
+	return f.Proc.FetchAdd64(proc, seg, idx, delta)
+}
+
+func (f *storeFaulter) CAS64(proc int, seg pgas.Seg, idx int, old, new int64) bool {
+	f.publishing(proc, seg, idx, new-old)
+	return f.Proc.CAS64(proc, seg, idx, old, new)
+}
+
+// TestMirrorsFollowPublishedWords: the owner's mirrors — of wTop, and of
+// the split b+n of the packed word — change only after the op that
+// publishes the move has returned. A rank dies such that a survivor learns
+// of it inside a release (FetchAdd64), a reacquire (CAS64), a locked-mode
+// push and a locked-mode pop (Store64); each time the mirrors still agree
+// with the words when the fault leaves the op, and the recovered run
+// executes every task exactly once.
 func TestMirrorsFollowPublishedWords(t *testing.T) {
 	const n = 3
 	const seeded = 200
@@ -90,8 +110,8 @@ func TestMirrorsFollowPublishedWords(t *testing.T) {
 		word int
 		dir  int64
 	}{
-		{"release", ModeSplit, wSplit, +1},
-		{"reacquire", ModeSplit, wSplit, -1},
+		{"release", ModeSplit, wShared, +1},
+		{"reacquire", ModeSplit, wShared, -1},
 		{"locked push", ModeLocked, wTop, +1},
 		{"locked pop", ModeLocked, wTop, -1},
 	} {
@@ -122,7 +142,7 @@ func TestMirrorsFollowPublishedWords(t *testing.T) {
 				}
 			})
 			if sf.verdict != "ok" {
-				t.Fatalf("%s %d: the faulted store: %q (empty: vacuous, no fault left the chosen store)", c.name, nth, sf.verdict)
+				t.Fatalf("%s %d: the faulted op: %q (empty: vacuous, no fault left the chosen op)", c.name, nth, sf.verdict)
 			}
 			if err != nil {
 				t.Fatalf("%s %d: %v", c.name, nth, err)

@@ -20,7 +20,7 @@ import (
 type nowCounter struct {
 	pgas.Proc
 	calls, locks int
-	probes       *atomic.Int64 // TryLock calls, when non-nil
+	probes       *atomic.Int64 // remote Load64 calls — a split-queue thief's probe — when non-nil
 }
 
 func (c *nowCounter) Now() time.Duration {
@@ -33,11 +33,11 @@ func (c *nowCounter) Lock(proc int, id pgas.LockID) {
 	c.Proc.Lock(proc, id)
 }
 
-func (c *nowCounter) TryLock(proc int, id pgas.LockID) bool {
-	if c.probes != nil {
+func (c *nowCounter) Load64(proc int, seg pgas.Seg, idx int) int64 {
+	if c.probes != nil && proc != c.Rank() {
 		c.probes.Add(1)
 	}
-	return c.Proc.TryLock(proc, id)
+	return c.Proc.Load64(proc, seg, idx)
 }
 
 // TestObservabilityOffReadsNoClock accounts for every clock read of a
@@ -48,7 +48,8 @@ func (c *nowCounter) TryLock(proc int, id pgas.LockID) bool {
 // local pop, release, reacquire or the queue-lock brackets. A consumer of
 // per-task durations — an exec hook or an observer — costs exactly two
 // reads per execution, and an observer three more per queue-lock bracket
-// it reports and one per termination-detector step.
+// it reports (ModeLocked: a split queue takes no lock, which is checked
+// too) and one per termination-detector step.
 func TestObservabilityOffReadsNoClock(t *testing.T) {
 	const tasks = 64
 	for _, mode := range []core.QueueMode{core.ModeSplit, core.ModeLocked} {
@@ -79,9 +80,8 @@ func TestObservabilityOffReadsNoClock(t *testing.T) {
 						panic(fmt.Sprintf("%d clock reads between two callbacks, want %d", reads()-lastExit, perExec))
 					}
 					if ran++; ran > tasks/4 && t.Body()[0] == 1 {
-						// A low-affinity add goes to the shared end, through
-						// the queue lock (late, so the first release finds
-						// the shared portion empty).
+						// A low-affinity add goes to the shared end (late, so
+						// the first release finds the shared portion empty).
 						t.Body()[0] = 0
 						if err := tc.Add(0, core.AffinityLow, t); err != nil {
 							panic(err)
@@ -101,8 +101,11 @@ func TestObservabilityOffReadsNoClock(t *testing.T) {
 				}
 				tc.Process()
 				st := tc.Stats()
-				if mode == core.ModeSplit && (st.Releases == 0 || st.Reacquires == 0 || clock.locks == 0) {
-					panic(fmt.Sprintf("vacuous: %d releases, %d reacquires, %d locks", st.Releases, st.Reacquires, clock.locks))
+				if mode == core.ModeSplit && (st.Releases == 0 || st.Reacquires == 0 || st.LocalSharedInserts == 0 || clock.locks != 0) {
+					panic(fmt.Sprintf("vacuous, or a split queue locking: %d releases, %d reacquires, %d shared-end adds, %d locks", st.Releases, st.Reacquires, st.LocalSharedInserts, clock.locks))
+				}
+				if mode == core.ModeLocked && clock.locks == 0 {
+					panic("vacuous: the locked queue took no lock")
 				}
 				if want := perExec*int(st.TasksExecuted) + perPhase; st.TasksExecuted <= tasks/2 || reads() != want {
 					panic(fmt.Sprintf("%d tasks, %d clock reads in all, want more than %d tasks and %d reads", st.TasksExecuted, reads(), tasks/2, want))

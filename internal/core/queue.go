@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -12,9 +14,11 @@ type QueueMode int
 
 const (
 	// ModeSplit is the paper's split queue: a lock-free private portion
-	// for the owner and a locked shared portion for thieves and remote
-	// adders, separated by a split pointer that moves work between the
-	// portions without copying.
+	// for the owner and a shared portion for thieves and remote adders,
+	// separated by a split pointer that moves work between the portions
+	// without copying. Where the paper locks the shared portion, this one
+	// is described by one packed word that thieves claim from with a CAS
+	// (see the word layout below): split mode takes no lock.
 	ModeSplit QueueMode = iota
 	// ModeLocked is the paper's original implementation, kept as an
 	// ablation (the "No Split" series in Figure 7): every operation,
@@ -36,12 +40,54 @@ func (m QueueMode) String() string {
 
 // Queue metadata word indices within the queue's word segment.
 const (
-	wBottom = 0 // steal end; advanced by thieves, decremented by adders (under lock)
-	wSplit  = 1 // private/shared boundary; raised lock-free by owner, lowered under lock
+	wBottom = 0 // ModeLocked: steal end; advanced by thieves, decremented by adders (under lock)
+	wShared = 1 // ModeSplit: the packed shared-portion word, below
 	wTop    = 2 // owner end; owner-only
 	wDirty  = 3 // dirty counter for termination detection, incremented by thieves
 	nQWords = 4
 )
+
+// The packed word describes a split queue's shared portion, low bits first:
+//
+//	n  tasks in the shared portion, slots [b, b+n)
+//	b  steal-end position modulo twice the ring, so top-b tells full from empty
+//	x  size of the one claim a thief is still copying out of [b-x, b)
+//	a  remote adders that have announced themselves; the one that found
+//	   a == 0 and x == 0 writes slot b-1, the others withdraw
+//
+// Every field is relative to the ring, so the zero word is the empty queue
+// and no field grows with the queue's age. Thieves move b, n and x with a
+// CAS and retire x with a fetch-add; adders move a, b and n with fetch-adds;
+// the owner moves n alone (release: fetch-add, reacquire: CAS). The owner's
+// split is b+n, which neither a thief (b+k, n-k) nor an adder (b-1, n+1)
+// changes, so its top/split mirrors stay exact. DESIGN.md "Split queue" has
+// the protocols and why they are safe.
+const (
+	cntBits = 17 // n and x
+	posBits = cntBits + 1
+	bShift  = cntBits
+	xShift  = bShift + posBits
+	aShift  = xShift + cntBits
+
+	oneN int64 = 1
+	oneB int64 = 1 << bShift
+	oneX int64 = 1 << xShift
+	oneA int64 = 1 << aShift
+
+	// maxSplitTasks is the largest capacity the count fields hold (the ring
+	// has one slot more); maxAdders bounds a.
+	maxSplitTasks = 1<<cntBits - 2
+	maxAdders     = 1<<(63-aShift) - 1
+)
+
+func wordN(w int64) int64 { return w & (oneB - 1) }
+func wordB(w int64) int64 { return w >> bShift & (1<<posBits - 1) }
+func wordX(w int64) int64 { return w >> xShift & (1<<cntBits - 1) }
+func wordA(w int64) int64 { return w >> aShift }
+
+// wordBusy reports a claim being copied or an adder at work: thieves and
+// adders keep out until both are done.
+func wordBusy(w int64) bool { return w>>xShift != 0 }
 
 // localCost models the owner-side bookkeeping cost of a local queue
 // operation that touches n payload bytes. Calibrated so a 1 kB-body local
@@ -52,28 +98,31 @@ func localCost(n int) time.Duration {
 
 // taskQueue is one process's patch of a task collection: a circular array
 // of fixed-size task descriptor slots in symmetric memory, with metadata
-// words and a lock, following the layout of Section 5 of the paper.
+// words and (ModeLocked) a lock, following the layout of Section 5 of the
+// paper.
 //
-// Indices are monotone-ish 64-bit values mapped onto the ring by modular
-// arithmetic; bottom may decrease below its initial value when tasks are
-// prepended by remote adds. The live region is [bottom, top), with
-// [bottom, split) shared and [split, top) private in ModeSplit.
+// The owner's indices are monotone-ish 64-bit values mapped onto the ring
+// by modular arithmetic; the steal end may go below its initial value when
+// tasks are prepended by remote adds. The live region is [bottom, top). In
+// ModeSplit [split, top) is private, the shared portion below it is the
+// packed word's, and bottom is split-n.
 type taskQueue struct {
 	p        pgas.Proc
 	mode     QueueMode
 	slotSize int
-	capacity int
+	capacity int // slots in the ring
+	limit    int // tasks the queue accepts: capacity, less the spare slot in ModeSplit
 
 	data pgas.Seg // capacity * slotSize bytes per process
 	meta pgas.Seg // nQWords words per process
 	lock pgas.LockID
 
-	// top and split mirror wTop and wSplit, the two words no rank but the
-	// owner writes, so the owner's paths do not load them back through
-	// pgas.Proc. A mirror changes only after the store that publishes its
-	// word has returned: an ordered store can unwind with a FaultError, and
-	// a mirror moved first leaves owner and thieves disagreeing about the
-	// split.
+	// top and split mirror what no rank but the owner moves — wTop, and the
+	// position b+n of the packed word — so the owner's paths do not load
+	// them back through pgas.Proc. A mirror changes only after the op that
+	// publishes it has returned: an ordered op can unwind with a FaultError,
+	// and a mirror moved first leaves owner and thieves disagreeing about
+	// the split.
 	top, split int64
 
 	// desc is the descriptor the owner's pops decode into, reused from task
@@ -81,20 +130,22 @@ type taskQueue struct {
 	desc Task
 
 	// heldLock is the rank whose queue-lock instance this rank currently
-	// holds (-1 when none). A fault delivered mid-critical-section unwinds
-	// with the lock still held; recovery consults this to release it.
+	// holds (-1 when none; ModeLocked only). A fault delivered
+	// mid-critical-section unwinds with the lock still held; recovery
+	// consults this to release it.
 	heldLock int
 
-	// nbOld receives the discarded previous value of the pipelined
-	// dirty-mark fetch-add in steal. It lives on the queue rather than the
-	// stack so the completion write (performed by a transport goroutine on
-	// tcp) has a stable, non-escaping destination.
+	// nbOld receives the discarded previous value of a pipelined fetch-add
+	// (the dirty mark, a claim's retirement, an add's publication). It lives
+	// on the queue rather than the stack so the completion write (performed
+	// by a transport goroutine on tcp) has a stable, non-escaping
+	// destination.
 	nbOld int64
-	// nbBottom and nbLimit are the destinations of the pipelined index
-	// loads in steal and addRemote (which reads the top word into
-	// nbLimit). On the queue for the same reason as nbOld: an out-pointer
-	// to a stack local escapes through the interface call and costs a
-	// heap allocation per steal.
+	// nbBottom and nbLimit are the destinations of the pipelined loads in
+	// steal and addRemote (which reads the top word into nbLimit and, in
+	// ModeSplit, the packed word into nbBottom). On the queue for the same
+	// reason as nbOld: an out-pointer to a stack local escapes through the
+	// interface call and costs a heap allocation per steal.
 	nbBottom, nbLimit int64
 
 	obs *Observer // nil = observability disabled
@@ -103,18 +154,28 @@ type taskQueue struct {
 // newTaskQueue collectively allocates a task queue. All processes must call
 // it with identical parameters.
 func newTaskQueue(p pgas.Proc, mode QueueMode, slotSize, capacity int) *taskQueue {
-	q := &taskQueue{
+	limit := capacity
+	if mode == ModeSplit {
+		if capacity > maxSplitTasks || p.NProcs() > maxAdders {
+			panic(fmt.Sprintf("core: a split queue holds at most %d tasks on at most %d processes, asked for %d on %d",
+				maxSplitTasks, maxAdders, capacity, p.NProcs()))
+		}
+		// The spare slot takes the one push the owner may have in flight
+		// while a remote adder reads its top (addShared).
+		capacity++
+	}
+	return &taskQueue{
 		p:        p,
 		mode:     mode,
 		slotSize: slotSize,
 		capacity: capacity,
+		limit:    limit,
 		data:     p.AllocData(slotSize * capacity),
 		meta:     p.AllocWords(nQWords),
 		lock:     p.AllocLock(),
 		heldLock: -1,
 		desc:     Task{buf: make([]byte, slotSize)},
 	}
-	return q
 }
 
 // locked notes that this rank now holds rank proc's queue lock, asked for
@@ -143,15 +204,16 @@ func (q *taskQueue) releaseHeldLock(alive []bool) {
 	}
 }
 
-// slotIndex maps a queue index onto the ring (Euclidean modulus, since
-// bottom may go negative).
-func (q *taskQueue) slotIndex(i int64) int64 {
-	m := i % int64(q.capacity)
-	if m < 0 {
-		m += int64(q.capacity)
+// emod is the Euclidean modulus: queue indices may go negative.
+func emod(i, m int64) int64 {
+	if i %= m; i < 0 {
+		i += m
 	}
-	return m
+	return i
 }
+
+// slotIndex maps a queue index onto the ring.
+func (q *taskQueue) slotIndex(i int64) int64 { return emod(i, int64(q.capacity)) }
 
 // slotOff maps a queue index to a byte offset in the data segment.
 func (q *taskQueue) slotOff(i int64) int {
@@ -162,10 +224,9 @@ func (q *taskQueue) slotOff(i int64) int {
 // (typically barriers on both sides).
 func (q *taskQueue) reset() {
 	me := q.p.Rank()
-	q.p.Store64(me, q.meta, wBottom, 0)
-	q.p.Store64(me, q.meta, wSplit, 0)
-	q.p.Store64(me, q.meta, wTop, 0)
-	q.p.Store64(me, q.meta, wDirty, 0)
+	for w := 0; w < nQWords; w++ {
+		q.p.Store64(me, q.meta, w, 0)
+	}
 	q.top, q.split = 0, 0
 }
 
@@ -177,40 +238,50 @@ func (q *taskQueue) decode(slot []byte) *Task {
 	return &q.desc
 }
 
-// --- Owner-side size probes (relaxed; hints unless stated otherwise) -----
+// --- Owner-side size probes ------------------------------------------------
 
-// privateCount is exact: both words are owner-written.
+// privateCount is exact: only the owner moves top and split.
 func (q *taskQueue) privateCount() int64 { return q.top - q.split }
 
-// sharedCountHint may be stale; shared-portion decisions are revalidated
-// under the queue lock.
-func (q *taskQueue) sharedCountHint() int64 {
-	//lint:ignore relaxedword stale-read of wBottom is a hint; reacquire revalidates with ordered loads under the queue lock
-	return q.split - q.p.RelaxedLoad64(q.meta, wBottom)
+// sharedHint reads the packed word without ordering it against the remote
+// operations in flight: what the owner decides from it is either safe
+// against a claim or an add it has not seen yet (pushPrivate, with the
+// spare slot) or revalidated by the ordered op that acts on it.
+func (q *taskQueue) sharedHint() int64 {
+	//lint:ignore relaxedword the owner's view of its packed word: callers tolerate a claim or add landing after the load and publish through ordered RMWs only
+	return q.p.RelaxedLoad64(q.meta, wShared)
 }
 
 // totalCountHint may be stale.
 func (q *taskQueue) totalCountHint() int64 {
+	if q.mode == ModeSplit {
+		return q.top - q.split + wordN(q.sharedHint())
+	}
 	//lint:ignore relaxedword stale-read of wBottom only under-reports queue size; callers treat the count as advisory
 	return q.top - q.p.RelaxedLoad64(q.meta, wBottom)
 }
 
-// --- Split-mode owner fast paths -----------------------------------------
+// --- Split-mode owner paths ------------------------------------------------
+
+// occupied is how many ring slots the owner must treat as taken, given
+// packed word w: its private tasks, the shared ones, the x slots below b a
+// thief is still copying out of, and one for every announced adder (the
+// one at work is filling slot b-1).
+func (q *taskQueue) occupied(w int64) int64 {
+	return q.top - q.split + wordN(w) + wordX(w) + wordA(w)
+}
 
 // pushPrivate inserts a task descriptor at the owner end of the private
 // portion without locking. It reports false when the queue is full (after
-// an ordered refresh of the steal-end index).
+// an ordered refresh of the packed word).
 //
 //scioto:noalloc
 func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
 	top := q.top
-	//lint:ignore relaxedword stale wBottom can only make the queue look fuller; the full case below refreshes it with an ordered load
-	bottom := q.p.RelaxedLoad64(q.meta, wBottom)
-	if top-bottom >= int64(q.capacity) {
-		// The hint says full; refresh bottom with an ordered load in case
-		// thieves have made room.
-		bottom = q.p.Load64(q.p.Rank(), q.meta, wBottom)
-		if top-bottom >= int64(q.capacity) {
+	if q.occupied(q.sharedHint()) >= int64(q.limit) {
+		// Full at last sight; an ordered load in case thieves have made
+		// room since.
+		if q.occupied(q.p.Load64(q.p.Rank(), q.meta, wShared)) >= int64(q.limit) {
 			return false
 		}
 	}
@@ -243,27 +314,26 @@ func (q *taskQueue) popPrivate(s *Stats) (*Task, bool) {
 }
 
 // maybeRelease moves surplus private tasks into the shared portion when the
-// shared portion looks empty, making work available for stealing. The split
-// pointer is raised with a single ordered store — no lock and no copying.
-// ordered forces a fresh read of the steal-end index.
+// shared portion looks empty, making work available for stealing: one
+// fetch-add on the owner's own packed word — no lock and no copying.
+// ordered forces a fresh read of the word.
 func (q *taskQueue) maybeRelease(ordered bool, s *Stats) {
 	top, split := q.top, q.split
 	if top-split < 2 {
 		return // nothing to spare
 	}
 	me := q.p.Rank()
-	var bottom int64
+	var w int64
 	if ordered {
-		bottom = q.p.Load64(me, q.meta, wBottom)
+		w = q.p.Load64(me, q.meta, wShared)
 	} else {
-		//lint:ignore relaxedword stale wBottom only delays a release; callers needing certainty pass ordered=true for the ordered load above
-		bottom = q.p.RelaxedLoad64(q.meta, wBottom)
+		w = q.sharedHint() // a stale word only delays a release
 	}
-	if split-bottom > 0 {
+	if wordN(w) > 0 {
 		return // shared portion still has work
 	}
 	k := (top - split) / 2
-	q.p.Store64(me, q.meta, wSplit, split+k)
+	q.p.FetchAdd64(me, q.meta, wShared, k*oneN)
 	q.split = split + k
 	q.obs.release(k)
 	s.Releases++
@@ -271,38 +341,27 @@ func (q *taskQueue) maybeRelease(ordered bool, s *Stats) {
 }
 
 // reacquire moves shared-portion tasks back into the private portion when
-// the private portion has drained. It takes the queue lock because it
-// lowers the split pointer, which thieves read to bound their steals.
+// the private portion has drained: a CAS on the owner's own packed word
+// that lowers n, retried when a thief or an adder moved the word first.
 // It reports whether any tasks were reclaimed.
 func (q *taskQueue) reacquire(s *Stats) bool {
 	me := q.p.Rank()
-	if q.sharedCountHint() <= 0 {
-		// Refresh: a remote add may have prepended work invisibly to the
-		// relaxed hint.
-		if q.p.Load64(me, q.meta, wSplit)-q.p.Load64(me, q.meta, wBottom) <= 0 {
+	for {
+		w := q.p.Load64(me, q.meta, wShared)
+		n := wordN(w)
+		if n == 0 {
 			return false
 		}
+		k := (n + 1) / 2
+		if !q.p.CAS64(me, q.meta, wShared, w, w-k*oneN) {
+			continue
+		}
+		q.split -= k
+		q.obs.reacquire(k)
+		s.Reacquires++
+		s.TasksReacquired += k
+		return true
 	}
-	t0 := q.obs.now()
-	q.p.Lock(me, q.lock)
-	lockT := q.locked(t0, me)
-	bottom := q.p.Load64(me, q.meta, wBottom)
-	split := q.p.Load64(me, q.meta, wSplit)
-	avail := split - bottom
-	if avail <= 0 {
-		q.p.Unlock(me, q.lock)
-		q.unlocked(lockT, me)
-		return false
-	}
-	k := (avail + 1) / 2
-	q.p.Store64(me, q.meta, wSplit, split-k)
-	q.split = split - k
-	q.p.Unlock(me, q.lock)
-	q.unlocked(lockT, me)
-	q.obs.reacquire(k)
-	s.Reacquires++
-	s.TasksReacquired += k
-	return true
 }
 
 // --- Locked-mode owner paths ----------------------------------------------
@@ -361,12 +420,17 @@ func (q *taskQueue) popLocked(s *Stats) (*Task, bool) {
 // --- Remote operations -------------------------------------------------------
 
 // addRemote inserts a task descriptor into the shared (steal) end of the
-// queue on process proc, using one-sided operations under the queue lock.
-// It reports false if the target queue is full. proc may equal the caller's
-// rank, which is how local low-affinity adds reach the shared portion.
+// queue on process proc, using one-sided operations — under the queue lock
+// in ModeLocked, behind the packed word's adder count in ModeSplit
+// (addShared). It reports false if the target queue is full. proc may equal
+// the caller's rank, which is how local low-affinity adds reach the shared
+// portion.
 //
 //scioto:noalloc
 func (q *taskQueue) addRemote(proc int, wire []byte, s *Stats) bool {
+	if q.mode == ModeSplit {
+		return q.addShared(proc, wire, s)
+	}
 	t0 := q.obs.now()
 	q.p.Lock(proc, q.lock)
 	lockT := q.locked(t0, proc)
@@ -392,11 +456,58 @@ func (q *taskQueue) addRemote(proc int, wire []byte, s *Stats) bool {
 	q.p.Flush()
 	q.p.Unlock(proc, q.lock)
 	q.unlocked(lockT, proc)
+	q.countAdd(proc, s)
+	return true
+}
+
+func (q *taskQueue) countAdd(proc int, s *Stats) {
 	if proc == q.p.Rank() {
 		s.LocalSharedInserts++
 	} else {
 		s.RemoteInserts++
 	}
+}
+
+// addShared is addRemote on a split queue: two rounds and no lock. The
+// adder announces itself with a fetch-add on the packed word and reads the
+// owner's top behind it in the same round (operations to one target apply
+// in issue order). If the word it added to was quiet — no claim being
+// copied, no other adder — slot b-1 is its to fill: thieves and adders
+// keep out while a != 0, and the owner counts a slot per adder as taken.
+// Otherwise it withdraws, waits for the word to go quiet and starts over.
+// The second round puts the descriptor and publishes it (b-1, n+1, a-1)
+// with one fetch-add behind the Put.
+//
+// The top it read is exact but for one push: the owner loads the word,
+// then writes the slot, then publishes top, so a push that loaded before
+// the announcement and published after the read is seen by neither side.
+// The ring's spare slot takes it; the next push sees a != 0.
+//
+//scioto:noalloc
+func (q *taskQueue) addShared(proc int, wire []byte, s *Stats) bool {
+	ring := int64(q.capacity)
+	for {
+		q.p.NbFetchAdd64(proc, q.meta, wShared, oneA, &q.nbBottom)
+		q.p.NbLoad64(proc, q.meta, wTop, &q.nbLimit)
+		q.p.Flush()
+		if !wordBusy(q.nbBottom) {
+			break
+		}
+		q.p.FetchAdd64(proc, q.meta, wShared, -oneA)
+		for wordBusy(q.p.Load64(proc, q.meta, wShared)) {
+			runtime.Gosched()
+		}
+	}
+	b := wordB(q.nbBottom)
+	if emod(q.nbLimit-b, 2*ring) >= int64(q.limit) {
+		q.p.FetchAdd64(proc, q.meta, wShared, -oneA)
+		return false
+	}
+	nb := emod(b-1, 2*ring)
+	q.p.NbPut(proc, q.data, int(nb%ring)*q.slotSize, wire)
+	q.p.NbFetchAdd64(proc, q.meta, wShared, (nb-b)*oneB+oneN-oneA, &q.nbOld)
+	q.p.Flush()
+	q.countAdd(proc, s)
 	return true
 }
 
@@ -427,21 +538,99 @@ func (b *stealBatch) recycle() {
 	stealPool.Put(b)
 }
 
+// take returns a pooled batch whose buffer holds k slots.
+//
+//scioto:noalloc
+func (q *taskQueue) take(k int64) (*stealBatch, []byte) {
+	b := stealPool.Get().(*stealBatch)
+	n := int(k) * q.slotSize
+	if cap(b.buf) < n {
+		//scioto:alloc-ok grows the pooled batch buffer; happens only until the pool is warm, amortized to zero per steal
+		b.buf = make([]byte, n)
+	}
+	return b, b.buf[:n]
+}
+
+// extent is how many bytes of the k slots from position bottom lie before
+// the ring wraps: a bulk transfer is at most two contiguous extents, the
+// second from offset 0.
+func (q *taskQueue) extent(bottom, k int64) int {
+	return int(min(k, int64(q.capacity)-q.slotIndex(bottom))) * q.slotSize
+}
+
+// stolen hands the k slots in buf to the caller as batch b.
+func (q *taskQueue) stolen(b *stealBatch, buf []byte, k int64, s *Stats) (*stealBatch, stealResult) {
+	for i := 0; i < int(k); i++ {
+		b.slots = append(b.slots, buf[i*q.slotSize:(i+1)*q.slotSize])
+	}
+	s.StealsOK++
+	s.TasksStolen += k
+	return b, stealOK
+}
+
 // steal attempts to take up to chunk tasks from the shared end of the queue
 // on process victim. Stolen descriptors are returned as a pooled batch of
-// raw slot bytes (slotSize each) that the caller recycles after decoding.
-// markDirty, when true, increments the victim's dirty counter (termination
-// detection) before publishing the new steal index.
+// raw slot bytes (slotSize each) that the caller recycles after decoding. markDirty, when
+// true, increments the victim's dirty counter (termination detection)
+// before the victim can see the tasks gone.
 //
-// The remote sequence is pipelined into two completion rounds under the
-// lock — (bottom, limit) loads, then transfer+mark+publish — instead of up
-// to five sequential round trips, mirroring how Scioto's ARMCI
-// implementation overlaps its queue transfers with non-blocking one-sided
-// operations.
+// On a split queue the thief takes no lock. It loads the victim's packed
+// word: no shared task is stealEmpty after that one round trip, a claim
+// being copied or an adder at work is stealBusy (the caller picks another
+// victim). Otherwise one CAS claims k tasks — b+k, n-k, x = k — and a lost
+// CAS is stealBusy too. The claimed slots are the thief's alone: the owner
+// and the adders count [b-x, b) as taken until the fetch-add that retires
+// x, which travels behind the extent Gets in one flushed batch (operations
+// to one target apply in issue order, so it lands after the Gets have
+// read). Claim, then copy, never copy, then validate: a thief only reads
+// slots it owns.
 //
 //scioto:noalloc
 func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBatch, stealResult) {
 	s.StealAttempts++
+	if q.mode != ModeSplit {
+		return q.stealLocked(victim, chunk, markDirty, s)
+	}
+	w := q.p.Load64(victim, q.meta, wShared)
+	n := wordN(w)
+	if n == 0 {
+		s.StealsEmpty++
+		return nil, stealEmpty
+	}
+	if wordBusy(w) {
+		s.StealsBusy++
+		return nil, stealBusy
+	}
+	if markDirty {
+		q.p.FetchAdd64(victim, q.meta, wDirty, 1)
+		s.DirtyMarksSent++
+	}
+	k := min(n, int64(chunk))
+	bottom := wordB(w)
+	moved := emod(bottom+k, 2*int64(q.capacity)) - bottom
+	if !q.p.CAS64(victim, q.meta, wShared, w, w+moved*oneB+k*(oneX-oneN)) {
+		s.StealsBusy++
+		return nil, stealBusy
+	}
+	b, buf := q.take(k)
+	cut := q.extent(bottom, k)
+	q.p.NbGet(buf[:cut], victim, q.data, q.slotOff(bottom))
+	if cut < len(buf) {
+		q.p.NbGet(buf[cut:], victim, q.data, 0)
+	}
+	q.p.NbFetchAdd64(victim, q.meta, wShared, -k*oneX, &q.nbOld)
+	q.p.Flush()
+	return q.stolen(b, buf, k, s)
+}
+
+// stealLocked is steal on a ModeLocked queue, the paper's protocol: the
+// remote sequence is pipelined into two completion rounds under the lock —
+// (bottom, top) loads, then transfer+mark+publish — instead of up to five
+// sequential round trips, mirroring how Scioto's ARMCI implementation
+// overlaps its queue transfers with non-blocking one-sided operations.
+//
+//scioto:noalloc
+func (q *taskQueue) stealLocked(victim, chunk int, markDirty bool, s *Stats) (*stealBatch, stealResult) {
 	t0 := q.obs.now()
 	if !q.p.TryLock(victim, q.lock) {
 		// A failed probe is the contended window: the victim's lock was
@@ -452,12 +641,8 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBa
 	}
 	q.heldLock = victim
 	lockT := q.obs.now()
-	limitWord := wSplit
-	if q.mode != ModeSplit {
-		limitWord = wTop
-	}
 	q.p.NbLoad64(victim, q.meta, wBottom, &q.nbBottom)
-	q.p.NbLoad64(victim, q.meta, limitWord, &q.nbLimit)
+	q.p.NbLoad64(victim, q.meta, wTop, &q.nbLimit)
 	q.p.Flush()
 	bottom, limit := q.nbBottom, q.nbLimit
 	avail := limit - bottom
@@ -471,14 +656,7 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBa
 	if k > avail {
 		k = avail
 	}
-	b := stealPool.Get().(*stealBatch)
-	n := int(k) * q.slotSize
-	if cap(b.buf) < n {
-		//scioto:alloc-ok grows the pooled batch buffer; happens only until the pool is warm, amortized to zero per steal
-		b.buf = make([]byte, n)
-	}
-	buf := b.buf[:n]
-	// Bulk transfer: the ring layout means at most two contiguous extents.
+	b, buf := q.take(k)
 	// The extent Gets, the dirty mark, and the store publishing the new
 	// steal index leave as one pipelined batch. Overlapping the store with
 	// the Gets is safe because operations to one target apply in issue
@@ -486,13 +664,10 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBa
 	// and push fresh work onto the stolen slots — before the Gets have
 	// read them. All must still complete before Unlock releases the
 	// region.
-	first := int64(q.capacity) - q.slotIndex(bottom)
-	if first > k {
-		first = k
-	}
-	q.p.NbGet(buf[:int(first)*q.slotSize], victim, q.data, q.slotOff(bottom))
-	if first < k {
-		q.p.NbGet(buf[int(first)*q.slotSize:], victim, q.data, q.slotOff(bottom+first))
+	cut := q.extent(bottom, k)
+	q.p.NbGet(buf[:cut], victim, q.data, q.slotOff(bottom))
+	if cut < len(buf) {
+		q.p.NbGet(buf[cut:], victim, q.data, 0)
 	}
 	if markDirty {
 		q.p.NbFetchAdd64(victim, q.meta, wDirty, 1, &q.nbOld)
@@ -502,12 +677,23 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBa
 	q.p.Flush()
 	q.p.Unlock(victim, q.lock)
 	q.unlocked(lockT, victim)
-	for i := 0; i < int(k); i++ {
-		b.slots = append(b.slots, buf[i*q.slotSize:(i+1)*q.slotSize])
+	return q.stolen(b, buf, k, s)
+}
+
+// liveRange returns the bounds [bottom, top) of this rank's own queue for
+// recovery's claims scan; no rank is mid-operation on it. On a split queue
+// it first drops what a dead or unwound rank left in the packed word: a
+// claim never retired (its tasks are in nobody's queue, like any batch
+// lost in a thief's hands, and replay from the journal) and adders that
+// never withdrew (an unpublished slot b-1 is not in the queue either).
+func (q *taskQueue) liveRange() (bottom, top int64) {
+	me := q.p.Rank()
+	if q.mode != ModeSplit {
+		return q.p.Load64(me, q.meta, wBottom), q.p.Load64(me, q.meta, wTop)
 	}
-	s.StealsOK++
-	s.TasksStolen += k
-	return b, stealOK
+	w := q.p.Load64(me, q.meta, wShared) & (oneX - 1)
+	q.p.Store64(me, q.meta, wShared, w)
+	return q.split - wordN(w), q.top
 }
 
 // dirtyCounter reads this process's dirty counter with an ordered load.

@@ -98,12 +98,12 @@ func TestQueueReleaseReacquire(t *testing.T) {
 		for i := int64(0); i < 8; i++ {
 			q.pushPrivate(mkWire(8, i), &s)
 		}
-		if q.privateCount() != 8 || q.sharedCountHint() != 0 {
+		if q.privateCount() != 8 || wordN(q.sharedHint()) != 0 {
 			panic("initial counts wrong")
 		}
 		q.maybeRelease(true, &s)
-		if q.privateCount() != 4 || q.sharedCountHint() != 4 {
-			panic(fmt.Sprintf("after release: private %d shared %d", q.privateCount(), q.sharedCountHint()))
+		if q.privateCount() != 4 || wordN(q.sharedHint()) != 4 {
+			panic(fmt.Sprintf("after release: private %d shared %d", q.privateCount(), wordN(q.sharedHint())))
 		}
 		// Drain the private portion, then reacquire.
 		for i := 0; i < 4; i++ {
@@ -117,8 +117,8 @@ func TestQueueReleaseReacquire(t *testing.T) {
 		if !q.reacquire(&s) {
 			panic("reacquire failed with shared work available")
 		}
-		if q.privateCount() != 2 || q.sharedCountHint() != 2 {
-			panic(fmt.Sprintf("after reacquire: private %d shared %d", q.privateCount(), q.sharedCountHint()))
+		if q.privateCount() != 2 || wordN(q.sharedHint()) != 2 {
+			panic(fmt.Sprintf("after reacquire: private %d shared %d", q.privateCount(), wordN(q.sharedHint())))
 		}
 	})
 }
@@ -335,6 +335,27 @@ func TestQueueStealConcurrencyStress(t *testing.T) {
 	for i, n := range seen {
 		if n != 1 {
 			t.Fatalf("task %d executed %d times", i, n)
+		}
+	}
+}
+
+// TestSplitQueueRejectsWhatItsWordCannotCount: a capacity beyond the packed
+// word's count fields is refused at creation, not wrapped at run time.
+func TestSplitQueueRejectsWhatItsWordCannotCount(t *testing.T) {
+	for _, c := range []struct {
+		mode     QueueMode
+		capacity int
+		ok       bool
+	}{
+		{ModeSplit, maxSplitTasks, true},
+		{ModeSplit, maxSplitTasks + 1, false},
+		{ModeLocked, maxSplitTasks + 1, true},
+	} {
+		err := shm.NewWorld(shm.Config{NProcs: 1, Seed: 1}).Run(func(p pgas.Proc) {
+			newTaskQueue(p, c.mode, HeaderBytes, c.capacity)
+		})
+		if (err == nil) != c.ok {
+			t.Errorf("%v queue of %d tasks: %v", c.mode, c.capacity, err)
 		}
 	}
 }

@@ -225,16 +225,18 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	tc.obs.recoverBegin(dead, rec.epoch)
 
 	// A fault delivered mid-critical-section unwound with a queue lock
-	// held; release it before anyone scans.
+	// held (ModeLocked); release it before anyone scans. What an unwound
+	// steal or add left pending completes here too, so that it lands
+	// before its target tidies up below.
 	tc.q.releaseHeldLock(rec.alive)
+	p.Flush()
 
 	// Rendezvous: from here on every live rank is inside recovery and no
 	// queue or journal mutates outside the protocol.
 	rec.liveBarrier()
 
 	// --- Claims: scan our own queue and report what we hold. ----------
-	bottom := p.Load64(me, tc.q.meta, wBottom)
-	top := p.Load64(me, tc.q.meta, wTop)
+	bottom, top := tc.q.liveRange()
 	claimsByHome := make(map[int][]int64)
 	ownClaimed := make(map[int64]bool) // our own journal slots present in our queue
 	for i := bottom; i < top; i++ {

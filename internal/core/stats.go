@@ -16,7 +16,7 @@ type Stats struct {
 	InlineExecs   int64 // tasks executed inline because a queue was full
 
 	LocalInserts       int64 // lock-free private-end inserts
-	LocalSharedInserts int64 // locked local inserts at the shared end (low affinity)
+	LocalSharedInserts int64 // local inserts at the shared end (low affinity)
 	RemoteInserts      int64 // one-sided inserts into another process's queue
 	LocalGets          int64 // lock-free (or locked-mode) local gets
 
@@ -25,9 +25,14 @@ type Stats struct {
 	Reacquires      int64 // split-pointer lowerings
 	TasksReacquired int64
 
-	StealAttempts    int64
-	StealsOK         int64
-	StealsEmpty      int64
+	StealAttempts int64
+	StealsOK      int64
+	StealsEmpty   int64 // the victim's shared portion held nothing
+	// StealsBusy: on a split queue, the victim's packed word showed another
+	// thief's claim still being copied or a remote adder at work, or this
+	// thief's claim CAS lost to a concurrent change of the word; on a locked
+	// queue, the TryLock failed. Either way the thief moves on to another
+	// random victim.
 	StealsBusy       int64
 	TasksStolen      int64
 	DirtyMarksSent   int64

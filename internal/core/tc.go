@@ -196,7 +196,7 @@ func (tc *TC) NewTask(h Handle) *Task {
 // Add inserts a copy of the task into the collection patch on process proc
 // with the given affinity (copy-in semantics: the task buffer is reusable
 // as soon as Add returns). High-affinity local adds use the lock-free
-// private end; everything else goes through the locked shared end. During a
+// private end; everything else goes through the shared end. During a
 // processing phase a full destination queue triggers inline execution of
 // the task; outside one, ErrFull is returned.
 func (tc *TC) Add(proc int, affinity int32, t *Task) error {
@@ -339,7 +339,7 @@ func (tc *TC) execute(t *Task) {
 }
 
 // popLocal fetches the next local task: private end first; when the
-// private portion is empty, reacquire shared-portion work under the lock.
+// private portion is empty, reacquire shared-portion work.
 // The task arrives in the queue's reusable descriptor.
 //
 //scioto:noalloc

@@ -273,7 +273,7 @@ func TestRecoverRankZeroUnrecoverableOverIPC(t *testing.T) {
 		Transport: scioto.TransportIPC,
 		Seed:      9,
 		Recover:   true,
-		Faults:    &scioto.FaultConfig{Seed: 9, CrashRank: 0, CrashAfterOps: 40},
+		Faults:    &scioto.FaultConfig{Seed: 9, CrashRank: 0, CrashAfterOps: 15}, // its second reacquire, see TestRunRecover
 	}, func(rt *scioto.Runtime) {
 		tc := scioto.NewTC(rt, scioto.TCConfig{MaxBodySize: 8, ChunkSize: 2})
 		h := tc.Register(func(tc *scioto.TC, t *scioto.Task) {})

@@ -143,7 +143,10 @@ func TestRunRecover(t *testing.T) {
 			Transport: tr,
 			Seed:      9,
 			Recover:   true,
-			Faults:    &scioto.FaultConfig{Seed: 9, CrashRank: 2, CrashAfterOps: 40},
+			// Op 15 is the rank's second reacquire: ops 7 to 22 are what it
+			// issues while it works through its own fifty tasks, the same
+			// on every run; the phase can be over by op 26.
+			Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 2, CrashAfterOps: 15},
 		}, func(rt *scioto.Runtime) {
 			tc := scioto.NewTC(rt, scioto.TCConfig{MaxBodySize: 8, ChunkSize: 2, MaxTasks: 2048})
 			h := tc.Register(func(tc *scioto.TC, t *scioto.Task) {})
@@ -176,7 +179,7 @@ func TestRunRecoverRankZeroUnrecoverable(t *testing.T) {
 		Transport: scioto.TransportSHM,
 		Seed:      9,
 		Recover:   true,
-		Faults:    &scioto.FaultConfig{Seed: 9, CrashRank: 0, CrashAfterOps: 40},
+		Faults:    &scioto.FaultConfig{Seed: 9, CrashRank: 0, CrashAfterOps: 15}, // as in TestRunRecover
 	}, func(rt *scioto.Runtime) {
 		tc := scioto.NewTC(rt, scioto.TCConfig{MaxBodySize: 8, ChunkSize: 2})
 		h := tc.Register(func(tc *scioto.TC, t *scioto.Task) {})

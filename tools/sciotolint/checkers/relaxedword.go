@@ -13,17 +13,19 @@ import (
 // RelaxedLoad64/RelaxedStore64 act on the calling process's own instance
 // of a word segment without establishing any ordering (pgas.go documents
 // them as legal only for owner-private words, or — loads only — as hints
-// revalidated under a lock). In the split queue of internal/core/queue.go
-// the word roles are fixed: wTop and wSplit are owner-written, while
-// wBottom is advanced by thieves and decremented by remote adders, and
-// wDirty is incremented by thieves. A relaxed *store* to a remotely
-// written word can silently lose a concurrent remote update; a relaxed
-// *load* of one yields a stale value and is only tolerable as an
-// explicitly annotated hint.
+// the caller revalidates). In the queues of internal/core/queue.go the
+// word roles are fixed: wTop is owner-written, while wShared — the split
+// queue's packed shared-portion word — is moved by thieves' claims and
+// remote adders' fetch-adds, wBottom (ModeLocked) is advanced by thieves
+// and decremented by remote adders under the queue lock, and wDirty is
+// incremented by thieves. A relaxed *store* to a remotely written word can
+// silently lose a concurrent remote update; a relaxed *load* of one yields
+// a value a remote operation may already have replaced and is only
+// tolerable as an explicitly annotated hint.
 var RelaxedWord = &analysis.Analyzer{
 	Name: "relaxedword",
 	Doc: "flags RelaxedLoad64/RelaxedStore64 whose word index is a remotely-written " +
-		"metadata word (wBottom, wDirty); relaxed access is only legal on owner-private words",
+		"metadata word (wShared, wBottom, wDirty); relaxed access is only legal on owner-private words",
 	Run: runRelaxedWord,
 }
 
@@ -31,6 +33,7 @@ var RelaxedWord = &analysis.Analyzer{
 // processes write. Matching is by constant name so the discipline follows
 // the word's role, not its numeric value.
 var remoteWrittenWords = map[string]bool{
+	"wShared": true,
 	"wBottom": true,
 	"wDirty":  true,
 }
@@ -59,7 +62,7 @@ func runRelaxedWord(pass *analysis.Pass) error {
 		} else {
 			pass.Reportf(call.Pos(),
 				"relaxed load of %s, a word remote processes write, returns a stale value; "+
-					"use the ordered Load64 or annotate the hint and revalidate under the queue lock", c)
+					"use the ordered Load64 or annotate the hint and revalidate with an ordered operation", c)
 		}
 	})
 	return nil

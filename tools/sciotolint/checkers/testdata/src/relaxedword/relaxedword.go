@@ -1,13 +1,13 @@
 // Fixtures for the relaxedword analyzer: relaxed atomic access to
 // metadata words that remote processes write. The constant names mirror
-// the split-queue layout of internal/core/queue.go.
+// the queue word layout of internal/core/queue.go.
 package relaxedword
 
 import "pgas"
 
 const (
-	wBottom = 0 // steal end: advanced by thieves, decremented by remote adders
-	wSplit  = 1 // owner-written
+	wBottom = 0 // locked queue's steal end: advanced by thieves, decremented by remote adders
+	wShared = 1 // split queue's packed word: claimed from by thieves, added to by remote adders
 	wTop    = 2 // owner-written
 	wDirty  = 3 // incremented by thieves
 )
@@ -16,6 +16,7 @@ const (
 // updates; this reproduces the wDirty violation class.
 func badStores(p pgas.Proc, meta pgas.Seg) {
 	p.RelaxedStore64(meta, wBottom, 1) // want `relaxed store to wBottom, a word remote processes write`
+	p.RelaxedStore64(meta, wShared, 1) // want `relaxed store to wShared, a word remote processes write`
 	p.RelaxedStore64(meta, wDirty, 1)  // want `relaxed store to wDirty, a word remote processes write`
 }
 
@@ -23,13 +24,14 @@ func badStores(p pgas.Proc, meta pgas.Seg) {
 func badLoads(p pgas.Proc, meta pgas.Seg) int64 {
 	a := p.RelaxedLoad64(meta, wBottom) // want `relaxed load of wBottom, a word remote processes write`
 	b := p.RelaxedLoad64(meta, wDirty)  // want `relaxed load of wDirty, a word remote processes write`
-	return a + b
+	c := p.RelaxedLoad64(meta, wShared) // want `relaxed load of wShared, a word remote processes write`
+	return a + b + c
 }
 
 // Owner-private words are exactly what the relaxed operations are for.
 func goodOwnerWords(p pgas.Proc, meta pgas.Seg) int64 {
 	p.RelaxedStore64(meta, wTop, 7)
-	return p.RelaxedLoad64(meta, wTop) - p.RelaxedLoad64(meta, wSplit)
+	return p.RelaxedLoad64(meta, wTop)
 }
 
 // Ordered operations on remotely-written words are always legal.

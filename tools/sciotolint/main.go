@@ -6,7 +6,7 @@
 //	              Barrier, World.Run) reached only under a rank-conditional
 //	              branch: the classic SPMD mismatched-collective deadlock.
 //	relaxedword — RelaxedLoad64/RelaxedStore64 on a metadata word that
-//	              remote processes write (wBottom, wDirty): relaxed access
+//	              remote processes write (wShared, wBottom, wDirty): relaxed access
 //	              is only legal on owner-private words.
 //	lockbalance — p.Lock(proc, id) with a path out of the function that
 //	              lacks a matching Unlock: PGAS locks are non-reentrant and
@@ -52,7 +52,7 @@
 // Findings are suppressed with a justified staticcheck-style directive on
 // or directly above the offending line:
 //
-//	//lint:ignore relaxedword wBottom is read as a hint and revalidated under the lock
+//	//lint:ignore relaxedword wBottom is read as a hint; callers treat the count as advisory
 //
 // A directive without a justification is itself reported, and so is a
 // stale directive that suppresses no diagnostic.
