@@ -33,7 +33,7 @@ vet:
 # tcp and ipc crash-containment tests (SIGKILL and SIGSTOP of live
 # ranks, including the SIGKILL-then-salvage journal replay over the
 # shared mapping), and the work-replay recovery matrix (transports x
-# crash-before-steal / crash-mid-steal / crash-with-deferred-deps, all
+# crash-in-reacquire / crash-after-first-task / crash-with-deferred-deps, all
 # seed-pinned; see internal/core/recover_test.go). CI runs the same
 # target.
 chaos:

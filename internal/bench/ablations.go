@@ -152,7 +152,7 @@ func AblationAffinity(n int, tree uts.Params) *Table {
 		Title:   fmt.Sprintf("Affinity-aware placement on UTS (P=%d)", n),
 		Columns: []string{"Child affinity", "Mnodes/s", "Elapsed (s)"},
 		Notes: []string{
-			"high affinity keeps subtrees local (lock-free private inserts); low affinity funnels every spawn through the locked shared end",
+			"high affinity keeps subtrees local (lock-free private inserts); low affinity funnels every spawn through the shared end's packed word",
 		},
 	}
 	for _, low := range []bool{false, true} {

@@ -67,7 +67,7 @@ func Transports(o Table1Options) *Table {
 		},
 		Notes: []string{
 			"body 1 kB, chunk 10; real wall-clock on this host, compare transports not digits",
-			"dsim cluster calibration puts Remote Steal at 22.34 µs; ipc should land within ~2x of that and well under tcp",
+			"dsim cluster calibration puts Remote Steal at 19.44 µs; ipc should land well under that and under tcp",
 			"shm and ipc move task bodies with memory copies; tcp pays frame encode + syscalls + loopback per op",
 		},
 	}

@@ -30,7 +30,9 @@ func (o OpTimings) String() string {
 // remote insert, and a one-sided remote steal, with the given task body
 // size and steal chunk. It must be called collectively on a world with at
 // least two processes; rank 0 performs the measurements against rank 1 and
-// returns the timings (other ranks return zero timings).
+// returns the timings (other ranks return zero timings). A steal is timed
+// against a shared portion holding exactly one chunk (stealChunk): a thief
+// takes half of a deeper one, which is not the operation the table names.
 //
 //scioto:journal-exempt raw-queue measurement harness: no TC and no recovery, so the journal discipline does not apply
 func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
@@ -41,7 +43,7 @@ func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
 		iters = 1000
 	}
 	slotSize := HeaderBytes + bodySize
-	capacity := iters*chunk + iters + 8
+	capacity := iters + chunk + 8
 	q := newTaskQueue(p, ModeSplit, slotSize, capacity)
 	var s Stats
 	var out OpTimings
@@ -78,31 +80,43 @@ func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
 			}
 		}
 		out.RemoteInsert = per(p.Now() - t0)
-	}
-	p.Barrier()
-	if p.Rank() == 1 {
-		// Seed the shared portion of our queue so rank 0 can steal
-		// full chunks: local adds at the shared end.
-		for i := 0; i < iters*chunk; i++ {
-			if !q.addRemote(1, wire, &s) {
-				panic("core: microbench victim overflow")
+
+		// Remote steal, once what the inserts left in rank 1's shared
+		// portion is out of the way.
+		for res := stealOK; res == stealOK; {
+			var batch *stealBatch
+			if batch, res = q.steal(1, chunk, false, &s); res == stealOK {
+				batch.recycle()
 			}
 		}
-	}
-	p.Barrier()
-	if p.Rank() == 0 {
-		t0 := p.Now()
 		for i := 0; i < iters; i++ {
-			batch, res := q.steal(1, chunk, false, &s)
-			if res != stealOK || len(batch.slots) != chunk {
-				panic(fmt.Sprintf("core: microbench steal failed: %v", res))
-			}
-			batch.recycle()
+			out.RemoteSteal += stealChunk(q, wire, chunk, &s)
 		}
-		out.RemoteSteal = per(p.Now() - t0)
+		out.RemoteSteal = per(out.RemoteSteal)
 	}
 	p.Barrier()
 	return out
+}
+
+// stealChunk stocks the shared portion of rank 1's queue with exactly
+// chunk tasks (remote adds, untimed) and steals them back in one steal,
+// whose duration it returns.
+//
+//scioto:journal-exempt raw-queue measurement harness: no TC and no recovery, so the journal discipline does not apply
+func stealChunk(q *taskQueue, wire []byte, chunk int, s *Stats) time.Duration {
+	for i := 0; i < chunk; i++ {
+		if !q.addRemote(1, wire, s) {
+			panic("core: microbench victim overflow")
+		}
+	}
+	t0 := q.p.Now()
+	batch, res := q.steal(1, chunk, false, s)
+	d := q.p.Now() - t0
+	if res != stealOK || len(batch.slots) != chunk {
+		panic(fmt.Sprintf("core: microbench steal failed: %v", res))
+	}
+	batch.recycle()
+	return d
 }
 
 // MeasureStealAllocs reports the average heap allocations per successful
@@ -112,8 +126,6 @@ func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
 // ranks return 0). The steady-state figure should be zero: the bulk
 // buffer, the transport's in-flight operation records, and the wire
 // frames are all pooled.
-//
-//scioto:journal-exempt raw-queue measurement harness: no TC and no recovery, so the journal discipline does not apply
 func MeasureStealAllocs(p pgas.Proc, bodySize, chunk, iters int) float64 {
 	if p.NProcs() < 2 {
 		panic("core: MeasureStealAllocs needs at least 2 processes")
@@ -122,8 +134,7 @@ func MeasureStealAllocs(p pgas.Proc, bodySize, chunk, iters int) float64 {
 		iters = 100
 	}
 	slotSize := HeaderBytes + bodySize
-	capacity := iters*chunk + 8
-	q := newTaskQueue(p, ModeSplit, slotSize, capacity)
+	q := newTaskQueue(p, ModeSplit, slotSize, chunk+8)
 	// An observer with a retaining recorder is attached so the zero-alloc
 	// gate proves the steal path stays allocation-free with recording
 	// *enabled*, not just in the nil-observer no-op mode.
@@ -133,23 +144,11 @@ func MeasureStealAllocs(p pgas.Proc, bodySize, chunk, iters int) float64 {
 	wire := task.wire()
 
 	p.Barrier()
-	if p.Rank() == 1 {
-		for i := 0; i < iters*chunk; i++ {
-			if !q.addRemote(1, wire, &s) {
-				panic("core: alloc bench victim overflow")
-			}
-		}
-	}
-	p.Barrier()
 	var allocs float64
 	if p.Rank() == 0 {
 		steals := func(n int) {
 			for i := 0; i < n; i++ {
-				batch, res := q.steal(1, chunk, false, &s)
-				if res != stealOK {
-					panic(fmt.Sprintf("core: alloc bench steal failed: %v", res))
-				}
-				batch.recycle()
+				stealChunk(q, wire, chunk, &s)
 			}
 		}
 		// Warm the pools (batch, transport op records, frame buffers)

@@ -240,9 +240,6 @@ func (q *taskQueue) decode(slot []byte) *Task {
 
 // --- Owner-side size probes ------------------------------------------------
 
-// privateCount is exact: only the owner moves top and split.
-func (q *taskQueue) privateCount() int64 { return q.top - q.split }
-
 // sharedHint reads the packed word without ordering it against the remote
 // operations in flight: what the owner decides from it is either safe
 // against a claim or an add it has not seen yet (pushPrivate, with the
@@ -568,9 +565,14 @@ func (q *taskQueue) stolen(b *stealBatch, buf []byte, k int64, s *Stats) (*steal
 	return b, stealOK
 }
 
-// steal attempts to take up to chunk tasks from the shared end of the queue
-// on process victim. Stolen descriptors are returned as a pooled batch of
-// raw slot bytes (slotSize each) that the caller recycles after decoding. markDirty, when
+// steal attempts to take tasks from the shared end of the queue on process
+// victim: chunk of them (ModeLocked: at most chunk), or on a split queue
+// half the shared portion when that is more — a deep shared portion is a
+// rank with far more work than its thieves (UTS starts with a thousand
+// children of the root on rank 0), and handing it out chunk by chunk
+// costs a round of steals per chunk. Stolen descriptors are returned as a
+// pooled batch of raw slot bytes (slotSize each) that the caller recycles
+// after decoding. markDirty, when
 // true, increments the victim's dirty counter (termination detection)
 // before the victim can see the tasks gone.
 //
@@ -605,7 +607,7 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBa
 		q.p.FetchAdd64(victim, q.meta, wDirty, 1)
 		s.DirtyMarksSent++
 	}
-	k := min(n, int64(chunk))
+	k := min(n, max(int64(chunk), n/2))
 	bottom := wordB(w)
 	moved := emod(bottom+k, 2*int64(q.capacity)) - bottom
 	if !q.p.CAS64(victim, q.meta, wShared, w, w+moved*oneB+k*(oneX-oneN)) {

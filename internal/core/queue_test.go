@@ -98,12 +98,13 @@ func TestQueueReleaseReacquire(t *testing.T) {
 		for i := int64(0); i < 8; i++ {
 			q.pushPrivate(mkWire(8, i), &s)
 		}
-		if q.privateCount() != 8 || wordN(q.sharedHint()) != 0 {
+		counts := func() (private, shared int64) { return q.top - q.split, wordN(q.sharedHint()) }
+		if private, shared := counts(); private != 8 || shared != 0 {
 			panic("initial counts wrong")
 		}
 		q.maybeRelease(true, &s)
-		if q.privateCount() != 4 || wordN(q.sharedHint()) != 4 {
-			panic(fmt.Sprintf("after release: private %d shared %d", q.privateCount(), wordN(q.sharedHint())))
+		if private, shared := counts(); private != 4 || shared != 4 {
+			panic(fmt.Sprintf("after release: private %d shared %d", private, shared))
 		}
 		// Drain the private portion, then reacquire.
 		for i := 0; i < 4; i++ {
@@ -117,8 +118,8 @@ func TestQueueReleaseReacquire(t *testing.T) {
 		if !q.reacquire(&s) {
 			panic("reacquire failed with shared work available")
 		}
-		if q.privateCount() != 2 || wordN(q.sharedHint()) != 2 {
-			panic(fmt.Sprintf("after reacquire: private %d shared %d", q.privateCount(), wordN(q.sharedHint())))
+		if private, shared := counts(); private != 2 || shared != 2 {
+			panic(fmt.Sprintf("after reacquire: private %d shared %d", private, shared))
 		}
 	})
 }

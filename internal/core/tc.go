@@ -15,8 +15,10 @@ type Config struct {
 	// MaxBodySize is the largest task body (bytes) the collection can hold
 	// (tc_create's task_sz).
 	MaxBodySize int
-	// ChunkSize is the maximum number of tasks transferred by one steal
-	// operation (tc_create's chunk_sz).
+	// ChunkSize is the number of tasks one steal transfers when the victim
+	// has them (tc_create's chunk_sz). It is the maximum on a ModeLocked
+	// queue; a thief of a split queue takes half the victim's shared
+	// portion when that is more.
 	ChunkSize int
 	// MaxTasks is the per-process queue capacity (tc_create's max_sz).
 	MaxTasks int

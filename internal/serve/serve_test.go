@@ -447,12 +447,16 @@ func TestServeWorkerCrashRecovers(t *testing.T) {
 	go func() {
 		w := faulty.Wrap(
 			shm.NewWorld(shm.Config{NProcs: 4, Seed: 7, Survivable: true}),
-			// CrashAfterOps is pinned inside rank 2's processing window:
-			// setup (dep-pool init + journal) costs ~1030 checked ops, and
-			// the whole run ~1114 (measured via faulty.Ops). A crash pinned
-			// earlier would land in a setup collective, which is fatal by
-			// design.
-			faulty.Config{Seed: 21, CrashRank: 2, CrashAfterOps: 1060,
+			// CrashAfterOps is pinned at the start of rank 2's processing
+			// window: setup (dep-pool init + journal) costs 1024 checked
+			// ops (measured via faulty.Ops), the phase's barriers and
+			// detector reset run to op 1032, the reacquire of what the
+			// gateway added is 1033-34, and every task after that is a
+			// completion mark and a result Send. The window is as short as
+			// 17 ops when the other ranks steal most of the rank's share.
+			// A crash pinned earlier would land in a setup collective,
+			// which is fatal by design.
+			faulty.Config{Seed: 21, CrashRank: 2, CrashAfterOps: 1036,
 				Observe: func(_ time.Duration, _ int, kind, _ string, _ int) {
 					if kind == "crash" {
 						crashed.Store(true)

@@ -7,8 +7,9 @@
 # the injected panic genuinely kills a process) and, per scenario, kills
 # worker rank 2 at a pinned operation count via the SCIOTO_FAULT_*
 # environment (deterministic injection, see internal/pgas/faulty).
-# Scenarios place the crash before the rank's first steal, mid-steal,
-# and while deferred-dependency tasks are in flight. Each run must (a)
+# Scenarios place the crash in the reacquire that takes the rank's first
+# tasks, after its first task, and while deferred-dependency tasks are in
+# flight. Each run must (a)
 # actually fire the injected crash, (b) stream every submitted result
 # back to the client, and (c) drain to exit 0.
 #
@@ -17,10 +18,14 @@
 # same healing works in the shipped binary under env-driven injection.
 # Run via `make chaos-recovery`; CI runs the same target.
 #
-# Op-count pinning: worker setup (dep-pool init + journal) costs ~1030
-# checked ops, the first processing phase begins just above that, and the
-# whole 200-task run measures ~1114 ops on rank 2 (faulty.Ops). Crash
-# points must land inside TC.Process — faults in setup or control
+# Op-count pinning: worker setup (dep-pool init + journal) costs 1024
+# checked ops on rank 2 (faulty.Ops) and the first processing phase begins
+# just above that: barriers and the detector reset to op 1032, the
+# reacquire of what the gateway added to the rank's shared end at 1033-34,
+# then a completion mark and a result Send per task. A split queue takes
+# no lock, so the phase is short in ops — as few as 17 when the other
+# ranks steal most of the rank's share — and the pins sit at its start.
+# Crash points must land inside TC.Process — faults in setup or control
 # collectives are fatal by design.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -124,9 +129,9 @@ print(n)
 # checked operations, and the setup sequence (dep-pool init + journal)
 # that dominates the count is identical core code on shm and ipc.
 for tr in shm ipc; do
-	run_scenario "$tr" "crash-before-steal" 1040 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-mid-steal" 1060 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-with-deferred-deps" 1060 "$(dep_tasks 200)" 200
+	run_scenario "$tr" "crash-in-reacquire" 1034 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-after-first-task" 1036 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-with-deferred-deps" 1036 "$(dep_tasks 200)" 200
 done
 
 echo "PASS: recovery matrix (2 transports x 3 scenarios, seed-pinned SCIOTO_FAULT_*)"
