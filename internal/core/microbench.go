@@ -83,11 +83,12 @@ func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
 
 		// Remote steal, once what the inserts left in rank 1's shared
 		// portion is out of the way.
-		for res := stealOK; res == stealOK; {
-			var batch *stealBatch
-			if batch, res = q.steal(1, chunk, false, &s); res == stealOK {
-				batch.recycle()
+		for {
+			batch, res := q.steal(1, chunk, false, &s)
+			if res != stealOK {
+				break
 			}
+			batch.recycle()
 		}
 		for i := 0; i < iters; i++ {
 			out.RemoteSteal += stealChunk(q, wire, chunk, &s)

@@ -555,10 +555,10 @@ func (q *taskQueue) extent(bottom, k int64) int {
 	return int(min(k, int64(q.capacity)-q.slotIndex(bottom))) * q.slotSize
 }
 
-// stolen hands the k slots in buf to the caller as batch b.
-func (q *taskQueue) stolen(b *stealBatch, buf []byte, k int64, s *Stats) (*stealBatch, stealResult) {
+// stolen hands the k slots copied into b's buffer to the caller.
+func (q *taskQueue) stolen(b *stealBatch, k int64, s *Stats) (*stealBatch, stealResult) {
 	for i := 0; i < int(k); i++ {
-		b.slots = append(b.slots, buf[i*q.slotSize:(i+1)*q.slotSize])
+		b.slots = append(b.slots, b.buf[i*q.slotSize:(i+1)*q.slotSize])
 	}
 	s.StealsOK++
 	s.TasksStolen += k
@@ -622,7 +622,7 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBa
 	}
 	q.p.NbFetchAdd64(victim, q.meta, wShared, -k*oneX, &q.nbOld)
 	q.p.Flush()
-	return q.stolen(b, buf, k, s)
+	return q.stolen(b, k, s)
 }
 
 // stealLocked is steal on a ModeLocked queue, the paper's protocol: the
@@ -679,7 +679,7 @@ func (q *taskQueue) stealLocked(victim, chunk int, markDirty bool, s *Stats) (*s
 	q.p.Flush()
 	q.p.Unlock(victim, q.lock)
 	q.unlocked(lockT, victim)
-	return q.stolen(b, buf, k, s)
+	return q.stolen(b, k, s)
 }
 
 // liveRange returns the bounds [bottom, top) of this rank's own queue for
