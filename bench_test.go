@@ -1,248 +1,20 @@
 package scioto_test
 
-// One testing.B benchmark per paper table/figure, plus the DESIGN.md
-// ablation benches and substrate microbenchmarks. Each benchmark runs a
-// reduced-size instance of the corresponding experiment; the full-size
-// reproductions are generated by `go run ./cmd/sciotobench -exp all` and
-// recorded in EXPERIMENTS.md.
-//
-// Virtual-time results (the paper's actual metric) are attached to the
-// benchmarks as custom metrics: vt-us/op is the modeled time on the
-// calibrated cluster, Mnodes/s-virt the modeled UTS throughput.
+// Substrate microbenchmarks: the wall-clock cost of the pieces the
+// experiments are built from and that no golden or test exercises as a
+// number. The paper's tables and figures are reproduced in virtual time by
+// `go run ./cmd/sciotobench -exp all` and pinned to the nanosecond by the
+// golden tests of internal/bench; the runtime's own paths have
+// internal/core's BenchmarkOwnerPath and BenchmarkRemoteSteal.
 
 import (
 	"testing"
-	"time"
 
 	"scioto/internal/bench"
-	"scioto/internal/core"
-	"scioto/internal/ga"
 	"scioto/internal/linalg"
-	"scioto/internal/mpiws"
 	"scioto/internal/pgas"
-	"scioto/internal/pgas/shm"
-	"scioto/internal/scf"
-	"scioto/internal/tce"
 	"scioto/internal/uts"
 )
-
-// --- Table 1 -----------------------------------------------------------------
-
-// benchTable1 measures one queue operation, reporting both the real shm
-// cost (ns/op) and the modeled cluster cost (vt-us/op).
-func benchTable1(b *testing.B, pick func(core.OpTimings) time.Duration) {
-	iters := b.N
-	if iters < 10 {
-		iters = 10
-	}
-	var real, model core.OpTimings
-	w := shm.NewWorld(shm.Config{NProcs: 2, Seed: 1})
-	if err := w.Run(func(p pgas.Proc) {
-		t := core.MeasureOps(p, 1024, 10, iters)
-		if p.Rank() == 0 {
-			real = t
-		}
-	}); err != nil {
-		b.Fatal(err)
-	}
-	if err := bench.ClusterWorld(2, 1).Run(func(p pgas.Proc) {
-		t := core.MeasureOps(p, 1024, 10, 200)
-		if p.Rank() == 0 {
-			model = t
-		}
-	}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(pick(real).Nanoseconds()), "ns/op-shm")
-	b.ReportMetric(float64(pick(model))/1e3, "vt-us/op-cluster")
-}
-
-func BenchmarkTable1LocalInsert(b *testing.B) {
-	benchTable1(b, func(t core.OpTimings) time.Duration { return t.LocalInsert })
-}
-
-func BenchmarkTable1RemoteInsert(b *testing.B) {
-	benchTable1(b, func(t core.OpTimings) time.Duration { return t.RemoteInsert })
-}
-
-func BenchmarkTable1LocalGet(b *testing.B) {
-	benchTable1(b, func(t core.OpTimings) time.Duration { return t.LocalGet })
-}
-
-func BenchmarkTable1RemoteSteal(b *testing.B) {
-	benchTable1(b, func(t core.OpTimings) time.Duration { return t.RemoteSteal })
-}
-
-// --- Figure 4 -----------------------------------------------------------------
-
-func BenchmarkFig4Termination(b *testing.B) {
-	var pt bench.Fig4Point
-	for i := 0; i < b.N; i++ {
-		pt = bench.MeasureFig4Point(16, 4)
-	}
-	b.ReportMetric(float64(pt.Termination)/1e3, "vt-us-detect")
-	b.ReportMetric(float64(pt.ARMCIBar)/1e3, "vt-us-barrier")
-}
-
-func BenchmarkFig4MPIBarrier(b *testing.B) {
-	var pt bench.Fig4Point
-	for i := 0; i < b.N; i++ {
-		pt = bench.MeasureFig4Point(16, 4)
-	}
-	b.ReportMetric(float64(pt.MPIBar)/1e3, "vt-us")
-}
-
-// --- Figures 5 and 6 -----------------------------------------------------------
-
-func benchSCF(b *testing.B, method scf.Method) {
-	var elapsed time.Duration
-	for i := 0; i < b.N; i++ {
-		if err := bench.ClusterWorld(8, 3).Run(func(p pgas.Proc) {
-			res, err := scf.Run(p, scf.RunConfig{
-				Sys:     scf.SystemConfig{NAtoms: 24, BlockSize: 4, Seed: 7},
-				Method:  method,
-				MaxIter: 2,
-				ConvTol: 1e-13,
-				TC:      core.Config{ChunkSize: 2},
-			})
-			if err != nil {
-				panic(err)
-			}
-			if p.Rank() == 0 {
-				elapsed = res.Elapsed
-			}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(elapsed)/1e3, "vt-us")
-}
-
-func BenchmarkFig5SCFScioto(b *testing.B)  { benchSCF(b, scf.MethodScioto) }
-func BenchmarkFig5SCFCounter(b *testing.B) { benchSCF(b, scf.MethodCounter) }
-
-func benchTCE(b *testing.B, counter bool) {
-	prm := tce.Params{NB: 12, BS: 4, Density: 0.35, Band: 1, Seed: 11}
-	var elapsed time.Duration
-	for i := 0; i < b.N; i++ {
-		if err := bench.ClusterWorld(8, 3).Run(func(p pgas.Proc) {
-			c := tce.New(p, prm)
-			c.ResetC()
-			var res tce.Result
-			if counter {
-				res = c.RunCounter(ga.NewCounter(p, 0), 8*time.Microsecond)
-			} else {
-				rt := core.Attach(p)
-				var blocks, macs int64
-				tc, h := c.NewSciotoTC(rt, core.Config{ChunkSize: 4}, 8*time.Microsecond, &blocks, &macs)
-				res = c.RunScioto(tc, h, 8*time.Microsecond)
-			}
-			if p.Rank() == 0 {
-				elapsed = res.Elapsed
-			}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(elapsed)/1e3, "vt-us")
-}
-
-func BenchmarkFig6TCEScioto(b *testing.B)  { benchTCE(b, false) }
-func BenchmarkFig6TCECounter(b *testing.B) { benchTCE(b, true) }
-
-// --- Figures 7 and 8 -------------------------------------------------------------
-
-// benchUTS runs UTS at P=8 on the given machine and reports virtual
-// throughput.
-func benchUTS(b *testing.B, mkWorld func() pgas.World, mode core.QueueMode, mpi bool, perNode time.Duration) {
-	tree := uts.TreeSmall
-	var nodes int64
-	var elapsed time.Duration
-	for i := 0; i < b.N; i++ {
-		if err := mkWorld().Run(func(p pgas.Proc) {
-			p.Barrier()
-			t0 := p.Now()
-			var st uts.Stats
-			if mpi {
-				got, _, err := mpiws.Run(p, mpiws.Config{Tree: tree, PerNodeCost: perNode, Chunk: 10})
-				if err != nil {
-					panic(err)
-				}
-				st = got
-			} else {
-				got, _, err := uts.RunScioto(p, uts.DriverConfig{
-					Tree:        tree,
-					PerNodeCost: perNode,
-					TC:          core.Config{ChunkSize: 10, MaxTasks: 1 << 15, QueueMode: mode},
-				})
-				if err != nil {
-					panic(err)
-				}
-				st = got
-			}
-			p.Barrier()
-			if p.Rank() == 0 {
-				nodes = st.Nodes
-				elapsed = p.Now() - t0
-			}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(nodes)/elapsed.Seconds()/1e6, "Mnodes/s-virt")
-}
-
-func BenchmarkFig7UTSSplitQueues(b *testing.B) {
-	benchUTS(b, func() pgas.World { return bench.ClusterWorld(8, 5) }, core.ModeSplit, false, bench.OpteronNodeCost)
-}
-
-func BenchmarkFig7UTSMPIWS(b *testing.B) {
-	benchUTS(b, func() pgas.World { return bench.ClusterWorld(8, 5) }, core.ModeSplit, true, bench.OpteronNodeCost)
-}
-
-func BenchmarkFig7UTSNoSplit(b *testing.B) {
-	benchUTS(b, func() pgas.World { return bench.ClusterWorld(8, 5) }, core.ModeLocked, false, bench.OpteronNodeCost)
-}
-
-// The Fig 8 benches use P=8 so the small benchmark tree still gives each
-// process steady-state work; at higher P on this tree both runtimes are
-// endgame-dominated and the comparison stops being representative of the
-// figure (which uses a 3M-node tree; see cmd/sciotobench -exp fig8).
-func BenchmarkFig8XT4Scioto(b *testing.B) {
-	benchUTS(b, func() pgas.World { return bench.XT4World(8, 5) }, core.ModeSplit, false, bench.XT4NodeCost)
-}
-
-func BenchmarkFig8XT4MPI(b *testing.B) {
-	benchUTS(b, func() pgas.World { return bench.XT4World(8, 5) }, core.ModeSplit, true, bench.XT4NodeCost)
-}
-
-// --- Ablations ---------------------------------------------------------------------
-
-func BenchmarkAblationChunk(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationChunk(8, uts.TreeSmall, []int{1, 10, 50})
-	}
-}
-
-func BenchmarkAblationColoring(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationColoring(8, uts.TreeSmall)
-	}
-}
-
-func BenchmarkAblationAffinity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationAffinity(8, uts.TreeSmall)
-	}
-}
-
-func BenchmarkAblationStealOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationStealOverhead(8, true)
-	}
-}
-
-// --- Substrate microbenchmarks ---------------------------------------------------------
 
 func BenchmarkUTSChildGen(b *testing.B) {
 	n := uts.TreeSmall.Root()

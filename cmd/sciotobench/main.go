@@ -7,25 +7,17 @@
 //	sciotobench -exp table1              # one experiment
 //	sciotobench -exp fig7 -quick         # reduced-size run
 //	sciotobench -exp ablations           # design-choice ablation studies
-//	sciotobench -exp serve -json         # serve-mode perf artifact (JSON)
-//	sciotobench -exp transports -json    # cross-transport perf artifact (JSON)
+//	sciotobench -exp transports          # Table 1's ops on shm, ipc and tcp
 //
 // Experiments: table1, fig4, fig5, fig6, fig7, fig8, ablations, all
-// (the paper evaluation, on dsim), plus serve (the sciotod ingest
-// service on shm, real wall clock) and transports (the Table 1 ops on
-// shm/ipc/tcp, real wall clock) — neither is part of all.
-//
-// With -json the tables are emitted as one JSON document instead of
-// aligned text, the perf-lab artifact convention: checked-in BENCH_*.json
-// files are regenerated with -json and diffed for regressions.
+// (the paper evaluation, on dsim), plus transports (the Table 1 ops on
+// shm/ipc/tcp, real wall clock), which is not part of all.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"scioto/cmd/internal/transportflag"
@@ -33,24 +25,9 @@ import (
 	"scioto/internal/uts"
 )
 
-// jsonDoc is the -json output document: the perf-lab artifact schema.
-// Machine records the producing host so bench_compare.sh can refuse to
-// treat cross-machine drift as a regression silently.
-type jsonDoc struct {
-	Quick   bool           `json:"quick,omitempty"`
-	Machine bench.Machine  `json:"machine"`
-	Tables  []*bench.Table `json:"tables"`
-}
-
-var (
-	jsonOut  bool
-	jsonTabs []*bench.Table
-)
-
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig4|fig5|fig6|fig7|fig8|ablations|serve|transports|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig4|fig5|fig6|fig7|fig8|ablations|transports|all")
 	quick := flag.Bool("quick", false, "reduced problem sizes and process counts")
-	flag.BoolVar(&jsonOut, "json", false, "emit tables as one JSON document (perf-lab artifact format)")
 	obs := transportflag.ObsFlags()
 	flag.Parse()
 	// The bench package constructs its own worlds; publish the flags
@@ -116,16 +93,6 @@ func main() {
 			emit(t)
 		}
 	}
-	if *exp == "serve" {
-		ran = true
-		o := bench.ServeOptions{}
-		if *quick {
-			o.Probes = 20
-			o.Clients = 4
-			o.PerClient = 100
-		}
-		emit(bench.Serve(o))
-	}
 	if *exp == "transports" {
 		// Not part of all: the ipc and tcp worlds launch rank processes
 		// that re-execute this binary, and the rank processes must reach
@@ -140,27 +107,10 @@ func main() {
 		emit(bench.Transports(o))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want table1|fig4|fig5|fig6|fig7|fig8|ablations|serve|transports|all)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want table1|fig4|fig5|fig6|fig7|fig8|ablations|transports|all)\n", *exp)
 		os.Exit(2)
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonDoc{Quick: *quick, Machine: bench.MachineInfo(), Tables: jsonTabs}); err != nil {
-			fmt.Fprintf(os.Stderr, "encoding tables: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 	fmt.Printf("total harness time: %s\n", time.Since(start).Round(time.Millisecond))
 }
 
-func emit(t *bench.Table) {
-	if jsonOut {
-		jsonTabs = append(jsonTabs, t)
-		return
-	}
-	var b strings.Builder
-	t.Fprint(&b)
-	fmt.Print(b.String())
-}
+func emit(t *bench.Table) { t.Fprint(os.Stdout) }

@@ -4,14 +4,51 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"scioto/internal/pgas"
-	"scioto/internal/pgas/shm"
 	"scioto/internal/uts"
 )
+
+// TestTransportsShapeAndOrdering runs `sciotobench -exp transports -quick`
+// and holds what is host-independent about it: four operations on three
+// transports, every cell a positive number, and a steal over ipc's shared
+// mapping cheaper than one over tcp's loopback sockets.
+//
+// It spawns real OS processes — the ipc and tcp worlds re-execute this test
+// binary once per rank (internal/pgas/launch) — and every rank process runs
+// the tests declared before the one that creates its world. So this test
+// stays the first in the package's first test file, nothing here may run
+// in parallel, and no other test of the package creates an ipc or tcp
+// world.
+func TestTransportsShapeAndOrdering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns four rank processes; skipped in -short")
+	}
+	tb := Transports(Table1Options{Iters: 100})
+	if len(tb.Rows) != 4 || len(tb.Columns) != 4 {
+		t.Fatalf("want 4 operations x (name + 3 transports):\n%s", tb)
+	}
+	steal := map[string]float64{} // Remote Steal µs by transport
+	for _, row := range tb.Rows {
+		for i, c := range row[1:] {
+			v, err := strconv.ParseFloat(c, 64)
+			if err != nil || v <= 0 {
+				t.Errorf("%s on %s: cell %q is not a positive number", row[0], tb.Columns[i+1], c)
+			}
+			if row[0] == "Remote Steal" {
+				steal[tb.Columns[i+1]] = v
+			}
+		}
+	}
+	if steal["ipc"] >= steal["tcp"] {
+		t.Errorf("ipc Remote Steal %.4f µs is not below tcp's %.4f µs", steal["ipc"], steal["tcp"])
+	}
+	t.Logf("\n%s", tb)
+}
 
 // Small-scale smoke runs of every experiment: shapes must hold even at
 // reduced size.
@@ -45,28 +82,6 @@ func TestTable1Ordering(t *testing.T) {
 	}
 	if cl.RemoteSteal < cl.RemoteInsert {
 		t.Errorf("steal (%v) should cost at least a remote insert (%v)", cl.RemoteSteal, cl.RemoteInsert)
-	}
-}
-
-// BenchmarkTable1Cluster and BenchmarkTable1SHM are the CI bench-smoke
-// targets (`go test -run=NONE -bench=Table1 -benchtime=1x`): one full
-// Table 1 measurement per iteration on the calibrated dsim cluster and on
-// the real shared-memory transport, with the headline steal latency
-// exported as a custom metric so regressions show up in benchmark output.
-
-func BenchmarkTable1Cluster(b *testing.B) {
-	o := Table1Options{Iters: 200}.withDefaults()
-	for i := 0; i < b.N; i++ {
-		tm := measureOpsOn(ClusterWorld(2, 1), o)
-		b.ReportMetric(float64(tm.RemoteSteal.Nanoseconds())/1e3, "steal-µs")
-	}
-}
-
-func BenchmarkTable1SHM(b *testing.B) {
-	o := Table1Options{Iters: 200}.withDefaults()
-	for i := 0; i < b.N; i++ {
-		tm := measureOpsOn(shm.NewWorld(shm.Config{NProcs: 2, Seed: 1}), o)
-		b.ReportMetric(float64(tm.RemoteSteal.Nanoseconds())/1e3, "steal-µs")
 	}
 }
 
@@ -210,4 +225,49 @@ func TestTable1Golden(t *testing.T) {
 			tm.LocalInsert, tm.RemoteInsert, tm.LocalGet, tm.RemoteSteal)
 	}
 	checkGolden(t, "testdata/table1.golden", b.String())
+}
+
+// TestFig4QuickGolden pins `sciotobench -exp fig4 -quick` in virtual time:
+// termination detection beside both barrier flavours.
+func TestFig4QuickGolden(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# virtual ns of `sciotobench -exp fig4 -quick`; see TestFig4QuickGolden\n")
+	for _, n := range []int{1, 2, 4, 8} {
+		pt := MeasureFig4Point(n, 10)
+		fmt.Fprintf(&b, "P=%d Termination=%d ARMCI-Barrier=%d MPI-Barrier=%d\n", n,
+			pt.Termination, pt.ARMCIBar, pt.MPIBar)
+	}
+	checkGolden(t, "testdata/fig4_quick.golden", b.String())
+}
+
+// TestFig8QuickGolden pins both UTS series of `sciotobench -exp fig8
+// -quick` on the XT4 model in virtual time.
+func TestFig8QuickGolden(t *testing.T) {
+	o := UTSOptions{Tree: uts.TreeSmall}.withDefaults()
+	var b strings.Builder
+	b.WriteString("# virtual ns of `sciotobench -exp fig8 -quick`; see TestFig8QuickGolden\n")
+	for _, n := range []int{1, 4, 16, 64} {
+		nodes, scioto, _ := runUTSPoint(XT4World(n, 5), o, seriesSciotoSplit, XT4NodeCost)
+		_, mpi, _ := runUTSPoint(XT4World(n, 5), o, seriesMPIWS, XT4NodeCost)
+		fmt.Fprintf(&b, "P=%d nodes=%d UTS-Scioto=%d UTS-MPI=%d\n", n, nodes, scioto, mpi)
+	}
+	checkGolden(t, "testdata/fig8_quick.golden", b.String())
+}
+
+// TestAblationsQuickGolden pins every row of `sciotobench -exp ablations
+// -quick`: elapsed virtual ns and the globally reduced counters the five
+// tables are formatted from.
+func TestAblationsQuickGolden(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# virtual ns and counters of `sciotobench -exp ablations -quick`; see TestAblationsQuickGolden\n")
+	for _, a := range ablations(true) {
+		for _, r := range a.measure() {
+			s := r.stats
+			fmt.Fprintf(&b, "%s %q nodes=%d elapsed=%d steal_attempts=%d steals_ok=%d tasks_stolen=%d"+
+				" dirty_marks=%d marks_elided=%d waves=%d black_votes=%d counter_ops=%d\n",
+				a.ID, r.variant, r.nodes, r.elapsed, s.StealAttempts, s.StealsOK, s.TasksStolen,
+				s.DirtyMarksSent, s.DirtyMarksElided, s.WavesSeen, s.BlackVotes, s.TermCounterOps)
+		}
+	}
+	checkGolden(t, "testdata/ablations_quick.golden", b.String())
 }

@@ -141,16 +141,17 @@ func Fig7(ps []int, o UTSOptions) *Table {
 			fmt.Sprintf("tree: %v, %s", o.Tree.Kind, treeSize(o.Tree)),
 			"paper: Split-Queues > MPI-WS >> No-Split, whose locked queues collapse as P grows",
 			"half the ranks are Opterons (0.316 µs/node), half Xeons (1.5x slower)",
-			"occupancy columns: split-queue run, % of P x elapsed; windows overlap (raw loads)",
+			"occupancy columns: % of P x elapsed; windows overlap (raw loads)",
+			"Lock% is the No-Split run (queue lock held + waited for); the others are the split-queue run, which takes no lock",
 		},
 	}
 	for _, n := range ps {
 		nodesA, dA, occA := runUTSPoint(ClusterWorld(n, 5), o, seriesSciotoSplit, OpteronNodeCost)
 		_, dB, _ := runUTSPoint(ClusterWorld(n, 5), o, seriesMPIWS, OpteronNodeCost)
-		_, dC, _ := runUTSPoint(ClusterWorld(n, 5), o, seriesSciotoNoSplit, OpteronNodeCost)
+		_, dC, occC := runUTSPoint(ClusterWorld(n, 5), o, seriesSciotoNoSplit, OpteronNodeCost)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), mnps(nodesA, dA), mnps(nodesA, dB), mnps(nodesA, dC),
-			pctOf(occA.exec.Load(), n, dA), pctOf(occA.lock.Load(), n, dA),
+			pctOf(occA.exec.Load(), n, dA), pctOf(occC.lock.Load(), n, dC),
 			pctOf(occA.steal.Load(), n, dA), pctOf(occA.nic.Load(), n, dA),
 		})
 	}
@@ -171,7 +172,7 @@ func Fig8(ps []int, o UTSOptions) *Table {
 	t := &Table{
 		ID:      "fig8",
 		Title:   "UTS throughput on the Cray XT4 model (millions of nodes/s)",
-		Columns: []string{"P", "UTS-Scioto", "UTS-MPI", "Exec%", "Lock%", "Steal%", "NIC%"},
+		Columns: []string{"P", "UTS-Scioto", "UTS-MPI", "Exec%", "Steal%", "NIC%"},
 		Notes: []string{
 			fmt.Sprintf("tree: %v, %s", o.Tree.Kind, treeSize(o.Tree)),
 			"paper: both scale near-linearly to 512; Scioto leads by a modest margin (no polling)",
@@ -183,8 +184,7 @@ func Fig8(ps []int, o UTSOptions) *Table {
 		_, dB, _ := runUTSPoint(XT4World(n, 5), o, seriesMPIWS, XT4NodeCost)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), mnps(nodesA, dA), mnps(nodesA, dB),
-			pctOf(occA.exec.Load(), n, dA), pctOf(occA.lock.Load(), n, dA),
-			pctOf(occA.steal.Load(), n, dA), pctOf(occA.nic.Load(), n, dA),
+			pctOf(occA.exec.Load(), n, dA), pctOf(occA.steal.Load(), n, dA), pctOf(occA.nic.Load(), n, dA),
 		})
 	}
 	return t

@@ -2,15 +2,15 @@ package bench
 
 import "runtime"
 
-// Machine identifies the host a BENCH_*.json artifact was produced on.
-// Perf numbers from different machines are not comparable; bench_compare.sh
-// reads this block and warns loudly before diffing bands across hosts.
+// Machine identifies the host a wall-clock measurement was produced on:
+// the repository benchmark (benchmark/) prints it with every report,
+// because perf numbers from different machines are not comparable.
 type Machine struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int
+	NumCPU     int
+	GOOS       string
+	GOARCH     string
+	GoVersion  string
 }
 
 // MachineInfo captures the current host.

@@ -23,11 +23,11 @@ const envOpsFile = "SCIOTO_BENCH_OPS_FILE"
 // Transports runs the Table 1 microbenchmark on every real transport —
 // shm (goroutines, one address space), ipc (co-hosted processes over one
 // mmap'd file), and tcp (processes over loopback sockets) — and tabulates
-// the measured wall-clock cost per operation side by side. This is the
-// transport perf-lab artifact: CI regenerates it with `sciotobench -exp
-// transports -json` and diffs the Remote Steal row against the checked-in
-// BENCH_transport.json (wide band, plus the ordering invariant that ipc
-// stays below tcp).
+// the measured wall-clock cost per operation side by side (`sciotobench
+// -exp transports`, README's cross-transport table). The digits are this
+// host's; what TestTransportsShapeAndOrdering holds is the table's shape
+// and that a steal over the shared mapping stays cheaper than one over
+// loopback sockets.
 //
 // The ipc and tcp rank processes re-execute the benchmark binary, so this
 // function runs there too: each rank process constructs only its own
@@ -67,7 +67,7 @@ func Transports(o Table1Options) *Table {
 		},
 		Notes: []string{
 			"body 1 kB, chunk 10; real wall-clock on this host, compare transports not digits",
-			"dsim cluster calibration puts Remote Steal at 19.44 µs; ipc should land well under that and under tcp",
+			"ipc Remote Steal should land well under tcp's, and under the cluster model's (Table 1)",
 			"shm and ipc move task bodies with memory copies; tcp pays frame encode + syscalls + loopback per op",
 		},
 	}

@@ -193,10 +193,3 @@ func wireJHome(slot []byte) int { return int(pgas.GetI32(slot[hdrJHome:])) }
 
 // wireJSlot reads the journal slot from raw descriptor slot bytes.
 func wireJSlot(slot []byte) int { return int(pgas.GetI32(slot[hdrJSlot:])) }
-
-// stampWireJournalRef rewrites the journal reference in raw descriptor
-// slot bytes (recovery-time re-homing of salvaged descriptors).
-func stampWireJournalRef(slot []byte, home, jslot int) {
-	pgas.PutI32(slot[hdrJHome:], int32(home))
-	pgas.PutI32(slot[hdrJSlot:], int32(jslot))
-}

@@ -178,32 +178,6 @@ func newTaskQueue(p pgas.Proc, mode QueueMode, slotSize, capacity int) *taskQueu
 	}
 }
 
-// locked notes that this rank now holds rank proc's queue lock, asked for
-// at t0, and returns the start of the hold for unlocked. Both follow the
-// literal Lock/Unlock call at every site (the lockbalance lint is
-// intraprocedural).
-func (q *taskQueue) locked(t0 time.Duration, proc int) time.Duration {
-	q.heldLock = proc
-	return q.obs.lockWait(t0, proc)
-}
-
-func (q *taskQueue) unlocked(lockT time.Duration, proc int) {
-	q.heldLock = -1
-	q.obs.lockHeld(lockT, proc)
-}
-
-// releaseHeldLock drops a queue lock left held by a mid-critical-section
-// unwind (recovery path). A lock instance hosted on a dead rank was
-// already force-released by the transport.
-func (q *taskQueue) releaseHeldLock(alive []bool) {
-	if q.heldLock >= 0 {
-		if alive[q.heldLock] {
-			q.p.Unlock(q.heldLock, q.lock)
-		}
-		q.heldLock = -1
-	}
-}
-
 // emod is the Euclidean modulus: queue indices may go negative.
 func emod(i, m int64) int64 {
 	if i %= m; i < 0 {
@@ -361,100 +335,21 @@ func (q *taskQueue) reacquire(s *Stats) bool {
 	}
 }
 
-// --- Locked-mode owner paths ----------------------------------------------
-
-// pushLocked inserts at the owner end under the queue lock (ModeLocked).
-func (q *taskQueue) pushLocked(wire []byte, s *Stats) bool {
-	me := q.p.Rank()
-	t0 := q.obs.now()
-	q.p.Lock(me, q.lock)
-	lockT := q.locked(t0, me)
-	top := q.p.Load64(me, q.meta, wTop)
-	bottom := q.p.Load64(me, q.meta, wBottom)
-	if top-bottom >= int64(q.capacity) {
-		q.p.Unlock(me, q.lock)
-		q.unlocked(lockT, me)
-		return false
-	}
-	off := q.slotOff(top)
-	copy(q.p.Local(q.data)[off:off+len(wire)], wire)
-	q.p.Store64(me, q.meta, wTop, top+1)
-	q.top = top + 1
-	q.p.Unlock(me, q.lock)
-	q.unlocked(lockT, me)
-	q.p.Charge(localCost(len(wire)))
-	s.LocalInserts++
-	return true
-}
-
-// popLocked removes from the owner end under the queue lock (ModeLocked);
-// like popPrivate it returns the queue's descriptor.
-//
-//scioto:noalloc
-func (q *taskQueue) popLocked(s *Stats) (*Task, bool) {
-	me := q.p.Rank()
-	t0 := q.obs.now()
-	q.p.Lock(me, q.lock)
-	lockT := q.locked(t0, me)
-	top := q.p.Load64(me, q.meta, wTop)
-	bottom := q.p.Load64(me, q.meta, wBottom)
-	if top <= bottom {
-		q.p.Unlock(me, q.lock)
-		q.unlocked(lockT, me)
-		return nil, false
-	}
-	off := q.slotOff(top - 1)
-	t := q.decode(q.p.Local(q.data)[off : off+q.slotSize])
-	q.p.Store64(me, q.meta, wTop, top-1)
-	q.top = top - 1
-	q.p.Unlock(me, q.lock)
-	q.unlocked(lockT, me)
-	q.p.Charge(localCost(len(t.wire())))
-	s.LocalGets++
-	return t, true
-}
-
 // --- Remote operations -------------------------------------------------------
 
 // addRemote inserts a task descriptor into the shared (steal) end of the
 // queue on process proc, using one-sided operations — under the queue lock
-// in ModeLocked, behind the packed word's adder count in ModeSplit
-// (addShared). It reports false if the target queue is full. proc may equal
-// the caller's rank, which is how local low-affinity adds reach the shared
-// portion.
+// in ModeLocked (addLocked), behind the packed word's adder count in
+// ModeSplit (addShared). It reports false if the target queue is full. proc
+// may equal the caller's rank, which is how local low-affinity adds reach
+// the shared portion.
 //
 //scioto:noalloc
 func (q *taskQueue) addRemote(proc int, wire []byte, s *Stats) bool {
 	if q.mode == ModeSplit {
 		return q.addShared(proc, wire, s)
 	}
-	t0 := q.obs.now()
-	q.p.Lock(proc, q.lock)
-	lockT := q.locked(t0, proc)
-	// Both index words travel in one pipelined round instead of two
-	// sequential remote loads.
-	q.p.NbLoad64(proc, q.meta, wBottom, &q.nbBottom)
-	q.p.NbLoad64(proc, q.meta, wTop, &q.nbLimit)
-	q.p.Flush()
-	bottom, top := q.nbBottom, q.nbLimit
-	if top-(bottom-1) > int64(q.capacity) {
-		q.p.Unlock(proc, q.lock)
-		q.unlocked(lockT, proc)
-		return false
-	}
-	newBottom := bottom - 1
-	off := q.slotOff(newBottom)
-	// The descriptor Put overlaps the index store that publishes it:
-	// operations to one target apply in issue order (pgas.Proc), so no
-	// reader can observe the lowered bottom before the slot bytes landed.
-	// Both complete before Unlock releases the shared region.
-	q.p.NbPut(proc, q.data, off, wire)
-	q.p.NbStore64(proc, q.meta, wBottom, newBottom)
-	q.p.Flush()
-	q.p.Unlock(proc, q.lock)
-	q.unlocked(lockT, proc)
-	q.countAdd(proc, s)
-	return true
+	return q.addLocked(proc, wire, s)
 }
 
 func (q *taskQueue) countAdd(proc int, s *Stats) {
@@ -622,63 +517,6 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBa
 	}
 	q.p.NbFetchAdd64(victim, q.meta, wShared, -k*oneX, &q.nbOld)
 	q.p.Flush()
-	return q.stolen(b, k, s)
-}
-
-// stealLocked is steal on a ModeLocked queue, the paper's protocol: the
-// remote sequence is pipelined into two completion rounds under the lock —
-// (bottom, top) loads, then transfer+mark+publish — instead of up to five
-// sequential round trips, mirroring how Scioto's ARMCI implementation
-// overlaps its queue transfers with non-blocking one-sided operations.
-//
-//scioto:noalloc
-func (q *taskQueue) stealLocked(victim, chunk int, markDirty bool, s *Stats) (*stealBatch, stealResult) {
-	t0 := q.obs.now()
-	if !q.p.TryLock(victim, q.lock) {
-		// A failed probe is the contended window: the victim's lock was
-		// held by someone else for the whole TryLock round trip.
-		q.obs.lockWait(t0, victim)
-		s.StealsBusy++
-		return nil, stealBusy
-	}
-	q.heldLock = victim
-	lockT := q.obs.now()
-	q.p.NbLoad64(victim, q.meta, wBottom, &q.nbBottom)
-	q.p.NbLoad64(victim, q.meta, wTop, &q.nbLimit)
-	q.p.Flush()
-	bottom, limit := q.nbBottom, q.nbLimit
-	avail := limit - bottom
-	if avail <= 0 {
-		q.p.Unlock(victim, q.lock)
-		q.unlocked(lockT, victim)
-		s.StealsEmpty++
-		return nil, stealEmpty
-	}
-	k := int64(chunk)
-	if k > avail {
-		k = avail
-	}
-	b, buf := q.take(k)
-	// The extent Gets, the dirty mark, and the store publishing the new
-	// steal index leave as one pipelined batch. Overlapping the store with
-	// the Gets is safe because operations to one target apply in issue
-	// order (pgas.Proc): the owner cannot observe the advanced bottom —
-	// and push fresh work onto the stolen slots — before the Gets have
-	// read them. All must still complete before Unlock releases the
-	// region.
-	cut := q.extent(bottom, k)
-	q.p.NbGet(buf[:cut], victim, q.data, q.slotOff(bottom))
-	if cut < len(buf) {
-		q.p.NbGet(buf[cut:], victim, q.data, 0)
-	}
-	if markDirty {
-		q.p.NbFetchAdd64(victim, q.meta, wDirty, 1, &q.nbOld)
-		s.DirtyMarksSent++
-	}
-	q.p.NbStore64(victim, q.meta, wBottom, bottom+k)
-	q.p.Flush()
-	q.p.Unlock(victim, q.lock)
-	q.unlocked(lockT, victim)
 	return q.stolen(b, k, s)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"scioto/internal/core"
 	"scioto/internal/pgas"
@@ -137,6 +138,106 @@ func TestRecoveryExactReplayDSim(t *testing.T) {
 			}
 			if out.epochs == 0 {
 				t.Fatalf("crash of rank 2 after %d ops triggered no recovery epoch", crashAfter)
+			}
+		})
+	}
+}
+
+// lockWitness is a kernel over the transport's that notices a fault
+// unwinding its rank out of a ModeLocked steal: after the TryLock that took
+// another rank's queue lock, before the Unlock that drops it has returned.
+type lockWitness struct {
+	pgas.Front
+	pgas.Kernel
+	held    bool // inside a steal's critical section
+	unwound *int // steals a fault unwound, over all ranks (dsim runs one rank at a time)
+}
+
+func (f *lockWitness) Unwrap() pgas.Kernel { return f.Kernel }
+
+func (f *lockWitness) TryLock(proc int, id pgas.LockID) bool {
+	f.held = f.Kernel.TryLock(proc, id)
+	return f.held
+}
+
+// leaving runs as an operation returns or unwinds.
+func (f *lockWitness) leaving() {
+	if rec := recover(); rec != nil {
+		if f.held {
+			f.held = false
+			*f.unwound++
+		}
+		panic(rec)
+	}
+}
+
+func (f *lockWitness) Issue(op *pgas.Op) pgas.Nb { defer f.leaving(); return f.Kernel.Issue(op) }
+func (f *lockWitness) Flush()                    { defer f.leaving(); f.Kernel.Flush() }
+func (f *lockWitness) Unlock(proc int, id pgas.LockID) {
+	defer f.leaving()
+	f.Kernel.Unlock(proc, id)
+	f.held = false
+}
+
+// TestRecoveryLockedQueueDSim is the ModeLocked row of the matrix: rank 2
+// dies once it has run its first task, and again at a point where the fault
+// unwinds a survivor inside a steal, the victim's queue lock held (recovery
+// must drop it: taskQueue.releaseHeldLock). Tasks add nothing: on a locked
+// queue every add is checked communication, and a fault delivered inside a
+// callback loses the rest of that callback by design.
+func TestRecoveryLockedQueueDSim(t *testing.T) {
+	const n, seeded = 4, 60
+	for _, c := range []struct {
+		name       string
+		crashAfter int64
+		ranBefore  int // tasks rank 2 ran before it died, -1 = any
+		unwinds    bool
+	}{
+		{"after first task", 313, 1, false}, // its first callback starts after op 311, its second after op 316
+		{"survivor unwound inside a steal", 373, -1, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := faulty.Wrap(dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3, Survivable: true, Latency: 2 * time.Microsecond}),
+				faulty.Config{Seed: 42, CrashRank: 2, CrashAfterOps: c.crashAfter})
+			var ran, unwound int
+			var out recoveryOutcome
+			err := w.Run(func(p pgas.Proc) {
+				f := &lockWitness{Kernel: p, unwound: &unwound}
+				f.Bind(f)
+				rt := core.Attach(f)
+				rt.EnableRecovery()
+				tc := core.NewTC(rt, core.Config{MaxBodySize: 8, ChunkSize: 2, MaxTasks: 256, QueueMode: core.ModeLocked})
+				task := core.NewTask(tc.Register(func(tc *core.TC, _ *core.Task) {
+					if p.Rank() == 2 {
+						ran++
+					}
+					p.Compute(5 * time.Microsecond)
+				}), 8)
+				// Rank 1 starts empty: it steals from the first moment.
+				for i := 0; i < seeded && p.Rank() != 1; i++ {
+					if err := tc.Add(p.Rank(), core.AffinityHigh, task); err != nil {
+						panic(err)
+					}
+				}
+				tc.Process()
+				if g := tc.GlobalStats(); p.Rank() == 0 {
+					out = recoveryOutcome{g.TasksExecuted, g.SalvagedExecs, g.TasksRecovered, g.Recoveries}
+				}
+			})
+			if err != nil {
+				t.Fatalf("survivable world failed: %v", err)
+			}
+			if got, want := out.executed+out.salvaged, int64((n-1)*seeded); got != want {
+				t.Fatalf("executed %d + salvaged %d = %d durable completions, want %d", out.executed, out.salvaged, got, want)
+			}
+			if out.epochs == 0 {
+				t.Fatalf("crash of rank 2 after %d ops triggered no recovery epoch", c.crashAfter)
+			}
+			if c.ranBefore >= 0 && ran != c.ranBefore {
+				t.Fatalf("rank 2 ran %d tasks before op %d, want %d: re-pin", ran, c.crashAfter, c.ranBefore)
+			}
+			if c.unwinds != (unwound > 0) {
+				t.Fatalf("the fault unwound %d steals with the victim's lock held, want some: %v; re-pin", unwound, c.unwinds)
 			}
 		})
 	}

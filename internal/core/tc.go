@@ -32,15 +32,6 @@ type Config struct {
 	// DisableColoringOpt disables the §5.3 dirty-marking elision, so every
 	// steal marks its victim dirty (ablation baseline).
 	DisableColoringOpt bool
-	// AffinityThreshold: local adds with affinity >= threshold go to the
-	// lock-free private end (executed first, stolen last); lower-affinity
-	// adds go to the shared steal end. Default 1, so the conventional
-	// affinity values (AffinityHigh=2, AffinityLow=0) split as expected.
-	AffinityThreshold int32
-	// ReleaseInterval is the number of executed tasks between ordered
-	// refreshes of the steal-end index in the release check (progress
-	// guarantee for making work stealable). Default 8.
-	ReleaseInterval int
 	// MaxDeferred is the per-process capacity of the deferred-task pool
 	// used by AddDeferred/Satisfy (inter-task dependencies). Zero disables
 	// the dependency API for this collection.
@@ -59,6 +50,15 @@ const (
 	// AffinityLow places a task at the steal end of the queue: first to be
 	// transferred when load balancing occurs.
 	AffinityLow int32 = 0
+
+	// affinityThreshold: local adds with affinity >= threshold go to the
+	// lock-free private end (executed first, stolen last); lower-affinity
+	// adds go to the shared steal end.
+	affinityThreshold int32 = 1
+	// releaseInterval is the number of executed tasks between ordered
+	// refreshes of the packed word in the release check (progress
+	// guarantee for making work stealable).
+	releaseInterval = 8
 )
 
 func (c Config) withDefaults() Config {
@@ -70,12 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTasks == 0 {
 		c.MaxTasks = 1 << 14
-	}
-	if c.AffinityThreshold == 0 {
-		c.AffinityThreshold = 1
-	}
-	if c.ReleaseInterval == 0 {
-		c.ReleaseInterval = 8
 	}
 	return c
 }
@@ -178,9 +172,6 @@ func (tc *TC) Runtime() *Runtime { return tc.rt }
 // one-sided communication).
 func (tc *TC) Proc() pgas.Proc { return tc.rt.p }
 
-// Config returns the collection's (defaulted) configuration.
-func (tc *TC) Config() Config { return tc.cfg }
-
 // Register collectively registers a task callback and returns its portable
 // handle. Every process must register the same callbacks in the same order.
 func (tc *TC) Register(fn TaskFunc) Handle {
@@ -244,7 +235,7 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 	switch {
 	case proc == me && tc.cfg.QueueMode == ModeLocked:
 		ok = tc.q.pushLocked(wire, &tc.stats)
-	case proc == me && affinity >= tc.cfg.AffinityThreshold:
+	case proc == me && affinity >= affinityThreshold:
 		ok = tc.q.pushPrivate(wire, &tc.stats)
 	default:
 		ok = tc.q.addRemote(proc, wire, &tc.stats)
@@ -427,8 +418,8 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 			tc.execute(t)
 			tc.sinceOrder++
 			if tc.cfg.QueueMode == ModeSplit {
-				tc.q.maybeRelease(tc.sinceOrder >= tc.cfg.ReleaseInterval, &tc.stats)
-				if tc.sinceOrder >= tc.cfg.ReleaseInterval {
+				tc.q.maybeRelease(tc.sinceOrder >= releaseInterval, &tc.stats)
+				if tc.sinceOrder >= releaseInterval {
 					tc.sinceOrder = 0
 				}
 			}

@@ -16,8 +16,8 @@ import (
 // task costs one remote atomic on the counter host — the same hot-spot
 // pathology as counter-based load balancing. The runtime offers it as
 // Config.Termination = TermCounter so the trade-off against the paper's
-// O(log P) wave algorithm is measurable (see BenchmarkAblationTermination
-// and EXPERIMENTS.md).
+// O(log P) wave algorithm is measurable (`sciotobench -exp ablations`,
+// EXPERIMENTS.md).
 
 // TerminationMode selects the global termination detection algorithm.
 type TerminationMode int

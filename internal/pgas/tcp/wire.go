@@ -13,8 +13,8 @@ import (
 // Wire-write accounting for the mesh request path: wireFrames counts
 // request frames flushed, wireWrites counts the write calls (plain or
 // vector) that carried them. The gap between the two is the syscall
-// saving of the writev flush window; pgasbench reports it and
-// TestFlushWindowCoalesces pins it down.
+// saving of the writev flush window; the repository benchmark reports it
+// (pgas.tcp.frames_per_write) and TestFlushWindowCoalesces pins it down.
 var (
 	wireFrames atomic.Int64
 	wireWrites atomic.Int64
