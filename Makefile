@@ -34,8 +34,9 @@ vet:
 # ranks, including the SIGKILL-then-salvage journal replay over the
 # shared mapping), and the work-replay recovery matrix (transports x
 # crash-in-reacquire / crash-after-first-task / crash-with-deferred-deps, all
-# seed-pinned; see internal/core/recover_test.go). CI runs the same
-# target.
+# seed-pinned; see internal/core/recover_test.go; the serve daemon's pins
+# are a worker's first op after a wake and a crash mid-burst). CI runs the
+# same target.
 chaos:
 	$(GO) test -race -count=1 ./internal/pgas/faulty/
 	$(GO) test -race -count=1 -run 'TestCrashContainment|TestInjectedCrashOverTCP|TestHeartbeat|TestOpContext|TestBackoff|TestDialRetry' ./internal/pgas/tcp/
@@ -92,7 +93,8 @@ fuzz-smoke:
 # Code-line ledger for the simplification round (ROADMAP: "track the round
 # with a make loc line in CHANGES.md per PR"): Go lines that are neither
 # blank nor comment-only, tests excluded, for the two packages the round
-# targets and for the repo without the benchmark harness and the linter.
+# targets, for the serve daemon, and for the repo without the benchmark
+# harness and the linter.
 # The obs line is the observability stack (ROADMAP "One event spine"):
 # the recorder, dump and attribution engine, the metrics registry, the
 # instrumenting wrapper and the trace tool. The spi line sizes the
@@ -108,6 +110,7 @@ loc:
 	@echo "internal/pgas  $$(find internal/pgas -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "internal/core  $$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "  ablation baselines $$(cat internal/core/queue_locked.go internal/core/td_counter.go | $(LOC)) (queue_locked.go + td_counter.go, counted in internal/core)"
+	@echo "internal/serve $$(find internal/serve -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "repo           $$($(SRC) | xargs cat | $(LOC))"
 	@echo "obs            $$(find internal/trace internal/obs internal/pgas/instr cmd/sciototrace -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "spi            Kernel $$(awk '/^type Kernel interface/ {k=1; next} k && /^}/ {k=0} k && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n+0}' internal/pgas/pgas.go) methods;" \
@@ -121,7 +124,9 @@ obs-smoke:
 	bash scripts/obs_smoke.sh
 
 # End-to-end serve-mode smoke: sciotod on shm, 8 concurrent clients
-# streaming all results back, 429 backpressure on an over-limit batch,
-# and a clean SIGTERM drain (exit 0). CI runs the same target.
+# streaming all results back — inside the one phase every rank entered at
+# start-up, by the live scioto_serve_phases_total — 429 backpressure on an
+# over-limit batch, and a clean SIGTERM drain (exit 0). CI runs the same
+# target.
 serve-smoke:
 	bash scripts/serve_smoke.sh

@@ -1,6 +1,6 @@
 // Command sciotod runs a Scioto world as a persistent task-ingest
-// service: it brings the world up, keeps the task collection alive
-// across scheduling phases, and serves the HTTP/JSON ingest API
+// service: it brings the world up, keeps every rank inside one long
+// task-parallel phase, and serves the HTTP/JSON ingest API
 // (internal/serve) until a SIGTERM/SIGINT drains it.
 //
 //	sciotod -procs 4 -addr 127.0.0.1:8080
@@ -12,7 +12,7 @@
 // the process exits 0. A second signal force-quits.
 //
 // With -recover (shm or ipc) every task is journaled for work replay: a
-// worker rank's death mid-phase is healed by the survivors, lost tasks
+// worker rank's death is healed by the survivors, lost tasks
 // are re-queued from the journal, and results that died with the rank
 // are re-run, so clients still stream every result. See DESIGN.md
 // "Recovery". Rank 0 hosts the gateway, so its death stays fatal.
@@ -51,7 +51,6 @@ func main() {
 		maxPayload = flag.Int("max-payload", 0, "per-task payload byte bound (0 = default 256)")
 		rate       = flag.Float64("tenant-rate", 0, "per-tenant admission rate, tasks/s (0 = unlimited)")
 		burst      = flag.Int("tenant-burst", 0, "per-tenant admission burst (0 = default)")
-		perPhase   = flag.Int("batch-per-phase", 0, "tasks handed to the runtime per phase (0 = default 2048)")
 		rec        = flag.Bool("recover", false, "arm work-replay recovery: journal every task and heal around a worker rank's death (shm or ipc)")
 	)
 	flag.Parse()
@@ -71,7 +70,6 @@ func main() {
 		MaxPayload:        *maxPayload,
 		TenantRate:        *rate,
 		TenantBurst:       *burst,
-		BatchPerPhase:     *perPhase,
 	})
 
 	sig := make(chan os.Signal, 2)

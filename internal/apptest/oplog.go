@@ -6,6 +6,8 @@
 package apptest
 
 import (
+	"sync/atomic"
+
 	"scioto/internal/pgas"
 )
 
@@ -20,49 +22,93 @@ type Op struct {
 }
 
 // OpLog is a Proc that records, in issue order, the bulk data operations,
-// Flushes and Barriers its body issues, and the data segments it allocates.
-// Everything is forwarded unchanged, so a run through an OpLog behaves (and
-// on dsim is timed) exactly like a run without one.
+// Flushes and Barriers its body issues, and the data segments it allocates,
+// and counts every communication call. It is a Kernel wrapper like
+// pgas/faulty: the typed one-sided methods reach Issue through its Front and
+// everything is forwarded unchanged, so a run through an OpLog behaves (and
+// on dsim is timed) exactly like a run without one. The log belongs to the
+// rank's goroutine; the counters and InRecv are atomic, for a test that
+// watches a long-running body (the serve daemon) from outside.
 type OpLog struct {
-	pgas.Proc
+	pgas.Front
+	pgas.Kernel
 	DataSegs []pgas.Seg // in allocation order
 	Ops      []Op
+
+	Calls    atomic.Int64 // every Issue, Flush, Barrier, lock call, Send, Recv and TryRecv
+	Barriers atomic.Int64
+	Sends    atomic.Int64
+	InRecv   atomic.Bool // the rank is inside a Recv
 }
 
+// NewOpLog wraps p.
+func NewOpLog(p pgas.Proc) *OpLog {
+	l := &OpLog{Kernel: p}
+	l.Bind(l)
+	return l
+}
+
+// Unwrap exposes the wrapped layer to pgas.Find.
+func (l *OpLog) Unwrap() pgas.Kernel { return l.Kernel }
+
 func (l *OpLog) AllocData(nbytes int) pgas.Seg {
-	seg := l.Proc.AllocData(nbytes)
+	seg := l.Kernel.AllocData(nbytes)
 	l.DataSegs = append(l.DataSegs, seg)
 	return seg
 }
 
-func (l *OpLog) Get(dst []byte, proc int, seg pgas.Seg, off int) {
-	l.Ops = append(l.Ops, Op{"Get", proc, seg, off, len(dst)})
-	l.Proc.Get(dst, proc, seg, off)
-}
-
-func (l *OpLog) NbGet(dst []byte, proc int, seg pgas.Seg, off int) pgas.Nb {
-	l.Ops = append(l.Ops, Op{"NbGet", proc, seg, off, len(dst)})
-	return l.Proc.NbGet(dst, proc, seg, off)
-}
-
-func (l *OpLog) Put(proc int, seg pgas.Seg, off int, src []byte) {
-	l.Ops = append(l.Ops, Op{"Put", proc, seg, off, len(src)})
-	l.Proc.Put(proc, seg, off, src)
-}
-
-func (l *OpLog) NbPut(proc int, seg pgas.Seg, off int, src []byte) pgas.Nb {
-	l.Ops = append(l.Ops, Op{"NbPut", proc, seg, off, len(src)})
-	return l.Proc.NbPut(proc, seg, off, src)
+func (l *OpLog) Issue(op *pgas.Op) pgas.Nb {
+	l.Calls.Add(1)
+	if op.Kind == pgas.OpGet || op.Kind == pgas.OpPut {
+		l.Ops = append(l.Ops, Op{op.Name(), op.Target, op.Seg, op.Off, len(op.Buf)})
+	}
+	return l.Kernel.Issue(op)
 }
 
 func (l *OpLog) Flush() {
+	l.Calls.Add(1)
 	l.Ops = append(l.Ops, Op{Name: "Flush"})
-	l.Proc.Flush()
+	l.Kernel.Flush()
 }
 
 func (l *OpLog) Barrier() {
+	l.Calls.Add(1)
+	l.Barriers.Add(1)
 	l.Ops = append(l.Ops, Op{Name: "Barrier"})
-	l.Proc.Barrier()
+	l.Kernel.Barrier()
+}
+
+func (l *OpLog) Lock(proc int, id pgas.LockID) {
+	l.Calls.Add(1)
+	l.Kernel.Lock(proc, id)
+}
+
+func (l *OpLog) TryLock(proc int, id pgas.LockID) bool {
+	l.Calls.Add(1)
+	return l.Kernel.TryLock(proc, id)
+}
+
+func (l *OpLog) Unlock(proc int, id pgas.LockID) {
+	l.Calls.Add(1)
+	l.Kernel.Unlock(proc, id)
+}
+
+func (l *OpLog) Send(to int, tag int32, data []byte) {
+	l.Calls.Add(1)
+	l.Sends.Add(1)
+	l.Kernel.Send(to, tag, data)
+}
+
+func (l *OpLog) Recv(from int, tag int32) ([]byte, int) {
+	l.Calls.Add(1)
+	l.InRecv.Store(true)
+	defer l.InRecv.Store(false)
+	return l.Kernel.Recv(from, tag)
+}
+
+func (l *OpLog) TryRecv(from int, tag int32) ([]byte, int, bool) {
+	l.Calls.Add(1)
+	return l.Kernel.TryRecv(from, tag)
 }
 
 // Count returns how many logged calls have one of the given names.

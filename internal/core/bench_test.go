@@ -48,7 +48,8 @@ func BenchmarkOwnerPath(b *testing.B) {
 // TestOwnerPathZeroAllocs is the allocation gate on the owner path: a
 // steady-state Add, pop and execute allocates nothing in either queue
 // mode, with observability off and with an observer recording into a
-// retaining recorder, and neither does taking in a stolen batch.
+// retaining recorder, and neither does taking in a stolen batch or a whole
+// phase through the loop, with an idle hook installed or without.
 func TestOwnerPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs in normal builds")
@@ -84,6 +85,26 @@ func TestOwnerPathZeroAllocs(t *testing.T) {
 				})
 				if a != 0 || ran != 51*chunk {
 					panic(fmt.Sprintf("a stolen batch of %d allocates %.2f objects (%d executions), want 0 (%d)", chunk, a, ran, 51*chunk))
+				}
+				// A whole phase — seed, Process to termination — with no idle
+				// hook and with one that holds the phase open for a round.
+				for _, hooked := range []bool{false, true} {
+					rounds := 0
+					tc.SetIdleHook(nil)
+					if hooked {
+						tc.SetIdleHook(func(*TC) bool { rounds++; return rounds%2 == 1 })
+					}
+					a := testing.AllocsPerRun(50, func() {
+						for i := 0; i < chunk; i++ {
+							if err := tc.Add(0, AffinityHigh, task); err != nil {
+								panic(err)
+							}
+						}
+						tc.Process()
+					})
+					if a != 0 || hooked != (rounds == 2*51) {
+						panic(fmt.Sprintf("a phase of %d tasks (idle hook: %v, called %d times) allocates %.2f objects, want 0", chunk, hooked, rounds, a))
+					}
 				}
 			}); err != nil {
 				t.Errorf("%s: %v", name, err)

@@ -103,6 +103,7 @@ type TC struct {
 	obs *Observer // nil = observability disabled
 
 	execHook ExecHook // nil = no completion notification
+	idleHook IdleHook // nil = an idle rank is a passive rank
 }
 
 // ExecHook is a per-task completion notification callback (see
@@ -113,6 +114,15 @@ type TC struct {
 // attached. Like the callback's, the descriptor is valid until the hook
 // returns.
 type ExecHook func(tc *TC, t *Task, elapsed time.Duration)
+
+// IdleHook is called by the phase loop once per idle round: the rank's own
+// patch was empty and a steal attempt found nothing (see TC.SetIdleHook).
+// It reports whether the rank is still active. An active rank takes no
+// passive termination step that round — it neither votes nor, on the root
+// of the spanning tree, starts a wave — and the loop goes back to its queue,
+// so a hook that added local work, or that blocked until someone else did,
+// must report active. Inactive means: nothing was added, treat me as idle.
+type IdleHook func(tc *TC) (active bool)
 
 // NewTC collectively creates a task collection. All processes must call it
 // with an identical configuration, and must then register the same
@@ -164,6 +174,16 @@ func (tc *TC) SetObserver(o *Observer) {
 // per-task completions (matched by Task.ID) without wrapping every
 // callback.
 func (tc *TC) SetExecHook(h ExecHook) { tc.execHook = h }
+
+// SetIdleHook attaches the hook that decides whether this rank, found idle
+// by the phase loop, is passive (nil detaches: idle is passive, the paper's
+// model). It is how running code outside the collection keeps one long
+// phase open and feeds it: the serve gateway admits tasks from its hook and
+// stays active until it drains, and since rank 0 is the detector's root no
+// wave starts before then; a hook may also block — a worker with nothing to
+// do parks in Recv — because an active rank owes the detector nothing.
+// Local operation.
+func (tc *TC) SetIdleHook(h IdleHook) { tc.idleHook = h }
 
 // Runtime returns the runtime the collection is attached to.
 func (tc *TC) Runtime() *Runtime { return tc.rt }
@@ -459,6 +479,10 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 		}
 		if tc.jn != nil {
 			tc.obs.setJournalDepth(tc.jn.depth)
+		}
+		if tc.idleHook != nil && tc.idleHook(tc) {
+			runtime.Gosched()
+			continue
 		}
 
 		// Passive: we just verified the queue is empty and failed to find

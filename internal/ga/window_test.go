@@ -150,7 +150,7 @@ func TestViewCoherence(t *testing.T) {
 func TestWindowOpCounts(t *testing.T) {
 	const n = 4
 	err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 5}).Run(func(bare pgas.Proc) {
-		p := &apptest.OpLog{Proc: bare}
+		p := apptest.NewOpLog(bare)
 		a := ga.New(p, 48, 48, 4, 4)
 		m := make([]float64, 48*48)
 		for i := range m {

@@ -214,7 +214,7 @@ func TestFockBuildFetchesEachDensityBlockOnce(t *testing.T) {
 		var mu sync.Mutex
 		windows, fetched := 0, 0
 		err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 5}).Run(func(bare pgas.Proc) {
-			p := &apptest.OpLog{Proc: bare}
+			p := apptest.NewOpLog(bare)
 			res, err := scf.Run(p, scf.RunConfig{Sys: sys, Method: method, MaxIter: iters, ConvTol: 1e-13, TC: core.Config{ChunkSize: 2}})
 			if err != nil {
 				panic(err)

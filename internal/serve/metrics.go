@@ -38,11 +38,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 		completed:       reg.Counter("scioto_serve_results_total", "task results delivered to submissions"),
 		discarded:       reg.Counter("scioto_serve_results_discarded_total", "task results discarded after cancellation"),
 		dropped:         reg.Counter("scioto_serve_tasks_dropped_total", "queued tasks dropped by cancellation"),
-		phases:          reg.Counter("scioto_serve_phases_total", "scheduling phases run"),
+		phases:          reg.Counter("scioto_serve_phases_total", "task-parallel phases entered (TC.Process calls; one until a drain or a recovery ends it)"),
 		replayed:        reg.Counter("scioto_serve_tasks_replayed_total", "tasks re-queued after a recovery because their results died with the failed rank"),
 		resultBytes:     reg.Counter("scioto_serve_result_bytes_total", "result payload bytes delivered"),
 		pending:         reg.Gauge("scioto_serve_pending_tasks", "admitted tasks not yet terminal"),
-		ingestQueue:     reg.Gauge("scioto_serve_ingest_queue", "admitted tasks awaiting a scheduling phase"),
+		ingestQueue:     reg.Gauge("scioto_serve_ingest_queue", "admitted tasks awaiting the next pump pass"),
 		deferredWaiting: reg.Gauge("scioto_serve_deferred_waiting", "tasks parked in the deferred pool"),
 		turnaround:      reg.Histogram("scioto_serve_turnaround_seconds", "submission-to-result latency"),
 		reg:             reg,

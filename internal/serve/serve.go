@@ -1,38 +1,53 @@
 // Package serve turns a live Scioto world into a persistent multi-tenant
-// task-ingest service: a daemon that keeps the distributed task collection
-// up between task-parallel phases and feeds it from an HTTP/JSON API.
+// task-ingest service: a daemon whose ranks enter one task-parallel phase
+// and stay in it while an HTTP/JSON API feeds the collection.
 //
 // Topology. One rank — the gateway, rank 0 — owns ingress: it runs the
 // HTTP endpoint, assigns durable submission and task lifecycle IDs,
 // applies admission control (per-tenant token buckets plus a bounded
-// pending pool), and batches admitted tasks into the shared collection.
-// Every other rank is a worker. The ranks execute an unbounded sequence
-// of collective scheduling phases:
+// pending pool), and injects admitted tasks into the shared collection
+// while it is being processed. Every other rank is a worker. All of them
+// call TC.Process once; what keeps the phase open is the idle hook
+// (core.TC.SetIdleHook) each rank installs, which the phase loop calls
+// when the rank has no task and a steal found none:
 //
-//	gateway                         workers
-//	-------                         -------
-//	wait for work / drain
-//	Store64(ctrl, phase|stop)
-//	Barrier  ───────────────────────  Barrier
-//	                                  Load64(gateway, ctrl)
-//	enqueue admitted batch
-//	TC.Process  ────────────────────  TC.Process
-//	collect results, satisfy deps
+//	gateway's hook (the pump)              worker's hook
+//	-------------------------              -------------
+//	deliver completion bursts              ship the buffered completions
+//	admit the ingest queue: TC.Add         after parkAfter empty rounds:
+//	apply Satisfy (deps, cancel flushes)     Store64(own flag, 1)
+//	CAS(flag of each rank dealt to, 1→0)     one more look at the queue
+//	  → Send(wake: resume)                   Recv(gateway, wake)  ← parked
+//	nothing moved for parkAfter rounds:
+//	  in flight: Recv(any, results)        wake = resume:    look again
+//	  idle:      wait on the doorbell      wake = end-phase: go passive
+//	drained, or a recovery to settle:      wake = stop:      go passive,
+//	  Send(wake: stop | end-phase) to all                    then leave
+//	  and report passive
 //
-// Inside a phase the runtime behaves exactly as in batch mode: split
-// queues, work stealing, wave termination. Between phases the workers
-// park in the barrier while the gateway admits, routes, and streams.
+// An active rank takes no part in termination detection, and the gateway
+// is the detector's root, so no wave starts until the gateway reports
+// passive: at drain, and after a recovery epoch. The runtime inside the
+// phase is stock Scioto — split queues, work stealing — and an idle
+// daemon is every rank blocked: the gateway on its doorbell, the workers
+// in Recv.
 //
-// Results ride the pgas two-sided message layer: a completion hook
-// (core.TC.SetExecHook) on every rank sends each executed task's
-// lifecycle ID, execution time, and in-body result to the gateway, whose
-// between-phase drain routes them to per-submission NDJSON streams.
-// Dependency-gated tasks use the deferred-task pool: the gateway
-// registers them with AddDeferred and applies Satisfy as prerequisite
-// completions arrive, so a dependency chain resolves across as many
-// phases as it needs — the pending pool is invisible to termination
-// detection, which is what lets a phase end with unsatisfied deps and the
-// next phase resume them.
+// Park and wake lose no task: a worker publishes its flag and then reads
+// its queue (the phase loop's next pop); the gateway publishes the task
+// and then reads the flag. Both are ordered operations on every
+// transport, so one of the two sees the other.
+//
+// Results ride the pgas two-sided message layer in bursts: a completion
+// hook (core.TC.SetExecHook) on every rank appends each executed task's
+// lifecycle ID, execution time and in-body result to a per-rank buffer,
+// which travels to the gateway as one message when the rank's queue runs
+// dry, when it holds burstBytes, or when it accounts for burstTime of
+// execution; the gateway's pump routes the records to per-submission
+// NDJSON streams and wakes each stream once per pass. Dependency-gated
+// tasks use the deferred-task pool: the gateway registers them with
+// AddDeferred and applies Satisfy as prerequisite completions arrive —
+// the pending pool is invisible to termination detection, so a phase that
+// ends with unsatisfied dependencies leaves them for the next one.
 package serve
 
 import (
@@ -47,17 +62,42 @@ import (
 
 // gatewayRank is the rank that owns ingress. Fixed at 0: every rank must
 // agree on it before any communication happens, so it is a protocol
-// constant rather than configuration.
+// constant rather than configuration — and rank 0 is the root of the
+// termination tree, which is what lets the gateway hold the phase open.
 const gatewayRank = 0
 
-// Phase-control words broadcast from the gateway (ctrl word 0).
+// Message tags: completion bursts travel to the gateway, wake commands
+// (one byte) from it.
 const (
-	cmdPhase int64 = iota + 1 // run one TC.Process phase
-	cmdStop                   // exit the serve loop (drain complete)
+	resultTag int32 = 0x5c10
+	wakeTag   int32 = 0x5c11
 )
 
-// resultTag is the message tag completion records travel under.
-const resultTag int32 = 0x5c10
+// Wake commands. They are also a rank's standing order: what the last
+// wake told it (a worker) or what it has told the workers (the gateway).
+const (
+	cmdResume   byte = iota // there may be work: look again
+	cmdEndPhase             // go passive; the phase ends and another follows (recovery settle)
+	cmdStop                 // go passive; the phase ends and the rank leaves (drain complete)
+)
+
+const (
+	// parkAfter is how many empty idle rounds — each a failed steal probe
+	// and a yield — a rank sits through before it blocks.
+	parkAfter = 2
+	// burstBytes and burstTime bound what a completion burst holds back
+	// while its rank still has tasks: a batch's worth of records (32 of
+	// them with small results), or a millisecond of execution.
+	burstBytes = 1 << 10
+	burstTime  = time.Millisecond
+	// recHdr is the fixed part of a completion record:
+	//
+	//	[0:8)   lifecycle ID
+	//	[8:16)  execution time (ns)
+	//	[16:20) result length
+	//	[20:)   result bytes
+	recHdr = 20
+)
 
 // Config parameterizes the daemon. The zero value serves on an ephemeral
 // port with defaults sized for tests; cmd/sciotod exposes the knobs.
@@ -79,9 +119,6 @@ type Config struct {
 	// MaxPending bounds admitted-but-incomplete tasks across all tenants;
 	// beyond it submissions are rejected with 429 (default 8192).
 	MaxPending int
-	// BatchPerPhase bounds tasks handed to the collection per scheduling
-	// phase; the rest wait in the ingest queue (default 2048).
-	BatchPerPhase int
 	// TenantRate is the per-tenant admission rate in tasks/second
 	// (token-bucket refill; 0 disables per-tenant rate limiting).
 	TenantRate float64
@@ -109,9 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPending == 0 {
 		c.MaxPending = 8192
-	}
-	if c.BatchPerPhase == 0 {
-		c.BatchPerPhase = 2048
 	}
 	if c.TenantBurst == 0 {
 		c.TenantBurst = 64
@@ -153,13 +187,13 @@ type Daemon struct {
 	bySerial map[uint64]*submission
 	order    []*submission
 	serial   uint64
-	queue    []taskRef // admitted tasks awaiting a scheduling phase
-	flushes  []taskRef // cancel-flush Satisfy work for the gateway
+	done     int       // terminal submissions among order (bounded by RetainDone)
+	queue    []taskRef // admitted tasks awaiting the gateway's next pump pass
+	owed     []taskRef // deferred tasks owed Satisfy calls: prerequisites done, or cancelled
 	pending  int       // admission pool: admitted, not yet terminal
 	inFlight int       // handed to the collection, result not yet collected
 	deferred int       // registered in the deferred pool, waiting on deps
 	buckets  map[string]*bucket
-	rr       int // round-robin cursor for dependency-free placement
 	draining bool
 	stopped  bool
 	addr     string
@@ -207,8 +241,8 @@ func (d *Daemon) WaitReady(timeout time.Duration) (string, error) {
 }
 
 // Drain initiates graceful shutdown: new submissions are refused (503),
-// in-flight work runs to completion across as many phases as it needs,
-// result streams flush, and every rank exits its serve loop. Idempotent
+// admitted work runs to completion, result streams flush, the phase
+// terminates and every rank exits its serve loop. Idempotent
 // and safe from any goroutine (sciotod calls it from a signal handler).
 func (d *Daemon) Drain() {
 	d.mu.Lock()
@@ -225,244 +259,14 @@ func (d *Daemon) ping() {
 	}
 }
 
-// Body is the SPMD body every rank runs. It wires the shared task
-// collection and the completion hook, then splits into the gateway and
-// worker serve loops. Collective: all ranks must call it together (hand
-// it to scioto.Run, or run it under pgas.World.Run via core.Attach).
-func (d *Daemon) Body(rt *core.Runtime) {
-	p := rt.Proc()
-	tc := core.NewTC(rt, d.cfg.TC)
-	h := tc.Register(execServeTask)
-	// Metrics are registered here, before rank-dependent control flow
-	// splits gateway from workers, so every rank's registry carries the
-	// same schema (the obsdeterminism congruence obligation).
-	m := newMetrics(rt.Registry())
-	ctrl := p.AllocWords(1)
-	tc.SetExecHook(func(tc *core.TC, t *core.Task, elapsed time.Duration) {
-		shipResult(p, t, elapsed)
-	})
-	// The rank-dependent split below is the serve protocol itself: both
-	// arms run the same collective sequence (one Barrier + one TC.Process
-	// per round), kept congruent dynamically by the broadcast ctrl word —
-	// a correspondence the static congruence analysis cannot see.
-	if p.Rank() == gatewayRank {
-		//lint:ignore collcongruence the worker arm runs a congruent Barrier/Process sequence, synchronized by the broadcast ctrl word
-		d.gateway(p, tc, h, ctrl, m)
-	} else {
-		//lint:ignore collcongruence the gateway arm runs a congruent Barrier/Process sequence, synchronized by the broadcast ctrl word
-		d.worker(p, tc, ctrl, m)
-	}
-}
-
-// execServeTask is the single task callback: run the kind in place, so
-// the completion hook ships the scribbled result.
-func execServeTask(tc *core.TC, t *core.Task) {
-	runKind(tc.Proc().Compute, t.Body())
-}
-
-// shipResult sends one completion record to the gateway:
-//
-//	[0:8)  lifecycle ID
-//	[8:16) execution time (ns)
-//	[16:)  result bytes
-//
-// Send is synchronous on every transport (tcp's opSend round-trips), so
-// by the time TC.Process returns from a phase, every record of that phase
-// is already in the gateway's mailbox — the between-phase TryRecv drain
-// cannot miss one.
-func shipResult(p pgas.Proc, t *core.Task, elapsed time.Duration) {
-	if t.ID() == 0 {
-		return // not a serve-managed task
-	}
-	res := bodyData(t.Body())
-	msg := make([]byte, 16+len(res))
-	pgas.PutU64(msg, t.ID())
-	pgas.PutI64(msg[8:], int64(elapsed))
-	copy(msg[16:], res)
-	p.Send(gatewayRank, resultTag, msg)
-}
-
-// worker is every non-gateway rank's serve loop: rendezvous, read the
-// command word, run the phase.
-func (d *Daemon) worker(p pgas.Proc, tc *core.TC, ctrl pgas.Seg, m *metrics) {
-	for {
-		p.Barrier()
-		if p.Load64(gatewayRank, ctrl, 0) == cmdStop {
-			return
-		}
-		m.phases.Inc()
-		tc.Process()
-	}
-}
-
-// gateway is rank 0's serve loop. It owns all daemon state mutation and
-// all between-phase task-collection calls; HTTP handlers only touch state
-// under d.mu and never touch the collection directly.
-func (d *Daemon) gateway(p pgas.Proc, tc *core.TC, h core.Handle, ctrl pgas.Seg, m *metrics) {
-	d.mu.Lock()
-	d.m = m
-	d.mu.Unlock()
-	stopHTTP, err := d.startHTTP(p.NProcs())
-	if err != nil {
-		// Panicking before the first barrier rides the crash-containment
-		// path: the world poisons the collectives, the workers unwind,
-		// and Run returns a rank-attributed error.
-		panic(fmt.Errorf("serve: gateway endpoint: %w", err))
-	}
-	recoveries := int64(0)
-	for {
-		d.waitWork()
-		cmd := cmdPhase
-		if d.stopDecision() {
-			cmd = cmdStop
-		}
-		p.Store64(gatewayRank, ctrl, 0, cmd)
-		p.Barrier()
-		if cmd == cmdStop {
-			break
-		}
-		d.enqueuePhase(tc, h, p.NProcs())
-		m.phases.Inc()
-		tc.Process()
-		d.collect(p, tc)
-		if s := tc.Stats(); s.Recoveries > recoveries {
-			recoveries = s.Recoveries
-			d.requeueLost()
-		}
-	}
-	d.mu.Lock()
-	d.stopped = true
-	subs, results := d.serial, 0
-	for _, sub := range d.order {
-		results += sub.completed
-	}
-	d.mu.Unlock()
-	stopHTTP()
-	d.cfg.Logf("sciotod: drained (%d submissions, %d retained results)", subs, results)
-}
-
-// waitWork parks the gateway until there is something to schedule, flush,
-// or collect — or a drain to finish. An idle daemon sits here, burning
-// nothing, with the workers parked in the phase barrier.
-func (d *Daemon) waitWork() {
-	for {
-		d.mu.Lock()
-		work := len(d.queue) > 0 || len(d.flushes) > 0 || d.inFlight > 0 || d.draining
-		d.mu.Unlock()
-		if work {
-			return
-		}
-		<-d.wake
-	}
-}
-
-// stopDecision reports whether the drain handshake can complete: nothing
-// queued, nothing in flight, nothing parked in the deferred pool.
-func (d *Daemon) stopDecision() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.draining && len(d.queue) == 0 && len(d.flushes) == 0 &&
-		d.inFlight == 0 && d.deferred == 0
-}
-
-// enqueuePhase moves between-phase work into the collection: cancel
-// flushes first (they free deferred-pool slots), then up to BatchPerPhase
-// admitted tasks. Runs with d.mu held for the whole batch — the workers
-// are parked in the phase barrier, so the collection calls only contend
-// with HTTP handlers for the daemon lock, never with remote ranks for
-// queue locks.
-func (d *Daemon) enqueuePhase(tc *core.TC, h core.Handle, nprocs int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	flushes := d.flushes
-	d.flushes = nil
-	for _, ref := range flushes {
-		t := &ref.sub.tasks[ref.idx]
-		for t.phase == taskDeferred {
-			d.satisfyOne(tc, ref.sub, ref.idx)
-		}
-	}
-
-	n := len(d.queue)
-	if n > d.cfg.BatchPerPhase {
-		n = d.cfg.BatchPerPhase
-	}
-	batch := d.queue[:n]
-	rest := d.queue[n:]
-	var requeue []taskRef
-	for _, ref := range batch {
-		t := &ref.sub.tasks[ref.idx]
-		if t.phase != taskQueued {
-			continue // dropped by a cancel while queued
-		}
-		if !d.enqueueOne(tc, h, ref, nprocs) {
-			requeue = append(requeue, ref) // deferred pool full; retry next phase
-		}
-	}
-	d.queue = append(requeue, rest...)
-	d.m.ingestQueue.Set(int64(len(d.queue)))
-}
-
-// enqueueOne hands one admitted task to the runtime. Dependency-gated
-// tasks whose prerequisites have not all completed go through the
-// deferred pool; everything else is placed round-robin across ranks.
-// Reports false when the deferred pool is full and the task must wait.
-func (d *Daemon) enqueueOne(tc *core.TC, h core.Handle, ref taskRef, nprocs int) bool {
-	sub, i := ref.sub, ref.idx
-	t := &sub.tasks[i]
-	size := bodyDataOff + len(t.payload)
-	if min := bodyDataOff + minResultBytes; size < min {
-		size = min
-	}
-	task := core.NewTask(h, size)
-	task.SetID(packID(sub.serial, i))
-	encodeTaskBody(task.Body(), t.kind, t.arg, t.payload)
-
-	if len(t.deps) > t.satisfied {
-		dep, err := tc.AddDeferred(t.affinity, task, len(t.deps))
-		if err != nil {
-			return false // pool full; slots free as dependencies resolve
-		}
-		t.dep = dep
-		t.phase = taskDeferred
-		d.deferred++
-		d.m.deferredWaiting.Set(int64(d.deferred))
-		// Prerequisites that completed while this task was still queued
-		// are applied immediately; the remainder arrive with results.
-		for k := t.applied; k < t.satisfied; k++ {
-			d.satisfyOne(tc, sub, i)
-		}
-		return true
-	}
-
-	dst := int(d.serialRR(nprocs))
-	if err := tc.Add(dst, t.affinity, task); err != nil {
-		// Queues are sized far above BatchPerPhase; a full queue between
-		// phases means misconfiguration, not load.
-		panic(fmt.Errorf("serve: enqueue task %s[%d]: %w", sub.id, i, err))
-	}
-	t.phase = taskInFlight
-	d.inFlight++
-	return true
-}
-
-// serialRR deals ranks round-robin for dependency-free task placement.
-// Tasks are added with low affinity by default, so the initial deal is
-// only a hint — stealing rebalances inside the phase.
-func (d *Daemon) serialRR(nprocs int) int {
-	d.rr++
-	return d.rr % nprocs
-}
-
 // requeueLost re-queues every task still marked in flight after a phase
 // that healed around a dead rank. Process returns only after global
-// termination, and result sends are synchronous, so post-collect a task
-// can still be in flight for exactly one reason: the dead rank executed it
-// (its durable completion is counted in SalvagedExecs) but died before its
-// result record reached the gateway. Serve kinds are pure computations, so
-// re-running them is safe — the submission still gets every result instead
-// of a 500 or a hung drain.
+// termination, and a live rank ships its burst before it goes passive, so
+// post-collect a task can still be in flight for exactly one reason: the
+// dead rank executed it (its durable completion is counted in
+// SalvagedExecs) but died with the record in its burst. Serve kinds are
+// pure computations, so re-running them is safe — the submission still
+// gets every result instead of a 500 or a hung drain.
 func (d *Daemon) requeueLost() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -484,89 +288,70 @@ func (d *Daemon) requeueLost() {
 	}
 }
 
-// satisfyOne applies one Satisfy to a deferred task and performs the
-// launch bookkeeping when it was the last one. Caller holds d.mu.
+// satisfyOne applies one Satisfy to a deferred task. The last one makes
+// the pool launch the task onto the gateway's queue, and is counted
+// before the call: a fault that unwinds a final Satisfy after its
+// decrement leaves the launch to the recovery sweep, while one that
+// unwinds it before leaves a task that is not in flight — which the
+// settle that follows every recovery re-queues like any other lost task.
+// Counted after, the first case would launch a task the gateway still
+// believes deferred and drop its result. Caller holds d.mu.
 func (d *Daemon) satisfyOne(tc *core.TC, sub *submission, i int) {
 	t := &sub.tasks[i]
-	if t.phase != taskDeferred {
-		return
-	}
-	tc.Satisfy(t.dep)
-	t.applied++
-	if t.applied == len(t.deps) {
-		// Final satisfy: the pool launched the task onto the gateway's
-		// queue; it executes (or is stolen) in the next phase.
+	if t.applied+1 == len(t.deps) {
 		t.phase = taskInFlight
 		d.deferred--
 		d.inFlight++
 		d.m.deferredWaiting.Set(int64(d.deferred))
 	}
+	tc.Satisfy(t.dep)
+	t.applied++
 }
 
-// collect drains the completion mailbox after a phase and routes each
-// record: append to the submission's result log (unless cancelled), bump
-// streams, apply dependency satisfies, finalize completed submissions.
-func (d *Daemon) collect(p pgas.Proc, tc *core.TC) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		msg, from, ok := p.TryRecv(pgas.AnySource, resultTag)
-		if !ok {
-			return
-		}
-		if len(msg) < 16 {
-			d.cfg.Logf("sciotod: dropping malformed %d-byte completion record from rank %d", len(msg), from)
-			continue
-		}
-		serial, idx := splitID(pgas.GetU64(msg))
-		elapsed := time.Duration(pgas.GetI64(msg[8:]))
-		sub := d.bySerial[serial]
-		if sub == nil || idx >= len(sub.tasks) {
-			d.cfg.Logf("sciotod: dropping completion for unknown task %d[%d]", serial, idx)
-			continue
-		}
-		d.deliver(tc, sub, idx, from, elapsed, msg[16:])
+// deliver routes one completion record from rank: append to the
+// submission's result log (unless cancelled; the result is kept as a
+// slice of rec, which the caller must not reuse), note the dependents'
+// satisfied prerequisites, finalize a completed submission. It returns
+// the submission whose streams have something new. Caller holds d.mu.
+func (d *Daemon) deliver(rec []byte, rank int, now time.Time) *submission {
+	serial, idx := splitID(pgas.GetU64(rec))
+	sub := d.bySerial[serial]
+	if sub == nil || idx >= len(sub.tasks) {
+		d.cfg.Logf("sciotod: dropping completion for unknown task %d[%d]", serial, idx)
+		return nil
 	}
-}
-
-// deliver routes one completion record. Caller holds d.mu.
-func (d *Daemon) deliver(tc *core.TC, sub *submission, idx, rank int, elapsed time.Duration, result []byte) {
 	t := &sub.tasks[idx]
 	if t.phase != taskInFlight {
 		d.cfg.Logf("sciotod: duplicate completion for %s[%d] ignored", sub.id, idx)
-		return
+		return nil
 	}
 	t.phase = taskDone
 	d.inFlight--
 	d.pending--
-	d.m.pending.Set(int64(d.pending))
 	sub.remaining--
 	if sub.cancelled {
 		d.m.discarded.Inc()
 	} else {
-		res := make([]byte, len(result))
-		copy(res, result)
 		sub.results = append(sub.results, resultRec{
 			Task:      idx,
 			Kind:      kindName(t.kind),
 			Rank:      rank,
-			ElapsedUS: elapsed.Microseconds(),
-			Result:    res,
+			ElapsedUS: time.Duration(pgas.GetI64(rec[8:])).Microseconds(),
+			Result:    rec[recHdr:len(rec):len(rec)],
 		})
 		sub.completed++
 		d.m.completed.Inc()
-		d.m.resultBytes.Add(int64(len(result)))
-		d.m.turnaround.Observe(time.Since(sub.created))
+		d.m.resultBytes.Add(int64(len(rec) - recHdr))
+		d.m.turnaround.Observe(now.Sub(sub.created))
 	}
 	for _, di := range t.dependents {
-		dt := &sub.tasks[di]
-		dt.satisfied++
-		if dt.phase == taskDeferred {
-			d.satisfyOne(tc, sub, di)
+		sub.tasks[di].satisfied++
+		if sub.tasks[di].phase == taskDeferred {
+			d.owed = append(d.owed, taskRef{sub, di})
 		}
 	}
 	if sub.remaining == 0 {
 		d.finalize(sub)
 	}
-	sub.bump()
+	return sub
 }

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"scioto/internal/apptest"
 	"scioto/internal/core"
+	"scioto/internal/obs"
 	"scioto/internal/pgas"
 	"scioto/internal/pgas/faulty"
 	"scioto/internal/pgas/shm"
@@ -171,10 +173,10 @@ func TestServeEightConcurrentClients(t *testing.T) {
 	drainAndWait(t, d, done)
 }
 
-// TestDependencyChainResolvesAcrossPhases: a chain t0 <- t1 <- t2 <- t3
-// plus a fan-in t4 <- {t0..t3} completes with every dependent's result
-// arriving after all its prerequisites'.
-func TestDependencyChainResolvesAcrossPhases(t *testing.T) {
+// TestDependencyChainResolves: a chain t0 <- t1 <- t2 <- t3 plus a fan-in
+// t4 <- {t0..t3} completes with every dependent's result arriving after
+// all its prerequisites'.
+func TestDependencyChainResolves(t *testing.T) {
 	d, base, done := startDaemon(t, 3, Config{})
 	req := submitReq{Tasks: []taskSpec{
 		{Kind: KindFib, Arg: 5},
@@ -435,61 +437,221 @@ func TestRunKindResults(t *testing.T) {
 	}
 }
 
-// TestServeWorkerCrashRecovers: a worker rank dies mid-phase while a
-// submission is draining. With the world survivable and work-replay armed,
-// the collection heals around the dead rank, results that died with it are
-// re-queued by the gateway, the client's stream still carries every result,
-// and the drain handshake completes with a clean world exit.
-func TestServeWorkerCrashRecovers(t *testing.T) {
-	d := New(Config{Addr: "127.0.0.1:0", Logf: t.Logf})
-	done := make(chan error, 1)
-	var crashed atomic.Bool
+// watched is a daemon whose ranks are observed from outside while they run:
+// every rank's communication calls through an apptest.OpLog (atomic
+// counters) and its scheduler and serve metrics through a registry of its
+// own.
+type watched struct {
+	d    *Daemon
+	base string
+	done chan error
+	logs []*apptest.OpLog
+	regs []*obs.Registry
+}
+
+// startWatched brings a daemon up on w; recovery arms work replay.
+func startWatched(t *testing.T, w pgas.World, recovery bool) *watched {
+	t.Helper()
+	n := w.NProcs()
+	ww := &watched{
+		d:    New(Config{Addr: "127.0.0.1:0", Logf: t.Logf}),
+		done: make(chan error, 1),
+		logs: make([]*apptest.OpLog, n),
+		regs: make([]*obs.Registry, n),
+	}
+	var up sync.WaitGroup
+	up.Add(n)
 	go func() {
-		w := faulty.Wrap(
-			shm.NewWorld(shm.Config{NProcs: 4, Seed: 7, Survivable: true}),
-			// CrashAfterOps is pinned at the start of rank 2's processing
-			// window: setup (dep-pool init + journal) costs 1024 checked
-			// ops (measured via faulty.Ops), the phase's barriers and
-			// detector reset run to op 1032, the reacquire of what the
-			// gateway added is 1033-34, and every task after that is a
-			// completion mark and a result Send. The window is as short as
-			// 17 ops when the other ranks steal most of the rank's share.
-			// A crash pinned earlier would land in a setup collective,
-			// which is fatal by design.
-			faulty.Config{Seed: 21, CrashRank: 2, CrashAfterOps: 1036,
-				Observe: func(_ time.Duration, _ int, kind, _ string, _ int) {
-					if kind == "crash" {
-						crashed.Store(true)
-					}
-				}},
-		)
-		done <- w.Run(func(p pgas.Proc) {
-			core.RegisterProcRecovery(p)
-			defer core.UnregisterProcRecovery(p)
-			d.Body(core.Attach(p))
+		ww.done <- w.Run(func(bare pgas.Proc) {
+			p := apptest.NewOpLog(bare)
+			rank := p.Rank()
+			ww.logs[rank], ww.regs[rank] = p, obs.NewRegistry(rank)
+			up.Done()
+			if recovery {
+				core.RegisterProcRecovery(p)
+				defer core.UnregisterProcRecovery(p)
+			}
+			rt := core.Attach(p)
+			rt.SetObserver(core.NewObserver(p, ww.regs[rank], nil))
+			ww.d.Body(rt)
 		})
 	}()
-	addr, err := d.WaitReady(5 * time.Second)
+	addr, err := ww.d.WaitReady(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + addr
+	up.Wait()
+	ww.base = "http://" + addr
+	return ww
+}
 
-	const n = 200
+// calls sums every rank's communication calls so far.
+func (ww *watched) calls() (n int64) {
+	for _, l := range ww.logs {
+		n += l.Calls.Load()
+	}
+	return n
+}
+
+// waitIdle returns once every worker is parked in Recv and no rank has
+// made a communication call for 5 ms (the gateway is on its doorbell). It
+// needs no timing assumption: a rank that is not blocked polls.
+func (ww *watched) waitIdle(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		before := ww.calls()
+		time.Sleep(5 * time.Millisecond)
+		parked := true
+		for _, l := range ww.logs[1:] {
+			parked = parked && l.InRecv.Load()
+		}
+		if parked && ww.calls() == before {
+			return
+		}
+	}
+	t.Fatal("the daemon never fell idle")
+}
+
+// counter reads one of rank's metrics.
+func (ww *watched) counter(rank int, name string) int64 {
+	return ww.regs[rank].Counter(name, "").Value()
+}
+
+// spinBatch is a submission of n spin tasks of d each.
+func spinBatch(n int, d time.Duration) submitReq {
 	req := submitReq{Tenant: "chaos"}
 	for i := 0; i < n; i++ {
-		req.Tasks = append(req.Tasks, taskSpec{Kind: KindSpin, Arg: uint64(50 * time.Microsecond)})
+		req.Tasks = append(req.Tasks, taskSpec{Kind: KindSpin, Arg: uint64(d)})
 	}
-	status, resp := submit(t, base, req)
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: status %d (%v)", status, resp)
+	return req
+}
+
+// TestServeWorkerCrashRecovers: a worker rank dies while a submission is
+// running. With the world survivable and work-replay armed, the collection
+// heals around the dead rank, the gateway lets the phase terminate and
+// re-queues the results that died with it, the client's stream still
+// carries every result, every survivor is back in a second phase, and the
+// drain handshake completes with a clean world exit.
+//
+// Op-count pinning (faulty.Ops): worker set-up (dep-pool init + journal)
+// costs 1024 checked ops on rank 2. With nothing submitted yet the one
+// phase opens — barrier, detector reset, barrier — and the rank sits
+// through parkAfter idle rounds and the one that raises its flag (a look
+// at its own queue word and a steal probe each), looks once more and parks
+// in Recv having issued 1039 ops, the same on every run because the test
+// submits only once the daemon is idle. The wake is then op 1040 (the flag
+// comes down), the reacquire of what the gateway dealt 1041-42, and every
+// task after that one completion mark in the gateway's journal — records
+// ride in the burst, so a task costs no Send. There is no per-batch
+// barrier or detector reset to step over any more, and no control
+// collective left after set-up for a crash to be fatal in. Only the wake
+// itself is the same operation on every run: with more ranks than
+// processors a woken rank may not run before thieves have emptied its
+// queue, so the second pin lands in a completion mark, a probe or a steal
+// as the schedule has it — a recoverable place every time — and, like the
+// first, checks that it fired at all.
+func TestServeWorkerCrashRecovers(t *testing.T) {
+	for _, pin := range []struct {
+		name string
+		ops  int64
+		op   string // the operation the crash must interrupt, if that is certain
+	}{
+		{"first op after a wake", 1040, "Store64"}, // its own flag: died parked, as far as anyone else can tell
+		{"mid-burst", 1046, ""},                    // left alone, its fourth task's completion mark
+	} {
+		t.Run(pin.name, func(t *testing.T) {
+			var crashed atomic.Bool
+			ww := startWatched(t, faulty.Wrap(
+				shm.NewWorld(shm.Config{NProcs: 4, Seed: 7, Survivable: true}),
+				faulty.Config{Seed: 21, CrashRank: 2, CrashAfterOps: pin.ops,
+					Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
+						if kind == "crash" {
+							crashed.Store(true)
+							if pin.op != "" && op != pin.op {
+								t.Errorf("the pin interrupted a %s, want a %s (re-pin CrashAfterOps)", op, pin.op)
+							}
+						}
+					}},
+			), true)
+			ww.waitIdle(t)
+			if crashed.Load() {
+				t.Fatalf("rank 2 crashed before it parked: the pin sits in set-up (re-pin CrashAfterOps)")
+			}
+			const n = 200
+			status, resp := submit(t, ww.base, spinBatch(n, 50*time.Microsecond))
+			if status != http.StatusAccepted {
+				t.Fatalf("submit: status %d (%v)", status, resp)
+			}
+			results, final := readStream(t, ww.base, resp["id"].(string))
+			if len(results) != n || final.Completed != n {
+				t.Fatalf("streamed %d results, summary completed=%d, want %d", len(results), final.Completed, n)
+			}
+			drainAndWait(t, ww.d, ww.done)
+			if !crashed.Load() {
+				t.Fatal("pinned crash never fired: the test exercised no recovery (re-pin CrashAfterOps)")
+			}
+			for _, rank := range []int{0, 1, 3} {
+				if got := ww.counter(rank, "scioto_serve_phases_total"); got != 2 {
+					t.Errorf("rank %d entered Process %d times, want 2: once, and once more after the recovery settled", rank, got)
+				}
+			}
+		})
 	}
-	results, final := readStream(t, base, resp["id"].(string))
-	if len(results) != n || final.Completed != n {
-		t.Fatalf("streamed %d results, summary completed=%d, want %d", len(results), final.Completed, n)
+}
+
+// TestSteadyStateIsOnePhase gates the serve protocol on counts, not on
+// timings: once the daemon is up, a submission costs no barrier and no
+// termination wave on any rank and at most one message per four tasks; an
+// idle daemon makes no communication call at all; and the whole run is one
+// Process per rank, ended by exactly one termination.
+func TestSteadyStateIsOnePhase(t *testing.T) {
+	const ranks, rounds, batch = 3, 200, 32
+	ww := startWatched(t, shm.NewWorld(shm.Config{NProcs: ranks, Seed: 7}), false)
+	round := func() {
+		status, resp := submit(t, ww.base, spinBatch(batch, 5*time.Microsecond))
+		if status != http.StatusAccepted {
+			t.Fatalf("submit: status %d (%v)", status, resp)
+		}
+		if results, _ := readStream(t, ww.base, resp["id"].(string)); len(results) != batch {
+			t.Fatalf("streamed %d results, want %d", len(results), batch)
+		}
 	}
-	drainAndWait(t, d, done)
-	if !crashed.Load() {
-		t.Fatal("pinned crash never fired: the test exercised no recovery (re-pin CrashAfterOps)")
+	round()
+	type counts struct{ barriers, waves, sends int64 }
+	snapshot := func() []counts {
+		out := make([]counts, ranks)
+		for r := range out {
+			out[r] = counts{ww.logs[r].Barriers.Load(), ww.counter(r, "scioto_td_waves_total"), ww.logs[r].Sends.Load()}
+		}
+		return out
+	}
+	before := snapshot()
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	var sends int64
+	for r, after := range snapshot() {
+		if after.barriers != before[r].barriers || after.waves != before[r].waves {
+			t.Errorf("rank %d: %d barriers and %d termination waves over %d submissions, want none",
+				r, after.barriers-before[r].barriers, after.waves-before[r].waves, rounds)
+		}
+		sends += after.sends - before[r].sends
+	}
+	if max := int64(rounds * batch / 4); sends > max {
+		t.Errorf("%d messages for %d tasks, want at most one per four (%d): wakes and completion bursts only", sends, rounds*batch, max)
+	}
+
+	ww.waitIdle(t)
+	idle := ww.calls()
+	time.Sleep(50 * time.Millisecond)
+	if n := ww.calls() - idle; n != 0 {
+		t.Errorf("an idle daemon made %d communication calls in 50 ms, want 0: every rank blocks", n)
+	}
+
+	drainAndWait(t, ww.d, ww.done)
+	for r := 0; r < ranks; r++ {
+		if phases, ends := ww.counter(r, "scioto_serve_phases_total"), ww.counter(r, "scioto_td_terminations_total"); phases != 1 || ends != 1 {
+			t.Errorf("rank %d: %d Process entries and %d terminations, want one of each", r, phases, ends)
+		}
 	}
 }

@@ -27,7 +27,7 @@ func splitID(id uint64) (serial uint64, idx int) {
 type taskPhase uint8
 
 const (
-	taskQueued   taskPhase = iota // admitted, waiting for a scheduling phase
+	taskQueued   taskPhase = iota // admitted, waiting for the gateway's next pump pass
 	taskDeferred                  // in the deferred pool, waiting on dependencies
 	taskInFlight                  // in the collection, result pending
 	taskDone                      // result collected (or discarded after cancel)
@@ -47,6 +47,16 @@ type task struct {
 	dep       core.Dep // valid while phase == taskDeferred
 	satisfied int      // prerequisite completions observed
 	applied   int      // Satisfy calls issued to the runtime
+}
+
+// due is how many Satisfy calls the runtime should have seen for a
+// deferred t: one per completed prerequisite, or — the only way its pool
+// slot frees — all of them once the submission is cancelled.
+func (t *task) due(sub *submission) int {
+	if sub.cancelled {
+		return len(t.deps)
+	}
+	return t.satisfied
 }
 
 // submission is one client batch and its progress.
@@ -139,7 +149,7 @@ func (d *Daemon) validate(req *submitReq) error {
 }
 
 // admit applies admission control and, on success, registers the
-// submission and queues its tasks for the next scheduling phase.
+// submission and queues its tasks for the gateway's next pump pass.
 func (d *Daemon) admit(req *submitReq) (*submission, *admissionError) {
 	tenant := req.Tenant
 	if tenant == "" {
@@ -177,6 +187,7 @@ func (d *Daemon) admit(req *submitReq) (*submission, *admissionError) {
 		created:   time.Now(),
 		tasks:     make([]task, n),
 		remaining: n,
+		results:   make([]resultRec, 0, n),
 		notify:    make(chan struct{}),
 	}
 	for i, ts := range req.Tasks {
@@ -235,9 +246,9 @@ func (d *Daemon) cancel(id string) (found, changed bool) {
 			d.m.dropped.Inc()
 		case taskDeferred:
 			// Must run through the runtime to release its pool slot; the
-			// gateway flushes the outstanding satisfies next phase and
-			// discards the result on arrival.
-			d.flushes = append(d.flushes, taskRef{sub, i})
+			// gateway's next pump pass applies the outstanding satisfies
+			// and the result is discarded on arrival.
+			d.owed = append(d.owed, taskRef{sub, i})
 		}
 	}
 	d.m.pending.Set(int64(d.pending))
@@ -253,13 +264,8 @@ func (d *Daemon) cancel(id string) (found, changed bool) {
 // completed submissions beyond the RetainDone bound. Caller holds d.mu.
 func (d *Daemon) finalize(sub *submission) {
 	sub.doneAt = time.Now()
-	done := 0
-	for _, s := range d.order {
-		if s.remaining == 0 {
-			done++
-		}
-	}
-	for i := 0; done > d.cfg.RetainDone && i < len(d.order); {
+	d.done++
+	for i := 0; d.done > d.cfg.RetainDone && i < len(d.order); {
 		s := d.order[i]
 		if s.remaining != 0 {
 			i++
@@ -268,6 +274,6 @@ func (d *Daemon) finalize(sub *submission) {
 		delete(d.subs, s.id)
 		delete(d.bySerial, s.serial)
 		d.order = append(d.order[:i], d.order[i+1:]...)
-		done--
+		d.done--
 	}
 }

@@ -212,7 +212,7 @@ func TestOperandBlocksFetchedOnce(t *testing.T) {
 	pat := tce.NewPattern(testParams)
 	for _, scioto := range []bool{false, true} {
 		err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 31}).Run(func(bare pgas.Proc) {
-			p := &apptest.OpLog{Proc: bare}
+			p := apptest.NewOpLog(bare)
 			c := tce.New(p, testParams)
 			c.ResetC()
 			p.Ops = p.Ops[:0]

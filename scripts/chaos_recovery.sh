@@ -7,7 +7,8 @@
 # the injected panic genuinely kills a process) and, per scenario, kills
 # worker rank 2 at a pinned operation count via the SCIOTO_FAULT_*
 # environment (deterministic injection, see internal/pgas/faulty).
-# Scenarios place the crash in the reacquire that takes the rank's first
+# Scenarios place the crash on the rank's first operation after a wake
+# (to everyone else it died parked), in the reacquire that takes its first
 # tasks, after its first task, and while deferred-dependency tasks are in
 # flight. Each run must (a)
 # actually fire the injected crash, (b) stream every submitted result
@@ -19,14 +20,21 @@
 # Run via `make chaos-recovery`; CI runs the same target.
 #
 # Op-count pinning: worker setup (dep-pool init + journal) costs 1024
-# checked ops on rank 2 (faulty.Ops) and the first processing phase begins
-# just above that: barriers and the detector reset to op 1032, the
-# reacquire of what the gateway added to the rank's shared end at 1033-34,
-# then a completion mark and a result Send per task. A split queue takes
-# no lock, so the phase is short in ops — as few as 17 when the other
-# ranks steal most of the rank's share — and the pins sit at its start.
-# Crash points must land inside TC.Process — faults in setup or control
-# collectives are fatal by design.
+# checked ops on rank 2 (faulty.Ops). The daemon's one phase then opens —
+# barrier, detector reset, barrier — and with nothing submitted yet the
+# rank sits through its idle rounds (serve's parkAfter of them and the one
+# that raises its parked flag: a look at its own queue word and a steal
+# probe each), looks once more and blocks in Recv having issued 1039 ops:
+# the same on every run, because curl arrives long after. The wake is op
+# 1040 (the flag comes down), the reacquire of what the gateway dealt
+# 1041-42, then one completion mark per task — results ride in bursts, so
+# a task costs no Send. Past the wake the sequence is the schedule's: with
+# four ranks on fewer processors a woken rank may find its queue already
+# emptied by thieves, and the later pins land in a probe or a steal
+# instead — inside TC.Process all the same. No barrier or detector reset
+# follows set-up any more, so there is no control collective for a pin to
+# fall into: the one window left outside TC.Process is the gateway's
+# collect between a phase that ended on a recovery and the next.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -129,9 +137,10 @@ print(n)
 # checked operations, and the setup sequence (dep-pool init + journal)
 # that dominates the count is identical core code on shm and ipc.
 for tr in shm ipc; do
-	run_scenario "$tr" "crash-in-reacquire" 1034 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-after-first-task" 1036 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-with-deferred-deps" 1036 "$(dep_tasks 200)" 200
+	run_scenario "$tr" "crash-on-wake" 1040 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-in-reacquire" 1042 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-after-first-task" 1044 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-with-deferred-deps" 1044 "$(dep_tasks 200)" 200
 done
 
-echo "PASS: recovery matrix (2 transports x 3 scenarios, seed-pinned SCIOTO_FAULT_*)"
+echo "PASS: recovery matrix (2 transports x 4 scenarios, seed-pinned SCIOTO_FAULT_*)"

@@ -2,10 +2,12 @@
 # serve_smoke.sh — end-to-end smoke test of serve mode (sciotod).
 #
 # Brings sciotod up on shm, drives it with 8 concurrent clients that each
-# submit a batch and stream every result back, checks admission control
-# refuses an over-limit batch with 429, then SIGTERMs the daemon and
-# requires a clean drain (exit 0). Run via `make serve-smoke`; CI runs
-# the same target.
+# submit a batch and stream every result back, checks from the live
+# metrics that all of it ran inside the one task-parallel phase every rank
+# entered at start-up (a daemon that falls back to a phase per batch fails
+# here, not only in the benchmark), checks admission control refuses an
+# over-limit batch with 429, then SIGTERMs the daemon and requires a clean
+# drain (exit 0). Run via `make serve-smoke`; CI runs the same target.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,7 +21,7 @@ trap cleanup EXIT
 
 go build -o "$tmp/sciotod" ./cmd/sciotod
 
-"$tmp/sciotod" -procs 4 -addr 127.0.0.1:0 -max-pending 64 \
+"$tmp/sciotod" -procs 4 -addr 127.0.0.1:0 -max-pending 64 -obs 127.0.0.1:0 \
 	>"$tmp/out.log" 2>"$tmp/err.log" &
 pid=$!
 
@@ -74,6 +76,19 @@ for c in $(seq 1 8); do
 		{ echo "FAIL: client $c got $fibs fib(20) results, want 6" >&2; exit 1; }
 done
 
+# One long phase: the obs endpoint (announced on stderr like the ingest
+# one) exports scioto_serve_phases_total per rank, a count of TC.Process
+# entries. 1 is the steady state; 2 allows for a recovery settle.
+obs=$(sed -n 's|.*obs endpoint.*serving http://\([^/]*\)/metrics.*|\1|p' "$tmp/err.log" | head -1)
+[ -n "$obs" ] || { echo "FAIL: no obs endpoint announcement" >&2; cat "$tmp/err.log" >&2; exit 1; }
+curl -fsS "http://$obs/metrics" | grep '^scioto_serve_phases_total{' >"$tmp/phases.txt" || true
+[ "$(wc -l <"$tmp/phases.txt")" -eq 4 ] ||
+	{ echo "FAIL: want scioto_serve_phases_total from 4 ranks" >&2; cat "$tmp/phases.txt" >&2; exit 1; }
+while read -r series phases; do
+	[ "$phases" -le 2 ] ||
+		{ echo "FAIL: $series = $phases after 8 submissions, want at most 2: the daemon is running a phase per batch" >&2; exit 1; }
+done <"$tmp/phases.txt"
+
 # Admission control: a batch larger than -max-pending must get 429.
 big=$(python3 - <<'EOF' 2>/dev/null || printf '{"tasks":[%s{"kind":"echo"}]}' "$(for i in $(seq 1 64); do printf '{"kind":"echo"},'; done)"
 import json
@@ -96,4 +111,4 @@ pid=""
 grep -q 'drained' "$tmp/err.log" ||
 	{ echo "FAIL: no drain log line" >&2; cat "$tmp/err.log" >&2; exit 1; }
 
-echo "serve smoke: 8 clients x 10 results + 429 backpressure + clean SIGTERM drain OK (endpoint $addr)"
+echo "serve smoke: 8 clients x 10 results in one phase + 429 backpressure + clean SIGTERM drain OK (endpoint $addr)"
