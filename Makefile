@@ -94,7 +94,10 @@ fuzz-smoke:
 # with a make loc line in CHANGES.md per PR"): Go lines that are neither
 # blank nor comment-only, tests excluded, for the two packages the round
 # targets, for the serve daemon, and for the repo without the benchmark
-# harness and the linter.
+# harness and the linter. The internal/pgas line is broken down by part —
+# each transport, the launcher tcp and ipc share, the two wrappers, the
+# conformance suite, the interface package itself — so the next deletion
+# is sized from the ledger.
 # The obs line is the observability stack (ROADMAP "One event spine"):
 # the recorder, dump and attribution engine, the metrics registry, the
 # instrumenting wrapper and the trace tool. The spi line sizes the
@@ -108,6 +111,8 @@ LOC = awk '!/^[[:space:]]*($$|\/\/)/ {n++} END {print n+0}'
 SRC = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './tools/*' ! -path './.bench_build/*'
 loc:
 	@echo "internal/pgas  $$(find internal/pgas -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
+	@echo "  by part      $$(for d in shm dsim ipc tcp launch pgastest; do printf '%s %s, ' $$d $$(find internal/pgas/$$d -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC)); done)wrappers $$(find internal/pgas/faulty internal/pgas/instr -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC)) (faulty + instr)," \
+		"interface $$(find internal/pgas -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC)) (the package itself: Kernel, Front, the lock, fault codec)"
 	@echo "internal/core  $$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "  ablation baselines $$(cat internal/core/queue_locked.go internal/core/td_counter.go | $(LOC)) (queue_locked.go + td_counter.go, counted in internal/core)"
 	@echo "internal/serve $$(find internal/serve -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"

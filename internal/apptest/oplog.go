@@ -35,7 +35,7 @@ type OpLog struct {
 	DataSegs []pgas.Seg // in allocation order
 	Ops      []Op
 
-	Calls    atomic.Int64 // every Issue, Flush, Barrier, lock call, Send, Recv and TryRecv
+	Calls    atomic.Int64 // every Issue (a lock call is CAS64 issues), Flush, Barrier, Send, Recv and TryRecv
 	Barriers atomic.Int64
 	Sends    atomic.Int64
 	InRecv   atomic.Bool // the rank is inside a Recv
@@ -76,21 +76,6 @@ func (l *OpLog) Barrier() {
 	l.Barriers.Add(1)
 	l.Ops = append(l.Ops, Op{Name: "Barrier"})
 	l.Kernel.Barrier()
-}
-
-func (l *OpLog) Lock(proc int, id pgas.LockID) {
-	l.Calls.Add(1)
-	l.Kernel.Lock(proc, id)
-}
-
-func (l *OpLog) TryLock(proc int, id pgas.LockID) bool {
-	l.Calls.Add(1)
-	return l.Kernel.TryLock(proc, id)
-}
-
-func (l *OpLog) Unlock(proc int, id pgas.LockID) {
-	l.Calls.Add(1)
-	l.Kernel.Unlock(proc, id)
 }
 
 func (l *OpLog) Send(to int, tag int32, data []byte) {

@@ -7,7 +7,11 @@ package core
 // the split queue's (queue.go). Only this mode can be unwound by a fault
 // with a lock held, so the hold tracking recovery needs lives here too.
 
-import "time"
+import (
+	"time"
+
+	"scioto/internal/pgas"
+)
 
 // locked notes that this rank now holds rank proc's queue lock, asked for
 // at t0, and returns the start of the hold for unlocked. Both follow the
@@ -24,14 +28,19 @@ func (q *taskQueue) unlocked(lockT time.Duration, proc int) {
 }
 
 // releaseHeldLock drops a queue lock left held by a mid-critical-section
-// unwind (recovery path). A lock instance hosted on a dead rank was
-// already force-released by the transport.
-func (q *taskQueue) releaseHeldLock(alive []bool) {
+// unwind and breaks this rank's own queue lock if the dead rank died
+// holding it (recovery path, after the fault's acknowledgement: both are
+// checked communication). A lock instance hosted on a dead rank is left
+// as it is: nobody takes it again.
+func (q *taskQueue) releaseHeldLock(alive []bool, dead int) {
 	if q.heldLock >= 0 {
 		if alive[q.heldLock] {
 			q.p.Unlock(q.heldLock, q.lock)
 		}
 		q.heldLock = -1
+	}
+	if q.mode == ModeLocked {
+		pgas.BreakLock(q.p, q.p.Rank(), q.lock, dead)
 	}
 }
 

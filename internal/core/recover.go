@@ -225,10 +225,11 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	tc.obs.recoverBegin(dead, rec.epoch)
 
 	// A fault delivered mid-critical-section unwound with a queue lock
-	// held (ModeLocked); release it before anyone scans. What an unwound
+	// held (ModeLocked), and the dead rank may have died holding ours;
+	// release both before anyone scans. What an unwound
 	// steal or add left pending completes here too, so that it lands
 	// before its target tidies up below.
-	tc.q.releaseHeldLock(rec.alive)
+	tc.q.releaseHeldLock(rec.alive, dead)
 	p.Flush()
 
 	// Rendezvous: from here on every live rank is inside recovery and no

@@ -143,9 +143,11 @@ func TestRecoveryExactReplayDSim(t *testing.T) {
 	}
 }
 
-// lockWitness is a kernel over the transport's that notices a fault
+// lockWitness is a proc over the transport's that notices a fault
 // unwinding its rank out of a ModeLocked steal: after the TryLock that took
 // another rank's queue lock, before the Unlock that drops it has returned.
+// It overrides the lock methods its own Front derives (so their CAS64s pass
+// through its Issue like every other operation of the critical section).
 type lockWitness struct {
 	pgas.Front
 	pgas.Kernel
@@ -156,7 +158,7 @@ type lockWitness struct {
 func (f *lockWitness) Unwrap() pgas.Kernel { return f.Kernel }
 
 func (f *lockWitness) TryLock(proc int, id pgas.LockID) bool {
-	f.held = f.Kernel.TryLock(proc, id)
+	f.held = f.Front.TryLock(proc, id)
 	return f.held
 }
 
@@ -175,7 +177,7 @@ func (f *lockWitness) Issue(op *pgas.Op) pgas.Nb { defer f.leaving(); return f.K
 func (f *lockWitness) Flush()                    { defer f.leaving(); f.Kernel.Flush() }
 func (f *lockWitness) Unlock(proc int, id pgas.LockID) {
 	defer f.leaving()
-	f.Kernel.Unlock(proc, id)
+	f.Front.Unlock(proc, id)
 	f.held = false
 }
 
@@ -193,8 +195,10 @@ func TestRecoveryLockedQueueDSim(t *testing.T) {
 		ranBefore  int // tasks rank 2 ran before it died, -1 = any
 		unwinds    bool
 	}{
-		{"after first task", 313, 1, false}, // its first callback starts after op 311, its second after op 316
-		{"survivor unwound inside a steal", 373, -1, true},
+		// Every attempt of a contended Lock is an op of the fault stream (the
+		// lock is CAS64s issued by pgas.Front); rank 2's phase is 680 ops.
+		{"after first task", 315, 1, false}, // its first callback starts after op 311, its second after op 318
+		{"survivor unwound inside a steal", 380, -1, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			w := faulty.Wrap(dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3, Survivable: true, Latency: 2 * time.Microsecond}),

@@ -97,7 +97,6 @@ const (
 	FaultDrop int64 = iota
 	FaultCrash
 	FaultDelay
-	FaultLockStall
 	FaultBarrierStall
 )
 
@@ -111,8 +110,6 @@ func FaultKindName(code int64) string {
 		return "crash"
 	case FaultDelay:
 		return "delay"
-	case FaultLockStall:
-		return "lock-stall"
 	case FaultBarrierStall:
 		return "barrier-stall"
 	default:
@@ -129,8 +126,6 @@ func faultKindCode(kind string) int64 {
 		return FaultCrash
 	case "delay":
 		return FaultDelay
-	case "lock-stall":
-		return FaultLockStall
 	case "barrier-stall":
 		return FaultBarrierStall
 	default:

@@ -27,8 +27,8 @@
 //   - LocalOpCost for an ordered operation on the process's own memory,
 //   - Latency + PerByte*n for a one-sided operation on remote memory,
 //   - MsgLatency + PerByte*n for two-sided message delivery,
-//   - backoff (PollInterval, doubling up to MaxBackoff) per lock retry,
 //
+// (a contended lock's back-off is charged by pgas.Front, through Charge)
 // and scales Proc.Compute durations by a per-rank speed factor to model
 // heterogeneous processors (the paper's half-Opteron, half-Xeon cluster).
 package dsim
@@ -55,11 +55,8 @@ type Config struct {
 	PerByte time.Duration
 	// LocalOpCost is the cost of an ordered operation on local memory.
 	LocalOpCost time.Duration
-	// PollInterval is the initial lock-retry backoff and the cost charged
-	// per message poll.
+	// PollInterval is the cost charged per message poll.
 	PollInterval time.Duration
-	// MaxBackoff caps the exponential lock-retry backoff.
-	MaxBackoff time.Duration
 	// Occupancy, when nonzero, models serialization at the target of
 	// remote one-sided operations (NIC/memory-controller occupancy): each
 	// remote operation against a process occupies that process's interface
@@ -77,13 +74,13 @@ type Config struct {
 	MaxVirtualTime time.Duration
 	// Survivable switches the failure model from abort-all to per-rank
 	// containment: a rank death is delivered to each survivor exactly once
-	// (as a *pgas.FaultError panic from its next yielding operation), the
-	// dead rank's locks are force-released, barriers disseminate over the
-	// live membership, and the dead rank's memory stays readable through
-	// the pgas.Resilient salvage operations. Deterministic: deaths are
-	// registered by the engine at the dead rank's final yield, a fixed
-	// point in virtual time. Run returns nil when every surviving rank
-	// finishes cleanly.
+	// (as a *pgas.FaultError panic from its next yielding operation),
+	// barriers disseminate over the live membership, and the dead rank's
+	// memory stays readable through the pgas.Resilient salvage operations
+	// (a lock it held stays held until pgas.BreakLock). Deterministic:
+	// deaths are registered by the engine at the dead rank's final yield, a
+	// fixed point in virtual time. Run returns nil when every surviving
+	// rank finishes cleanly.
 	Survivable bool
 }
 
@@ -100,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PollInterval == 0 {
 		c.PollInterval = 1 * time.Microsecond
-	}
-	if c.MaxBackoff == 0 {
-		c.MaxBackoff = 16 * time.Microsecond
 	}
 	return c
 }
@@ -134,7 +128,6 @@ type world struct {
 
 	dataSegs [][][]byte
 	wordSegs [][][]int64
-	locks    []lockSet
 
 	// busyUntil[r] is the virtual time until which process r's network
 	// interface is occupied by remote operations (Occupancy model).
@@ -150,12 +143,6 @@ type world struct {
 	fault     *pgas.FaultError // latest registered death (root attribution)
 
 	err error
-}
-
-// lockSet holds one lock instance per process.
-type lockSet struct {
-	held  []bool
-	owner []int
 }
 
 // errAborted is panicked into process goroutines to unwind them when the
@@ -297,9 +284,8 @@ func (w *world) schedule(yieldCh chan int) error {
 // registerDeath records a rank death in survivable mode: a fresh death
 // (one not already attributed to an earlier-registered dead rank — the
 // cascade of survivors dying on unrecoverable clones re-reports the same
-// root rank) bumps the fault sequence so every survivor observes it once,
-// force-releases the dead rank's locks, and wakes survivors parked in Recv
-// so their next yield delivers the fault.
+// root rank) bumps the fault sequence so every survivor observes it once
+// and wakes survivors parked in Recv so their next yield delivers the fault.
 func (w *world) registerDeath(p *proc) {
 	fe, ok := p.err.(*pgas.FaultError)
 	if !ok {
@@ -311,14 +297,6 @@ func (w *world) registerDeath(p *proc) {
 	w.deadRanks[fe.Rank] = true
 	w.fault = fe
 	w.faultSeq++
-	for id := range w.locks {
-		ls := &w.locks[id]
-		for target := range ls.held {
-			if ls.held[target] && ls.owner[target] == fe.Rank {
-				ls.held[target] = false
-			}
-		}
-	}
 	for _, q := range w.procs {
 		if q.state == stateWaiting {
 			q.state = stateRunnable

@@ -17,7 +17,9 @@ func newWorld(n int) pgas.World {
 }
 
 func TestConformance(t *testing.T) {
-	pgastest.RunConformance(t, newWorld)
+	pgastest.RunConformanceOptions(t, newWorld, pgastest.Options{Survivable: func(n int) pgas.World {
+		return dsim.NewWorld(dsim.Config{NProcs: n, Seed: 1, Survivable: true})
+	}})
 }
 
 // TestVirtualTimeCharges checks the cost model: a remote get must charge at

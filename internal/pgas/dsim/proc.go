@@ -34,7 +34,6 @@ type proc struct {
 
 	dataCount int
 	wordCount int
-	lockCount int
 
 	barGen int
 
@@ -172,20 +171,6 @@ func (p *proc) AllocWords(nwords int) pgas.Seg {
 	return pgas.Seg(seg)
 }
 
-func (p *proc) AllocLock() pgas.LockID {
-	p.ordered(p.w.cfg.LocalOpCost)
-	id := p.lockCount
-	w := p.w
-	if id == len(w.locks) {
-		w.locks = append(w.locks, lockSet{
-			held:  make([]bool, w.cfg.NProcs),
-			owner: make([]int, w.cfg.NProcs),
-		})
-	}
-	p.lockCount++
-	return pgas.LockID(id)
-}
-
 // --- One-sided operations ------------------------------------------------------
 
 // apply moves the data of one operation; the caller holds the scheduler
@@ -287,48 +272,6 @@ func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 {
 // Store64(Rank(), ...) for owner words that thieves read.
 func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
 	p.w.wordSegs[seg][p.rank][idx] = val
-}
-
-// --- Locks -------------------------------------------------------------------
-
-func (p *proc) Lock(proc int, id pgas.LockID) {
-	backoff := p.w.cfg.PollInterval
-	for {
-		p.orderedRemote(proc, 8)
-		ls := &p.w.locks[id]
-		if !ls.held[proc] {
-			ls.held[proc] = true
-			ls.owner[proc] = p.rank
-			return
-		}
-		// Remote spinning: each retry is another network round trip after
-		// an exponential backoff.
-		p.advance(backoff)
-		backoff *= 2
-		if backoff > p.w.cfg.MaxBackoff {
-			backoff = p.w.cfg.MaxBackoff
-		}
-	}
-}
-
-func (p *proc) TryLock(proc int, id pgas.LockID) bool {
-	p.orderedRemote(proc, 8)
-	ls := &p.w.locks[id]
-	if ls.held[proc] {
-		return false
-	}
-	ls.held[proc] = true
-	ls.owner[proc] = p.rank
-	return true
-}
-
-func (p *proc) Unlock(proc int, id pgas.LockID) {
-	p.orderedRemote(proc, 8)
-	ls := &p.w.locks[id]
-	if !ls.held[proc] || ls.owner[proc] != p.rank {
-		panic(fmt.Sprintf("dsim: rank %d unlocking lock %d@%d it does not hold", p.rank, id, proc))
-	}
-	ls.held[proc] = false
 }
 
 // --- Two-sided messages -------------------------------------------------------
@@ -488,6 +431,10 @@ func (p *proc) Charge(d time.Duration) {
 }
 
 func (p *proc) Now() time.Duration { return p.clock }
+
+// VirtualClock (pgas.VirtualClock): a lock waiter's back-off is charged to
+// the clock above and costs no wall-clock time.
+func (p *proc) VirtualClock() {}
 
 func (p *proc) Rand() *rand.Rand { return p.rng }
 

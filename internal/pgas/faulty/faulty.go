@@ -5,7 +5,9 @@
 // Wrap composes over a World: every Proc handed to the SPMD body is
 // wrapped, and each communication operation consults a per-rank
 // deterministic random stream to decide whether to inject a fault before
-// delegating to the real transport. Four fault classes are supported:
+// delegating to the real transport (a lock operation is the CAS64 it is
+// built on — pgas/lock.go — and is faulted as one). Four fault classes are
+// supported:
 //
 //   - Delayed frames: the operation stalls for a bounded, seed-determined
 //     real-time duration before executing. Delays must be invisible to
@@ -18,10 +20,9 @@
 //     panics with a *pgas.FaultError attributed to the crashing rank
 //     itself (phase "injected-crash"), modeling the process dying
 //     mid-operation.
-//   - Stalled locks and partitioned barriers: Lock/TryLock/Unlock and
-//     Barrier stall for LockStall/BarrierStall on every call, modeling a
-//     congested lock host or a barrier whose members are partitioned from
-//     each other long enough for deadlines to matter.
+//   - Partitioned barriers: Barrier stalls for BarrierStall on every
+//     call, modeling a barrier whose members are partitioned from each
+//     other long enough for deadlines to matter.
 //
 // Injection is deterministic: rank r's fault stream depends only on
 // (Seed, r) and the sequence of operations rank r issues, so a failing
@@ -71,16 +72,13 @@ type Config struct {
 	// CrashAfterOps is the 1-based operation count at which CrashRank
 	// crashes. Zero means "first operation".
 	CrashAfterOps int64
-	// LockStall, when nonzero, stalls every Lock/TryLock/Unlock by that
-	// duration before it executes.
-	LockStall time.Duration
 	// BarrierStall, when nonzero, stalls every Barrier entry by that
 	// duration, modeling a partitioned barrier reassembling.
 	BarrierStall time.Duration
 	// Observe, when non-nil, is called once per injected fault, before
 	// the fault takes effect (before the panic for drops and crashes,
 	// before the sleep for delays and stalls). kind is one of "drop",
-	// "crash", "delay", "lock-stall", "barrier-stall"; now is the
+	// "crash", "delay", "barrier-stall"; now is the
 	// observing rank's transport clock; target is the rank the faulted
 	// operation addressed. The observability layer hooks this to count
 	// injected faults and stamp them into the rank's trace. Observe is
@@ -99,7 +97,6 @@ const (
 	EnvDropProb      = "SCIOTO_FAULT_DROP_PROB"
 	EnvCrashRank     = "SCIOTO_FAULT_CRASH_RANK"
 	EnvCrashAfterOps = "SCIOTO_FAULT_CRASH_AFTER"
-	EnvLockStall     = "SCIOTO_FAULT_LOCK_STALL"
 	EnvBarrierStall  = "SCIOTO_FAULT_BARRIER_STALL"
 )
 
@@ -151,7 +148,6 @@ func FromEnv() (cfg Config, ok bool) {
 	num(EnvCrashRank, &crash)
 	cfg.CrashRank = int(crash)
 	num(EnvCrashAfterOps, &cfg.CrashAfterOps)
-	dur(EnvLockStall, &cfg.LockStall)
 	dur(EnvBarrierStall, &cfg.BarrierStall)
 	return cfg, set
 }
@@ -214,10 +210,9 @@ func (p *proc) observe(kind, op string, target int) {
 
 // inject runs the fault schedule for one communication operation: crash
 // first (the process dies before the frame leaves), then drop, then
-// delay, then the op's stall class (stallKind for stall, when nonzero).
-// target is the rank the operation addresses; detail renders the
+// delay. target is the rank the operation addresses; detail renders the
 // operation with its operands and is only called when a fault fires.
-func (p *proc) inject(target int, op string, detail func() string, stallKind string, stall time.Duration) {
+func (p *proc) inject(target int, op string, detail func() string) {
 	p.ops++
 	if p.cfg.CrashRank == p.Rank() && p.ops >= max(p.cfg.CrashAfterOps, 1) {
 		p.observe("crash", op, p.Rank())
@@ -243,10 +238,6 @@ func (p *proc) inject(target int, op string, detail func() string, stallKind str
 		// something observable in wall-clock traces.
 		time.Sleep(time.Duration(1 + p.rng.Int63n(int64(p.cfg.MaxDelay))))
 	}
-	if stall > 0 {
-		p.observe(stallKind, op, target)
-		time.Sleep(stall)
-	}
 }
 
 // Ops reports the number of fault-eligible operations p has issued so
@@ -263,7 +254,11 @@ func Ops(p pgas.Proc) int64 {
 // Communication operations: inject, then delegate.
 
 func (p *proc) Barrier() {
-	p.inject(p.Rank(), "Barrier", func() string { return "Barrier()" }, "barrier-stall", p.cfg.BarrierStall)
+	p.inject(p.Rank(), "Barrier", func() string { return "Barrier()" })
+	if p.cfg.BarrierStall > 0 {
+		p.observe("barrier-stall", "Barrier", p.Rank())
+		time.Sleep(p.cfg.BarrierStall)
+	}
 	p.Kernel.Barrier()
 }
 
@@ -273,31 +268,12 @@ func (p *proc) Barrier() {
 // schedule is insensitive to pipelining. Flush is a completion point, not
 // a new operation, and is the inner kernel's own.
 func (p *proc) Issue(op *pgas.Op) pgas.Nb {
-	p.inject(op.Target, op.Name(), op.String, "", 0)
+	p.inject(op.Target, op.Name(), op.String)
 	return p.Kernel.Issue(op)
 }
 
-func lockDetail(op string, proc int, id pgas.LockID) string {
-	return fmt.Sprintf("%s(host=%d, id=%d)", op, proc, id)
-}
-
-func (p *proc) Lock(proc int, id pgas.LockID) {
-	p.inject(proc, "Lock", func() string { return lockDetail("Lock", proc, id) }, "lock-stall", p.cfg.LockStall)
-	p.Kernel.Lock(proc, id)
-}
-
-func (p *proc) TryLock(proc int, id pgas.LockID) bool {
-	p.inject(proc, "TryLock", func() string { return lockDetail("TryLock", proc, id) }, "lock-stall", p.cfg.LockStall)
-	return p.Kernel.TryLock(proc, id)
-}
-
-func (p *proc) Unlock(proc int, id pgas.LockID) {
-	p.inject(proc, "Unlock", func() string { return lockDetail("Unlock", proc, id) }, "lock-stall", p.cfg.LockStall)
-	p.Kernel.Unlock(proc, id)
-}
-
 func (p *proc) Send(to int, tag int32, data []byte) {
-	p.inject(to, "Send", func() string { return fmt.Sprintf("Send(to=%d, tag=%d, n=%d)", to, tag, len(data)) }, "", 0)
+	p.inject(to, "Send", func() string { return fmt.Sprintf("Send(to=%d, tag=%d, n=%d)", to, tag, len(data)) })
 	p.Kernel.Send(to, tag, data)
 }
 

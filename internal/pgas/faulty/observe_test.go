@@ -16,11 +16,16 @@ import (
 type observed struct {
 	mu     sync.Mutex
 	faults []string // kind
+	ops    map[string]int
 }
 
 func (o *observed) hook(now time.Duration, rank int, kind, op string, target int) {
 	o.mu.Lock()
 	o.faults = append(o.faults, kind)
+	if o.ops == nil {
+		o.ops = make(map[string]int)
+	}
+	o.ops[op]++
 	o.mu.Unlock()
 }
 
@@ -55,8 +60,8 @@ func TestObserveDelayAndStalls(t *testing.T) {
 	var o observed
 	w := faulty.Wrap(shm.NewWorld(shm.Config{NProcs: 2, Seed: 2}), faulty.Config{
 		Seed: 2, DelayProb: 1, MaxDelay: time.Microsecond,
-		LockStall: time.Microsecond, BarrierStall: time.Microsecond,
-		CrashRank: faulty.NoCrash, Observe: o.hook,
+		BarrierStall: time.Microsecond,
+		CrashRank:    faulty.NoCrash, Observe: o.hook,
 	})
 	err := w.Run(func(p pgas.Proc) {
 		words := p.AllocWords(1)
@@ -71,10 +76,15 @@ func TestObserveDelayAndStalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := o.kinds()
-	for _, kind := range []string{"delay", "lock-stall", "barrier-stall"} {
+	for _, kind := range []string{"delay", "barrier-stall"} {
 		if k[kind] == 0 {
 			t.Errorf("observer saw no %q faults: %v", kind, k)
 		}
+	}
+	// A lock is built on CAS64 above the wrapper, so its traffic is delayed
+	// like any word operation: one CAS64 per rank to lock, one to unlock.
+	if o.ops["CAS64"] != 4 {
+		t.Errorf("delays by op = %v, want 4 on CAS64", o.ops)
 	}
 }
 

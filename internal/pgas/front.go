@@ -128,6 +128,7 @@ const NbPending Nb = 1
 
 // Front is the one implementation of Proc's typed one-sided methods: each
 // fills a scratch Op it owns and passes it, by pointer, to Kernel.Issue.
+// The lock methods (lock.go) are built on CAS64 here too.
 // A transport or wrapper embeds a Front in its Kernel type and binds it to
 // itself, which makes that type a Proc whose owner-side accessors (Local,
 // the relaxed words, Now) are still its own methods, one dispatch away.
@@ -143,10 +144,17 @@ type Front struct {
 	// seen here, so a Wait on a handle it completed costs one more Flush,
 	// which finds nothing pending.
 	seq, done uint64
+
+	tag     int64 // this rank's holder tag in a lock cell: rank + 1 (lock.go)
+	virtual bool  // the kernel's clock is virtual: waiting is charged, never slept
 }
 
 // Bind points the front at the kernel that embeds it.
-func (f *Front) Bind(k Kernel) { f.k = k }
+func (f *Front) Bind(k Kernel) {
+	f.k = k
+	f.tag = int64(k.Rank()) + 1
+	_, f.virtual = Find[VirtualClock](k)
+}
 
 // set fills the scratch descriptor's addressing fields. The descriptor is
 // filled field by field, never assigned as a whole: a composite-literal

@@ -16,7 +16,10 @@ type recKernel struct {
 	Front
 	log     []string
 	pending bool  // leave non-blocking issues pending
-	word    int64 // what word ops read; CAS succeeds when Old matches it
+	word    int64 // what word ops read; a CAS whose Old matches it swaps it
+	// busy, when > 0, counts failed CASes until word turns 0: a lock whose
+	// holder releases it after that many attempts.
+	busy int
 }
 
 func newRec() *recKernel {
@@ -53,7 +56,11 @@ func (k *recKernel) Issue(op *Op) Nb {
 	case OpCAS64:
 		*op.Out = 0
 		if op.Old == k.word {
-			*op.Out = 1
+			*op.Out, k.word = 1, op.Val
+		} else if k.busy > 0 {
+			if k.busy--; k.busy == 0 {
+				k.word = 0
+			}
 		}
 	}
 	if op.Nb && k.pending {
@@ -67,11 +74,8 @@ func (k *recKernel) NProcs() int             { k.rec("NProcs"); return 2 }
 func (k *recKernel) Barrier()                { k.rec("Barrier") }
 func (k *recKernel) AllocData(n int) Seg     { k.rec("AllocData %d", n); return 0 }
 func (k *recKernel) AllocWords(n int) Seg    { k.rec("AllocWords %d", n); return 0 }
-func (k *recKernel) AllocLock() LockID       { k.rec("AllocLock"); return 0 }
 func (k *recKernel) Local(seg Seg) []byte    { k.rec("Local %d", seg); return nil }
 func (k *recKernel) Flush()                  { k.rec("Flush") }
-func (k *recKernel) Lock(p int, id LockID)   { k.rec("Lock %d %d", p, id) }
-func (k *recKernel) Unlock(p int, id LockID) { k.rec("Unlock %d %d", p, id) }
 func (k *recKernel) Compute(d time.Duration) { k.rec("Compute %v", d) }
 func (k *recKernel) Charge(d time.Duration)  { k.rec("Charge %v", d) }
 func (k *recKernel) Now() time.Duration      { k.rec("Now"); return 0 }
@@ -83,7 +87,6 @@ func (k *recKernel) RelaxedLoad64(seg Seg, idx int) int64 {
 func (k *recKernel) RelaxedStore64(seg Seg, idx int, v int64) {
 	k.rec("RelaxedStore64 %d %d %d", seg, idx, v)
 }
-func (k *recKernel) TryLock(p int, id LockID) bool { k.rec("TryLock %d %d", p, id); return true }
 func (k *recKernel) Send(to int, tag int32, data []byte) {
 	k.rec("Send %d %d %d", to, tag, len(data))
 }
@@ -99,7 +102,9 @@ func (k *recKernel) TryRecv(from int, tag int32) ([]byte, int, bool) {
 // TestFrontEquivalence has one row per Proc method: each API call must
 // reach the kernel as exactly one call — for the typed one-sided methods,
 // one Issue with the kind, nb flag, target, segment, offset and byte count
-// the method's own implementation used to act on, carrying no pointer
+// the method's own implementation used to act on (an uncontended Lock,
+// TryLock or Unlock is one CAS64 of the lock's cell, 0 being free and
+// rank + 1 the holder, and nothing else), carrying no pointer
 // operand an earlier call supplied (the rows share one front, and every
 // call must leave its descriptor free of pointers). Wrappers count and time
 // what they see at this level, so these rows are what keeps faulty's
@@ -131,13 +136,13 @@ func TestFrontEquivalence(t *testing.T) {
 		{"Barrier", func(p Proc) { p.Barrier() }, "Barrier"},
 		{"AllocData", func(p Proc) { p.AllocData(64) }, "AllocData 64"},
 		{"AllocWords", func(p Proc) { p.AllocWords(4) }, "AllocWords 4"},
-		{"AllocLock", func(p Proc) { p.AllocLock() }, "AllocLock"},
+		{"AllocLock", func(p Proc) { p.AllocLock() }, "AllocWords 1"},
 		{"Local", func(p Proc) { p.Local(2) }, "Local 2"},
 		{"RelaxedLoad64", func(p Proc) { p.RelaxedLoad64(3, 1) }, "RelaxedLoad64 3 1"},
 		{"RelaxedStore64", func(p Proc) { p.RelaxedStore64(3, 1, 6) }, "RelaxedStore64 3 1 6"},
-		{"Lock", func(p Proc) { p.Lock(1, 2); p.Unlock(1, 2) }, "Lock 1 2"},
-		{"TryLock", func(p Proc) { p.TryLock(1, 2) }, "TryLock 1 2"},
-		{"Unlock", func(p Proc) { p.Unlock(1, 2) }, "Unlock 1 2"},
+		{"Lock", func(p Proc) { p.Lock(1, 2); p.Unlock(1, 2) }, "Issue CAS64 nb=false target=1 seg=2 off=0 bytes=8 val=1 old=0"},
+		{"TryLock", func(p Proc) { p.TryLock(1, 2) }, "Issue CAS64 nb=false target=1 seg=2 off=0 bytes=8 val=1 old=0"},
+		{"Unlock", func(p Proc) { p.Unlock(1, 2) }, "Issue CAS64 nb=false target=1 seg=2 off=0 bytes=8 val=0 old=1"},
 		{"Send", func(p Proc) { p.Send(1, 7, buf[:3]) }, "Send 1 7 3"},
 		{"Recv", func(p Proc) { p.Recv(AnySource, 7) }, "Recv -1 7"},
 		{"TryRecv", func(p Proc) { p.TryRecv(1, 7) }, "TryRecv 1 7"},
@@ -153,6 +158,10 @@ func TestFrontEquivalence(t *testing.T) {
 	k := newRec()
 	k.pending = true
 	for _, row := range rows {
+		k.word = 0
+		if row.name == "Unlock" {
+			k.word = 1 // held by this rank
+		}
 		if _, ok := methods.MethodByName(row.name); !ok {
 			t.Errorf("row %s names no Proc method", row.name)
 		}
@@ -164,7 +173,7 @@ func TestFrontEquivalence(t *testing.T) {
 		// The Nb rows complete their handle and the Lock row releases its
 		// lock, as every caller must; that second call is not the row's.
 		if strings.HasPrefix(row.name, "Nb") && len(k.log) == 2 && k.log[1] == "Flush" ||
-			row.name == "Lock" && len(k.log) == 2 && k.log[1] == "Unlock 1 2" {
+			row.name == "Lock" && len(k.log) == 2 && strings.HasSuffix(k.log[1], "val=0 old=1") {
 			k.log = k.log[:1]
 		}
 		if len(k.log) != 1 || k.log[0] != row.want {
@@ -193,8 +202,8 @@ func TestFrontResults(t *testing.T) {
 	var out int64
 	h := k.NbLoad64(1, 0, 0, &out)
 	k.Wait(h)
-	if h != NbDone || out != 41 {
-		t.Errorf("inline NbLoad64 = handle %d, out %d; want NbDone, 41", h, out)
+	if h != NbDone || out != 42 {
+		t.Errorf("inline NbLoad64 = handle %d, out %d; want NbDone, 42", h, out)
 	}
 
 	k.pending = true
@@ -212,6 +221,62 @@ func TestFrontResults(t *testing.T) {
 		t.Errorf("Wait(NbDone), Wait(h1), Wait(h2), Wait(h1) reached the kernel as %q, want %q", k.log, want)
 	}
 }
+
+// TestLockContended: a Lock that finds the lock held retries its CAS64,
+// charging dsim's back-off between attempts — 1 µs doubling to 16 µs — and
+// nothing else reaches the kernel; on a virtual clock it also spends no
+// wall-clock time waiting. Unlock of a lock the caller does not hold
+// panics, and BreakLock frees exactly the named dead holder's lock.
+func TestLockContended(t *testing.T) {
+	k := newRec()
+	k.word, k.busy = 2, 7 // rank 1 holds it through seven attempts
+	k.log = nil
+	k.Lock(1, 2)
+	var charges []string
+	for i, line := range k.log {
+		if i%2 == 0 != strings.HasPrefix(line, "Issue CAS64") {
+			t.Fatalf("contended Lock reached the kernel as %q, want CAS64 and Charge alternating", k.log)
+		}
+		if i%2 == 1 {
+			charges = append(charges, line)
+		}
+	}
+	want := []string{"Charge 1µs", "Charge 2µs", "Charge 4µs", "Charge 8µs", "Charge 16µs", "Charge 16µs", "Charge 16µs"}
+	if !reflect.DeepEqual(charges, want) || len(k.log) != 15 || k.word != 1 {
+		t.Errorf("contended Lock charged %q in %d calls and left the cell %d, want %q in 15 calls and 1", charges, len(k.log), k.word, want)
+	}
+	k.Unlock(1, 2)
+
+	v := &virtualRec{recKernel: recKernel{word: 2, busy: 1 << 12}} // far into Backoff's sleeping band
+	v.Bind(v)
+	t0 := time.Now()
+	v.Lock(1, 2)
+	if d := time.Since(t0); d > 100*time.Millisecond {
+		t.Errorf("4096 failed attempts on a virtual clock took %v of wall clock: Lock slept", d)
+	}
+	v.Unlock(1, 2)
+
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "does not hold") {
+				t.Errorf("Unlock of a lock rank 1 holds: recovered %v, want the not-held panic", r)
+			}
+		}()
+		k.word = 2
+		k.Unlock(1, 2)
+	}()
+	if BreakLock(k, 1, 2, 2) || k.word != 2 {
+		t.Error("BreakLock freed a lock its named rank does not hold")
+	}
+	if !BreakLock(k, 1, 2, 1) || k.word != 0 {
+		t.Error("BreakLock did not free the dead holder's lock")
+	}
+}
+
+// virtualRec is a recKernel on a virtual clock.
+type virtualRec struct{ recKernel }
+
+func (*virtualRec) VirtualClock() {}
 
 type wrapKernel struct{ Kernel }
 

@@ -66,7 +66,9 @@ func TestInstrumentedOpsRecord(t *testing.T) {
 			`scioto_pgas_op_latency_seconds_count{op="get",scope="remote"} 1`,
 			`scioto_pgas_op_latency_seconds_count{op="get",scope="local"} 1`,
 			`scioto_pgas_op_latency_seconds_count{op="store64",scope="remote"} 1`,
-			`scioto_pgas_op_latency_seconds_count{op="cas64",scope="remote"} 1`,
+			// The CAS64 itself, and the Lock and the Unlock: each is one
+			// CAS64 by the time it reaches a wrapper.
+			`scioto_pgas_op_latency_seconds_count{op="cas64",scope="remote"} 3`,
 			`scioto_pgas_op_latency_seconds_count{op="barrier",scope="remote"} 3`,
 			`scioto_pgas_nb_window_seconds_count{op="nbload64"} 1`,
 			`scioto_pgas_nb_window_seconds_count{op="nbstore64"} 1`,

@@ -11,7 +11,8 @@ import (
 // registration order and therefore part of the cross-rank merge schema:
 // the blocking one-sided kinds sit at opGet+pgas.OpKind, the non-blocking
 // ones at nbIndex[kind]. There is no wait slot: Front.Wait reaches this
-// layer as a Flush and is timed as one.
+// layer as a Flush and is timed as one. Nor are there lock slots: a lock
+// operation reaches this layer as the CAS64 it is built on (pgas/lock.go).
 type opKind int
 
 const (
@@ -29,9 +30,6 @@ const (
 	opNbStore64
 	opNbFetchAdd64
 	opFlush
-	opLock
-	opTryLock
-	opUnlock
 	opSend
 	opRecv
 	numOps
@@ -40,7 +38,7 @@ const (
 var opNames = [numOps]string{
 	"barrier", "get", "put", "accf64", "load64", "store64", "fetchadd64",
 	"cas64", "nbget", "nbput", "nbload64", "nbstore64", "nbfetchadd64",
-	"flush", "lock", "trylock", "unlock", "send", "recv",
+	"flush", "send", "recv",
 }
 
 // scopes for the latency histograms: index 0 = the op addressed this
@@ -190,25 +188,6 @@ func (p *proc) Flush() {
 	}
 	p.inflight.Add(-int64(len(p.pend)))
 	p.pend = p.pend[:0]
-}
-
-func (p *proc) Lock(proc int, id pgas.LockID) {
-	start := p.Now()
-	p.Kernel.Lock(proc, id)
-	p.observe(p, opLock, proc, start)
-}
-
-func (p *proc) TryLock(proc int, id pgas.LockID) bool {
-	start := p.Now()
-	ok := p.Kernel.TryLock(proc, id)
-	p.observe(p, opTryLock, proc, start)
-	return ok
-}
-
-func (p *proc) Unlock(proc int, id pgas.LockID) {
-	start := p.Now()
-	p.Kernel.Unlock(proc, id)
-	p.observe(p, opUnlock, proc, start)
 }
 
 func (p *proc) Send(to int, tag int32, data []byte) {

@@ -27,10 +27,10 @@
 //
 //	header   | magic, nprocs, arena/ring geometry (sanity-checked on map)
 //	control  | world words: ctl spinlock, faultSeq, liveCount, barrier
-//	         | epoch, lockCount; per-rank dead flags; per-rank barrier
+//	         | epoch; per-rank dead flags; per-rank barrier
 //	         | arrival stamps; the current fault record; per-rank
-//	         | exit-report slots; per-rank accumulate locks; the lock
-//	         | table; mailbox ring headers
+//	         | exit-report slots; per-rank accumulate locks; mailbox
+//	         | ring headers
 //	rings    | one byte ring per (sender, receiver) pair
 //	arenas   | one fixed-size symmetric heap arena per rank
 //
@@ -42,19 +42,23 @@
 // # Blocking primitives
 //
 // There are no cross-process wakeups (no futexes): every blocking
-// primitive — Lock, Recv, Barrier, Send backpressure — is a spin-then-park
-// poll: a short tight spin, then runtime.Gosched, then escalating
-// microsecond sleeps. Each iteration also polls the control region's
-// faultSeq word, which is what makes poisoning prompt: the instant a
-// death is registered, every parked rank unwinds with a rank-attributed
-// *pgas.FaultError clone, exactly like the shm transport.
+// primitive — Recv, Barrier, Send backpressure, the accumulate lock — is
+// a spin-then-park poll (pgas.Backoff): a short tight spin, then
+// runtime.Gosched, then escalating microsecond sleeps. Each iteration
+// also polls the control region's faultSeq word, which is what makes
+// poisoning prompt: the instant a death is registered, every parked rank
+// unwinds with a rank-attributed *pgas.FaultError clone, exactly like the
+// shm transport.
 //
-// Locks are holder-tagged words (0 free, rank+1 held) acquired by CAS;
-// mailboxes are single-producer byte rings per (sender, receiver) pair,
-// drained into a receiver-local queue where tag/source matching happens
-// (per-pair FIFO falls out of ring order); the barrier is a shared epoch
-// word plus per-rank arrival stamps mutated under the control spinlock
-// with the waiting done outside it — per-rank stamps (not an anonymous
+// A pgas lock is not this transport's business: it is a word of the
+// arenas like any other, operated by pgas.Front with CAS64 (pgas/lock.go),
+// whose waiting is the same pgas.Backoff. The accumulate locks that make
+// AccF64 atomic per target are holder-tagged control words (0 free, rank+1
+// held) acquired by CAS; mailboxes are single-producer byte rings per
+// (sender, receiver) pair, drained into a receiver-local queue where
+// tag/source matching happens (per-pair FIFO falls out of ring order); the
+// barrier is a shared epoch word plus per-rank arrival stamps mutated
+// under the control spinlock with the waiting done outside it — per-rank stamps (not an anonymous
 // count) so a rank that is SIGKILLed after arriving never stands in for
 // a live rank that has not, and a single-store release so there is no
 // multi-word release window a SIGKILL could tear.
@@ -63,8 +67,8 @@
 //
 // Crash containment matches shm and tcp. A rank that panics (including
 // injected faults from pgas/faulty) registers its death in the control
-// region — dead flag, fault record, faultSeq bump, force-release of every
-// lock the dead rank held — writes its exit report slot, and exits
+// region — dead flag, fault record, faultSeq bump, force-release of the
+// accumulate locks the dead rank held — writes its exit report slot, and exits
 // nonzero. A rank killed by a signal cannot register anything, so the
 // parent, which also maps the file and reaps children, registers the
 // death on its behalf (phase "exit") the moment the wait returns.

@@ -51,7 +51,9 @@ func TestRanksAreSeparateProcesses(t *testing.T) {
 }
 
 func TestConformance(t *testing.T) {
-	pgastest.RunConformanceOptions(t, factory, pgastest.Options{MultiProcess: true})
+	pgastest.RunConformanceOptions(t, factory, pgastest.Options{MultiProcess: true, Survivable: func(n int) pgas.World {
+		return ipc.NewWorld(ipc.Config{NProcs: n, Seed: 1, Survivable: true})
+	}})
 }
 
 func TestEdgeCases(t *testing.T) {

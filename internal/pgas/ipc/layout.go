@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"syscall"
-	"time"
 	"unsafe"
 
 	"scioto/internal/pgas"
@@ -20,11 +18,7 @@ import (
 const (
 	ipcMagic = int64(0x5343494f49504331) // "SCIO" "IPC1"
 
-	headerWords = 8 // magic, nprocs, arenaBytes, ringBytes, maxLocks, spare...
-
-	// maxLocks bounds AllocLock instances (the lock table is pre-sized so
-	// the death registrar can scan it without any allocation metadata).
-	maxLocks = 4096
+	headerWords = 8 // magic, nprocs, arenaBytes, ringBytes, spare...
 
 	// reportBuf is the per-rank exit-report payload capacity. Reports
 	// beyond it (a panic with a huge stack) are truncated, like a
@@ -54,14 +48,12 @@ type layout struct {
 	faultSeq  int64 // registered deaths; survivors compare with ackedSeq
 	liveCount int64 // ranks not registered dead
 	barEpoch  int64 // barrier generation
-	lockCount int64 // AllocLock high-water mark (for dead-holder scans)
 
 	deadFlags int64 // nprocs words: 1 = registered dead
 	barArrs   int64 // nprocs words: epoch stamp of each rank's latest barrier arrival
 	faultRec  int64 // faultRecBytes: the current fault record
 	reports   int64 // nprocs slots of (state word, len word, reportBuf)
 	accLocks  int64 // nprocs words: per-target accumulate locks
-	lockTab   int64 // maxLocks*nprocs words: 0 free, holder rank+1
 	ringHdr   int64 // nprocs*nprocs pairs of (head word, tail word)
 	rings     int64 // nprocs*nprocs byte rings of ringBytes each
 	arenas    int64 // page-aligned; nprocs arenas of arenaBytes each
@@ -88,13 +80,11 @@ func computeLayout(nprocs int, arenaBytes, ringBytes int64) layout {
 	word(&l.faultSeq)
 	word(&l.liveCount)
 	word(&l.barEpoch)
-	word(&l.lockCount)
 	region(&l.deadFlags, int64(nprocs)*wordSize)
 	region(&l.barArrs, int64(nprocs)*wordSize)
 	region(&l.faultRec, faultRecBytes)
 	region(&l.reports, int64(nprocs)*reportSlotBytes)
 	region(&l.accLocks, int64(nprocs)*wordSize)
-	region(&l.lockTab, int64(maxLocks)*int64(nprocs)*wordSize)
 	region(&l.ringHdr, int64(nprocs)*int64(nprocs)*2*wordSize)
 	region(&l.rings, int64(nprocs)*int64(nprocs)*l.ringBytes)
 	l.arenas = alignPage(off)
@@ -108,9 +98,6 @@ func (l *layout) deadFlag(rank int) int64 { return l.deadFlags + int64(rank)*wor
 func (l *layout) barArr(rank int) int64   { return l.barArrs + int64(rank)*wordSize }
 func (l *layout) report(rank int) int64   { return l.reports + int64(rank)*reportSlotBytes }
 func (l *layout) accLock(rank int) int64  { return l.accLocks + int64(rank)*wordSize }
-func (l *layout) lockWord(id, host int) int64 {
-	return l.lockTab + (int64(id)*int64(l.nprocs)+int64(host))*wordSize
-}
 func (l *layout) ringHead(recv, send int) int64 {
 	return l.ringHdr + (int64(recv)*int64(l.nprocs)+int64(send))*2*wordSize
 }
@@ -189,7 +176,6 @@ func (m *mapping) writeHeader() {
 	h[1] = int64(m.l.nprocs)
 	h[2] = m.l.arenaBytes
 	h[3] = m.l.ringBytes
-	h[4] = maxLocks
 }
 
 func (m *mapping) checkHeader() error {
@@ -197,42 +183,20 @@ func (m *mapping) checkHeader() error {
 	if h[0] != ipcMagic {
 		return fmt.Errorf("ipc: mapped file is not an ipc world (bad magic %#x)", h[0])
 	}
-	if h[1] != int64(m.l.nprocs) || h[2] != m.l.arenaBytes || h[3] != m.l.ringBytes || h[4] != maxLocks {
+	if h[1] != int64(m.l.nprocs) || h[2] != m.l.arenaBytes || h[3] != m.l.ringBytes {
 		return fmt.Errorf("ipc: mapped geometry (nprocs=%d arena=%d ring=%d) does not match this process's config (nprocs=%d arena=%d ring=%d) — "+
 			"the program's world creation sequence is not deterministic", h[1], h[2], h[3], m.l.nprocs, m.l.arenaBytes, m.l.ringBytes)
 	}
 	return nil
 }
 
-// backoff is the spin-then-park waiter every blocking primitive uses: a
-// tight spin while the wait is likely short, a Gosched band that yields
-// the core, then escalating microsecond sleeps capped low enough that
-// fault poisoning is still observed promptly.
-type backoff struct{ n int }
-
-func (b *backoff) pause() {
-	b.n++
-	switch {
-	case b.n < 64:
-		// tight spin
-	case b.n < 1024:
-		runtime.Gosched()
-	default:
-		d := time.Duration(b.n-1023) * time.Microsecond
-		if d > 200*time.Microsecond {
-			d = 200 * time.Microsecond
-		}
-		time.Sleep(d)
-	}
-}
-
 // lockCtl acquires the control spinlock, tagging it with who holds it
 // (rank+1, or ctlLockParent for the launcher) so the launcher can break a
 // hold left by a rank that was SIGKILLed inside a critical section.
 func (m *mapping) lockCtl(tag int64) {
-	var bo backoff
+	var bo pgas.Backoff
 	for !m.cas(m.l.ctlLock, 0, tag) {
-		bo.pause()
+		bo.Pause()
 	}
 }
 
@@ -245,7 +209,7 @@ func (m *mapping) unlockCtl(tag int64) {
 // breakCtlOf lets the parent seize the control lock even if the (known
 // dead) rank holds it: the holder cannot ever release it again.
 func (m *mapping) breakCtlOf(dead int, parentTag int64) {
-	var bo backoff
+	var bo pgas.Backoff
 	for {
 		if m.cas(m.l.ctlLock, 0, parentTag) {
 			return
@@ -253,7 +217,7 @@ func (m *mapping) breakCtlOf(dead int, parentTag int64) {
 		if m.cas(m.l.ctlLock, int64(dead)+1, parentTag) {
 			return
 		}
-		bo.pause()
+		bo.Pause()
 	}
 }
 
@@ -290,9 +254,9 @@ func (m *mapping) currentFault(tag int64) *pgas.FaultError {
 
 // registerDeath records fe as a rank death if fe.Rank is not already
 // registered: dead flag, live count, fault record, faultSeq bump (the
-// publication survivors poll), then force-release of every lock and
-// accumulate lock the dead rank held. Reports whether the death was
-// fresh. Safe from ranks and from the parent (distinct tags).
+// publication survivors poll), then force-release of every accumulate
+// lock the dead rank held. Reports whether the death was fresh. Safe from
+// ranks and from the parent (distinct tags).
 //
 // Barrier state needs no repair here: the release predicate skips
 // dead-flagged ranks (their arrival stamps are ignored rather than
@@ -312,25 +276,13 @@ func (m *mapping) registerDeath(tag int64, fe *pgas.FaultError) bool {
 	}
 	m.unlockCtl(tag)
 	if fresh {
-		m.releaseDeadLocks(fe.Rank)
-	}
-	return fresh
-}
-
-// releaseDeadLocks force-releases every lock instance and accumulate lock
-// held by the dead rank: it died mid-critical-section, so without this
-// survivors would spin on the holder word forever.
-func (m *mapping) releaseDeadLocks(dead int) {
-	holder := int64(dead) + 1
-	n := m.load(m.l.lockCount)
-	for id := int64(0); id < n; id++ {
+		// It may have died mid-accumulate: without this survivors would
+		// spin on the holder word forever.
 		for host := 0; host < m.l.nprocs; host++ {
-			m.cas(m.l.lockWord(int(id), host), holder, 0)
+			m.cas(m.l.accLock(host), int64(fe.Rank)+1, 0)
 		}
 	}
-	for host := 0; host < m.l.nprocs; host++ {
-		m.cas(m.l.accLock(host), holder, 0)
-	}
+	return fresh
 }
 
 // Exit-report slots. A failing child writes its slot just before exiting;

@@ -30,7 +30,6 @@ type proc struct {
 	wordOff  []int64
 	wordLen  []int64
 	heapUsed int64
-	lockN    int
 
 	// ackedSeq is the fault sequence this rank has acknowledged
 	// (survivable mode; see pgas.Resilient). Own-goroutine only.
@@ -126,7 +125,7 @@ func (p *proc) Barrier() {
 	if p.rec != nil {
 		park0 = time.Since(p.start)
 	}
-	var bo backoff
+	var bo pgas.Backoff
 	for {
 		if m.load(l.barEpoch) != e {
 			p.rec.Record(trace.IPCBarrierPark, park0, time.Since(p.start), e, 0)
@@ -144,7 +143,7 @@ func (p *proc) Barrier() {
 			m.unlockCtl(tag)
 			return
 		}
-		bo.pause()
+		bo.Pause()
 	}
 }
 
@@ -174,24 +173,6 @@ func (p *proc) AllocWords(nwords int) pgas.Seg {
 	p.wordOff = append(p.wordOff, off)
 	p.wordLen = append(p.wordLen, int64(nwords))
 	return pgas.Seg(len(p.wordOff) - 1)
-}
-
-func (p *proc) AllocLock() pgas.LockID {
-	id := p.lockN
-	if id >= maxLocks {
-		panic(fmt.Sprintf("ipc: rank %d: lock table exhausted (%d instances)", p.rank, maxLocks))
-	}
-	p.lockN++
-	// Publish the high-water mark so the death registrar knows how much
-	// of the lock table to scan. Every rank stores the same sequence of
-	// values; a CAS-max loop keeps it monotonic without the control lock.
-	for {
-		cur := p.m.load(p.m.l.lockCount)
-		if cur >= int64(p.lockN) || p.m.cas(p.m.l.lockCount, cur, int64(p.lockN)) {
-			break
-		}
-	}
-	return pgas.LockID(id)
 }
 
 // dataAt bounds-checks and returns the [off, off+n) window of segment seg
@@ -230,10 +211,10 @@ func (p *proc) Issue(op *pgas.Op) pgas.Nb {
 		return pgas.NbDone
 	}
 	w := p.m.l.accLock(op.Target)
-	var bo backoff
+	var bo pgas.Backoff
 	for !p.m.cas(w, 0, p.tag()) {
 		p.check()
-		bo.pause()
+		bo.Pause()
 	}
 	op.ApplyData(win)
 	if !p.m.cas(w, p.tag(), 0) {
@@ -260,32 +241,6 @@ func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
 	p.m.store(p.wordAt(p.rank, seg, idx), val)
 }
 
-// Lock spins CAS on the instance's holder word (0 free, rank+1 held).
-// The fault poll in the loop is what converts a dead holder into either a
-// force-released word (the registrar CASed it free) or a FaultError.
-func (p *proc) Lock(proc int, id pgas.LockID) {
-	p.check()
-	w := p.m.l.lockWord(int(id), proc)
-	var bo backoff
-	for !p.m.cas(w, 0, p.tag()) {
-		p.check()
-		bo.pause()
-	}
-}
-
-func (p *proc) TryLock(proc int, id pgas.LockID) bool {
-	p.check()
-	return p.m.cas(p.m.l.lockWord(int(id), proc), 0, p.tag())
-}
-
-// Unlock deliberately skips the fault check: releasing is harmless, and
-// deferred unlocks run while a fault panic is already unwinding.
-func (p *proc) Unlock(proc int, id pgas.LockID) {
-	if !p.m.cas(p.m.l.lockWord(int(id), proc), p.tag(), 0) {
-		panic(fmt.Sprintf("ipc: rank %d unlocked lock %d@%d that is not held", p.rank, id, proc))
-	}
-}
-
 // Two-sided messages ride per-(sender, receiver) byte rings in the
 // control region: the sender appends [tag|len][payload] records and
 // publishes by bumping the tail word; the receiver drains complete
@@ -305,7 +260,7 @@ func (p *proc) Send(to int, tag int32, data []byte) {
 	}
 	headW, tailW := l.ringHead(to, p.rank), l.ringTail(to, p.rank)
 	tail := p.m.load(tailW)
-	var bo backoff
+	var bo pgas.Backoff
 	var wait0 time.Duration
 	waited := false
 	for tail-p.m.load(headW)+need > l.ringBytes {
@@ -316,7 +271,7 @@ func (p *proc) Send(to int, tag int32, data []byte) {
 			waited = true
 		}
 		p.check()
-		bo.pause()
+		bo.Pause()
 	}
 	if waited {
 		p.rec.Record(trace.IPCRingWait, wait0, time.Since(p.start), int64(to), 0)
@@ -382,7 +337,7 @@ func (p *proc) popInbox(from int, tag int32) (message, bool) {
 }
 
 func (p *proc) Recv(from int, tag int32) ([]byte, int) {
-	var bo backoff
+	var bo pgas.Backoff
 	for {
 		p.drain()
 		if m, ok := p.popInbox(from, tag); ok {
@@ -392,7 +347,7 @@ func (p *proc) Recv(from int, tag int32) ([]byte, int) {
 		// matches, an unacknowledged death is returned instead of parking
 		// for a message a dead rank will never send.
 		p.check()
-		bo.pause()
+		bo.Pause()
 	}
 }
 

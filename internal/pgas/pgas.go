@@ -9,12 +9,14 @@
 // the UTS-MPI work-stealing baseline).
 //
 // Two interfaces split the work. Proc is what a SPMD body calls. Kernel is
-// what a transport implements: 21 methods, in which every one-sided
+// what a transport implements: 17 methods, in which every one-sided
 // operation, blocking or not, is one Op descriptor passed to Issue. Front
-// derives Proc's typed one-sided methods from a Kernel, once, and the
-// wrappers (pgas/faulty, pgas/instr) are Kernels that embed the one below
-// and override only the operations they act on; an optional capability of
-// the transport (Resilient, trace.Attacher) is found behind them by Find.
+// derives Proc's typed one-sided methods from a Kernel, once — the remote
+// locks included, which are an algorithm over CAS64 (lock.go) and not a
+// transport primitive — and the wrappers (pgas/faulty, pgas/instr) are
+// Kernels that embed the one below and override only the operations they
+// act on; an optional capability of the transport (Resilient,
+// trace.Attacher) is found behind them by Find.
 //
 // Four transports implement the Kernel:
 //
@@ -74,6 +76,7 @@ package pgas
 
 import (
 	"math/rand"
+	"runtime"
 	"time"
 )
 
@@ -98,7 +101,8 @@ const NbDone Nb = 0
 
 // LockID identifies a collectively allocated lock. Each process hosts one
 // instance of every lock; Lock(p, id) acquires the instance hosted on
-// process p.
+// process p. A lock is a word segment of one cell (lock.go), so a LockID is
+// that segment's handle.
 type LockID int
 
 // World represents a group of processes executing a SPMD program.
@@ -117,7 +121,7 @@ type World interface {
 // Kernel is the transport SPI: the one interface a transport or a wrapper
 // implements. Everything else a SPMD body calls — the typed one-sided
 // methods of Proc, handle numbering, Wait — is derived from it once, by
-// Front. Adding a transport means implementing these 21 methods; see
+// Front. Adding a transport means implementing these 17 methods; see
 // DESIGN.md "Transports" for the contract of each group.
 //
 // A Kernel must only be used from the goroutine that received it from
@@ -140,8 +144,6 @@ type Kernel interface {
 	// AllocWords collectively allocates a word segment of nwords 64-bit
 	// cells on every process and returns its handle.
 	AllocWords(nwords int) Seg
-	// AllocLock collectively allocates a lock (one instance per process).
-	AllocLock() LockID
 	// Local returns this process's own instance of data segment seg for
 	// direct access. The caller must guarantee, at the application
 	// protocol level, that no remote operation concurrently accesses the
@@ -168,15 +170,6 @@ type Kernel interface {
 	// without establishing a global ordering. It must only be used for
 	// words that remote processes never write.
 	RelaxedStore64(seg Seg, idx int, val int64)
-
-	// Lock acquires lock id on process proc; Unlock releases it. Locks are
-	// not reentrant.
-	Lock(proc int, id LockID)
-	// TryLock attempts to acquire lock id on process proc without spinning,
-	// reporting success.
-	TryLock(proc int, id LockID) bool
-	// Unlock releases lock id on process proc.
-	Unlock(proc int, id LockID)
 
 	// Send delivers data (copied) to process to with the given tag.
 	Send(to int, tag int32, data []byte)
@@ -237,6 +230,18 @@ type Proc interface {
 	// CAS64 atomically compares-and-swaps the word, reporting success.
 	CAS64(proc int, seg Seg, idx int, old, new int64) bool
 
+	// AllocLock collectively allocates a lock (one instance per process).
+	AllocLock() LockID
+	// Lock acquires lock id on process proc, retrying with back-off until
+	// it is free. Locks are not reentrant.
+	Lock(proc int, id LockID)
+	// TryLock attempts to acquire lock id on process proc once, reporting
+	// success.
+	TryLock(proc int, id LockID) bool
+	// Unlock releases lock id on process proc; it panics when the caller
+	// does not hold it.
+	Unlock(proc int, id LockID)
+
 	// Non-blocking one-sided operations, mirroring ARMCI_NbGet/NbPut.
 	// Each Nb method initiates the transfer and returns a handle; the
 	// operation is guaranteed complete only once Wait on its handle or
@@ -277,19 +282,20 @@ type Proc interface {
 }
 
 // Resilient is the optional fault-survival extension of Proc. A transport
-// that can outlive the death of a rank — marking it dead, releasing its
-// locks, shrinking its barriers to the live membership, and exposing the
-// dead rank's symmetric heap for post-mortem reads — implements Resilient
+// that can outlive the death of a rank — marking it dead, shrinking its
+// barriers to the live membership, and exposing the dead rank's symmetric
+// heap for post-mortem reads — implements Resilient
 // on its Kernel type; the runtime looks it up with Find, which sees
 // through the wrappers. The core runtime's work-replay recovery requires
 // it; on a transport without it (or one that returns ok=false) a fault
 // stays fatal and the job unwinds as before.
 type Resilient interface {
 	// SurviveFault transitions the world into a recovery epoch after fe:
-	// the faulted rank is marked dead, its lock instances (and any lock it
-	// held) are force-released, and subsequent Barriers synchronize only
-	// the live ranks. It returns the live-membership bitmap (indexed by
-	// rank) and ok=true when the transport supports survival; ok=false
+	// the faulted rank is marked dead and subsequent Barriers synchronize
+	// only the live ranks (a lock the dead rank held stays held until a
+	// survivor calls BreakLock on it). It returns the live-membership
+	// bitmap (indexed by rank) and ok=true when the transport supports
+	// survival; ok=false
 	// means the caller must treat the fault as fatal. Idempotent: every
 	// surviving rank calls it with the same fault and receives the same
 	// membership.
@@ -326,5 +332,24 @@ func Spin(d time.Duration) {
 		return
 	}
 	for t0 := time.Now(); time.Since(t0) < d; {
+	}
+}
+
+// Backoff is the spin-then-park waiter of every polling wait on a
+// wall-clock transport (Front's Lock, ipc's barrier, rings and accumulate
+// lock): a tight spin while the wait is likely short, a Gosched band that
+// yields the core, then escalating microsecond sleeps capped low enough
+// that a fault is still observed promptly.
+type Backoff struct{ n int }
+
+func (b *Backoff) Pause() {
+	b.n++
+	switch {
+	case b.n < 64:
+		// tight spin
+	case b.n < 1024:
+		runtime.Gosched()
+	default:
+		time.Sleep(min(time.Duration(b.n-1023)*time.Microsecond, 200*time.Microsecond))
 	}
 }

@@ -158,35 +158,6 @@ func testNbPipelinedBatch(t *testing.T, f Factory) {
 	})
 }
 
-// testNbFlushBeforeUnlock: a lock-protected read-modify-write performed
-// with non-blocking operations stays mutually exclusive as long as Flush
-// precedes Unlock — the runtime's locked queue-update discipline.
-func testNbFlushBeforeUnlock(t *testing.T, f Factory) {
-	const n = 4
-	const rounds = 25
-	w := f(n)
-	run(t, w, func(p pgas.Proc) {
-		words := p.AllocWords(1)
-		lk := p.AllocLock()
-		for r := 0; r < rounds; r++ {
-			p.Lock(0, lk)
-			var cur int64
-			h := p.NbLoad64(0, words, 0, &cur)
-			p.Wait(h)
-			p.NbStore64(0, words, 0, cur+1)
-			p.Flush()
-			p.Unlock(0, lk)
-		}
-		p.Barrier()
-		if p.Rank() == 0 {
-			if got := p.Load64(0, words, 0); got != int64(n*rounds) {
-				panic(fmt.Sprintf("counter = %d, want %d: an increment escaped the lock", got, n*rounds))
-			}
-		}
-		p.Barrier()
-	})
-}
-
 // testNbOutNotReused: a completed operation's result pointer belongs to the
 // application again — no later operation, of any kind, may write through
 // it. This is the steal path's shape: non-blocking metadata reads, then a

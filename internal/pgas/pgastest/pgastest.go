@@ -34,6 +34,9 @@ type Options struct {
 	// transports require a deterministic world-creation order to match
 	// parent and child NewWorld calls.
 	MultiProcess bool
+	// Survivable, when set, creates worlds that outlive a rank's death
+	// (pgas.Resilient with ok=true): the cases that kill a rank run on it.
+	Survivable Factory
 }
 
 // RunConformance runs the full conformance suite against worlds produced by
@@ -52,9 +55,7 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	t.Run("CASExchange", func(t *testing.T) { testCAS(t, newWorld) })
 	t.Run("AccF64Atomicity", func(t *testing.T) { testAccF64(t, newWorld) })
 	t.Run("AccF64Contended", func(t *testing.T) { testAccContended(t, newWorld) })
-	t.Run("LockMutualExclusion", func(t *testing.T) { testLockMutex(t, newWorld) })
-	t.Run("TryLock", func(t *testing.T) { testTryLock(t, newWorld) })
-	t.Run("TryLockContended", func(t *testing.T) { testTryLockContended(t, newWorld) })
+	RunLocks(t, newWorld, opts)
 	t.Run("BarrierSeparatesPhases", func(t *testing.T) { testBarrierPhases(t, newWorld) })
 	t.Run("BarrierManyRounds", func(t *testing.T) { testBarrierRounds(t, newWorld) })
 	t.Run("SendRecvPingPong", func(t *testing.T) { testPingPong(t, newWorld) })
@@ -70,7 +71,6 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	t.Run("NbCompletionOrdering", func(t *testing.T) { testNbCompletionOrdering(t, newWorld) })
 	t.Run("NbReuseAfterWait", func(t *testing.T) { testNbReuseAfterWait(t, newWorld) })
 	t.Run("NbPipelinedBatch", func(t *testing.T) { testNbPipelinedBatch(t, newWorld) })
-	t.Run("NbFlushBeforeUnlock", func(t *testing.T) { testNbFlushBeforeUnlock(t, newWorld) })
 	t.Run("NbOutNotReused", func(t *testing.T) { testNbOutNotReused(t, newWorld) })
 	t.Run("ObsMergeAcrossRanks", func(t *testing.T) { testObsMerge(t, newWorld) })
 	t.Run("OccupancyMergeAcrossRanks", func(t *testing.T) { testOccMerge(t, newWorld) })
@@ -127,9 +127,9 @@ func testSymmetricAlloc(t *testing.T, f Factory) {
 		d0 := p.AllocData(64)
 		w0 := p.AllocWords(8)
 		d1 := p.AllocData(128)
-		l0 := p.AllocLock()
+		l0 := p.AllocLock() // a word segment of one cell: the next word handle
 		w1 := p.AllocWords(4)
-		if d0 != 0 || d1 != 1 || w0 != 0 || w1 != 1 || l0 != 0 {
+		if d0 != 0 || d1 != 1 || w0 != 0 || l0 != 1 || w1 != 2 {
 			panic(fmt.Sprintf("rank %d: unexpected handles d0=%d d1=%d w0=%d w1=%d l0=%d",
 				p.Rank(), d0, d1, w0, w1, l0))
 		}
@@ -234,60 +234,6 @@ func testAccF64(t *testing.T, f Factory) {
 	})
 }
 
-// testLockMutex: a lock-protected read-modify-write on a data segment must
-// not lose updates.
-func testLockMutex(t *testing.T, f Factory) {
-	const n = 4
-	const reps = 50
-	w := f(n)
-	run(t, w, func(p pgas.Proc) {
-		seg := p.AllocData(8)
-		lk := p.AllocLock()
-		p.Barrier()
-		buf := make([]byte, 8)
-		for i := 0; i < reps; i++ {
-			p.Lock(0, lk)
-			p.Get(buf, 0, seg, 0)
-			pgas.PutI64(buf, pgas.GetI64(buf)+1)
-			p.Put(0, seg, 0, buf)
-			p.Unlock(0, lk)
-		}
-		p.Barrier()
-		if p.Rank() == 0 {
-			if got := pgas.GetI64(p.Local(seg)); got != n*reps {
-				panic(fmt.Sprintf("locked counter = %d, want %d", got, n*reps))
-			}
-		}
-	})
-}
-
-func testTryLock(t *testing.T, f Factory) {
-	w := f(2)
-	run(t, w, func(p pgas.Proc) {
-		lk := p.AllocLock()
-		ws := p.AllocWords(1)
-		if p.Rank() == 0 {
-			p.Lock(0, lk)
-			p.Store64(0, ws, 0, 1) // signal: lock held
-			// Hold until rank 1 reports its TryLock failed.
-			for p.Load64(0, ws, 0) != 2 {
-				p.Compute(time.Microsecond)
-			}
-			p.Unlock(0, lk)
-		} else {
-			for p.Load64(0, ws, 0) != 1 {
-				p.Compute(time.Microsecond)
-			}
-			if p.TryLock(0, lk) {
-				panic("TryLock succeeded while lock held")
-			}
-			p.Store64(0, ws, 0, 2)
-			p.Lock(0, lk) // must eventually succeed after rank 0 unlocks
-			p.Unlock(0, lk)
-		}
-	})
-}
-
 // testAccContended: many ranks concurrently accumulate rank-distinct
 // power-of-two contributions into one owner's array; every element's total
 // must be exact, proving no accumulate was lost or torn.
@@ -320,31 +266,6 @@ func testAccContended(t *testing.T, f Factory) {
 				}
 			}
 		}
-	})
-}
-
-// testTryLockContended: TryLock racing against other ranks must never
-// report success while the lock is held. Every winner raises a holders
-// count on rank 0 that must have been zero on entry.
-func testTryLockContended(t *testing.T, f Factory) {
-	const n = 4
-	const attempts = 60
-	w := f(n)
-	run(t, w, func(p pgas.Proc) {
-		lk := p.AllocLock()
-		ws := p.AllocWords(1)
-		p.Barrier()
-		for i := 0; i < attempts; i++ {
-			if p.TryLock(0, lk) {
-				if prev := p.FetchAdd64(0, ws, 0, 1); prev != 0 {
-					panic(fmt.Sprintf("TryLock succeeded with %d holders inside", prev))
-				}
-				p.Compute(10 * time.Microsecond)
-				p.FetchAdd64(0, ws, 0, -1)
-				p.Unlock(0, lk)
-			}
-		}
-		p.Barrier()
 	})
 }
 
@@ -626,8 +547,7 @@ func testRand(t *testing.T, f Factory, opts Options) {
 }
 
 // RunEdgeCases runs the secondary conformance suite: degenerate sizes,
-// self-targeting operations, tag spaces, offset arithmetic, and lock
-// independence.
+// self-targeting operations, tag spaces and offset arithmetic.
 func RunEdgeCases(t *testing.T, newWorld Factory) {
 	t.Helper()
 	RunEdgeCasesOptions(t, newWorld, Options{})
@@ -640,7 +560,6 @@ func RunEdgeCasesOptions(t *testing.T, newWorld Factory, opts Options) {
 	t.Run("SendToSelf", func(t *testing.T) { testSendToSelf(t, newWorld) })
 	t.Run("TagIsolation", func(t *testing.T) { testTagIsolation(t, newWorld) })
 	t.Run("OffsetArithmetic", func(t *testing.T) { testOffsets(t, newWorld) })
-	t.Run("LockIndependence", func(t *testing.T) { testLockIndependence(t, newWorld) })
 	t.Run("ManySegments", func(t *testing.T) { testManySegments(t, newWorld) })
 	t.Run("ConcurrentWorlds", func(t *testing.T) {
 		if opts.MultiProcess {
@@ -728,30 +647,6 @@ func testOffsets(t *testing.T, f Factory) {
 				}
 			}
 		}
-	})
-}
-
-func testLockIndependence(t *testing.T, f Factory) {
-	w := f(3)
-	run(t, w, func(p pgas.Proc) {
-		a := p.AllocLock()
-		b := p.AllocLock()
-		p.Barrier()
-		if p.Rank() == 0 {
-			// Holding lock a on proc 1 must not block lock b on proc 1 or
-			// lock a on proc 2.
-			p.Lock(1, a)
-			if !p.TryLock(1, b) {
-				panic("distinct lock ids interfere")
-			}
-			if !p.TryLock(2, a) {
-				panic("same lock id on distinct hosts interferes")
-			}
-			p.Unlock(1, a)
-			p.Unlock(1, b)
-			p.Unlock(2, a)
-		}
-		p.Barrier()
 	})
 }
 

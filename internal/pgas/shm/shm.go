@@ -9,8 +9,8 @@
 // paper's InfiniBand cluster.
 //
 // A rank failure (any panic out of the SPMD body, including injected
-// faults from pgas/faulty) poisons the whole world: the barrier, locks,
-// and mailboxes wake their waiters, and every later communication op on
+// faults from pgas/faulty) poisons the whole world: the barrier and the
+// mailboxes wake their waiters, and every later communication op on
 // any rank panics with a clone of the first registered *pgas.FaultError,
 // so survivors unwind promptly instead of parking forever. Run returns
 // that fault, rank-attributed, exactly as the tcp transport does.
@@ -53,18 +53,17 @@ type Config struct {
 	// exactly once (as a *pgas.FaultError panic from its next operation),
 	// after which the survivor acknowledges it via SurviveFault and the
 	// world keeps operating over the live membership — barriers complete
-	// with live arrivals, locks held by the dead rank are force-released,
-	// and the dead rank's symmetric memory stays readable through the
-	// pgas.Resilient salvage operations. Run returns nil when every
-	// surviving rank finishes cleanly.
+	// with live arrivals and the dead rank's symmetric memory stays
+	// readable through the pgas.Resilient salvage operations. Run returns
+	// nil when every surviving rank finishes cleanly.
 	Survivable bool
 }
 
 type world struct {
 	cfg Config
 
-	// The segment and lock tables. Collective allocation appends under
-	// allocMu and publishes a new snapshot; the operation path loads the
+	// The segment tables. Collective allocation appends under allocMu and
+	// publishes a new snapshot; the operation path loads the
 	// current one and indexes it, with no lock. A snapshot is never
 	// modified after publication (an append that reuses spare capacity
 	// writes only past every published length), so an op on an existing
@@ -82,14 +81,13 @@ type world struct {
 	barCv  *sync.Cond
 
 	// Crash containment, mirroring the tcp transport's failure model: the
-	// first rank to die registers its fault here, deadCh closes, and every
-	// structure a sibling goroutine can park in — the barrier, lock
-	// channels, mailboxes — wakes with the fault, while subsequent
-	// communication operations panic a rank-attributed clone. Without this
+	// first rank to die registers its fault here and every structure a
+	// sibling goroutine can park in — the barrier, the mailboxes — wakes
+	// with the fault, while subsequent communication operations (a lock
+	// attempt is one) panic a rank-attributed clone. Without this
 	// a crashed rank (e.g. an injected fault) leaves the other goroutines
 	// blocked forever and Run never returns.
 	fault    atomic.Pointer[pgas.FaultError]
-	deadCh   chan struct{}
 	failOnce sync.Once
 
 	// Survivable-mode membership, guarded by barMu (fail and the barrier
@@ -104,15 +102,9 @@ type world struct {
 }
 
 type tables struct {
-	data    [][][]byte   // [seg][proc]bytes
-	words   [][][]int64  // [seg][proc]words
-	locks   [][]lockChan // cap-1 channels: send = acquire, receive = release
-	holders [][]int32    // lock holder ranks (-1 free), for dead-holder release
+	data  [][][]byte  // [seg][proc]bytes
+	words [][][]int64 // [seg][proc]words
 }
-
-// lockChan is a PGAS lock instance: a buffered channel of capacity 1,
-// chosen over sync.Mutex so a waiter can also select on world death.
-type lockChan chan struct{}
 
 // NewWorld creates a shared-memory world with the given configuration.
 func NewWorld(cfg Config) pgas.World {
@@ -124,7 +116,6 @@ func NewWorld(cfg Config) pgas.World {
 	}
 	w := &world{cfg: cfg}
 	w.tab.Store(&tables{})
-	w.deadCh = make(chan struct{})
 	w.barCv = sync.NewCond(&w.barMu)
 	w.deadRanks = make([]bool, cfg.NProcs)
 	w.liveCount = cfg.NProcs
@@ -143,8 +134,8 @@ func (w *world) NProcs() int { return w.cfg.NProcs }
 // operation) are ignored: the first fault is the root cause.
 //
 // In survivable mode each distinct rank death is registered (bumping
-// faultSeq so every survivor observes it once), the dead rank's held
-// locks are force-released, and the world keeps operating.
+// faultSeq so every survivor observes it once) and the world keeps
+// operating.
 func (w *world) fail(fe *pgas.FaultError) {
 	if w.cfg.Survivable {
 		w.barMu.Lock()
@@ -160,8 +151,6 @@ func (w *world) fail(fe *pgas.FaultError) {
 		if !fresh {
 			return
 		}
-		w.failOnce.Do(func() { close(w.deadCh) })
-		w.releaseDeadLocks(fe.Rank)
 		for _, b := range w.boxes {
 			b.fail(fe)
 		}
@@ -169,7 +158,6 @@ func (w *world) fail(fe *pgas.FaultError) {
 	}
 	w.failOnce.Do(func() {
 		w.fault.Store(fe)
-		close(w.deadCh)
 		w.barMu.Lock()
 		w.barCv.Broadcast()
 		w.barMu.Unlock()
@@ -177,23 +165,6 @@ func (w *world) fail(fe *pgas.FaultError) {
 			b.fail(fe)
 		}
 	})
-}
-
-// releaseDeadLocks force-releases every lock instance currently held by
-// the dead rank: it died mid-critical-section and its unwind skipped the
-// unlock, so without this survivors would park on the channel forever.
-func (w *world) releaseDeadLocks(dead int) {
-	t := w.tab.Load()
-	for id := range t.locks {
-		for target := range t.locks[id] {
-			if atomic.CompareAndSwapInt32(&t.holders[id][target], int32(dead), -1) {
-				select {
-				case <-t.locks[id][target]:
-				default:
-				}
-			}
-		}
-	}
 }
 
 func (w *world) Run(body func(p pgas.Proc)) error {
@@ -284,10 +255,9 @@ type proc struct {
 
 	// Per-process collective allocation counters. Collective allocation
 	// calls must occur in the same order on every process; each process's
-	// i-th call maps to global segment/lock i.
+	// i-th call maps to global segment i.
 	dataCount int
 	wordCount int
-	lockCount int
 
 	// ackedSeq is the fault sequence number this proc has acknowledged
 	// (survivable mode). check() panics once per unacknowledged death;
@@ -412,27 +382,6 @@ func (p *proc) AllocWords(nwords int) pgas.Seg {
 	return pgas.Seg(seg)
 }
 
-func (p *proc) AllocLock() pgas.LockID {
-	w := p.w
-	w.allocMu.Lock()
-	defer w.allocMu.Unlock()
-	id := p.lockCount
-	if t := w.tab.Load(); id == len(t.locks) {
-		inst := make([]lockChan, w.cfg.NProcs)
-		hold := make([]int32, w.cfg.NProcs)
-		for i := range inst {
-			inst[i] = make(lockChan, 1)
-			hold[i] = -1
-		}
-		nt := *t
-		nt.locks = append(nt.locks, inst)
-		nt.holders = append(nt.holders, hold)
-		w.tab.Store(&nt)
-	}
-	p.lockCount++
-	return pgas.LockID(id)
-}
-
 func (p *proc) netDelay(proc, nbytes int) {
 	if proc == p.rank {
 		return
@@ -472,53 +421,6 @@ func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 {
 
 func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
 	atomic.StoreInt64(&p.w.tab.Load().words[seg][p.rank][idx], val)
-}
-
-func (p *proc) Lock(proc int, id pgas.LockID) {
-	p.check()
-	p.netDelay(proc, 8)
-	t := p.w.tab.Load()
-	for {
-		select {
-		case t.locks[id][proc] <- struct{}{}:
-			atomic.StoreInt32(&t.holders[id][proc], int32(p.rank))
-			return
-		case <-p.w.deadCh:
-			// The holder may be the dead rank; waiting would hang forever.
-			// check panics unless this proc already acknowledged the fault
-			// (survivable mode); then the holder is live — retry. deadCh
-			// stays closed after the first death, so post-recovery
-			// contention degrades to a yielding retry loop.
-			p.check()
-			runtime.Gosched()
-		}
-	}
-}
-
-func (p *proc) TryLock(proc int, id pgas.LockID) bool {
-	p.check()
-	p.netDelay(proc, 8)
-	t := p.w.tab.Load()
-	select {
-	case t.locks[id][proc] <- struct{}{}:
-		atomic.StoreInt32(&t.holders[id][proc], int32(p.rank))
-		return true
-	default:
-		return false
-	}
-}
-
-// Unlock deliberately skips the fault check: releasing is harmless, and
-// deferred unlocks run while a fault panic is already unwinding.
-func (p *proc) Unlock(proc int, id pgas.LockID) {
-	p.netDelay(proc, 8)
-	t := p.w.tab.Load()
-	atomic.StoreInt32(&t.holders[id][proc], -1)
-	select {
-	case <-t.locks[id][proc]:
-	default:
-		panic(fmt.Sprintf("shm: rank %d unlocked lock %d@%d that is not held", p.rank, id, proc))
-	}
 }
 
 func (p *proc) Send(to int, tag int32, data []byte) {

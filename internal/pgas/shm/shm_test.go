@@ -13,9 +13,11 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	pgastest.RunConformance(t, func(n int) pgas.World {
+	pgastest.RunConformanceOptions(t, func(n int) pgas.World {
 		return shm.NewWorld(shm.Config{NProcs: n, Seed: 1})
-	})
+	}, pgastest.Options{Survivable: func(n int) pgas.World {
+		return shm.NewWorld(shm.Config{NProcs: n, Seed: 1, Survivable: true})
+	}})
 }
 
 func TestConformanceWithInjectedLatency(t *testing.T) {
@@ -122,12 +124,23 @@ func TestAllocWhilePeerOperates(t *testing.T) {
 	}
 }
 
+// wrapped is the facade's stack over a survivable shm world: instr over
+// faulty (delays only) over the transport.
+func wrapped(n int) pgas.World {
+	w := shm.NewWorld(shm.Config{NProcs: n, Seed: 6, Survivable: true})
+	w = faulty.Wrap(w, faulty.Config{Seed: 3, DelayProb: 0.2, MaxDelay: 20 * time.Microsecond, CrashRank: faulty.NoCrash})
+	return instr.Wrap(w, obs.NewHub(), instr.Options{})
+}
+
 // TestCapabilitiesThroughWrappers: what pgas.Find reaches through
 // instr∘faulty is what the bare transport offers.
 func TestCapabilitiesThroughWrappers(t *testing.T) {
-	pgastest.RunCapabilities(t, func(n int) pgas.World {
-		w := shm.NewWorld(shm.Config{NProcs: n, Seed: 6, Survivable: true})
-		w = faulty.Wrap(w, faulty.Config{Seed: 3, DelayProb: 0.2, MaxDelay: 20 * time.Microsecond, CrashRank: faulty.NoCrash})
-		return instr.Wrap(w, obs.NewHub(), instr.Options{})
-	})
+	pgastest.RunCapabilities(t, wrapped)
+}
+
+// TestLocksThroughWrappers: the lock sits above the wrappers (it is built
+// on CAS64 in pgas.Front), so the whole lock group — the dead holder's
+// broken lock included — must hold with both of them underneath it.
+func TestLocksThroughWrappers(t *testing.T) {
+	pgastest.RunLocks(t, wrapped, pgastest.Options{Survivable: wrapped})
 }

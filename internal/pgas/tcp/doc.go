@@ -63,12 +63,12 @@
 //	opStore   [seg i32][idx i64][val i64]               -> []
 //	opFAdd    [seg i32][idx i64][delta i64]             -> [old i64]
 //	opCAS     [seg i32][idx i64][old i64][new i64]      -> [swapped i64, 0 or 1]
-//	opLock    [id i32]                                  -> [] when granted
-//	opTryLock [id i32]                                  -> [ok byte]
-//	opUnlock  [id i32]                                  -> []
 //	opSend    [from i32][tag i32][data...]              -> []
 //	opBarrier []                                        -> [] when released
 //	opPing    []                                        -> []
+//
+// There is no lock opcode: a pgas lock is a word of the heap and Lock,
+// TryLock and Unlock are opCAS frames issued by pgas.Front (pgas/lock.go).
 //
 // An encoded fault is the pgas.AppendFault form every transport shares.
 // The observer-local Op field is not shipped, because the operation that
@@ -81,11 +81,10 @@
 // pattern. Word operations use sync/atomic on the owner's cells and
 // accumulates serialize on a per-rank mutex, so owner-side Local,
 // RelaxedLoad64 and RelaxedStore64 observe exactly the shm transport's
-// semantics. Lock requests that find the lock held are queued and granted
-// FIFO by the owner when the holder unlocks; the handler never blocks on a
-// held lock, it registers a deferred reply and keeps serving. The barrier
-// is a counter at rank 0: every rank sends opBarrier (rank 0 enters
-// locally) and the replies are released when the count reaches NProcs.
+// semantics. The barrier is a counter at rank 0: every rank sends
+// opBarrier (rank 0 enters locally) and the replies are released when the
+// count reaches NProcs — the one deferred reply: the handler never blocks
+// on an incomplete barrier, it registers the reply and keeps serving.
 //
 // Collective allocation needs no communication: each rank appends to its
 // own heap, and the collective-order discipline (pgas.go) makes handle k
@@ -98,20 +97,23 @@
 // A rank process can die (crash, SIGKILL, OOM) or wedge (SIGSTOP,
 // deadlock) at any point. Containment has three layers:
 //
-//   - Detection. Every remote operation except Lock and Barrier carries a
-//     read/write deadline (Config.OpTimeout, default 60s); Lock and
-//     Barrier replies are legitimately deferred, so they rely on death
-//     detection instead. A mid-run EOF on a serve connection marks the
+//   - Detection. Every remote operation except Barrier carries a
+//     read/write deadline (Config.OpTimeout, default 60s); a Barrier's
+//     reply is legitimately deferred, so it relies on death detection
+//     instead (a Lock is bounded opCAS round trips, each with its
+//     deadline). A mid-run EOF on a serve connection marks the
 //     identified peer dead. Optionally (Config.Heartbeat), a dedicated
 //     pinger connection per peer sends opPing every interval and expects
 //     the reply within three intervals — the only detector that catches a
 //     wedged-but-alive peer promptly.
 //   - Propagation. The first observed death registers a *pgas.FaultError
 //     on the rank's owner state, which poisons every structure a
-//     goroutine can park in (lock waiters, the barrier, the mailbox),
-//     severs outgoing connections so in-flight RPCs unblock, and makes
+//     goroutine can park in (the barrier, the mailbox), severs
+//     outgoing connections so in-flight RPCs unblock, and makes
 //     the service refuse all subsequent requests with a replyFaulted
-//     carrying the registered fault. Each survivor's Run body panics with
+//     carrying the registered fault — the rank's own self-targeting
+//     operations included, so a rank retrying a lock it hosts unwinds
+//     too. Each survivor's Run body panics with
 //     the rank-attributed fault, ships it to the launcher as its exit
 //     report, and exits nonzero.
 //   - Teardown. Kill-before-bootstrap, the grace period (Config.Grace,
@@ -135,7 +137,7 @@
 // configuration are ignored because the network is real. Compute spins
 // (scaled by ComputeScale and SpeedFactor) and Now reports wall-clock
 // time. A request the service cannot decode (decodeOp: wrong length for its
-// opcode, unknown opcode, negative offset or count, segment or lock id
+// opcode, unknown opcode, negative offset or count, segment id
 // outside [0, 2^20)), that addresses memory outside its segment, or that
 // sends a message under a rank other than its connection's is refused: the
 // owner blames the requesting rank with a FaultError in phase "service",

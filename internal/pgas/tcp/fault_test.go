@@ -41,7 +41,8 @@ func TestCrashContainmentSIGKILL(t *testing.T) {
 			p.Lock(0, lk)
 			if p.Rank() == deadRank && i == 25 {
 				// Die holding the lock: the cruelest spot — waiters are
-				// parked in unbounded Lock RPCs on rank 0.
+				// spinning on the lock word on rank 0, which only the
+				// fault check of their next attempt can end.
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			}
 			p.FetchAdd64(0, seg, 1, 1)

@@ -47,7 +47,7 @@ type peerConn struct {
 	pmu         sync.Mutex // guards the fields below
 	nextSeq     uint32
 	pending     map[uint32]*pendingOp
-	bounded     int   // pending ops with a deadline (all but Lock/Barrier)
+	bounded     int   // pending ops with a deadline (all but Barrier)
 	deadErr     error // set once the demux dies; fails all later issues
 	maxInflight int   // high-water mark of len(pending), test instrumentation
 }
@@ -62,7 +62,6 @@ type pendingOp struct {
 	bounded bool
 	dst     []byte // Get destination: reply payload is copied here
 	out     *int64 // word result cell (pgas.Op.Out): the reply's i64 lands here
-	b       byte   // first payload byte (TryLock)
 	fault   *pgas.FaultError
 	err     error
 }
@@ -79,7 +78,6 @@ func putOp(op *pendingOp) {
 	op.bounded = false
 	op.dst = nil
 	op.out = nil
-	op.b = 0
 	op.fault = nil
 	op.err = nil
 	opPool.Put(op)
@@ -106,8 +104,8 @@ func newPeerConn(self, rank int, c net.Conn, own *owner, timeout time.Duration) 
 
 // issue registers op under a fresh sequence number and writes its request
 // frame ([seq][head][tail]). bounded marks operations whose reply is
-// immediate and therefore deadline-eligible — everything except Lock and
-// Barrier, whose replies are legitimately deferred. When flush is set the
+// immediate and therefore deadline-eligible — everything except Barrier,
+// whose reply is legitimately deferred. When flush is set the
 // frame (and any coalesced predecessors) is pushed onto the wire and the
 // read deadline armed; otherwise it stays in the write buffer so
 // consecutive non-blocking issues become one write at flushWrites. head
@@ -305,9 +303,6 @@ func (pc *peerConn) demux(r *bufio.Reader) {
 			if op.out != nil && len(payload) >= 8 {
 				*op.out = pgas.GetI64(payload)
 			}
-			if len(payload) > 0 {
-				op.b = payload[0]
-			}
 		case replyFaulted:
 			op.fault = pgas.DecodeFault(payload) // copies; safe past putFrame
 		default:
@@ -389,7 +384,7 @@ func refault(fe *pgas.FaultError, op string) *pgas.FaultError {
 }
 
 // faultFor converts an error delivered through a poisoned local structure
-// (lock manager, barrier, mailbox) into the FaultError to panic with.
+// (barrier, mailbox) into the FaultError to panic with.
 func faultFor(err error, op string) *pgas.FaultError {
 	if fe, ok := pgas.AsFault(err); ok {
 		return refault(fe, op)
@@ -462,15 +457,12 @@ func (p *proc) AttachRecorder(r *trace.Recorder) {
 	}
 }
 
-// rpc is the blocking exchange of the control operations (barrier, locks,
-// send): the request head is in p.req; the reply's first byte, if any, is
-// returned.
-func (p *proc) rpc(target int, tail []byte, bounded bool, info func() string) byte {
+// rpc is the blocking exchange of the control operations (barrier, send):
+// the request head is in p.req and the reply is empty.
+func (p *proc) rpc(target int, tail []byte, bounded bool, info func() string) {
 	op := getOp()
 	p.peers[target].roundTrip(op, p.req, tail, bounded, info)
-	b := op.b
 	putOp(op)
-	return b
 }
 
 // Barrier enters the counter barrier hosted on rank 0. Rank 0 enters
@@ -503,12 +495,13 @@ var (
 
 func (p *proc) AllocData(n int) pgas.Seg  { return pgas.Seg(p.own.heap.addData(n)) }
 func (p *proc) AllocWords(n int) pgas.Seg { return pgas.Seg(p.own.heap.addWords(n)) }
-func (p *proc) AllocLock() pgas.LockID    { return pgas.LockID(p.own.locks.add()) }
 
 func (p *proc) Local(seg pgas.Seg) []byte { return p.own.heap.dataSeg(int(seg)) }
 
 // Issue applies a self-targeting operation to the owner heap inline — the
-// same heap.apply the service runs for remote peers. A remote operation
+// same heap.apply the service runs for remote peers, refused like theirs
+// once the world has faulted (a rank spinning on a lock of its own whose
+// holder died must unwind, not spin). A remote operation
 // becomes one request frame. Blocking, it is flushed at once and awaited.
 // Non-blocking, it is queued on the connection without flushing, so a
 // batch of issues to one peer leaves as a single wire write and their
@@ -517,6 +510,9 @@ func (p *proc) Local(seg pgas.Seg) []byte { return p.own.heap.dataSeg(int(seg)) 
 // order: the remote service applies one connection's frames sequentially.
 func (p *proc) Issue(op *pgas.Op) pgas.Nb {
 	if op.Target == p.rank {
+		if fe := p.own.getFault(); fe != nil {
+			panic(refault(fe, op.String()))
+		}
 		if err := p.own.heap.apply(op); err != nil {
 			panic(fmt.Sprintf("tcp: rank %d: %s: %v", p.rank, op, err))
 		}
@@ -580,41 +576,6 @@ func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 {
 
 func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
 	atomic.StoreInt64(&p.own.heap.wordSeg(int(seg))[idx], val)
-}
-
-func (p *proc) Lock(proc int, id pgas.LockID) {
-	info := func() string { return fmt.Sprintf("Lock(host=%d, id=%d)", proc, id) }
-	if proc == p.rank {
-		done := make(chan error, 1)
-		p.own.locks.lock(int(id), func(err error) { done <- err })
-		if err := <-done; err != nil {
-			panic(faultFor(err, info()))
-		}
-		return
-	}
-	p.req = appendI32(append(p.req[:0], opLock), int32(id))
-	p.rpc(proc, nil, false, info)
-}
-
-func (p *proc) TryLock(proc int, id pgas.LockID) bool {
-	info := func() string { return fmt.Sprintf("TryLock(host=%d, id=%d)", proc, id) }
-	if proc == p.rank {
-		if fe := p.own.getFault(); fe != nil {
-			panic(refault(fe, info()))
-		}
-		return p.own.locks.tryLock(int(id))
-	}
-	p.req = appendI32(append(p.req[:0], opTryLock), int32(id))
-	return p.rpc(proc, nil, true, info) == 1
-}
-
-func (p *proc) Unlock(proc int, id pgas.LockID) {
-	if proc == p.rank {
-		p.own.locks.unlock(int(id))
-		return
-	}
-	p.req = appendI32(append(p.req[:0], opUnlock), int32(id))
-	p.rpc(proc, nil, true, func() string { return fmt.Sprintf("Unlock(host=%d, id=%d)", proc, id) })
 }
 
 func (p *proc) Send(to int, tag int32, data []byte) {

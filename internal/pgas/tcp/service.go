@@ -12,24 +12,23 @@ import (
 )
 
 // owner is one rank's remotely accessible state: the symmetric heap, the
-// hosted lock instances, the incoming mailbox, and (on rank 0 only) the
+// incoming mailbox, and (on rank 0 only) the
 // barrier counter. It is shared by the rank's SPMD goroutine (owner-side
 // fast paths) and the service goroutines applying remote operations.
 //
 // It also carries the rank's fault state. The first peer death observed
 // (an unexpected EOF on a serve connection, or a heartbeat timeout) is
 // registered once; registration poisons every structure a goroutine can
-// block in — lock waiters, the barrier, the mailbox — and severs the
+// block in — the barrier, the mailbox — and severs the
 // rank's outgoing connections, so both the SPMD goroutine and remote
 // requesters receive a prompt, rank-attributed *pgas.FaultError instead
 // of hanging on a reply the dead rank will never send.
 type owner struct {
-	rank  int
-	n     int // world size
-	heap  *heap
-	locks *lockMgr
-	mbox  *mailbox
-	bar   *barrierMgr // non-nil on rank 0 only
+	rank int
+	n    int // world size
+	heap *heap
+	mbox *mailbox
+	bar  *barrierMgr // non-nil on rank 0 only
 
 	// teardown is set once this rank is in clean shutdown (for rank 0:
 	// after its completion-barrier release; for others: before entering
@@ -44,11 +43,10 @@ type owner struct {
 
 func newOwner(rank, nprocs int) *owner {
 	o := &owner{
-		rank:  rank,
-		n:     nprocs,
-		heap:  newHeap(),
-		locks: newLockMgr(),
-		mbox:  newMailbox(),
+		rank: rank,
+		n:    nprocs,
+		heap: newHeap(),
+		mbox: newMailbox(),
 	}
 	if rank == 0 {
 		o.bar = newBarrierMgr(nprocs)
@@ -105,7 +103,6 @@ func (o *owner) adopt(fe *pgas.FaultError) {
 	o.closers = nil
 	o.faultMu.Unlock()
 
-	o.locks.fail(fe)
 	if o.bar != nil {
 		o.bar.fail(fe)
 	}
@@ -131,11 +128,11 @@ func (o *owner) acceptLoop(l net.Listener) {
 // is pipelined: many requests may be in flight, each prefixed with the
 // peer's sequence number, and every reply echoes the number of the
 // request it answers. Requests are applied strictly in frame order — the
-// per-pair FIFO guarantee the pgas.Proc contract promises — but replies
-// for Lock and Barrier may be deferred past later grants, so every reply
+// per-pair FIFO guarantee the pgas.Proc contract promises — but the reply
+// to a Barrier is deferred until the round completes, so every reply
 // write is serialized on a per-connection mutex; the handler itself never
-// blocks on a held lock or an incomplete barrier (it registers the
-// deferred reply and keeps reading).
+// blocks on an incomplete barrier (it registers the deferred reply and
+// keeps reading).
 //
 // The first frame on every connection is opHello carrying the dialing
 // rank, so that a mid-run EOF — the peer process died — can be converted
@@ -195,13 +192,10 @@ func (o *owner) serve(conn net.Conn) {
 	}
 }
 
-var okByte = []byte{1}
-var noByte = []byte{0}
-
-// granter adapts a deferred lock/barrier release to the reply protocol:
-// the waiter either acquired/was released (nil) or the world faulted
-// while it was parked. Built only on the deferred-reply paths so the
-// immediate operations stay closure-free.
+// granter adapts a deferred barrier release to the reply protocol: the
+// waiter was released (nil) or the world faulted while it was parked.
+// Built only on the deferred-reply path so the immediate operations stay
+// closure-free.
 func granter(seq uint32, send func(uint32, byte, []byte)) func(error) {
 	return func(err error) {
 		if err == nil {
@@ -217,7 +211,7 @@ func granter(seq uint32, send func(uint32, byte, []byte)) func(error) {
 }
 
 // apply executes one of peer's requests against the local state and
-// delivers the reply — immediately, or (Lock, Barrier) when granted —
+// delivers the reply — immediately, or (Barrier) when released —
 // tagged with the request's sequence number. It must not retain frame past
 // returning: the caller recycles it. Once the world is faulted every
 // operation is refused with the registered fault, so a requester that has
@@ -255,17 +249,6 @@ func (o *owner) apply(peer int, seq uint32, frame []byte, r *request, send func(
 		var out [8]byte
 		pgas.PutI64(out[:], r.res)
 		send(seq, replyOK, out[:])
-	case opLock:
-		o.locks.lock(r.id, granter(seq, send))
-	case opTryLock:
-		if o.locks.tryLock(r.id) {
-			send(seq, replyOK, okByte)
-		} else {
-			send(seq, replyOK, noByte)
-		}
-	case opUnlock:
-		o.locks.unlock(r.id)
-		send(seq, replyOK, nil)
 	case opSend:
 		if r.from != peer {
 			return fmt.Errorf("opSend names source rank %d", r.from)

@@ -105,131 +105,6 @@ func (h *heap) apply(op *pgas.Op) error {
 	return nil
 }
 
-// lockMgr holds this rank's instances of every collectively allocated
-// lock. A blocked acquisition never blocks the goroutine that delivers
-// it: the grant callback is queued and invoked, FIFO, when the holder
-// unlocks — a remote waiter's callback writes its deferred reply frame, a
-// local waiter's closes a channel. Grants take an error: nil means the
-// lock is held; non-nil means the world faulted (fail) while the caller
-// waited, and the lock was never acquired.
-type lockMgr struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	locks []*lockState
-	err   error // non-nil once the world faulted: no further grants succeed
-}
-
-type lockState struct {
-	held    bool
-	waiters []func(error) // FIFO grant callbacks
-}
-
-func newLockMgr() *lockMgr {
-	m := &lockMgr{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *lockMgr) add() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.locks = append(m.locks, &lockState{})
-	m.cond.Broadcast()
-	return len(m.locks) - 1
-}
-
-// state returns lock id, waiting for its collective allocation (or for
-// the manager to be poisoned, whichever happens first; nil then). Callers
-// must hold m.mu only through the accessor methods below.
-func (m *lockMgr) state(id int) *lockState {
-	for id >= len(m.locks) && m.err == nil {
-		m.cond.Wait()
-	}
-	if id >= len(m.locks) {
-		return nil
-	}
-	return m.locks[id]
-}
-
-// lock acquires lock id, invoking grant exactly once — with nil when the
-// lock is held by the caller (immediately if free, after FIFO queueing if
-// not), or with the world's fault if one is registered.
-func (m *lockMgr) lock(id int, grant func(error)) {
-	m.mu.Lock()
-	st := m.state(id)
-	if m.err != nil {
-		err := m.err
-		m.mu.Unlock()
-		grant(err)
-		return
-	}
-	if !st.held {
-		st.held = true
-		m.mu.Unlock()
-		grant(nil)
-		return
-	}
-	st.waiters = append(st.waiters, grant)
-	m.mu.Unlock()
-}
-
-func (m *lockMgr) tryLock(id int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.state(id)
-	if m.err != nil || st.held {
-		return false
-	}
-	st.held = true
-	return true
-}
-
-// unlock releases lock id, handing it directly to the oldest waiter if
-// one is queued. The grant runs outside the manager lock because it may
-// write to a connection.
-func (m *lockMgr) unlock(id int) {
-	m.mu.Lock()
-	st := m.state(id)
-	if st == nil {
-		m.mu.Unlock()
-		return // poisoned before allocation; the fault is surfacing elsewhere
-	}
-	var grant func(error)
-	if len(st.waiters) > 0 {
-		grant = st.waiters[0]
-		st.waiters = st.waiters[1:]
-		// held stays true: ownership transfers to the waiter.
-	} else {
-		st.held = false
-	}
-	m.mu.Unlock()
-	if grant != nil {
-		grant(nil)
-	}
-}
-
-// fail poisons the manager: every queued waiter is granted err, and every
-// later lock call is granted err immediately. Held bits are left as they
-// are — the world is coming down, nothing will unlock.
-func (m *lockMgr) fail(err error) {
-	m.mu.Lock()
-	if m.err != nil {
-		m.mu.Unlock()
-		return
-	}
-	m.err = err
-	var all []func(error)
-	for _, st := range m.locks {
-		all = append(all, st.waiters...)
-		st.waiters = nil
-	}
-	m.cond.Broadcast() // wake state() waiters parked on unallocated ids
-	m.mu.Unlock()
-	for _, g := range all {
-		g(err)
-	}
-}
-
 // barrierMgr is the counter-based barrier state hosted on rank 0. Every
 // rank enters once per barrier (remotely via opBarrier, rank 0 locally);
 // the release callbacks fire when the count reaches n. The count resets

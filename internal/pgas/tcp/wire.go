@@ -39,9 +39,6 @@ const (
 	opStore
 	opFAdd
 	opCAS
-	opLock
-	opTryLock
-	opUnlock
 	opSend
 	opBarrier
 	// opHello identifies the dialing rank. It is the first frame on every
@@ -192,7 +189,6 @@ type request struct {
 	op   pgas.Op // one-sided codes; Buf (a Put's payload) aliases the frame
 	n    int     // opGet: bytes requested (the reply is cut from the heap)
 	res  int64   // where op.Out points
-	id   int     // lock codes: lock id
 	from int     // opSend: sending rank
 	tag  int32   // opSend
 	data []byte  // opSend payload, aliasing the frame
@@ -202,9 +198,9 @@ type request struct {
 // byte; only Put, Acc and Send carry more. -1 marks an opcode that is
 // never a request (opHello is a connection's first frame only).
 var reqLen = [...]int{opGet: 20, opPut: 12, opAcc: 12, opLoad: 12, opStore: 20, opFAdd: 20, opCAS: 28,
-	opLock: 4, opTryLock: 4, opUnlock: 4, opSend: 8, opBarrier: 0, opHello: -1, opPing: 0}
+	opSend: 8, opBarrier: 0, opHello: -1, opPing: 0}
 
-// maxID bounds the segment and lock ids a request may name. The service
+// maxID bounds the segment ids a request may name. The service
 // waits for an id its owner has not allocated yet (the requester may be
 // ahead in the collective schedule), so an id no program reaches must be
 // refused here or it parks the connection's service goroutine for good.
@@ -212,7 +208,7 @@ const maxID = 1 << 20
 
 // decodeOp parses one request frame (after its sequence number) into r.
 // The bytes come from another process: every length is checked against
-// the opcode before a field is read, segment and lock ids must lie in
+// the opcode before a field is read, segment ids must lie in
 // [0, maxID), and offset and count must be non-negative. Whether an offset
 // lies inside its segment is for the heap to say, which knows the segment;
 // whether a Send's source is the connection's peer is for the service.
@@ -254,10 +250,6 @@ func decodeOp(frame []byte, r *request) error {
 			r.op.Val = pgas.GetI64(b[12:])
 		case opCAS:
 			r.op.Old, r.op.Val = pgas.GetI64(b[12:]), pgas.GetI64(b[20:])
-		}
-	case code <= opUnlock:
-		if r.id = int(pgas.GetI32(b)); r.id < 0 || r.id >= maxID {
-			return fmt.Errorf("opcode %d: lock id %d out of range", code, r.id)
 		}
 	case code == opSend:
 		r.from, r.tag, r.data = int(pgas.GetI32(b)), pgas.GetI32(b[4:]), b[8:]

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -16,7 +17,9 @@ const maxRequestBytes = 16 << 20
 // startHTTP binds the gateway endpoint and serves the ingest API in the
 // background. The returned stop function gracefully shuts the server
 // down (in-flight responses, including open result streams, get a short
-// deadline to finish).
+// deadline to finish). A connection that has sent no request yet — a
+// client transport's spare dial — is closed first: http.Server.Shutdown
+// would wait five seconds for it to prove itself idle.
 func (d *Daemon) startHTTP(nprocs int) (stop func(), err error) {
 	ln, err := net.Listen("tcp", d.cfg.Addr)
 	if err != nil {
@@ -31,7 +34,21 @@ func (d *Daemon) startHTTP(nprocs int) (stop func(), err error) {
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		d.handleHealthz(w, r, nprocs)
 	})
-	srv := &http.Server{Handler: mux}
+	var connMu sync.Mutex
+	fresh := make(map[net.Conn]struct{}) // connections still in StateNew
+	stopping := false
+	srv := &http.Server{Handler: mux, ConnState: func(c net.Conn, st http.ConnState) {
+		connMu.Lock()
+		defer connMu.Unlock()
+		switch {
+		case st != http.StateNew:
+			delete(fresh, c)
+		case stopping:
+			c.Close()
+		default:
+			fresh[c] = struct{}{}
+		}
+	}}
 	d.mu.Lock()
 	d.addr = ln.Addr().String()
 	d.mu.Unlock()
@@ -43,6 +60,12 @@ func (d *Daemon) startHTTP(nprocs int) (stop func(), err error) {
 		}
 	}()
 	return func() {
+		connMu.Lock()
+		stopping = true
+		for c := range fresh {
+			c.Close()
+		}
+		connMu.Unlock()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {

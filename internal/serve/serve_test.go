@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -171,6 +172,39 @@ func TestServeEightConcurrentClients(t *testing.T) {
 		t.Error(err)
 	}
 	drainAndWait(t, d, done)
+}
+
+// TestStopDoesNotWaitOutFreshConnections: the endpoint's stop function
+// returns promptly while a client holds a connection on which it never
+// sent a request (what an http.Transport's spare dial is, and what made
+// one run in eight of the test above take five seconds: Server.Shutdown
+// gives a StateNew connection that long to prove itself idle).
+func TestStopDoesNotWaitOutFreshConnections(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		d := New(Config{Addr: "127.0.0.1:0", Logf: t.Logf})
+		stop, err := d.startHTTP(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spare, err := net.Dial("tcp", d.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The listener hands connections over in order: once a request on
+		// a later one is answered, the server holds the spare one.
+		tr := &http.Transport{DisableKeepAlives: true}
+		r, err := (&http.Client{Transport: tr}).Get("http://" + d.addr + "/v1/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		t0 := time.Now()
+		stop()
+		if took := time.Since(t0); took > time.Second {
+			t.Fatalf("run %d: stop took %v with a fresh connection open", run, took)
+		}
+		spare.Close()
+	}
 }
 
 // TestDependencyChainResolves: a chain t0 <- t1 <- t2 <- t3 plus a fan-in
