@@ -25,18 +25,45 @@ func ownerCycle(tc *TC, task *Task) {
 
 // BenchmarkOwnerPath times what the runtime adds to a task that never
 // leaves its rank — Add, pop, execute of an empty callback — on shm with
-// one rank, for both queue disciplines. The steady state allocates
-// nothing (TestOwnerPathZeroAllocs is the hard assertion).
+// one rank, for both queue disciplines. split-probed adds a second rank
+// that spins empty steal probes on the owner's packed word throughout: the
+// cost of whatever the owner path writes to the cache line the probes
+// read. The steady state allocates nothing (TestOwnerPathZeroAllocs is the
+// hard assertion).
 func BenchmarkOwnerPath(b *testing.B) {
-	for _, mode := range []QueueMode{ModeSplit, ModeLocked} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		mode   QueueMode
+		probed bool
+	}{
+		{"split", ModeSplit, false},
+		{"locked", ModeLocked, false},
+		{"split-probed", ModeSplit, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			if err := shm.NewWorld(shm.Config{NProcs: 1, Seed: 5}).Run(func(p pgas.Proc) {
-				tc := NewTC(Attach(p), Config{MaxBodySize: 24, QueueMode: mode})
+			n := 1
+			if c.probed {
+				n = 2
+			}
+			if err := shm.NewWorld(shm.Config{NProcs: n, Seed: 5}).Run(func(p pgas.Proc) {
+				tc := NewTC(Attach(p), Config{MaxBodySize: 24, QueueMode: c.mode})
 				task := NewTask(tc.Register(func(*TC, *Task) {}), 24)
+				done := p.AllocWords(1)
+				p.Barrier()
+				if p.Rank() == 1 {
+					for p.Load64(1, done, 0) == 0 {
+						tc.q.steal(0, 1, false, &tc.stats)
+					}
+					return
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					ownerCycle(tc, task)
+				}
+				b.StopTimer()
+				if c.probed {
+					p.Store64(1, done, 0, 1)
 				}
 			}); err != nil {
 				b.Fatal(err)

@@ -19,6 +19,7 @@ type storeFault struct {
 	seen    int
 	die     bool   // the victim crashes in its next operation
 	verdict string // what the faulted op left behind: "ok" or the disagreement
+	below   string // the first time a survivor's published top was below its mirror
 }
 
 // storeFaulter is a proc that delivers a peer's death out of the chosen
@@ -55,10 +56,18 @@ func (f *storeFaulter) TryLock(proc int, id pgas.LockID) bool {
 }
 
 // publishing is called ahead of an ordered op that moves word idx of rank
-// proc's seg by change; the chosen one never returns from here.
+// proc's seg by change; the chosen one never returns from here. Ahead of
+// every ordered op on a survivor's own queue words it checks that the
+// published top is not below the top mirror.
 func (f *storeFaulter) publishing(proc int, seg pgas.Seg, idx int, change int64) {
 	q := f.q
-	if q == nil || f.Rank() == mirrorVictim || proc != f.Rank() || seg != q.meta || idx != f.word || change*f.dir <= 0 {
+	if q == nil || f.Rank() == mirrorVictim || proc != f.Rank() || seg != q.meta {
+		return
+	}
+	if top := f.Proc.RelaxedLoad64(seg, wTop); top < q.top && f.below == "" {
+		f.below = fmt.Sprintf("rank %d: published top %d below its mirror %d", f.Rank(), top, q.top)
+	}
+	if idx != f.word || change*f.dir <= 0 {
 		return
 	}
 	if f.seen++; f.seen != f.nth {
@@ -66,7 +75,9 @@ func (f *storeFaulter) publishing(proc int, seg pgas.Seg, idx int, change int64)
 	}
 	defer func() {
 		// The op did not happen; the mirrors must not have moved either, or
-		// owner and thieves now disagree.
+		// owner and thieves now disagree. A release and a reacquire
+		// republish the exact top beside their op, a locked push or pop
+		// stores it: the published top equals the mirror at all four.
 		f.verdict = "ok"
 		top, w, m := f.Proc.RelaxedLoad64(seg, wTop), q.sharedHint(), 2*int64(q.capacity)
 		if q.top != top || emod(q.split, m) != emod(wordB(w)+wordN(w), m) {
@@ -94,13 +105,15 @@ func (f *storeFaulter) CAS64(proc int, seg pgas.Seg, idx int, old, new int64) bo
 	return f.Proc.CAS64(proc, seg, idx, old, new)
 }
 
-// TestMirrorsFollowPublishedWords: the owner's mirrors — of wTop, and of
-// the split b+n of the packed word — change only after the op that
+// TestMirrorsFollowPublishedWords: the owner's mirrors — of its top, and
+// of the split b+n of the packed word — change only after the op that
 // publishes the move has returned. A rank dies such that a survivor learns
 // of it inside a release (FetchAdd64), a reacquire (CAS64), a locked-mode
 // push and a locked-mode pop (Store64); each time the mirrors still agree
 // with the words when the fault leaves the op, and the recovered run
-// executes every task exactly once.
+// executes every task exactly once. The published top of a split queue is
+// a high-water mark: never below the top mirror, and equal to it at a
+// release, a reacquire and the end of the phase.
 func TestMirrorsFollowPublishedWords(t *testing.T) {
 	const n = 3
 	const seeded = 200
@@ -137,12 +150,18 @@ func TestMirrorsFollowPublishedWords(t *testing.T) {
 				f.q = tc.q
 				tc.Process()
 				f.q = nil
+				if top := p.RelaxedLoad64(tc.q.meta, wTop); top != tc.q.top && sf.below == "" {
+					sf.below = fmt.Sprintf("rank %d: published top %d after the phase, mirror %d", p.Rank(), top, tc.q.top)
+				}
 				if g := tc.GlobalStats(); p.Rank() == 0 {
 					durable = g.TasksExecuted + g.SalvagedExecs
 				}
 			})
 			if sf.verdict != "ok" {
 				t.Fatalf("%s %d: the faulted op: %q (empty: vacuous, no fault left the chosen op)", c.name, nth, sf.verdict)
+			}
+			if sf.below != "" {
+				t.Fatalf("%s %d: %s", c.name, nth, sf.below)
 			}
 			if err != nil {
 				t.Fatalf("%s %d: %v", c.name, nth, err)

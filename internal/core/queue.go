@@ -42,7 +42,7 @@ func (m QueueMode) String() string {
 const (
 	wBottom = 0 // ModeLocked: steal end; advanced by thieves, decremented by adders (under lock)
 	wShared = 1 // ModeSplit: the packed shared-portion word, below
-	wTop    = 2 // owner end; owner-only
+	wTop    = 2 // owner end; owner-only (ModeSplit: a high-water mark, never below top)
 	wDirty  = 3 // dirty counter for termination detection, incremented by thieves
 	nQWords = 4
 )
@@ -116,14 +116,16 @@ type taskQueue struct {
 	data pgas.Seg // capacity * slotSize bytes per process
 	meta pgas.Seg // nQWords words per process
 	lock pgas.LockID
+	ring []byte // this rank's instance of data, resolved once
 
-	// top and split mirror what no rank but the owner moves — wTop, and the
-	// position b+n of the packed word — so the owner's paths do not load
-	// them back through pgas.Proc. A mirror changes only after the op that
-	// publishes it has returned: an ordered op can unwind with a FaultError,
-	// and a mirror moved first leaves owner and thieves disagreeing about
-	// the split.
-	top, split int64
+	// top and split mirror what no rank but the owner moves — the owner
+	// end, and the position b+n of the packed word — so the owner's paths
+	// do not load them back through pgas.Proc; pub mirrors wTop, which in
+	// ModeSplit is a high-water mark of top (pushPrivate, publishTop). A
+	// mirror changes only after the op that publishes it has returned: an
+	// ordered op can unwind with a FaultError, and a mirror moved first
+	// leaves owner and thieves disagreeing about the split.
+	top, split, pub int64
 
 	// desc is the descriptor the owner's pops decode into, reused from task
 	// to task: valid until the next pop.
@@ -164,7 +166,7 @@ func newTaskQueue(p pgas.Proc, mode QueueMode, slotSize, capacity int) *taskQueu
 		// while a remote adder reads its top (addShared).
 		capacity++
 	}
-	return &taskQueue{
+	q := &taskQueue{
 		p:        p,
 		mode:     mode,
 		slotSize: slotSize,
@@ -176,6 +178,9 @@ func newTaskQueue(p pgas.Proc, mode QueueMode, slotSize, capacity int) *taskQueu
 		heldLock: -1,
 		desc:     Task{buf: make([]byte, slotSize)},
 	}
+	//lint:ignore localescape Local returns one slice per segment for the life of the world (pgas.Proc.Local); which slots the owner may touch when is the split-queue protocol's to decide, not the slice's lifetime
+	q.ring = p.Local(q.data)
+	return q
 }
 
 // emod is the Euclidean modulus: queue indices may go negative.
@@ -201,7 +206,7 @@ func (q *taskQueue) reset() {
 	for w := 0; w < nQWords; w++ {
 		q.p.Store64(me, q.meta, w, 0)
 	}
-	q.top, q.split = 0, 0
+	q.top, q.split, q.pub = 0, 0, 0
 }
 
 // decode copies the descriptor in slot into the queue's reusable
@@ -244,7 +249,8 @@ func (q *taskQueue) occupied(w int64) int64 {
 
 // pushPrivate inserts a task descriptor at the owner end of the private
 // portion without locking. It reports false when the queue is full (after
-// an ordered refresh of the packed word).
+// an ordered refresh of the packed word). Only a push above the published
+// mark stores wTop; below it, the slot is one every adder already counts.
 //
 //scioto:noalloc
 func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
@@ -257,8 +263,11 @@ func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
 		}
 	}
 	off := q.slotOff(top)
-	copy(q.p.Local(q.data)[off:off+len(wire)], wire)
-	q.p.RelaxedStore64(q.meta, wTop, top+1)
+	copy(q.ring[off:off+len(wire)], wire)
+	if top >= q.pub {
+		q.p.RelaxedStore64(q.meta, wTop, top+1)
+		q.pub = top + 1
+	}
 	q.top = top + 1
 	q.p.Charge(localCost(len(wire)))
 	s.LocalInserts++
@@ -267,7 +276,8 @@ func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
 
 // popPrivate removes the task at the owner end of the private portion
 // without locking and returns it in the queue's descriptor (valid until
-// the next pop). ok is false when the private portion is empty.
+// the next pop). ok is false when the private portion is empty. It
+// publishes nothing: wTop stays a mark above the new top.
 //
 //scioto:noalloc
 func (q *taskQueue) popPrivate(s *Stats) (*Task, bool) {
@@ -276,12 +286,23 @@ func (q *taskQueue) popPrivate(s *Stats) (*Task, bool) {
 		return nil, false
 	}
 	off := q.slotOff(top - 1)
-	t := q.decode(q.p.Local(q.data)[off : off+q.slotSize])
-	q.p.RelaxedStore64(q.meta, wTop, top-1)
+	t := q.decode(q.ring[off : off+q.slotSize])
 	q.top = top - 1
 	q.p.Charge(localCost(len(t.wire())))
 	s.LocalGets++
 	return t, true
+}
+
+// publishTop lowers the wTop mark to the exact top, so remote
+// adders stop counting the slots the owner has popped since it last rose.
+// Release and reacquire call it, each beside an ordered op it issues
+// anyway. A phase ends on a pop that found the queue empty, whose
+// reacquire has left the mark exact: between phases adders see the top.
+func (q *taskQueue) publishTop() {
+	if q.pub != q.top {
+		q.p.RelaxedStore64(q.meta, wTop, q.top)
+		q.pub = q.top
+	}
 }
 
 // maybeRelease moves surplus private tasks into the shared portion when the
@@ -304,6 +325,7 @@ func (q *taskQueue) maybeRelease(ordered bool, s *Stats) {
 		return // shared portion still has work
 	}
 	k := (top - split) / 2
+	q.publishTop()
 	q.p.FetchAdd64(me, q.meta, wShared, k*oneN)
 	q.split = split + k
 	q.obs.release(k)
@@ -314,9 +336,12 @@ func (q *taskQueue) maybeRelease(ordered bool, s *Stats) {
 // reacquire moves shared-portion tasks back into the private portion when
 // the private portion has drained: a CAS on the owner's own packed word
 // that lowers n, retried when a thief or an adder moved the word first.
-// It reports whether any tasks were reclaimed.
+// It reports whether any tasks were reclaimed. The private portion is
+// empty here, so it first republishes top: a rank that has run dry has no
+// mark left standing over slots adders could fill.
 func (q *taskQueue) reacquire(s *Stats) bool {
 	me := q.p.Rank()
+	q.publishTop()
 	for {
 		w := q.p.Load64(me, q.meta, wShared)
 		n := wordN(w)
@@ -370,10 +395,14 @@ func (q *taskQueue) countAdd(proc int, s *Stats) {
 // The second round puts the descriptor and publishes it (b-1, n+1, a-1)
 // with one fetch-add behind the Put.
 //
-// The top it read is exact but for one push: the owner loads the word,
-// then writes the slot, then publishes top, so a push that loaded before
-// the announcement and published after the read is seen by neither side.
-// The ring's spare slot takes it; the next push sees a != 0.
+// The top it read is the owner's mark, never below its top, and exact but
+// for one push: the owner loads the word, then writes the slot, then
+// raises the mark, so a push that loaded before the announcement and
+// raised after the read is seen by neither side. The ring's spare slot
+// takes it; the next push sees a != 0. A push below the mark fills a slot
+// the adder already counts, so a full answer may come while up to
+// mark - top slots are free. The owner adding to its own shared end
+// checks its exact top instead.
 //
 //scioto:noalloc
 func (q *taskQueue) addShared(proc int, wire []byte, s *Stats) bool {
@@ -390,8 +419,11 @@ func (q *taskQueue) addShared(proc int, wire []byte, s *Stats) bool {
 			runtime.Gosched()
 		}
 	}
-	b := wordB(q.nbBottom)
-	if emod(q.nbLimit-b, 2*ring) >= int64(q.limit) {
+	b, top := wordB(q.nbBottom), q.nbLimit
+	if proc == q.p.Rank() {
+		top = q.top
+	}
+	if emod(top-b, 2*ring) >= int64(q.limit) {
 		q.p.FetchAdd64(proc, q.meta, wShared, -oneA)
 		return false
 	}

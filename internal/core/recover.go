@@ -242,7 +242,7 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	ownClaimed := make(map[int64]bool) // our own journal slots present in our queue
 	for i := bottom; i < top; i++ {
 		off := tc.q.slotOff(i)
-		slot := p.Local(tc.q.data)[off : off+tc.q.slotSize]
+		slot := tc.q.ring[off : off+tc.q.slotSize]
 		home := wireJHome(slot)
 		if home < 0 {
 			continue // unjournaled (pre-recovery descriptor)

@@ -211,7 +211,13 @@ func (tc *TC) NewTask(h Handle) *Task {
 // as soon as Add returns). High-affinity local adds use the lock-free
 // private end; everything else goes through the shared end. During a
 // processing phase a full destination queue triggers inline execution of
-// the task; outside one, ErrFull is returned.
+// the task; outside one, ErrFull is returned. A remote destination is
+// judged by the top its owner last published, a high-water mark that pops
+// do not lower until the owner next releases or reacquires shared work
+// (it reacquires whenever its private end runs dry): in a phase a remote
+// add may find a queue full while the owner has popped slots free, and
+// then runs the task inline. Adds to this rank's own patch, and every add
+// between phases, see the exact top.
 func (tc *TC) Add(proc int, affinity int32, t *Task) error {
 	if int(t.Handle()) < 0 || int(t.Handle()) >= len(tc.callbacks) {
 		return fmt.Errorf("core: task handle %d not registered", t.Handle())

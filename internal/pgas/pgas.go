@@ -148,6 +148,13 @@ type Kernel interface {
 	// direct access. The caller must guarantee, at the application
 	// protocol level, that no remote operation concurrently accesses the
 	// bytes it touches.
+	//
+	// The slice is stable: every call for seg returns the same backing
+	// array, length and capacity for the life of the world — across
+	// barriers and later allocations — so a caller may resolve it once
+	// (pgastest's LocalStable case). Keeping it does not widen what it may
+	// touch: that is still the protocol's to decide, and the localescape
+	// lint asks for a justified exemption wherever a slice is kept.
 	Local(seg Seg) []byte
 
 	// Issue performs the one-sided operation op describes (see Op). A

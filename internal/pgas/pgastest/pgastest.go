@@ -64,6 +64,7 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	t.Run("TryRecvDrainAnySource", func(t *testing.T) { testTryRecvDrain(t, newWorld) })
 	t.Run("MessageOrderPerPair", func(t *testing.T) { testMessageOrder(t, newWorld) })
 	t.Run("RelaxedOwnerWords", func(t *testing.T) { testRelaxedWords(t, newWorld) })
+	RunLocalStable(t, newWorld)
 	t.Run("SingleProc", func(t *testing.T) { testSingleProc(t, newWorld) })
 	t.Run("EmptyBodyRelaunch", func(t *testing.T) { testEmptyBodyRelaunch(t, newWorld) })
 	t.Run("PanicPropagates", func(t *testing.T) { testPanicPropagates(t, newWorld) })
@@ -448,6 +449,49 @@ func testRelaxedWords(t *testing.T, f Factory) {
 		if got := p.Load64(other, ws, 1); got != int64(other)+100 {
 			panic(fmt.Sprintf("ordered word from %d = %d", other, got))
 		}
+	})
+}
+
+// RunLocalStable runs the LocalStable case alone, for a stack of wrappers
+// over a transport the full suite already covers.
+func RunLocalStable(t *testing.T, f Factory) {
+	t.Helper()
+	t.Run("LocalStable", func(t *testing.T) { testLocalStable(t, f) })
+}
+
+// testLocalStable: Local returns the same backing array, length and
+// capacity on every call — across a Barrier and after later allocations —
+// and that array is the instance remote operations reach (pgas.Proc.Local).
+// Only the array's identity is kept across the barrier, never the slice.
+func testLocalStable(t *testing.T, f Factory) {
+	w := f(2)
+	run(t, w, func(p pgas.Proc) {
+		seg := p.AllocData(64)
+		loc := p.Local(seg)
+		base, n, c := &loc[0], len(loc), cap(loc)
+		same := func(when string) {
+			s := p.Local(seg)
+			if &s[0] != base || len(s) != n || cap(s) != c {
+				panic(fmt.Sprintf("rank %d: Local %s is another slice (len %d, cap %d; first: len %d, cap %d)", p.Rank(), when, len(s), cap(s), n, c))
+			}
+		}
+		same("called again")
+		p.Barrier()
+		same("after a Barrier")
+		for i := 0; i < 8; i++ {
+			p.AllocData(1 << 10)
+			p.AllocWords(16)
+		}
+		same("after later allocations")
+		p.Local(seg)[0] = byte(10 + p.Rank())
+		p.Barrier()
+		var b [1]byte
+		other := 1 - p.Rank()
+		p.Get(b[:], other, seg, 0)
+		if b[0] != byte(10+other) {
+			panic(fmt.Sprintf("rank %d: Get of rank %d's first byte = %d, want what it wrote through Local", p.Rank(), other, b[0]))
+		}
+		p.Barrier()
 	})
 }
 

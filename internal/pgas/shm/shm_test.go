@@ -138,6 +138,12 @@ func TestCapabilitiesThroughWrappers(t *testing.T) {
 	pgastest.RunCapabilities(t, wrapped)
 }
 
+// TestLocalStableThroughWrappers: the wrappers pass Local through, so the
+// promise that core's queue resolves its ring once on holds under them.
+func TestLocalStableThroughWrappers(t *testing.T) {
+	pgastest.RunLocalStable(t, wrapped)
+}
+
 // TestLocksThroughWrappers: the lock sits above the wrappers (it is built
 // on CAS64 in pgas.Front), so the whole lock group — the dead holder's
 // broken lock included — must hold with both of them underneath it.
