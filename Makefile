@@ -79,16 +79,18 @@ bench-harness:
 # Ten seconds of native fuzzing on each decoder that reads another
 # process's bytes: the fault codec every transport shares (tcp fault
 # replies and exit reports, ipc fault record and report slots), the tcp
-# service's request decoder with the heap's range checks behind it, and
-# the trace dump reader with the attribution engine behind it (its seeds
-# are whole dumps of a few kB, so minimising each new-coverage input would
-# eat the ten seconds: off). A smoke, not a campaign: it proves the targets
-# still build, their seed corpora pass, and a short search finds nothing.
-# CI runs the same target.
+# service's request decoder with the heap's range checks behind it, the
+# trace dump reader with the attribution engine behind it (its seeds are
+# whole dumps of a few kB, so minimising each new-coverage input would eat
+# the ten seconds: off), and sciotod's submit decoder against
+# encoding/json, the reference it must equal on every input. A smoke, not
+# a campaign: it proves the targets still build, their seed corpora pass,
+# and a short search finds nothing. CI runs the same target.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFault -fuzztime=10s ./internal/pgas/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeOp -fuzztime=10s ./internal/pgas/tcp/
 	$(GO) test -run='^$$' -fuzz=FuzzReadDump -fuzztime=10s -fuzzminimizetime=0 ./internal/trace/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSubmit -fuzztime=10s ./internal/serve/
 
 # Code-line ledger for the simplification round (ROADMAP: "track the round
 # with a make loc line in CHANGES.md per PR"): Go lines that are neither

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"time"
+
+	"scioto/internal/obs"
 )
 
 // admissionError is a refused submission: HTTP status, human-readable
@@ -16,12 +19,14 @@ type admissionError struct {
 func (e *admissionError) Error() string { return e.reason }
 
 // bucket is one tenant's admission token bucket: capacity burst, refill
-// rate tokens/second. rate 0 disables the bucket (always full).
+// rate tokens/second. rate 0 disables the bucket (always full). admitted
+// is the tenant's admitted-task counter.
 type bucket struct {
-	tokens float64
-	burst  float64
-	rate   float64
-	last   time.Time
+	tokens   float64
+	burst    float64
+	rate     float64
+	last     time.Time
+	admitted *obs.Counter
 }
 
 // bucketFor returns tenant's bucket, creating a full one on first
@@ -34,6 +39,9 @@ func (d *Daemon) bucketFor(tenant string) *bucket {
 			burst:  float64(d.cfg.TenantBurst),
 			rate:   d.cfg.TenantRate,
 			last:   time.Now(),
+			//lint:ignore obsdeterminism per-tenant series exist only on the gateway rank, whose registry serves /metrics directly; tenant names never enter the cross-rank merge schema, and each is registered once, with its bucket
+			admitted: d.m.reg.Counter(fmt.Sprintf("scioto_serve_tenant_tasks_total{tenant=%q}", tenant),
+				"tasks admitted for one tenant"),
 		}
 		d.buckets[tenant] = b
 	}

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -86,13 +90,45 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]any{"error": fmt.Sprintf(format, args...)})
 }
 
+// bufs recycles request bodies and result lines, emptied by putBuf.
+var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBuf returns b to bufs, unless it grew past 64 KiB: a rare large body
+// is left to the collector rather than pinned by the pool.
+func putBuf(b *bytes.Buffer) {
+	b.Reset()
+	if b.Cap() <= 64<<10 {
+		bufs.Put(b)
+	}
+}
+
+// accepted is the 202 document. Its fields keep the document's sorted key
+// order, which TestAcceptAndDoneBytes pins.
+type accepted struct {
+	ID     string `json:"id"`
+	Stream string `json:"stream"`
+	Tasks  int    `json:"tasks"`
+	Tenant string `json:"tenant"`
+}
+
 // handleSubmit: POST /v1/submit — validate, admit, queue, 202 with the
-// submission's lifecycle ID. Refusals: 400 malformed, 429 over
-// admission limits (with Retry-After), 503 draining.
+// submission's lifecycle ID. Refusals: 400 malformed (the body must be
+// one JSON document), 413 over maxRequestBytes, 429 over admission
+// limits (with Retry-After), 503 draining.
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	buf := bufs.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body over the limit of %d bytes", tooBig.Limit)
+		} else {
+			writeError(w, http.StatusBadRequest, "malformed request: %v", err)
+		}
+		return
+	}
 	var req submitReq
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeSubmit(buf.Bytes(), d.cfg.MaxTasksPerSubmit, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed request: %v", err)
 		return
 	}
@@ -115,11 +151,11 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":     sub.id,
-		"tenant": sub.tenant,
-		"tasks":  len(sub.tasks),
-		"stream": "/v1/submissions/" + sub.id + "/stream",
+	writeJSON(w, http.StatusAccepted, accepted{
+		ID:     sub.id,
+		Stream: "/v1/submissions/" + sub.id + "/stream",
+		Tasks:  len(sub.tasks),
+		Tenant: sub.tenant,
 	})
 }
 
@@ -225,27 +261,30 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	lines := bufs.Get().(*bytes.Buffer)
+	defer putBuf(lines)
 	next := 0
 	for {
 		d.mu.Lock()
 		chunk := sub.results[next:]
 		next = len(sub.results)
-		terminal := sub.remaining == 0
-		var final summary
-		if terminal {
-			final = summarize(sub)
+		var final *summary
+		if sub.remaining == 0 {
+			s := summarize(sub)
+			final = &s
 		}
 		notify := sub.notify
 		d.mu.Unlock()
 
+		lines.Reset()
 		for i := range chunk {
-			if err := enc.Encode(streamEvent{Result: &chunk[i]}); err != nil {
-				return
-			}
+			lines.Write(appendResultLine(lines.AvailableBuffer(), &chunk[i]))
 		}
-		if terminal {
-			enc.Encode(streamEvent{Done: &final})
+		if _, err := w.Write(lines.Bytes()); err != nil {
+			return
+		}
+		if final != nil {
+			json.NewEncoder(w).Encode(streamEvent{Done: final})
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -260,6 +299,26 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// appendResultLine appends rec's stream line: the bytes json.Encoder
+// writes for streamEvent{Result: rec}, without the reflection. Kind names
+// need no escaping (kindName), nor does base64.
+func appendResultLine(b []byte, rec *resultRec) []byte {
+	b = append(b, `{"result":{"task":`...)
+	b = strconv.AppendInt(b, int64(rec.Task), 10)
+	b = append(b, `,"kind":"`...)
+	b = append(b, rec.Kind...)
+	b = append(b, `","rank":`...)
+	b = strconv.AppendInt(b, int64(rec.Rank), 10)
+	b = append(b, `,"elapsed_us":`...)
+	b = strconv.AppendInt(b, rec.ElapsedUS, 10)
+	if len(rec.Result) > 0 {
+		b = append(b, `,"result":"`...)
+		b = base64.StdEncoding.AppendEncode(b, rec.Result)
+		b = append(b, '"')
+	}
+	return append(b, "}}\n"...)
 }
 
 // handleHealthz: GET /v1/healthz — daemon liveness and load.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"scioto/internal/pgas"
@@ -33,30 +34,37 @@ const (
 	kindCount
 )
 
+// kindNames maps wire codes to API names.
+var kindNames = [kindCount]string{kindEcho: KindEcho, kindSpin: KindSpin, kindFib: KindFib}
+
 // kindCode maps an API kind name to its wire code.
 func kindCode(name string) (byte, bool) {
-	switch name {
-	case KindEcho:
-		return kindEcho, true
-	case KindSpin:
-		return kindSpin, true
-	case KindFib:
-		return kindFib, true
+	for code, n := range kindNames {
+		if n == name {
+			return byte(code), true
+		}
 	}
 	return 0, false
 }
 
-// kindName maps a wire code back to its API name.
+// kindName maps a wire code back to its API name. Every name is ASCII that
+// JSON carries unescaped.
 func kindName(code byte) string {
-	switch code {
-	case kindEcho:
-		return KindEcho
-	case kindSpin:
-		return KindSpin
-	case kindFib:
-		return KindFib
+	if code < kindCount {
+		return kindNames[code]
 	}
 	return fmt.Sprintf("kind(%d)", code)
+}
+
+// kindString copies b into a string, resolving a known kind to its
+// constant.
+func kindString(b []byte) string {
+	for _, n := range kindNames {
+		if string(b) == n {
+			return n
+		}
+	}
+	return string(b)
 }
 
 // Serve task body layout. The same region holds the input payload before
@@ -123,7 +131,7 @@ func runKind(compute func(time.Duration), body []byte) {
 		setBodyResult(body, nil)
 	case kindFib:
 		var scratch [minResultBytes]byte
-		setBodyResult(body, fmt.Appendf(scratch[:0], "%d", fibIter(arg)))
+		setBodyResult(body, strconv.AppendUint(scratch[:0], fibIter(arg), 10))
 	default:
 		// Admission validates kinds, so an unknown code is corruption.
 		panic(fmt.Sprintf("serve: task with unknown kind code %d", body[bodyKindOff]))

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"fmt"
-
-	"scioto/internal/obs"
-)
+import "scioto/internal/obs"
 
 // metrics holds the serve-plane instruments. Registration happens once
 // per rank in Daemon.Body, before the gateway/worker split, with
@@ -27,7 +23,7 @@ type metrics struct {
 	deferredWaiting *obs.Gauge
 	turnaround      *obs.Histogram
 
-	reg *obs.Registry // for per-tenant series (gateway-local, see tenantTasks)
+	reg *obs.Registry // for per-tenant series (gateway-local, see bucketFor)
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -47,13 +43,4 @@ func newMetrics(reg *obs.Registry) *metrics {
 		turnaround:      reg.Histogram("scioto_serve_turnaround_seconds", "submission-to-result latency"),
 		reg:             reg,
 	}
-}
-
-// tenantTasks counts admitted tasks per tenant. The series name depends
-// on a request parameter, so it is registered lazily at submit time —
-// on the gateway rank only.
-func (m *metrics) tenantTasks(tenant string, n int) {
-	//lint:ignore obsdeterminism per-tenant series exist only on the gateway rank, whose registry serves /metrics directly; tenant names never enter the cross-rank merge schema, and submit-path registration is idempotent per tenant
-	m.reg.Counter(fmt.Sprintf("scioto_serve_tenant_tasks_total{tenant=%q}", tenant),
-		"tasks admitted for one tenant").Add(int64(n))
 }

@@ -35,6 +35,8 @@ type rank struct {
 	dealt      []bool // ranks handed a task since their flag was last looked at
 	rr         int    // round-robin cursor for dependency-free placement
 	recoveries int64  // recovery epochs already settled
+
+	descs []*core.Task // the descriptor enqueueOne reuses, by body size
 }
 
 // Body is the SPMD body every rank runs: it wires the shared task
@@ -58,6 +60,7 @@ func (d *Daemon) Body(rt *core.Runtime) {
 	shut := func() {}
 	if p.Rank() == gatewayRank {
 		tc.SetIdleHook(r.gatewayIdle)
+		r.descs = make([]*core.Task, d.cfg.TC.MaxBodySize+1)
 		shut = d.openGateway(r.m, p.NProcs())
 	}
 	for r.cmd != cmdStop {
@@ -373,11 +376,16 @@ func (r *rank) feed() (moved bool) {
 func (r *rank) enqueueOne(ref taskRef) bool {
 	d, sub, i := r.d, ref.sub, ref.idx
 	t := &sub.tasks[i]
-	size := bodyDataOff + len(t.payload)
-	if min := bodyDataOff + minResultBytes; size < min {
-		size = min
+	size := bodyDataOff + max(len(t.payload), minResultBytes)
+	// Add and AddDeferred copy the descriptor in, so one per body size
+	// serves every task; clearing the body keeps an earlier task's bytes
+	// from travelling with this one.
+	task := r.descs[size]
+	if task == nil {
+		task = core.NewTask(r.h, size)
+		r.descs[size] = task
 	}
-	task := core.NewTask(r.h, size)
+	clear(task.Body())
 	task.SetID(packID(sub.serial, i))
 	encodeTaskBody(task.Body(), t.kind, t.arg, t.payload)
 

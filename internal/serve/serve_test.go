@@ -106,6 +106,79 @@ func readStream(t *testing.T, base, id string) (results []resultRec, final summa
 	return nil, summary{}
 }
 
+// The request bodies the tests submit (FuzzDecodeSubmit seeds from each).
+
+// mixedBatch is client c's batch: fib, echo and spin in turn.
+func mixedBatch(c, n int) submitReq {
+	req := submitReq{Tenant: fmt.Sprintf("client-%d", c)}
+	for i := 0; i < n; i++ {
+		switch i % 3 {
+		case 0:
+			req.Tasks = append(req.Tasks, taskSpec{Kind: KindFib, Arg: uint64(10 + i)})
+		case 1:
+			req.Tasks = append(req.Tasks, taskSpec{
+				Kind:    KindEcho,
+				Payload: []byte(fmt.Sprintf("c%d-t%d", c, i)),
+			})
+		default:
+			req.Tasks = append(req.Tasks, taskSpec{Kind: KindSpin, Arg: uint64(20 * time.Microsecond)})
+		}
+	}
+	return req
+}
+
+// echoBatch is n empty echoes.
+func echoBatch(tenant string, n int) submitReq {
+	req := submitReq{Tenant: tenant}
+	for i := 0; i < n; i++ {
+		req.Tasks = append(req.Tasks, taskSpec{Kind: KindEcho})
+	}
+	return req
+}
+
+// spinBatch is a submission of n spin tasks of d each.
+func spinBatch(n int, d time.Duration) submitReq {
+	req := submitReq{Tenant: "chaos"}
+	for i := 0; i < n; i++ {
+		req.Tasks = append(req.Tasks, taskSpec{Kind: KindSpin, Arg: uint64(d)})
+	}
+	return req
+}
+
+var (
+	oneFib = submitReq{Tasks: []taskSpec{{Kind: KindFib, Arg: 10}}}
+	// depChain is a chain t0 <- t1 <- t2 <- t3 plus a fan-in t4 <- {t0..t3}.
+	depChain = submitReq{Tasks: []taskSpec{
+		{Kind: KindFib, Arg: 5},
+		{Kind: KindFib, Arg: 6, Deps: []int{0}},
+		{Kind: KindFib, Arg: 7, Deps: []int{1}},
+		{Kind: KindFib, Arg: 8, Deps: []int{2}},
+		{Kind: KindEcho, Payload: []byte("fan-in"), Deps: []int{0, 1, 2, 3}},
+	}}
+	// cancelChain holds one task in flight and two behind it.
+	cancelChain = submitReq{Tasks: []taskSpec{
+		{Kind: KindSpin, Arg: uint64(200 * time.Millisecond)},
+		{Kind: KindEcho, Payload: []byte("gated"), Deps: []int{0}},
+		{Kind: KindEcho, Deps: []int{1}},
+	}}
+	// invalid are requests validate refuses, with what it must say.
+	invalid = []struct {
+		name string
+		req  submitReq
+		want string
+	}{
+		{"empty", submitReq{}, "no tasks"},
+		{"unknown kind", submitReq{Tasks: []taskSpec{{Kind: "warp"}}}, "unknown kind"},
+		{"forward dep", submitReq{Tasks: []taskSpec{{Kind: KindEcho, Deps: []int{0}}}}, "out of range"},
+		{"dup dep", submitReq{Tasks: []taskSpec{
+			{Kind: KindEcho}, {Kind: KindEcho, Deps: []int{0, 0}},
+		}}, "duplicate dep"},
+		{"big payload", submitReq{Tasks: []taskSpec{
+			{Kind: KindEcho, Payload: make([]byte, 4096)},
+		}}, "exceeds limit"},
+	}
+)
+
 // TestServeEightConcurrentClients is the acceptance scenario: 8 clients
 // submit mixed batches concurrently and every client streams back every
 // result with the right content.
@@ -119,21 +192,7 @@ func TestServeEightConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			req := submitReq{Tenant: fmt.Sprintf("client-%d", c)}
-			for i := 0; i < perClient; i++ {
-				switch i % 3 {
-				case 0:
-					req.Tasks = append(req.Tasks, taskSpec{Kind: KindFib, Arg: uint64(10 + i)})
-				case 1:
-					req.Tasks = append(req.Tasks, taskSpec{
-						Kind:    KindEcho,
-						Payload: []byte(fmt.Sprintf("c%d-t%d", c, i)),
-					})
-				default:
-					req.Tasks = append(req.Tasks, taskSpec{Kind: KindSpin, Arg: uint64(20 * time.Microsecond)})
-				}
-			}
-			status, resp := submit(t, base, req)
+			status, resp := submit(t, base, mixedBatch(c, perClient))
 			if status != http.StatusAccepted {
 				errs <- fmt.Errorf("client %d: submit status %d (%v)", c, status, resp)
 				return
@@ -212,14 +271,7 @@ func TestStopDoesNotWaitOutFreshConnections(t *testing.T) {
 // all its prerequisites'.
 func TestDependencyChainResolves(t *testing.T) {
 	d, base, done := startDaemon(t, 3, Config{})
-	req := submitReq{Tasks: []taskSpec{
-		{Kind: KindFib, Arg: 5},
-		{Kind: KindFib, Arg: 6, Deps: []int{0}},
-		{Kind: KindFib, Arg: 7, Deps: []int{1}},
-		{Kind: KindFib, Arg: 8, Deps: []int{2}},
-		{Kind: KindEcho, Payload: []byte("fan-in"), Deps: []int{0, 1, 2, 3}},
-	}}
-	status, resp := submit(t, base, req)
+	status, resp := submit(t, base, depChain)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status %d (%v)", status, resp)
 	}
@@ -251,11 +303,7 @@ func TestDependencyChainResolves(t *testing.T) {
 // refused with 429 and a retry hint, and the daemon keeps serving.
 func TestAdmissionPendingPool(t *testing.T) {
 	d, base, done := startDaemon(t, 2, Config{MaxPending: 16, MaxTasksPerSubmit: 64})
-	var req submitReq
-	for i := 0; i < 17; i++ {
-		req.Tasks = append(req.Tasks, taskSpec{Kind: KindEcho})
-	}
-	status, resp := submit(t, base, req)
+	status, resp := submit(t, base, echoBatch("", 17))
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("oversized batch: status %d (%v), want 429", status, resp)
 	}
@@ -263,7 +311,7 @@ func TestAdmissionPendingPool(t *testing.T) {
 		t.Errorf("429 body carries no retry_after_ms: %v", resp)
 	}
 	// A batch within the bound is still admitted and completes.
-	status, resp = submit(t, base, submitReq{Tasks: []taskSpec{{Kind: KindFib, Arg: 10}}})
+	status, resp = submit(t, base, oneFib)
 	if status != http.StatusAccepted {
 		t.Fatalf("follow-up submit: status %d (%v)", status, resp)
 	}
@@ -278,10 +326,7 @@ func TestAdmissionPendingPool(t *testing.T) {
 func TestAdmissionTenantBucket(t *testing.T) {
 	d, base, done := startDaemon(t, 2, Config{TenantRate: 0.001, TenantBurst: 4})
 	one := func(tenant string) (int, map[string]any) {
-		return submit(t, base, submitReq{
-			Tenant: tenant,
-			Tasks:  []taskSpec{{Kind: KindEcho}, {Kind: KindEcho}},
-		})
+		return submit(t, base, echoBatch(tenant, 2))
 	}
 	for i := 0; i < 2; i++ { // burn the burst: 2×2 tasks
 		if status, resp := one("greedy"); status != http.StatusAccepted {
@@ -307,11 +352,7 @@ func TestAdmissionTenantBucket(t *testing.T) {
 // deferred-pool slots or pending-pool tokens).
 func TestCancelReleasesEverything(t *testing.T) {
 	d, base, done := startDaemon(t, 2, Config{})
-	req := submitReq{Tasks: []taskSpec{
-		{Kind: KindSpin, Arg: uint64(200 * time.Millisecond)},
-		{Kind: KindEcho, Payload: []byte("gated"), Deps: []int{0}},
-		{Kind: KindEcho, Deps: []int{1}},
-	}}
+	req := cancelChain
 	status, resp := submit(t, base, req)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status %d (%v)", status, resp)
@@ -344,11 +385,7 @@ func TestCancelReleasesEverything(t *testing.T) {
 // work still completes and its stream flushes before shutdown.
 func TestDrainRefusesNewWork(t *testing.T) {
 	d, base, done := startDaemon(t, 2, Config{})
-	var req submitReq
-	for i := 0; i < 8; i++ {
-		req.Tasks = append(req.Tasks, taskSpec{Kind: KindSpin, Arg: uint64(50 * time.Millisecond)})
-	}
-	status, resp := submit(t, base, req)
+	status, resp := submit(t, base, spinBatch(8, 50*time.Millisecond))
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status %d (%v)", status, resp)
 	}
@@ -362,7 +399,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 		out <- streamOut{final}
 	}()
 	d.Drain()
-	if status, resp := submit(t, base, submitReq{Tasks: []taskSpec{{Kind: KindEcho}}}); status != http.StatusServiceUnavailable {
+	if status, resp := submit(t, base, echoBatch("", 1)); status != http.StatusServiceUnavailable {
 		t.Errorf("submit while draining: status %d (%v), want 503", status, resp)
 	}
 	got := <-out
@@ -383,22 +420,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 // errors before touching admission state.
 func TestValidateRejects(t *testing.T) {
 	d := New(Config{})
-	cases := []struct {
-		name string
-		req  submitReq
-		want string
-	}{
-		{"empty", submitReq{}, "no tasks"},
-		{"unknown kind", submitReq{Tasks: []taskSpec{{Kind: "warp"}}}, "unknown kind"},
-		{"forward dep", submitReq{Tasks: []taskSpec{{Kind: KindEcho, Deps: []int{0}}}}, "out of range"},
-		{"dup dep", submitReq{Tasks: []taskSpec{
-			{Kind: KindEcho}, {Kind: KindEcho, Deps: []int{0, 0}},
-		}}, "duplicate dep"},
-		{"big payload", submitReq{Tasks: []taskSpec{
-			{Kind: KindEcho, Payload: make([]byte, 4096)},
-		}}, "exceeds limit"},
-	}
-	for _, tc := range cases {
+	for _, tc := range invalid {
 		err := d.validate(&tc.req)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v, want substring %q", tc.name, err, tc.want)
@@ -549,15 +571,6 @@ func (ww *watched) waitIdle(t *testing.T) {
 // counter reads one of rank's metrics.
 func (ww *watched) counter(rank int, name string) int64 {
 	return ww.regs[rank].Counter(name, "").Value()
-}
-
-// spinBatch is a submission of n spin tasks of d each.
-func spinBatch(n int, d time.Duration) submitReq {
-	req := submitReq{Tenant: "chaos"}
-	for i := 0; i < n; i++ {
-		req.Tasks = append(req.Tasks, taskSpec{Kind: KindSpin, Arg: uint64(d)})
-	}
-	return req
 }
 
 // TestServeWorkerCrashRecovers: a worker rank dies while a submission is

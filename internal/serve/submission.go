@@ -170,7 +170,8 @@ func (d *Daemon) admit(req *submitReq) (*submission, *admissionError) {
 			retryAfter: 250 * time.Millisecond,
 		}
 	}
-	if wait, ok := d.bucketFor(tenant).take(n, time.Now()); !ok {
+	b := d.bucketFor(tenant)
+	if wait, ok := b.take(n, time.Now()); !ok {
 		d.m.rejected.Inc()
 		return nil, &admissionError{
 			status:     429,
@@ -214,7 +215,7 @@ func (d *Daemon) admit(req *submitReq) (*submission, *admissionError) {
 	d.m.ingestQueue.Set(int64(len(d.queue)))
 	d.m.submissions.Inc()
 	d.m.admitted.Add(int64(n))
-	d.m.tenantTasks(tenant, n)
+	b.admitted.Add(int64(n))
 	d.ping()
 	return sub, nil
 }
