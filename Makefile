@@ -102,13 +102,15 @@ fuzz-smoke:
 # is sized from the ledger.
 # The obs line is the observability stack (ROADMAP "One event spine"):
 # the recorder, dump and attribution engine, the metrics registry, the
-# instrumenting wrapper and the trace tool. The spi line sizes the
-# transport SPI: methods of pgas.Kernel (what a transport implements),
-# methods declared on the two wrappers' proc types (what a wrapper
-# overrides), and capability type assertions outside pgas.Find (what a
-# wrapper would have to forward by hand). The ablation baselines line is the
-# part of internal/core that exists only for the paper's comparisons: the
-# locked queue (Figure 7's No-Split series) and counter termination.
+# instrumenting wrapper and the trace tool. The tools line is the linter
+# (its analysistest fixtures excluded), which the repo line leaves out.
+# The spi line sizes the transport SPI: methods of pgas.Kernel (what a
+# transport implements), methods declared on the two wrappers' proc types
+# (what a wrapper overrides), and capability type assertions outside
+# pgas.Find (what a wrapper would have to forward by hand). The ablation
+# baselines line is the part of internal/core that exists only for the
+# paper's comparisons: the locked queue (Figure 7's No-Split series) and
+# counter termination.
 LOC = awk '!/^[[:space:]]*($$|\/\/)/ {n++} END {print n+0}'
 SRC = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './tools/*' ! -path './.bench_build/*'
 loc:
@@ -120,6 +122,7 @@ loc:
 	@echo "internal/serve $$(find internal/serve -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "repo           $$($(SRC) | xargs cat | $(LOC))"
 	@echo "obs            $$(find internal/trace internal/obs internal/pgas/instr cmd/sciototrace -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
+	@echo "tools          $$(find tools -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | $(LOC)) (tools/sciotolint without its analysistest fixtures; not in the repo line)"
 	@echo "spi            Kernel $$(awk '/^type Kernel interface/ {k=1; next} k && /^}/ {k=0} k && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n+0}' internal/pgas/pgas.go) methods;" \
 		"faulty proc $$(grep -c '^func (p \*proc)' internal/pgas/faulty/faulty.go), instr proc $$(grep -c '^func (p \*proc)' internal/pgas/instr/proc.go);" \
 		"capability assertions $$($(SRC) | xargs grep -E '\.\((pgas\.)?Resilient\)|\.\((trace\.)?Attacher\)' | grep -vc '^[^:]*:[[:space:]]*//')"

@@ -164,11 +164,14 @@ func TestPendingLocal(t *testing.T) {
 }
 
 // barrierClock is a proc that notes the clock on either side of every
-// barrier.
+// barrier. It unwraps to the kernel, so the queue finds dsim's virtual
+// clock behind it and charges its owner costs.
 type barrierClock struct {
 	pgas.Proc
 	enter, leave []time.Duration
 }
+
+func (b *barrierClock) Unwrap() pgas.Kernel { return b.Proc }
 
 func (b *barrierClock) Barrier() {
 	b.enter = append(b.enter, b.Proc.Now())

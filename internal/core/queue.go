@@ -108,10 +108,14 @@ func localCost(n int) time.Duration {
 // packed word's, and bottom is split-n.
 type taskQueue struct {
 	p        pgas.Proc
+	me       int // p.Rank()
 	mode     QueueMode
 	slotSize int
 	capacity int // slots in the ring
 	limit    int // tasks the queue accepts: capacity, less the spare slot in ModeSplit
+	// virtual: the kernel's clock is virtual (dsim), the only kind on which
+	// the owner's localCost Charges do anything.
+	virtual bool
 
 	data pgas.Seg // capacity * slotSize bytes per process
 	meta pgas.Seg // nQWords words per process
@@ -124,8 +128,11 @@ type taskQueue struct {
 	// ModeSplit is a high-water mark of top (pushPrivate, publishTop). A
 	// mirror changes only after the op that publishes it has returned: an
 	// ordered op can unwind with a FaultError, and a mirror moved first
-	// leaves owner and thieves disagreeing about the split.
+	// leaves owner and thieves disagreeing about the split. topOff is
+	// slotOff(top), moved with top by the split-mode push and pop so that
+	// neither divides.
 	top, split, pub int64
+	topOff          int
 
 	// desc is the descriptor the owner's pops decode into, reused from task
 	// to task: valid until the next pop.
@@ -168,6 +175,7 @@ func newTaskQueue(p pgas.Proc, mode QueueMode, slotSize, capacity int) *taskQueu
 	}
 	q := &taskQueue{
 		p:        p,
+		me:       p.Rank(),
 		mode:     mode,
 		slotSize: slotSize,
 		capacity: capacity,
@@ -180,6 +188,7 @@ func newTaskQueue(p pgas.Proc, mode QueueMode, slotSize, capacity int) *taskQueu
 	}
 	//lint:ignore localescape Local returns one slice per segment for the life of the world (pgas.Proc.Local); which slots the owner may touch when is the split-queue protocol's to decide, not the slice's lifetime
 	q.ring = p.Local(q.data)
+	_, q.virtual = pgas.Find[pgas.VirtualClock](p)
 	return q
 }
 
@@ -191,22 +200,30 @@ func emod(i, m int64) int64 {
 	return i
 }
 
-// slotIndex maps a queue index onto the ring.
-func (q *taskQueue) slotIndex(i int64) int64 { return emod(i, int64(q.capacity)) }
-
-// slotOff maps a queue index to a byte offset in the data segment.
+// slotOff maps a queue index to a byte offset in the data segment: the
+// ring positions of steals, remote adds and recovery's scan, and of the
+// locked ablation's push and pop. The split-mode owner keeps its own
+// (taskQueue.topOff).
 func (q *taskQueue) slotOff(i int64) int {
-	return int(q.slotIndex(i)) * q.slotSize
+	return int(emod(i, int64(q.capacity))) * q.slotSize
 }
 
 // reset clears the queue. Caller is responsible for collective ordering
 // (typically barriers on both sides).
 func (q *taskQueue) reset() {
-	me := q.p.Rank()
 	for w := 0; w < nQWords; w++ {
-		q.p.Store64(me, q.meta, w, 0)
+		q.p.Store64(q.me, q.meta, w, 0)
 	}
-	q.top, q.split, q.pub = 0, 0, 0
+	q.top, q.split, q.pub, q.topOff = 0, 0, 0, 0
+}
+
+// charge models the owner's bookkeeping for a local operation on n payload
+// bytes. Only a virtual clock has anything to charge it to: on a
+// wall-clock kernel Charge is empty, and the owner does not call it.
+func (q *taskQueue) charge(n int) {
+	if q.virtual {
+		q.p.Charge(localCost(n))
+	}
 }
 
 // decode copies the descriptor in slot into the queue's reusable
@@ -258,18 +275,20 @@ func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
 	if q.occupied(q.sharedHint()) >= int64(q.limit) {
 		// Full at last sight; an ordered load in case thieves have made
 		// room since.
-		if q.occupied(q.p.Load64(q.p.Rank(), q.meta, wShared)) >= int64(q.limit) {
+		if q.occupied(q.p.Load64(q.me, q.meta, wShared)) >= int64(q.limit) {
 			return false
 		}
 	}
-	off := q.slotOff(top)
+	off := q.topOff
 	copy(q.ring[off:off+len(wire)], wire)
 	if top >= q.pub {
 		q.p.RelaxedStore64(q.meta, wTop, top+1)
 		q.pub = top + 1
 	}
-	q.top = top + 1
-	q.p.Charge(localCost(len(wire)))
+	if q.top, q.topOff = top+1, off+q.slotSize; q.topOff == len(q.ring) {
+		q.topOff = 0
+	}
+	q.charge(len(wire))
 	s.LocalInserts++
 	return true
 }
@@ -285,10 +304,14 @@ func (q *taskQueue) popPrivate(s *Stats) (*Task, bool) {
 	if top <= q.split {
 		return nil, false
 	}
-	off := q.slotOff(top - 1)
+	off := q.topOff
+	if off == 0 {
+		off = len(q.ring)
+	}
+	off -= q.slotSize
 	t := q.decode(q.ring[off : off+q.slotSize])
-	q.top = top - 1
-	q.p.Charge(localCost(len(t.wire())))
+	q.top, q.topOff = top-1, off
+	q.charge(len(t.wire()))
 	s.LocalGets++
 	return t, true
 }
@@ -314,10 +337,9 @@ func (q *taskQueue) maybeRelease(ordered bool, s *Stats) {
 	if top-split < 2 {
 		return // nothing to spare
 	}
-	me := q.p.Rank()
 	var w int64
 	if ordered {
-		w = q.p.Load64(me, q.meta, wShared)
+		w = q.p.Load64(q.me, q.meta, wShared)
 	} else {
 		w = q.sharedHint() // a stale word only delays a release
 	}
@@ -326,7 +348,7 @@ func (q *taskQueue) maybeRelease(ordered bool, s *Stats) {
 	}
 	k := (top - split) / 2
 	q.publishTop()
-	q.p.FetchAdd64(me, q.meta, wShared, k*oneN)
+	q.p.FetchAdd64(q.me, q.meta, wShared, k*oneN)
 	q.split = split + k
 	q.obs.release(k)
 	s.Releases++
@@ -340,16 +362,15 @@ func (q *taskQueue) maybeRelease(ordered bool, s *Stats) {
 // empty here, so it first republishes top: a rank that has run dry has no
 // mark left standing over slots adders could fill.
 func (q *taskQueue) reacquire(s *Stats) bool {
-	me := q.p.Rank()
 	q.publishTop()
 	for {
-		w := q.p.Load64(me, q.meta, wShared)
+		w := q.p.Load64(q.me, q.meta, wShared)
 		n := wordN(w)
 		if n == 0 {
 			return false
 		}
 		k := (n + 1) / 2
-		if !q.p.CAS64(me, q.meta, wShared, w, w-k*oneN) {
+		if !q.p.CAS64(q.me, q.meta, wShared, w, w-k*oneN) {
 			continue
 		}
 		q.split -= k
@@ -378,7 +399,7 @@ func (q *taskQueue) addRemote(proc int, wire []byte, s *Stats) bool {
 }
 
 func (q *taskQueue) countAdd(proc int, s *Stats) {
-	if proc == q.p.Rank() {
+	if proc == q.me {
 		s.LocalSharedInserts++
 	} else {
 		s.RemoteInserts++
@@ -420,7 +441,7 @@ func (q *taskQueue) addShared(proc int, wire []byte, s *Stats) bool {
 		}
 	}
 	b, top := wordB(q.nbBottom), q.nbLimit
-	if proc == q.p.Rank() {
+	if proc == q.me {
 		top = q.top
 	}
 	if emod(top-b, 2*ring) >= int64(q.limit) {
@@ -479,7 +500,7 @@ func (q *taskQueue) take(k int64) (*stealBatch, []byte) {
 // the ring wraps: a bulk transfer is at most two contiguous extents, the
 // second from offset 0.
 func (q *taskQueue) extent(bottom, k int64) int {
-	return int(min(k, int64(q.capacity)-q.slotIndex(bottom))) * q.slotSize
+	return min(int(k)*q.slotSize, len(q.ring)-q.slotOff(bottom))
 }
 
 // stolen hands the k slots copied into b's buffer to the caller.
@@ -559,16 +580,15 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBa
 // lost in a thief's hands, and replay from the journal) and adders that
 // never withdrew (an unpublished slot b-1 is not in the queue either).
 func (q *taskQueue) liveRange() (bottom, top int64) {
-	me := q.p.Rank()
 	if q.mode != ModeSplit {
-		return q.p.Load64(me, q.meta, wBottom), q.p.Load64(me, q.meta, wTop)
+		return q.p.Load64(q.me, q.meta, wBottom), q.p.Load64(q.me, q.meta, wTop)
 	}
-	w := q.p.Load64(me, q.meta, wShared) & (oneX - 1)
-	q.p.Store64(me, q.meta, wShared, w)
+	w := q.p.Load64(q.me, q.meta, wShared) & (oneX - 1)
+	q.p.Store64(q.me, q.meta, wShared, w)
 	return q.split - wordN(w), q.top
 }
 
 // dirtyCounter reads this process's dirty counter with an ordered load.
 func (q *taskQueue) dirtyCounter() int64 {
-	return q.p.Load64(q.p.Rank(), q.meta, wDirty)
+	return q.p.Load64(q.me, q.meta, wDirty)
 }

@@ -63,7 +63,7 @@ func (q *taskQueue) pushLocked(wire []byte, s *Stats) bool {
 	q.top = top + 1
 	q.p.Unlock(me, q.lock)
 	q.unlocked(lockT, me)
-	q.p.Charge(localCost(len(wire)))
+	q.charge(len(wire))
 	s.LocalInserts++
 	return true
 }
@@ -90,7 +90,7 @@ func (q *taskQueue) popLocked(s *Stats) (*Task, bool) {
 	q.top = top - 1
 	q.p.Unlock(me, q.lock)
 	q.unlocked(lockT, me)
-	q.p.Charge(localCost(len(t.wire())))
+	q.charge(len(t.wire()))
 	s.LocalGets++
 	return t, true
 }

@@ -443,11 +443,12 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 			}
 			tc.execute(t)
 			tc.sinceOrder++
-			if tc.cfg.QueueMode == ModeSplit {
+			// Fewer than two private tasks: maybeRelease has none to spare.
+			if tc.cfg.QueueMode == ModeSplit && tc.q.top-tc.q.split >= 2 {
 				tc.q.maybeRelease(tc.sinceOrder >= releaseInterval, &tc.stats)
-				if tc.sinceOrder >= releaseInterval {
-					tc.sinceOrder = 0
-				}
+			}
+			if tc.sinceOrder >= releaseInterval {
+				tc.sinceOrder = 0
 			}
 			continue
 		}
