@@ -54,8 +54,9 @@ chaos-recovery:
 
 # One iteration of internal/core's two path benchmarks (owner path: Add +
 # pop + execute; remote steal) and of the root package's substrate
-# microbenchmarks (UTS child generation, the dense kernels, one dsim engine
-# yield). A smoke test, not a measurement: it proves they still build and
+# microbenchmarks (UTS child generation, the dense kernels, the dsim
+# engine's kept and handed-over yields and the uts-dsim64 world launch).
+# A smoke test, not a measurement: it proves they still build and
 # run. The paper's tables and figures are pinned in virtual time by the
 # golden tests of internal/bench, which tier-1 runs. CI runs the same
 # target.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"scioto/internal/bench"
+	"scioto/internal/core"
 	"scioto/internal/linalg"
 	"scioto/internal/pgas"
 	"scioto/internal/uts"
@@ -54,8 +55,10 @@ func BenchmarkEigenSym16(b *testing.B) {
 	}
 }
 
+// BenchmarkDsimEngineYield is one simulated ordered operation of a rank
+// that stays the minimum clock: rank 1 has returned, so every yield keeps
+// the token (the engine's fast path).
 func BenchmarkDsimEngineYield(b *testing.B) {
-	// Cost of one simulated ordered operation (engine handshake).
 	if err := bench.ClusterWorld(2, 1).Run(func(p pgas.Proc) {
 		seg := p.AllocWords(1)
 		p.Barrier()
@@ -67,5 +70,37 @@ func BenchmarkDsimEngineYield(b *testing.B) {
 		}
 	}); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkDsimEngineHandoff is one simulated ordered operation that passes
+// the token: two ranks at equal clocks alternate equal-cost local ops, so
+// every yield hands over to the other rank. Each op is one b.N iteration.
+func BenchmarkDsimEngineHandoff(b *testing.B) {
+	if err := bench.ClusterWorld(2, 1).Run(func(p pgas.Proc) {
+		seg := p.AllocWords(1) // both ranks leave it at the same clock
+		if p.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := p.Rank(); i < b.N; i += 2 {
+			p.Load64(p.Rank(), seg, 0)
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkDsimWorldLaunch is the set-up cycle of the benchmark's
+// uts-dsim64 workload: a 64-rank cluster world that creates one task
+// collection (24-byte bodies, 8,192 tasks per rank) and meets at a barrier.
+func BenchmarkDsimWorldLaunch(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := bench.ClusterWorld(64, 1).Run(func(p pgas.Proc) {
+			core.NewTC(core.Attach(p), core.Config{MaxBodySize: uts.NodeBytes, ChunkSize: 10, MaxTasks: 1 << 13})
+			p.Barrier()
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

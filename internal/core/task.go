@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"scioto/internal/obs"
@@ -169,7 +168,6 @@ func decodeTask(slot []byte) *Task {
 type Runtime struct {
 	p    pgas.Proc
 	clos []any
-	rng  *rand.Rand
 
 	rank, nprocs int // p's, read once: the Add and execute paths ask per task
 
@@ -250,7 +248,7 @@ func (rt *Runtime) EnableRecovery() { rt.recoverOn = true }
 // Attach initializes the Scioto runtime on the calling process. Collective:
 // all processes must attach before creating task collections.
 func Attach(p pgas.Proc) *Runtime {
-	rt := &Runtime{p: p, rng: p.Rand()}
+	rt := &Runtime{p: p}
 	rt.rank, rt.nprocs = p.Rank(), p.NProcs()
 	procObsMu.Lock()
 	rt.obs = procObs[p]

@@ -2,13 +2,16 @@
 // discrete-event simulation of a distributed-memory machine.
 //
 // Every simulated process runs in its own goroutine, but execution is
-// cooperative: a scheduler resumes exactly one process at a time — always the
-// runnable process with the smallest virtual clock (ties broken by rank) —
-// so the simulation is single-threaded in effect and fully deterministic.
+// cooperative: exactly one process holds the scheduler token at a time —
+// always the runnable process with the smallest virtual clock (ties broken
+// by rank) — so the simulation is single-threaded in effect and fully
+// deterministic. There is no engine goroutine: a process that yields keeps
+// the token while it is still the minimum, and otherwise hands it straight
+// to the minimum of a heap of the other runnable processes.
 //
 // Correctness of the virtual-time semantics follows from the min-clock rule:
 // a process performs a globally visible operation only while it holds the
-// scheduler token, and it receives the token only when its clock is the
+// scheduler token, and it holds the token only while its clock is the
 // global minimum. Hence all shared-state mutations are applied in
 // non-decreasing virtual-time order, and a message sent at virtual time t
 // can never be delivered "into the past" of any receiver: every other
@@ -16,8 +19,8 @@
 //
 // Local, unshared work (Proc.Compute, private queue-slot writes, relaxed
 // word operations) advances the local clock without yielding the token, so
-// fine-grained task execution is cheap to simulate: a process only pays a
-// scheduler handshake when it touches globally visible state. Relaxed reads
+// fine-grained task execution is cheap to simulate: a process only yields
+// when it touches globally visible state. Relaxed reads
 // observe shared state as of the process's last yield point, which models a
 // relaxed memory system: they are hints that must be revalidated under a
 // lock, exactly as in the real runtime.
@@ -34,9 +37,11 @@
 package dsim
 
 import (
+	"container/heap"
 	"fmt"
-	"math/rand"
+	"os"
 	"runtime"
+	"syscall"
 	"time"
 
 	"scioto/internal/pgas"
@@ -78,7 +83,7 @@ type Config struct {
 	// barriers disseminate over the live membership, and the dead rank's
 	// memory stays readable through the pgas.Resilient salvage operations
 	// (a lock it held stays held until pgas.BreakLock). Deterministic:
-	// deaths are registered by the engine at the dead rank's final yield, a
+	// deaths are registered when the dead rank gives up the token, a
 	// fixed point in virtual time. Run returns nil when every surviving
 	// rank finishes cleanly.
 	Survivable bool
@@ -109,11 +114,6 @@ const (
 	stateDone
 )
 
-// resumeMsg is sent from the engine to a process goroutine.
-type resumeMsg struct {
-	abort bool
-}
-
 type message struct {
 	from    int
 	tag     int32
@@ -121,23 +121,38 @@ type message struct {
 	arrival time.Duration
 }
 
+// mapThreshold is the per-rank size from which a data segment's instances
+// come from one anonymous mapping instead of the Go heap. The kernel zeroes
+// a mapped page on first touch, so a world pays only for the pages it uses:
+// the task rings of a short run are mostly never touched, and make would
+// zero all of them at every launch.
+const mapThreshold = 64 << 10
+
 type world struct {
 	cfg Config
 
 	procs []*proc
 
+	// ready holds the runnable procs that do not hold the token. Only the
+	// token holder touches it (and the rest of the world's state); the
+	// token moves over resumeCh.
+	ready    readyHeap
+	live     int           // procs not done
+	aborting bool          // every proc that next takes the token unwinds
+	done     chan struct{} // closed by the last proc to finish
+
 	dataSegs [][][]byte
 	wordSegs [][][]int64
+	maps     [][]byte // the mappings behind large data segments; Run unmaps them
 
 	// busyUntil[r] is the virtual time until which process r's network
 	// interface is occupied by remote operations (Occupancy model).
 	busyUntil []time.Duration
 
-	// Survivable-mode membership. Mutated only by the engine (between
-	// yields) and read by procs holding the scheduler token, so access is
-	// ordered by the token handshake. faultSeq counts registered deaths;
-	// each proc acknowledges up to a sequence number via SurviveFault, and
-	// yield() panics a fault clone once per unacknowledged death.
+	// Survivable-mode membership, mutated by the token holder. faultSeq
+	// counts registered deaths; each proc acknowledges up to a sequence
+	// number via SurviveFault, and yield() panics a fault clone once per
+	// unacknowledged death.
 	deadRanks []bool
 	faultSeq  int64
 	fault     *pgas.FaultError // latest registered death (root attribution)
@@ -145,7 +160,7 @@ type world struct {
 	err error
 }
 
-// errAborted is panicked into process goroutines to unwind them when the
+// abortPanic is panicked into process goroutines to unwind them when the
 // simulation is aborted after another process failed.
 type abortPanic struct{}
 
@@ -154,120 +169,41 @@ func NewWorld(cfg Config) pgas.World {
 	if cfg.NProcs <= 0 {
 		panic("dsim: NProcs must be positive")
 	}
-	cfg = cfg.withDefaults()
-	w := &world{cfg: cfg}
-	w.busyUntil = make([]time.Duration, cfg.NProcs)
-	w.deadRanks = make([]bool, cfg.NProcs)
-	return w
+	return &world{cfg: cfg.withDefaults()}
 }
 
 func (w *world) NProcs() int { return w.cfg.NProcs }
 
+// Run starts a fresh machine every time: no memory, membership, NIC horizon
+// or error of an earlier run carries over. The large data segments are
+// unmapped before Run returns, which ends the life of every Local slice.
 func (w *world) Run(body func(p pgas.Proc)) error {
 	n := w.cfg.NProcs
-	w.procs = make([]*proc, n)
-	yieldCh := make(chan int) // proc -> engine: "rank r has yielded"
-	for r := 0; r < n; r++ {
+	*w = world{
+		cfg:       w.cfg,
+		procs:     make([]*proc, n),
+		ready:     make(readyHeap, n),
+		live:      n,
+		done:      make(chan struct{}),
+		busyUntil: make([]time.Duration, n),
+		deadRanks: make([]bool, n),
+	}
+	defer func() {
+		for _, m := range w.maps {
+			_ = syscall.Munmap(m) // a whole mapping of ours: nothing to undo on error
+		}
+	}()
+	for r := range w.procs {
 		speed := 1.0
 		if w.cfg.SpeedFactor != nil {
 			speed = w.cfg.SpeedFactor(r)
 		}
-		w.procs[r] = &proc{
-			w:        w,
-			rank:     r,
-			speed:    speed,
-			resumeCh: make(chan resumeMsg),
-			yieldCh:  yieldCh,
-			rng:      rand.New(rand.NewSource(w.cfg.Seed*7919 + int64(r) + 1)),
-		}
+		p := &proc{w: w, rank: r, speed: speed, resumeCh: make(chan struct{})}
+		w.procs[r], w.ready[r] = p, p // equal clocks in rank order: a heap
+		go p.run(body)
 	}
-	for r := 0; r < n; r++ {
-		p := w.procs[r]
-		go func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					switch v := rec.(type) {
-					case abortPanic:
-						// Cooperative shutdown, not a failure.
-					case *pgas.FaultError:
-						// Keep transport faults typed for errors.As.
-						p.err = v
-					default:
-						buf := make([]byte, 16<<10)
-						sn := runtime.Stack(buf, false)
-						p.err = fmt.Errorf("dsim: rank %d panicked at vt=%v: %v\n%s",
-							p.rank, p.clock, rec, buf[:sn])
-					}
-				}
-				p.state = stateDone
-				p.yieldCh <- p.rank
-			}()
-			// Wait for the first token before touching anything.
-			m := <-p.resumeCh
-			if m.abort {
-				panic(abortPanic{})
-			}
-			p.Bind(p)
-			body(p)
-		}()
-	}
-	return w.schedule(yieldCh)
-}
-
-// schedule is the engine loop: repeatedly resume the runnable process with
-// the minimum clock and wait for it to yield.
-func (w *world) schedule(yieldCh chan int) error {
-	live := w.cfg.NProcs
-	aborting := false
-	for live > 0 {
-		// Pick the runnable process with the smallest (clock, rank).
-		var next *proc
-		for _, p := range w.procs {
-			if p.state != stateRunnable {
-				continue
-			}
-			if next == nil || p.clock < next.clock {
-				next = p
-			}
-		}
-		if next == nil {
-			// No runnable process. All remaining live processes are
-			// blocked in Recv: a communication deadlock (or the tail of
-			// an abort).
-			if !aborting {
-				w.err = w.deadlockError()
-				aborting = true
-			}
-			for _, p := range w.procs {
-				if p.state == stateWaiting {
-					p.state = stateRunnable
-					p.abort = true
-				}
-			}
-			continue
-		}
-		if w.cfg.MaxVirtualTime > 0 && next.clock > w.cfg.MaxVirtualTime && !aborting {
-			w.err = fmt.Errorf("dsim: virtual time %v exceeded MaxVirtualTime %v", next.clock, w.cfg.MaxVirtualTime)
-			aborting = true
-		}
-		if aborting {
-			next.abort = true
-		}
-		next.resumeCh <- resumeMsg{abort: next.abort}
-		r := <-yieldCh
-		p := w.procs[r]
-		if p.state == stateDone {
-			live--
-			if p.err != nil {
-				if w.cfg.Survivable {
-					w.registerDeath(p)
-				} else if w.err == nil {
-					w.err = p.err
-					aborting = true
-				}
-			}
-		}
-	}
+	heap.Pop(&w.ready).(*proc).resumeCh <- struct{}{}
+	<-w.done
 	if w.cfg.Survivable && w.err == nil && w.fault != nil {
 		// Recovered run: every rank that exited with an error is a
 		// registered death, so the survivors healed around it.
@@ -279,6 +215,109 @@ func (w *world) schedule(yieldCh chan int) error {
 		return nil
 	}
 	return w.err
+}
+
+// run is a process goroutine: it waits for its first token, runs the body,
+// and passes the token on when the body returns or unwinds.
+func (p *proc) run(body func(p pgas.Proc)) {
+	defer p.finish()
+	<-p.resumeCh
+	p.resumed()
+	p.Bind(p)
+	body(p)
+}
+
+// finish is what the token holder does when its body is done: record how
+// it ended — a survivable death, or the error that aborts the world — and
+// hand the token on, or tell Run that no process is left.
+func (p *proc) finish() {
+	if rec := recover(); rec != nil {
+		switch v := rec.(type) {
+		case abortPanic:
+			// Cooperative shutdown, not a failure.
+		case *pgas.FaultError:
+			// Keep transport faults typed for errors.As.
+			p.err = v
+		default:
+			buf := make([]byte, 16<<10)
+			sn := runtime.Stack(buf, false)
+			p.err = fmt.Errorf("dsim: rank %d panicked at vt=%v: %v\n%s",
+				p.rank, p.clock, rec, buf[:sn])
+		}
+	}
+	w := p.w
+	p.state = stateDone
+	w.live--
+	if p.err != nil {
+		if w.cfg.Survivable {
+			w.registerDeath(p)
+		} else if w.err == nil {
+			w.err = p.err
+			w.aborting = true
+		}
+	}
+	if next := w.dispatch(p); next != nil {
+		next.resumeCh <- struct{}{}
+	} else {
+		close(w.done)
+	}
+}
+
+// less is the engine's one order: the smaller clock runs first, and of two
+// equal clocks the lower rank.
+func less(a, b *proc) bool {
+	return a.clock < b.clock || a.clock == b.clock && a.rank < b.rank
+}
+
+// readyHeap is a container/heap of procs in less order.
+type readyHeap []*proc
+
+func (h readyHeap) Len() int           { return len(h) }
+func (h readyHeap) Less(i, j int) bool { return less(h[i], h[j]) }
+func (h readyHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *readyHeap) Push(x any)        { *h = append(*h, x.(*proc)) }
+func (h *readyHeap) Pop() any {
+	p := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return p
+}
+
+// dispatch picks who holds the token after p yields or finishes: p itself
+// while it is runnable and below every ready proc, otherwise the minimum of
+// the rest. nil means every process is done.
+func (w *world) dispatch(p *proc) *proc {
+	if p.state == stateRunnable {
+		if len(w.ready) == 0 || less(p, w.ready[0]) {
+			return p
+		}
+		next := w.ready[0]
+		w.ready[0] = p
+		heap.Fix(&w.ready, 0)
+		return next
+	}
+	if len(w.ready) == 0 {
+		if w.live == 0 {
+			return nil
+		}
+		// No runnable process. All remaining live processes are blocked in
+		// Recv: a communication deadlock (or the tail of an abort).
+		if !w.aborting {
+			w.err = w.deadlockError()
+			w.aborting = true
+		}
+		for _, q := range w.procs {
+			if q.state == stateWaiting {
+				w.wake(q)
+			}
+		}
+	}
+	return heap.Pop(&w.ready).(*proc)
+}
+
+// wake makes a waiting proc runnable.
+func (w *world) wake(p *proc) {
+	p.state = stateRunnable
+	heap.Push(&w.ready, p)
 }
 
 // registerDeath records a rank death in survivable mode: a fresh death
@@ -299,7 +338,7 @@ func (w *world) registerDeath(p *proc) {
 	w.faultSeq++
 	for _, q := range w.procs {
 		if q.state == stateWaiting {
-			q.state = stateRunnable
+			w.wake(q)
 		}
 	}
 }
@@ -312,4 +351,28 @@ func (w *world) deadlockError() error {
 		}
 	}
 	return fmt.Errorf("%s", msg)
+}
+
+// allocData creates the instances of a data segment: on the Go heap below
+// mapThreshold, otherwise from one anonymous mapping, each rank's instance
+// starting on a page boundary.
+func (w *world) allocData(nbytes int) [][]byte {
+	inst := make([][]byte, w.cfg.NProcs)
+	if nbytes < mapThreshold {
+		for i := range inst {
+			inst[i] = make([]byte, nbytes)
+		}
+		return inst
+	}
+	page := os.Getpagesize()
+	stride := (nbytes + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, stride*len(inst), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		panic(fmt.Sprintf("dsim: mapping a data segment of %d bytes per rank: %v", nbytes, err))
+	}
+	w.maps = append(w.maps, mem)
+	for i := range inst {
+		inst[i] = mem[i*stride : i*stride+nbytes : i*stride+nbytes]
+	}
+	return inst
 }

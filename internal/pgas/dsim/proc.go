@@ -16,15 +16,13 @@ type proc struct {
 	w     *world
 	rank  int
 	speed float64
-	rng   *rand.Rand
+	rng   *rand.Rand // seeded by the first Rand()
 
 	clock time.Duration
 	state procState
-	abort bool
 	err   error
 
-	resumeCh chan resumeMsg
-	yieldCh  chan int
+	resumeCh chan struct{} // the token, handed over by the proc that had it
 
 	// Recv wait descriptor, valid while state == stateWaiting.
 	waitFrom int
@@ -62,15 +60,15 @@ var _ pgas.Proc = (*proc)(nil)
 func (p *proc) Rank() int   { return p.rank }
 func (p *proc) NProcs() int { return p.w.cfg.NProcs }
 
-// yield hands the token back to the engine and blocks until this process is
-// next resumed (i.e. until its clock is the global minimum among runnable
-// processes).
+// yield returns when this process's clock is the global minimum among
+// runnable processes: at once while it still is (the token stays), and
+// otherwise after handing the token to the minimum and being handed it back.
 func (p *proc) yield() {
-	p.yieldCh <- p.rank
-	m := <-p.resumeCh
-	if m.abort {
-		panic(abortPanic{})
+	if next := p.w.dispatch(p); next != p {
+		next.resumeCh <- struct{}{}
+		<-p.resumeCh
 	}
+	p.resumed()
 	if p.w.cfg.Survivable && p.w.faultSeq > p.ackedSeq {
 		// An unacknowledged rank death: deliver it by unwinding the
 		// operation that yielded. The panic happens while this proc holds
@@ -78,6 +76,20 @@ func (p *proc) yield() {
 		// via SurviveFault) continues issuing operations normally.
 		fe := p.w.fault
 		panic(&pgas.FaultError{Rank: fe.Rank, Phase: fe.Phase, Detail: fe.Detail, Err: fe.Err})
+	}
+}
+
+// resumed applies what holding the token at a new clock means, whether the
+// token was handed over or kept: the MaxVirtualTime guard, and the unwinding
+// of an aborted world.
+func (p *proc) resumed() {
+	w := p.w
+	if w.cfg.MaxVirtualTime > 0 && p.clock > w.cfg.MaxVirtualTime && !w.aborting {
+		w.err = fmt.Errorf("dsim: virtual time %v exceeded MaxVirtualTime %v", p.clock, w.cfg.MaxVirtualTime)
+		w.aborting = true
+	}
+	if w.aborting {
+		panic(abortPanic{})
 	}
 }
 
@@ -142,11 +154,7 @@ func (p *proc) AllocData(nbytes int) pgas.Seg {
 	seg := p.dataCount
 	w := p.w
 	if seg == len(w.dataSegs) {
-		inst := make([][]byte, w.cfg.NProcs)
-		for i := range inst {
-			inst[i] = make([]byte, nbytes)
-		}
-		w.dataSegs = append(w.dataSegs, inst)
+		w.dataSegs = append(w.dataSegs, w.allocData(nbytes))
 	} else if got := len(w.dataSegs[seg][0]); got != nbytes {
 		panic(fmt.Sprintf("dsim: collective AllocData size mismatch on rank %d: %d vs %d", p.rank, nbytes, got))
 	}
@@ -290,7 +298,7 @@ func (p *proc) Send(to int, tag int32, data []byte) {
 		if dst.clock < arrival {
 			dst.clock = arrival
 		}
-		dst.state = stateRunnable
+		p.w.wake(dst)
 	}
 }
 
@@ -331,7 +339,7 @@ func (p *proc) Recv(from int, tag int32) ([]byte, int) {
 	p.waitFrom = from
 	p.waitTag = tag
 	p.state = stateWaiting
-	p.yield() // engine will not resume us until a sender wakes us
+	p.yield() // not runnable again until a sender wakes us
 	m, ok := p.takeMatching(from, tag)
 	if !ok {
 		panic("dsim: woken without a matching message")
@@ -408,7 +416,7 @@ func (p *proc) Barrier() {
 
 // liveRanks returns the live membership in rank order. Outside survivable
 // mode (or before any death) that is every rank. Reading deadRanks is
-// token-ordered: the engine only mutates it between yields.
+// token-ordered: only the token holder mutates it.
 func (p *proc) liveRanks() []int {
 	w := p.w
 	ranks := make([]int, 0, w.cfg.NProcs)
@@ -436,7 +444,14 @@ func (p *proc) Now() time.Duration { return p.clock }
 // the clock above and costs no wall-clock time.
 func (p *proc) VirtualClock() {}
 
-func (p *proc) Rand() *rand.Rand { return p.rng }
+// Rand seeds the rank's source on first use, from the same seed as always:
+// a source is a 607-word seeding, and most ranks of a short run never draw.
+func (p *proc) Rand() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.w.cfg.Seed*7919 + int64(p.rank) + 1))
+	}
+	return p.rng
+}
 
 // --- Resilience (survivable mode) --------------------------------------------
 

@@ -114,7 +114,9 @@ type World interface {
 	// processes have returned from it. It returns the first error produced
 	// by a panicking process, or nil. When the failure is a transport
 	// fault (peer death, lost frame, deadline), the returned error carries
-	// a *FaultError in its chain; see AsFault.
+	// a *FaultError in its chain; see AsFault. On the in-process kernels
+	// (shm, dsim) every Run starts a fresh machine: no segment, message,
+	// membership or error of an earlier run of the same world carries over.
 	Run(body func(p Proc)) error
 }
 
@@ -151,7 +153,8 @@ type Kernel interface {
 	//
 	// The slice is stable: every call for seg returns the same backing
 	// array, length and capacity for the life of the world — across
-	// barriers and later allocations — so a caller may resolve it once
+	// barriers and later allocations, until Run returns (dsim unmaps its
+	// large segments then) — so a caller may resolve it once
 	// (pgastest's LocalStable case). Keeping it does not widen what it may
 	// touch: that is still the protocol's to decide, and the localescape
 	// lint asks for a justified exemption wherever a slice is kept.

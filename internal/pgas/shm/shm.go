@@ -114,17 +114,7 @@ func NewWorld(cfg Config) pgas.World {
 	if cfg.ComputeScale == 0 {
 		cfg.ComputeScale = 1.0
 	}
-	w := &world{cfg: cfg}
-	w.tab.Store(&tables{})
-	w.barCv = sync.NewCond(&w.barMu)
-	w.deadRanks = make([]bool, cfg.NProcs)
-	w.liveCount = cfg.NProcs
-	w.accMu = make([]sync.Mutex, cfg.NProcs)
-	w.boxes = make([]*mailbox, cfg.NProcs)
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
-	}
-	return w
+	return &world{cfg: cfg}
 }
 
 func (w *world) NProcs() int { return w.cfg.NProcs }
@@ -167,7 +157,22 @@ func (w *world) fail(fe *pgas.FaultError) {
 	})
 }
 
+// Run starts a fresh machine every time: no segment, message, barrier
+// arrival or fault of an earlier run carries over.
 func (w *world) Run(body func(p pgas.Proc)) error {
+	n := w.cfg.NProcs
+	*w = world{
+		cfg:       w.cfg,
+		accMu:     make([]sync.Mutex, n),
+		boxes:     make([]*mailbox, n),
+		deadRanks: make([]bool, n),
+		liveCount: n,
+	}
+	w.tab.Store(&tables{})
+	w.barCv = sync.NewCond(&w.barMu)
+	for i := range w.boxes {
+		w.boxes[i] = newMailbox()
+	}
 	w.start = time.Now()
 	var wg sync.WaitGroup
 	errs := make([]error, w.cfg.NProcs)
