@@ -123,6 +123,41 @@ func TestSerialSCFConverges(t *testing.T) {
 	}
 }
 
+// TestSerialEnergiesPinned holds the serial reference to energies and
+// integral counts recorded with an independent symmetric eigensolver
+// (cyclic Jacobi) on four 48-atom systems of the benchmark's vetted table,
+// after one iteration and after twelve. A replacement eigensolver must
+// reproduce each energy to 1e-9 and each count exactly; the counts move
+// only if some density element lands on exactly zero.
+func TestSerialEnergiesPinned(t *testing.T) {
+	pins := []struct {
+		seed int64
+		e1   float64
+		n1   int64
+		e12  float64
+		n12  int64
+	}{
+		{12, -99.85936792341387, 296224, -99.813797402671028, 3554688},
+		{13, -107.80901598026243, 288008, -109.74192871181511, 3456096},
+		{23, -47.593270881443772, 293384, -48.353792093264587, 3520608},
+		{24, -43.844238874314044, 289840, -44.414050323212336, 3478080},
+	}
+	for _, pin := range pins {
+		sys := scf.NewSystem(scf.SystemConfig{NAtoms: 48, BlockSize: 4, Seed: pin.seed})
+		check := func(iters int, e float64, n int64) {
+			r := sys.SCFSerial(iters, 0)
+			if math.Abs(r.Energy-e) > 1e-9 || r.Integrals != n {
+				t.Errorf("system %d, %d iterations: E=%.15f over %d integrals, want %.15f over %d (|ΔE| = %.2g)",
+					pin.seed, iters, r.Energy, r.Integrals, e, n, math.Abs(r.Energy-e))
+			}
+		}
+		check(1, pin.e1, pin.n1)
+		if !testing.Short() {
+			check(12, pin.e12, pin.n12)
+		}
+	}
+}
+
 // TestParallelMatchesSerial: both parallel methods reproduce the serial
 // energy on both transports. Because each Fock block is computed by exactly
 // one task with a fixed inner loop order, the parallel G matrix is bitwise
