@@ -135,90 +135,219 @@ func (m *Mat) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// EigenSym computes the eigendecomposition of a symmetric matrix with the
-// cyclic Jacobi method. It returns the eigenvalues in ascending order and
-// the matrix of corresponding eigenvectors as columns (a = v * diag(w) * vᵀ).
-// The input is not modified.
+// EigenSym computes the eigendecomposition of a symmetric matrix by
+// Householder reduction to tridiagonal form followed by the implicit-shift
+// QL iteration (EISPACK's tred2 and tql2, in the form JAMA gives them). It
+// returns the eigenvalues in ascending order and the matrix of corresponding
+// eigenvectors as columns (a = v * diag(w) * vᵀ). The input is not
+// modified; only its upper triangle is read.
+//
+// The two routines work on z = Vᵀ, row-major: row j of z is column j of
+// the V the published algorithm updates. Every O(n³) loop of both walks
+// one column of V, so on z each is a pass along a contiguous row. Because
+// a is symmetric, its copy is already the transpose the reduction starts
+// from.
 func EigenSym(a *Mat) (w []float64, v *Mat) {
 	n := a.Rows
 	if n != a.Cols {
 		panic("linalg: EigenSym needs a square matrix")
 	}
-	m := a.Clone()
-	v = NewMat(n, n)
-	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
-	}
-	const maxSweeps = 100
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += m.At(i, j) * m.At(i, j)
-			}
-		}
-		if off < 1e-22*float64(n*n) {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				app, aqq := m.At(p, p), m.At(q, q)
-				// Rotation angle per Golub & Van Loan.
-				tau := (aqq - app) / (2 * apq)
-				var t float64
-				if tau >= 0 {
-					t = 1 / (tau + math.Sqrt(1+tau*tau))
-				} else {
-					t = -1 / (-tau + math.Sqrt(1+tau*tau))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-				// Apply the rotation: m = Jᵀ m J; v = v J.
-				for k := 0; k < n; k++ {
-					mkp, mkq := m.At(k, p), m.At(k, q)
-					m.Set(k, p, c*mkp-s*mkq)
-					m.Set(k, q, s*mkp+c*mkq)
-				}
-				for k := 0; k < n; k++ {
-					mpk, mqk := m.At(p, k), m.At(q, k)
-					m.Set(p, k, c*mpk-s*mqk)
-					m.Set(q, k, s*mpk+c*mqk)
-				}
-				for k := 0; k < n; k++ {
-					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
-				}
-			}
-		}
-	}
-	w = make([]float64, n)
-	for i := 0; i < n; i++ {
-		w[i] = m.At(i, i)
-	}
-	// Sort ascending, permuting eigenvector columns alongside.
+	z := make([]float64, n*n)
+	copy(z, a.Data)
+	d, e := make([]float64, n), make([]float64, n)
+	tred2(z, d, e)
+	tql2(z, d, e)
+
+	// Sort ascending, transposing eigenvectors from rows of z to columns.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	for i := 1; i < n; i++ { // insertion sort: n is small for SCF systems
-		for j := i; j > 0 && w[idx[j]] < w[idx[j-1]]; j-- {
+		for j := i; j > 0 && d[idx[j]] < d[idx[j-1]]; j-- {
 			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
-	ws := make([]float64, n)
-	vs := NewMat(n, n)
+	w = make([]float64, n)
+	v = NewMat(n, n)
 	for col, src := range idx {
-		ws[col] = w[src]
-		for row := 0; row < n; row++ {
-			vs.Set(row, col, v.At(row, src))
+		w[col] = d[src]
+		for row, x := range z[src*n : (src+1)*n] {
+			v.Data[row*n+col] = x
 		}
 	}
-	return ws, vs
+	return w, v
+}
+
+// tred2 reduces the symmetric matrix held in z (n x n, n = len(d)) to
+// tridiagonal form by orthogonal similarity (Householder), leaving the
+// diagonal in d, the subdiagonal in e[1:], and the accumulated transform in
+// z, transposed (see EigenSym).
+func tred2(z, d, e []float64) {
+	n := len(d)
+	for j := 0; j < n; j++ {
+		d[j] = z[j*n+n-1]
+	}
+	for i := n - 1; i > 0; i-- {
+		// Scale the row to avoid under/overflow.
+		scale, h := 0.0, 0.0
+		for _, x := range d[:i] {
+			scale += math.Abs(x)
+		}
+		if scale == 0 {
+			// Row already reduced: skip the reflection.
+			e[i] = d[i-1]
+			for j := 0; j < i; j++ {
+				d[j] = z[j*n+i-1]
+				z[j*n+i] = 0
+				z[i*n+j] = 0
+			}
+			d[i] = 0
+			continue
+		}
+		// Generate the Householder vector.
+		for k := range d[:i] {
+			d[k] /= scale
+			h += d[k] * d[k]
+		}
+		f := d[i-1]
+		g := math.Sqrt(h)
+		if f > 0 {
+			g = -g
+		}
+		e[i] = scale * g
+		h -= f * g
+		d[i-1] = f - g
+		clear(e[:i])
+		// Apply the similarity transformation to the remaining columns.
+		for j := 0; j < i; j++ {
+			f = d[j]
+			zj := z[j*n : j*n+i]
+			z[i*n+j] = f
+			g = e[j] + zj[j]*f
+			for k := j + 1; k < i; k++ {
+				g += zj[k] * d[k]
+				e[k] += zj[k] * f
+			}
+			e[j] = g
+		}
+		f = 0
+		for j := range e[:i] {
+			e[j] /= h
+			f += e[j] * d[j]
+		}
+		hh := f / (h + h)
+		for j := range e[:i] {
+			e[j] -= hh * d[j]
+		}
+		for j := 0; j < i; j++ {
+			f, g = d[j], e[j]
+			zj := z[j*n : j*n+i]
+			for k := j; k < i; k++ {
+				zj[k] -= f*e[k] + g*d[k]
+			}
+			d[j] = zj[i-1]
+			z[j*n+i] = 0
+		}
+		d[i] = h
+	}
+	// Accumulate the transformations.
+	for i := 0; i < n-1; i++ {
+		z[i*n+n-1] = z[i*n+i]
+		z[i*n+i] = 1
+		zi1 := z[(i+1)*n : (i+1)*n+i+1]
+		if h := d[i+1]; h != 0 {
+			for k, x := range zi1 {
+				d[k] = x / h
+			}
+			for j := 0; j <= i; j++ {
+				zj := z[j*n : j*n+i+1]
+				g := 0.0
+				for k, x := range zi1 {
+					g += x * zj[k]
+				}
+				for k := range zj {
+					zj[k] -= g * d[k]
+				}
+			}
+		}
+		clear(zi1)
+	}
+	for j := 0; j < n; j++ {
+		d[j] = z[j*n+n-1]
+		z[j*n+n-1] = 0
+	}
+	z[n*n-1] = 1
+	e[0] = 0
+}
+
+// tql2 diagonalizes the tridiagonal matrix tred2 left in d and e by the QL
+// method with implicit shifts, applying each rotation to the transform in z
+// (transposed: rotations combine rows). On return d holds the eigenvalues,
+// unsorted, and row j of z the eigenvector of d[j].
+func tql2(z, d, e []float64) {
+	n := len(d)
+	copy(e, e[1:])
+	e[n-1] = 0
+	const eps = 0x1p-52
+	f, tst1 := 0.0, 0.0
+	for l := 0; l < n; l++ {
+		// Find a negligible subdiagonal element; e[n-1] = 0 ends the scan.
+		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
+		m := l
+		for m < n && math.Abs(e[m]) > eps*tst1 {
+			m++
+		}
+		// If m == l, d[l] is already an eigenvalue; otherwise iterate
+		// until e[l] is negligible.
+		for m > l {
+			// Implicit shift.
+			g := d[l]
+			p := (d[l+1] - g) / (2 * e[l])
+			r := math.Hypot(p, 1)
+			if p < 0 {
+				r = -r
+			}
+			d[l] = e[l] / (p + r)
+			d[l+1] = e[l] * (p + r)
+			dl1 := d[l+1]
+			h := g - d[l]
+			for i := l + 2; i < n; i++ {
+				d[i] -= h
+			}
+			f += h
+			// Implicit QL transformation.
+			p = d[m]
+			c, c2, c3 := 1.0, 1.0, 1.0
+			el1 := e[l+1]
+			s, s2 := 0.0, 0.0
+			for i := m - 1; i >= l; i-- {
+				c3, c2, s2 = c2, c, s
+				g = c * e[i]
+				h = c * p
+				r = math.Hypot(p, e[i])
+				e[i+1] = s * r
+				s = e[i] / r
+				c = p / r
+				p = c*d[i] - s*g
+				d[i+1] = h + s*(c*g+s*d[i])
+				zi, zi1 := z[i*n:(i+1)*n], z[(i+1)*n:(i+2)*n]
+				for k, x := range zi {
+					y := zi1[k]
+					zi1[k] = s*x + c*y
+					zi[k] = c*x - s*y
+				}
+			}
+			p = -s * s2 * c3 * el1 * e[l] / dl1
+			e[l] = s * p
+			d[l] = c * p
+			if math.Abs(e[l]) <= eps*tst1 {
+				break
+			}
+		}
+		d[l] += f
+		e[l] = 0
+	}
 }
 
 // SolveLinear solves the square system a x = b by Gaussian elimination with
