@@ -53,15 +53,17 @@ chaos-recovery:
 	bash scripts/chaos_recovery.sh
 
 # One iteration of internal/core's two path benchmarks (owner path: Add +
-# pop + execute; remote steal) and of the root package's substrate
-# microbenchmarks (UTS child generation, the dense kernels, the dsim
-# engine's kept and handed-over yields and the uts-dsim64 world launch).
-# A smoke test, not a measurement: it proves they still build and
-# run. The paper's tables and figures are pinned in virtual time by the
-# golden tests of internal/bench, which tier-1 runs. CI runs the same
-# target.
+# pop + execute; remote steal), of internal/scf's replicated part of an
+# scf-tcp round (system set-up, guess, one DIIS step) and of the root
+# package's substrate microbenchmarks (UTS child generation, the dense
+# kernels, the dsim engine's kept and handed-over yields and the
+# uts-dsim64 world launch). A smoke test, not a measurement: it proves
+# they still build and run. The paper's tables and figures are pinned in
+# virtual time by the golden tests of internal/bench, which tier-1 runs.
+# CI runs the same target.
 bench-smoke:
 	$(GO) test -run=NONE -bench='OwnerPath|RemoteSteal' -benchtime=1x ./internal/core/
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/scf/
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 
 # The dsim attribution report must equal BENCH_attrib.json (virtual time:

@@ -14,6 +14,7 @@ import (
 	"scioto/internal/core"
 	"scioto/internal/linalg"
 	"scioto/internal/pgas"
+	"scioto/internal/scf"
 	"scioto/internal/uts"
 )
 
@@ -40,18 +41,13 @@ func BenchmarkGemmBlock8(b *testing.B) {
 	}
 }
 
-func BenchmarkEigenSym16(b *testing.B) {
-	m := linalg.NewMat(16, 16)
-	for i := 0; i < 16; i++ {
-		for j := i; j < 16; j++ {
-			v := float64((i*31+j*17)%13) - 6
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
+// BenchmarkEigenSym48 is one symmetric eigensolve at the size the scf-tcp
+// workload runs: the overlap matrix of a 48-atom system of its table.
+func BenchmarkEigenSym48(b *testing.B) {
+	s := scf.NewSystem(scf.SystemConfig{NAtoms: 48, BlockSize: 4, Seed: 12}).S
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		linalg.EigenSym(m)
+		linalg.EigenSym(s)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package linalg provides the small dense linear-algebra kernel set the SCF
 // application needs: row-major matrices, multiplication, symmetric
-// eigendecomposition (cyclic Jacobi), and norms. Everything is written from
-// scratch on float64 slices — the reproduction's stand-in for the LAPACK
-// routines the original quantum-chemistry codes call.
+// eigendecomposition (Householder tridiagonalisation + implicit-shift QL),
+// the overlap's inverse square root and the generalized eigensolve built on
+// it, and norms. Everything is written from scratch on float64 slices — the
+// reproduction's stand-in for the LAPACK routines the original
+// quantum-chemistry codes call.
 package linalg
 
 import (
@@ -140,7 +142,7 @@ func (m *Mat) IsSymmetric(tol float64) bool {
 // QL iteration (EISPACK's tred2 and tql2, in the form JAMA gives them). It
 // returns the eigenvalues in ascending order and the matrix of corresponding
 // eigenvectors as columns (a = v * diag(w) * vᵀ). The input is not
-// modified; only its upper triangle is read.
+// modified.
 //
 // The two routines work on z = Vᵀ, row-major: row j of z is column j of
 // the V the published algorithm updates. Every O(n³) loop of both walks
@@ -402,28 +404,40 @@ func SolveLinear(a *Mat, b []float64) ([]float64, bool) {
 	return x, true
 }
 
-// SolveSymOrtho transforms a generalized symmetric eigenproblem F C = S C e
-// with overlap S into a standard one via symmetric orthogonalization
-// (Löwdin): X = S^(-1/2); returns eigenvalues and C = X * C'. Used by the
-// SCF application when the basis is non-orthogonal.
-func SolveSymOrtho(f, s *Mat) (w []float64, c *Mat) {
-	// S = U diag(σ) Uᵀ  →  X = U diag(σ^-1/2) Uᵀ.
+// InvSqrtSym returns X = S^(-1/2) of a symmetric positive-definite overlap
+// matrix S: with S = U diag(σ) Uᵀ, X = U diag(σ^-1/2) Uᵀ, itself symmetric.
+// It panics when S is singular to working precision.
+func InvSqrtSym(s *Mat) *Mat {
 	sw, su := EigenSym(s)
+	for k, sk := range sw {
+		if sk <= 1e-12 {
+			panic("linalg: overlap matrix is singular")
+		}
+		sw[k] = 1 / math.Sqrt(sk)
+	}
 	n := s.Rows
 	x := NewMat(n, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+		ui := su.Data[i*n : (i+1)*n]
+		for j := i; j < n; j++ {
+			uj := su.Data[j*n : (j+1)*n]
 			sum := 0.0
-			for k := 0; k < n; k++ {
-				if sw[k] <= 1e-12 {
-					panic("linalg: overlap matrix is singular")
-				}
-				sum += su.At(i, k) * su.At(j, k) / math.Sqrt(sw[k])
+			for k, isk := range sw {
+				sum += ui[k] * uj[k] * isk
 			}
 			x.Set(i, j, sum)
+			x.Set(j, i, sum)
 		}
 	}
-	fp := MatMul(MatMul(x.T(), f), x)
-	w, cp := EigenSym(fp)
+	return x
+}
+
+// SolveOrtho solves the generalized symmetric eigenproblem F C = S C e by
+// symmetric (Löwdin) orthogonalization, given X = InvSqrtSym(S): it
+// diagonalizes X F X and returns the eigenvalues and C = X C'. The SCF
+// application builds X once per system, since its basis, and so S, is
+// fixed.
+func SolveOrtho(f, x *Mat) (w []float64, c *Mat) {
+	w, cp := EigenSym(MatMul(MatMul(x, f), x))
 	return w, MatMul(x, cp)
 }

@@ -143,7 +143,7 @@ func (l *scfLoop) step(g *linalg.Mat) (energy float64, converged bool) {
 		}
 	}
 
-	_, c := linalg.SolveSymOrtho(fUse, sys.S)
+	_, c := linalg.SolveOrtho(fUse, sys.X)
 	dNew := sys.Density(c)
 	if len(l.fHist) < 2 && l.opts.damping > 0 {
 		// Before DIIS has a usable history, damp to avoid early cycling.
@@ -198,7 +198,7 @@ func (l *scfLoop) diisExtrapolate() *linalg.Mat {
 
 // initialDensity is the core-Hamiltonian guess: solve H C = S C e.
 func (sys *System) initialDensity() *linalg.Mat {
-	_, c := linalg.SolveSymOrtho(sys.H, sys.S)
+	_, c := linalg.SolveOrtho(sys.H, sys.X)
 	return sys.Density(c)
 }
 

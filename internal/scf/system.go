@@ -58,7 +58,8 @@ func (c SystemConfig) withDefaults() SystemConfig {
 }
 
 // System holds the precomputed, replicated parts of the synthetic system:
-// geometry, overlap, core Hamiltonian, and block-level Schwarz bounds.
+// geometry, overlap and its inverse square root, core Hamiltonian, and
+// block-level Schwarz bounds.
 // Everything here is a deterministic function of the config, so every
 // process builds an identical copy (as the paper's SCF does for its
 // one-electron data), while the density and Fock matrices live in Global
@@ -73,6 +74,7 @@ type System struct {
 	Zeta  []float64 // per-center diagonal disorder (site energies)
 
 	S    *linalg.Mat // overlap
+	X    *linalg.Mat // S^(-1/2), the orthogonalizer of every eigensolve
 	H    *linalg.Mat // core Hamiltonian
 	Enuc float64
 
@@ -120,6 +122,7 @@ func NewSystem(cfg SystemConfig) *System {
 			sys.S.Set(j, i, v)
 		}
 	}
+	sys.X = linalg.InvSqrtSym(sys.S)
 
 	// Core Hamiltonian: attractive diagonal (with per-site disorder, which
 	// keeps the spectrum gapped and the SCF iteration well conditioned)
