@@ -17,7 +17,7 @@ race:
 	$(GO) test -race -short ./...
 
 # sciotolint enforces the PGAS and split-queue invariants (see DESIGN.md)
-# with all eleven analyzers, per-package and whole-program. It exits 2 on
+# with all eight analyzers, per-package and whole-program. It exits 2 on
 # findings, so this target fails the build when the tree violates an
 # invariant without a justified //lint:ignore. Findings are also written
 # as a JSON array to sciotolint-findings.json (always, even when empty),

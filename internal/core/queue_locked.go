@@ -15,8 +15,8 @@ import (
 
 // locked notes that this rank now holds rank proc's queue lock, asked for
 // at t0, and returns the start of the hold for unlocked. Both follow the
-// literal Lock/Unlock call at every site (the lockbalance lint is
-// intraprocedural).
+// literal Lock/Unlock call at every site; TestLockedQueueReleasesOnEveryPath
+// checks that every exit of every critical section drops the lock.
 func (q *taskQueue) locked(t0 time.Duration, proc int) time.Duration {
 	q.heldLock = proc
 	return q.obs.lockWait(t0, proc)

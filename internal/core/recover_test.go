@@ -201,7 +201,12 @@ func TestRecoveryLockedQueueDSim(t *testing.T) {
 		{"survivor unwound inside a steal", 380, -1, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			w := faulty.Wrap(dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3, Survivable: true, Latency: 2 * time.Microsecond}),
+			// The run ends near 2 ms of virtual time. A queue lock that
+			// recovery fails to drop leaves its next acquirer backing off
+			// through virtual time forever; the bound turns that into an
+			// error instead of go test's timeout.
+			w := faulty.Wrap(dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3, Survivable: true, Latency: 2 * time.Microsecond,
+				MaxVirtualTime: 100 * time.Millisecond}),
 				faulty.Config{Seed: 42, CrashRank: 2, CrashAfterOps: c.crashAfter})
 			var ran, unwound int
 			var out recoveryOutcome

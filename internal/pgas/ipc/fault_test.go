@@ -143,7 +143,7 @@ func TestSurvivableBarrierSIGKILLMidWait(t *testing.T) {
 				time.Sleep(150 * time.Millisecond)
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			}()
-			//lint:ignore collective the dying rank arrives alone by design: it is SIGKILLed mid-wait, and the survivors complete the round over the live membership
+			//lint:ignore collcongruence the dying rank arrives alone by design: it is SIGKILLed mid-wait, and the survivors complete the round over the live membership
 			p.Barrier() // never returns
 			panic("rank survived its own SIGKILL")
 		}

@@ -51,9 +51,13 @@ func TestRanksAreSeparateProcesses(t *testing.T) {
 }
 
 func TestConformance(t *testing.T) {
-	pgastest.RunConformanceOptions(t, factory, pgastest.Options{MultiProcess: true, Survivable: func(n int) pgas.World {
-		return ipc.NewWorld(ipc.Config{NProcs: n, Seed: 1, Survivable: true})
-	}})
+	pgastest.RunConformanceOptions(t, factory, pgastest.Options{
+		MultiProcess: true,
+		RankProcess:  os.Getenv("SCIOTO_IPC_RANK") != "",
+		Survivable: func(n int) pgas.World {
+			return ipc.NewWorld(ipc.Config{NProcs: n, Seed: 1, Survivable: true})
+		},
+	})
 }
 
 func TestEdgeCases(t *testing.T) {

@@ -52,7 +52,10 @@ func TestRanksAreSeparateProcesses(t *testing.T) {
 }
 
 func TestConformance(t *testing.T) {
-	pgastest.RunConformanceOptions(t, factory, pgastest.Options{MultiProcess: true})
+	pgastest.RunConformanceOptions(t, factory, pgastest.Options{
+		MultiProcess: true,
+		RankProcess:  os.Getenv("SCIOTO_TCP_RANK") != "",
+	})
 }
 
 func TestEdgeCases(t *testing.T) {

@@ -28,10 +28,8 @@ import (
 )
 
 // An Analyzer describes one static check. Exactly one of Run and
-// RunProgram is set: Run analyzers see one package at a time (and work in
-// both the standalone and `go vet -vettool` drivers), RunProgram analyzers
-// see the whole type-checked program with its call graph and only run in
-// the standalone driver, which is the one CI uses repo-wide.
+// RunProgram is set: Run analyzers see one package at a time, RunProgram
+// analyzers see the whole type-checked program with its call graph.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //lint:ignore
 	// directives. It must be a valid Go identifier.
@@ -45,7 +43,7 @@ type Analyzer struct {
 
 	// RunProgram applies the analyzer to the whole loaded program at once.
 	// Analyzers that propagate facts through calls (collective congruence,
-	// lock ordering) implement this instead of Run.
+	// registration determinism) implement this instead of Run.
 	RunProgram func(*ProgramPass) error
 }
 

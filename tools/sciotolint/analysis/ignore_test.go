@@ -17,7 +17,7 @@ func a() {
 }
 
 func b() {
-	y := 2 //lint:ignore lockbalance,collective trailing directive covers its own line
+	y := 2 //lint:ignore nbcomplete,collcongruence trailing directive covers its own line
 	_ = y
 }
 
@@ -47,15 +47,15 @@ func TestIgnoreDirectives(t *testing.T) {
 	ig := BuildIgnores(fset, []*ast.File{f})
 
 	relaxed := &Analyzer{Name: "relaxedword"}
-	lockbal := &Analyzer{Name: "lockbalance"}
-	coll := &Analyzer{Name: "collective"}
+	nbcomp := &Analyzer{Name: "nbcomplete"}
+	coll := &Analyzer{Name: "collcongruence"}
 
 	// Directive on line 4 suppresses relaxedword on line 5 but not other
 	// analyzers and not other lines.
 	if !ig.Suppressed(fset, Diagnostic{Pos: posOn(fset, 5), Analyzer: relaxed}) {
 		t.Error("directive above the line did not suppress relaxedword")
 	}
-	if ig.Suppressed(fset, Diagnostic{Pos: posOn(fset, 5), Analyzer: lockbal}) {
+	if ig.Suppressed(fset, Diagnostic{Pos: posOn(fset, 5), Analyzer: nbcomp}) {
 		t.Error("directive suppressed an analyzer it does not name")
 	}
 	if ig.Suppressed(fset, Diagnostic{Pos: posOn(fset, 6), Analyzer: relaxed}) {
@@ -64,8 +64,8 @@ func TestIgnoreDirectives(t *testing.T) {
 
 	// Trailing directive on line 10 suppresses both named analyzers on its
 	// own line.
-	if !ig.Suppressed(fset, Diagnostic{Pos: posOn(fset, 10), Analyzer: lockbal}) {
-		t.Error("trailing directive did not suppress lockbalance")
+	if !ig.Suppressed(fset, Diagnostic{Pos: posOn(fset, 10), Analyzer: nbcomp}) {
+		t.Error("trailing directive did not suppress nbcomplete")
 	}
 	if !ig.Suppressed(fset, Diagnostic{Pos: posOn(fset, 10), Analyzer: coll}) {
 		t.Error("trailing directive did not suppress second named analyzer")
@@ -109,7 +109,7 @@ func TestStaleDirectives(t *testing.T) {
 		t.Fatalf("Stale() = %v, want exactly the unused directive on line 10", stale)
 	}
 	if stale[0].Line != 10 || !strings.Contains(stale[0].Message, "stale") ||
-		!strings.Contains(stale[0].Message, "collective,lockbalance") {
-		t.Errorf("Stale()[0] = %+v, want a stale report naming collective,lockbalance on line 10", stale[0])
+		!strings.Contains(stale[0].Message, "collcongruence,nbcomplete") {
+		t.Errorf("Stale()[0] = %+v, want a stale report naming collcongruence,nbcomplete on line 10", stale[0])
 	}
 }

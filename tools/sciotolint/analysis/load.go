@@ -17,8 +17,7 @@ import (
 	"strings"
 )
 
-// Package loading for the standalone (`go run ./tools/sciotolint ./...`)
-// driver.
+// Package loading for sciotolint (`go run ./tools/sciotolint ./...`).
 //
 // Instead of go/packages (unavailable here), the loader shells out to
 //
@@ -49,9 +48,8 @@ type Package struct {
 }
 
 // BuildInfo carries the compile-unit inputs of one package: its sources
-// and the export-data locations of its dependency closure, in the shape
-// both `go list -export -deps` (standalone driver) and the vet config
-// (unitchecker driver) provide.
+// and the export-data locations of its dependency closure, as
+// `go list -export -deps` reports them.
 type BuildInfo struct {
 	Dir         string
 	SrcFiles    []string          // absolute paths of the unit's Go files

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // Whole-program view for interprocedural analyzers.
@@ -16,7 +17,9 @@ import (
 // `(*scioto/internal/core.taskQueue).steal` — which is identical whether
 // the object came from type-checking the defining package's source or
 // from a dependency's export data, so call edges resolve across package
-// boundaries without a facts protocol.
+// boundaries without a facts protocol. A test variant type-checks under
+// go list's `p [p.test]` path; funcKey drops that suffix, so the variant's
+// functions take the keys every importer of p resolves calls to.
 //
 // Function literals are separate nodes: a closure's body is analyzed as
 // its own (anonymous) function, and its calls do not contribute to the
@@ -31,7 +34,7 @@ import (
 // or a function literal.
 type Func struct {
 	// Key is the function's unique name in the Program. For declared
-	// functions it is types.Func.FullName; literals get a synthetic
+	// functions it is funcKey's; literals get a synthetic
 	// "pkg.$file:line:col" key.
 	Key  string
 	Decl *ast.FuncDecl // nil for literals
@@ -93,8 +96,8 @@ type Program struct {
 }
 
 // NewProgram builds the function table and call graph over pkgs. The
-// packages must share one FileSet (as Load guarantees). Test variants
-// should be excluded by the caller: they re-declare the base package's
+// packages must share one FileSet (as Load guarantees). A package and its
+// in-package test variant must not both be given: they declare the same
 // functions under the same keys.
 func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
@@ -119,9 +122,8 @@ func NewProgram(pkgs []*Package) *Program {
 					if obj == nil {
 						return true
 					}
-					prog.Funcs[obj.FullName()] = &Func{
-						Key: obj.FullName(), Decl: n, Pkg: pkg, Obj: obj,
-					}
+					key := funcKey(obj)
+					prog.Funcs[key] = &Func{Key: key, Decl: n, Pkg: pkg, Obj: obj}
 				case *ast.FuncLit:
 					posn := pkg.Fset.Position(n.Pos())
 					key := fmt.Sprintf("%s.$%s:%d:%d", pkg.Types.Path(), posn.Filename, posn.Line, posn.Column)
@@ -166,16 +168,27 @@ func (prog *Program) ResolveCall(pkg *Package, call *ast.CallExpr) *Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return prog.Funcs[fn.FullName()]
+			return prog.Funcs[funcKey(fn)]
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return prog.Funcs[fn.FullName()]
+			return prog.Funcs[funcKey(fn)]
 		}
 	case *ast.FuncLit:
 		return prog.byLit[fun] // immediately invoked literal
 	}
 	return nil
+}
+
+// funcKey is fn's full name without a test variant's ` [p.test]` suffix.
+func funcKey(fn *types.Func) string {
+	key := fn.FullName()
+	if i := strings.Index(key, " ["); i >= 0 {
+		if j := strings.Index(key[i:], "]"); j >= 0 {
+			key = key[:i] + key[i+j+1:]
+		}
+	}
+	return key
 }
 
 // FuncForLit returns the Func node of a literal encountered while walking
@@ -222,46 +235,6 @@ func (prog *Program) FixpointBool(base func(*Func) bool) map[*Func]bool {
 		}
 	}
 	return marked
-}
-
-// FixpointSet computes the least fixpoint of a set-valued forward
-// property: each function's set is seeded by base and absorbs the sets of
-// every statically resolved callee. This is the shape of "locks
-// (transitively) acquired by a call to this function".
-func (prog *Program) FixpointSet(base func(*Func) []string) map[*Func]map[string]bool {
-	sets := make(map[*Func]map[string]bool, len(prog.Funcs))
-	for _, f := range prog.Funcs {
-		set := make(map[string]bool)
-		for _, v := range base(f) {
-			set[v] = true
-		}
-		sets[f] = set
-	}
-	callers := prog.reverseEdges()
-	work := prog.SortedFuncs()
-	inWork := make(map[*Func]bool, len(work))
-	for _, f := range work {
-		inWork[f] = true
-	}
-	for len(work) > 0 {
-		f := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[f] = false
-		for _, caller := range callers[f] {
-			grew := false
-			for v := range sets[f] {
-				if !sets[caller][v] {
-					sets[caller][v] = true
-					grew = true
-				}
-			}
-			if grew && !inWork[caller] {
-				inWork[caller] = true
-				work = append(work, caller)
-			}
-		}
-	}
-	return sets
 }
 
 // reverseEdges returns, for each function, its static callers.

@@ -6,18 +6,11 @@ import (
 	"strings"
 )
 
-// RunAll is the standalone driver's pipeline: it applies every
-// per-package analyzer to every package, builds the whole-program call
-// graph over the non-test packages and applies the program analyzers,
-// then filters //lint:ignore'd findings through one global directive
-// index, reports malformed and stale directives, dedupes, and sorts by
-// (file, line, col, analyzer) for stable CI diffs.
-//
-// Stale-directive detection only happens here: this is the only driver
-// that runs the complete analyzer suite, so "suppressed nothing" is
-// meaningful. The vet-tool driver (RunAnalyzers via UnitCheck) sees one
-// package at a time without the program analyzers and must not declare a
-// directive stale that a program analyzer would have used.
+// RunAll is sciotolint's pipeline: it applies every per-package analyzer
+// to every package, builds the whole-program call graph and applies the
+// program analyzers, then filters //lint:ignore'd findings through one
+// global directive index, reports malformed and stale directives, dedupes,
+// and sorts by (file, line, col, analyzer) for stable CI diffs.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
@@ -56,17 +49,7 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		}
 	}
 
-	// Whole-program analyzers see the base packages only: a test variant
-	// re-declares every non-test function of its base package under the
-	// same key, which would double the call graph. Test-only code is still
-	// covered by the per-package analyzers above.
-	var base []*Package
-	for _, pkg := range pkgs {
-		if pkg.ForTest == "" {
-			base = append(base, pkg)
-		}
-	}
-	prog := NewProgram(base)
+	prog := NewProgram(programPackages(pkgs))
 	for _, a := range analyzers {
 		if a.RunProgram == nil {
 			continue
@@ -125,59 +108,23 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	return out, nil
 }
 
-// RunAnalyzers applies the per-package analyzers to one package, filters
-// //lint:ignore'd findings, and returns the surviving findings plus any
-// malformed-directive problems, sorted by (file, line, col, analyzer).
-// This is the vet-tool (unitchecker) path; whole-program analyzers and
-// stale-directive detection need RunAll.
-//
-// For test-variant packages (ForTest != "") only findings in _test.go
-// files are kept: the non-test files of the variant are the same sources
-// already analyzed in the base package, and reporting them twice would
-// duplicate every finding.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		a := a
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Build:     pkg.Build,
-			ForTest:   pkg.ForTest != "",
-			Report: func(d Diagnostic) {
-				d.Analyzer = a
-				diags = append(diags, d)
-			},
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: analyzer %s: %v", pkg.ImportPath, a.Name, err)
+// programPackages picks the packages the whole program is built from, so
+// that test code is in the call graph exactly once: a package's in-package
+// test variant ("p [p.test]", its sources plus its _test.go files)
+// replaces the package, and external test packages ("p_test [p.test]")
+// join it.
+func programPackages(pkgs []*Package) []*Package {
+	replaced := make(map[string]bool)
+	for _, pkg := range pkgs {
+		if pkg.ForTest != "" && strings.HasPrefix(pkg.ImportPath, pkg.ForTest+" [") {
+			replaced[pkg.ForTest] = true
 		}
 	}
-
-	ignores := BuildIgnores(pkg.Fset, pkg.Files)
-	var out []Finding
-	seen := make(map[Finding]bool)
-	for _, d := range diags {
-		if ignores.Suppressed(pkg.Fset, d) {
-			continue
-		}
-		posn := pkg.Fset.Position(d.Pos)
-		if pkg.ForTest != "" && !strings.HasSuffix(posn.Filename, "_test.go") {
-			continue
-		}
-		f := findingAt(pkg.Fset, d.Pos, d.Analyzer.Name, d.Message)
-		if !seen[f] {
-			seen[f] = true
-			out = append(out, f)
+	var out []*Package
+	for _, pkg := range pkgs {
+		if !replaced[pkg.ImportPath] {
+			out = append(out, pkg)
 		}
 	}
-	out = append(out, ignores.Problems(pkg.Fset)...)
-	SortFindings(out)
-	return out, nil
+	return out
 }

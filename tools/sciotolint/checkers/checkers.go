@@ -1,10 +1,10 @@
-// Package checkers implements sciotolint's eleven analyzers. Each one
+// Package checkers implements sciotolint's eight analyzers. Each one
 // machine-checks an invariant of the Scioto runtime's PGAS programming
 // model that is otherwise enforced only by comments (see the Proc contract
 // in internal/pgas/pgas.go and the split-queue discipline in
-// internal/core/queue.go). Eight are per-package; three (collcongruence,
-// lockorder, obsdeterminism) are whole-program analyzers over the
-// interprocedural call graph and run only in the standalone driver.
+// internal/core/queue.go). Six are per-package; two (collcongruence,
+// obsdeterminism) are whole-program analyzers over the interprocedural
+// call graph.
 package checkers
 
 import (
@@ -16,16 +16,13 @@ import (
 
 // Analyzers is the full sciotolint suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
-	Collective,
 	RelaxedWord,
-	LockBalance,
 	NbComplete,
 	LocalEscape,
 	ProcEscape,
 	NoAllocGate,
 	JournalAppend,
 	CollCongruence,
-	LockOrder,
 	ObsDeterminism,
 }
 
@@ -78,9 +75,9 @@ func isProcType(t types.Type) bool {
 // given names on a concrete receiver — a transport or interposing wrapper
 // (e.g. pgas/faulty) implementing the Proc contract by delegation. The
 // invariants the checkers enforce bind the interface's consumers, not its
-// implementations: a wrapper's Lock forwarding to inner.Lock is not a
-// leaked acquisition, and a wrapper's Local returning inner.Local(seg) is
-// not an escaping protocol window — the obligation transfers to the
+// implementations: a wrapper's NbGet forwarding to inner.NbGet is not an
+// uncompleted operation, and a wrapper's Local returning inner.Local(seg)
+// is not an escaping protocol window — the obligation transfers to the
 // wrapper's caller, where the same checkers see it.
 func isProcImplMethod(fd *ast.FuncDecl, names ...string) bool {
 	if fd.Recv == nil {
@@ -94,25 +91,9 @@ func isProcImplMethod(fd *ast.FuncDecl, names ...string) bool {
 	return false
 }
 
-// exprKey renders an expression to a canonical string, used to match the
-// (proc, id) arguments of Lock/Unlock pairs.
-func exprKey(e ast.Expr) string { return types.ExprString(e) }
-
-// funcBodies calls f once per function body in the package: every
-// FuncDecl body and every FuncLit body. Analyses that must not leak state
-// across function boundaries iterate with this.
-func funcBodies(files []*ast.File, f func(body *ast.BlockStmt)) {
-	for _, file := range files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					f(n.Body)
-				}
-			case *ast.FuncLit:
-				f(n.Body)
-			}
-			return true
-		})
+func containsNode(outer, inner ast.Node) bool {
+	if outer == nil || inner == nil {
+		return false
 	}
+	return outer.Pos() <= inner.Pos() && inner.End() <= outer.End()
 }

@@ -7,16 +7,8 @@ import (
 	"scioto/tools/sciotolint/checkers"
 )
 
-func TestCollective(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), checkers.Collective, "collective")
-}
-
 func TestRelaxedWord(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), checkers.RelaxedWord, "relaxedword")
-}
-
-func TestLockBalance(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), checkers.LockBalance, "lockbalance")
 }
 
 func TestNbComplete(t *testing.T) {
@@ -41,10 +33,6 @@ func TestJournalAppend(t *testing.T) {
 
 func TestCollCongruence(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), checkers.CollCongruence, "collcongruence")
-}
-
-func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), checkers.LockOrder, "lockorder")
 }
 
 func TestObsDeterminism(t *testing.T) {

@@ -2,21 +2,25 @@ package checkers
 
 import (
 	"go/ast"
-	"go/types"
+	"slices"
 
 	"scioto/tools/sciotolint/analysis"
 )
 
-// CollCongruence is the whole-program form of the SPMD
-// mismatched-collective check.
+// CollCongruence flags collective PGAS calls that only some ranks
+// execute: the SPMD mismatched-collective deadlock.
 //
-// The per-package `collective` analyzer only sees a collective call
-// sitting syntactically under a rank conditional in the same function.
-// Two real bug shapes escape it:
+// AllocData, AllocWords, AllocLock, Barrier and World.Run are collective:
+// every rank must call them, in the same order (pgas.go requires it, and
+// every transport blocks until all ranks arrive). A collective reached
+// under a branch whose condition depends on the process rank is the
+// classic bug — rank 0 enters the barrier, the others never will, and the
+// program silently deadlocks. Besides the collective sitting directly
+// under `if p.Rank() == 0`, two shapes hide the same bug from any
+// one-function view:
 //
 //  1. The collective is buried in a callee: `if me == 0 { drain(p) }`
-//     where drain, three calls down, hits a Barrier. Every rank except 0
-//     skips the barrier and the job deadlocks.
+//     where drain, three calls down, hits a Barrier.
 //  2. The rank value flows into the branching function: `helper(p,
 //     p.Rank())` where helper branches on its parameter around an
 //     AllocWords. Inside helper the condition looks rank-unrelated.
@@ -24,21 +28,24 @@ import (
 // This analyzer computes, over the interprocedural call graph, (a) the
 // set of functions that may execute a collective operation and (b) the
 // flow of rank-derived values through assignments, helper returns, and
-// call arguments. It then flags any call that leads to a collective and
-// is controlled by a rank-derived condition. The `collective` analyzer's
-// balanced-branch exemption is generalized: an if whose two arms execute
-// the same interprocedural sequence of collectives is congruent SPMD and
-// legal, even when the collectives are inside different callees.
-//
-// Calls that the intraprocedural analyzer already reports (a direct
-// collective under a syntactically visible rank condition) are not
-// re-reported here.
+// call arguments. It then flags any collective, or call that leads to
+// one, controlled by a rank-derived condition. An if whose two arms
+// execute the same interprocedural sequence of collectives is congruent
+// SPMD and legal, even when the collectives are inside different callees.
 var CollCongruence = &analysis.Analyzer{
 	Name: "collcongruence",
-	Doc: "flags call chains that reach a collective operation (Barrier/Alloc*/Run) under " +
+	Doc: "flags collective operations (Barrier/Alloc*/Run), or call chains reaching one, under " +
 		"rank-dependent control flow anywhere in the interprocedural call graph " +
-		"(whole-program SPMD divergence deadlock)",
+		"(SPMD mismatched-collective deadlock)",
 	RunProgram: runCollCongruence,
+}
+
+var collectiveMethods = map[string]bool{
+	"AllocData":  true,
+	"AllocWords": true,
+	"AllocLock":  true,
+	"Barrier":    true,
+	"Run":        true, // pgas.World.Run
 }
 
 func runCollCongruence(pass *analysis.ProgramPass) error {
@@ -93,9 +100,6 @@ func directCollectives(f *analysis.Func) []string {
 // checkFunc walks one function body with the enclosing-node stack and
 // reports rank-conditional collective-reaching calls.
 func (c *ccChecker) checkFunc(f *analysis.Func) {
-	info := f.Pkg.Info
-	intraVars := rankDerivedVars(info, f.Body())
-
 	var stack []ast.Node
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
@@ -108,82 +112,42 @@ func (c *ccChecker) checkFunc(f *analysis.Func) {
 		}
 		stack = append(stack, n)
 		if call, ok := n.(*ast.CallExpr); ok {
-			c.checkCall(f, intraVars, call, stack)
+			c.checkCall(f, call, stack)
 		}
 		return true
 	}
 	ast.Inspect(f.Body(), visit)
 }
 
-func (c *ccChecker) checkCall(f *analysis.Func, intraVars map[types.Object]bool, call *ast.CallExpr, stack []ast.Node) {
-	info := f.Pkg.Info
-	if name, ok := pgasMethod(info, call); ok && collectiveMethods[name] {
-		// The per-package `collective` analyzer already reports this call
-		// when the rank condition is syntactically visible in this
-		// function; only report here when the rank-ness arrives through
-		// interprocedural data flow.
-		if enclosingRankCond(info, intraVars, stack) != nil {
-			return
-		}
-		if cond := c.enclosingRankCondInter(f, stack); cond != nil {
-			c.pass.Reportf(call.Pos(),
-				"collective %s call is conditional on a rank-derived value that flows in "+
-					"through calls or returns; ranks not taking this branch never reach it "+
-					"and all ranks deadlock", name)
-		}
-		return
-	}
+func (c *ccChecker) checkCall(f *analysis.Func, call *ast.CallExpr, stack []ast.Node) {
+	name, direct := pgasMethod(f.Pkg.Info, call)
+	direct = direct && collectiveMethods[name]
 	callee := c.prog.ResolveCall(f.Pkg, call)
-	if callee == nil || !c.reaches[callee] {
+	if !direct && (callee == nil || !c.reaches[callee]) {
 		return
 	}
-	if cond := c.enclosingRankCondInter(f, stack); cond != nil {
-		c.pass.Reportf(call.Pos(),
-			"call to %s, which transitively executes collective operations, is conditional "+
-				"on the process rank; ranks not taking this branch never reach the collective "+
-				"and all ranks deadlock", callee)
-	}
-}
-
-// enclosingRankCondInter is enclosingRankCond with both halves widened to
-// whole-program knowledge: conditions are rank-dependent when any
-// rank-derived value (including callee returns and tainted parameters)
-// appears in them, and an if is balanced when its arms execute the same
-// interprocedural sequence of collectives.
-func (c *ccChecker) enclosingRankCondInter(f *analysis.Func, stack []ast.Node) ast.Expr {
 	rank := func(e ast.Expr) bool { return c.taint.rankExpr(c.prog, f, e) }
-	for i := len(stack) - 2; i >= 0; i-- {
-		inner := stack[i+1]
-		switch n := stack[i].(type) {
-		case *ast.IfStmt:
-			if (containsNode(n.Body, inner) || containsNode(n.Else, inner)) &&
-				rank(n.Cond) && !c.branchBalancedInter(f, n) {
-				return n.Cond
-			}
-		case *ast.ForStmt:
-			if n.Cond != nil && containsNode(n.Body, inner) && rank(n.Cond) {
-				return n.Cond
-			}
-		case *ast.SwitchStmt:
-			if n.Tag != nil && containsNode(n.Body, inner) && rank(n.Tag) {
-				return n.Tag
-			}
-		case *ast.CaseClause:
-			for _, e := range n.List {
-				if rank(e) && containsStmts(n.Body, inner) {
-					return e
-				}
-			}
-		}
+	balanced := func(n *ast.IfStmt) bool { return c.branchBalanced(f, n) }
+	if enclosingRankCond(stack, rank, balanced) == nil {
+		return
 	}
-	return nil
+	if direct {
+		c.pass.Reportf(call.Pos(),
+			"collective %s call is conditional on the process rank; "+
+				"ranks not taking this branch never reach it and all ranks deadlock", name)
+		return
+	}
+	c.pass.Reportf(call.Pos(),
+		"call to %s, which transitively executes collective operations, is conditional "+
+			"on the process rank; ranks not taking this branch never reach the collective "+
+			"and all ranks deadlock", callee)
 }
 
-// branchBalancedInter reports whether a rank-conditional if is congruent
+// branchBalanced reports whether a rank-conditional if is congruent
 // because both arms execute the same interprocedural sequence of
 // collectives — `if me == 0 { flushAndBarrier(p) } else { p.Barrier() }`
 // is legal SPMD when flushAndBarrier ends in exactly one Barrier.
-func (c *ccChecker) branchBalancedInter(f *analysis.Func, n *ast.IfStmt) bool {
+func (c *ccChecker) branchBalanced(f *analysis.Func, n *ast.IfStmt) bool {
 	if n.Else == nil {
 		// No else arm: balanced only if the then arm provably executes no
 		// collectives at all (then the condition guards nothing we care
@@ -192,19 +156,7 @@ func (c *ccChecker) branchBalancedInter(f *analysis.Func, n *ast.IfStmt) bool {
 	}
 	thenSeq, ok1 := c.nodeSeq(f, n.Body)
 	elseSeq, ok2 := c.nodeSeq(f, n.Else)
-	return ok1 && ok2 && equalSeq(thenSeq, elseSeq)
-}
-
-func equalSeq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return ok1 && ok2 && slices.Equal(thenSeq, elseSeq)
 }
 
 // funcSeq returns the interprocedural collective sequence a call to f
@@ -257,12 +209,9 @@ func (c *ccChecker) nodeSeq(f *analysis.Func, n ast.Node) (seq []string, ok bool
 			if n.Else != nil {
 				elseSeq, o2 = c.nodeSeq(f, n.Else)
 			}
-			switch {
-			case o1 && o2 && equalSeq(thenSeq, elseSeq):
+			if o1 && o2 && slices.Equal(thenSeq, elseSeq) {
 				add(thenSeq, true)
-			case o1 && o2 && len(thenSeq) == 0 && len(elseSeq) == 0:
-				// no collectives either way
-			default:
+			} else {
 				ok = false
 			}
 			return false

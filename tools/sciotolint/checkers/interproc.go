@@ -9,9 +9,8 @@ import (
 
 // Shared interprocedural machinery for the whole-program analyzers:
 // rank-value taint tracking through assignments, helper returns, and call
-// arguments. The per-package `collective` analyzer sees only `p.Rank()`
-// and variables assigned from it inside one function; the taint engine
-// here additionally follows rank values across calls — `me := rankOf(p)`
+// arguments, and the walk that finds the rank condition a node sits
+// under. The taint follows rank values across calls — `me := rankOf(p)`
 // and `helper(p, p.Rank())` both taint the places the rank lands — which
 // is what turns the SPMD-divergence check into a whole-program property.
 
@@ -175,6 +174,49 @@ func useOrDef(info *types.Info, id *ast.Ident) types.Object {
 		return obj
 	}
 	return info.Uses[id]
+}
+
+// enclosingRankCond walks the enclosing-node stack (innermost last) and
+// returns the first controlling condition that rank reports
+// rank-dependent, or nil. A node guards the innermost one only if it sits
+// in the controlled body, not in the condition or init clause itself. An
+// if is skipped when balanced (nil: never) says its arms are congruent.
+func enclosingRankCond(stack []ast.Node, rank func(ast.Expr) bool, balanced func(*ast.IfStmt) bool) ast.Expr {
+	for i := len(stack) - 2; i >= 0; i-- {
+		inner := stack[i+1]
+		switch n := stack[i].(type) {
+		case *ast.IfStmt:
+			if (containsNode(n.Body, inner) || containsNode(n.Else, inner)) &&
+				rank(n.Cond) && (balanced == nil || !balanced(n)) {
+				return n.Cond
+			}
+		case *ast.ForStmt:
+			if n.Cond != nil && containsNode(n.Body, inner) && rank(n.Cond) {
+				return n.Cond
+			}
+		case *ast.SwitchStmt:
+			if n.Tag != nil && containsNode(n.Body, inner) && rank(n.Tag) {
+				return n.Tag
+			}
+		case *ast.CaseClause:
+			// switch with no tag: `switch { case p.Rank() == 0: ... }`
+			for _, e := range n.List {
+				if rank(e) && containsStmts(n.Body, inner) {
+					return e
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func containsStmts(list []ast.Stmt, inner ast.Node) bool {
+	for _, s := range list {
+		if containsNode(s, inner) {
+			return true
+		}
+	}
+	return false
 }
 
 // enclosingMapRange walks the enclosing-node stack (innermost last) and

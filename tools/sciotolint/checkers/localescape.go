@@ -101,7 +101,7 @@ func localEscapeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 				switch lhs := p.Lhs[i].(type) {
 				case *ast.SelectorExpr:
 					pass.Reportf(call.Pos(),
-						"Local slice stored in field %s outlives its protocol window", exprKey(lhs))
+						"Local slice stored in field %s outlives its protocol window", types.ExprString(lhs))
 				case *ast.Ident:
 					if obj := info.Uses[lhs]; obj != nil && obj.Parent() == pass.Pkg.Scope() {
 						pass.Reportf(call.Pos(),

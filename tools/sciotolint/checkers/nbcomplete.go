@@ -345,3 +345,12 @@ func (c *nbChecker) obj(id *ast.Ident) types.Object {
 	}
 	return c.pass.TypesInfo.Uses[id]
 }
+
+func isPanic(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == "panic"
+}

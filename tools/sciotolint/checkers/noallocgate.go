@@ -40,8 +40,7 @@ import (
 // //lint:ignore.
 //
 // The analyzer needs the package's compile unit (sources + dependency
-// export data); it runs in both the standalone and vet-tool drivers, and
-// silently skips packages where the driver cannot supply one (test
+// export data); it silently skips packages that come without one (test
 // fixtures without BuildInfo) and test variants (the unit would be
 // compiled twice).
 var NoAllocGate = &analysis.Analyzer{

@@ -198,7 +198,10 @@ func (c *obsChecker) checkFunc(f *analysis.Func) {
 					"registration order and schema hash differ across ranks and runs, "+
 					"breaking the cross-rank merge", what)
 		}
-		if cond := c.enclosingTaintCond(f, stack); cond != nil {
+		// No balanced-branch exemption: registration order matters, so
+		// even arms registering "equally" are suspect.
+		rank := func(e ast.Expr) bool { return c.taint.rankExpr(c.prog, f, e) }
+		if cond := enclosingRankCond(stack, rank, nil); cond != nil {
 			c.pass.Reportf(call.Pos(),
 				"%s is conditional on the process rank: ranks register different "+
 					"instruments and the schema-hashed merge rejects their snapshots", what)
@@ -212,37 +215,6 @@ func (c *obsChecker) checkFunc(f *analysis.Func) {
 		return true
 	}
 	ast.Inspect(f.Body(), visit)
-}
-
-// enclosingTaintCond is enclosingRankCond driven by the interprocedural
-// rank taint, with no balanced-branch exemption: registration order
-// matters, so even arms registering "equally" are suspect.
-func (c *obsChecker) enclosingTaintCond(f *analysis.Func, stack []ast.Node) ast.Expr {
-	rank := func(e ast.Expr) bool { return c.taint.rankExpr(c.prog, f, e) }
-	for i := len(stack) - 2; i >= 0; i-- {
-		inner := stack[i+1]
-		switch n := stack[i].(type) {
-		case *ast.IfStmt:
-			if (containsNode(n.Body, inner) || containsNode(n.Else, inner)) && rank(n.Cond) {
-				return n.Cond
-			}
-		case *ast.ForStmt:
-			if n.Cond != nil && containsNode(n.Body, inner) && rank(n.Cond) {
-				return n.Cond
-			}
-		case *ast.SwitchStmt:
-			if n.Tag != nil && containsNode(n.Body, inner) && rank(n.Tag) {
-				return n.Tag
-			}
-		case *ast.CaseClause:
-			for _, e := range n.List {
-				if rank(e) && containsStmts(n.Body, inner) {
-					return e
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // exprUsesParams reports whether e references any of the given parameter

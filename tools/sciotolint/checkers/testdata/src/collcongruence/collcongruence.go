@@ -1,5 +1,6 @@
 // Fixtures for the collcongruence analyzer: collectives reached under
-// rank-dependent control flow through the interprocedural call graph.
+// rank-dependent control flow through the interprocedural call graph
+// (direct.go, tcp.go and ipc.go hold the one-function shapes).
 package collcongruence
 
 import "pgas"
@@ -18,12 +19,12 @@ func callUnderRankCond(p pgas.Proc) {
 	}
 }
 
-// Positive: the rank arrives through a helper return; the direct
-// collective is invisible to the intraprocedural analyzer.
+// Positive: the rank arrives through a helper return, which no
+// one-function view of the condition could see.
 func taintedLocal(p pgas.Proc) {
 	me := rankOf(p)
 	if me == 0 {
-		p.Barrier() // want `rank-derived value that flows in through calls or returns`
+		p.Barrier() // want `collective Barrier call is conditional on the process rank`
 	}
 }
 
@@ -35,7 +36,7 @@ func passesRank(p pgas.Proc) {
 
 func helper(p pgas.Proc, r int) {
 	if r == 0 {
-		p.AllocWords(1) // want `rank-derived value that flows in through calls or returns`
+		p.AllocWords(1) // want `collective AllocWords call is conditional on the process rank`
 	}
 }
 

@@ -1,16 +1,10 @@
 // Sciotolint enforces the Scioto runtime's PGAS and split-queue invariants
-// that the Go type system cannot express. It bundles ten analyzers; six
+// that the Go type system cannot express. It bundles eight analyzers; six
 // are per-package:
 //
-//	collective  — collective Proc calls (AllocData, AllocWords, AllocLock,
-//	              Barrier, World.Run) reached only under a rank-conditional
-//	              branch: the classic SPMD mismatched-collective deadlock.
 //	relaxedword — RelaxedLoad64/RelaxedStore64 on a metadata word that
 //	              remote processes write (wShared, wBottom, wDirty): relaxed access
 //	              is only legal on owner-private words.
-//	lockbalance — p.Lock(proc, id) with a path out of the function that
-//	              lacks a matching Unlock: PGAS locks are non-reentrant and
-//	              a leaked lock deadlocks the next acquirer.
 //	nbcomplete  — an issued non-blocking op (NbGet, NbPut, NbLoad64,
 //	              NbStore64, NbFetchAdd64) whose handle is never completed
 //	              with Wait or Flush before a return or an Unlock: results
@@ -26,18 +20,18 @@
 //	              hot paths) in which the compiler's escape analysis
 //	              places a heap allocation: the static form of the
 //	              zero-allocs-per-steal gate, naming the exact line.
+//	journalappend — a task-queue insertion that does not record the
+//	              descriptor in the work-replay journal in the same
+//	              function: recovery cannot replay what was never journaled.
 //
-// and three are whole-program, propagating facts through an
-// interprocedural call graph over every package at once:
+// and two are whole-program, propagating facts through an
+// interprocedural call graph over every package, test files included:
 //
-//	collcongruence — a call chain that reaches a collective operation
-//	              under control flow conditioned (possibly through
+//	collcongruence — a collective operation (AllocData, AllocWords,
+//	              AllocLock, Barrier, World.Run), or a call chain reaching
+//	              one, under control flow conditioned (possibly through
 //	              parameters and helper returns) on the process rank: the
-//	              interprocedural form of the SPMD divergence deadlock.
-//	lockorder   — a cycle in the interprocedural PGAS lock-acquisition
-//	              order graph: two ranks acquiring the same lock classes
-//	              in opposite orders deadlock without either function
-//	              being locally wrong.
+//	              SPMD mismatched-collective deadlock.
 //	obsdeterminism — obs instrument registration reached under
 //	              rank-dependent control flow or map iteration: the
 //	              schema-hashed cross-rank Merger requires every rank to
@@ -45,9 +39,8 @@
 //
 // Usage:
 //
-//	go run ./tools/sciotolint ./...            # standalone, all ten analyzers
+//	go run ./tools/sciotolint ./...            # all eight analyzers
 //	go run ./tools/sciotolint -json ./...      # findings as a JSON array on stdout
-//	go vet -vettool=$(which sciotolint) ./...  # as a vet tool (per-package analyzers)
 //
 // Findings are suppressed with a justified staticcheck-style directive on
 // or directly above the offending line:
@@ -69,22 +62,6 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-
-	// go vet tool protocol: `tool -V=full`, `tool -flags`, then
-	// `tool <unit>.cfg` once per package.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V=") {
-		analysis.VersionFlag(args[0])
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]") // no tool flags beyond the protocol
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		findings, err := analysis.UnitCheck(args[0], checkers.Analyzers)
-		exit(findings, "", false, err)
-	}
-
 	fs := flag.NewFlagSet("sciotolint", flag.ExitOnError)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	tests := fs.Bool("tests", true, "also analyze _test.go files")
@@ -94,7 +71,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: sciotolint [flags] [packages]\n")
 		fs.PrintDefaults()
 	}
-	fs.Parse(args)
+	fs.Parse(os.Args[1:])
 
 	if *list {
 		for _, a := range checkers.Analyzers {
@@ -131,14 +108,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	exit(findings, *outFile, *jsonOut, nil)
-}
-
-func exit(findings []analysis.Finding, outFile string, jsonOut bool, err error) {
-	if err != nil {
-		fatal(err)
-	}
-	if jsonOut {
+	if *jsonOut {
 		if err := analysis.WriteJSON(os.Stdout, findings); err != nil {
 			fatal(err)
 		}
@@ -150,7 +120,6 @@ func exit(findings []analysis.Finding, outFile string, jsonOut bool, err error) 
 	if len(findings) > 0 {
 		os.Exit(2)
 	}
-	os.Exit(0)
 }
 
 func fatal(err error) {
