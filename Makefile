@@ -57,14 +57,16 @@ chaos-recovery:
 # scf-tcp round (system set-up, guess, one DIIS step) and of the root
 # package's substrate microbenchmarks (UTS child generation, the dense
 # kernels, the dsim engine's kept and handed-over yields and the
-# uts-dsim64 world launch). A smoke test, not a measurement: it proves
-# they still build and run. The paper's tables and figures are pinned in
+# uts-dsim64 world launch) and of the two multi-process world launches
+# (ipc and tcp: spawn two rank processes, one barrier, reap). A smoke
+# test, not a measurement: it proves they still build and run. The paper's tables and figures are pinned in
 # virtual time by the golden tests of internal/bench, which tier-1 runs.
 # CI runs the same target.
 bench-smoke:
 	$(GO) test -run=NONE -bench='OwnerPath|RemoteSteal' -benchtime=1x ./internal/core/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/scf/
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
+	$(GO) test -run=NONE -bench=Launch -benchtime=1x ./internal/pgas/ipc/ ./internal/pgas/tcp/
 
 # The dsim attribution report must equal BENCH_attrib.json (virtual time:
 # exact equality on any host). Wall-clock performance is judged by the

@@ -37,7 +37,6 @@
 package dsim
 
 import (
-	"container/heap"
 	"fmt"
 	"os"
 	"runtime"
@@ -202,7 +201,7 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 		w.procs[r], w.ready[r] = p, p // equal clocks in rank order: a heap
 		go p.run(body)
 	}
-	heap.Pop(&w.ready).(*proc).resumeCh <- struct{}{}
+	w.ready.pop().resumeCh <- struct{}{}
 	<-w.done
 	if w.cfg.Survivable && w.err == nil && w.fault != nil {
 		// Recovered run: every rank that exited with an error is a
@@ -269,17 +268,43 @@ func less(a, b *proc) bool {
 	return a.clock < b.clock || a.clock == b.clock && a.rank < b.rank
 }
 
-// readyHeap is a container/heap of procs in less order.
+// readyHeap is a binary min-heap of procs in less order. less is total
+// (no two procs share a rank), so its minimum is unique and any correct
+// heap yields the same schedule.
 type readyHeap []*proc
 
-func (h readyHeap) Len() int           { return len(h) }
-func (h readyHeap) Less(i, j int) bool { return less(h[i], h[j]) }
-func (h readyHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)        { *h = append(*h, x.(*proc)) }
-func (h *readyHeap) Pop() any {
-	p := (*h)[len(*h)-1]
-	*h = (*h)[:len(*h)-1]
-	return p
+func (h *readyHeap) push(p *proc) {
+	*h = append(*h, p)
+	q, i := *h, len(*h)-1
+	for ; i > 0 && less(p, q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i] = q[(i-1)/2]
+	}
+	q[i] = p
+}
+
+func (h *readyHeap) pop() *proc {
+	q := *h
+	top, last := q[0], q[len(q)-1]
+	if *h = q[:len(q)-1]; len(*h) > 0 {
+		h.replaceTop(last)
+	}
+	return top
+}
+
+// replaceTop puts p in place of the minimum and sifts it down.
+func (h readyHeap) replaceTop(p *proc) {
+	i := 0
+	for c := 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && less(h[c+1], h[c]) {
+			c++
+		}
+		if !less(h[c], p) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = p
 }
 
 // dispatch picks who holds the token after p yields or finishes: p itself
@@ -291,8 +316,7 @@ func (w *world) dispatch(p *proc) *proc {
 			return p
 		}
 		next := w.ready[0]
-		w.ready[0] = p
-		heap.Fix(&w.ready, 0)
+		w.ready.replaceTop(p)
 		return next
 	}
 	if len(w.ready) == 0 {
@@ -311,13 +335,13 @@ func (w *world) dispatch(p *proc) *proc {
 			}
 		}
 	}
-	return heap.Pop(&w.ready).(*proc)
+	return w.ready.pop()
 }
 
 // wake makes a waiting proc runnable.
 func (w *world) wake(p *proc) {
 	p.state = stateRunnable
-	heap.Push(&w.ready, p)
+	w.ready.push(p)
 }
 
 // registerDeath records a rank death in survivable mode: a fresh death

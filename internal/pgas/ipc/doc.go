@@ -1,7 +1,7 @@
 // Package ipc implements the pgas interface with zero-copy shared memory
-// between real OS processes on one host: the launcher creates one file
-// holding every rank's symmetric heap plus a control region, every rank
-// process maps it MAP_SHARED, and from then on Get/Put are plain copy()
+// between real OS processes on one host: the launcher creates one memory
+// file holding every rank's symmetric heap plus a control region, every
+// rank process maps it MAP_SHARED, and from then on Get/Put are plain copy()
 // against the remote rank's heap pages while Load64/Store64/FetchAdd64/
 // CAS64 are hardware atomics on them — no frames, no serialization, and
 // no syscalls on the data path. It fills the rung between shm (ranks as
@@ -14,16 +14,23 @@
 // launcher (package launch, which documents the SCIOTO_IPC_RANK / WORLD /
 // NPROCS handshake, the deterministic world-creation order it requires,
 // exit reports and root-cause selection). ipc's own part: the launcher
-// creates, sizes, maps and stamps the file and passes its path in
-// SCIOTO_IPC_FILE; a child opens and maps it and checks the header against
-// its own configuration. There is no rendezvous: the mapped file exists
-// fully-formed before the first child starts, so a rank may issue
-// one-sided operations against a sibling that has not even finished
-// exec'ing.
+// creates, sizes, maps and stamps the file and hands it to every rank as
+// an inherited descriptor (launch.Spec.ExtraFiles), whose number travels
+// in SCIOTO_IPC_FILE; a child maps that descriptor and checks the header
+// against its own configuration. A rank never opens a path. There is no
+// rendezvous: the mapped file exists fully-formed before the first child
+// starts, so a rank may issue one-sided operations against a sibling that
+// has not even finished exec'ing.
+//
+// No filesystem names the file: on Linux it is memfd_create's anonymous
+// memory, elsewhere a temp file unlinked as soon as it is created. The
+// kernel frees it when the last process holding it is gone, so a world
+// leaves nothing behind however it ends — a SIGKILLed launcher included —
+// and needs no writable directory, nor room in /dev/shm.
 //
 // # Memory layout
 //
-// The shared file is laid out as
+// The file is laid out as
 //
 //	header   | magic, nprocs, arena/ring geometry (sanity-checked on map)
 //	control  | world words: ctl spinlock, faultSeq, liveCount, barrier

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -294,5 +297,81 @@ func TestRecoverRankZeroUnrecoverableOverIPC(t *testing.T) {
 	fe, ok := scioto.AsFault(err)
 	if !ok || fe.Rank != 0 {
 		t.Fatalf("want FaultError naming rank 0 inside ErrUnrecoverable, got %v", err)
+	}
+}
+
+// TestRegionLeavesNothingBehind: the shared region is a file no path
+// names, so a world leaves no file in the temp directory or in /dev/shm,
+// whether it ends cleanly, by a rank's panic, or by a rank SIGKILLed
+// mid-barrier — and each verdict is what it would be anyway. On Linux the
+// region needs no directory at all: a world runs with TMPDIR missing.
+func TestRegionLeavesNothingBehind(t *testing.T) {
+	// Rank processes create the same worlds in the same order; only the
+	// launcher prepares the directory and judges.
+	launcher := !inRankProcess()
+	var dir string
+	var shmBefore []string
+	if launcher {
+		if _, err := os.Stat(os.TempDir()); err == nil { // else TMPDIR is already missing
+			dir = t.TempDir()
+			t.Setenv("TMPDIR", dir)
+		}
+		shmBefore, _ = filepath.Glob("/dev/shm/scioto-ipc-*")
+	}
+	run := func(name string, body func(p pgas.Proc), verdict func(err error) bool) {
+		err := ipc.NewWorld(ipc.Config{NProcs: 2, Seed: 7, Grace: 10 * time.Second}).Run(body)
+		if launcher && !verdict(err) {
+			t.Errorf("%s world: Run = %v", name, err)
+		}
+	}
+
+	run("clean", func(p pgas.Proc) { p.Barrier() }, func(err error) bool { return err == nil })
+	run("panicking", func(p pgas.Proc) {
+		if p.Rank() == 1 {
+			panic("boom")
+		}
+		p.Barrier()
+	}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "rank 1 panicked: boom") })
+	run("SIGKILLed", func(p pgas.Proc) {
+		seg := p.AllocWords(1)
+		p.Barrier()
+		if p.Rank() == 1 {
+			go func() {
+				time.Sleep(100 * time.Millisecond)
+				syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			}()
+		} else {
+			// Stay out of the barrier until the death is registered: the
+			// next operation after that panics the fault.
+			for deadline := time.Now().Add(8 * time.Second); time.Now().Before(deadline); {
+				p.Load64(1, seg, 0)
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		p.Barrier()
+	}, func(err error) bool {
+		fe, ok := pgas.AsFault(err)
+		return ok && fe.Rank == 1
+	})
+	if runtime.GOOS == "linux" {
+		if launcher {
+			t.Setenv("TMPDIR", "/nonexistent")
+		}
+		run("TMPDIR-less", func(p pgas.Proc) { p.Barrier() }, func(err error) bool { return err == nil })
+	}
+	if !launcher {
+		return
+	}
+
+	if dir != "" {
+		if left, _ := os.ReadDir(dir); len(left) > 0 {
+			t.Errorf("temp directory holds %d entries after the worlds, first %q", len(left), left[0].Name())
+		}
+	}
+	shmAfter, _ := filepath.Glob("/dev/shm/scioto-ipc-*")
+	for _, f := range shmAfter {
+		if !slices.Contains(shmBefore, f) {
+			t.Errorf("/dev/shm gained %s", f)
+		}
 	}
 }

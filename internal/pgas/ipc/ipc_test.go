@@ -118,3 +118,14 @@ func TestCapabilitiesThroughWrappers(t *testing.T) {
 		return instr.Wrap(w, obs.NewHub(), instr.Options{})
 	})
 }
+
+// BenchmarkLaunch is one world's set-up and teardown: the shared region
+// created and mapped, two rank processes spawned and joined, one barrier,
+// both reaped.
+func BenchmarkLaunch(b *testing.B) {
+	for range b.N {
+		if err := factory(2).Run(func(p pgas.Proc) { p.Barrier() }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

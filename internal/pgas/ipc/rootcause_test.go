@@ -17,12 +17,13 @@ import (
 // verdict reads the same region. The shared tiers are covered in package
 // launch (TestRootCauseTiers).
 func TestRootCauseFaultRecord(t *testing.T) {
-	g := &region{cfg: Config{NProcs: 3, ArenaBytes: 4096, RingBytes: 256, Dir: t.TempDir()}}
+	spec := &launch.Spec{Transport: "ipc"}
+	g := &region{cfg: Config{NProcs: 3, ArenaBytes: 4096, RingBytes: 256}, s: spec}
 	if _, err := g.open(); err != nil {
 		t.Fatal(err)
 	}
 	defer g.close()
-	spec := &launch.Spec{Transport: "ipc", Blamed: g.registered}
+	spec.Blamed = g.registered
 	exit1 := errors.New("exit status 1")
 	bare := []launch.Report{{Rank: 0, ExitErr: exit1}, {Rank: 2, ExitErr: exit1}}
 

@@ -1,9 +1,9 @@
 package ipc
 
 import (
-	"cmp"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"scioto/internal/pgas"
@@ -44,24 +44,24 @@ type Config struct {
 	// whatever is left (non-survivable worlds only). Zero selects
 	// SCIOTO_IPC_GRACE or the 3s default.
 	Grace time.Duration
-	// Dir is where the shared file is created. Empty selects
-	// SCIOTO_IPC_DIR, then /dev/shm when present, then the default temp
-	// directory.
-	Dir string
 }
 
-// Environment of the ipc world: the shared file's path (the transport's
-// own variable in the launch handshake, see package launch) and the knobs
-// read where the matching Config field is zero.
+// Environment of the ipc world: the descriptor number the ranks inherit
+// the shared region as (the transport's own variable in the launch
+// handshake, see package launch) and the knobs read where the matching
+// Config field is zero.
 const (
 	envFile  = "SCIOTO_IPC_FILE"
 	envArena = "SCIOTO_IPC_ARENA"
 	envRing  = "SCIOTO_IPC_RING"
-	envDir   = "SCIOTO_IPC_DIR"
 )
 
+// childFD is the region's descriptor in a rank process: the first of
+// exec.Cmd.ExtraFiles.
+const childFD = 3
+
 // NewWorld creates an ipc world on the shared self-exec launcher (package
-// launch): in the launching process Run creates the shared file and spawns
+// launch): in the launching process Run creates the shared region and spawns
 // one OS process per rank; in a spawned rank process the matching NewWorld
 // call returns that rank's handle and the others return inert worlds whose
 // Run is a no-op.
@@ -72,7 +72,7 @@ func NewWorld(cfg Config) pgas.World {
 	cfg.ArenaBytes = launch.Bytes("ipc", cfg.ArenaBytes, envArena, 64<<20)
 	cfg.RingBytes = launch.Bytes("ipc", cfg.RingBytes, envRing, 256<<10)
 	g := &region{cfg: cfg}
-	s := &launch.Spec{
+	g.s = &launch.Spec{
 		Transport: "ipc",
 		NProcs:    cfg.NProcs,
 		Grace:     cfg.Grace,
@@ -85,41 +85,34 @@ func NewWorld(cfg Config) pgas.World {
 		Join:      g.join,
 	}
 	if cfg.Survivable {
-		s.Recovered = g.recovered
+		g.s.Recovered = g.recovered
 	}
-	return launch.NewWorld(s)
-}
-
-// mapDir picks the directory for the shared file, preferring a tmpfs so
-// the pages never touch a disk.
-func mapDir(cfg Config) string {
-	shm := "/dev/shm"
-	if fi, err := os.Stat(shm); err != nil || !fi.IsDir() {
-		shm = os.TempDir()
-	}
-	return cmp.Or(cfg.Dir, os.Getenv(envDir), shm)
+	return launch.NewWorld(g.s)
 }
 
 // region carries ipc's steps of the launch. The launching process creates
-// the shared file and maps it too — the control region is where failed
+// the shared region and maps it too — the control region is where failed
 // ranks leave their exit reports and where the launcher registers the
 // deaths of ranks that could not; a rank process only joins.
 type region struct {
 	cfg Config
+	s   *launch.Spec
 	f   *os.File
 	m   *mapping
 }
 
-// open creates the file fully-formed before any child starts: there is no
-// rendezvous, a child maps and goes.
-func (g *region) open() (path string, err error) {
-	g.f, err = os.CreateTemp(mapDir(g.cfg), "scioto-ipc-*")
+// open creates the region fully-formed before any child starts: there is
+// no rendezvous, a child maps the descriptor it inherits and goes. The
+// region is a file no path names (createRegionFile), so nothing outlives
+// the processes that hold it.
+func (g *region) open() (fd string, err error) {
+	g.f, err = createRegionFile()
 	if err != nil {
-		return "", fmt.Errorf("ipc: creating shared file: %v", err)
+		return "", fmt.Errorf("ipc: creating shared region: %v", err)
 	}
 	l := computeLayout(g.cfg.NProcs, g.cfg.ArenaBytes, g.cfg.RingBytes)
 	if err = g.f.Truncate(l.total); err != nil {
-		err = fmt.Errorf("ipc: sizing shared file to %d bytes: %v", l.total, err)
+		err = fmt.Errorf("ipc: sizing shared region to %d bytes: %v", l.total, err)
 	} else {
 		g.m, err = mapFile(g.f, l)
 	}
@@ -129,7 +122,8 @@ func (g *region) open() (path string, err error) {
 	}
 	g.m.writeHeader()
 	g.m.store(l.liveCount, int64(g.cfg.NProcs))
-	return g.f.Name(), nil
+	g.s.ExtraFiles = []*os.File{g.f}
+	return strconv.Itoa(childFD), nil
 }
 
 func (g *region) close() {
@@ -137,7 +131,6 @@ func (g *region) close() {
 		g.m.unmap()
 	}
 	g.f.Close()
-	os.Remove(g.f.Name())
 }
 
 // killed registers the death of a rank a signal killed — it could not
@@ -173,16 +166,17 @@ func (g *region) recovered(reports []launch.Report) bool {
 	return g.m.load(g.m.l.faultSeq) > 0
 }
 
-// join is the rank-side boot step: map the shared file, check it is the
-// world this process was configured for, and build the rank's Proc.
-func (g *region) join(rank int, path string) (*launch.Rank, error) {
+// join is the rank-side boot step: map the inherited region, check it is
+// the world this process was configured for, and build the rank's Proc.
+func (g *region) join(rank int, fd string) (*launch.Rank, error) {
 	cfg := g.cfg
-	fw, err := os.OpenFile(path, os.O_RDWR, 0)
+	n, err := strconv.Atoi(fd)
 	if err != nil {
-		return nil, fmt.Errorf("opening shared file: %v", err)
+		return nil, fmt.Errorf("bad %s=%q", envFile, fd)
 	}
-	m, err := mapFile(fw, computeLayout(cfg.NProcs, cfg.ArenaBytes, cfg.RingBytes))
-	fw.Close() // the mapping outlives the descriptor
+	f := os.NewFile(uintptr(n), "scioto-ipc")
+	m, err := mapFile(f, computeLayout(cfg.NProcs, cfg.ArenaBytes, cfg.RingBytes))
+	f.Close() // the mapping outlives the descriptor
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +201,7 @@ func (g *region) join(rank int, path string) (*launch.Rank, error) {
 			}
 		},
 		// Completion barrier: no rank may exit while a sibling still has
-		// operations or messages in flight against its arena — the file
+		// operations or messages in flight against its arena — the region
 		// stays mapped in the survivors, but the program contract is that
 		// Run returns only after every rank finished.
 		Finish: p.Barrier,

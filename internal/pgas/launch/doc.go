@@ -11,13 +11,15 @@
 // NewWorld in the launching ("parent") process records the Spec; World.Run
 // then
 //
-//  1. runs Spec.Open (tcp: the rendezvous listener; ipc: the shared file,
-//     created, sized and mapped),
+//  1. runs Spec.Open (tcp: the rendezvous listener; ipc: the shared memory
+//     file, created, sized and mapped),
 //  2. re-executes the current binary NProcs times with SCIOTO_<T>_RANK (the
 //     child's rank), SCIOTO_<T>_WORLD (the parent's per-transport NewWorld
 //     sequence number), SCIOTO_<T>_NPROCS, and the transport's own
-//     variable (SCIOTO_TCP_ADDR, SCIOTO_IPC_FILE) carrying what Open
-//     returned, <T> being the upper-cased transport name,
+//     variable carrying what Open returned (SCIOTO_TCP_ADDR: the listener's
+//     address; SCIOTO_IPC_FILE: the descriptor number the child inherits
+//     the memory file as, from Spec.ExtraFiles), <T> being the upper-cased
+//     transport name,
 //  3. runs Spec.Boot, if the transport has one, concurrently with
 //  4. waiting for every child to exit, relaying SIGINT/SIGTERM to rank 0
 //     meanwhile, and

@@ -35,9 +35,12 @@ type Spec struct {
 	// ExtraEnv names the one transport-specific handshake variable, whose
 	// value Open produces and Join receives.
 	ExtraEnv string
+	// ExtraFiles, when Open sets it, are inherited by every rank process
+	// as descriptors 3, 4, … in order (exec.Cmd.ExtraFiles).
+	ExtraFiles []*os.File
 
 	// Open creates what the ranks meet through (a rendezvous listener, a
-	// shared file) before any child starts and returns ExtraEnv's value.
+	// shared region) before any child starts and returns ExtraEnv's value.
 	Open func() (extra string, err error)
 	// Close releases what a successful Open created, after every child
 	// has been reaped and any Boot has returned.
@@ -177,6 +180,7 @@ func (w *launcher) Run(func(p pgas.Proc)) error {
 		cmd := exec.Command(exe, args...)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
+		cmd.ExtraFiles = s.ExtraFiles
 		cmd.Env = append(os.Environ(),
 			s.env("RANK")+"="+strconv.Itoa(i),
 			s.env("WORLD")+"="+strconv.FormatInt(w.seq, 10),

@@ -116,3 +116,14 @@ func TestCapabilitiesThroughWrappers(t *testing.T) {
 		return instr.Wrap(w, obs.NewHub(), instr.Options{})
 	})
 }
+
+// BenchmarkLaunch is one world's set-up and teardown: the rendezvous
+// listener, two rank processes spawned and meshed, one barrier, both
+// reaped.
+func BenchmarkLaunch(b *testing.B) {
+	for range b.N {
+		if err := factory(2).Run(func(p pgas.Proc) { p.Barrier() }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
