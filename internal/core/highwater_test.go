@@ -15,14 +15,14 @@ import (
 
 // ownerCounter is a proc that counts what the owner path asks of pgas.Proc
 // besides ordered ops: relaxed stores, Local calls, and the Charges in
-// order with their durations.
+// order with their durations. Like a tracing wrapper that overrides Proc's
+// methods, it has no Unwrap: the runtime must still see its clock as the
+// transport's.
 type ownerCounter struct {
 	pgas.Proc
 	relaxedStores, locals int
 	charges               []time.Duration
 }
-
-func (c *ownerCounter) Unwrap() pgas.Kernel { return c.Proc }
 
 func (c *ownerCounter) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
 	c.relaxedStores++

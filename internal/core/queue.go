@@ -188,7 +188,7 @@ func newTaskQueue(p pgas.Proc, mode QueueMode, slotSize, capacity int) *taskQueu
 	}
 	//lint:ignore localescape Local returns one slice per segment for the life of the world (pgas.Proc.Local); which slots the owner may touch when is the split-queue protocol's to decide, not the slice's lifetime
 	q.ring = p.Local(q.data)
-	_, q.virtual = pgas.Find[pgas.VirtualClock](p)
+	q.virtual = p.Clock().Virtual()
 	return q
 }
 

@@ -193,11 +193,8 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 		}
 	}()
 	for r := range w.procs {
-		speed := 1.0
-		if w.cfg.SpeedFactor != nil {
-			speed = w.cfg.SpeedFactor(r)
-		}
-		p := &proc{w: w, rank: r, speed: speed, resumeCh: make(chan struct{})}
+		p := &proc{w: w, rank: r, resumeCh: make(chan struct{})}
+		p.clk = pgas.NewClock(time.Time{}, &p.clock, w.cfg.Seed, r, w.cfg.SpeedFactor)
 		w.procs[r], w.ready[r] = p, p // equal clocks in rank order: a heap
 		go p.run(body)
 	}

@@ -2,7 +2,6 @@ package dsim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"scioto/internal/pgas"
@@ -13,10 +12,9 @@ import (
 // process's own goroutine, while it holds the scheduler token.
 type proc struct {
 	pgas.Front
-	w     *world
-	rank  int
-	speed float64
-	rng   *rand.Rand // seeded by the first Rand()
+	w    *world
+	rank int
+	clk  pgas.Clock // virtual: Now reads clock, Compute and Charge advance it
 
 	clock time.Duration
 	state procState
@@ -57,8 +55,9 @@ func (p *proc) AttachRecorder(r *trace.Recorder) { p.rec = r }
 
 var _ pgas.Proc = (*proc)(nil)
 
-func (p *proc) Rank() int   { return p.rank }
-func (p *proc) NProcs() int { return p.w.cfg.NProcs }
+func (p *proc) Rank() int          { return p.rank }
+func (p *proc) NProcs() int        { return p.w.cfg.NProcs }
+func (p *proc) Clock() *pgas.Clock { return &p.clk }
 
 // yield returns when this process's clock is the global minimum among
 // runnable processes: at once while it still is (the token stays), and
@@ -426,31 +425,6 @@ func (p *proc) liveRanks() []int {
 		}
 	}
 	return ranks
-}
-
-// --- Time and computation --------------------------------------------------------
-
-func (p *proc) Compute(d time.Duration) {
-	p.advance(time.Duration(float64(d) * p.speed))
-}
-
-func (p *proc) Charge(d time.Duration) {
-	p.advance(time.Duration(float64(d) * p.speed))
-}
-
-func (p *proc) Now() time.Duration { return p.clock }
-
-// VirtualClock (pgas.VirtualClock): a lock waiter's back-off is charged to
-// the clock above and costs no wall-clock time.
-func (p *proc) VirtualClock() {}
-
-// Rand seeds the rank's source on first use, from the same seed as always:
-// a source is a 607-word seeding, and most ranks of a short run never draw.
-func (p *proc) Rand() *rand.Rand {
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.w.cfg.Seed*7919 + int64(p.rank) + 1))
-	}
-	return p.rng
 }
 
 // --- Resilience (survivable mode) --------------------------------------------

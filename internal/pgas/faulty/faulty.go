@@ -31,11 +31,12 @@
 // wrapped Proc lives in a separate OS process.
 //
 // Purely local accessors (Rank, NProcs, Local, RelaxedLoad64,
-// RelaxedStore64, Compute, Charge, Now, Rand), collective allocation and
-// Flush are never faulted: faults model the network, not the local heap.
-// They are not even intercepted — the wrapper embeds the kernel below it
-// and overrides only what it faults, so those calls are the inner
-// kernel's own methods.
+// RelaxedStore64, Clock), collective allocation and Flush are never
+// faulted: faults model the network, not the local heap. They are not even
+// intercepted — the wrapper embeds the kernel below it and overrides only
+// what it faults, so those calls are the inner kernel's own methods. The
+// clock methods (Compute, Charge, Now, Rand) are its Front's, over the
+// inner kernel's Clock, so they see the same clock as the transport.
 package faulty
 
 import (

@@ -128,10 +128,11 @@ const NbPending Nb = 1
 
 // Front is the one implementation of Proc's typed one-sided methods: each
 // fills a scratch Op it owns and passes it, by pointer, to Kernel.Issue.
-// The lock methods (lock.go) are built on CAS64 here too.
+// The lock methods (lock.go) are built on CAS64 here too, and the clock
+// methods (clock.go) on the kernel's Clock.
 // A transport or wrapper embeds a Front in its Kernel type and binds it to
 // itself, which makes that type a Proc whose owner-side accessors (Local,
-// the relaxed words, Now) are still its own methods, one dispatch away.
+// the relaxed words) are still its own methods, one dispatch away.
 // Kernel code must not call the Front methods of its own value from inside
 // Issue: they would overwrite the descriptor being served.
 type Front struct {
@@ -145,15 +146,15 @@ type Front struct {
 	// which finds nothing pending.
 	seq, done uint64
 
-	tag     int64 // this rank's holder tag in a lock cell: rank + 1 (lock.go)
-	virtual bool  // the kernel's clock is virtual: waiting is charged, never slept
+	tag int64  // this rank's holder tag in a lock cell: rank + 1 (lock.go)
+	clk *Clock // the kernel's clock (clock.go)
 }
 
 // Bind points the front at the kernel that embeds it.
 func (f *Front) Bind(k Kernel) {
 	f.k = k
 	f.tag = int64(k.Rank()) + 1
-	_, f.virtual = Find[VirtualClock](k)
+	f.clk = k.Clock()
 }
 
 // set fills the scratch descriptor's addressing fields. The descriptor is

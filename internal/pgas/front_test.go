@@ -2,8 +2,8 @@ package pgas
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +14,9 @@ import (
 // against the Issue they must produce.
 type recKernel struct {
 	Front
+	clk     Clock
+	vt      time.Duration   // clk's time when clk is virtual
+	casAt   []time.Duration // vt at each CAS64 issued
 	log     []string
 	pending bool  // leave non-blocking issues pending
 	word    int64 // what word ops read; a CAS whose Old matches it swaps it
@@ -22,8 +25,13 @@ type recKernel struct {
 	busy int
 }
 
-func newRec() *recKernel {
-	k := &recKernel{}
+// newRec returns a bound recKernel on a wall clock or, when virtual, on a
+// virtual clock that reads and advances k.vt.
+func newRec(virtual bool) *recKernel {
+	k := &recKernel{clk: NewClock(time.Now(), nil, 1, 0, nil)}
+	if virtual {
+		k.clk = NewClock(time.Time{}, &k.vt, 1, 0, nil)
+	}
 	k.Bind(k)
 	return k
 }
@@ -54,6 +62,7 @@ func (k *recKernel) Issue(op *Op) Nb {
 	case OpLoad64, OpFetchAdd64:
 		*op.Out = k.word
 	case OpCAS64:
+		k.casAt = append(k.casAt, k.vt)
 		*op.Out = 0
 		if op.Old == k.word {
 			*op.Out, k.word = 1, op.Val
@@ -69,17 +78,14 @@ func (k *recKernel) Issue(op *Op) Nb {
 	return NbDone
 }
 
-func (k *recKernel) Rank() int               { k.rec("Rank"); return 0 }
-func (k *recKernel) NProcs() int             { k.rec("NProcs"); return 2 }
-func (k *recKernel) Barrier()                { k.rec("Barrier") }
-func (k *recKernel) AllocData(n int) Seg     { k.rec("AllocData %d", n); return 0 }
-func (k *recKernel) AllocWords(n int) Seg    { k.rec("AllocWords %d", n); return 0 }
-func (k *recKernel) Local(seg Seg) []byte    { k.rec("Local %d", seg); return nil }
-func (k *recKernel) Flush()                  { k.rec("Flush") }
-func (k *recKernel) Compute(d time.Duration) { k.rec("Compute %v", d) }
-func (k *recKernel) Charge(d time.Duration)  { k.rec("Charge %v", d) }
-func (k *recKernel) Now() time.Duration      { k.rec("Now"); return 0 }
-func (k *recKernel) Rand() *rand.Rand        { k.rec("Rand"); return nil }
+func (k *recKernel) Rank() int            { k.rec("Rank"); return 0 }
+func (k *recKernel) NProcs() int          { k.rec("NProcs"); return 2 }
+func (k *recKernel) Barrier()             { k.rec("Barrier") }
+func (k *recKernel) AllocData(n int) Seg  { k.rec("AllocData %d", n); return 0 }
+func (k *recKernel) AllocWords(n int) Seg { k.rec("AllocWords %d", n); return 0 }
+func (k *recKernel) Local(seg Seg) []byte { k.rec("Local %d", seg); return nil }
+func (k *recKernel) Flush()               { k.rec("Flush") }
+func (k *recKernel) Clock() *Clock        { k.rec("Clock"); return &k.clk }
 func (k *recKernel) RelaxedLoad64(seg Seg, idx int) int64 {
 	k.rec("RelaxedLoad64 %d %d", seg, idx)
 	return 0
@@ -100,13 +106,14 @@ func (k *recKernel) TryRecv(from int, tag int32) ([]byte, int, bool) {
 }
 
 // TestFrontEquivalence has one row per Proc method: each API call must
-// reach the kernel as exactly one call — for the typed one-sided methods,
-// one Issue with the kind, nb flag, target, segment, offset and byte count
-// the method's own implementation used to act on (an uncontended Lock,
-// TryLock or Unlock is one CAS64 of the lock's cell, 0 being free and
-// rank + 1 the holder, and nothing else), carrying no pointer
-// operand an earlier call supplied (the rows share one front, and every
-// call must leave its descriptor free of pointers). Wrappers count and time
+// reach the kernel as exactly one call — or, for the clock methods Front
+// serves from the Clock it took at Bind, as none — and for the typed
+// one-sided methods as one Issue with the kind, nb flag, target, segment,
+// offset and byte count the method's own implementation used to act on (an
+// uncontended Lock, TryLock or Unlock is one CAS64 of the lock's cell, 0
+// being free and rank + 1 the holder, and nothing else), carrying no
+// pointer operand an earlier call supplied (the rows share one front, and
+// every call must leave its descriptor free of pointers). Wrappers count and time
 // what they see at this level, so these rows are what keeps faulty's
 // seed-determined fault streams and instr's op/scope schema stable.
 func TestFrontEquivalence(t *testing.T) {
@@ -146,16 +153,17 @@ func TestFrontEquivalence(t *testing.T) {
 		{"Send", func(p Proc) { p.Send(1, 7, buf[:3]) }, "Send 1 7 3"},
 		{"Recv", func(p Proc) { p.Recv(AnySource, 7) }, "Recv -1 7"},
 		{"TryRecv", func(p Proc) { p.TryRecv(1, 7) }, "TryRecv 1 7"},
-		{"Compute", func(p Proc) { p.Compute(time.Microsecond) }, "Compute 1µs"},
-		{"Charge", func(p Proc) { p.Charge(time.Microsecond) }, "Charge 1µs"},
-		{"Now", func(p Proc) { p.Now() }, "Now"},
-		{"Rand", func(p Proc) { p.Rand() }, "Rand"},
+		{"Clock", func(p Proc) { p.Clock() }, "Clock"},
+		{"Compute", func(p Proc) { p.Compute(time.Microsecond) }, ""},
+		{"Charge", func(p Proc) { p.Charge(time.Microsecond) }, ""},
+		{"Now", func(p Proc) { p.Now() }, ""},
+		{"Rand", func(p Proc) { p.Rand() }, ""},
 	}
 	methods := reflect.TypeOf((*Proc)(nil)).Elem()
 	if got, want := len(rows), methods.NumMethod()-1; got != want { // Issue is the level checked, not a row
 		t.Errorf("%d rows for %d Proc methods", got, want)
 	}
-	k := newRec()
+	k := newRec(false)
 	k.pending = true
 	for _, row := range rows {
 		k.word = 0
@@ -176,19 +184,23 @@ func TestFrontEquivalence(t *testing.T) {
 			row.name == "Lock" && len(k.log) == 2 && strings.HasSuffix(k.log[1], "val=0 old=1") {
 			k.log = k.log[:1]
 		}
-		if len(k.log) != 1 || k.log[0] != row.want {
-			t.Errorf("%s reached the kernel as %q, want [%q]", row.name, k.log, row.want)
+		var want []string
+		if row.want != "" {
+			want = []string{row.want}
+		}
+		if !slices.Equal(k.log, want) {
+			t.Errorf("%s reached the kernel as %q, want %q", row.name, k.log, want)
 		}
 	}
-	if n := reflect.TypeOf((*Kernel)(nil)).Elem().NumMethod(); n > 25 {
-		t.Errorf("Kernel has %d methods; the SPI cap is 25", n)
+	if n := reflect.TypeOf((*Kernel)(nil)).Elem().NumMethod(); n != 14 {
+		t.Errorf("Kernel has %d methods, want 14", n)
 	}
 }
 
 // TestFrontResults: the typed methods return what the kernel wrote through
 // Out, and handles number only the issues a kernel left pending.
 func TestFrontResults(t *testing.T) {
-	k := newRec()
+	k := newRec(false)
 	k.word = 41
 	if got := k.Load64(1, 0, 0); got != 41 {
 		t.Errorf("Load64 = %d, want 41", got)
@@ -224,31 +236,39 @@ func TestFrontResults(t *testing.T) {
 
 // TestLockContended: a Lock that finds the lock held retries its CAS64,
 // charging dsim's back-off between attempts — 1 µs doubling to 16 µs — and
-// nothing else reaches the kernel; on a virtual clock it also spends no
-// wall-clock time waiting. Unlock of a lock the caller does not hold
-// panics, and BreakLock frees exactly the named dead holder's lock.
+// nothing else reaches the kernel. On a wall clock the charges are empty;
+// on a virtual clock they are the gaps between the attempts, and Lock
+// spends no wall-clock time waiting. Unlock of a lock the caller does not
+// hold panics, and BreakLock frees exactly the named dead holder's lock.
 func TestLockContended(t *testing.T) {
-	k := newRec()
+	k := newRec(false)
 	k.word, k.busy = 2, 7 // rank 1 holds it through seven attempts
 	k.log = nil
 	k.Lock(1, 2)
-	var charges []string
-	for i, line := range k.log {
-		if i%2 == 0 != strings.HasPrefix(line, "Issue CAS64") {
-			t.Fatalf("contended Lock reached the kernel as %q, want CAS64 and Charge alternating", k.log)
-		}
-		if i%2 == 1 {
-			charges = append(charges, line)
+	for _, line := range k.log {
+		if !strings.HasPrefix(line, "Issue CAS64") {
+			t.Fatalf("contended Lock reached the kernel as %q, want CAS64s only", k.log)
 		}
 	}
-	want := []string{"Charge 1µs", "Charge 2µs", "Charge 4µs", "Charge 8µs", "Charge 16µs", "Charge 16µs", "Charge 16µs"}
-	if !reflect.DeepEqual(charges, want) || len(k.log) != 15 || k.word != 1 {
-		t.Errorf("contended Lock charged %q in %d calls and left the cell %d, want %q in 15 calls and 1", charges, len(k.log), k.word, want)
+	if len(k.log) != 8 || k.word != 1 {
+		t.Errorf("contended Lock took %d calls and left the cell %d, want 8 and 1", len(k.log), k.word)
 	}
 	k.Unlock(1, 2)
 
-	v := &virtualRec{recKernel: recKernel{word: 2, busy: 1 << 12}} // far into Backoff's sleeping band
-	v.Bind(v)
+	v := newRec(true)
+	v.word, v.busy = 2, 7
+	v.Lock(1, 2)
+	var gaps []time.Duration
+	for i := 1; i < len(v.casAt); i++ {
+		gaps = append(gaps, v.casAt[i]-v.casAt[i-1])
+	}
+	us := time.Microsecond
+	if want := []time.Duration{us, 2 * us, 4 * us, 8 * us, 16 * us, 16 * us, 16 * us}; !slices.Equal(gaps, want) || v.word != 1 {
+		t.Errorf("contended Lock on a virtual clock waited %v between attempts and left the cell %d, want %v and 1", gaps, v.word, want)
+	}
+	v.Unlock(1, 2)
+
+	v.word, v.busy = 2, 1<<12 // far into Backoff's sleeping band
 	t0 := time.Now()
 	v.Lock(1, 2)
 	if d := time.Since(t0); d > 100*time.Millisecond {
@@ -273,11 +293,6 @@ func TestLockContended(t *testing.T) {
 	}
 }
 
-// virtualRec is a recKernel on a virtual clock.
-type virtualRec struct{ recKernel }
-
-func (*virtualRec) VirtualClock() {}
-
 type wrapKernel struct{ Kernel }
 
 func (w wrapKernel) Unwrap() Kernel { return w.Kernel }
@@ -294,7 +309,7 @@ func (f flagKernel) flag() string { return f.name }
 // TestFind: a capability is found on the outermost layer that has it, and
 // through any depth of wrappers that only say what they wrap.
 func TestFind(t *testing.T) {
-	bare := newRec()
+	bare := newRec(false)
 	if _, ok := Find[flagged](bare); ok {
 		t.Error("found a capability nothing implements")
 	}

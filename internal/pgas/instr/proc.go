@@ -132,12 +132,12 @@ func (p *proc) Unwrap() pgas.Kernel { return p.Kernel }
 // returns the completion time. Called after the delegated call returns; an
 // op that panics (injected or transport fault) records nothing, because it
 // never completed. target < 0 selects the whole-world scope.
-func (in *instruments) observe(k pgas.Kernel, op opKind, target int, start time.Duration) time.Duration {
+func (in *instruments) observe(p pgas.Proc, op opKind, target int, start time.Duration) time.Duration {
 	sc := scopeRemote
-	if target == k.Rank() {
+	if target == p.Rank() {
 		sc = scopeLocal
 	}
-	now := k.Now()
+	now := p.Now()
 	in.lat[op][sc].Observe(now - start)
 	return now
 }

@@ -3,7 +3,6 @@ package ipc
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"scioto/internal/pgas"
@@ -16,12 +15,10 @@ import (
 // is no request path and no goroutine besides the rank's own.
 type proc struct {
 	pgas.Front
-	cfg   Config
-	m     *mapping
-	rank  int
-	speed float64
-	rng   *rand.Rand
-	start time.Time
+	cfg  Config
+	m    *mapping
+	rank int
+	clk  pgas.Clock
 
 	// Symmetric-heap bump allocation, identical on every rank because
 	// collective allocation happens in the same order with the same sizes.
@@ -58,22 +55,10 @@ type message struct {
 var _ pgas.Proc = (*proc)(nil)
 var _ pgas.Resilient = (*proc)(nil)
 
-func newProc(cfg Config, m *mapping, rank int, speed float64) *proc {
-	p := &proc{
-		cfg:   cfg,
-		m:     m,
-		rank:  rank,
-		speed: speed,
-		rng:   rand.New(rand.NewSource(cfg.Seed*7919 + int64(rank) + 1)),
-		start: time.Now(),
-	}
-	p.Bind(p)
-	return p
-}
-
-func (p *proc) tag() int64  { return int64(p.rank) + 1 }
-func (p *proc) Rank() int   { return p.rank }
-func (p *proc) NProcs() int { return p.cfg.NProcs }
+func (p *proc) tag() int64         { return int64(p.rank) + 1 }
+func (p *proc) Rank() int          { return p.rank }
+func (p *proc) NProcs() int        { return p.cfg.NProcs }
+func (p *proc) Clock() *pgas.Clock { return &p.clk }
 
 // check panics a clone of the registered fault so a surviving rank
 // unwinds on its next communication attempt. In survivable mode a death
@@ -123,12 +108,12 @@ func (p *proc) Barrier() {
 	// the epoch word. The park window is charged to the round's epoch.
 	var park0 time.Duration
 	if p.rec != nil {
-		park0 = time.Since(p.start)
+		park0 = p.Now()
 	}
 	var bo pgas.Backoff
 	for {
 		if m.load(l.barEpoch) != e {
-			p.rec.Record(trace.IPCBarrierPark, park0, time.Since(p.start), e, 0)
+			p.rec.Record(trace.IPCBarrierPark, park0, p.Now(), e, 0)
 			return
 		}
 		if seq := m.load(l.faultSeq); seq > 0 && (!p.cfg.Survivable || seq > p.ackedSeq) {
@@ -267,14 +252,14 @@ func (p *proc) Send(to int, tag int32, data []byte) {
 		// Backpressure: the receiver is behind. The fault poll keeps a
 		// send to (or past) a dead world from spinning forever.
 		if !waited && p.rec != nil {
-			wait0 = time.Since(p.start)
+			wait0 = p.Now()
 			waited = true
 		}
 		p.check()
 		bo.Pause()
 	}
 	if waited {
-		p.rec.Record(trace.IPCRingWait, wait0, time.Since(p.start), int64(to), 0)
+		p.rec.Record(trace.IPCRingWait, wait0, p.Now(), int64(to), 0)
 	}
 	ring := p.m.bytes(l.ring(to, p.rank), l.ringBytes)
 	pos := tail % l.ringBytes
@@ -359,17 +344,6 @@ func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
 	p.check()
 	return nil, -1, false
 }
-
-func (p *proc) Compute(d time.Duration) {
-	pgas.Spin(time.Duration(float64(d) * p.cfg.ComputeScale * p.speed))
-}
-
-// Charge is a no-op: like shm and tcp, modeled bookkeeping costs are
-// already paid in real time on a real transport.
-func (p *proc) Charge(time.Duration) {}
-
-func (p *proc) Now() time.Duration { return time.Since(p.start) }
-func (p *proc) Rand() *rand.Rand   { return p.rng }
 
 // pgas.Resilient: survivable-mode fault acknowledgement and post-mortem
 // access to a dead rank's symmetric memory. The registrar's faultSeq bump

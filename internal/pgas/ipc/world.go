@@ -16,9 +16,6 @@ type Config struct {
 	NProcs int
 	// Seed seeds the per-rank deterministic random sources.
 	Seed int64
-	// ComputeScale scales durations passed to Proc.Compute before
-	// spinning. Zero means 1.0.
-	ComputeScale float64
 	// SpeedFactor, when non-nil, returns the relative cost multiplier for
 	// computation on the given rank. It is not shipped to children: every
 	// child re-constructs the same Config by re-executing the program, so
@@ -66,9 +63,6 @@ const childFD = 3
 // call returns that rank's handle and the others return inert worlds whose
 // Run is a no-op.
 func NewWorld(cfg Config) pgas.World {
-	if cfg.ComputeScale == 0 {
-		cfg.ComputeScale = 1.0
-	}
 	cfg.ArenaBytes = launch.Bytes("ipc", cfg.ArenaBytes, envArena, 64<<20)
 	cfg.RingBytes = launch.Bytes("ipc", cfg.RingBytes, envRing, 256<<10)
 	g := &region{cfg: cfg}
@@ -183,11 +177,9 @@ func (g *region) join(rank int, fd string) (*launch.Rank, error) {
 	if err := m.checkHeader(); err != nil {
 		return nil, err
 	}
-	speed := 1.0
-	if cfg.SpeedFactor != nil {
-		speed = cfg.SpeedFactor(rank)
-	}
-	p := newProc(cfg, m, rank, speed)
+	p := &proc{cfg: cfg, m: m, rank: rank}
+	p.clk = pgas.NewClock(time.Now(), nil, cfg.Seed, rank, cfg.SpeedFactor)
+	p.Bind(p)
 	return &launch.Rank{
 		Proc: p,
 		// A failing rank registers its death in the control region

@@ -23,12 +23,6 @@ const (
 	lockBackoffMax = 16 * time.Microsecond
 )
 
-// VirtualClock marks a Kernel whose clock is virtual (dsim): time passes
-// only through Charge, Compute and operations, so Front waits by charging
-// and never spends wall-clock time waiting. Front finds it with Find, so
-// wrappers need not forward it.
-type VirtualClock interface{ VirtualClock() }
-
 // AllocLock collectively allocates a lock: a word segment of one cell.
 func (f *Front) AllocLock() LockID { return LockID(f.k.AllocWords(1)) }
 
@@ -38,13 +32,14 @@ func (f *Front) TryLock(proc int, id LockID) bool {
 }
 
 // Lock retries TryLock, backing off between attempts: the modelled cost is
-// charged on every transport (a no-op on the wall-clock ones), and on a
-// wall-clock transport the rank also really waits.
+// charged on every clock (a no-op on a wall clock), and on a wall clock the
+// rank also really waits. A virtual clock never spends wall-clock time
+// waiting.
 func (f *Front) Lock(proc int, id LockID) {
 	var bo Backoff
 	for d := lockBackoffMin; !f.TryLock(proc, id); d = min(2*d, lockBackoffMax) {
-		f.k.Charge(d)
-		if !f.virtual {
+		f.Charge(d)
+		if !f.clk.Virtual() {
 			bo.Pause()
 		}
 	}

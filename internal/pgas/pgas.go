@@ -9,14 +9,16 @@
 // the UTS-MPI work-stealing baseline).
 //
 // Two interfaces split the work. Proc is what a SPMD body calls. Kernel is
-// what a transport implements: 17 methods, in which every one-sided
+// what a transport implements: 14 methods, in which every one-sided
 // operation, blocking or not, is one Op descriptor passed to Issue. Front
 // derives Proc's typed one-sided methods from a Kernel, once — the remote
 // locks included, which are an algorithm over CAS64 (lock.go) and not a
-// transport primitive — and the wrappers (pgas/faulty, pgas/instr) are
-// Kernels that embed the one below and override only the operations they
-// act on; an optional capability of the transport (Resilient,
-// trace.Attacher) is found behind them by Find.
+// transport primitive — and so are time and randomness: a kernel hands out
+// its rank's Clock (clock.go), and Front's Compute, Charge, Now and Rand
+// run over it. The wrappers (pgas/faulty, pgas/instr) are Kernels that
+// embed the one below and override only the operations they act on; an
+// optional capability of the transport (Resilient, trace.Attacher) is
+// found behind them by Find.
 //
 // Four transports implement the Kernel:
 //
@@ -122,9 +124,10 @@ type World interface {
 
 // Kernel is the transport SPI: the one interface a transport or a wrapper
 // implements. Everything else a SPMD body calls — the typed one-sided
-// methods of Proc, handle numbering, Wait — is derived from it once, by
-// Front. Adding a transport means implementing these 17 methods; see
-// DESIGN.md "Transports" for the contract of each group.
+// methods of Proc, handle numbering, Wait, the clock's methods — is
+// derived from it once, by Front. Adding a transport means implementing
+// these 14 methods; see DESIGN.md "Transports" for the contract of each
+// group.
 //
 // A Kernel must only be used from the goroutine that received it from
 // World.Run.
@@ -190,22 +193,9 @@ type Kernel interface {
 	// message was available.
 	TryRecv(from int, tag int32) (data []byte, source int, ok bool)
 
-	// Compute models d units of local computation. On dsim the process's
-	// virtual clock advances by d scaled by the process's speed factor; on
-	// shm the process spins for (a scaled-down fraction of) d.
-	Compute(d time.Duration)
-	// Charge accounts d units of local bookkeeping cost without performing
-	// work: on dsim the virtual clock advances (scaled by the speed
-	// factor); on shm it is a no-op, because the real bookkeeping being
-	// modeled already consumed real time. Runtime-internal code uses
-	// Charge so that modeled costs appear in virtual-time results without
-	// distorting wall-clock measurements.
-	Charge(d time.Duration)
-	// Now reports elapsed time since World.Run began: virtual time on dsim,
-	// wall-clock time on shm.
-	Now() time.Duration
-	// Rand returns this process's deterministic random source.
-	Rand() *rand.Rand
+	// Clock returns this process's clock, the one every layer of its
+	// handle shares; Front's Compute, Charge, Now and Rand run over it.
+	Clock() *Clock
 }
 
 // Proc is the per-process handle through which a SPMD body performs all
@@ -216,6 +206,23 @@ type Kernel interface {
 // from World.Run.
 type Proc interface {
 	Kernel
+
+	// Compute models d units of local computation: on a virtual clock
+	// (dsim) the process's time advances by d scaled by its speed factor;
+	// on a wall clock the process spins for that long.
+	Compute(d time.Duration)
+	// Charge accounts d units of local bookkeeping cost without performing
+	// work: a virtual clock advances (scaled by the speed factor); on a
+	// wall clock it is a no-op, because the real bookkeeping being modeled
+	// already consumed real time. Runtime-internal code uses Charge so that
+	// modeled costs appear in virtual-time results without distorting
+	// wall-clock measurements.
+	Charge(d time.Duration)
+	// Now reports elapsed time since World.Run began: virtual time on
+	// dsim, wall-clock time on the other transports.
+	Now() time.Duration
+	// Rand returns this process's deterministic random source.
+	Rand() *rand.Rand
 
 	// Get copies len(dst) bytes starting at offset off of data segment seg
 	// on process proc into dst.

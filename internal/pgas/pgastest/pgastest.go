@@ -74,6 +74,7 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	t.Run("EmptyBodyRelaunch", func(t *testing.T) { testEmptyBodyRelaunch(t, newWorld) })
 	t.Run("PanicPropagates", func(t *testing.T) { testPanicPropagates(t, newWorld, opts) })
 	t.Run("RandDeterministicPerRank", func(t *testing.T) { testRand(t, newWorld, opts) })
+	t.Run("ClockPerRank", func(t *testing.T) { testClockPerRank(t, newWorld) })
 	t.Run("NbCompletionOrdering", func(t *testing.T) { testNbCompletionOrdering(t, newWorld) })
 	t.Run("NbReuseAfterWait", func(t *testing.T) { testNbReuseAfterWait(t, newWorld) })
 	t.Run("NbPipelinedBatch", func(t *testing.T) { testNbPipelinedBatch(t, newWorld) })
@@ -593,6 +594,39 @@ func testRand(t *testing.T, f Factory, opts Options) {
 	if a[0] == a[1] || a[1] == a[2] {
 		t.Fatalf("ranks share a random stream: %v", a)
 	}
+}
+
+// testClockPerRank: every layer of a rank's handle, walked by Unwrap down
+// to the transport, returns the same *pgas.Clock; Now never decreases
+// across Compute and Barrier; and Compute(d) advances Now by exactly d on a
+// virtual clock and by at least d on a wall clock.
+func testClockPerRank(t *testing.T, f Factory) {
+	const d = 20 * time.Microsecond
+	run(t, f(3), func(p pgas.Proc) {
+		c := p.Clock()
+		for k := pgas.Kernel(p); ; {
+			if k.Clock() != c {
+				panic(fmt.Sprintf("rank %d: layer %T returns its own clock", p.Rank(), k))
+			}
+			w, ok := k.(interface{ Unwrap() pgas.Kernel })
+			if !ok {
+				break
+			}
+			k = w.Unwrap()
+		}
+		last := p.Now()
+		for i := 0; i < 5; i++ {
+			p.Compute(d)
+			now := p.Now()
+			if adv := now - last; adv < d || c.Virtual() && adv != d {
+				panic(fmt.Sprintf("rank %d: Compute(%v) advanced Now by %v (virtual %t)", p.Rank(), d, adv, c.Virtual()))
+			}
+			p.Barrier()
+			if last = p.Now(); last < now {
+				panic(fmt.Sprintf("rank %d: Now went from %v back to %v across a Barrier", p.Rank(), now, last))
+			}
+		}
+	})
 }
 
 // RunEdgeCases runs the secondary conformance suite: degenerate sizes,

@@ -18,7 +18,6 @@ package shm
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 	"sync"
@@ -38,10 +37,6 @@ type Config struct {
 	// RemotePerByte, when nonzero, adds a bandwidth term to injected
 	// latency: RemotePerByte per transferred byte.
 	RemotePerByte time.Duration
-	// ComputeScale scales durations passed to Proc.Compute before spinning.
-	// Zero means 1.0. Values below 1 shrink simulated application work so
-	// large workloads run quickly while preserving relative costs.
-	ComputeScale float64
 	// SpeedFactor, when non-nil, returns the relative cost multiplier for
 	// computation on the given rank (1.0 = nominal; larger = slower CPU).
 	// It models heterogeneous clusters.
@@ -97,8 +92,6 @@ type world struct {
 	deadRanks []bool
 	liveCount int
 	faultSeq  atomic.Int64
-
-	start time.Time
 }
 
 type tables struct {
@@ -110,9 +103,6 @@ type tables struct {
 func NewWorld(cfg Config) pgas.World {
 	if cfg.NProcs <= 0 {
 		panic("shm: NProcs must be positive")
-	}
-	if cfg.ComputeScale == 0 {
-		cfg.ComputeScale = 1.0
 	}
 	return &world{cfg: cfg}
 }
@@ -173,7 +163,7 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
-	w.start = time.Now()
+	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make([]error, w.cfg.NProcs)
 	for r := 0; r < w.cfg.NProcs; r++ {
@@ -205,16 +195,8 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 					})
 				}
 			}()
-			speed := 1.0
-			if w.cfg.SpeedFactor != nil {
-				speed = w.cfg.SpeedFactor(rank)
-			}
-			p := &proc{
-				w:     w,
-				rank:  rank,
-				speed: speed,
-				rng:   rand.New(rand.NewSource(w.cfg.Seed*7919 + int64(rank) + 1)),
-			}
+			p := &proc{w: w, rank: rank}
+			p.clk = pgas.NewClock(start, nil, w.cfg.Seed, rank, w.cfg.SpeedFactor)
 			p.Bind(p)
 			body(p)
 		}(r)
@@ -253,10 +235,9 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 
 type proc struct {
 	pgas.Front
-	w     *world
-	rank  int
-	speed float64
-	rng   *rand.Rand
+	w    *world
+	rank int
+	clk  pgas.Clock
 
 	// Per-process collective allocation counters. Collective allocation
 	// calls must occur in the same order on every process; each process's
@@ -272,8 +253,9 @@ type proc struct {
 
 var _ pgas.Proc = (*proc)(nil)
 
-func (p *proc) Rank() int   { return p.rank }
-func (p *proc) NProcs() int { return p.w.cfg.NProcs }
+func (p *proc) Rank() int          { return p.rank }
+func (p *proc) NProcs() int        { return p.w.cfg.NProcs }
+func (p *proc) Clock() *pgas.Clock { return &p.clk }
 
 // check panics a clone of the registered world fault, so a surviving rank
 // — including one spinning in an application-level polling loop built
@@ -454,17 +436,6 @@ func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
 	}
 	return m.data, m.from, true
 }
-
-func (p *proc) Compute(d time.Duration) {
-	pgas.Spin(time.Duration(float64(d) * p.w.cfg.ComputeScale * p.speed))
-}
-
-// Charge is a no-op on the shm transport: modeled bookkeeping costs are
-// already paid in real time by the real bookkeeping they describe.
-func (p *proc) Charge(time.Duration) {}
-
-func (p *proc) Now() time.Duration { return time.Since(p.w.start) }
-func (p *proc) Rand() *rand.Rand   { return p.rng }
 
 // pgas.Resilient: survivable-mode fault acknowledgement and post-mortem
 // access to a dead rank's symmetric memory. The dying goroutine's final

@@ -135,8 +135,7 @@
 //
 // The tcp transport models nothing: latency, bandwidth and Occupancy
 // configuration are ignored because the network is real. Compute spins
-// (scaled by ComputeScale and SpeedFactor) and Now reports wall-clock
-// time. A request the service cannot decode (decodeOp: wrong length for its
+// (scaled by SpeedFactor) and Now reports wall-clock time. A request the service cannot decode (decodeOp: wrong length for its
 // opcode, unknown opcode, negative offset or count, segment id
 // outside [0, 2^20)), that addresses memory outside its segment, or that
 // sends a message under a rank other than its connection's is refused: the

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -401,11 +400,9 @@ type proc struct {
 	pgas.Front
 	cfg   Config
 	rank  int
-	speed float64
 	own   *owner
 	peers []*peerConn // peers[rank] == nil
-	rng   *rand.Rand
-	start time.Time
+	clk   pgas.Clock
 
 	// req is the request-assembly scratch and enc the AccF64 payload
 	// scratch. A Proc is single-goroutine by contract, and queueFrame
@@ -424,22 +421,9 @@ type nbRef struct {
 	pc *peerConn
 }
 
-func newProc(cfg Config, rank int, speed float64, own *owner, peers []*peerConn) *proc {
-	p := &proc{
-		cfg:   cfg,
-		rank:  rank,
-		speed: speed,
-		own:   own,
-		peers: peers,
-		rng:   rand.New(rand.NewSource(cfg.Seed*7919 + int64(rank) + 1)),
-		start: time.Now(),
-	}
-	p.Bind(p)
-	return p
-}
-
-func (p *proc) Rank() int   { return p.rank }
-func (p *proc) NProcs() int { return p.cfg.NProcs }
+func (p *proc) Rank() int          { return p.rank }
+func (p *proc) NProcs() int        { return p.cfg.NProcs }
+func (p *proc) Clock() *pgas.Clock { return &p.clk }
 
 // AttachRecorder wires the rank's recorder into its peer connections
 // (trace.Attacher): flush-window spans and writev stalls are recorded
@@ -452,7 +436,7 @@ func (p *proc) AttachRecorder(r *trace.Recorder) {
 		}
 		pc.wmu.Lock()
 		pc.rec = r
-		pc.recEpoch = p.start
+		pc.recEpoch = p.clk.Start()
 		pc.wmu.Unlock()
 	}
 }
@@ -609,14 +593,3 @@ func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
 	}
 	return m.data, m.from, true
 }
-
-func (p *proc) Compute(d time.Duration) {
-	pgas.Spin(time.Duration(float64(d) * p.cfg.ComputeScale * p.speed))
-}
-
-// Charge is a no-op: like shm, modeled bookkeeping costs are already paid
-// in real time on a real transport.
-func (p *proc) Charge(time.Duration) {}
-
-func (p *proc) Now() time.Duration { return time.Since(p.start) }
-func (p *proc) Rand() *rand.Rand   { return p.rng }

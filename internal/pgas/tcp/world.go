@@ -18,9 +18,6 @@ type Config struct {
 	NProcs int
 	// Seed seeds the per-rank deterministic random sources.
 	Seed int64
-	// ComputeScale scales durations passed to Proc.Compute before
-	// spinning. Zero means 1.0.
-	ComputeScale float64
 	// SpeedFactor, when non-nil, returns the relative cost multiplier for
 	// computation on the given rank. The function is not shipped over the
 	// wire: every child re-constructs the same Config by re-executing the
@@ -65,9 +62,6 @@ const bootTimeout = 60 * time.Second
 // NewWorld call returns that rank's handle and the others return inert
 // worlds whose Run is a no-op.
 func NewWorld(cfg Config) pgas.World {
-	if cfg.ComputeScale == 0 {
-		cfg.ComputeScale = 1.0
-	}
 	cfg.OpTimeout = launch.Duration("tcp", cfg.OpTimeout, envOpTimeout, 60*time.Second)
 	cfg.Heartbeat = launch.Duration("tcp", cfg.Heartbeat, envHeartbeat, 0)
 	b := &broker{cfg: cfg}
@@ -236,11 +230,9 @@ func (b *broker) join(rank int, parentAddr string) (*launch.Rank, error) {
 		startHeartbeat(own, rank, addrs, cfg)
 	}
 
-	speed := 1.0
-	if cfg.SpeedFactor != nil {
-		speed = cfg.SpeedFactor(rank)
-	}
-	p := newProc(cfg, rank, speed, own, peers)
+	p := &proc{cfg: cfg, rank: rank, own: own, peers: peers}
+	p.clk = pgas.NewClock(time.Now(), nil, cfg.Seed, rank, cfg.SpeedFactor)
+	p.Bind(p)
 	r.Proc = p
 	// Completion barrier: no rank may tear down its service while a
 	// sibling still has operations in flight. Non-zero ranks arm the

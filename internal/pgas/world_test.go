@@ -14,9 +14,10 @@ import (
 // on both in-process kernels. A first run counts a word to 200, writes a
 // small and a large data segment and ends with a rank's death; a second run
 // of the same world must then see what a fresh world's first run sees:
-// zeroed memory, the same final data and error, and on a virtual clock the
-// same times. dsim runs with NIC occupancy on, so a NIC horizon left over
-// would move the clock; the survivable worlds leave a dead rank behind.
+// the same first random draw on each rank, zeroed memory, the same final
+// data and error, and on a virtual clock the same times. dsim runs with NIC
+// occupancy on, so a NIC horizon left over would move the clock; the
+// survivable worlds leave a dead rank behind.
 func TestRunStartsAFreshMachine(t *testing.T) {
 	const n, big = 2, 1 << 17
 	dcfg, scfg := dsim.Config{NProcs: n, Seed: 1, Occupancy: time.Microsecond}, shm.Config{NProcs: n, Seed: 1}
@@ -32,6 +33,7 @@ func TestRunStartsAFreshMachine(t *testing.T) {
 		var seen [n][]int64
 		err := w.Run(func(p pgas.Proc) {
 			me := p.Rank()
+			seen[me] = append(seen[me], p.Rand().Int63())
 			ws, small, large := p.AllocWords(1), p.AllocData(64), p.AllocData(big)
 			read := func() {
 				var b, c [1]byte
@@ -48,7 +50,7 @@ func TestRunStartsAFreshMachine(t *testing.T) {
 			p.Put(1-me, large, big-1, []byte{byte(20 + me)})
 			p.Barrier()
 			read()
-			if _, virtual := pgas.Find[pgas.VirtualClock](p); virtual {
+			if p.Clock().Virtual() {
 				seen[me] = append(seen[me], int64(p.Now()))
 			}
 			if die && me == 1 {
