@@ -247,6 +247,10 @@ type claimFaulter struct {
 	pgas.Kernel
 	q  *taskQueue // set while the phase runs; nil = disarmed
 	on int        // the victim this rank has just claimed from, -1 = none
+	// cas is the swapped flag of a marked claim's NbCAS64 on victim casOn:
+	// the claim is known won or lost only at the Flush that completes it.
+	cas   *int64
+	casOn int
 	*claimFault
 }
 
@@ -302,8 +306,12 @@ func (f *claimFaulter) Issue(op *pgas.Op) pgas.Nb {
 		panic(&pgas.FaultError{Rank: claimDier, Phase: "injected-crash"})
 	}
 	h := f.Kernel.Issue(op)
-	if q != nil && op.Kind == pgas.OpCAS64 && op.Target != me && op.Seg == q.meta && op.Off == wShared && *op.Out != 0 {
-		f.on = op.Target
+	if q != nil && op.Kind == pgas.OpCAS64 && op.Target != me && op.Seg == q.meta && op.Off == wShared {
+		if op.Nb {
+			f.cas, f.casOn = op.Out, op.Target
+		} else if *op.Out != 0 {
+			f.on = op.Target
+		}
 	}
 	return h
 }
@@ -323,6 +331,12 @@ func (f *claimFaulter) Flush() {
 		}
 	}
 	f.Kernel.Flush()
+	if f.cas != nil {
+		if *f.cas != 0 {
+			f.on = f.casOn
+		}
+		f.cas = nil
+	}
 }
 
 // TestRecoveryOfAbandonedClaims: what a dead or unwound rank leaves in
@@ -337,17 +351,30 @@ func (f *claimFaulter) Flush() {
 // phase has terminated, and executions plus salvaged completions equal
 // the tasks created; and at least three times per point the word the
 // fault left behind was not quiet (every time, but for the copy in flight,
-// which the fault must catch between issue and completion).
+// which the fault must catch between issue and completion). The thief's
+// points run twice: as the schedule marks claims, and with every claim
+// marked, so that the claims the fault strikes are won at the Flush that
+// completes the mark's batch.
 func TestRecoveryOfAbandonedClaims(t *testing.T) {
 	const n = 4
 	const seeded = 60
-	for _, point := range []string{"thief dies", "thief unwound", "thief unwound, copy in flight", "adder dies"} {
-		hits := 0
+	for _, c := range []struct {
+		point  string
+		marked bool // every claim marks its victim dirty: an NbCAS64 in the mark's batch
+	}{
+		{"thief dies", false}, {"thief dies", true}, {"thief unwound", false}, {"thief unwound", true},
+		{"thief unwound, copy in flight", false}, {"thief unwound, copy in flight", true}, {"adder dies", false},
+	} {
+		point := c.point
+		if c.marked {
+			point += ", marked"
+		}
+		hits, runs := 0, 0
 		// Schedules differ by world seed; within one, the fault strikes at
 		// the rank's first, second, ... arrival at the point until it no
 		// longer gets there.
 		for seed, nth := int64(1), 1; seed <= 8 && hits < 3; nth++ {
-			cf := &claimFault{point: point, nth: nth, queues: make([]*taskQueue, n), victim: -1}
+			cf := &claimFault{point: c.point, nth: nth, queues: make([]*taskQueue, n), victim: -1}
 			var durable int64
 			err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: seed, Survivable: true, Latency: claimLatency}).Run(func(p pgas.Proc) {
 				me := p.Rank()
@@ -355,7 +382,7 @@ func TestRecoveryOfAbandonedClaims(t *testing.T) {
 				f.Bind(f)
 				rt := Attach(f)
 				rt.EnableRecovery()
-				tc := NewTC(rt, Config{MaxBodySize: 8, ChunkSize: 3, MaxTasks: 256})
+				tc := NewTC(rt, Config{MaxBodySize: 8, ChunkSize: 3, MaxTasks: 256, DisableColoringOpt: c.marked})
 				// A parent creates one child and a child nothing, so the
 				// tasks created are twice the parents whatever is lost to a
 				// fault. Only the rank that dies adds remotely: a fault
@@ -393,6 +420,7 @@ func TestRecoveryOfAbandonedClaims(t *testing.T) {
 					durable = g.TasksExecuted + g.SalvagedExecs
 				}
 			})
+			runs++
 			name := fmt.Sprintf("%s, seed %d, occurrence %d", point, seed, nth)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -406,7 +434,7 @@ func TestRecoveryOfAbandonedClaims(t *testing.T) {
 			}
 			if wordBusy(cf.left) {
 				hits++
-				if point == "adder dies" != (wordA(cf.left) != 0) {
+				if c.point == "adder dies" != (wordA(cf.left) != 0) {
 					t.Fatalf("%s: the fault left x %d, a %d", name, wordX(cf.left), wordA(cf.left))
 				}
 			}
@@ -414,5 +442,6 @@ func TestRecoveryOfAbandonedClaims(t *testing.T) {
 		if hits < 3 {
 			t.Fatalf("%s: the fault left a claim or an announcement behind only %d times over 8 seeds", point, hits)
 		}
+		t.Logf("%s: %d hits in %d runs", point, hits, runs)
 	}
 }

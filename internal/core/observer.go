@@ -137,16 +137,17 @@ func (o *Observer) exec(t0, d time.Duration, h, origin int) {
 
 // steal reports one steal attempt begun at t0 and ending now — the whole
 // pipelined exchange, victim choice through the final completion round —
-// with its outcome and, on success, the number of tasks taken.
-func (o *Observer) steal(t0 time.Duration, victim int, res stealResult, stolen int) {
+// with its outcome and, on success, the batch of tasks taken.
+func (o *Observer) steal(t0 time.Duration, victim int, res stealResult, b *stealBatch) {
 	if o == nil {
 		return
 	}
 	now := o.p.Now()
 	o.stealLat[res].Observe(now - t0)
-	a2 := int64(stolen)
+	var a2 int64
 	switch res {
 	case stealOK:
+		a2 = int64(len(b.slots))
 		o.tasksStolen.Add(a2)
 	case stealEmpty:
 		a2 = trace.StealEmpty

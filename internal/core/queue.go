@@ -145,17 +145,19 @@ type taskQueue struct {
 	heldLock int
 
 	// nbOld receives the discarded previous value of a pipelined fetch-add
-	// (the dirty mark, a claim's retirement, an add's publication). It lives
-	// on the queue rather than the stack so the completion write (performed
-	// by a transport goroutine on tcp) has a stable, non-escaping
-	// destination.
-	nbOld int64
+	// (the dirty mark, a claim's retirement, an add's publication), and
+	// nbSwapped a marked claim's CAS outcome. They live on the queue rather
+	// than the stack so the completion write (performed by a transport
+	// goroutine on tcp) has a stable, non-escaping destination.
+	nbOld, nbSwapped int64
 	// nbBottom and nbLimit are the destinations of the pipelined loads in
-	// steal and addRemote (which reads the top word into nbLimit and, in
-	// ModeSplit, the packed word into nbBottom). On the queue for the same
-	// reason as nbOld: an out-pointer to a stack local escapes through the
-	// interface call and costs a heap allocation per steal.
+	// stealLocked and addRemote (which reads the top word into nbLimit and,
+	// in ModeSplit, the packed word into nbBottom), probed those of a
+	// two-victim probe. On the queue for the same reason as nbOld: an
+	// out-pointer to a stack local escapes through the interface call and
+	// costs a heap allocation per steal.
 	nbBottom, nbLimit int64
+	probed            [2]int64
 
 	obs *Observer // nil = observability disabled
 }
@@ -514,51 +516,95 @@ func (q *taskQueue) stolen(b *stealBatch, k int64, s *Stats) (*stealBatch, steal
 }
 
 // steal attempts to take tasks from the shared end of the queue on process
-// victim: chunk of them (ModeLocked: at most chunk), or on a split queue
-// half the shared portion when that is more — a deep shared portion is a
-// rank with far more work than its thieves (UTS starts with a thousand
-// children of the root on rank 0), and handing it out chunk by chunk
-// costs a round of steals per chunk. Stolen descriptors are returned as a
-// pooled batch of raw slot bytes (slotSize each) that the caller recycles
-// after decoding. markDirty, when
-// true, increments the victim's dirty counter (termination detection)
-// before the victim can see the tasks gone.
-//
-// On a split queue the thief takes no lock. It loads the victim's packed
-// word: no shared task is stealEmpty after that one round trip, a claim
-// being copied or an adder at work is stealBusy (the caller picks another
-// victim). Otherwise one CAS claims k tasks — b+k, n-k, x = k — and a lost
-// CAS is stealBusy too. The claimed slots are the thief's alone: the owner
-// and the adders count [b-x, b) as taken until the fetch-add that retires
-// x, which travels behind the extent Gets in one flushed batch (operations
-// to one target apply in issue order, so it lands after the Gets have
-// read). Claim, then copy, never copy, then validate: a thief only reads
-// slots it owns.
+// victim: on a split queue a probe of that one victim, then a claim. Stolen
+// descriptors are returned as a pooled batch of raw slot bytes (slotSize
+// each) that the caller recycles after decoding. markDirty, when true,
+// increments the victim's dirty counter (termination detection) before
+// the victim can see the tasks gone.
 //
 //scioto:noalloc
 func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBatch, stealResult) {
-	s.StealAttempts++
 	if q.mode != ModeSplit {
+		s.StealAttempts++
 		return q.stealLocked(victim, chunk, markDirty, s)
 	}
-	w := q.p.Load64(victim, q.meta, wShared)
-	n := wordN(w)
-	if n == 0 {
+	_, w, res := q.probe([]int{victim}, s)
+	if res != stealOK {
+		return nil, res
+	}
+	return q.claim(victim, w, chunk, markDirty, s)
+}
+
+// probe is one steal attempt's look at a split queue's victims vs (one or
+// two): it reads their packed words — one victim with a blocking load, two
+// with pipelined loads and one Flush, one round trip either way — and
+// picks the victim to claim from, the one with the most shared tasks on a
+// quiet word. The attempt is stealEmpty when every victim's shared portion
+// was empty, stealBusy when the tasks it saw sit behind a claim being
+// copied or an adder at work (the caller tries another round).
+//
+//scioto:noalloc
+func (q *taskQueue) probe(vs []int, s *Stats) (victim int, w int64, res stealResult) {
+	s.StealAttempts++
+	if len(vs) == 1 {
+		q.probed[0] = q.p.Load64(vs[0], q.meta, wShared)
+	} else {
+		for i, v := range vs {
+			q.p.NbLoad64(v, q.meta, wShared, &q.probed[i])
+		}
+		q.p.Flush()
+	}
+	victim, res = vs[0], stealEmpty
+	for i, v := range vs {
+		switch pw := q.probed[i]; {
+		case wordN(pw) == 0:
+		case wordBusy(pw):
+			if res == stealEmpty {
+				victim, res = v, stealBusy
+			}
+		case res != stealOK || wordN(pw) > wordN(w):
+			victim, w, res = v, pw, stealOK
+		}
+	}
+	switch res {
+	case stealEmpty:
 		s.StealsEmpty++
-		return nil, stealEmpty
-	}
-	if wordBusy(w) {
+	case stealBusy:
 		s.StealsBusy++
-		return nil, stealBusy
 	}
+	return victim, w, res
+}
+
+// claim takes tasks from the split queue on victim, whose packed word the
+// probe read as w: chunk of them, or half the shared portion when that is
+// more — a deep shared portion is a rank with far more work than its
+// thieves (UTS starts with a thousand children of the root on rank 0), and
+// handing it out chunk by chunk costs a round of steals per chunk.
+//
+// The thief takes no lock. One CAS claims k tasks — b+k, n-k, x = k — and
+// a lost CAS is stealBusy. A marked claim sends the dirty mark's fetch-add
+// and the CAS as one flushed batch: operations to one target apply in
+// issue order, so the mark lands before the victim can see the tasks gone,
+// and costs no round trip of its own; an unmarked claim is one blocking
+// CAS. The claimed slots are the thief's alone: the owner and the adders
+// count [b-x, b) as taken until the fetch-add that retires x, which
+// travels behind the extent Gets in one flushed batch (it lands after the
+// Gets have read). Claim, then copy, never copy, then validate: a thief
+// only reads slots it owns.
+//
+//scioto:noalloc
+func (q *taskQueue) claim(victim int, w int64, chunk int, markDirty bool, s *Stats) (*stealBatch, stealResult) {
+	n, bottom := wordN(w), wordB(w)
+	k := min(n, max(int64(chunk), n/2))
+	moved := emod(bottom+k, 2*int64(q.capacity)) - bottom
+	claimed := w + moved*oneB + k*(oneX-oneN)
 	if markDirty {
-		q.p.FetchAdd64(victim, q.meta, wDirty, 1)
+		q.p.NbFetchAdd64(victim, q.meta, wDirty, 1, &q.nbOld)
+		q.p.NbCAS64(victim, q.meta, wShared, w, claimed, &q.nbSwapped)
+		q.p.Flush()
 		s.DirtyMarksSent++
 	}
-	k := min(n, max(int64(chunk), n/2))
-	bottom := wordB(w)
-	moved := emod(bottom+k, 2*int64(q.capacity)) - bottom
-	if !q.p.CAS64(victim, q.meta, wShared, w, w+moved*oneB+k*(oneX-oneN)) {
+	if markDirty && q.nbSwapped == 0 || !markDirty && !q.p.CAS64(victim, q.meta, wShared, w, claimed) {
 		s.StealsBusy++
 		return nil, stealBusy
 	}

@@ -25,18 +25,25 @@ type Stats struct {
 	Reacquires      int64 // split-pointer lowerings
 	TasksReacquired int64
 
+	// StealAttempts counts idle rounds that tried to steal: on a split
+	// queue one probe round, which reads up to two victims' packed words.
 	StealAttempts int64
 	StealsOK      int64
-	StealsEmpty   int64 // the victim's shared portion held nothing
-	// StealsBusy: on a split queue, the victim's packed word showed another
-	// thief's claim still being copied or a remote adder at work, or this
-	// thief's claim CAS lost to a concurrent change of the word; on a locked
-	// queue, the TryLock failed. Either way the thief moves on to another
-	// random victim.
-	StealsBusy       int64
-	TasksStolen      int64
+	StealsEmpty   int64 // every probed victim's shared portion held nothing
+	// StealsBusy: on a split queue, the only tasks the probe saw sat behind
+	// another thief's claim still being copied or a remote adder at work,
+	// or this thief's claim CAS lost to a concurrent change of the word; on
+	// a locked queue, the TryLock failed. Either way the next idle round
+	// draws fresh random victims.
+	StealsBusy  int64
+	TasksStolen int64
+	// DirtyMarksSent and DirtyMarksElided count §5.3's decision for a
+	// claim: on a split queue only when a claim is tried, for the victim it
+	// is tried on; on a locked queue a mark is sent once the lock is held
+	// and the queue is not empty, and elided on every attempt, as in the
+	// paper's sequence.
 	DirtyMarksSent   int64
-	DirtyMarksElided int64 // marks skipped thanks to the §5.3 optimization
+	DirtyMarksElided int64
 
 	WavesSeen      int64
 	Votes          int64

@@ -97,6 +97,7 @@ type TC struct {
 	statsSeg pgas.Seg // scratch for GlobalStats reduction
 
 	stats      Stats
+	pair       [2]int // an idle round's victims (pickVictims)
 	processing bool
 	sinceOrder int // executed tasks since last ordered release check
 
@@ -457,25 +458,7 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 			busy, mark = false, tc.charge(&tc.stats.WorkTime, mark)
 		}
 		if !tc.cfg.DisableStealing && n > 1 {
-			stealT0 := tc.obs.now()
-			victim := tc.pickVictim()
-			markDirty := tc.ctd == nil
-			if markDirty && !tc.cfg.DisableColoringOpt {
-				// §5.3: the victim only needs to be marked dirty if the
-				// thief has already voted and the victim does not vote
-				// before the thief.
-				markDirty = tc.td.hasVoted() && !tc.td.votesBefore(victim, tc.rt.Rank())
-				if !markDirty {
-					tc.stats.DirtyMarksElided++
-				}
-			}
-			batch, res := tc.q.steal(victim, tc.cfg.ChunkSize, markDirty, &tc.stats)
-			stolen := 0
-			if res == stealOK {
-				stolen = len(batch.slots)
-			}
-			tc.obs.steal(stealT0, victim, res, stolen)
-			if res == stealOK {
+			if batch := tc.steal(); batch != nil {
 				tc.td.noteBalance()
 				tc.enqueueStolen(batch.slots)
 				batch.recycle()
@@ -621,28 +604,74 @@ func (tc *TC) GlobalStats() Stats {
 	return total
 }
 
-// pickVictim chooses a steal target uniformly at random among the other
-// (live) ranks.
-func (tc *TC) pickVictim() int {
+// steal is an idle round's steal attempt; it returns the batch taken, or
+// nil. A split queue probes the round's victims in one round trip and
+// claims from the best of them, deciding §5.3's mark for that victim only
+// then; a locked queue keeps the paper's sequence on one random victim.
+//
+//scioto:noalloc
+func (tc *TC) steal() (b *stealBatch) {
+	t0 := tc.obs.now()
+	vs := tc.pickVictims()
+	victim, w, res := vs[0], int64(0), stealOK
+	if tc.cfg.QueueMode == ModeLocked {
+		b, res = tc.q.steal(victim, tc.cfg.ChunkSize, tc.markFor(victim), &tc.stats)
+	} else if victim, w, res = tc.q.probe(vs, &tc.stats); res == stealOK {
+		b, res = tc.q.claim(victim, w, tc.cfg.ChunkSize, tc.markFor(victim), &tc.stats)
+	}
+	tc.obs.steal(t0, victim, res, b)
+	return b
+}
+
+// markFor is §5.3's rule for a claim on victim under the wave detector:
+// the victim only needs to be marked dirty if the thief has already voted
+// and the victim does not vote before the thief.
+func (tc *TC) markFor(victim int) bool {
+	mark := tc.cfg.DisableColoringOpt || tc.td.hasVoted() && !tc.td.votesBefore(victim, tc.rt.Rank())
+	if tc.ctd == nil && !mark {
+		tc.stats.DirtyMarksElided++
+	}
+	return tc.ctd == nil && mark
+}
+
+// pickVictims draws an idle round's victims into tc.pair, uniformly at
+// random among the other live ranks: two distinct ones on a split queue
+// under the wave detector with two live peers or more, else one, drawn as
+// a lone victim always was. The counter detector keeps one: its passive
+// ranks load the counter on rank 0 every round, and on dsim a pair's
+// flushed loads are booked on rank 0's interface as they are issued, so
+// the working ranks' blocking counter updates never find it free.
+//
+//scioto:noalloc
+func (tc *TC) pickVictims() []int {
 	p := tc.rt.p
-	n := tc.rt.NProcs()
-	me := tc.rt.Rank()
-	v := p.Rand().Intn(n - 1)
-	if v >= me {
+	peers := tc.rt.NProcs() - 1
+	if tc.rec != nil {
+		peers = tc.rec.nAlive - 1
+	}
+	v := p.Rand().Intn(tc.rt.NProcs() - 1)
+	if v >= tc.rt.Rank() {
 		v++
 	}
 	if tc.rec != nil && !tc.rec.alive[v] {
-		// Resample uniformly over the live ranks excluding this one.
-		k := p.Rand().Intn(tc.rec.nAlive - 1)
-		for r := 0; r < n; r++ {
-			if r == me || !tc.rec.alive[r] {
-				continue
-			}
-			if k == 0 {
+		v = tc.nthPeer(p.Rand().Intn(peers), -1)
+	}
+	tc.pair[0] = v
+	if peers < 2 || tc.cfg.QueueMode == ModeLocked || tc.ctd != nil {
+		return tc.pair[:1]
+	}
+	tc.pair[1] = tc.nthPeer(p.Rand().Intn(peers-1), v)
+	return tc.pair[:]
+}
+
+// nthPeer is the k-th live rank, counting from 0, other than this one and
+// skip.
+func (tc *TC) nthPeer(k, skip int) int {
+	for r := 0; ; r++ {
+		if r != tc.rt.Rank() && r != skip && (tc.rec == nil || tc.rec.alive[r]) {
+			if k--; k < 0 {
 				return r
 			}
-			k--
 		}
 	}
-	return v
 }

@@ -21,9 +21,9 @@ const (
 	NumOpKinds
 )
 
-// opNames[nb][kind] is the Proc method an op came from. AccF64 and CAS64
-// have no non-blocking method; their Nb names exist only so that Name is
-// total.
+// opNames[nb][kind] is the Proc method an op came from. Every one-sided
+// op but AccF64 has a non-blocking form; NbAccF64 exists only so that Name
+// is total.
 var opNames = [2][NumOpKinds]string{
 	{"Get", "Put", "AccF64", "Load64", "Store64", "FetchAdd64", "CAS64"},
 	{"NbGet", "NbPut", "NbAccF64", "NbLoad64", "NbStore64", "NbFetchAdd64", "NbCAS64"},
@@ -268,6 +268,14 @@ func (f *Front) NbStore64(proc int, seg Seg, idx int, val int64) Nb {
 func (f *Front) NbFetchAdd64(proc int, seg Seg, idx int, delta int64, old *int64) Nb {
 	op := f.set(OpFetchAdd64, true, proc, seg, idx)
 	op.Val, op.Out = delta, old
+	h := f.k.Issue(op)
+	op.Out = nil
+	return f.number(h)
+}
+
+func (f *Front) NbCAS64(proc int, seg Seg, idx int, old, new int64, swapped *int64) Nb {
+	op := f.set(OpCAS64, true, proc, seg, idx)
+	op.Old, op.Val, op.Out = old, new, swapped
 	h := f.k.Issue(op)
 	op.Out = nil
 	return f.number(h)

@@ -136,6 +136,7 @@ func TestFrontEquivalence(t *testing.T) {
 		{"NbLoad64", func(p Proc) { p.NbLoad64(1, 3, 5, &out); p.Flush() }, "Issue Load64 nb=true target=1 seg=3 off=5 bytes=8 val=0 old=0"},
 		{"NbStore64", func(p Proc) { p.NbStore64(1, 3, 5, 9); p.Flush() }, "Issue Store64 nb=true target=1 seg=3 off=5 bytes=8 val=9 old=0"},
 		{"NbFetchAdd64", func(p Proc) { p.NbFetchAdd64(1, 3, 5, -2, &out); p.Flush() }, "Issue FetchAdd64 nb=true target=1 seg=3 off=5 bytes=8 val=-2 old=0"},
+		{"NbCAS64", func(p Proc) { p.NbCAS64(1, 3, 5, 7, 8, &out); p.Flush() }, "Issue CAS64 nb=true target=1 seg=3 off=5 bytes=8 val=8 old=7"},
 		{"Wait", func(p Proc) { p.Wait(Nb(1)) }, "Flush"},
 		{"Flush", func(p Proc) { p.Flush() }, "Flush"},
 		{"Rank", func(p Proc) { p.Rank() }, "Rank"},

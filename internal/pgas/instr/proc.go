@@ -29,6 +29,7 @@ const (
 	opNbLoad64
 	opNbStore64
 	opNbFetchAdd64
+	opNbCAS64
 	opFlush
 	opSend
 	opRecv
@@ -38,7 +39,7 @@ const (
 var opNames = [numOps]string{
 	"barrier", "get", "put", "accf64", "load64", "store64", "fetchadd64",
 	"cas64", "nbget", "nbput", "nbload64", "nbstore64", "nbfetchadd64",
-	"flush", "send", "recv",
+	"nbcas64", "flush", "send", "recv",
 }
 
 // scopes for the latency histograms: index 0 = the op addressed this
@@ -55,10 +56,10 @@ var scopeNames = [numScopes]string{"local", "remote"}
 // nbIndex maps a one-sided kind to its non-blocking instrument slot.
 var nbIndex = [pgas.NumOpKinds]opKind{
 	pgas.OpGet: opNbGet, pgas.OpPut: opNbPut, pgas.OpLoad64: opNbLoad64,
-	pgas.OpStore64: opNbStore64, pgas.OpFetchAdd64: opNbFetchAdd64,
+	pgas.OpStore64: opNbStore64, pgas.OpFetchAdd64: opNbFetchAdd64, pgas.OpCAS64: opNbCAS64,
 }
 
-const numNbWindows = int(opNbFetchAdd64-opNbGet) + 1
+const numNbWindows = int(opNbCAS64-opNbGet) + 1
 
 // bytesInOf reports, per one-sided kind, whether the payload counts as
 // received (true) or sent; CAS64 moves no counted payload.

@@ -57,10 +57,10 @@
 // segments hold 64-bit integers and are accessed with atomic operations.
 // Bulk data operations are not atomic with respect to one another except as
 // documented; callers synchronize with locks, exactly as ARMCI programs do.
-// Every one-sided operation but AccF64 and CAS64 also has a non-blocking
-// form (NbGet, NbPut, NbLoad64, NbStore64, NbFetchAdd64) returning a handle
-// completed by Wait/Flush; see the Proc interface for the overlap and
-// ordering rules and Op for what a transport may do with the Nb flag.
+// Every one-sided operation but AccF64 also has a non-blocking form
+// (NbGet, NbPut, NbLoad64, NbStore64, NbFetchAdd64, NbCAS64) returning a
+// handle completed by Wait/Flush; see the Proc interface for the overlap
+// and ordering rules and Op for what a transport may do with the Nb flag.
 //
 // Failure model. A transport operation that cannot complete — the target
 // process died, a frame was lost, a deadline expired — has no meaningful
@@ -263,8 +263,8 @@ type Proc interface {
 	// Each Nb method initiates the transfer and returns a handle; the
 	// operation is guaranteed complete only once Wait on its handle or
 	// Flush has returned. Until then the caller must not read an output
-	// location (dst of NbGet, out of NbLoad64, old of NbFetchAdd64) and
-	// must not modify an input buffer (src of NbPut).
+	// location (dst of NbGet, out of NbLoad64, old of NbFetchAdd64, swapped
+	// of NbCAS64) and must not modify an input buffer (src of NbPut).
 	//
 	// Ordering rules (the contract the split queue's pipelined steal
 	// depends on; see DESIGN.md):
@@ -294,6 +294,9 @@ type Proc interface {
 	// NbFetchAdd64 initiates an atomic fetch-and-add; the previous value is
 	// stored into *old at completion.
 	NbFetchAdd64(proc int, seg Seg, idx int, delta int64, old *int64) Nb
+	// NbCAS64 initiates an atomic compare-and-swap; 1 or 0, as it did or
+	// did not swap, is stored into *swapped at completion.
+	NbCAS64(proc int, seg Seg, idx int, old, new int64, swapped *int64) Nb
 	// Wait blocks until the operation identified by h has completed.
 	Wait(h Nb)
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Conformance cases for the non-blocking operation layer (NbGet, NbPut,
-// NbLoad64, NbStore64, NbFetchAdd64, Wait, Flush). They pin down the
-// contract the runtime's pipelined steal/insert paths depend on:
+// NbLoad64, NbStore64, NbFetchAdd64, NbCAS64, Wait, Flush). They pin down
+// the contract the runtime's pipelined steal/insert paths depend on:
 // completion at Wait/Flush, per-origin-target issue ordering (including
 // against blocking operations), flush-before-unlock visibility, and
 // handle/buffer reuse after completion. Like the rest of the suite, all
@@ -186,6 +186,52 @@ func testNbOutNotReused(t *testing.T, f Factory) {
 		p.Load64(other, words, 0)
 		if x != 42 || old != 42 {
 			panic(fmt.Sprintf("NbLoad64, NbFetchAdd64 results = %#x, %#x after later operations, want 42, 42", x, old))
+		}
+		p.Barrier()
+	})
+}
+
+// testNbCASInOrder: a fetch-add and a compare-and-swap to one target's
+// words in one batch — the split queue's marked claim — apply in issue
+// order, so a CAS expecting the added value swaps and one expecting the
+// old value loses and leaves the word alone; the swapped flag is defined
+// once Flush or Wait returns, with every op on one word and across two.
+func testNbCASInOrder(t *testing.T, f Factory) {
+	run(t, f(2), func(p pgas.Proc) {
+		words := p.AllocWords(2)
+		p.Barrier()
+		check := func(what string, swapped, want int64, word int, wantWord int64) {
+			if swapped != want {
+				panic(fmt.Sprintf("%s: swapped = %d, want %d", what, swapped, want))
+			}
+			if got := p.Load64(1, words, word); got != wantWord {
+				panic(fmt.Sprintf("%s: word %d = %d, want %d", what, word, got, wantWord))
+			}
+		}
+		if p.Rank() == 0 {
+			var old, won, lost int64 = -1, -1, -1
+			// The CAS sees the add issued before it.
+			p.NbFetchAdd64(1, words, 0, 5, &old)
+			p.NbCAS64(1, words, 0, 5, 9, &won)
+			p.Flush()
+			if old != 0 {
+				panic(fmt.Sprintf("NbFetchAdd64 old = %d, want 0", old))
+			}
+			check("CAS after the add", won, 1, 0, 9)
+			// A CAS that loses changes nothing, completed by Wait.
+			p.NbFetchAdd64(1, words, 0, 1, &old)
+			h := p.NbCAS64(1, words, 0, 9, 0, &lost)
+			p.Wait(h)
+			check("CAS expecting the old value", lost, 0, 0, 10)
+			// A mark on one word, then a claim on another: the split
+			// queue's wDirty then wShared.
+			p.NbFetchAdd64(1, words, 1, 1, &old)
+			p.NbCAS64(1, words, 0, 10, 11, &won)
+			p.Flush()
+			check("CAS behind a mark", won, 1, 0, 11)
+			if got := p.Load64(1, words, 1); got != 1 {
+				panic(fmt.Sprintf("mark word = %d, want 1", got))
+			}
 		}
 		p.Barrier()
 	})

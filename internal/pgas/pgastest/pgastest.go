@@ -79,6 +79,7 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	t.Run("NbReuseAfterWait", func(t *testing.T) { testNbReuseAfterWait(t, newWorld) })
 	t.Run("NbPipelinedBatch", func(t *testing.T) { testNbPipelinedBatch(t, newWorld) })
 	t.Run("NbOutNotReused", func(t *testing.T) { testNbOutNotReused(t, newWorld) })
+	t.Run("NbCASInOrder", func(t *testing.T) { testNbCASInOrder(t, newWorld) })
 	t.Run("ObsMergeAcrossRanks", func(t *testing.T) { testObsMerge(t, newWorld) })
 	t.Run("OccupancyMergeAcrossRanks", func(t *testing.T) { testOccMerge(t, newWorld) })
 	t.Run("DeferredCrossPhase", func(t *testing.T) { testDeferredCrossPhase(t, newWorld) })

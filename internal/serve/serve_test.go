@@ -585,10 +585,11 @@ func (ww *watched) counter(rank int, name string) int64 {
 // costs 1024 checked ops on rank 2. With nothing submitted yet the one
 // phase opens — barrier, detector reset, barrier — and the rank sits
 // through parkAfter idle rounds and the one that raises its flag (a look
-// at its own queue word and a steal probe each), looks once more and parks
-// in Recv having issued 1039 ops, the same on every run because the test
-// submits only once the daemon is idle. The wake is then op 1040 (the flag
-// comes down), the reacquire of what the gateway dealt 1041-42, and every
+// at its own queue word and a steal probe of two victims each), looks once
+// more and parks in Recv having issued 1043 ops, the same on every run
+// because the test submits only once the daemon is idle. The wake is then
+// op 1044 (the flag comes down), the reacquire of what the gateway dealt
+// 1045-46, and every
 // task after that one completion mark in the gateway's journal — records
 // ride in the burst, so a task costs no Send. There is no per-batch
 // barrier or detector reset to step over any more, and no control
@@ -604,8 +605,8 @@ func TestServeWorkerCrashRecovers(t *testing.T) {
 		ops  int64
 		op   string // the operation the crash must interrupt, if that is certain
 	}{
-		{"first op after a wake", 1040, "Store64"}, // its own flag: died parked, as far as anyone else can tell
-		{"mid-burst", 1046, ""},                    // left alone, its fourth task's completion mark
+		{"first op after a wake", 1044, "Store64"}, // its own flag: died parked, as far as anyone else can tell
+		{"mid-burst", 1050, ""},                    // left alone, its fourth task's completion mark
 	} {
 		t.Run(pin.name, func(t *testing.T) {
 			var crashed atomic.Bool

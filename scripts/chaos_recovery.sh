@@ -24,11 +24,11 @@
 # barrier, detector reset, barrier — and with nothing submitted yet the
 # rank sits through its idle rounds (serve's parkAfter of them and the one
 # that raises its parked flag: a look at its own queue word and a steal
-# probe each), looks once more and blocks in Recv having issued 1039 ops:
-# the same on every run, because curl arrives long after. The wake is op
-# 1040 (the flag comes down), the reacquire of what the gateway dealt
-# 1041-42, then one completion mark per task — results ride in bursts, so
-# a task costs no Send. Past the wake the sequence is the schedule's: with
+# probe each, which at four ranks reads two victims), looks once more and
+# blocks in Recv having issued 1043 ops: the same on every run, because
+# curl arrives long after. The wake is op 1044 (the flag comes down), the
+# reacquire of what the gateway dealt 1045-46, then one completion mark per
+# task — results ride in bursts, so a task costs no Send. Past the wake the sequence is the schedule's: with
 # four ranks on fewer processors a woken rank may find its queue already
 # emptied by thieves, and the later pins land in a probe or a steal
 # instead — inside TC.Process all the same. No barrier or detector reset
@@ -137,10 +137,10 @@ print(n)
 # checked operations, and the setup sequence (dep-pool init + journal)
 # that dominates the count is identical core code on shm and ipc.
 for tr in shm ipc; do
-	run_scenario "$tr" "crash-on-wake" 1040 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-in-reacquire" 1042 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-after-first-task" 1044 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-with-deferred-deps" 1044 "$(dep_tasks 200)" 200
+	run_scenario "$tr" "crash-on-wake" 1044 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-in-reacquire" 1046 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-after-first-task" 1048 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-with-deferred-deps" 1048 "$(dep_tasks 200)" 200
 done
 
 echo "PASS: recovery matrix (2 transports x 4 scenarios, seed-pinned SCIOTO_FAULT_*)"

@@ -9,11 +9,11 @@ import (
 )
 
 // NbComplete flags non-blocking PGAS operations (NbGet, NbPut, NbLoad64,
-// NbStore64, NbFetchAdd64) whose handles can escape completion.
+// NbStore64, NbFetchAdd64, NbCAS64) whose handles can escape completion.
 //
 // A non-blocking operation's results — the dst buffer of an NbGet, the out
-// pointer of an NbLoad64/NbFetchAdd64, and the remote visibility of an
-// NbPut/NbStore64 — are defined only after Wait(h) or Flush(). Reading a
+// pointer of an NbLoad64/NbFetchAdd64/NbCAS64, and the remote visibility
+// of an NbPut/NbStore64 — are defined only after Wait(h) or Flush(). Reading a
 // dst early is a silent data race with the transport; releasing a PGAS
 // lock with operations still in flight publishes half-applied protocol
 // state to the next lock holder (the split-queue discipline in
@@ -52,6 +52,7 @@ var nbIssuers = map[string]bool{
 	"NbLoad64":     true,
 	"NbStore64":    true,
 	"NbFetchAdd64": true,
+	"NbCAS64":      true,
 }
 
 // nbState is the abstract state: operations issued but not yet completed

@@ -46,6 +46,23 @@ func badBranchLeak(p pgas.Proc, seg pgas.Seg) {
 	_ = v
 }
 
+// A claim's compare-and-swap is pending until the flush: returning its
+// outcome before then reads an undefined result.
+func badCASPending(p pgas.Proc, seg pgas.Seg) bool {
+	var swapped int64
+	p.NbCAS64(1, seg, 0, 0, 1, &swapped)
+	return swapped != 0 // want `return with NbCAS64 pending`
+}
+
+// The mark and the claim in one flushed batch.
+func goodCASFlushed(p pgas.Proc, seg pgas.Seg) bool {
+	var old, swapped int64
+	p.NbFetchAdd64(1, seg, 1, 1, &old)
+	p.NbCAS64(1, seg, 0, 0, 1, &swapped)
+	p.Flush()
+	return swapped != 0
+}
+
 // Wait pins the handle it is given.
 func goodWait(p pgas.Proc, seg pgas.Seg) int64 {
 	var v int64

@@ -39,6 +39,7 @@ type Proc interface {
 	NbLoad64(proc int, seg Seg, idx int, out *int64) Nb
 	NbStore64(proc int, seg Seg, idx int, val int64) Nb
 	NbFetchAdd64(proc int, seg Seg, idx int, delta int64, old *int64) Nb
+	NbCAS64(proc int, seg Seg, idx int, old, new int64, swapped *int64) Nb
 	Wait(h Nb)
 	Flush()
 

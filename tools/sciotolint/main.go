@@ -6,7 +6,7 @@
 //	              remote processes write (wShared, wBottom, wDirty): relaxed access
 //	              is only legal on owner-private words.
 //	nbcomplete  — an issued non-blocking op (NbGet, NbPut, NbLoad64,
-//	              NbStore64, NbFetchAdd64) whose handle is never completed
+//	              NbStore64, NbFetchAdd64, NbCAS64) whose handle is never completed
 //	              with Wait or Flush before a return or an Unlock: results
 //	              are undefined until completion.
 //	localescape — a p.Local(seg) slice stored in a struct field or package
