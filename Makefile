@@ -31,15 +31,15 @@ vet:
 # Fault-tolerance suite under the race detector: the deterministic
 # fault-injection wrapper (delay/drop/crash over shm, dsim, and tcp), the
 # tcp and ipc crash-containment tests (SIGKILL and SIGSTOP of live
-# ranks, including the SIGKILL-then-salvage journal replay over the
-# shared mapping), and the work-replay recovery matrix (transports x
-# crash-in-reacquire / crash-after-first-task / crash-with-deferred-deps, all
-# seed-pinned; see internal/core/recover_test.go; the serve daemon's pins
-# are a worker's first op after a wake and a crash mid-burst). CI runs the
-# same target.
+# ranks, the SIGKILL-then-salvage journal replay over the shared mapping,
+# and tcp's completion barrier ended cleanly and by a death), and the
+# work-replay recovery matrix (transports x crash-in-reacquire /
+# crash-after-first-task / crash-with-deferred-deps, all seed-pinned; see
+# internal/core/recover_test.go; the serve daemon's pins are a worker's
+# first op after a wake and a crash mid-burst). CI runs the same target.
 chaos:
 	$(GO) test -race -count=1 ./internal/pgas/faulty/
-	$(GO) test -race -count=1 -run 'TestCrashContainment|TestInjectedCrashOverTCP|TestHeartbeat|TestOpContext|TestBackoff|TestDialRetry' ./internal/pgas/tcp/
+	$(GO) test -race -count=1 -run 'TestCrashContainment|TestCompletionTeardown|TestInjectedCrashOverTCP|TestHeartbeat|TestOpContext|TestBackoff|TestDialRetry' ./internal/pgas/tcp/
 	$(GO) test -race -count=1 -run 'TestCrashContainment|TestInjectedCrashOverIPC|TestRecover' ./internal/pgas/ipc/
 	$(GO) test -race -count=1 -run 'TestRecovery' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRunRecover' .

@@ -35,10 +35,10 @@ type OpLog struct {
 	DataSegs []pgas.Seg // in allocation order
 	Ops      []Op
 
-	Calls    atomic.Int64 // every Issue (a lock call is CAS64 issues), Flush, Barrier, Send, Recv and TryRecv
+	Calls    atomic.Int64 // every Issue (a lock call is CAS64 issues), Flush, Barrier (and the Sends and Recvs it is), Send, Recv and TryRecv
 	Barriers atomic.Int64
-	Sends    atomic.Int64
-	InRecv   atomic.Bool // the rank is inside a Recv
+	Sends    atomic.Int64 // a barrier's included
+	InRecv   atomic.Bool  // the rank is inside a Recv
 }
 
 // NewOpLog wraps p.
@@ -75,7 +75,7 @@ func (l *OpLog) Barrier() {
 	l.Calls.Add(1)
 	l.Barriers.Add(1)
 	l.Ops = append(l.Ops, Op{Name: "Barrier"})
-	l.Kernel.Barrier()
+	l.Front.Barrier()
 }
 
 func (l *OpLog) Send(to int, tag int32, data []byte) {

@@ -165,10 +165,18 @@ func TestIdleEpisodeReadsClockTwice(t *testing.T) {
 // callback that returned, with its true start and end.
 func TestInterruptedCallbackLeavesNoOpenSpan(t *testing.T) {
 	const n = 4
+	// Op 63 is rank 2's checked Load64 of the cell on rank 0 inside one of
+	// its callbacks, after three barriers of two Sends each.
+	var crashedAt string
 	w := faulty.Wrap(dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3, Survivable: true}), faulty.Config{
 		Seed:          42,
 		CrashRank:     2,
-		CrashAfterOps: 60,
+		CrashAfterOps: 63,
+		Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
+			if kind == "crash" {
+				crashedAt = op
+			}
+		},
 	})
 	type span struct{ start, end time.Duration }
 	started := make([]int, n)
@@ -214,6 +222,9 @@ func TestInterruptedCallbackLeavesNoOpenSpan(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("survivable world failed: %v", err)
+	}
+	if crashedAt != "Load64" {
+		t.Fatalf("the pin interrupted a %q, want the callback's Load64 (re-pin CrashAfterOps)", crashedAt)
 	}
 	interrupted := 0
 	for _, me := range []int{0, 1, 3} {

@@ -118,9 +118,10 @@ func (rec *recovery) healer() int {
 	panic("core: no live ranks")
 }
 
-// liveBarrier synchronizes the live ranks with one-sided operations only
-// (the transport barrier is also live-aware post-SurviveFault, but during
-// the protocol we keep the rendezvous explicit and self-contained).
+// liveBarrier synchronizes the live ranks with one-sided operations only.
+// pgas.Front's barrier runs over the live ranks too once SurviveFault has
+// moved this rank's fault epoch (pgas/barrier.go), but during the protocol
+// the rendezvous stays explicit and self-contained.
 func (rec *recovery) liveBarrier() {
 	rec.round++
 	leader := rec.healer()

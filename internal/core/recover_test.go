@@ -3,6 +3,8 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,19 +24,54 @@ type recoveryOutcome struct {
 	epochs    int64
 }
 
+// crashPin is where a one-shot crash lands: the rank's ops-th checked
+// operation, which must be one of the operations op names ("|"-separated),
+// or, for "!Send", anything but a Send — a barrier is its Sends, and
+// nothing else in these phases sends.
+type crashPin struct {
+	ops int64
+	op  string
+}
+
+// observe returns the faulty.Config.Observe hook that checks the crash
+// against the pin, failing t when it interrupted another operation. Call
+// after Run: the hook runs on the crashing rank's goroutine.
+func (c crashPin) observe(t *testing.T) (hook func(time.Duration, int, string, string, int), check func()) {
+	var got string
+	hook = func(_ time.Duration, _ int, kind, op string, _ int) {
+		if kind == "crash" {
+			got = op
+		}
+	}
+	check = func() {
+		t.Helper()
+		ok := slices.Contains(strings.Split(c.op, "|"), got)
+		if not, isNot := strings.CutPrefix(c.op, "!"); isNot {
+			ok = got != not
+		}
+		if got != "" && !ok {
+			t.Errorf("the pin at op %d interrupted a %s, want a %s (re-pin CrashAfterOps)", c.ops, got, c.op)
+		}
+	}
+	return hook, check
+}
+
 // runRecoveryTree runs the spawning-tree workload on a survivable world
-// wrapped with a deterministic one-shot crash of crashRank, with
+// wrapped with a deterministic one-shot crash of crashRank at pin, with
 // work-replay recovery armed. Every rank seeds one root task; each task
 // of depth > 0 spawns `branch` children locally. Reports rank 0's global
 // stats. The callbacks only perform local adds (no checked communication),
 // so task execution is atomic with respect to fault delivery and the
 // replay accounting must be exact.
-func runRecoveryTree(t *testing.T, mk func() pgas.World, n, crashRank int, crashAfter int64, seed int64) (recoveryOutcome, error) {
+func runRecoveryTree(t *testing.T, mk func() pgas.World, n, crashRank int, pin crashPin, seed int64) (recoveryOutcome, error) {
 	t.Helper()
+	hook, check := pin.observe(t)
+	defer check()
 	w := faulty.Wrap(mk(), faulty.Config{
 		Seed:          seed,
 		CrashRank:     crashRank,
-		CrashAfterOps: crashAfter,
+		CrashAfterOps: pin.ops,
+		Observe:       hook,
 	})
 	var mu sync.Mutex
 	var out recoveryOutcome
@@ -89,20 +126,21 @@ func treeNodes(n int) int64 {
 func TestRecoveryExactReplaySHM(t *testing.T) {
 	const n = 4
 	// Crash points pinned (with the seeds below) inside the processing
-	// phase, all three among the operations rank 2 issues while it works
-	// through its own tree — the ordered release checks, the fetch-adds
-	// that release and the CASes that reacquire, ops 7 to ~31 — because
-	// that prefix is the same on every run: how long the rank then probes
-	// for work before the phase terminates is the host scheduler's choice,
-	// and the phase has ended by op 32 on a fast run. Faults landing in
-	// setup or teardown collectives are outside the recoverable window by
-	// design (see DESIGN.md "Recovery").
-	for _, crashAfter := range []int64{10, 18, 26} {
+	// phase, after its three barriers of two Sends each: ops 10 to ~34 are
+	// what rank 2 issues while it works through its own tree — the ordered
+	// release checks, the fetch-adds that release and the CASes that
+	// reacquire — on most runs, though a thief that empties its queue
+	// early leaves it probing (how long it then probes for work before the
+	// phase terminates is the host scheduler's choice, and the phase has
+	// ended by op 35 on a fast run). Faults landing in setup or teardown
+	// collectives are outside the recoverable window by design (see
+	// DESIGN.md "Recovery").
+	for _, crashAfter := range []int64{13, 21, 29} {
 		crashAfter := crashAfter
 		t.Run(fmt.Sprintf("crashAfter=%d", crashAfter), func(t *testing.T) {
 			out, err := runRecoveryTree(t, func() pgas.World {
 				return shm.NewWorld(shm.Config{NProcs: n, Seed: 3, Survivable: true})
-			}, n, 2, crashAfter, 42)
+			}, n, 2, crashPin{crashAfter, "!Send"}, 42)
 			if err != nil {
 				t.Fatalf("survivable world failed: %v", err)
 			}
@@ -118,17 +156,18 @@ func TestRecoveryExactReplaySHM(t *testing.T) {
 }
 
 // TestRecoveryExactReplayDSim: the same healing on the deterministic
-// transport, at crash points in rank 2's release checks (12), between a
-// release and the reacquire that follows (25), and at its probe of rank
-// 3's packed word once it has run out of work (43; the phase is 54 ops).
+// transport, at crash points in rank 2's release checks (15, a Load64 of
+// its own packed word), between a release and the reacquire that follows
+// (28, the Load64 after the FetchAdd64), and at its first probe of rank
+// 3's packed word once it has run out of work (43; the phase is 63 ops).
 func TestRecoveryExactReplayDSim(t *testing.T) {
 	const n = 4
-	for _, crashAfter := range []int64{12, 25, 43} {
-		crashAfter := crashAfter
-		t.Run(fmt.Sprintf("crashAfter=%d", crashAfter), func(t *testing.T) {
+	for _, pin := range []crashPin{{15, "Load64"}, {28, "Load64"}, {43, "NbLoad64"}} {
+		pin := pin
+		t.Run(fmt.Sprintf("crashAfter=%d", pin.ops), func(t *testing.T) {
 			out, err := runRecoveryTree(t, func() pgas.World {
 				return dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3, Survivable: true})
-			}, n, 2, crashAfter, 42)
+			}, n, 2, pin, 42)
 			if err != nil {
 				t.Fatalf("survivable world failed: %v", err)
 			}
@@ -137,7 +176,7 @@ func TestRecoveryExactReplayDSim(t *testing.T) {
 					out.executed, out.salvaged, got, want)
 			}
 			if out.epochs == 0 {
-				t.Fatalf("crash of rank 2 after %d ops triggered no recovery epoch", crashAfter)
+				t.Fatalf("crash of rank 2 after %d ops triggered no recovery epoch", pin.ops)
 			}
 		})
 	}
@@ -196,18 +235,22 @@ func TestRecoveryLockedQueueDSim(t *testing.T) {
 		unwinds    bool
 	}{
 		// Every attempt of a contended Lock is an op of the fault stream (the
-		// lock is CAS64s issued by pgas.Front); rank 2's phase is 680 ops.
-		{"after first task", 315, 1, false}, // its first callback starts after op 311, its second after op 318
-		{"survivor unwound inside a steal", 380, -1, true},
+		// lock is CAS64s issued by pgas.Front), and so is each of a
+		// barrier's two Sends; rank 2's phase is ops 310 to 682. Both pins
+		// land on a Load64 of its own queue's words.
+		{"after first task", 318, 1, false}, // its first callback starts after op 314, its second after op 321
+		{"survivor unwound inside a steal", 383, -1, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// The run ends near 2 ms of virtual time. A queue lock that
 			// recovery fails to drop leaves its next acquirer backing off
 			// through virtual time forever; the bound turns that into an
 			// error instead of go test's timeout.
+			hook, check := crashPin{c.crashAfter, "Load64"}.observe(t)
+			defer check()
 			w := faulty.Wrap(dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3, Survivable: true, Latency: 2 * time.Microsecond,
 				MaxVirtualTime: 100 * time.Millisecond}),
-				faulty.Config{Seed: 42, CrashRank: 2, CrashAfterOps: c.crashAfter})
+				faulty.Config{Seed: 42, CrashRank: 2, CrashAfterOps: c.crashAfter, Observe: hook})
 			var ran, unwound int
 			var out recoveryOutcome
 			err := w.Run(func(p pgas.Proc) {
@@ -259,7 +302,7 @@ func TestRecoveryDeterministicDSim(t *testing.T) {
 	run := func() recoveryOutcome {
 		out, err := runRecoveryTree(t, func() pgas.World {
 			return dsim.NewWorld(dsim.Config{NProcs: n, Seed: 7, Survivable: true})
-		}, n, 1, 40, 99) // rank 1's probe of rank 3's packed word
+		}, n, 1, crashPin{39, "NbLoad64"}, 99) // rank 1's first probe of rank 3's packed word
 		if err != nil {
 			t.Fatalf("survivable world failed: %v", err)
 		}
@@ -279,10 +322,15 @@ func TestRecoveryDeterministicDSim(t *testing.T) {
 // remaps outstanding handles so late Satisfy calls still launch them.
 func TestRecoveryWithDeferredDeps(t *testing.T) {
 	const n = 4
+	// Op 33 is inside the phase, in rank 2's probing once its own tasks
+	// ran: past the set-up barrier and the phase's two, two Sends each.
+	hook, check := crashPin{33, "!Send"}.observe(t)
+	defer check()
 	w := faulty.Wrap(shm.NewWorld(shm.Config{NProcs: n, Seed: 5, Survivable: true}), faulty.Config{
 		Seed:          11,
 		CrashRank:     2,
-		CrashAfterOps: 30,
+		CrashAfterOps: 33,
+		Observe:       hook,
 	})
 	var mu sync.Mutex
 	var got recoveryOutcome
@@ -340,7 +388,7 @@ func TestRecoveryRankZeroDeathUnrecoverable(t *testing.T) {
 	const n = 4
 	_, err := runRecoveryTree(t, func() pgas.World {
 		return shm.NewWorld(shm.Config{NProcs: n, Seed: 3, Survivable: true})
-	}, n, 0, 20, 42)
+	}, n, 0, crashPin{23, "!Send"}, 42) // inside the phase
 	if err == nil {
 		t.Fatal("rank 0 death was silently recovered; want a fault")
 	}
@@ -356,7 +404,7 @@ func TestRecoveryRequiresSurvivableTransport(t *testing.T) {
 	const n = 4
 	_, err := runRecoveryTree(t, func() pgas.World {
 		return shm.NewWorld(shm.Config{NProcs: n, Seed: 3})
-	}, n, 2, 20, 42)
+	}, n, 2, crashPin{23, "!Send"}, 42) // inside the phase
 	if err == nil {
 		t.Fatal("crash on a non-survivable world returned success")
 	}

@@ -97,7 +97,6 @@ const (
 	FaultDrop int64 = iota
 	FaultCrash
 	FaultDelay
-	FaultBarrierStall
 )
 
 // FaultKindName names a fault-kind code (the inverse of RecordFault's
@@ -110,8 +109,6 @@ func FaultKindName(code int64) string {
 		return "crash"
 	case FaultDelay:
 		return "delay"
-	case FaultBarrierStall:
-		return "barrier-stall"
 	default:
 		return fmt.Sprintf("fault(%d)", code)
 	}
@@ -126,8 +123,6 @@ func faultKindCode(kind string) int64 {
 		return FaultCrash
 	case "delay":
 		return FaultDelay
-	case "barrier-stall":
-		return FaultBarrierStall
 	default:
 		return -1
 	}

@@ -240,7 +240,7 @@ func TestHubWriteProm(t *testing.T) {
 }
 
 func TestFaultKindCodes(t *testing.T) {
-	for _, kind := range []string{"drop", "crash", "delay", "barrier-stall"} {
+	for _, kind := range []string{"drop", "crash", "delay"} {
 		code := faultKindCode(kind)
 		if code < 0 {
 			t.Fatalf("unknown kind %q", kind)

@@ -22,6 +22,7 @@ type Clock struct {
 	start time.Time      // wall-clock origin of Now
 	virt  *time.Duration // the rank's virtual time; nil on a wall clock
 	speed float64        // cost multiplier of Compute and Charge
+	step  time.Duration  // a virtual clock's cost of one local ordered operation
 	seed  int64
 	rng   *rand.Rand // seeded by the first Rand
 }
@@ -37,6 +38,11 @@ func NewClock(start time.Time, virt *time.Duration, seed int64, rank int, speed 
 	}
 	return c
 }
+
+// SetStep sets what one ordered operation on the rank's own memory costs a
+// virtual clock, unscaled by the speed factor — dsim's LocalOpCost. Front
+// charges it for a barrier of one member (barrier.go), which sends nothing.
+func (c *Clock) SetStep(d time.Duration) { c.step = d }
 
 // Virtual reports whether the clock is virtual.
 func (c *Clock) Virtual() bool { return c.virt != nil }

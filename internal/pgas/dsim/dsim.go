@@ -195,6 +195,7 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 	for r := range w.procs {
 		p := &proc{w: w, rank: r, resumeCh: make(chan struct{})}
 		p.clk = pgas.NewClock(time.Time{}, &p.clock, w.cfg.Seed, r, w.cfg.SpeedFactor)
+		p.clk.SetStep(w.cfg.LocalOpCost)
 		w.procs[r], w.ready[r] = p, p // equal clocks in rank order: a heap
 		go p.run(body)
 	}

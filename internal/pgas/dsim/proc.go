@@ -31,8 +31,6 @@ type proc struct {
 	dataCount int
 	wordCount int
 
-	barGen int
-
 	// ackedSeq is the fault sequence this proc has acknowledged
 	// (survivable mode); yield() panics a fault clone while it lags the
 	// world's sequence, and SurviveFault advances it.
@@ -373,81 +371,34 @@ func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
 	return nil, -1, false
 }
 
-// --- Barrier -------------------------------------------------------------------
-
-// barrierTagBase is the reserved internal tag space for dissemination
-// barrier rounds; the generation parity keeps adjacent barriers separate.
-const barrierTagBase int32 = -(1 << 20)
-
-// Barrier is a dissemination barrier over two-sided messages: ceil(log2 P)
-// rounds, each a send to rank+2^k and a receive from rank-2^k. Its modeled
-// cost is therefore ~log2(P) message latencies, matching an MPI barrier.
-//
-// In survivable mode the dissemination runs over the compact live
-// membership, and the tag carries the acknowledged fault sequence so
-// rounds of a barrier aborted by a death can never satisfy receives of a
-// post-recovery barrier (the membership epoch differs).
-func (p *proc) Barrier() {
-	ranks := p.liveRanks()
-	n := len(ranks)
-	if n == 1 {
-		p.ordered(p.w.cfg.LocalOpCost)
-		return
-	}
-	idx := 0
-	for i, r := range ranks {
-		if r == p.rank {
-			idx = i
-		}
-	}
-	gen := int32(p.barGen & 1)
-	p.barGen++
-	round := int32(0)
-	for dist := 1; dist < n; dist *= 2 {
-		to := ranks[(idx+dist)%n]
-		from := ranks[(idx-dist+n)%n]
-		tag := barrierTagBase - int32(p.ackedSeq)*128 - gen*64 - round
-		p.Send(to, tag, nil)
-		p.Recv(from, tag)
-		round++
-	}
-}
-
-// liveRanks returns the live membership in rank order. Outside survivable
-// mode (or before any death) that is every rank. Reading deadRanks is
-// token-ordered: only the token holder mutates it.
-func (p *proc) liveRanks() []int {
-	w := p.w
-	ranks := make([]int, 0, w.cfg.NProcs)
-	for r := 0; r < w.cfg.NProcs; r++ {
-		if !w.deadRanks[r] {
-			ranks = append(ranks, r)
-		}
-	}
-	return ranks
-}
-
 // --- Resilience (survivable mode) --------------------------------------------
 
 var _ pgas.Resilient = (*proc)(nil)
 
 // SurviveFault acknowledges every death registered so far and returns the
-// live membership. It also resets the dissemination-barrier generation:
-// survivors abort an in-progress barrier at different rounds, so their
-// generation parities may diverge, and the post-recovery membership epoch
-// in the tag already fences off the aborted barrier's stray messages.
+// live membership.
 func (p *proc) SurviveFault(fe *pgas.FaultError) (alive []bool, ok bool) {
-	w := p.w
-	if !w.cfg.Survivable {
+	if !p.w.cfg.Survivable {
 		return nil, false
 	}
-	p.ackedSeq = w.faultSeq
-	p.barGen = 0
+	p.ackedSeq = p.w.faultSeq
+	alive, _ = p.Membership()
+	return alive, true
+}
+
+// Membership reports the acknowledged fault sequence and the ranks not
+// registered dead. Reading deadRanks is token-ordered: only the token
+// holder mutates it.
+func (p *proc) Membership() (alive []bool, epoch int64) {
+	w := p.w
+	if !w.cfg.Survivable {
+		return nil, 0
+	}
 	alive = make([]bool, w.cfg.NProcs)
 	for r := range alive {
 		alive[r] = !w.deadRanks[r]
 	}
-	return alive, true
+	return alive, p.ackedSeq
 }
 
 // Salvage reads a dead (or any) rank's data segment, charged as a normal

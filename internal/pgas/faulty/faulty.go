@@ -6,8 +6,8 @@
 // wrapped, and each communication operation consults a per-rank
 // deterministic random stream to decide whether to inject a fault before
 // delegating to the real transport (a lock operation is the CAS64 it is
-// built on — pgas/lock.go — and is faulted as one). Four fault classes are
-// supported:
+// built on — pgas/lock.go — and a barrier is the Sends and Recvs it is
+// built on — pgas/barrier.go). Three fault classes are supported:
 //
 //   - Delayed frames: the operation stalls for a bounded, seed-determined
 //     real-time duration before executing. Delays must be invisible to
@@ -20,9 +20,6 @@
 //     panics with a *pgas.FaultError attributed to the crashing rank
 //     itself (phase "injected-crash"), modeling the process dying
 //     mid-operation.
-//   - Partitioned barriers: Barrier stalls for BarrierStall on every
-//     call, modeling a barrier whose members are partitioned from each
-//     other long enough for deadlines to matter.
 //
 // Injection is deterministic: rank r's fault stream depends only on
 // (Seed, r) and the sequence of operations rank r issues, so a failing
@@ -73,13 +70,10 @@ type Config struct {
 	// CrashAfterOps is the 1-based operation count at which CrashRank
 	// crashes. Zero means "first operation".
 	CrashAfterOps int64
-	// BarrierStall, when nonzero, stalls every Barrier entry by that
-	// duration, modeling a partitioned barrier reassembling.
-	BarrierStall time.Duration
 	// Observe, when non-nil, is called once per injected fault, before
 	// the fault takes effect (before the panic for drops and crashes,
-	// before the sleep for delays and stalls). kind is one of "drop",
-	// "crash", "delay", "barrier-stall"; now is the
+	// before the sleep for delays). kind is one of "drop", "crash",
+	// "delay"; now is the
 	// observing rank's transport clock; target is the rank the faulted
 	// operation addressed. The observability layer hooks this to count
 	// injected faults and stamp them into the rank's trace. Observe is
@@ -98,7 +92,6 @@ const (
 	EnvDropProb      = "SCIOTO_FAULT_DROP_PROB"
 	EnvCrashRank     = "SCIOTO_FAULT_CRASH_RANK"
 	EnvCrashAfterOps = "SCIOTO_FAULT_CRASH_AFTER"
-	EnvBarrierStall  = "SCIOTO_FAULT_BARRIER_STALL"
 )
 
 // FromEnv assembles a Config from the SCIOTO_FAULT_* environment
@@ -149,7 +142,6 @@ func FromEnv() (cfg Config, ok bool) {
 	num(EnvCrashRank, &crash)
 	cfg.CrashRank = int(crash)
 	num(EnvCrashAfterOps, &cfg.CrashAfterOps)
-	dur(EnvBarrierStall, &cfg.BarrierStall)
 	return cfg, set
 }
 
@@ -253,15 +245,6 @@ func Ops(p pgas.Proc) int64 {
 }
 
 // Communication operations: inject, then delegate.
-
-func (p *proc) Barrier() {
-	p.inject(p.Rank(), "Barrier", func() string { return "Barrier()" })
-	if p.cfg.BarrierStall > 0 {
-		p.observe("barrier-stall", "Barrier", p.Rank())
-		time.Sleep(p.cfg.BarrierStall)
-	}
-	p.Kernel.Barrier()
-}
 
 // Issue injects at issue time for blocking and non-blocking operations
 // alike — the fault stream sees the same operation sequence whether a

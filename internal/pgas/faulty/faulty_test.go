@@ -74,15 +74,22 @@ func TestDelaysInvisibleToVirtualTime(t *testing.T) {
 	}
 }
 
-// TestInjectedCrash crashes rank 1 at its 5th operation and checks the
-// survivors' world returns a FaultError attributed to rank 1; the other
-// ranks do bounded work so the test cannot hang on a missing rank.
+// TestInjectedCrash crashes rank 1 at its 5th operation, its fifth
+// FetchAdd64, and checks the survivors' world returns a FaultError
+// attributed to rank 1; the other ranks do bounded work so the test cannot
+// hang on a missing rank.
 func TestInjectedCrash(t *testing.T) {
 	const n = 3
+	var crashedAt string // written by rank 1's goroutine, read after Run
 	w := Wrap(shm.NewWorld(shm.Config{NProcs: n}), Config{
 		Seed:          1,
 		CrashRank:     1,
 		CrashAfterOps: 5,
+		Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
+			if kind == "crash" {
+				crashedAt = op
+			}
+		},
 	})
 	err := w.Run(func(p pgas.Proc) {
 		seg := p.AllocWords(1)
@@ -99,6 +106,9 @@ func TestInjectedCrash(t *testing.T) {
 	}
 	if fe.Rank != 1 || fe.Phase != "injected-crash" {
 		t.Errorf("fault = rank %d phase %q, want rank 1 phase injected-crash", fe.Rank, fe.Phase)
+	}
+	if crashedAt != "FetchAdd64" {
+		t.Errorf("the pin interrupted a %q, want a FetchAdd64", crashedAt)
 	}
 }
 

@@ -1,6 +1,7 @@
 package faulty_test
 
 import (
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -56,12 +57,15 @@ func TestObserveDrop(t *testing.T) {
 	}
 }
 
+// TestObserveDelayAndStalls: with every operation delayed, the observer
+// sees each one by name. A barrier is Front's Sends and Recvs over the
+// wrapper, so a stalled barrier is its delayed messages: one Send and one
+// Recv per rank and barrier at P = 2.
 func TestObserveDelayAndStalls(t *testing.T) {
 	var o observed
 	w := faulty.Wrap(shm.NewWorld(shm.Config{NProcs: 2, Seed: 2}), faulty.Config{
 		Seed: 2, DelayProb: 1, MaxDelay: time.Microsecond,
-		BarrierStall: time.Microsecond,
-		CrashRank:    faulty.NoCrash, Observe: o.hook,
+		CrashRank: faulty.NoCrash, Observe: o.hook,
 	})
 	err := w.Run(func(p pgas.Proc) {
 		words := p.AllocWords(1)
@@ -75,16 +79,14 @@ func TestObserveDelayAndStalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := o.kinds()
-	for _, kind := range []string{"delay", "barrier-stall"} {
-		if k[kind] == 0 {
-			t.Errorf("observer saw no %q faults: %v", kind, k)
-		}
+	if k := o.kinds(); len(k) != 1 || k["delay"] == 0 {
+		t.Errorf("observer saw %v, want delays only", k)
 	}
 	// A lock is built on CAS64 above the wrapper, so its traffic is delayed
 	// like any word operation: one CAS64 per rank to lock, one to unlock.
-	if o.ops["CAS64"] != 4 {
-		t.Errorf("delays by op = %v, want 4 on CAS64", o.ops)
+	want := map[string]int{"Send": 4, "Recv": 4, "Store64": 2, "CAS64": 4}
+	if !maps.Equal(o.ops, want) {
+		t.Errorf("delays by op = %v, want %v", o.ops, want)
 	}
 }
 

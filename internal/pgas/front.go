@@ -128,8 +128,9 @@ const NbPending Nb = 1
 
 // Front is the one implementation of Proc's typed one-sided methods: each
 // fills a scratch Op it owns and passes it, by pointer, to Kernel.Issue.
-// The lock methods (lock.go) are built on CAS64 here too, and the clock
-// methods (clock.go) on the kernel's Clock.
+// The lock methods (lock.go) are built on CAS64 here too, the barrier
+// (barrier.go) on Send and Recv, and the clock methods (clock.go) on the
+// kernel's Clock.
 // A transport or wrapper embeds a Front in its Kernel type and binds it to
 // itself, which makes that type a Proc whose owner-side accessors (Local,
 // the relaxed words) are still its own methods, one dispatch away.
@@ -148,6 +149,16 @@ type Front struct {
 
 	tag int64  // this rank's holder tag in a lock cell: rank + 1 (lock.go)
 	clk *Clock // the kernel's clock (clock.go)
+
+	// The barrier (barrier.go): the world size, the kernel's membership
+	// when it is Resilient, and the member list as of the acknowledged
+	// fault epoch, with this rank's index in it and the generation count.
+	n     int
+	mem   Resilient
+	epoch int64
+	live  []int
+	idx   int32
+	gen   int32
 }
 
 // Bind points the front at the kernel that embeds it.
@@ -155,6 +166,9 @@ func (f *Front) Bind(k Kernel) {
 	f.k = k
 	f.tag = int64(k.Rank()) + 1
 	f.clk = k.Clock()
+	f.n = k.NProcs()
+	f.mem, _ = Find[Resilient](k)
+	f.members(nil)
 }
 
 // set fills the scratch descriptor's addressing fields. The descriptor is

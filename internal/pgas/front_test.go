@@ -79,8 +79,7 @@ func (k *recKernel) Issue(op *Op) Nb {
 }
 
 func (k *recKernel) Rank() int            { k.rec("Rank"); return 0 }
-func (k *recKernel) NProcs() int          { k.rec("NProcs"); return 2 }
-func (k *recKernel) Barrier()             { k.rec("Barrier") }
+func (k *recKernel) NProcs() int          { k.rec("NProcs"); return 4 }
 func (k *recKernel) AllocData(n int) Seg  { k.rec("AllocData %d", n); return 0 }
 func (k *recKernel) AllocWords(n int) Seg { k.rec("AllocWords %d", n); return 0 }
 func (k *recKernel) Local(seg Seg) []byte { k.rec("Local %d", seg); return nil }
@@ -107,7 +106,8 @@ func (k *recKernel) TryRecv(from int, tag int32) ([]byte, int, bool) {
 
 // TestFrontEquivalence has one row per Proc method: each API call must
 // reach the kernel as exactly one call — or, for the clock methods Front
-// serves from the Clock it took at Bind, as none — and for the typed
+// serves from the Clock it took at Bind, as none, and for the barrier as
+// the Sends and Recvs of dsim's dissemination sequence — and for the typed
 // one-sided methods as one Issue with the kind, nb flag, target, segment,
 // offset and byte count the method's own implementation used to act on (an
 // uncontended Lock, TryLock or Unlock is one CAS64 of the lock's cell, 0
@@ -122,7 +122,7 @@ func TestFrontEquivalence(t *testing.T) {
 	rows := []struct {
 		name string
 		call func(p Proc)
-		want string // the one kernel call the method becomes
+		want string // the kernel calls the method becomes, one a line
 	}{
 		{"Get", func(p Proc) { p.Get(buf, 1, 2, 8) }, "Issue Get nb=false target=1 seg=2 off=8 bytes=16 val=0 old=0"},
 		{"Put", func(p Proc) { p.Put(1, 2, 8, buf[:4]) }, "Issue Put nb=false target=1 seg=2 off=8 bytes=4 val=0 old=0"},
@@ -141,7 +141,9 @@ func TestFrontEquivalence(t *testing.T) {
 		{"Flush", func(p Proc) { p.Flush() }, "Flush"},
 		{"Rank", func(p Proc) { p.Rank() }, "Rank"},
 		{"NProcs", func(p Proc) { p.NProcs() }, "NProcs"},
-		{"Barrier", func(p Proc) { p.Barrier() }, "Barrier"},
+		// Rank 0 of 4, in the first generation of epoch 0: round k sends to
+		// rank 2^k and receives from rank 4-2^k, under tag -2^20 - k.
+		{"Barrier", func(p Proc) { p.Barrier() }, "Send 1 -1048576 0\nRecv 3 -1048576\nSend 2 -1048577 0\nRecv 2 -1048577"},
 		{"AllocData", func(p Proc) { p.AllocData(64) }, "AllocData 64"},
 		{"AllocWords", func(p Proc) { p.AllocWords(4) }, "AllocWords 4"},
 		{"AllocLock", func(p Proc) { p.AllocLock() }, "AllocWords 1"},
@@ -187,14 +189,63 @@ func TestFrontEquivalence(t *testing.T) {
 		}
 		var want []string
 		if row.want != "" {
-			want = []string{row.want}
+			want = strings.Split(row.want, "\n")
 		}
 		if !slices.Equal(k.log, want) {
 			t.Errorf("%s reached the kernel as %q, want %q", row.name, k.log, want)
 		}
 	}
-	if n := reflect.TypeOf((*Kernel)(nil)).Elem().NumMethod(); n != 14 {
-		t.Errorf("Kernel has %d methods, want 14", n)
+	if n := reflect.TypeOf((*Kernel)(nil)).Elem().NumMethod(); n != 13 {
+		t.Errorf("Kernel has %d methods, want 13", n)
+	}
+}
+
+// memKernel is a Resilient recKernel whose Membership reports alive and
+// epoch; the rest of Resilient is never called.
+type memKernel struct {
+	*recKernel
+	Resilient
+	alive []bool
+	epoch int64
+}
+
+func (k *memKernel) Membership() (alive []bool, epoch int64) { return k.alive, k.epoch }
+
+// TestBarrierGenerations: consecutive barriers alternate the generation
+// half of the tag space; a new fault epoch rebuilds the member list from
+// the live bitmap, restarts the generation and moves the tags to the
+// epoch's own band; a member list of one sends nothing.
+func TestBarrierGenerations(t *testing.T) {
+	k := &memKernel{recKernel: newRec(false)}
+	k.Bind(k)
+	barrier := func() []string {
+		k.log = nil
+		k.Barrier()
+		return k.log
+	}
+	gen0 := []string{"Send 1 -1048576 0", "Recv 3 -1048576", "Send 2 -1048577 0", "Recv 2 -1048577"}
+	gen1 := []string{"Send 1 -1048640 0", "Recv 3 -1048640", "Send 2 -1048641 0", "Recv 2 -1048641"}
+	for i, want := range [][]string{gen0, gen1, gen0} {
+		if got := barrier(); !slices.Equal(got, want) {
+			t.Errorf("barrier %d of epoch 0 = %q, want %q", i, got, want)
+		}
+	}
+	// Rank 2 dies: members 0, 1, 3; epoch 1 starts again at generation 0.
+	k.alive, k.epoch = []bool{true, true, false, true}, 1
+	want := []string{"Send 1 -1048704 0", "Recv 3 -1048704", "Send 3 -1048705 0", "Recv 1 -1048705"}
+	if got := barrier(); !slices.Equal(got, want) {
+		t.Errorf("first barrier of epoch 1 = %q, want %q", got, want)
+	}
+	k.alive, k.epoch = []bool{true, false, false, false}, 3
+	if got := barrier(); len(got) != 0 {
+		t.Errorf("barrier of one member reached the kernel as %q, want nothing", got)
+	}
+	v := newRec(true)
+	v.clk.SetStep(80 * time.Nanosecond)
+	vm := &memKernel{recKernel: v, alive: []bool{true, false, false, false}, epoch: 1}
+	vm.Bind(vm)
+	if vm.Barrier(); v.vt != 80*time.Nanosecond {
+		t.Errorf("barrier of one member charged a virtual clock %v, want one step (80ns)", v.vt)
 	}
 }
 

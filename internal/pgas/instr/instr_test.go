@@ -72,8 +72,10 @@ func TestInstrumentedOpsRecord(t *testing.T) {
 			`scioto_pgas_op_latency_seconds_count{op="barrier",scope="remote"} 3`,
 			`scioto_pgas_nb_window_seconds_count{op="nbload64"} 1`,
 			`scioto_pgas_nb_window_seconds_count{op="nbstore64"} 1`,
-			`scioto_pgas_op_latency_seconds_count{op="send",scope="remote"} 1`,
-			`scioto_pgas_op_latency_seconds_count{op="recv",scope="remote"} 1`,
+			// The Send and the Recv, and each barrier's one round at P = 2:
+			// a barrier is Front's Send and Recv over this layer.
+			`scioto_pgas_op_latency_seconds_count{op="send",scope="remote"} 4`,
+			`scioto_pgas_op_latency_seconds_count{op="recv",scope="remote"} 4`,
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("rank %d missing %q", rank, want)

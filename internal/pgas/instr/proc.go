@@ -145,9 +145,11 @@ func (in *instruments) observe(p pgas.Proc, op opKind, target int, start time.Du
 
 // Communication operations: delegate, then record.
 
+// Barrier times Front's barrier as a whole; its messages are this layer's
+// own Sends and Recvs, so they also land in the send and recv rows.
 func (p *proc) Barrier() {
 	start := p.Now()
-	p.Kernel.Barrier()
+	p.Front.Barrier()
 	p.observe(p, opBarrier, -1, start)
 }
 

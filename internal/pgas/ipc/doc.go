@@ -33,11 +33,9 @@
 // The file is laid out as
 //
 //	header   | magic, nprocs, arena/ring geometry (sanity-checked on map)
-//	control  | world words: ctl spinlock, faultSeq, liveCount, barrier
-//	         | epoch; per-rank dead flags; per-rank barrier
-//	         | arrival stamps; the current fault record; per-rank
-//	         | exit-report slots; per-rank accumulate locks; mailbox
-//	         | ring headers
+//	control  | world words: ctl spinlock, faultSeq; per-rank dead
+//	         | flags; the current fault record; per-rank exit-report
+//	         | slots; per-rank accumulate locks; mailbox ring headers
 //	rings    | one byte ring per (sender, receiver) pair
 //	arenas   | one fixed-size symmetric heap arena per rank
 //
@@ -49,7 +47,7 @@
 // # Blocking primitives
 //
 // There are no cross-process wakeups (no futexes): every blocking
-// primitive — Recv, Barrier, Send backpressure, the accumulate lock — is
+// primitive — Recv, Send backpressure, the accumulate lock — is
 // a spin-then-park poll (pgas.Backoff): a short tight spin, then
 // runtime.Gosched, then escalating microsecond sleeps. Each iteration
 // also polls the control region's faultSeq word, which is what makes
@@ -57,18 +55,15 @@
 // unwinds with a rank-attributed *pgas.FaultError clone, exactly like the
 // shm transport.
 //
-// A pgas lock is not this transport's business: it is a word of the
-// arenas like any other, operated by pgas.Front with CAS64 (pgas/lock.go),
-// whose waiting is the same pgas.Backoff. The accumulate locks that make
-// AccF64 atomic per target are holder-tagged control words (0 free, rank+1
-// held) acquired by CAS; mailboxes are single-producer byte rings per
-// (sender, receiver) pair, drained into a receiver-local queue where
-// tag/source matching happens (per-pair FIFO falls out of ring order); the
-// barrier is a shared epoch word plus per-rank arrival stamps mutated
-// under the control spinlock with the waiting done outside it — per-rank stamps (not an anonymous
-// count) so a rank that is SIGKILLed after arriving never stands in for
-// a live rank that has not, and a single-store release so there is no
-// multi-word release window a SIGKILL could tear.
+// Neither a pgas lock nor the barrier is this transport's business: a lock
+// is a word of the arenas like any other, operated by pgas.Front with CAS64
+// (pgas/lock.go), whose waiting is the same pgas.Backoff, and the barrier
+// is pgas.Front's dissemination barrier over Send and Recv
+// (pgas/barrier.go), whose waiting is Recv's. The accumulate locks that
+// make AccF64 atomic per target are holder-tagged control words (0 free,
+// rank+1 held) acquired by CAS; mailboxes are single-producer byte rings
+// per (sender, receiver) pair, drained into a receiver-local queue where
+// tag/source matching happens (per-pair FIFO falls out of ring order).
 //
 // # Failure model
 //
@@ -88,7 +83,8 @@
 // With Config.Survivable the world keeps operating instead: each death is
 // delivered to each survivor exactly once, acknowledged via
 // pgas.Resilient.SurviveFault, barriers complete over the live
-// membership, and the dead rank's arena stays mapped and readable through
+// membership (pgas.Resilient.Membership reads the dead flags), and the
+// dead rank's arena stays mapped and readable through
 // Salvage/SalvageLoad64 — which is what lets the runtime's work-replay
 // recovery reconstruct a dead rank's journal from its still-mapped heap.
 package ipc

@@ -88,15 +88,15 @@ func TestCrashContainmentSIGKILL(t *testing.T) {
 	}
 }
 
-// TestSurvivableBarrierSIGKILLMidWait pins the barrier's arrival
-// accounting against the cruelest spot: a rank is SIGKILLed after
-// arriving at a barrier, while a live rank has provably not arrived yet.
-// The dead rank's stale arrival must not stand in for the missing live
-// one — that would release the round early and desynchronize every later
-// round — so each survivor absorbs exactly one FaultError, acknowledges
-// it, and the healed round plus a later round both complete over the
-// live membership. Run must return nil: a healed death is not an error
-// in a survivable world.
+// TestSurvivableBarrierSIGKILLMidWait pins the barrier against the
+// cruelest spot: a rank is SIGKILLed parked in a barrier, its first
+// round's message already sent, while a live rank has provably not
+// entered yet. The dead rank's message must not stand in for the missing
+// live one — that would release a round early and desynchronize every
+// later one; the fault epoch in the barrier's tags fences it off — so each
+// survivor absorbs exactly one FaultError, acknowledges it, and the healed
+// round plus a later round both complete over the live membership. Run
+// must return nil: a healed death is not an error in a survivable world.
 func TestSurvivableBarrierSIGKILLMidWait(t *testing.T) {
 	const n = 4
 	const deadRank = 3
@@ -140,8 +140,8 @@ func TestSurvivableBarrierSIGKILLMidWait(t *testing.T) {
 		}
 
 		if p.Rank() == deadRank {
-			// Arrive, then die parked in the wait: the launcher registers
-			// the death while this arrival is already stamped.
+			// Enter, then die parked in the wait: the launcher registers
+			// the death while this rank's first round is already sent.
 			go func() {
 				time.Sleep(150 * time.Millisecond)
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
@@ -153,7 +153,7 @@ func TestSurvivableBarrierSIGKILLMidWait(t *testing.T) {
 		if p.Rank() == 0 {
 			// Stay away from the barrier until the death is registered, so
 			// the wounded round provably has a live rank missing while the
-			// dead rank's arrival is on the books.
+			// dead rank's first-round message already waits in its ring.
 			deadline := time.Now().Add(8 * time.Second)
 			for catching(func() { p.Load64(0, cntSeg, 0) }) == nil {
 				if time.Now().After(deadline) {
@@ -190,7 +190,14 @@ func TestInjectedCrashOverIPC(t *testing.T) {
 	const n = 3
 	w := faulty.Wrap(
 		ipc.NewWorld(ipc.Config{NProcs: n, Seed: 3, Grace: 10 * time.Second}),
-		faulty.Config{Seed: 4, CrashRank: 1, CrashAfterOps: 30},
+		// Op 32: rank 1's eighth FetchAdd64 after its second barrier of two
+		// Sends. A wrong op panics instead of the injected crash.
+		faulty.Config{Seed: 4, CrashRank: 1, CrashAfterOps: 32,
+			Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
+				if kind == "crash" && op != "FetchAdd64" {
+					panic("the pin interrupted a " + op + ", want a FetchAdd64 (re-pin CrashAfterOps)")
+				}
+			}},
 	)
 	start := time.Now()
 	err := w.Run(func(p pgas.Proc) {
@@ -276,7 +283,14 @@ func TestRecoverRankZeroUnrecoverableOverIPC(t *testing.T) {
 		Transport: scioto.TransportIPC,
 		Seed:      9,
 		Recover:   true,
-		Faults:    &scioto.FaultConfig{Seed: 9, CrashRank: 0, CrashAfterOps: 15}, // its second reacquire, see TestRunRecover
+		// Op 18: inside the phase, past its barriers, as in TestRunRecover.
+		// A barrier's Send panics instead of the injected crash.
+		Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 0, CrashAfterOps: 18,
+			Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
+				if kind == "crash" && op == "Send" {
+					panic("the pin interrupted a barrier's Send (re-pin CrashAfterOps)")
+				}
+			}},
 	}, func(rt *scioto.Runtime) {
 		tc := scioto.NewTC(rt, scioto.TCConfig{MaxBodySize: 8, ChunkSize: 2})
 		h := tc.Register(func(tc *scioto.TC, t *scioto.Task) {})

@@ -44,13 +44,10 @@ type layout struct {
 	ringBytes  int64
 
 	// Control words (one word each).
-	ctlLock   int64 // spinlock over barrier state + death registration
-	faultSeq  int64 // registered deaths; survivors compare with ackedSeq
-	liveCount int64 // ranks not registered dead
-	barEpoch  int64 // barrier generation
+	ctlLock  int64 // spinlock over death registration and the fault record
+	faultSeq int64 // registered deaths; survivors compare with ackedSeq
 
 	deadFlags int64 // nprocs words: 1 = registered dead
-	barArrs   int64 // nprocs words: epoch stamp of each rank's latest barrier arrival
 	faultRec  int64 // faultRecBytes: the current fault record
 	reports   int64 // nprocs slots of (state word, len word, reportBuf)
 	accLocks  int64 // nprocs words: per-target accumulate locks
@@ -78,10 +75,7 @@ func computeLayout(nprocs int, arenaBytes, ringBytes int64) layout {
 	}
 	word(&l.ctlLock)
 	word(&l.faultSeq)
-	word(&l.liveCount)
-	word(&l.barEpoch)
 	region(&l.deadFlags, int64(nprocs)*wordSize)
-	region(&l.barArrs, int64(nprocs)*wordSize)
 	region(&l.faultRec, faultRecBytes)
 	region(&l.reports, int64(nprocs)*reportSlotBytes)
 	region(&l.accLocks, int64(nprocs)*wordSize)
@@ -95,7 +89,6 @@ func computeLayout(nprocs int, arenaBytes, ringBytes int64) layout {
 // Per-structure offset helpers.
 
 func (l *layout) deadFlag(rank int) int64 { return l.deadFlags + int64(rank)*wordSize }
-func (l *layout) barArr(rank int) int64   { return l.barArrs + int64(rank)*wordSize }
 func (l *layout) report(rank int) int64   { return l.reports + int64(rank)*reportSlotBytes }
 func (l *layout) accLock(rank int) int64  { return l.accLocks + int64(rank)*wordSize }
 func (l *layout) ringHead(recv, send int) int64 {
@@ -150,23 +143,6 @@ func (m *mapping) cas(off int64, old, new int64) bool {
 
 // bytes returns the [off, off+n) window of the map.
 func (m *mapping) bytes(off, n int64) []byte { return m.b[off : off+n : off+n] }
-
-// barArrived reports whether every counted rank has arrived for barrier
-// round e (arrival stamp e+1; see proc.Barrier). liveOnly excludes
-// registered-dead ranks from the predicate: a dead rank neither holds the
-// round open (it will never arrive) nor releases it on a live straggler's
-// behalf (its stale arrival stamp is ignored, not withdrawn).
-func (m *mapping) barArrived(e int64, liveOnly bool) bool {
-	for r := 0; r < m.l.nprocs; r++ {
-		if liveOnly && m.load(m.l.deadFlag(r)) != 0 {
-			continue
-		}
-		if m.load(m.l.barArr(r)) != e+1 {
-			return false
-		}
-	}
-	return true
-}
 
 // writeHeader stamps the geometry; children verify it against the layout
 // they recomputed from their own (deterministically identical) Config.
@@ -253,24 +229,15 @@ func (m *mapping) currentFault(tag int64) *pgas.FaultError {
 }
 
 // registerDeath records fe as a rank death if fe.Rank is not already
-// registered: dead flag, live count, fault record, faultSeq bump (the
-// publication survivors poll), then force-release of every accumulate
-// lock the dead rank held. Reports whether the death was fresh. Safe from
-// ranks and from the parent (distinct tags).
-//
-// Barrier state needs no repair here: the release predicate skips
-// dead-flagged ranks (their arrival stamps are ignored rather than
-// withdrawn), the release itself is a single barEpoch store with no
-// multi-word window a SIGKILL could tear, and the faultSeq bump exceeds
-// every survivor's acknowledged sequence, forcing parked waiters to
-// withdraw and re-arrive — re-evaluating the predicate against the
-// shrunk membership (see proc.Barrier).
+// registered: dead flag, fault record, faultSeq bump (the publication
+// survivors poll), then force-release of every accumulate lock the dead
+// rank held. Reports whether the death was fresh. Safe from ranks and from
+// the parent (distinct tags).
 func (m *mapping) registerDeath(tag int64, fe *pgas.FaultError) bool {
 	m.lockCtl(tag)
 	fresh := fe.Rank >= 0 && fe.Rank < m.l.nprocs && m.load(m.l.deadFlag(fe.Rank)) == 0
 	if fresh {
 		m.store(m.l.deadFlag(fe.Rank), 1)
-		m.add(m.l.liveCount, -1)
 		m.writeFaultRec(fe)
 		m.add(m.l.faultSeq, 1)
 	}

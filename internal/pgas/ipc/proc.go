@@ -37,8 +37,8 @@ type proc struct {
 	// per-pair FIFO holds while non-matching messages stay queued.
 	inbox []message
 
-	// rec, when attached, receives barrier-park and ring-backpressure
-	// windows against the proc's Now() epoch. Own-goroutine only.
+	// rec, when attached, receives ring-backpressure windows against the
+	// proc's Now() epoch. Own-goroutine only.
 	rec *trace.Recorder
 }
 
@@ -74,62 +74,6 @@ func (p *proc) check() {
 		return
 	}
 	panic(p.m.currentFault(p.tag()))
-}
-
-// Barrier tracks arrivals as per-rank epoch stamps: barArr(r) == e+1 says
-// rank r has arrived for round e. The round releases when every counted
-// rank has arrived — all ranks normally, the live membership in
-// survivable mode — and the release is a single barEpoch store, so there
-// is no multi-word release window a SIGKILL could tear. A rank that dies
-// after arriving leaves a stale stamp that the predicate ignores (dead
-// ranks are excluded, not withdrawn), so a ghost arrival can never stand
-// in for a live rank that has not arrived. The waiting spins outside the
-// control lock on the epoch word alone. A registered death bumps faultSeq
-// above every survivor's acknowledged sequence, so each parked waiter
-// withdraws its own arrival and unwinds with the fault; re-arrivals after
-// recovery re-evaluate the release predicate against the shrunk
-// membership, which is what completes a round whose last missing (or
-// mid-release) rank died.
-func (p *proc) Barrier() {
-	p.check()
-	m, l := p.m, &p.m.l
-	tag := p.tag()
-	m.lockCtl(tag)
-	e := m.load(l.barEpoch)
-	m.store(l.barArr(p.rank), e+1)
-	if m.barArrived(e, p.cfg.Survivable) {
-		m.store(l.barEpoch, e+1)
-		m.unlockCtl(tag)
-		return
-	}
-	m.unlockCtl(tag)
-
-	// Parked: the round is incomplete and this rank now burns cycles on
-	// the epoch word. The park window is charged to the round's epoch.
-	var park0 time.Duration
-	if p.rec != nil {
-		park0 = p.Now()
-	}
-	var bo pgas.Backoff
-	for {
-		if m.load(l.barEpoch) != e {
-			p.rec.Record(trace.IPCBarrierPark, park0, p.Now(), e, 0)
-			return
-		}
-		if seq := m.load(l.faultSeq); seq > 0 && (!p.cfg.Survivable || seq > p.ackedSeq) {
-			// Withdraw the arrival, unless the round was released while we
-			// were deciding (then the fault is delivered at the next op).
-			m.lockCtl(tag)
-			if m.load(l.barEpoch) == e {
-				m.store(l.barArr(p.rank), 0)
-				m.unlockCtl(tag)
-				p.check() // panics
-			}
-			m.unlockCtl(tag)
-			return
-		}
-		bo.Pause()
-	}
 }
 
 // Collective allocation is pure arithmetic: every rank bumps the same
@@ -357,11 +301,21 @@ func (p *proc) SurviveFault(fe *pgas.FaultError) (alive []bool, ok bool) {
 		return nil, false
 	}
 	p.ackedSeq = p.m.load(p.m.l.faultSeq)
+	alive, _ = p.Membership()
+	return alive, true
+}
+
+// Membership reports the acknowledged fault sequence and the ranks whose
+// dead flag is clear.
+func (p *proc) Membership() (alive []bool, epoch int64) {
+	if !p.cfg.Survivable {
+		return nil, 0
+	}
 	alive = make([]bool, p.cfg.NProcs)
 	for r := range alive {
 		alive[r] = p.m.load(p.m.l.deadFlag(r)) == 0
 	}
-	return alive, true
+	return alive, p.ackedSeq
 }
 
 // Salvage reads a dead (or any) rank's data segment directly: the arena

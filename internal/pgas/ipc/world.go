@@ -115,7 +115,6 @@ func (g *region) open() (fd string, err error) {
 		return "", err
 	}
 	g.m.writeHeader()
-	g.m.store(l.liveCount, int64(g.cfg.NProcs))
 	g.s.ExtraFiles = []*os.File{g.f}
 	return strconv.Itoa(childFD), nil
 }

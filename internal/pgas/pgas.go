@@ -6,19 +6,20 @@
 // segments, contiguous one-sided Get/Put transfers, atomic word operations
 // (fetch-and-add, compare-and-swap, swap), remote locks, barriers, and a
 // small two-sided message layer (standing in for MPI point-to-point, used by
-// the UTS-MPI work-stealing baseline).
+// the UTS-MPI work-stealing baseline, and carrying the barrier).
 //
 // Two interfaces split the work. Proc is what a SPMD body calls. Kernel is
-// what a transport implements: 14 methods, in which every one-sided
+// what a transport implements: 13 methods, in which every one-sided
 // operation, blocking or not, is one Op descriptor passed to Issue. Front
-// derives Proc's typed one-sided methods from a Kernel, once — the remote
-// locks included, which are an algorithm over CAS64 (lock.go) and not a
-// transport primitive — and so are time and randomness: a kernel hands out
-// its rank's Clock (clock.go), and Front's Compute, Charge, Now and Rand
-// run over it. The wrappers (pgas/faulty, pgas/instr) are Kernels that
-// embed the one below and override only the operations they act on; an
-// optional capability of the transport (Resilient, trace.Attacher) is
-// found behind them by Find.
+// derives the rest of Proc from a Kernel, once: the typed one-sided
+// methods; the remote locks, an algorithm over CAS64 (lock.go); the
+// barrier, a dissemination barrier over Send and Recv (barrier.go); and
+// time and randomness — a kernel hands out its rank's Clock (clock.go),
+// and Front's Compute, Charge, Now and Rand run over it. None of these is
+// a transport primitive. The wrappers (pgas/faulty, pgas/instr) are
+// Kernels that embed the one below and override only the operations they
+// act on; an optional capability of the transport (Resilient,
+// trace.Attacher) is found behind them by Find.
 //
 // Four transports implement the Kernel:
 //
@@ -69,8 +70,8 @@
 // names the operation and phase in progress. World.Run recovers the panic
 // and returns the *FaultError. What is tolerated differs per transport:
 // shm and dsim share one address space, so only application panics occur
-// there (and a panicking rank can leave siblings blocked in collectives it
-// never reaches); tcp detects peer death and converts it into a prompt,
+// there (a rank's death wakes the siblings parked in its Recv, a barrier's
+// included); tcp detects peer death and converts it into a prompt,
 // rank-attributed FaultError on every surviving rank. The pgas/faulty
 // wrapper injects these failures deterministically on any transport so
 // failure paths are unit-testable.
@@ -125,9 +126,9 @@ type World interface {
 // Kernel is the transport SPI: the one interface a transport or a wrapper
 // implements. Everything else a SPMD body calls — the typed one-sided
 // methods of Proc, handle numbering, Wait, the clock's methods — is
-// derived from it once, by Front. Adding a transport means implementing
-// these 14 methods; see DESIGN.md "Transports" for the contract of each
-// group.
+// derived from it once, by Front — the barrier too, over Send and Recv.
+// Adding a transport means implementing these 13 methods; see DESIGN.md
+// "Transports" for the contract of each group.
 //
 // A Kernel must only be used from the goroutine that received it from
 // World.Run.
@@ -136,11 +137,6 @@ type Kernel interface {
 	Rank() int
 	// NProcs reports the number of processes in the world.
 	NProcs() int
-
-	// Barrier blocks until all processes have entered the barrier. On the
-	// dsim transport the barrier is a dissemination barrier whose cost is
-	// charged in virtual time.
-	Barrier()
 
 	// AllocData collectively allocates a data segment of nbytes bytes on
 	// every process and returns its handle. All processes must call
@@ -206,6 +202,11 @@ type Kernel interface {
 // from World.Run.
 type Proc interface {
 	Kernel
+
+	// Barrier blocks until every live process has entered the barrier: a
+	// dissemination barrier over Send and Recv (barrier.go), so its cost
+	// on dsim is ~log2(P) message latencies of virtual time.
+	Barrier()
 
 	// Compute models d units of local computation: on a virtual clock
 	// (dsim) the process's time advances by d scaled by its speed factor;
@@ -302,24 +303,30 @@ type Proc interface {
 }
 
 // Resilient is the optional fault-survival extension of Proc. A transport
-// that can outlive the death of a rank — marking it dead, shrinking its
-// barriers to the live membership, and exposing the dead rank's symmetric
-// heap for post-mortem reads — implements Resilient
-// on its Kernel type; the runtime looks it up with Find, which sees
-// through the wrappers. The core runtime's work-replay recovery requires
-// it; on a transport without it (or one that returns ok=false) a fault
-// stays fatal and the job unwinds as before.
+// that can outlive the death of a rank — marking it dead, reporting the
+// live membership the barrier runs over, and exposing the dead rank's
+// symmetric heap for post-mortem reads — implements Resilient on its
+// Kernel type; the runtime and Front's barrier look it up with Find, which
+// sees through the wrappers. The core runtime's work-replay recovery
+// requires it; on a transport without it (or one that returns ok=false) a
+// fault stays fatal and the job unwinds as before, and the barrier runs
+// over every rank.
 type Resilient interface {
 	// SurviveFault transitions the world into a recovery epoch after fe:
 	// the faulted rank is marked dead and subsequent Barriers synchronize
 	// only the live ranks (a lock the dead rank held stays held until a
 	// survivor calls BreakLock on it). It returns the live-membership
 	// bitmap (indexed by rank) and ok=true when the transport supports
-	// survival; ok=false
-	// means the caller must treat the fault as fatal. Idempotent: every
-	// surviving rank calls it with the same fault and receives the same
-	// membership.
+	// survival; ok=false means the caller must treat the fault as fatal.
+	// Idempotent: every surviving rank calls it with the same fault and
+	// receives the same membership.
 	SurviveFault(fe *FaultError) (alive []bool, ok bool)
+
+	// Membership reports the fault epoch this rank has acknowledged — the
+	// number of deaths its SurviveFault calls took in, 0 before any — and
+	// the live bitmap (indexed by rank) as of now; nil means every rank.
+	// Front's barrier rebuilds its member list when the epoch changes.
+	Membership() (alive []bool, epoch int64)
 
 	// Salvage copies len(dst) bytes from data segment seg of the DEAD
 	// process rank at offset off. Only valid after SurviveFault marked the
@@ -356,10 +363,10 @@ func Spin(d time.Duration) {
 }
 
 // Backoff is the spin-then-park waiter of every polling wait on a
-// wall-clock transport (Front's Lock, ipc's barrier, rings and accumulate
-// lock): a tight spin while the wait is likely short, a Gosched band that
-// yields the core, then escalating microsecond sleeps capped low enough
-// that a fault is still observed promptly.
+// wall-clock transport (Front's Lock, ipc's rings and accumulate lock): a
+// tight spin while the wait is likely short, a Gosched band that yields
+// the core, then escalating microsecond sleeps capped low enough that a
+// fault is still observed promptly.
 type Backoff struct{ n int }
 
 func (b *Backoff) Pause() {

@@ -210,13 +210,12 @@ func testUnlockNotHeld(t *testing.T, f Factory) {
 func testDeadHolder(t *testing.T, f Factory) {
 	const n, dead = 3, 1
 	run(t, f(n), func(p pgas.Proc) {
-		res, ok := pgas.Find[pgas.Resilient](p)
-		if !ok {
-			panic("the transport is not pgas.Resilient")
-		}
 		lk := p.AllocLock()
 		ws := p.AllocWords(2) // on rank 0 — [0]: the lock is held, [1]: entries under the lock
-		p.Barrier()
+		survive := surviving(p, dead)
+		// The death may be delivered as early as this barrier: the dead
+		// rank can leave it while a survivor still has a round to send it.
+		acked := survive(p.Barrier)
 		if p.Rank() == dead {
 			func() {
 				p.Lock(0, lk)
@@ -226,23 +225,11 @@ func testDeadHolder(t *testing.T, f Factory) {
 		}
 		// Poll until the death is delivered (it is, exactly once, out of
 		// some operation), and acknowledge it.
-		for acked := false; !acked; {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						fe, isFault := r.(*pgas.FaultError)
-						if !isFault || fe.Rank != dead {
-							panic(r)
-						}
-						if _, ok := res.SurviveFault(fe); !ok {
-							panic("SurviveFault refused on a survivable world")
-						}
-						acked = true
-					}
-				}()
+		for !acked {
+			acked = survive(func() {
 				p.Load64(0, ws, 0)
 				p.Compute(time.Microsecond)
-			}()
+			})
 		}
 		if p.Load64(0, ws, 0) != 1 {
 			panic("rank 1 died before it took the lock")

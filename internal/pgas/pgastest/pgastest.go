@@ -63,6 +63,9 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	RunLocks(t, newWorld, opts)
 	t.Run("BarrierSeparatesPhases", func(t *testing.T) { testBarrierPhases(t, newWorld) })
 	t.Run("BarrierManyRounds", func(t *testing.T) { testBarrierRounds(t, newWorld) })
+	if opts.Survivable != nil {
+		t.Run("BarrierLiveMembership", func(t *testing.T) { testBarrierLiveMembership(t, opts.Survivable) })
+	}
 	t.Run("SendRecvPingPong", func(t *testing.T) { testPingPong(t, newWorld) })
 	t.Run("SendRecvAnySource", func(t *testing.T) { testAnySource(t, newWorld) })
 	t.Run("TryRecv", func(t *testing.T) { testTryRecv(t, newWorld) })

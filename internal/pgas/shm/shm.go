@@ -9,9 +9,9 @@
 // paper's InfiniBand cluster.
 //
 // A rank failure (any panic out of the SPMD body, including injected
-// faults from pgas/faulty) poisons the whole world: the barrier and the
-// mailboxes wake their waiters, and every later communication op on
-// any rank panics with a clone of the first registered *pgas.FaultError,
+// faults from pgas/faulty) poisons the whole world: the mailboxes wake
+// their waiters (a barrier waits in one), and every later communication op
+// on any rank panics with a clone of the first registered *pgas.FaultError,
 // so survivors unwind promptly instead of parking forever. Run returns
 // that fault, rank-attributed, exactly as the tcp transport does.
 package shm
@@ -70,27 +70,20 @@ type world struct {
 
 	boxes []*mailbox
 
-	barMu  sync.Mutex
-	barCnt int
-	barGen int
-	barCv  *sync.Cond
-
 	// Crash containment, mirroring the tcp transport's failure model: the
 	// first rank to die registers its fault here and every structure a
-	// sibling goroutine can park in — the barrier, the mailboxes — wakes
-	// with the fault, while subsequent communication operations (a lock
+	// sibling goroutine can park in — the mailboxes — wakes with the fault, while subsequent communication operations (a lock
 	// attempt is one) panic a rank-attributed clone. Without this
 	// a crashed rank (e.g. an injected fault) leaves the other goroutines
 	// blocked forever and Run never returns.
 	fault    atomic.Pointer[pgas.FaultError]
 	failOnce sync.Once
 
-	// Survivable-mode membership, guarded by barMu (fail and the barrier
-	// both mutate/read it under that lock). faultSeq counts registered
-	// deaths; each proc acknowledges up to a sequence number, so check()
-	// delivers every death exactly once per survivor.
+	// Survivable-mode membership, guarded by deadMu. faultSeq counts
+	// registered deaths; each proc acknowledges up to a sequence number,
+	// so check() delivers every death exactly once per survivor.
+	deadMu    sync.Mutex
 	deadRanks []bool
-	liveCount int
 	faultSeq  atomic.Int64
 }
 
@@ -118,16 +111,14 @@ func (w *world) NProcs() int { return w.cfg.NProcs }
 // operating.
 func (w *world) fail(fe *pgas.FaultError) {
 	if w.cfg.Survivable {
-		w.barMu.Lock()
+		w.deadMu.Lock()
 		fresh := fe.Rank >= 0 && fe.Rank < w.cfg.NProcs && !w.deadRanks[fe.Rank]
 		if fresh {
 			w.deadRanks[fe.Rank] = true
-			w.liveCount--
 			w.fault.Store(fe)
 			w.faultSeq.Add(1)
 		}
-		w.barCv.Broadcast()
-		w.barMu.Unlock()
+		w.deadMu.Unlock()
 		if !fresh {
 			return
 		}
@@ -138,17 +129,14 @@ func (w *world) fail(fe *pgas.FaultError) {
 	}
 	w.failOnce.Do(func() {
 		w.fault.Store(fe)
-		w.barMu.Lock()
-		w.barCv.Broadcast()
-		w.barMu.Unlock()
 		for _, b := range w.boxes {
 			b.fail(fe)
 		}
 	})
 }
 
-// Run starts a fresh machine every time: no segment, message, barrier
-// arrival or fault of an earlier run carries over.
+// Run starts a fresh machine every time: no segment, message, death or
+// fault of an earlier run carries over.
 func (w *world) Run(body func(p pgas.Proc)) error {
 	n := w.cfg.NProcs
 	*w = world{
@@ -156,10 +144,8 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 		accMu:     make([]sync.Mutex, n),
 		boxes:     make([]*mailbox, n),
 		deadRanks: make([]bool, n),
-		liveCount: n,
 	}
 	w.tab.Store(&tables{})
-	w.barCv = sync.NewCond(&w.barMu)
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
@@ -274,55 +260,6 @@ func (p *proc) check() {
 		return
 	}
 	panic(&pgas.FaultError{Rank: fe.Rank, Phase: fe.Phase, Detail: fe.Detail, Err: fe.Err})
-}
-
-func (p *proc) Barrier() {
-	p.check()
-	w := p.w
-	w.barMu.Lock()
-	gen := w.barGen
-	w.barCnt++
-	target := w.cfg.NProcs
-	if w.cfg.Survivable {
-		target = w.liveCount
-	}
-	if w.barCnt >= target {
-		w.barCnt = 0
-		w.barGen++
-		w.barCv.Broadcast()
-		w.barMu.Unlock()
-		return
-	}
-	for gen == w.barGen {
-		if w.cfg.Survivable {
-			if w.faultSeq.Load() > p.ackedSeq {
-				// An unacknowledged death: withdraw the arrival (this rank
-				// re-arrives after recovery) and deliver the fault.
-				w.barCnt--
-				w.barMu.Unlock()
-				p.check() // panics
-			}
-			if w.barCnt >= w.liveCount {
-				// Membership shrank below the arrivals already parked here;
-				// the last live arrival died before releasing, so release
-				// on its behalf.
-				w.barCnt = 0
-				w.barGen++
-				w.barCv.Broadcast()
-				break
-			}
-		} else if w.fault.Load() != nil {
-			break
-		}
-		w.barCv.Wait()
-	}
-	released := gen != w.barGen
-	w.barMu.Unlock()
-	if !released {
-		// Woken by fail(), not by the last arrival: the barrier can never
-		// complete because a participant is dead.
-		p.check()
-	}
 }
 
 // Collective allocation: the first process to request allocation index i
@@ -448,18 +385,28 @@ var _ pgas.Resilient = (*proc)(nil)
 // SurviveFault acknowledges every death registered so far and returns the
 // live membership. ok is false when the world is not survivable.
 func (p *proc) SurviveFault(fe *pgas.FaultError) (alive []bool, ok bool) {
-	w := p.w
-	if !w.cfg.Survivable {
+	if !p.w.cfg.Survivable {
 		return nil, false
 	}
-	p.ackedSeq = w.faultSeq.Load()
+	p.ackedSeq = p.w.faultSeq.Load()
+	alive, _ = p.Membership()
+	return alive, true
+}
+
+// Membership reports the acknowledged fault sequence and the ranks not
+// registered dead.
+func (p *proc) Membership() (alive []bool, epoch int64) {
+	w := p.w
+	if !w.cfg.Survivable {
+		return nil, 0
+	}
 	alive = make([]bool, w.cfg.NProcs)
-	w.barMu.Lock()
+	w.deadMu.Lock()
 	for r := range alive {
 		alive[r] = !w.deadRanks[r]
 	}
-	w.barMu.Unlock()
-	return alive, true
+	w.deadMu.Unlock()
+	return alive, p.ackedSeq
 }
 
 // Salvage reads a dead (or any) rank's data segment directly.

@@ -15,9 +15,8 @@ import (
 // the client-side encoder where there is one.
 func validFrames() map[byte][]byte {
 	frames := map[byte][]byte{
-		opSend:    append(appendI32(appendI32([]byte{opSend}, 1), 7), "hi"...),
-		opBarrier: {opBarrier},
-		opPing:    {opPing},
+		opSend: append(appendI32(appendI32([]byte{opSend}, 1), 7), "hi"...),
+		opPing: {opPing},
 	}
 	var out int64
 	for _, op := range []pgas.Op{
@@ -39,12 +38,9 @@ func validFrames() map[byte][]byte {
 // TestDecodeOpRoundTrip: what encodeOp writes, decodeOp reads back.
 func TestDecodeOpRoundTrip(t *testing.T) {
 	frames := validFrames()
-	for code := byte(opGet); code <= opPing; code++ {
-		if code == opHello {
-			continue
-		}
+	for code, frame := range frames {
 		var r request
-		if err := decodeOp(frames[code], &r); err != nil {
+		if err := decodeOp(frame, &r); err != nil {
 			t.Fatalf("opcode %d: valid frame rejected: %v", code, err)
 		}
 	}
@@ -65,6 +61,7 @@ func TestDecodeOpRoundTrip(t *testing.T) {
 		"empty":        {},
 		"opcode 0":     {0},
 		"hello":        appendI32([]byte{opHello}, 1),
+		"bye":          {opBye},
 		"short load":   frames[opLoad][:9],
 		"long load":    append(append([]byte(nil), frames[opLoad]...), 0),
 		"negative seg": appendI64(appendI32([]byte{opLoad}, -1), 0),
@@ -77,8 +74,14 @@ func TestDecodeOpRoundTrip(t *testing.T) {
 			t.Errorf("%s: malformed frame accepted", name)
 		}
 	}
-	// No opcode past the table is a request, whatever follows it.
-	for code := int(opPing) + 1; code <= 255; code++ {
+	// No opcode without a valid frame above is a request, whatever
+	// follows it: not a connection's first and last frames (opHello,
+	// opBye), not a gap or a code past the table. There is no barrier
+	// opcode either: a barrier is opSend frames (pgas/barrier.go).
+	for code := 0; code <= 255; code++ {
+		if _, ok := frames[byte(code)]; ok {
+			continue
+		}
 		for _, body := range [][]byte{nil, make([]byte, 4), make([]byte, 12)} {
 			if err := decodeOp(append([]byte{byte(code)}, body...), &r); err == nil {
 				t.Errorf("opcode %d with a %d-byte body accepted", code, len(body))

@@ -51,11 +51,13 @@
 // syscall per flush and allocates nothing.
 //
 // The first frame on every mesh connection is opHello (seq 0), so the
-// serving rank can attribute a mid-run EOF to the dialing rank. The
-// one-sided opcodes are pgas.OpKind+1 and share one encoder (encodeOp) for
-// blocking and non-blocking issue; the rest are the control operations:
+// serving rank can attribute a mid-run EOF to the dialing rank, and the
+// last frame on a data connection of a rank that finished cleanly is
+// opBye. The one-sided opcodes are pgas.OpKind+1 and share one encoder
+// (encodeOp) for blocking and non-blocking issue; the rest are the control
+// operations:
 //
-//	opHello   [rank i32]                                   (no reply)
+//	opHello   [rank i32], + [1] on a heartbeat connection  (no reply)
 //	opGet     [seg i32][off i64][n i64]                 -> [n data bytes]
 //	opPut     [seg i32][off i64][data...]               -> []
 //	opAcc     [seg i32][off i64][8k float64 bytes]      -> []
@@ -64,11 +66,14 @@
 //	opFAdd    [seg i32][idx i64][delta i64]             -> [old i64]
 //	opCAS     [seg i32][idx i64][old i64][new i64]      -> [swapped i64, 0 or 1]
 //	opSend    [from i32][tag i32][data...]              -> []
-//	opBarrier []                                        -> [] when released
 //	opPing    []                                        -> []
+//	opBye     []                                           (no reply)
 //
-// There is no lock opcode: a pgas lock is a word of the heap and Lock,
-// TryLock and Unlock are opCAS frames issued by pgas.Front (pgas/lock.go).
+// Every request is answered at once, so every request is bounded by the
+// operation deadline. There is no lock opcode and no barrier opcode: a
+// pgas lock is a word of the heap and Lock, TryLock and Unlock are opCAS
+// frames issued by pgas.Front (pgas/lock.go), and a barrier is the opSend
+// frames of pgas.Front's dissemination barrier (pgas/barrier.go).
 //
 // An encoded fault is the pgas.AppendFault form every transport shares.
 // The observer-local Op field is not shipped, because the operation that
@@ -81,10 +86,10 @@
 // pattern. Word operations use sync/atomic on the owner's cells and
 // accumulates serialize on a per-rank mutex, so owner-side Local,
 // RelaxedLoad64 and RelaxedStore64 observe exactly the shm transport's
-// semantics. The barrier is a counter at rank 0: every rank sends
-// opBarrier (rank 0 enters locally) and the replies are released when the
-// count reaches NProcs — the one deferred reply: the handler never blocks
-// on an incomplete barrier, it registers the reply and keeps serving.
+// semantics. A handler applies and answers one connection's requests in
+// frame order, on its own goroutine; an opSend is answered before its
+// message is delivered to the mailbox, so a receiver that takes the
+// message and exits has not left its sender waiting on the reply.
 //
 // Collective allocation needs no communication: each rank appends to its
 // own heap, and the collective-order discipline (pgas.go) makes handle k
@@ -97,18 +102,20 @@
 // A rank process can die (crash, SIGKILL, OOM) or wedge (SIGSTOP,
 // deadlock) at any point. Containment has three layers:
 //
-//   - Detection. Every remote operation except Barrier carries a
-//     read/write deadline (Config.OpTimeout, default 60s); a Barrier's
-//     reply is legitimately deferred, so it relies on death detection
-//     instead (a Lock is bounded opCAS round trips, each with its
-//     deadline). A mid-run EOF on a serve connection marks the
-//     identified peer dead. Optionally (Config.Heartbeat), a dedicated
-//     pinger connection per peer sends opPing every interval and expects
-//     the reply within three intervals — the only detector that catches a
-//     wedged-but-alive peer promptly.
+//   - Detection. Every remote operation carries a read/write deadline
+//     (Config.OpTimeout, default 60s); a Lock is bounded opCAS round
+//     trips and a barrier bounded opSend round trips, each with its
+//     deadline, and a barrier's Recv waits on death detection. An EOF on
+//     a data connection that no opBye announced marks the identified
+//     peer dead. Optionally (Config.Heartbeat), a dedicated pinger
+//     connection per peer sends opPing every interval and expects the
+//     reply within three intervals — the only detector that catches a
+//     wedged-but-alive peer promptly. A heartbeat connection's EOF is
+//     judged by neither end: the data connection of the same peer tells
+//     a death from a departure.
 //   - Propagation. The first observed death registers a *pgas.FaultError
-//     on the rank's owner state, which poisons every structure a
-//     goroutine can park in (the barrier, the mailbox), severs
+//     on the rank's owner state, which poisons the one structure a
+//     goroutine can park in (the mailbox, where a barrier waits), severs
 //     outgoing connections so in-flight RPCs unblock, and makes
 //     the service refuse all subsequent requests with a replyFaulted
 //     carrying the registered fault — the rank's own self-targeting
@@ -123,9 +130,11 @@
 //     at ranks that have not yet observed the true death), so among
 //     peer-death reports the one naming a rank that never reported wins.
 //
-// During clean shutdown each rank arms a teardown flag (non-zero ranks
-// before entering the completion barrier, rank 0 after its local release)
-// so the expected EOFs of exiting peers are not misread as deaths.
+// A rank's clean shutdown is the completion barrier, through which every
+// rank stays armed — a rank that dies in it is a death on every survivor —
+// then opBye on each data connection it dialed, and exit. The opBye makes
+// the EOF that follows a departure at the serving end; once the barrier
+// has returned, the rank also ignores deaths it observes itself.
 //
 // Config.OpTimeout, Config.Grace and Config.Heartbeat fall back to the
 // environment variables SCIOTO_TCP_OP_TIMEOUT, SCIOTO_TCP_GRACE and

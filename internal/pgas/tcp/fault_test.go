@@ -80,6 +80,46 @@ func TestCrashContainmentSIGKILL(t *testing.T) {
 	}
 }
 
+// TestCompletionTeardown holds the completion barrier to its two rules: a
+// clean finish is never a death — fifty back-to-back worlds whose body is
+// one Barrier, heartbeats running through every exit, return nil — and a
+// rank that dies as its body returns, its peers in the completion
+// barrier, is named on the survivors within TestCrashContainmentSIGKILL's
+// bound.
+func TestCompletionTeardown(t *testing.T) {
+	const n = 4
+	t.Run("clean", func(t *testing.T) {
+		for i := 0; i < 50; i++ {
+			w := tcp.NewWorld(tcp.Config{NProcs: n, Seed: int64(100 + i), Heartbeat: 5 * time.Millisecond})
+			err := w.Run(func(p pgas.Proc) { p.Barrier() })
+			if err != nil && !inRankProcess() {
+				t.Errorf("world %d of a clean completion failed: %v", i, err)
+			}
+		}
+	})
+	t.Run("death", func(t *testing.T) {
+		const deadRank = 3
+		w := tcp.NewWorld(tcp.Config{NProcs: n, Seed: 8, Grace: 10 * time.Second})
+		start := time.Now()
+		err := w.Run(func(p pgas.Proc) {
+			p.Barrier()
+			if p.Rank() == deadRank {
+				syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			}
+		})
+		if inRankProcess() {
+			return
+		}
+		fe, ok := pgas.AsFault(err)
+		if !ok || fe.Rank != deadRank {
+			t.Fatalf("error = %v, want a FaultError naming rank %d", err, deadRank)
+		}
+		if elapsed := time.Since(start); elapsed >= 5*time.Second {
+			t.Errorf("containment took %v, want < 5s (survivors were grace-killed instead of self-detecting)", elapsed)
+		}
+	})
+}
+
 // TestInjectedCrashOverTCP drives the faulty wrapper across process
 // boundaries: the crashing rank panics with a structured FaultError,
 // which must survive the trip through the child's exit report so the
@@ -88,7 +128,14 @@ func TestInjectedCrashOverTCP(t *testing.T) {
 	const n = 3
 	w := faulty.Wrap(
 		tcp.NewWorld(tcp.Config{NProcs: n, Seed: 3, Grace: 10 * time.Second}),
-		faulty.Config{Seed: 4, CrashRank: 1, CrashAfterOps: 30},
+		// Op 32: rank 1's eighth FetchAdd64 after its second barrier of two
+		// Sends. A wrong op panics instead of the injected crash.
+		faulty.Config{Seed: 4, CrashRank: 1, CrashAfterOps: 32,
+			Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
+				if kind == "crash" && op != "FetchAdd64" {
+					panic("the pin interrupted a " + op + ", want a FetchAdd64 (re-pin CrashAfterOps)")
+				}
+			}},
 	)
 	start := time.Now()
 	err := w.Run(func(p pgas.Proc) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"net"
 	"time"
 
 	"scioto/internal/pgas"
@@ -12,19 +13,18 @@ import (
 
 // startHeartbeat launches one pinger goroutine per peer. Each pinger owns
 // a dedicated connection — on the shared data connection a ping would
-// queue behind bulk transfers and deferred lock grants, muddying its
-// timing — and sends opPing every interval, expecting the ok reply within
-// three intervals. A miss marks the peer dead.
+// queue behind bulk transfers, muddying its timing — and sends opPing
+// every interval, expecting the ok reply within three intervals. A miss
+// marks the peer dead.
 //
 // Heartbeats catch the failure EOF detection cannot: a peer that is alive
-// but wedged (deadlocked service, livelocked host). For plain crashes the
-// kernel closes the dead process's sockets and the serve loops notice
-// first, so heartbeating is off by default.
-//
-// Pinger goroutines never close their connections on the clean-exit path:
-// closing would deliver an EOF a still-armed peer (rank 0 during the
-// completion barrier) could misread as this rank dying. The connections
-// die with the process.
+// but wedged (deadlocked service, livelocked host). A closed connection is
+// not theirs to judge, in either direction: the kernel closes a dead
+// process's sockets and the serve loop of its data connection notices,
+// while a peer that departed cleanly announced it there first (opBye). The
+// hello of a heartbeat connection carries one extra byte, which tells the
+// serving side not to judge its EOF either. Heartbeating is off by
+// default; the connections die with the process.
 func startHeartbeat(own *owner, self int, addrs []string, cfg Config) {
 	for j, addr := range addrs {
 		if j == self {
@@ -43,7 +43,7 @@ func pingLoop(own *owner, self, peer int, addr string, interval time.Duration, r
 	}
 	r := bufio.NewReader(c)
 	w := bufio.NewWriter(c)
-	hello := append([]byte{opHello}, appendI32(nil, int32(self))...)
+	hello := append(append([]byte{opHello}, appendI32(nil, int32(self))...), 1)
 	if err := writeFrameSeq(w, 0, hello, nil); err != nil || w.Flush() != nil {
 		own.markDead(peer, fmt.Errorf("heartbeat hello to rank %d: %v", peer, err))
 		return
@@ -76,7 +76,7 @@ func pingLoop(own *owner, self, peer int, addr string, interval time.Duration, r
 			err = fmt.Errorf("corrupt ping reply")
 		}
 		if err != nil {
-			if !own.teardown.Load() {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				own.markDead(peer, fmt.Errorf("heartbeat to rank %d: %v", peer, err))
 			}
 			return

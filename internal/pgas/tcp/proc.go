@@ -27,13 +27,12 @@ type peerConn struct {
 	rank    int
 	c       net.Conn
 	own     *owner
-	timeout time.Duration // deadline for bounded ops; 0 disables deadlines
+	timeout time.Duration // deadline of every request; 0 disables deadlines
 
-	wmu      sync.Mutex  // serializes frame queuing and flushes
-	wfbs     []*frameBuf // assembled frames queued since the last flush
-	wvec     net.Buffers // reusable scatter list (backing array persists)
-	wBytes   int         // bytes queued in wfbs; autoFlushBytes caps the window
-	wBounded bool        // some queued frame belongs to a deadline-bounded op
+	wmu    sync.Mutex  // serializes frame queuing and flushes
+	wfbs   []*frameBuf // assembled frames queued since the last flush
+	wvec   net.Buffers // reusable scatter list (backing array persists)
+	wBytes int         // bytes queued in wfbs; autoFlushBytes caps the window
 
 	// The rank's recorder (nil = disabled). Spans are recorded against
 	// recEpoch so they share the owning proc's Now() timeline. winT0 is
@@ -46,7 +45,6 @@ type peerConn struct {
 	pmu         sync.Mutex // guards the fields below
 	nextSeq     uint32
 	pending     map[uint32]*pendingOp
-	bounded     int   // pending ops with a deadline (all but Barrier)
 	deadErr     error // set once the demux dies; fails all later issues
 	maxInflight int   // high-water mark of len(pending), test instrumentation
 }
@@ -57,12 +55,11 @@ type peerConn struct {
 // channel receive is the happens-before edge that lets the issuing
 // goroutine read them.
 type pendingOp struct {
-	done    chan struct{}
-	bounded bool
-	dst     []byte // Get destination: reply payload is copied here
-	out     *int64 // word result cell (pgas.Op.Out): the reply's i64 lands here
-	fault   *pgas.FaultError
-	err     error
+	done  chan struct{}
+	dst   []byte // Get destination: reply payload is copied here
+	out   *int64 // word result cell (pgas.Op.Out): the reply's i64 lands here
+	fault *pgas.FaultError
+	err   error
 }
 
 // opPool recycles pendingOps so the steady-state operation path (and in
@@ -74,7 +71,6 @@ var opPool = sync.Pool{New: func() any { return &pendingOp{done: make(chan struc
 func getOp() *pendingOp { return opPool.Get().(*pendingOp) }
 
 func putOp(op *pendingOp) {
-	op.bounded = false
 	op.dst = nil
 	op.out = nil
 	op.fault = nil
@@ -102,20 +98,17 @@ func newPeerConn(self, rank int, c net.Conn, own *owner, timeout time.Duration) 
 }
 
 // issue registers op under a fresh sequence number and writes its request
-// frame ([seq][head][tail]). bounded marks operations whose reply is
-// immediate and therefore deadline-eligible — everything except Barrier,
-// whose reply is legitimately deferred. When flush is set the
-// frame (and any coalesced predecessors) is pushed onto the wire and the
-// read deadline armed; otherwise it stays in the write buffer so
-// consecutive non-blocking issues become one write at flushWrites. head
-// and tail are copied before issue returns, so the caller's request
-// scratch may be reused immediately. info formats the operation context
-// lazily: it is only invoked on failure.
-func (pc *peerConn) issue(op *pendingOp, head, tail []byte, bounded, flush bool, info func() string) {
+// frame ([seq][head][tail]). When flush is set the frame (and any
+// coalesced predecessors) is pushed onto the wire and the read deadline
+// armed; otherwise it stays in the write buffer so consecutive
+// non-blocking issues become one write at flushWrites. head and tail are
+// copied before issue returns, so the caller's request scratch may be
+// reused immediately. info formats the operation context lazily: it is
+// only invoked on failure.
+func (pc *peerConn) issue(op *pendingOp, head, tail []byte, flush bool, info func() string) {
 	if fe := pc.own.getFault(); fe != nil {
 		panic(refault(fe, info()))
 	}
-	op.bounded = bounded
 	pc.pmu.Lock()
 	if err := pc.deadErr; err != nil {
 		pc.pmu.Unlock()
@@ -124,16 +117,13 @@ func (pc *peerConn) issue(op *pendingOp, head, tail []byte, bounded, flush bool,
 	pc.nextSeq++
 	seq := pc.nextSeq
 	pc.pending[seq] = op
-	if bounded {
-		pc.bounded++
-	}
 	if n := len(pc.pending); n > pc.maxInflight {
 		pc.maxInflight = n
 	}
 	pc.pmu.Unlock()
 
 	pc.wmu.Lock()
-	pc.queueFrame(seq, head, tail, bounded)
+	pc.queueFrame(seq, head, tail)
 	var err error
 	if flush || pc.wBytes >= autoFlushBytes {
 		err = pc.flushLocked()
@@ -162,7 +152,7 @@ const autoFlushBytes = 64 << 10
 // copied, so the caller may reuse both immediately. No I/O happens here:
 // the write deadline is armed (and the syscall paid) at flush time, when
 // the bytes actually move.
-func (pc *peerConn) queueFrame(seq uint32, head, tail []byte, bounded bool) {
+func (pc *peerConn) queueFrame(seq uint32, head, tail []byte) {
 	if pc.rec != nil && len(pc.wfbs) == 0 {
 		pc.winT0 = time.Since(pc.recEpoch)
 	}
@@ -174,9 +164,6 @@ func (pc *peerConn) queueFrame(seq uint32, head, tail []byte, bounded bool) {
 	fb.b = append(fb.b, tail...)
 	pc.wfbs = append(pc.wfbs, fb)
 	pc.wBytes += len(fb.b)
-	if bounded {
-		pc.wBounded = true
-	}
 }
 
 // flushLocked pushes the queued window onto the wire — a lone frame as a
@@ -187,11 +174,7 @@ func (pc *peerConn) flushLocked() error {
 		return nil
 	}
 	if pc.timeout > 0 {
-		if pc.wBounded {
-			pc.c.SetWriteDeadline(time.Now().Add(pc.timeout))
-		} else {
-			pc.c.SetWriteDeadline(time.Time{})
-		}
+		pc.c.SetWriteDeadline(time.Now().Add(pc.timeout))
 	}
 	var wv0 time.Duration
 	if pc.rec != nil {
@@ -226,7 +209,6 @@ func (pc *peerConn) flushLocked() error {
 	}
 	pc.wfbs = pc.wfbs[:0]
 	pc.wBytes = 0
-	pc.wBounded = false
 	return err
 }
 
@@ -244,16 +226,16 @@ func (pc *peerConn) flushWrites(info func() string) {
 	}
 }
 
-// armReadDeadline (re)arms the connection's read deadline while bounded
-// requests are outstanding; the demux clears it when the last bounded
-// reply arrives. Re-arming at every flush means each bounded op is
-// covered by a deadline set no earlier than the flush that sent it.
+// armReadDeadline (re)arms the connection's read deadline while requests
+// are outstanding; the demux clears it when the last reply arrives.
+// Re-arming at every flush means each request is covered by a deadline
+// set no earlier than the flush that sent it.
 func (pc *peerConn) armReadDeadline() {
 	if pc.timeout <= 0 {
 		return
 	}
 	pc.pmu.Lock()
-	if pc.bounded > 0 {
+	if len(pc.pending) > 0 {
 		pc.c.SetReadDeadline(time.Now().Add(pc.timeout))
 	}
 	pc.pmu.Unlock()
@@ -281,11 +263,8 @@ func (pc *peerConn) demux(r *bufio.Reader) {
 		op := pc.pending[seq]
 		if op != nil {
 			delete(pc.pending, seq)
-			if op.bounded {
-				pc.bounded--
-				if pc.bounded == 0 {
-					pc.c.SetReadDeadline(time.Time{})
-				}
+			if len(pc.pending) == 0 {
+				pc.c.SetReadDeadline(time.Time{})
 			}
 		}
 		pc.pmu.Unlock()
@@ -321,7 +300,6 @@ func (pc *peerConn) abort(err error) {
 	}
 	ops := pc.pending
 	pc.pending = make(map[uint32]*pendingOp)
-	pc.bounded = 0
 	pc.pmu.Unlock()
 	for _, op := range ops {
 		op.err = err
@@ -350,9 +328,18 @@ func (pc *peerConn) wait(op *pendingOp, info func() string) {
 // on one connection are applied in order by the remote service, the
 // round trip also completes every earlier coalesced non-blocking request
 // on this connection at the target (per-pair FIFO; see pgas.Proc).
-func (pc *peerConn) roundTrip(op *pendingOp, head, tail []byte, bounded bool, info func() string) {
-	pc.issue(op, head, tail, bounded, true, info)
+func (pc *peerConn) roundTrip(op *pendingOp, head, tail []byte, info func() string) {
+	pc.issue(op, head, tail, true, info)
 	pc.wait(op, info)
+}
+
+// bye writes the departure frame (opBye) behind whatever this connection
+// still has queued. A write error is ignored: the peer is gone too.
+func (pc *peerConn) bye() {
+	pc.wmu.Lock()
+	pc.queueFrame(0, []byte{opBye}, nil)
+	pc.flushLocked()
+	pc.wmu.Unlock()
 }
 
 // maxOutstanding reports the high-water mark of simultaneously pending
@@ -382,8 +369,8 @@ func refault(fe *pgas.FaultError, op string) *pgas.FaultError {
 	return &pgas.FaultError{Rank: fe.Rank, Op: op, Phase: fe.Phase, Detail: fe.Detail, Err: fe.Err}
 }
 
-// faultFor converts an error delivered through a poisoned local structure
-// (barrier, mailbox) into the FaultError to panic with.
+// faultFor converts an error delivered through the poisoned mailbox into
+// the FaultError to panic with.
 func faultFor(err error, op string) *pgas.FaultError {
 	if fe, ok := pgas.AsFault(err); ok {
 		return refault(fe, op)
@@ -441,37 +428,9 @@ func (p *proc) AttachRecorder(r *trace.Recorder) {
 	}
 }
 
-// rpc is the blocking exchange of the control operations (barrier, send):
-// the request head is in p.req and the reply is empty.
-func (p *proc) rpc(target int, tail []byte, bounded bool, info func() string) {
-	op := getOp()
-	p.peers[target].roundTrip(op, p.req, tail, bounded, info)
-	putOp(op)
-}
-
-// Barrier enters the counter barrier hosted on rank 0. Rank 0 enters
-// locally and parks on a channel until the round completes; other ranks
-// block on the opBarrier reply, which is the release. A fault breaks
-// the barrier: parked ranks are released with the fault and panic.
-func (p *proc) Barrier() {
-	if p.rank == 0 {
-		done := make(chan error, 1)
-		p.own.bar.enterLocal(func(err error) { done <- err })
-		if err := <-done; err != nil {
-			panic(faultFor(err, "Barrier()"))
-		}
-		return
-	}
-	p.req = append(p.req[:0], opBarrier)
-	p.rpc(0, nil, false, barrierInfo)
-}
-
-// Operation-context formatters for the non-allocating paths: package-level
-// func values capture nothing, so passing them costs no allocation.
-var (
-	barrierInfo = func() string { return "Barrier()" }
-	nbFlushInfo = func() string { return "Flush()" }
-)
+// nbFlushInfo is Flush's operation context: a package-level func value
+// captures nothing, so passing it costs no allocation.
+var nbFlushInfo = func() string { return "Flush()" }
 
 // Collective allocation is purely local: every rank appends to its own
 // heap in the same order, so handle k names the same logical segment on
@@ -513,11 +472,11 @@ func (p *proc) Issue(op *pgas.Op) pgas.Nb {
 	}
 	pc := p.peers[op.Target]
 	if !op.Nb {
-		pc.roundTrip(po, p.req, tail, true, op.String)
+		pc.roundTrip(po, p.req, tail, op.String)
 		putOp(po)
 		return pgas.NbDone
 	}
-	pc.issue(po, p.req, tail, true, false, op.String)
+	pc.issue(po, p.req, tail, false, op.String)
 	p.nb = append(p.nb, nbRef{op: po, pc: pc})
 	seen := false
 	for _, c := range p.nbConns {
@@ -572,7 +531,9 @@ func (p *proc) Send(to int, tag int32, data []byte) {
 		return
 	}
 	p.req = appendI32(appendI32(append(p.req[:0], opSend), int32(p.rank)), tag)
-	p.rpc(to, data, true, func() string { return fmt.Sprintf("Send(to=%d, tag=%d, n=%d)", to, tag, len(data)) })
+	op := getOp()
+	p.peers[to].roundTrip(op, p.req, data, func() string { return fmt.Sprintf("Send(to=%d, tag=%d, n=%d)", to, tag, len(data)) })
+	putOp(op)
 }
 
 func (p *proc) Recv(from int, tag int32) ([]byte, int) {

@@ -105,88 +105,6 @@ func (h *heap) apply(op *pgas.Op) error {
 	return nil
 }
 
-// barrierMgr is the counter-based barrier state hosted on rank 0. Every
-// rank enters once per barrier (remotely via opBarrier, rank 0 locally);
-// the release callbacks fire when the count reaches n. The count resets
-// before any callback runs, so a released rank re-entering immediately
-// counts into the next round.
-//
-// Remote releases always run before the local one. The local release
-// unblocks rank 0's own goroutine, and after the completion barrier that
-// goroutine exits the process: were it released first, the process could
-// die before the serve goroutines had written the remote ranks' reply
-// frames, severing their connections mid-barrier.
-// Releases take an error: nil on a completed round, the world's fault
-// when the barrier can never complete because a member died (fail).
-type barrierMgr struct {
-	mu      sync.Mutex
-	n       int
-	arrived int
-	remote  []func(error)
-	local   func(error)
-	err     error // non-nil once a member died: the barrier is permanently broken
-}
-
-func newBarrierMgr(n int) *barrierMgr { return &barrierMgr{n: n} }
-
-// enter records one remote arrival whose release writes a reply frame.
-func (b *barrierMgr) enter(release func(error)) { b.arrive(release, false) }
-
-// enterLocal records rank 0's own arrival.
-func (b *barrierMgr) enterLocal(release func(error)) { b.arrive(release, true) }
-
-func (b *barrierMgr) arrive(release func(error), isLocal bool) {
-	b.mu.Lock()
-	if b.err != nil {
-		err := b.err
-		b.mu.Unlock()
-		release(err)
-		return
-	}
-	if isLocal {
-		b.local = release
-	} else {
-		b.remote = append(b.remote, release)
-	}
-	b.arrived++
-	if b.arrived < b.n {
-		b.mu.Unlock()
-		return
-	}
-	remotes, local := b.remote, b.local
-	b.remote, b.local = nil, nil
-	b.arrived = 0
-	b.mu.Unlock()
-	for _, r := range remotes {
-		r(nil)
-	}
-	if local != nil {
-		local(nil)
-	}
-}
-
-// fail breaks the barrier permanently: every parked arrival is released
-// with err, and every later arrival is released with err immediately — a
-// barrier missing a member can never complete again.
-func (b *barrierMgr) fail(err error) {
-	b.mu.Lock()
-	if b.err != nil {
-		b.mu.Unlock()
-		return
-	}
-	b.err = err
-	remotes, local := b.remote, b.local
-	b.remote, b.local = nil, nil
-	b.arrived = 0
-	b.mu.Unlock()
-	for _, r := range remotes {
-		r(err)
-	}
-	if local != nil {
-		local(err)
-	}
-}
-
 // message is a delivered two-sided message.
 type message struct {
 	from int

@@ -40,14 +40,18 @@ const (
 	opFAdd
 	opCAS
 	opSend
-	opBarrier
 	// opHello identifies the dialing rank. It is the first frame on every
-	// mesh connection (data and heartbeat alike) and carries [rank i32];
-	// it has no reply. The service needs the peer's identity so that an
-	// unexpected EOF on the connection can be attributed to that rank.
+	// mesh connection and carries [rank i32], plus one byte on a heartbeat
+	// connection; it has no reply. The service needs the peer's identity
+	// so that an unexpected EOF on a data connection can be attributed to
+	// that rank.
 	opHello
 	// opPing is the heartbeat probe: empty request, empty ok reply.
 	opPing
+	// opBye is the last frame a rank writes on each data connection it
+	// dialed, once its completion barrier has returned: the EOF that
+	// follows is a clean departure, not a death. It has no reply.
+	opBye
 )
 
 // Reply status bytes. Every reply frame starts with one (after the
@@ -196,9 +200,10 @@ type request struct {
 
 // reqLen is the fixed part of each opcode's request body, after the opcode
 // byte; only Put, Acc and Send carry more. -1 marks an opcode that is
-// never a request (opHello is a connection's first frame only).
+// never a request (opHello is a connection's first frame only, opBye its
+// last, and the service reads both itself).
 var reqLen = [...]int{opGet: 20, opPut: 12, opAcc: 12, opLoad: 12, opStore: 20, opFAdd: 20, opCAS: 28,
-	opSend: 8, opBarrier: 0, opHello: -1, opPing: 0}
+	opSend: 8, opHello: -1, opPing: 0, opBye: -1}
 
 // maxID bounds the segment ids a request may name. The service
 // waits for an id its owner has not allocated yet (the requester may be

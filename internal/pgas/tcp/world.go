@@ -24,9 +24,8 @@ type Config struct {
 	// program, so it must be deterministic.
 	SpeedFactor func(rank int) float64
 
-	// OpTimeout bounds every remote operation whose reply is immediate
-	// (everything except Lock and Barrier, whose replies are legitimately
-	// deferred). An expired deadline converts a stalled peer into a
+	// OpTimeout bounds every remote operation, each frame of a Lock or a
+	// Barrier included. An expired deadline converts a stalled peer into a
 	// rank-attributed FaultError. Zero selects SCIOTO_TCP_OP_TIMEOUT or
 	// the 60s default; negative disables deadlines.
 	OpTimeout time.Duration
@@ -235,19 +234,19 @@ func (b *broker) join(rank int, parentAddr string) (*launch.Rank, error) {
 	p.Bind(p)
 	r.Proc = p
 	// Completion barrier: no rank may tear down its service while a
-	// sibling still has operations in flight. Non-zero ranks arm the
-	// teardown flag first — once they are released, siblings start
-	// exiting and the resulting EOFs must not register as deaths.
-	// Rank 0 stays armed through the barrier: it hosts the counter,
-	// and a rank dying mid-completion-barrier must still break the
-	// barrier for the survivors; its own EOFs can only arrive after
-	// the round has completed.
+	// sibling still has operations in flight. Every rank stays armed
+	// through it, so a rank dying mid-barrier is a death on every
+	// survivor; once it returns, each rank announces its departure on
+	// the data connections it dialed, and the EOFs that follow are not
+	// misread as deaths.
 	r.Finish = func() {
-		if rank != 0 {
-			own.enterTeardown()
-		}
 		p.Barrier()
 		own.enterTeardown()
+		for _, pc := range peers {
+			if pc != nil {
+				pc.bye()
+			}
+		}
 	}
 	return r, nil
 }

@@ -52,7 +52,7 @@ const (
 	TCPFlushWindow             // tcp: first frame queued after a flush to the flush that drains it
 	TCPWritev                  // tcp: the write syscall pushing the coalesced window
 	IPCRingWait                // ipc: Send spinning for ring space
-	IPCBarrierPark             // ipc: barrier spinning for the epoch
+	IPCBarrierPark             // no producer (a barrier waits in Recv); the number stays, the dump format pins it
 
 	Add           // task inserted
 	Release       // split pointer raised: private tasks made stealable

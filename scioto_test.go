@@ -138,15 +138,23 @@ func TestHeterogeneousConfig(t *testing.T) {
 func TestRunRecover(t *testing.T) {
 	for _, tr := range []scioto.Transport{scioto.TransportSHM, scioto.TransportDSim} {
 		var total int64
+		var crashedAt string // rank 2's, read after Run
 		err := scioto.Run(scioto.Config{
 			Procs:     4,
 			Transport: tr,
 			Seed:      9,
 			Recover:   true,
-			// Op 15 is the rank's second reacquire: ops 7 to 22 are what it
-			// issues while it works through its own fifty tasks, the same
-			// on every run; the phase can be over by op 26.
-			Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 2, CrashAfterOps: 15},
+			// Op 18 is, on dsim, the rank's second reacquire, a CAS64: ops
+			// 10 to 25 are what it issues while it works through its own
+			// fifty tasks, after three barriers of two Sends each; the
+			// phase can be over by op 29. On shm what thieves took decides
+			// which of those ops it is.
+			Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 2, CrashAfterOps: 18,
+				Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
+					if kind == "crash" {
+						crashedAt = op
+					}
+				}},
 		}, func(rt *scioto.Runtime) {
 			tc := scioto.NewTC(rt, scioto.TCConfig{MaxBodySize: 8, ChunkSize: 2, MaxTasks: 2048})
 			h := tc.Register(func(tc *scioto.TC, t *scioto.Task) {})
@@ -168,18 +176,28 @@ func TestRunRecover(t *testing.T) {
 		if total != 200 {
 			t.Fatalf("%s: %d durable completions, want 200", tr, total)
 		}
+		if tr == scioto.TransportDSim && crashedAt != "CAS64" || crashedAt == "" || crashedAt == "Send" {
+			t.Fatalf("%s: the pin interrupted %q, want the reacquire's CAS64 on dsim and no barrier's Send (re-pin CrashAfterOps)", tr, crashedAt)
+		}
 	}
 }
 
 // TestRunRecoverRankZeroUnrecoverable: with recovery armed, the death of
 // rank 0 surfaces as ErrUnrecoverable, still carrying the FaultError.
 func TestRunRecoverRankZeroUnrecoverable(t *testing.T) {
+	var crashedAt string // rank 0's, read after Run
 	err := scioto.Run(scioto.Config{
 		Procs:     4,
 		Transport: scioto.TransportSHM,
 		Seed:      9,
 		Recover:   true,
-		Faults:    &scioto.FaultConfig{Seed: 9, CrashRank: 0, CrashAfterOps: 15}, // as in TestRunRecover
+		// Op 18, as in TestRunRecover: inside the phase, past its barriers.
+		Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 0, CrashAfterOps: 18,
+			Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
+				if kind == "crash" {
+					crashedAt = op
+				}
+			}},
 	}, func(rt *scioto.Runtime) {
 		tc := scioto.NewTC(rt, scioto.TCConfig{MaxBodySize: 8, ChunkSize: 2})
 		h := tc.Register(func(tc *scioto.TC, t *scioto.Task) {})
@@ -197,5 +215,8 @@ func TestRunRecoverRankZeroUnrecoverable(t *testing.T) {
 	fe, ok := scioto.AsFault(err)
 	if !ok || fe.Rank != 0 {
 		t.Fatalf("want FaultError naming rank 0 inside ErrUnrecoverable, got %v", err)
+	}
+	if crashedAt == "" || crashedAt == "Send" {
+		t.Fatalf("the pin interrupted %q, want an operation of the phase's own work, not a barrier (re-pin CrashAfterOps)", crashedAt)
 	}
 }

@@ -20,14 +20,15 @@
 # Run via `make chaos-recovery`; CI runs the same target.
 #
 # Op-count pinning: worker setup (dep-pool init + journal) costs 1024
-# checked ops on rank 2 (faulty.Ops). The daemon's one phase then opens —
-# barrier, detector reset, barrier — and with nothing submitted yet the
-# rank sits through its idle rounds (serve's parkAfter of them and the one
-# that raises its parked flag: a look at its own queue word and a steal
-# probe each, which at four ranks reads two victims), looks once more and
-# blocks in Recv having issued 1043 ops: the same on every run, because
-# curl arrives long after. The wake is op 1044 (the flag comes down), the
-# reacquire of what the gateway dealt 1045-46, then one completion mark per
+# checked ops on rank 2 (faulty.Ops), and a barrier ends it. The daemon's
+# one phase then opens — barrier, detector reset, barrier; each barrier is
+# two Sends at four ranks — and with nothing submitted yet the rank sits
+# through its idle rounds (serve's parkAfter of them and the one that
+# raises its parked flag: a look at its own queue word and a steal probe
+# each, which at four ranks reads two victims), looks once more and
+# blocks in Recv having issued 1046 ops: the same on every run, because
+# curl arrives long after. The wake is op 1047 (the flag comes down), the
+# reacquire of what the gateway dealt 1048-49, then one completion mark per
 # task — results ride in bursts, so a task costs no Send. Past the wake the sequence is the schedule's: with
 # four ranks on fewer processors a woken rank may find its queue already
 # emptied by thieves, and the later pins land in a probe or a steal
@@ -71,8 +72,10 @@ print(json.dumps({'tenant': 'chaos', 'tasks': tasks}))
 " "$1"
 }
 
+# run_scenario TRANSPORT NAME CRASH_AFTER PAYLOAD NTASKS [OP] — OP, when
+# given, is the operation the pinned crash must interrupt.
 run_scenario() {
-	local tr="$1" name="$2" crash_after="$3" payload="$4" ntasks="$5"
+	local tr="$1" name="$2" crash_after="$3" payload="$4" ntasks="$5" op="${6:-}"
 	echo "== scenario: $tr/$name (crash rank 2 after $crash_after ops) =="
 	: >"$tmp/err.log"
 	SCIOTO_FAULT_SEED=21 SCIOTO_FAULT_CRASH_RANK=2 SCIOTO_FAULT_CRASH_AFTER="$crash_after" \
@@ -130,6 +133,11 @@ print(n)
 		cat "$tmp/err.log" >&2
 		exit 1
 	fi
+	if [ -n "$op" ] && ! grep -q "injected-crash\] during $op(" "$tmp/err.log"; then
+		echo "FAIL($name): pinned crash interrupted another operation than a $op (re-pin CRASH_AFTER)" >&2
+		cat "$tmp/err.log" >&2
+		exit 1
+	fi
 	echo "ok: $ntasks results streamed across the crash, clean drain"
 }
 
@@ -137,10 +145,10 @@ print(n)
 # checked operations, and the setup sequence (dep-pool init + journal)
 # that dominates the count is identical core code on shm and ipc.
 for tr in shm ipc; do
-	run_scenario "$tr" "crash-on-wake" 1044 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-in-reacquire" 1046 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-after-first-task" 1048 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-with-deferred-deps" 1048 "$(dep_tasks 200)" 200
+	run_scenario "$tr" "crash-on-wake" 1047 "$(spin_tasks 200)" 200 Store64
+	run_scenario "$tr" "crash-in-reacquire" 1049 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-after-first-task" 1051 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-with-deferred-deps" 1051 "$(dep_tasks 200)" 200
 done
 
 echo "PASS: recovery matrix (2 transports x 4 scenarios, seed-pinned SCIOTO_FAULT_*)"
