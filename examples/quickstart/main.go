@@ -63,18 +63,20 @@ func main() {
 
 		tc.Process() // collective MIMD phase; returns on global termination
 
-		// Gather per-rank counts with one-sided communication.
-		p := rt.Proc()
-		seg := p.AllocWords(rt.NProcs())
-		mine := rt.CLO(cloH).(*counter).executed
-		p.Store64(0, seg, rt.Rank(), int64(mine))
-		p.Barrier()
+		// Gather per-rank counts: each rank fills its own entry of a zeroed
+		// vector, and a summing all-reduce leaves every entry on every rank.
+		counts := make([]int64, rt.NProcs())
+		counts[rt.Rank()] = int64(rt.CLO(cloH).(*counter).executed)
+		rt.Proc().AllReduce(counts, func(acc, in []int64) {
+			for i := range acc {
+				acc[i] += in[i]
+			}
+		})
 		g := tc.GlobalStats() // collective: every rank participates
 		if rt.Rank() == 0 {
 			total := int64(0)
 			fmt.Printf("task distribution across %d ranks (all seeded on rank 0):\n", rt.NProcs())
-			for r := 0; r < rt.NProcs(); r++ {
-				n := p.Load64(0, seg, r)
+			for r, n := range counts {
 				total += n
 				fmt.Printf("  rank %2d executed %4d tasks %s\n", r, n, bar(n, int64(*tasks)))
 			}

@@ -1,29 +1,18 @@
 // Package coll provides collective communication operations over the pgas
 // interface: broadcast, reductions, all-reduce, all-gather, and prefix
-// scans, implemented with binomial-tree and dissemination algorithms in the
-// style of classic MPI implementations.
-//
-// The Scioto runtime itself needs only barriers (provided by the
-// transports), but the applications and the benchmark harness repeatedly
-// reduce statistics, energies, and counters across processes; this package
-// replaces their ad-hoc shared-counter reductions with O(log P) algorithms
-// whose modeled cost is realistic on the dsim machines.
+// scans, every one of them a call to Proc.AllReduce, the runtime's one
+// collective reduction (pgas/allreduce.go).
 //
 // All operations are collective: every process must call them in the same
-// order with compatible arguments. Each Comm allocates its own scratch
-// segments at construction, so a Comm may be reused for any number of
-// operations but must itself be constructed collectively.
+// order with compatible arguments.
 package coll
 
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"scioto/internal/pgas"
 )
-
-const nanosecond = time.Nanosecond
 
 // int64FromF64 and f64FromInt64 bit-transport floats through the int64
 // collective machinery.
@@ -31,123 +20,34 @@ func int64FromF64(v float64) int64 { return int64(math.Float64bits(v)) }
 
 func f64FromInt64(b int64) float64 { return math.Float64frombits(uint64(b)) }
 
-// maxVec is the largest vector (in 8-byte elements) a Comm supports.
-const defaultMaxVec = 1024
-
-// Comm holds the scratch space for collective operations on a world.
+// Comm is a handle for collective operations on a world.
 type Comm struct {
-	p      pgas.Proc
-	maxVec int
-
-	// words: per-process scratch for incoming reduction vectors, one slot
-	// region per tree child plus one for broadcast.
-	buf pgas.Seg // word segment: 3 regions of maxVec words
-	flg pgas.Seg // word segment: arrival flags (3 per generation parity)
-
-	gen int64
+	p pgas.Proc
 }
 
-// Region indices within buf/flg.
-const (
-	regChildL = 0
-	regChildR = 1
-	regParent = 2
-	nRegions  = 3
-)
+// New creates a Comm. It allocates nothing, so it need not be called
+// collectively; maxVec is ignored — Proc.AllReduce takes a vector of any
+// length — and stays for the callers that pass it.
+func New(p pgas.Proc, maxVec int) *Comm { return &Comm{p: p} }
 
-// New collectively creates a Comm supporting vectors up to maxVec 64-bit
-// elements (0 means a 1024-element default).
-func New(p pgas.Proc, maxVec int) *Comm {
-	if maxVec <= 0 {
-		maxVec = defaultMaxVec
-	}
-	c := &Comm{
-		p:      p,
-		maxVec: maxVec,
-		buf:    p.AllocWords(nRegions * maxVec),
-		flg:    p.AllocWords(2 * nRegions),
-	}
-	return c
-}
-
-// tree helpers: binomial tree rooted at 0 (rank r's parent is (r-1)/2).
-func (c *Comm) parent() int { return (c.p.Rank() - 1) / 2 }
-
-func (c *Comm) children() (int, int, int) {
-	l, r := 2*c.p.Rank()+1, 2*c.p.Rank()+2
-	n := c.p.NProcs()
-	count := 0
-	if l < n {
-		count++
-	}
-	if r < n {
-		count++
-	}
-	return l, r, count
-}
-
-// flagCell returns the arrival-flag index for a region at the current
-// generation parity.
-func (c *Comm) flagCell(region int) int {
-	return int(c.gen%2)*nRegions + region
-}
-
-// waitFlag spins (with ordered loads plus a small charged backoff, so
-// virtual time advances) until the flag cell becomes nonzero, then clears
-// it.
-func (c *Comm) waitFlag(region int) {
-	me := c.p.Rank()
-	cell := c.flagCell(region)
-	for c.p.Load64(me, c.flg, cell) == 0 {
-		c.p.Charge(200 * nanosecond)
-	}
-	c.p.Store64(me, c.flg, cell, 0)
-}
-
-// vecStore writes vec into dst's scratch region word by word and raises
-// the arrival flag last (the flag store orders after the payload).
-func (c *Comm) vecStore(dst, region int, vec []int64) {
-	base := region * c.maxVec
-	for i, v := range vec {
-		c.p.Store64(dst, c.buf, base+i, v)
-	}
-	c.p.Store64(dst, c.flg, c.flagCell(region), 1)
-}
-
-// vecLoad reads this process's scratch region.
-func (c *Comm) vecLoad(region int, out []int64) {
-	me := c.p.Rank()
-	base := region * c.maxVec
-	for i := range out {
-		out[i] = c.p.Load64(me, c.buf, base+i)
-	}
-}
-
-// Op is a reduction operator on int64 vectors.
+// Op is a reduction operator on int64 vectors: it folds in into acc. It
+// must be commutative and associative.
 type Op func(acc, in []int64)
 
 // Predefined reduction operators.
 var (
 	// Sum adds element-wise.
-	Sum Op = func(acc, in []int64) {
-		for i := range acc {
-			acc[i] += in[i]
-		}
-	}
+	Sum Op = pgas.Sum
 	// Max keeps the element-wise maximum.
 	Max Op = func(acc, in []int64) {
 		for i := range acc {
-			if in[i] > acc[i] {
-				acc[i] = in[i]
-			}
+			acc[i] = max(acc[i], in[i])
 		}
 	}
 	// Min keeps the element-wise minimum.
 	Min Op = func(acc, in []int64) {
 		for i := range acc {
-			if in[i] < acc[i] {
-				acc[i] = in[i]
-			}
+			acc[i] = min(acc[i], in[i])
 		}
 	}
 	// BOr ors element-wise (flag aggregation).
@@ -158,104 +58,31 @@ var (
 	}
 )
 
-func (c *Comm) check(n int) {
-	if n > c.maxVec {
-		panic(fmt.Sprintf("coll: vector length %d exceeds Comm capacity %d", n, c.maxVec))
-	}
-}
+// Reduce combines every process's vec with op. It is an all-reduce: the
+// result lands in vec on every process, root included. Collective.
+func (c *Comm) Reduce(vec []int64, op Op, root int) { c.p.AllReduce(vec, op) }
 
-// Reduce combines every process's vec with op; the result lands in vec on
-// the root only (other processes' vec contents are the partial reductions
-// of their subtrees afterwards — treat them as scratch). Collective.
-func (c *Comm) Reduce(vec []int64, op Op, root int) {
-	c.check(len(vec))
-	// Reduce to rank 0 up the binomial tree, then (if root != 0) ship it.
-	l, r, _ := c.children()
-	tmp := make([]int64, len(vec))
-	if l < c.p.NProcs() {
-		c.waitFlag(regChildL)
-		c.vecLoad(regChildL, tmp)
-		op(vec, tmp)
-	}
-	if r < c.p.NProcs() {
-		c.waitFlag(regChildR)
-		c.vecLoad(regChildR, tmp)
-		op(vec, tmp)
-	}
-	me := c.p.Rank()
-	if me != 0 {
-		region := regChildL
-		if me%2 == 0 {
-			region = regChildR
-		}
-		c.vecStore(c.parent(), region, vec)
-	}
-	c.gen++
-	c.p.Barrier()
-	if root != 0 {
-		// Relocate the result from 0 to root.
-		if me == 0 {
-			c.vecStore(root, regParent, vec)
-		}
-		if me == root {
-			c.waitFlag(regParent)
-			c.vecLoad(regParent, vec)
-		}
-		c.gen++
-		c.p.Barrier()
-	}
-}
-
-// Bcast distributes root's vec to every process, down the binomial tree.
-// Collective.
+// Bcast distributes root's vec to every process: the other processes
+// contribute zeros to a Sum. Collective.
 func (c *Comm) Bcast(vec []int64, root int) {
-	c.check(len(vec))
-	me := c.p.Rank()
-	n := c.p.NProcs()
-	if root != 0 {
-		// Rotate through rank 0 for a rooted tree without remapping.
-		if me == root {
-			c.vecStore(0, regParent, vec)
-		}
-		if me == 0 {
-			c.waitFlag(regParent)
-			c.vecLoad(regParent, vec)
-		}
-		c.gen++
-		c.p.Barrier()
+	if c.p.Rank() != root {
+		clear(vec)
 	}
-	if me != 0 {
-		c.waitFlag(regParent)
-		c.vecLoad(regParent, vec)
-	}
-	l, r, _ := c.children()
-	if l < n {
-		c.vecStore(l, regParent, vec)
-	}
-	if r < n {
-		c.vecStore(r, regParent, vec)
-	}
-	c.gen++
-	c.p.Barrier()
+	c.p.AllReduce(vec, Sum)
 }
 
 // AllReduce combines every process's vec with op and leaves the full
 // result in vec on every process. Collective.
-func (c *Comm) AllReduce(vec []int64, op Op) {
-	c.Reduce(vec, op, 0)
-	c.Bcast(vec, 0)
-}
+func (c *Comm) AllReduce(vec []int64, op Op) { c.p.AllReduce(vec, op) }
 
 // AllGather concatenates each process's element into out (length NProcs)
-// on every process. Collective.
+// on every process: a Sum of vectors that are zero but for each process's
+// own element. Collective.
 func (c *Comm) AllGather(mine int64, out []int64) {
 	if len(out) != c.p.NProcs() {
 		panic(fmt.Sprintf("coll: AllGather out length %d != %d processes", len(out), c.p.NProcs()))
 	}
-	c.check(len(out))
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	out[c.p.Rank()] = mine
 	c.AllReduce(out, Sum)
 }

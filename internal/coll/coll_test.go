@@ -172,17 +172,6 @@ func TestRepeatedCollectives(t *testing.T) {
 	})
 }
 
-func TestVectorTooLargePanics(t *testing.T) {
-	w := shm.NewWorld(shm.Config{NProcs: 1, Seed: 1})
-	err := w.Run(func(p pgas.Proc) {
-		c := coll.New(p, 2)
-		c.AllReduce(make([]int64, 3), coll.Sum)
-	})
-	if err == nil {
-		t.Fatal("oversized vector accepted")
-	}
-}
-
 func TestSingleProcess(t *testing.T) {
 	forBothTransports(t, 1, func(p pgas.Proc) {
 		c := coll.New(p, 4)

@@ -12,9 +12,10 @@ import (
 // method per occurrence — an execution, a steal attempt, an add, a
 // split-pointer move, a queue-lock wait or hold, a termination wave, vote
 // or signal, a recovery step — which updates the registry instruments
-// (scraped live, merged across ranks by obs.Merger) and writes the rank's
-// trace.Recorder together, so no site names either. It is the only file
-// of the package that touches an instrument or the recorder.
+// (scraped live, summed across ranks by obs.Merger's all-reduce) and
+// writes the rank's trace.Recorder together, so no site names either. It
+// is the only file of the package that touches an instrument or the
+// recorder.
 //
 // A nil *Observer is the disabled observer: every method is a no-op, and
 // every timestamp that exists only to be reported is read inside a

@@ -94,8 +94,6 @@ type TC struct {
 
 	callbacks []TaskFunc
 
-	statsSeg pgas.Seg // scratch for GlobalStats reduction
-
 	stats      Stats
 	pair       [2]int // an idle round's victims (pickVictims)
 	processing bool
@@ -141,7 +139,6 @@ func NewTC(rt *Runtime, cfg Config) *TC {
 	if cfg.Termination == TermCounter {
 		tc.ctd = newCtrDetector(rt.p, &tc.stats)
 	}
-	tc.statsSeg = rt.p.AllocWords(statsWords)
 	if cfg.MaxDeferred > 0 {
 		tc.deps = newDepPool(rt.p, cfg.MaxDeferred, slotSize)
 	}
@@ -564,43 +561,15 @@ func (tc *TC) ClearStats() { tc.stats = Stats{} }
 func (tc *TC) PendingLocal() int64 { return tc.q.totalCountHint() }
 
 // GlobalStats collectively reduces all processes' counters and returns the
-// sum (valid on every process). Must be called by all processes together,
+// sum (valid on every process): one all-reduce over the live ranks, so
+// after a recovery the dead ranks are left out (their durable completions
+// live in SalvagedExecs). Must be called by all live processes together,
 // outside a processing phase.
 func (tc *TC) GlobalStats() Stats {
-	p := tc.rt.p
-	seg := tc.statsSeg
-	mine := tc.stats.asSlice()
-	for i, v := range mine {
-		p.Store64(p.Rank(), seg, i, v)
-	}
-	p.Barrier()
-	// Pipeline the whole gather — one non-blocking load per (rank, word),
-	// completed by a single Flush. Issued serially this collective is
-	// O(P·statsWords) round trips per process, which at large P dwarfs
-	// the task-parallel phase it is trying to measure.
-	n := p.NProcs()
-	cells := make([]int64, n*statsWords)
-	for r := 0; r < n; r++ {
-		if tc.rec != nil && !tc.rec.alive[r] {
-			continue // dead rank: its durable completions live in SalvagedExecs
-		}
-		for i := 0; i < statsWords; i++ {
-			p.NbLoad64(r, seg, i, &cells[r*statsWords+i])
-		}
-	}
-	p.Flush()
+	v := tc.stats.asSlice()
+	tc.rt.p.AllReduce(v, pgas.Sum)
 	var total Stats
-	acc := make([]int64, statsWords)
-	for r := 0; r < n; r++ {
-		if tc.rec != nil && !tc.rec.alive[r] {
-			continue
-		}
-		for i := range acc {
-			acc[i] += cells[r*statsWords+i]
-		}
-	}
-	total.fromSlice(acc)
-	p.Barrier()
+	total.fromSlice(v)
 	return total
 }
 

@@ -9,44 +9,26 @@ import (
 )
 
 // Merger reduces congruent per-rank registries into a global Snapshot
-// over the pgas, with the same pipelined-gather shape as the task
-// collection's GlobalStats: every rank publishes its flattened word
-// vector into a symmetric segment, then gathers all ranks' vectors with
-// one non-blocking load per (rank, word) completed by a single Flush, so
-// the collective costs two barriers plus one pipelined round instead of
-// O(P·words) serial round trips.
+// with one all-reduce over the pgas (Proc.AllReduce). A rank's vector is
+// its registry's schema fingerprint twice, reduced to the minimum and the
+// maximum over the ranks, then its flattened registry words, summed.
 //
-// Requirements: NewMerger is collective (it allocates a symmetric
-// segment) and every rank's registry must be congruent — the same
+// Requirements: every rank's registry must be congruent — the same
 // instruments registered in the same order, which SPMD instrumentation
-// produces naturally. Congruence is verified at Merge time with a schema
-// fingerprint word; a mismatch panics on every rank rather than summing
-// unrelated counters silently.
+// produces naturally. Congruence is verified at every Merge: unless every
+// rank's fingerprint is the same, the minimum and the maximum differ, and
+// every rank panics rather than summing unrelated counters silently.
 type Merger struct {
 	p     pgas.Proc
 	reg   *Registry
-	seg   pgas.Seg
-	words int // flattened registry width, excluding the schema word
-
-	// cells receives the pipelined gather (NProcs * (words+1) values). It
-	// lives on the Merger so repeated merges reuse one allocation and the
-	// non-blocking loads' out-pointers have a stable heap destination.
-	cells []int64
-	local []int64
+	words int // flattened registry width when the merger was created
 }
 
-// NewMerger collectively creates a merger for the registry. Register
-// every instrument before calling it: the symmetric segment is sized to
-// the registry's width at this moment, and a later Merge with a grown
-// registry panics.
+// NewMerger creates a merger for the registry; it allocates nothing on
+// the pgas. Register every instrument before calling it: a later Merge
+// with a grown registry panics.
 func NewMerger(p pgas.Proc, reg *Registry) *Merger {
-	words := reg.NumWords()
-	return &Merger{
-		p:     p,
-		reg:   reg,
-		seg:   p.AllocWords(words + 1), // +1: schema fingerprint
-		words: words,
-	}
+	return &Merger{p: p, reg: reg, words: reg.NumWords()}
 }
 
 // Merge collectively reduces all ranks' registries and returns the
@@ -57,41 +39,20 @@ func (m *Merger) Merge() *Snapshot {
 	if w := m.reg.NumWords(); w != m.words {
 		panic(fmt.Sprintf("obs: registry grew from %d to %d words since NewMerger; register instruments before creating the merger", m.words, w))
 	}
-	p := m.p
-	me := p.Rank()
-	n := p.NProcs()
-	stride := m.words + 1
+	h := int64(m.reg.SchemaHash())
+	vec := m.reg.snapshotWords([]int64{h, h})
+	m.p.AllReduce(vec, mergeWords)
+	if vec[0] != vec[1] {
+		panic(fmt.Sprintf("obs: rank %d's registry schema differs from another rank's; merged registries must register the same instruments in the same order", m.p.Rank()))
+	}
+	return &Snapshot{reg: m.reg, vals: vec[2:], ranks: m.p.NProcs()}
+}
 
-	m.local = m.reg.snapshotWords(m.local[:0])
-	p.Store64(me, m.seg, 0, int64(m.reg.SchemaHash()))
-	for i, v := range m.local {
-		p.Store64(me, m.seg, 1+i, v)
-	}
-	p.Barrier()
-
-	if cap(m.cells) < n*stride {
-		m.cells = make([]int64, n*stride)
-	}
-	cells := m.cells[:n*stride]
-	for r := 0; r < n; r++ {
-		for i := 0; i < stride; i++ {
-			p.NbLoad64(r, m.seg, i, &cells[r*stride+i])
-		}
-	}
-	p.Flush()
-
-	mySchema := int64(m.reg.SchemaHash())
-	sum := make([]int64, m.words)
-	for r := 0; r < n; r++ {
-		if cells[r*stride] != mySchema {
-			panic(fmt.Sprintf("obs: rank %d's registry schema differs from rank %d's; merged registries must register the same instruments in the same order", r, me))
-		}
-		for i := 0; i < m.words; i++ {
-			sum[i] += cells[r*stride+1+i]
-		}
-	}
-	p.Barrier()
-	return &Snapshot{reg: m.reg, vals: sum, ranks: n}
+// mergeWords is Merge's reduction: the minimum and the maximum of the
+// schema fingerprints, then the sum of the registry words.
+func mergeWords(acc, in []int64) {
+	acc[0], acc[1] = min(acc[0], in[0]), max(acc[1], in[1])
+	pgas.Sum(acc[2:], in[2:])
 }
 
 // Snapshot is a merged (or single-rank) view of a registry's values,

@@ -2,7 +2,9 @@ package obs_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,4 +85,27 @@ func TestMergerPanicsOnGrownRegistry(t *testing.T) {
 		}()
 		m.Merge()
 	})
+}
+
+func TestMergerPanicsOnEveryRankOnSchemaMismatch(t *testing.T) {
+	const n = 4
+	var panicked atomic.Int32
+	w := shm.NewWorld(shm.Config{NProcs: n, Seed: 1})
+	err := w.Run(func(p pgas.Proc) {
+		reg := obs.NewRegistry(p.Rank())
+		name := "a"
+		if p.Rank() == 2 {
+			name = "b" // same width, different schema
+		}
+		reg.Counter(name, "")
+		defer func() {
+			if r := recover(); r != nil && strings.Contains(fmt.Sprint(r), "schema differs") {
+				panicked.Add(1)
+			}
+		}()
+		obs.NewMerger(p, reg).Merge()
+	})
+	if err != nil || panicked.Load() != n {
+		t.Fatalf("Run = %v and %d of %d ranks panicked on the mismatch, want nil and every rank", err, panicked.Load(), n)
+	}
 }

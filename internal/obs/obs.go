@@ -1,8 +1,8 @@
 // Package obs is the Scioto runtime's per-rank metrics layer: counters,
 // gauges, and log-bucketed latency histograms, collected into a Registry
 // per rank, rendered in Prometheus text format, and mergeable across ranks
-// with a pipelined one-sided gather (the same collective shape as the task
-// collection's GlobalStats reduction).
+// with one all-reduce (Proc.AllReduce, as the task collection's
+// GlobalStats reduction).
 //
 // Design constraints, in order:
 //
@@ -16,7 +16,7 @@
 //  3. Cross-rank mergeable. A Registry flattens to a fixed vector of int64
 //     words in registration order; congruent registries (same instruments,
 //     same order — the natural product of SPMD registration) are summed
-//     rank-wise by Merger over the pgas, on any transport, including tcp
+//     rank-wise by Merger's all-reduce, on any transport, including tcp
 //     where each rank's registry lives in a separate OS process.
 package obs
 
@@ -302,8 +302,9 @@ func (r *Registry) NumWords() int {
 }
 
 // SchemaHash fingerprints the registry's shape (names and kinds in
-// registration order). Merger uses it to verify cross-rank congruence
-// before summing word vectors.
+// registration order). Merger reduces it to its minimum and maximum over
+// the ranks, next to the summed word vectors, to verify cross-rank
+// congruence.
 func (r *Registry) SchemaHash() uint64 {
 	h := fnv.New64a()
 	if r == nil {

@@ -41,7 +41,8 @@ func NewClock(start time.Time, virt *time.Duration, seed int64, rank int, speed 
 
 // SetStep sets what one ordered operation on the rank's own memory costs a
 // virtual clock, unscaled by the speed factor — dsim's LocalOpCost. Front
-// charges it for a barrier of one member (barrier.go), which sends nothing.
+// charges it for a collective of one member (barrier.go), which sends
+// nothing.
 func (c *Clock) SetStep(d time.Duration) { c.step = d }
 
 // Virtual reports whether the clock is virtual.

@@ -129,8 +129,8 @@ const NbPending Nb = 1
 // Front is the one implementation of Proc's typed one-sided methods: each
 // fills a scratch Op it owns and passes it, by pointer, to Kernel.Issue.
 // The lock methods (lock.go) are built on CAS64 here too, the barrier
-// (barrier.go) on Send and Recv, and the clock methods (clock.go) on the
-// kernel's Clock.
+// and AllReduce (barrier.go, allreduce.go) on Send and Recv, and the clock
+// methods (clock.go) on the kernel's Clock.
 // A transport or wrapper embeds a Front in its Kernel type and binds it to
 // itself, which makes that type a Proc whose owner-side accessors (Local,
 // the relaxed words) are still its own methods, one dispatch away.
@@ -150,15 +150,19 @@ type Front struct {
 	tag int64  // this rank's holder tag in a lock cell: rank + 1 (lock.go)
 	clk *Clock // the kernel's clock (clock.go)
 
-	// The barrier (barrier.go): the world size, the kernel's membership
-	// when it is Resilient, and the member list as of the acknowledged
-	// fault epoch, with this rank's index in it and the generation count.
+	// The collectives (barrier.go, allreduce.go): the world size, the
+	// kernel's membership when it is Resilient, and the member list as of
+	// the acknowledged fault epoch, with this rank's index in it and the
+	// generation count; and AllReduce's scratch, the bytes it sends and
+	// the vector it receives.
 	n     int
 	mem   Resilient
 	epoch int64
 	live  []int
 	idx   int32
 	gen   int32
+	wire  []byte
+	in    []int64
 }
 
 // Bind points the front at the kernel that embeds it.

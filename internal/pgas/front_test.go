@@ -18,8 +18,9 @@ type recKernel struct {
 	vt      time.Duration   // clk's time when clk is virtual
 	casAt   []time.Duration // vt at each CAS64 issued
 	log     []string
-	pending bool  // leave non-blocking issues pending
-	word    int64 // what word ops read; a CAS whose Old matches it swaps it
+	pending bool   // leave non-blocking issues pending
+	word    int64  // what word ops read; a CAS whose Old matches it swaps it
+	reply   []byte // what every Recv returns
 	// busy, when > 0, counts failed CASes until word turns 0: a lock whose
 	// holder releases it after that many attempts.
 	busy int
@@ -97,7 +98,7 @@ func (k *recKernel) Send(to int, tag int32, data []byte) {
 }
 func (k *recKernel) Recv(from int, tag int32) ([]byte, int) {
 	k.rec("Recv %d %d", from, tag)
-	return nil, 0
+	return k.reply, 0
 }
 func (k *recKernel) TryRecv(from int, tag int32) ([]byte, int, bool) {
 	k.rec("TryRecv %d %d", from, tag)
@@ -107,7 +108,8 @@ func (k *recKernel) TryRecv(from int, tag int32) ([]byte, int, bool) {
 // TestFrontEquivalence has one row per Proc method: each API call must
 // reach the kernel as exactly one call — or, for the clock methods Front
 // serves from the Clock it took at Bind, as none, and for the barrier as
-// the Sends and Recvs of dsim's dissemination sequence — and for the typed
+// the Sends and Recvs of dsim's dissemination sequence, for AllReduce as
+// those of recursive doubling — and for the typed
 // one-sided methods as one Issue with the kind, nb flag, target, segment,
 // offset and byte count the method's own implementation used to act on (an
 // uncontended Lock, TryLock or Unlock is one CAS64 of the lock's cell, 0
@@ -144,6 +146,10 @@ func TestFrontEquivalence(t *testing.T) {
 		// Rank 0 of 4, in the first generation of epoch 0: round k sends to
 		// rank 2^k and receives from rank 4-2^k, under tag -2^20 - k.
 		{"Barrier", func(p Proc) { p.Barrier() }, "Send 1 -1048576 0\nRecv 3 -1048576\nSend 2 -1048577 0\nRecv 2 -1048577"},
+		// The next collective, in generation 1: round k of recursive
+		// doubling exchanges 3 words with rank 2^(k-1), under tag
+		// -2^20 - 128 (the all-reduce's band) - 64 (generation 1) - k.
+		{"AllReduce", func(p Proc) { p.AllReduce(make([]int64, 3), Sum) }, "Send 1 -1048769 24\nRecv 1 -1048769\nSend 2 -1048770 24\nRecv 2 -1048770"},
 		{"AllocData", func(p Proc) { p.AllocData(64) }, "AllocData 64"},
 		{"AllocWords", func(p Proc) { p.AllocWords(4) }, "AllocWords 4"},
 		{"AllocLock", func(p Proc) { p.AllocLock() }, "AllocWords 1"},
@@ -168,6 +174,7 @@ func TestFrontEquivalence(t *testing.T) {
 	}
 	k := newRec(false)
 	k.pending = true
+	k.reply = make([]byte, 24) // the partner's vector in the AllReduce row
 	for _, row := range rows {
 		k.word = 0
 		if row.name == "Unlock" {
@@ -232,7 +239,7 @@ func TestBarrierGenerations(t *testing.T) {
 	}
 	// Rank 2 dies: members 0, 1, 3; epoch 1 starts again at generation 0.
 	k.alive, k.epoch = []bool{true, true, false, true}, 1
-	want := []string{"Send 1 -1048704 0", "Recv 3 -1048704", "Send 3 -1048705 0", "Recv 1 -1048705"}
+	want := []string{"Send 1 -1048832 0", "Recv 3 -1048832", "Send 3 -1048833 0", "Recv 1 -1048833"}
 	if got := barrier(); !slices.Equal(got, want) {
 		t.Errorf("first barrier of epoch 1 = %q, want %q", got, want)
 	}
@@ -246,6 +253,34 @@ func TestBarrierGenerations(t *testing.T) {
 	vm.Bind(vm)
 	if vm.Barrier(); v.vt != 80*time.Nanosecond {
 		t.Errorf("barrier of one member charged a virtual clock %v, want one step (80ns)", v.vt)
+	}
+}
+
+// TestAllReduceFold: over three members the first folds in the third's
+// vector (round 0), exchanges partial results with the second (round 1)
+// and sends the third the result last (round 2), in the all-reduce's band
+// of the fault epoch; the barrier after it takes the next generation of
+// the count the two share; a member list of one sends nothing and leaves
+// the vector as it is.
+func TestAllReduceFold(t *testing.T) {
+	k := &memKernel{recKernel: newRec(false), alive: []bool{true, false, true, true}, epoch: 1}
+	k.Bind(k)
+	k.log, k.reply = nil, []byte{5, 0, 0, 0, 0, 0, 0, 0} // every partner's vector: [5]
+	vec := []int64{1}
+	k.AllReduce(vec, Sum)
+	want := []string{"Recv 3 -1048960", "Send 2 -1048961 8", "Recv 2 -1048961", "Send 3 -1048962 8"}
+	if !slices.Equal(k.log, want) || vec[0] != 11 {
+		t.Errorf("AllReduce over members 0, 2, 3 = %q, result %d; want %q, 11", k.log, vec[0], want)
+	}
+	k.log = nil
+	k.Barrier()
+	want = []string{"Send 2 -1048896 0", "Recv 3 -1048896", "Send 3 -1048897 0", "Recv 2 -1048897"}
+	if !slices.Equal(k.log, want) {
+		t.Errorf("barrier after the AllReduce = %q, want %q", k.log, want)
+	}
+	k.log, k.alive, k.epoch = nil, []bool{true, false, false, false}, 2
+	if k.AllReduce(vec, Sum); len(k.log) != 0 || vec[0] != 11 {
+		t.Errorf("AllReduce of one member reached the kernel as %q and left %d, want nothing and 11", k.log, vec[0])
 	}
 }
 

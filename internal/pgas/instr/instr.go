@@ -19,7 +19,7 @@
 // Instrument registration is deterministic: every instrumented Proc
 // creates the full instrument set in the same order at attach time,
 // regardless of which operations the rank happens to issue, so per-rank
-// registries stay congruent and cross-rank obs.Merger reduction works.
+// registries stay congruent and obs.Merger's all-reduce sums like with like.
 package instr
 
 import (

@@ -4,16 +4,18 @@
 // The interface mirrors the subset of ARMCI that the original Scioto
 // implementation uses: a symmetric heap of remotely accessible memory
 // segments, contiguous one-sided Get/Put transfers, atomic word operations
-// (fetch-and-add, compare-and-swap, swap), remote locks, barriers, and a
-// small two-sided message layer (standing in for MPI point-to-point, used by
-// the UTS-MPI work-stealing baseline, and carrying the barrier).
+// (fetch-and-add, compare-and-swap, swap), remote locks, barriers, an
+// all-reduce, and a small two-sided message layer (standing in for MPI
+// point-to-point, used by the UTS-MPI work-stealing baseline, and carrying
+// the two collectives).
 //
 // Two interfaces split the work. Proc is what a SPMD body calls. Kernel is
 // what a transport implements: 13 methods, in which every one-sided
 // operation, blocking or not, is one Op descriptor passed to Issue. Front
 // derives the rest of Proc from a Kernel, once: the typed one-sided
 // methods; the remote locks, an algorithm over CAS64 (lock.go); the
-// barrier, a dissemination barrier over Send and Recv (barrier.go); and
+// collectives, a dissemination barrier and a recursive-doubling all-reduce
+// over Send and Recv (barrier.go, allreduce.go); and
 // time and randomness — a kernel hands out its rank's Clock (clock.go),
 // and Front's Compute, Charge, Now and Rand run over it. None of these is
 // a transport primitive. The wrappers (pgas/faulty, pgas/instr) are
@@ -126,7 +128,7 @@ type World interface {
 // Kernel is the transport SPI: the one interface a transport or a wrapper
 // implements. Everything else a SPMD body calls — the typed one-sided
 // methods of Proc, handle numbering, Wait, the clock's methods — is
-// derived from it once, by Front — the barrier too, over Send and Recv.
+// derived from it once, by Front — the collectives too, over Send and Recv.
 // Adding a transport means implementing these 13 methods; see DESIGN.md
 // "Transports" for the contract of each group.
 //
@@ -207,6 +209,14 @@ type Proc interface {
 	// dissemination barrier over Send and Recv (barrier.go), so its cost
 	// on dsim is ~log2(P) message latencies of virtual time.
 	Barrier()
+	// AllReduce combines every live process's vec with op and leaves the
+	// result in vec on every one of them: recursive doubling over Send and
+	// Recv (allreduce.go), ~log2(P) message latencies, like the barrier,
+	// whose semantics it has — no process returns before every live one
+	// has entered. Every process passes a vector of the same length; op
+	// folds in into acc, must not keep in, and must be commutative and
+	// associative, which makes the result identical on every process.
+	AllReduce(vec []int64, op func(acc, in []int64))
 
 	// Compute models d units of local computation: on a virtual clock
 	// (dsim) the process's time advances by d scaled by its speed factor;
@@ -304,17 +314,17 @@ type Proc interface {
 
 // Resilient is the optional fault-survival extension of Proc. A transport
 // that can outlive the death of a rank — marking it dead, reporting the
-// live membership the barrier runs over, and exposing the dead rank's
+// live membership the collectives run over, and exposing the dead rank's
 // symmetric heap for post-mortem reads — implements Resilient on its
-// Kernel type; the runtime and Front's barrier look it up with Find, which
-// sees through the wrappers. The core runtime's work-replay recovery
+// Kernel type; the runtime and Front's collectives look it up with Find,
+// which sees through the wrappers. The core runtime's work-replay recovery
 // requires it; on a transport without it (or one that returns ok=false) a
-// fault stays fatal and the job unwinds as before, and the barrier runs
+// fault stays fatal and the job unwinds as before, and the collectives run
 // over every rank.
 type Resilient interface {
 	// SurviveFault transitions the world into a recovery epoch after fe:
-	// the faulted rank is marked dead and subsequent Barriers synchronize
-	// only the live ranks (a lock the dead rank held stays held until a
+	// the faulted rank is marked dead and subsequent Barriers and
+	// AllReduces synchronize only the live ranks (a lock the dead rank held stays held until a
 	// survivor calls BreakLock on it). It returns the live-membership
 	// bitmap (indexed by rank) and ok=true when the transport supports
 	// survival; ok=false means the caller must treat the fault as fatal.
@@ -325,7 +335,7 @@ type Resilient interface {
 	// Membership reports the fault epoch this rank has acknowledged — the
 	// number of deaths its SurviveFault calls took in, 0 before any — and
 	// the live bitmap (indexed by rank) as of now; nil means every rank.
-	// Front's barrier rebuilds its member list when the epoch changes.
+	// Front's collectives rebuild their member list when the epoch changes.
 	Membership() (alive []bool, epoch int64)
 
 	// Salvage copies len(dst) bytes from data segment seg of the DEAD

@@ -2,16 +2,18 @@ package pgastest
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"scioto/internal/pgas"
 )
 
-// The barrier is built once, in pgas.Front, over Send and Recv
-// (pgas/barrier.go). Its plain cases are in the main group; this one holds
-// a survivable transport's Membership and fault delivery to the barrier's
-// contract across a death.
+// The collectives are built once, in pgas.Front, over Send and Recv
+// (pgas/barrier.go, pgas/allreduce.go). The barrier's plain cases are in
+// the main group; the all-reduce's are here, and the LiveMembership cases
+// hold a survivable transport's Membership and fault delivery to the
+// collectives' contract across a death.
 
 // midBarrierDeath is a wrapper that puts a death in the middle of the first
 // barrier. On rank dead, the barrier's second Send — the start of its
@@ -112,4 +114,83 @@ func surviving(p pgas.Proc, dead int) func(op func()) (acked bool) {
 		op()
 		return false
 	}
+}
+
+// testAllReduce: at every P of {1, 2, 3, 5, 8}, a Sum and a max all-reduce
+// give every rank the closed-form result; a word each rank stores before
+// the Sum is visible to every rank after it (a rank leaves no earlier than
+// the last one enters); and all-reduces and barriers alternate back to
+// back without one's rounds satisfying another's.
+func testAllReduce(t *testing.T, f Factory) {
+	for _, n := range []int64{1, 2, 3, 5, 8} {
+		run(t, f(int(n)), func(p pgas.Proc) {
+			me := int64(p.Rank())
+			ws := p.AllocWords(1)
+			for i := int64(0); i < 6; i++ {
+				p.Store64(p.Rank(), ws, 0, 100*i+me)
+				sum := []int64{me + 1, i, me * me}
+				p.AllReduce(sum, pgas.Sum)
+				if want := []int64{n * (n + 1) / 2, n * i, (n - 1) * n * (2*n - 1) / 6}; !slices.Equal(sum, want) {
+					panic(fmt.Sprintf("rank %d, P = %d, call %d: sum = %v, want %v", me, n, i, sum, want))
+				}
+				for r := 0; r < int(n); r++ {
+					if got := p.Load64(r, ws, 0); got != 100*i+int64(r) {
+						panic(fmt.Sprintf("rank %d left all-reduce %d before rank %d entered it (word = %d)", me, i, r, got))
+					}
+				}
+				hi := []int64{(7*me + i) % n, -me}
+				p.AllReduce(hi, func(acc, in []int64) {
+					for j := range acc {
+						acc[j] = max(acc[j], in[j])
+					}
+				})
+				want := int64(0)
+				for r := int64(0); r < n; r++ {
+					want = max(want, (7*r+i)%n)
+				}
+				if hi[0] != want || hi[1] != 0 {
+					panic(fmt.Sprintf("rank %d, P = %d, call %d: max = %v, want [%d 0]", me, n, i, hi, want))
+				}
+				p.Barrier()
+			}
+		})
+	}
+}
+
+// testAllReduceLiveMembership: of four ranks, rank 1 dies between two
+// all-reduces, once every survivor has left the first. No survivor can
+// leave the second, which rank 1 never enters: each acknowledges the death
+// inside it and calls it again, and that call and the ones after it sum
+// the three survivors' vectors only. f must create survivable worlds.
+func testAllReduceLiveMembership(t *testing.T, f Factory) {
+	const n, dead = 4, 1
+	run(t, f(n), func(p pgas.Proc) {
+		me := p.Rank()
+		left := p.AllocWords(n) // on the dead rank: who has left the first call
+		vec := []int64{int64(me) + 1}
+		p.AllReduce(vec, pgas.Sum)
+		if vec[0] != 10 {
+			panic(fmt.Sprintf("rank %d: first sum = %d, want 10", me, vec[0]))
+		}
+		if me == dead {
+			for r := 0; r < n; r++ {
+				for r != dead && p.Load64(me, left, r) == 0 {
+					p.Compute(time.Microsecond)
+				}
+			}
+			panic(fmt.Sprintf("rank %d dying between two all-reduces", dead))
+		}
+		p.Store64(dead, left, me, 1)
+		if !surviving(p, dead)(func() { p.AllReduce(vec, pgas.Sum) }) {
+			panic(fmt.Sprintf("rank %d left an all-reduce the dead rank never entered", me))
+		}
+		for i := int64(0); i < 4; i++ {
+			vec[0] = int64(me) + 1 + i
+			p.AllReduce(vec, pgas.Sum)
+			if want := 1 + 3 + 4 + 3*i; vec[0] != want {
+				panic(fmt.Sprintf("rank %d: sum %d over the survivors = %d, want %d", me, i, vec[0], want))
+			}
+			p.Barrier()
+		}
+	})
 }

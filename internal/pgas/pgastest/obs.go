@@ -60,7 +60,8 @@ func testObsMerge(t *testing.T, f Factory) {
 		}
 
 		// A second merge through the same merger must observe fresh values:
-		// the gather reads live cells, not a construction-time copy.
+		// each merge reduces the registry as it is, not a construction-time
+		// copy.
 		c.Inc()
 		snap = m.Merge()
 		if got := snap.Counter("pgastest_ops_total"); got != wantC+n {

@@ -3,7 +3,7 @@
 // the suite, which pins down the semantics the Scioto runtime depends on:
 // symmetric allocation, one-sided transfer correctness, atomicity of word
 // operations and accumulates, lock mutual exclusion, barrier synchronization,
-// and message ordering.
+// the all-reduce, and message ordering.
 //
 // All validation happens inside the SPMD body, through the PGAS itself:
 // results are gathered onto rank 0 and checked there, and a failed check
@@ -63,8 +63,10 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	RunLocks(t, newWorld, opts)
 	t.Run("BarrierSeparatesPhases", func(t *testing.T) { testBarrierPhases(t, newWorld) })
 	t.Run("BarrierManyRounds", func(t *testing.T) { testBarrierRounds(t, newWorld) })
+	t.Run("AllReduce", func(t *testing.T) { testAllReduce(t, newWorld) })
 	if opts.Survivable != nil {
 		t.Run("BarrierLiveMembership", func(t *testing.T) { testBarrierLiveMembership(t, opts.Survivable) })
+		t.Run("AllReduceLiveMembership", func(t *testing.T) { testAllReduceLiveMembership(t, opts.Survivable) })
 	}
 	t.Run("SendRecvPingPong", func(t *testing.T) { testPingPong(t, newWorld) })
 	t.Run("SendRecvAnySource", func(t *testing.T) { testAnySource(t, newWorld) })

@@ -97,7 +97,6 @@ func Run(p pgas.Proc, cfg RunConfig) (Result, error) {
 	var rt *core.Runtime
 	var tc *core.TC
 	var handle core.Handle
-	buildSeg := p.AllocWords(1) // integral-count reduction per build
 	if cfg.Method == MethodScioto {
 		rt = core.Attach(p)
 		tcCfg := cfg.TC
@@ -128,7 +127,6 @@ func Run(p pgas.Proc, cfg RunConfig) (Result, error) {
 		fock.d.Invalidate()
 		if p.Rank() == 0 {
 			dGA.ScatterFrom(loop.density().Data)
-			p.Store64(0, buildSeg, 0, 0)
 			if counter != nil {
 				counter.Reset()
 			}
@@ -167,13 +165,14 @@ func Run(p pgas.Proc, cfg RunConfig) (Result, error) {
 		default:
 			return res, fmt.Errorf("scf: unknown method %d", cfg.Method)
 		}
-		// One remote atomic per rank per build: whichever rank executed a
-		// task tallied its integrals, so the sum is exact under stealing.
-		p.FetchAdd64(0, buildSeg, 0, fock.integrals)
+		// One all-reduce per build closes it: whichever rank executed a
+		// task tallied its integrals, so the sum is exact under stealing,
+		// and no rank leaves before every rank's accumulates are done.
+		integrals := []int64{fock.integrals}
+		p.AllReduce(integrals, pgas.Sum)
 		fock.integrals = 0
-		p.Barrier()
 		res.FockTime += p.Now() - t0
-		res.SCF.Integrals += p.Load64(0, buildSeg, 0)
+		res.SCF.Integrals += integrals[0]
 
 		// Replicated post-processing: every rank gathers G and performs an
 		// identical, deterministic DIIS step.

@@ -90,28 +90,15 @@ func RunScioto(p pgas.Proc, cfg DriverConfig) (Stats, core.Stats, error) {
 	return global, taskStats, nil
 }
 
-// ReduceStats sums per-process traversal statistics on rank 0's scratch
-// words and rebroadcasts the totals to every rank. Collective.
+// ReduceStats sums the node and leaf counts of every process's traversal
+// statistics and takes the maximum of their depths, in one all-reduce;
+// every rank gets the totals. Collective.
 func ReduceStats(p pgas.Proc, mine Stats) Stats {
-	seg := p.AllocWords(3)
-	p.Barrier() // ensure the segment is reset-visible before accumulating
-	// The two sums leave as one pipelined batch (their previous values are
-	// not needed); only the max-reduce needs a read-check-update loop.
-	var o0, o1 int64
-	p.NbFetchAdd64(0, seg, 0, mine.Nodes, &o0)
-	p.NbFetchAdd64(0, seg, 1, mine.Leaves, &o1)
-	p.Flush()
-	for {
-		cur := p.Load64(0, seg, 2)
-		if mine.MaxDepth <= cur || p.CAS64(0, seg, 2, cur, mine.MaxDepth) {
-			break
-		}
-	}
-	p.Barrier()
-	var nodes, leaves, depth int64
-	p.NbLoad64(0, seg, 0, &nodes)
-	p.NbLoad64(0, seg, 1, &leaves)
-	p.NbLoad64(0, seg, 2, &depth)
-	p.Flush()
-	return Stats{Nodes: nodes, Leaves: leaves, MaxDepth: depth}
+	v := []int64{mine.Nodes, mine.Leaves, mine.MaxDepth}
+	p.AllReduce(v, func(acc, in []int64) {
+		acc[0] += in[0]
+		acc[1] += in[1]
+		acc[2] = max(acc[2], in[2])
+	})
+	return Stats{Nodes: v[0], Leaves: v[1], MaxDepth: v[2]}
 }

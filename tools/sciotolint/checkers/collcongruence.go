@@ -10,9 +10,9 @@ import (
 // CollCongruence flags collective PGAS calls that only some ranks
 // execute: the SPMD mismatched-collective deadlock.
 //
-// AllocData, AllocWords, AllocLock, Barrier and World.Run are collective:
-// every rank must call them, in the same order (pgas.go requires it, and
-// every transport blocks until all ranks arrive). A collective reached
+// AllocData, AllocWords, AllocLock, Barrier, AllReduce and World.Run are
+// collective: every rank must call them, in the same order (pgas.go
+// requires it, and every transport blocks until all ranks arrive). A collective reached
 // under a branch whose condition depends on the process rank is the
 // classic bug — rank 0 enters the barrier, the others never will, and the
 // program silently deadlocks. Besides the collective sitting directly
@@ -34,7 +34,7 @@ import (
 // SPMD and legal, even when the collectives are inside different callees.
 var CollCongruence = &analysis.Analyzer{
 	Name: "collcongruence",
-	Doc: "flags collective operations (Barrier/Alloc*/Run), or call chains reaching one, under " +
+	Doc: "flags collective operations (Barrier/AllReduce/Alloc*/Run), or call chains reaching one, under " +
 		"rank-dependent control flow anywhere in the interprocedural call graph " +
 		"(SPMD mismatched-collective deadlock)",
 	RunProgram: runCollCongruence,
@@ -45,6 +45,7 @@ var collectiveMethods = map[string]bool{
 	"AllocWords": true,
 	"AllocLock":  true,
 	"Barrier":    true,
+	"AllReduce":  true,
 	"Run":        true, // pgas.World.Run
 }
 

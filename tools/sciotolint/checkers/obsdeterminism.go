@@ -10,10 +10,10 @@ import (
 // ObsDeterminism flags instrument registration that can differ across
 // ranks or runs.
 //
-// The obs.Merger folds per-rank snapshots by schema hash: every rank must
-// register the same instruments, with the same names and kinds, in the
-// same order, or the merge panics (or worse, silently refuses trace
-// joins). Registration therefore has the same congruence obligation as a
+// The obs.Merger sums per-rank snapshots in one all-reduce, next to the
+// minimum and the maximum of their schema hashes: every rank must register
+// the same instruments, with the same names and kinds, in the same order,
+// or the merge panics (or worse, silently refuses trace joins). Registration therefore has the same congruence obligation as a
 // collective. Three shapes break it:
 //
 //   - registration inside a `range` over a map: Go's map iteration order

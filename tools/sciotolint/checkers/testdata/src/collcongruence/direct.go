@@ -13,6 +13,13 @@ func badBarrier(p pgas.Proc) {
 	}
 }
 
+// An all-reduce is a collective like the barrier it subsumes.
+func badAllReduce(p pgas.Proc, v []int64) {
+	if p.Rank() == 0 {
+		p.AllReduce(v, func(acc, in []int64) {}) // want `collective AllReduce call is conditional on the process rank`
+	}
+}
+
 // Rank-derived variables are tracked through assignment.
 func badAllocDerived(p pgas.Proc) {
 	me := p.Rank()

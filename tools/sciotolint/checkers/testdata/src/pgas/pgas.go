@@ -18,6 +18,7 @@ type Proc interface {
 	Rank() int
 	NProcs() int
 	Barrier()
+	AllReduce(vec []int64, op func(acc, in []int64))
 
 	AllocData(nbytes int) Seg
 	AllocWords(nwords int) Seg
