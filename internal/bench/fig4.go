@@ -96,8 +96,9 @@ func MeasureFig4Point(n int, reps int) Fig4Point {
 		}
 		if p.Rank() == 0 {
 			perIter := (p.Now() - t0) / time.Duration(reps)
-			// Process + Reset contain five barriers between them.
-			est := perIter - 5*pt.ARMCIBar
+			// Process + Reset contain four barriers between them: the
+			// phase's entry and exit, and Reset's two.
+			est := perIter - 4*pt.ARMCIBar
 			if est < 0 {
 				est = perIter
 			}

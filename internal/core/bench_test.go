@@ -75,8 +75,9 @@ func BenchmarkOwnerPath(b *testing.B) {
 // TestOwnerPathZeroAllocs is the allocation gate on the owner path: a
 // steady-state Add, pop and execute allocates nothing in either queue
 // mode, with observability off and with an observer recording into a
-// retaining recorder, and neither does taking in a stolen batch or a whole
-// phase through the loop, with an idle hook installed or without.
+// retaining recorder, and neither does taking in a stolen batch, a whole
+// phase through the loop, with an idle hook installed or without, or a
+// phase of spawning callbacks (the bypass and the mid-spawn release).
 func TestOwnerPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs in normal builds")
@@ -93,6 +94,7 @@ func TestOwnerPathZeroAllocs(t *testing.T) {
 				tc := NewTC(rt, Config{MaxBodySize: 24, QueueMode: mode})
 				ran := 0
 				task := NewTask(tc.Register(func(*TC, *Task) { ran++ }), 24)
+				tree := NewTask(tc.Register(spawner(10)), 24)
 				if a := testing.AllocsPerRun(200, func() { ownerCycle(tc, task) }); a != 0 {
 					panic(fmt.Sprintf("Add + pop + execute allocates %.2f objects per task, want 0", a))
 				}
@@ -132,6 +134,18 @@ func TestOwnerPathZeroAllocs(t *testing.T) {
 					if a != 0 || hooked != (rounds == 2*51) {
 						panic(fmt.Sprintf("a phase of %d tasks (idle hook: %v, called %d times) allocates %.2f objects, want 0", chunk, hooked, rounds, a))
 					}
+				}
+				tc.SetIdleHook(nil)
+				before := tc.Stats().TasksExecuted
+				a = testing.AllocsPerRun(50, func() {
+					tree.Body()[0] = 2 // 111 tasks, 11 of them parents
+					if err := tc.Add(0, AffinityHigh, tree); err != nil {
+						panic(err)
+					}
+					tc.Process()
+				})
+				if executed := tc.Stats().TasksExecuted - before; a != 0 || executed != 51*111 {
+					panic(fmt.Sprintf("a phase of spawning callbacks allocates %.2f objects (%d executions), want 0 (%d)", a, executed, 51*111))
 				}
 			}); err != nil {
 				t.Errorf("%s: %v", name, err)

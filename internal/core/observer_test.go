@@ -166,7 +166,7 @@ func TestIdleEpisodeReadsClockTwice(t *testing.T) {
 func TestInterruptedCallbackLeavesNoOpenSpan(t *testing.T) {
 	const n = 4
 	// Op 63 is rank 2's checked Load64 of the cell on rank 0 inside one of
-	// its callbacks, after three barriers of two Sends each.
+	// its callbacks, after two barriers of two Sends each.
 	var crashedAt string
 	w := faulty.Wrap(dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3, Survivable: true}), faulty.Config{
 		Seed:          42,

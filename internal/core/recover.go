@@ -232,6 +232,10 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	// before its target tidies up below.
 	tc.q.releaseHeldLock(rec.alive, dead)
 	p.Flush()
+	if tc.held { // the bypass slot goes back on the ring the claims scan reads
+		tc.held = false
+		tc.requeue(tc.hold.buf)
+	}
 
 	// Rendezvous: from here on every live rank is inside recovery and no
 	// queue or journal mutates outside the protocol.

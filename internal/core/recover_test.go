@@ -158,11 +158,12 @@ func TestRecoveryExactReplaySHM(t *testing.T) {
 // TestRecoveryExactReplayDSim: the same healing on the deterministic
 // transport, at crash points in rank 2's release checks (15, a Load64 of
 // its own packed word), between a release and the reacquire that follows
-// (28, the Load64 after the FetchAdd64), and at its first probe of rank
-// 3's packed word once it has run out of work (43; the phase is 63 ops).
+// (26, the Load64 after the third FetchAdd64), and at its first probe of
+// rank 3's packed word once it has run out of work (43; the phase is 57
+// ops).
 func TestRecoveryExactReplayDSim(t *testing.T) {
 	const n = 4
-	for _, pin := range []crashPin{{15, "Load64"}, {28, "Load64"}, {43, "NbLoad64"}} {
+	for _, pin := range []crashPin{{15, "Load64"}, {26, "Load64"}, {43, "NbLoad64"}} {
 		pin := pin
 		t.Run(fmt.Sprintf("crashAfter=%d", pin.ops), func(t *testing.T) {
 			out, err := runRecoveryTree(t, func() pgas.World {
@@ -236,10 +237,10 @@ func TestRecoveryLockedQueueDSim(t *testing.T) {
 	}{
 		// Every attempt of a contended Lock is an op of the fault stream (the
 		// lock is CAS64s issued by pgas.Front), and so is each of a
-		// barrier's two Sends; rank 2's phase is ops 310 to 682. Both pins
+		// barrier's two Sends; rank 2's phase is ops 308 to 632. Both pins
 		// land on a Load64 of its own queue's words.
-		{"after first task", 318, 1, false}, // its first callback starts after op 314, its second after op 321
-		{"survivor unwound inside a steal", 383, -1, true},
+		{"after first task", 316, 1, false}, // its first callback starts after op 312, its second after op 319
+		{"survivor unwound inside a steal", 381, -1, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// The run ends near 2 ms of virtual time. A queue lock that
@@ -302,7 +303,7 @@ func TestRecoveryDeterministicDSim(t *testing.T) {
 	run := func() recoveryOutcome {
 		out, err := runRecoveryTree(t, func() pgas.World {
 			return dsim.NewWorld(dsim.Config{NProcs: n, Seed: 7, Survivable: true})
-		}, n, 1, crashPin{39, "NbLoad64"}, 99) // rank 1's first probe of rank 3's packed word
+		}, n, 1, crashPin{37, "NbLoad64"}, 99) // rank 1's first probe of rank 3's packed word
 		if err != nil {
 			t.Fatalf("survivable world failed: %v", err)
 		}

@@ -97,7 +97,14 @@ type TC struct {
 	stats      Stats
 	pair       [2]int // an idle round's victims (pickVictims)
 	processing bool
-	sinceOrder int // executed tasks since last ordered release check
+	running    bool // the phase loop is inside a callback
+	sinceOrder int  // release checks since the last ordered one
+
+	// hold is the bypass slot: a split queue's callback puts its first
+	// local high-affinity Add here instead of on the ring, and popLocal
+	// returns it first, so a spawning task's first child runs without a pop.
+	hold Task
+	held bool
 
 	obs *Observer // nil = observability disabled
 
@@ -132,8 +139,8 @@ func NewTC(rt *Runtime, cfg Config) *TC {
 	if cfg.MaxBodySize < 0 || cfg.ChunkSize <= 0 || cfg.MaxTasks <= 0 {
 		panic(fmt.Sprintf("core: invalid task collection config %+v", cfg))
 	}
-	tc := &TC{rt: rt, cfg: cfg}
 	slotSize := HeaderBytes + cfg.MaxBodySize
+	tc := &TC{rt: rt, cfg: cfg, hold: Task{buf: make([]byte, slotSize)}}
 	tc.q = newTaskQueue(rt.p, cfg.QueueMode, slotSize, cfg.MaxTasks)
 	tc.td = newTermDetector(rt.p, &tc.stats)
 	if cfg.Termination == TermCounter {
@@ -259,8 +266,19 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 	switch {
 	case proc == me && tc.cfg.QueueMode == ModeLocked:
 		ok = tc.q.pushLocked(wire, &tc.stats)
+	case proc == me && affinity >= affinityThreshold && tc.running && !tc.held:
+		// Bypass: charged as a push; popLocal takes it without a pop.
+		tc.hold.buf = append(tc.hold.buf[:0], wire...)
+		tc.q.charge(len(wire))
+		tc.stats.LocalInserts++
+		tc.held, ok = true, true
 	case proc == me && affinity >= affinityThreshold:
-		ok = tc.q.pushPrivate(wire, &tc.stats)
+		// Mid-spawn release: a spawning task's surplus is stealable before
+		// it returns. Not with recovery armed, where a callback's local
+		// adds must stay free of communication (DESIGN.md "Recovery").
+		if ok = tc.q.pushPrivate(wire, &tc.stats); ok && tc.running && tc.jn == nil {
+			tc.releaseCheck()
+		}
 	default:
 		ok = tc.q.addRemote(proc, wire, &tc.stats)
 	}
@@ -355,14 +373,19 @@ func (tc *TC) execute(t *Task) {
 	}
 }
 
-// popLocal fetches the next local task: private end first; when the
-// private portion is empty, reacquire shared-portion work.
+// popLocal fetches the next local task: the held one, then the private
+// end; when the private portion is empty, reacquire shared-portion work.
 // The task arrives in the queue's reusable descriptor.
 //
 //scioto:noalloc
 func (tc *TC) popLocal() (*Task, bool) {
 	if tc.cfg.QueueMode == ModeLocked {
 		return tc.q.popLocked(&tc.stats)
+	}
+	if tc.held {
+		tc.held = false
+		tc.hold, tc.q.desc = tc.q.desc, tc.hold
+		return &tc.q.desc, true
 	}
 	if t, ok := tc.q.popPrivate(&tc.stats); ok {
 		return t, true
@@ -414,18 +437,19 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 				fe.Detail = "task-parallel phase (TC.Process)"
 			}
 			if tc.rec != nil && tc.rec.canRecover(fe, tc.rt.Rank()) {
-				tc.processing = false
+				tc.processing, tc.running = false, false
 				fault = fe
 				return
 			}
 			panic(rec)
 		}
 	}()
+	// One barrier: each rank zeroes only its own wave cells, which nobody
+	// writes outside Process, and a barrier is behind the last write (the
+	// previous phase's exit, NewTC's, Reset's or recovery's). The counter
+	// detector is NOT reset: seeding adds have charged it already.
 	p := tc.rt.p
-	p.Barrier()
 	tc.td.reset()
-	// Note: the counter detector is NOT reset here — seeding adds before
-	// Process have already charged it. It is cleared by NewTC and Reset.
 	p.Barrier()
 	tc.processing = true
 
@@ -439,14 +463,11 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 			if !busy {
 				busy, mark = true, tc.charge(&tc.stats.IdleTime, mark)
 			}
+			tc.running = true
 			tc.execute(t)
-			tc.sinceOrder++
-			// Fewer than two private tasks: maybeRelease has none to spare.
-			if tc.cfg.QueueMode == ModeSplit && tc.q.top-tc.q.split >= 2 {
-				tc.q.maybeRelease(tc.sinceOrder >= releaseInterval, &tc.stats)
-			}
-			if tc.sinceOrder >= releaseInterval {
-				tc.sinceOrder = 0
+			tc.running = false
+			if tc.cfg.QueueMode == ModeSplit {
+				tc.releaseCheck()
 			}
 			continue
 		}
@@ -494,6 +515,22 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 	tc.processing = false
 	p.Barrier()
 	return nil
+}
+
+// releaseCheck is the phase loop's release step, taken after every task
+// and every local push inside a callback: an ordered look at the packed
+// word every releaseInterval checks, a relaxed one in between.
+//
+//scioto:noalloc
+func (tc *TC) releaseCheck() {
+	tc.sinceOrder++
+	// Fewer than two private tasks: maybeRelease has none to spare.
+	if tc.q.top-tc.q.split >= 2 {
+		tc.q.maybeRelease(tc.sinceOrder >= releaseInterval, &tc.stats)
+	}
+	if tc.sinceOrder >= releaseInterval {
+		tc.sinceOrder = 0
+	}
 }
 
 // charge adds the time since mark to one of the two phase-loop totals and

@@ -161,8 +161,8 @@ func (td *termDetector) votesBefore(v, t int) bool {
 	return cv == ct
 }
 
-// reset prepares the detector for a new processing phase. Collective with
-// barriers on both sides (handled by the TC).
+// reset prepares the detector for a new processing phase: it zeroes this
+// rank's own cells, with a barrier on both sides (handled by the TC).
 func (td *termDetector) reset() {
 	me := td.p.Rank()
 	td.p.Store64(me, td.seg, tdDown, 0)
@@ -316,9 +316,13 @@ func (td *termDetector) startWave(w int64) {
 }
 
 // propagateDown writes a wave number (or the termination signal) into the
-// children's down cells.
+// children's down cells, in one round trip.
 func (td *termDetector) propagateDown(v int64) {
-	for _, c := range td.children {
-		td.p.Store64(c, td.seg, tdDown, v)
+	if len(td.children) == 0 {
+		return
 	}
+	for _, c := range td.children {
+		td.p.NbStore64(c, td.seg, tdDown, v)
+	}
+	td.p.Flush()
 }

@@ -283,7 +283,7 @@ func TestRecoverRankZeroUnrecoverableOverIPC(t *testing.T) {
 		Transport: scioto.TransportIPC,
 		Seed:      9,
 		Recover:   true,
-		// Op 18: inside the phase, past its barriers, as in TestRunRecover.
+		// Op 18: inside the phase, past its barriers.
 		// A barrier's Send panics instead of the injected crash.
 		Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 0, CrashAfterOps: 18,
 			Observe: func(_ time.Duration, _ int, kind, op string, _ int) {

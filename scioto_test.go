@@ -144,12 +144,12 @@ func TestRunRecover(t *testing.T) {
 			Transport: tr,
 			Seed:      9,
 			Recover:   true,
-			// Op 18 is, on dsim, the rank's second reacquire, a CAS64: ops
-			// 10 to 25 are what it issues while it works through its own
-			// fifty tasks, after three barriers of two Sends each; the
-			// phase can be over by op 29. On shm what thieves took decides
-			// which of those ops it is.
-			Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 2, CrashAfterOps: 18,
+			// Op 16 is, on dsim, the rank's second reacquire, a CAS64: ops
+			// 8 to 24 are what it issues while it works through its own
+			// fifty tasks, after two barriers of two Sends each and the
+			// detector reset's three Store64s; the phase can be over by op
+			// 27. On shm what thieves took decides which of those ops it is.
+			Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 2, CrashAfterOps: 16,
 				Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
 					if kind == "crash" {
 						crashedAt = op
@@ -191,7 +191,7 @@ func TestRunRecoverRankZeroUnrecoverable(t *testing.T) {
 		Transport: scioto.TransportSHM,
 		Seed:      9,
 		Recover:   true,
-		// Op 18, as in TestRunRecover: inside the phase, past its barriers.
+		// Op 18: inside the phase, past its barriers.
 		Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 0, CrashAfterOps: 18,
 			Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
 				if kind == "crash" {
