@@ -75,7 +75,7 @@ func BenchmarkOwnerPath(b *testing.B) {
 // TestOwnerPathZeroAllocs is the allocation gate on the owner path: a
 // steady-state Add, pop and execute allocates nothing in either queue
 // mode, with observability off and with an observer recording into a
-// retaining recorder, and neither does taking in a stolen batch, a whole
+// retaining recorder, and neither does taking in a steal's tasks, a whole
 // phase through the loop, with an idle hook installed or without, or a
 // phase of spawning callbacks (the bypass and the mid-spawn release).
 func TestOwnerPathZeroAllocs(t *testing.T) {
@@ -98,22 +98,28 @@ func TestOwnerPathZeroAllocs(t *testing.T) {
 				if a := testing.AllocsPerRun(200, func() { ownerCycle(tc, task) }); a != 0 {
 					panic(fmt.Sprintf("Add + pop + execute allocates %.2f objects per task, want 0", a))
 				}
-				// A stolen batch: chunk slot images (the task fills a slot)
-				// pushed straight onto the queue, then popped and run.
-				slots := make([][]byte, chunk)
-				for i := range slots {
-					slots[i] = append([]byte(nil), task.wire()...)
-				}
+				// A steal: chunk tasks put on the queue's own steal end and
+				// stolen back by this rank — landed at its top on a split
+				// queue, taken in the batch and pushed back on a locked one
+				// — then popped and run.
 				ran = 0
 				a := testing.AllocsPerRun(50, func() {
-					tc.enqueueStolen(slots)
-					for range slots {
+					for i := 0; i < chunk; i++ {
+						if !tc.q.addRemote(0, task.wire(), &tc.stats) {
+							panic("the steal end is full")
+						}
+					}
+					k, _ := tc.q.steal(0, chunk, false, &tc.stats)
+					for i := int64(0); i < k && mode == ModeLocked; i++ {
+						tc.requeue(tc.q.stolen(i))
+					}
+					for ; k > 0; k-- {
 						t, _ := tc.popLocal()
 						tc.execute(t)
 					}
 				})
 				if a != 0 || ran != 51*chunk {
-					panic(fmt.Sprintf("a stolen batch of %d allocates %.2f objects (%d executions), want 0 (%d)", chunk, a, ran, 51*chunk))
+					panic(fmt.Sprintf("a steal of %d allocates %.2f objects (%d executions), want 0 (%d)", chunk, a, ran, 51*chunk))
 				}
 				// A whole phase — seed, Process to termination — with no idle
 				// hook and with one that holds the phase open for a round.
@@ -156,9 +162,9 @@ func TestOwnerPathZeroAllocs(t *testing.T) {
 
 // BenchmarkRemoteSteal times the pipelined steal path end to end on the
 // shm transport: rank 1 keeps its queue topped up while rank 0 performs
-// the measured steals. Allocations are reported per steal; after pool
-// warm-up the steady state should be zero (see TestStealPathZeroAllocs
-// for the hard assertion).
+// the measured steals and pops what landed. Allocations are reported per
+// steal; after pool warm-up the steady state should be zero (see
+// TestStealPathZeroAllocs for the hard assertion).
 func BenchmarkRemoteSteal(b *testing.B) {
 	const chunk = 4
 	w := shm.NewWorld(shm.Config{NProcs: 2, Seed: 3})
@@ -178,9 +184,8 @@ func BenchmarkRemoteSteal(b *testing.B) {
 		}
 		stealOne := func() {
 			for {
-				batch, res := q.steal(1, chunk, false, &s)
-				if res == stealOK {
-					batch.recycle()
+				if k, _ := q.steal(1, chunk, false, &s); k > 0 {
+					popLanded(q, k, &s)
 					return
 				}
 			}
@@ -200,9 +205,9 @@ func BenchmarkRemoteSteal(b *testing.B) {
 }
 
 // TestStealPathZeroAllocs is the allocation gate on the steal hot path:
-// after pool warm-up, a steady-state steal must not allocate. GC is
-// disabled for the measurement so sync.Pool eviction between samples
-// cannot fake an allocation.
+// after the transport's pools are warm, a steady-state steal must not
+// allocate. GC is disabled for the measurement so sync.Pool eviction
+// between samples cannot fake an allocation.
 func TestStealPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs in normal builds")

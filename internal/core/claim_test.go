@@ -33,6 +33,62 @@ func (c *lockCounter) Unlock(proc int, id pgas.LockID) {
 	c.Proc.Unlock(proc, id)
 }
 
+// copyChecker is a kernel that checks claim, then copy: every Get of
+// another rank's queue slots must sit in the flush that follows a won
+// claim CAS on that rank's packed word — learnt when a blocking CAS64
+// returns, or at the Flush completing an NbCAS64 — and that one flush
+// only; a Get that is not panics. It counts the claims won on an NbCAS64
+// that reloads the word it claimed from behind it in the same flush: the
+// read-ahead's guesses.
+type copyChecker struct {
+	pgas.Front
+	pgas.Kernel
+	q      *taskQueue
+	cas    *int64 // an NbCAS64's swapped flag, until the Flush completing it
+	casOn  int
+	reload bool // a load of casOn's word was issued behind that NbCAS64
+	won    int  // the rank whose slots the next flush may Get, -1 = none
+	guess  *int
+}
+
+func (c *copyChecker) Unwrap() pgas.Kernel { return c.Kernel }
+
+func (c *copyChecker) Issue(op *pgas.Op) pgas.Nb {
+	me := c.Rank()
+	mine := c.q != nil && op.Target != me
+	switch {
+	case !mine:
+	case op.Kind == pgas.OpGet && op.Seg == c.q.data && op.Target != c.won:
+		panic(fmt.Sprintf("rank %d: a Get of rank %d's slots with no claim on it won before the flush", me, op.Target))
+	case op.Kind == pgas.OpLoad64 && op.Nb && op.Seg == c.q.meta && op.Off == wShared && c.cas != nil && op.Target == c.casOn:
+		c.reload = true
+	}
+	h := c.Kernel.Issue(op)
+	if mine && op.Kind == pgas.OpCAS64 && op.Seg == c.q.meta && op.Off == wShared {
+		switch {
+		case op.Nb:
+			c.cas, c.casOn, c.reload = op.Out, op.Target, false
+		case *op.Out != 0:
+			c.won = op.Target
+		}
+	}
+	return h
+}
+
+func (c *copyChecker) Flush() {
+	c.Kernel.Flush()
+	c.won = -1
+	if c.cas != nil {
+		if *c.cas != 0 {
+			c.won = c.casOn
+			if c.reload {
+				*c.guess++
+			}
+		}
+		c.cas = nil
+	}
+}
+
 // quietWord checks a packed word nobody should be operating on any more.
 func quietWord(p pgas.Proc, q *taskQueue) {
 	if w := q.sharedHint(); wordN(w) != 0 || wordBusy(w) {
@@ -46,9 +102,11 @@ func quietWord(p pgas.Proc, q *taskQueue) {
 // their own private end, their own shared end and other ranks' shared ends
 // (remote adds), on rings of eight tasks that are full much of the time,
 // so that steals, releases, reacquires, remote adds and the inline
-// fallback all interleave. Every task carries an identity and is marked
-// when it runs: each created task exactly once. No run may touch a queue
-// lock.
+// fallback all interleave, and claims on words read ahead are won and
+// lost. Every task carries an identity and is marked when it runs: each
+// created task exactly once. No run may touch a queue lock, and every
+// copy out of a victim's ring follows a claim on it that was won
+// (copyChecker).
 func TestClaimExactlyOnceAcrossSeeds(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
@@ -56,14 +114,17 @@ func TestClaimExactlyOnceAcrossSeeds(t *testing.T) {
 	}
 	const perRank = 1 << 12 // identities a rank may hand out
 	for _, n := range []int{2, 3, 8} {
-		var steals, remoteAdds, inline int64
+		var steals, ahead, guesses, remoteAdds, inline int64
 		for seed := int64(0); seed < seeds; seed++ {
 			created := make([]int, n)
 			ran := make([][perRank]int8, n)
-			locks := 0
+			locks, guessed := 0, 0
 			err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: seed}).Run(func(p pgas.Proc) {
 				me := p.Rank()
-				tc := NewTC(Attach(&lockCounter{Proc: p, locks: &locks}), Config{MaxBodySize: 16, ChunkSize: 2, MaxTasks: 8})
+				c := &copyChecker{Kernel: p, won: -1, guess: &guessed}
+				c.Bind(c)
+				tc := NewTC(Attach(&lockCounter{Proc: c, locks: &locks}), Config{MaxBodySize: 16, ChunkSize: 2, MaxTasks: 8})
+				c.q = tc.q
 				child := NewTask(0, 16)
 				var h Handle
 				h = tc.Register(func(tc *TC, task *Task) {
@@ -103,8 +164,10 @@ func TestClaimExactlyOnceAcrossSeeds(t *testing.T) {
 				}
 				tc.Process()
 				quietWord(p, tc.q)
+				c.q = nil
 				if g := tc.GlobalStats(); me == 0 {
 					steals += g.StealsOK
+					ahead += g.StealsAhead
 					remoteAdds += g.RemoteInserts
 					inline += g.InlineExecs
 				}
@@ -115,6 +178,7 @@ func TestClaimExactlyOnceAcrossSeeds(t *testing.T) {
 			if locks != 0 {
 				t.Fatalf("P=%d seed %d: a split queue issued %d lock operations", n, seed, locks)
 			}
+			guesses += int64(guessed)
 			for r := range ran {
 				for i, times := range ran[r] {
 					want := int8(0)
@@ -127,10 +191,13 @@ func TestClaimExactlyOnceAcrossSeeds(t *testing.T) {
 				}
 			}
 		}
-		if steals == 0 || remoteAdds == 0 || inline == 0 {
-			t.Fatalf("P=%d: vacuous sweep: %d steals, %d remote adds, %d inline executions", n, steals, remoteAdds, inline)
+		if steals == 0 || ahead == 0 || remoteAdds == 0 || inline == 0 {
+			t.Fatalf("P=%d: vacuous sweep: %d steals (%d on a word read ahead), %d remote adds, %d inline executions", n, steals, ahead, remoteAdds, inline)
 		}
-		t.Logf("P=%d: %d seeds, %d steals, %d remote adds, %d inline executions", n, seeds, steals, remoteAdds, inline)
+		if ahead != guesses {
+			t.Fatalf("P=%d: %d steals counted ahead, but %d claims were won on a reloading NbCAS64", n, ahead, guesses)
+		}
+		t.Logf("P=%d: %d seeds, %d steals (%d on a word read ahead), %d remote adds, %d inline executions", n, seeds, steals, ahead, remoteAdds, inline)
 	}
 }
 

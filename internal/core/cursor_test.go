@@ -29,8 +29,8 @@ var cursorOpNames = [...]string{"push", "pop", "release", "reacquire", "steal", 
 
 // TestTopCursorFollowsTop: the owner's ring cursor taskQueue.topOff is
 // slotOff(top) after every operation — push, pop, release (relaxed and
-// ordered), reacquire, steals from the queue and the pushes of what a steal
-// took, remote adds to it and to the own shared end, recovery's liveRange
+// ordered), reacquire, steals from the queue and the landings of what a
+// steal took, remote adds to it and to the own shared end, recovery's liveRange
 // and Reset — in seeded random sequences on a five-slot ring, so that top
 // wraps the ring many times in both directions and, behind the adds that
 // take the steal end below zero and the reacquires that follow them, goes
@@ -89,12 +89,7 @@ func TestTopCursorFollowsTop(t *testing.T) {
 						case op == cursorReacquire:
 							q.reacquire(&s)
 						case op == cursorSteal:
-							if batch, res := q.steal(peer, 1+arg%3, false, &s); res == stealOK {
-								for _, slot := range batch.slots {
-									q.pushPrivate(slot[:wireLen(slot)], &s) // a full queue drops it
-								}
-								batch.recycle()
-							}
+							q.steal(peer, 1+arg%3, false, &s)
 						case op == cursorAddPeer:
 							q.addRemote(peer, mkWire(body, next), &s)
 							next++

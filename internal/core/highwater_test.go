@@ -158,11 +158,10 @@ func TestHighWaterMarkRaceStress(t *testing.T) {
 				}
 				for op := 0; op < 8*limit && violation == ""; op++ {
 					if rng.Intn(4) == 0 {
-						if batch, res := q.steal(0, 1, false, &s); res == stealOK {
-							for _, slot := range batch.slots {
-								consume(slot)
-							}
-							batch.recycle()
+						k, _ := q.steal(0, 1, false, &s)
+						for ; k > 0; k-- {
+							tk, _ := q.popPrivate(&s)
+							consume(tk.wire())
 						}
 					}
 					if q.addRemote(0, fresh(next), &s) {

@@ -84,11 +84,11 @@ func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
 		// Remote steal, once what the inserts left in rank 1's shared
 		// portion is out of the way.
 		for {
-			batch, res := q.steal(1, chunk, false, &s)
-			if res != stealOK {
+			k, _ := q.steal(1, chunk, false, &s)
+			if k == 0 {
 				break
 			}
-			batch.recycle()
+			popLanded(q, k, &s)
 		}
 		for i := 0; i < iters; i++ {
 			out.RemoteSteal += stealChunk(q, wire, chunk, &s)
@@ -101,7 +101,7 @@ func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
 
 // stealChunk stocks the shared portion of rank 1's queue with exactly
 // chunk tasks (remote adds, untimed) and steals them back in one steal,
-// whose duration it returns.
+// whose duration it returns; then, untimed, it pops what landed.
 //
 //scioto:journal-exempt raw-queue measurement harness: no TC and no recovery, so the journal discipline does not apply
 func stealChunk(q *taskQueue, wire []byte, chunk int, s *Stats) time.Duration {
@@ -111,22 +111,31 @@ func stealChunk(q *taskQueue, wire []byte, chunk int, s *Stats) time.Duration {
 		}
 	}
 	t0 := q.p.Now()
-	batch, res := q.steal(1, chunk, false, s)
+	k, res := q.steal(1, chunk, false, s)
 	d := q.p.Now() - t0
-	if res != stealOK || len(batch.slots) != chunk {
+	if res != stealOK || k != int64(chunk) {
 		panic(fmt.Sprintf("core: microbench steal failed: %v", res))
 	}
-	batch.recycle()
+	popLanded(q, k, s)
 	return d
+}
+
+// popLanded pops the k tasks a steal landed in the thief's ring.
+func popLanded(q *taskQueue, k int64, s *Stats) {
+	for ; k > 0; k-- {
+		if _, ok := q.popPrivate(s); !ok {
+			panic("core: microbench steal landed nothing")
+		}
+	}
 }
 
 // MeasureStealAllocs reports the average heap allocations per successful
 // steal on the calling rank, exercising the same pipelined path as
 // MeasureOps. It must be called collectively on a world with at least two
 // processes; rank 0 steals from rank 1 and returns the average (other
-// ranks return 0). The steady-state figure should be zero: the bulk
-// buffer, the transport's in-flight operation records, and the wire
-// frames are all pooled.
+// ranks return 0). The steady-state figure should be zero: the tasks land
+// in the thief's own ring, and the transport's in-flight operation
+// records and wire frames are pooled.
 func MeasureStealAllocs(p pgas.Proc, bodySize, chunk, iters int) float64 {
 	if p.NProcs() < 2 {
 		panic("core: MeasureStealAllocs needs at least 2 processes")
@@ -152,8 +161,8 @@ func MeasureStealAllocs(p pgas.Proc, bodySize, chunk, iters int) float64 {
 				stealChunk(q, wire, chunk, &s)
 			}
 		}
-		// Warm the pools (batch, transport op records, frame buffers)
-		// before measuring the steady state.
+		// Warm the pools (transport op records, frame buffers) before
+		// measuring the steady state.
 		warm := iters / 10
 		if warm < 1 {
 			warm = 1

@@ -138,8 +138,8 @@ func (o *Observer) exec(t0, d time.Duration, h, origin int) {
 
 // steal reports one steal attempt begun at t0 and ending now — the whole
 // pipelined exchange, victim choice through the final completion round —
-// with its outcome and, on success, the batch of tasks taken.
-func (o *Observer) steal(t0 time.Duration, victim int, res stealResult, b *stealBatch) {
+// with its outcome and, on success, the k tasks taken.
+func (o *Observer) steal(t0 time.Duration, victim int, res stealResult, k int64) {
 	if o == nil {
 		return
 	}
@@ -148,8 +148,8 @@ func (o *Observer) steal(t0 time.Duration, victim int, res stealResult, b *steal
 	var a2 int64
 	switch res {
 	case stealOK:
-		a2 = int64(len(b.slots))
-		o.tasksStolen.Add(a2)
+		a2 = k
+		o.tasksStolen.Add(k)
 	case stealEmpty:
 		a2 = trace.StealEmpty
 	case stealBusy:

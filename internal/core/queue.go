@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"scioto/internal/pgas"
@@ -152,12 +151,18 @@ type taskQueue struct {
 	nbOld, nbSwapped int64
 	// nbBottom and nbLimit are the destinations of the pipelined loads in
 	// stealLocked and addRemote (which reads the top word into nbLimit and,
-	// in ModeSplit, the packed word into nbBottom), probed those of a
-	// two-victim probe. On the queue for the same reason as nbOld: an
-	// out-pointer to a stack local escapes through the interface call and
-	// costs a heap allocation per steal.
+	// in ModeSplit, the packed word into nbBottom), probed those of the
+	// packed words a probe, a claim's refresh or a landing's read-ahead
+	// reads. On the queue for the same reason as nbOld: an out-pointer to
+	// a stack local escapes through the interface call and costs a heap
+	// allocation per steal.
 	nbBottom, nbLimit int64
 	probed            [2]int64
+
+	// batch holds the slot images a locked steal took (stolen) until the
+	// thief has pushed them onto its own ring; a split queue's claims land
+	// in the ring itself.
+	batch []byte
 
 	obs *Observer // nil = observability disabled
 }
@@ -467,85 +472,37 @@ const (
 	stealBusy
 )
 
-// stealBatch carries the slot bytes taken by one steal: slots are
-// slotSize-sized windows into one bulk buffer. Batches are pooled — the
-// caller recycles them once the slots are pushed (a push copies), so the
-// steady-state steal path allocates nothing.
-type stealBatch struct {
-	buf   []byte
-	slots [][]byte
-}
-
-var stealPool = sync.Pool{New: func() any { return new(stealBatch) }}
-
-// recycle returns the batch to the pool. The caller must not retain the
-// slot slices afterwards.
-func (b *stealBatch) recycle() {
-	b.slots = b.slots[:0]
-	stealPool.Put(b)
-}
-
-// take returns a pooled batch whose buffer holds k slots.
-//
-//scioto:noalloc
-func (q *taskQueue) take(k int64) (*stealBatch, []byte) {
-	b := stealPool.Get().(*stealBatch)
-	n := int(k) * q.slotSize
-	if cap(b.buf) < n {
-		//scioto:alloc-ok grows the pooled batch buffer; happens only until the pool is warm, amortized to zero per steal
-		b.buf = make([]byte, n)
-	}
-	return b, b.buf[:n]
-}
-
-// extent is how many bytes of the k slots from position bottom lie before
-// the ring wraps: a bulk transfer is at most two contiguous extents, the
-// second from offset 0.
-func (q *taskQueue) extent(bottom, k int64) int {
-	return min(int(k)*q.slotSize, len(q.ring)-q.slotOff(bottom))
-}
-
-// stolen hands the k slots copied into b's buffer to the caller.
-func (q *taskQueue) stolen(b *stealBatch, k int64, s *Stats) (*stealBatch, stealResult) {
-	for i := 0; i < int(k); i++ {
-		b.slots = append(b.slots, b.buf[i*q.slotSize:(i+1)*q.slotSize])
-	}
-	s.StealsOK++
-	s.TasksStolen += k
-	return b, stealOK
-}
-
 // steal attempts to take tasks from the shared end of the queue on process
-// victim: on a split queue a probe of that one victim, then a claim. Stolen
-// descriptors are returned as a pooled batch of raw slot bytes (slotSize
-// each) that the caller recycles after decoding. markDirty, when true,
+// victim and returns how many it took: on a split queue a probe of that
+// one victim and a claim, whose tasks land at this rank's top (popPrivate
+// pops them); on a locked queue the paper's sequence, whose tasks wait in
+// the queue's batch (stolen) for the thief to push. markDirty, when true,
 // increments the victim's dirty counter (termination detection) before
 // the victim can see the tasks gone.
 //
 //scioto:noalloc
-func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (*stealBatch, stealResult) {
+func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (k int64, res stealResult) {
+	var w int64
 	if q.mode != ModeSplit {
-		s.StealAttempts++
-		return q.stealLocked(victim, chunk, markDirty, s)
+		k, res = q.stealLocked(victim, chunk, markDirty, s)
+	} else if _, w, res = q.probe([]int{victim}); res == stealOK {
+		if k = q.claim(victim, w, chunk, markDirty, nil, s); k > 0 {
+			q.land(victim, w, k, nil)
+		} else {
+			res = stealBusy
+		}
 	}
-	_, w, res := q.probe([]int{victim}, s)
-	if res != stealOK {
-		return nil, res
-	}
-	return q.claim(victim, w, chunk, markDirty, s)
+	s.steal(res, k)
+	return k, res
 }
 
 // probe is one steal attempt's look at a split queue's victims vs (one or
-// two): it reads their packed words — one victim with a blocking load, two
-// with pipelined loads and one Flush, one round trip either way — and
-// picks the victim to claim from, the one with the most shared tasks on a
-// quiet word. The attempt is stealEmpty when every victim's shared portion
-// was empty, stealBusy when the tasks it saw sit behind a claim being
-// copied or an adder at work (the caller tries another round).
+// two): it reads their packed words into probed — one victim with a
+// blocking load, two with pipelined loads and one Flush, one round trip
+// either way — and picks the victim to claim from (pick).
 //
 //scioto:noalloc
-func (q *taskQueue) probe(vs []int, s *Stats) (victim int, w int64, res stealResult) {
-	s.StealAttempts++
+func (q *taskQueue) probe(vs []int) (victim int, w int64, res stealResult) {
 	if len(vs) == 1 {
 		q.probed[0] = q.p.Load64(vs[0], q.meta, wShared)
 	} else {
@@ -554,6 +511,14 @@ func (q *taskQueue) probe(vs []int, s *Stats) (victim int, w int64, res stealRes
 		}
 		q.p.Flush()
 	}
+	return q.pick(vs)
+}
+
+// pick chooses among the words of vs in probed: the victim with the most
+// shared tasks on a quiet word. The attempt is stealEmpty when every
+// victim's shared portion was empty, stealBusy when the tasks it saw sit
+// behind a claim being copied or an adder at work.
+func (q *taskQueue) pick(vs []int) (victim int, w int64, res stealResult) {
 	victim, res = vs[0], stealEmpty
 	for i, v := range vs {
 		switch pw := q.probed[i]; {
@@ -566,57 +531,97 @@ func (q *taskQueue) probe(vs []int, s *Stats) (victim int, w int64, res stealRes
 			victim, w, res = v, pw, stealOK
 		}
 	}
-	switch res {
-	case stealEmpty:
-		s.StealsEmpty++
-	case stealBusy:
-		s.StealsBusy++
-	}
 	return victim, w, res
 }
 
-// claim takes tasks from the split queue on victim, whose packed word the
-// probe read as w: chunk of them, or half the shared portion when that is
-// more — a deep shared portion is a rank with far more work than its
-// thieves (UTS starts with a thousand children of the root on rank 0), and
-// handing it out chunk by chunk costs a round of steals per chunk.
+// room readies this rank's ring for a landing of up to k tasks at top and
+// returns how many fit. The mark goes up over all k before the packed word
+// is read: an adder that announces itself after the read loads the raised
+// mark behind its announcement and counts every landing slot, and one
+// that announced before it is counted in a. Both accesses are relaxed,
+// which every transport makes sequentially consistent with the adder's
+// fetch-add and load (sync/atomic; dsim runs one rank at a time), as the
+// spare slot's argument needs too (DESIGN.md "Split queue").
+func (q *taskQueue) room(k int64) int64 {
+	if end := q.top + k; end > q.pub {
+		q.p.RelaxedStore64(q.meta, wTop, end)
+		q.pub = end
+	}
+	return max(0, min(k, int64(q.limit)-q.occupied(q.sharedHint())))
+}
+
+// claim tries to claim tasks from the split queue on victim, whose packed
+// word was read as w, and reports how many it claimed (0: the CAS lost, or
+// this rank's ring had no room). It asks for chunk of them, or half the
+// shared portion when that is more — a deep shared portion is a rank with
+// far more work than its thieves (UTS starts with a thousand children of
+// the root on rank 0), and handing it out chunk by chunk costs a round of
+// steals per chunk — and for no more than land in this rank's ring (room).
 //
-// The thief takes no lock. One CAS claims k tasks — b+k, n-k, x = k — and
-// a lost CAS is stealBusy. A marked claim sends the dirty mark's fetch-add
-// and the CAS as one flushed batch: operations to one target apply in
-// issue order, so the mark lands before the victim can see the tasks gone,
-// and costs no round trip of its own; an unmarked claim is one blocking
-// CAS. The claimed slots are the thief's alone: the owner and the adders
-// count [b-x, b) as taken until the fetch-add that retires x, which
-// travels behind the extent Gets in one flushed batch (it lands after the
-// Gets have read). Claim, then copy, never copy, then validate: a thief
-// only reads slots it owns.
+// The thief takes no lock. One CAS claims k tasks — b+k, n-k, x = k. A
+// marked claim sends the dirty mark's fetch-add and the CAS as one flushed
+// batch: operations to one target apply in issue order, so the mark lands
+// before the victim can see the tasks gone, and costs no round trip of its
+// own. refresh, when not nil, are the victims whose words the same flush
+// reloads into probed — the CAS's victim's behind the CAS, so a lost claim
+// has probed afresh. Otherwise an unmarked claim is one blocking CAS.
 //
 //scioto:noalloc
-func (q *taskQueue) claim(victim int, w int64, chunk int, markDirty bool, s *Stats) (*stealBatch, stealResult) {
+func (q *taskQueue) claim(victim int, w int64, chunk int, markDirty bool, refresh []int, s *Stats) int64 {
 	n, bottom := wordN(w), wordB(w)
-	k := min(n, max(int64(chunk), n/2))
+	k := q.room(min(n, max(int64(chunk), n/2)))
+	if k == 0 {
+		return 0
+	}
 	moved := emod(bottom+k, 2*int64(q.capacity)) - bottom
 	claimed := w + moved*oneB + k*(oneX-oneN)
+	if !markDirty && refresh == nil {
+		if !q.p.CAS64(victim, q.meta, wShared, w, claimed) {
+			return 0
+		}
+		return k
+	}
 	if markDirty {
 		q.p.NbFetchAdd64(victim, q.meta, wDirty, 1, &q.nbOld)
-		q.p.NbCAS64(victim, q.meta, wShared, w, claimed, &q.nbSwapped)
-		q.p.Flush()
 		s.DirtyMarksSent++
 	}
-	if markDirty && q.nbSwapped == 0 || !markDirty && !q.p.CAS64(victim, q.meta, wShared, w, claimed) {
-		s.StealsBusy++
-		return nil, stealBusy
+	q.p.NbCAS64(victim, q.meta, wShared, w, claimed, &q.nbSwapped)
+	for i, v := range refresh {
+		q.p.NbLoad64(v, q.meta, wShared, &q.probed[i])
 	}
-	b, buf := q.take(k)
-	cut := q.extent(bottom, k)
-	q.p.NbGet(buf[:cut], victim, q.data, q.slotOff(bottom))
-	if cut < len(buf) {
-		q.p.NbGet(buf[cut:], victim, q.data, 0)
+	q.p.Flush()
+	if q.nbSwapped == 0 {
+		return 0
+	}
+	return k
+}
+
+// land copies the k tasks a won claim took off victim's word w straight
+// into this rank's ring at top, the slots room reserved: one Get per
+// extent, at most three as the victim's ring and this one wrap at
+// different slots. The claimed slots are the thief's alone — the owner and
+// the adders count [b-x, b) as taken until the fetch-add that retires x,
+// which travels behind the Gets in one flushed batch (it lands after the
+// Gets have read). Claim, then copy, never copy, then validate: a thief
+// only reads slots it owns. next, when not nil, are the victims of this
+// rank's next idle round, whose words the same flush reads into probed.
+// The landing is one bookkeeping charge, whatever k is.
+//
+//scioto:noalloc
+func (q *taskQueue) land(victim int, w, k int64, next []int) {
+	src, dst, n := q.slotOff(wordB(w)), q.topOff, int(k)*q.slotSize
+	for n > 0 {
+		m := min(n, len(q.ring)-src, len(q.ring)-dst)
+		q.p.NbGet(q.ring[dst:dst+m], victim, q.data, src)
+		src, dst, n = (src+m)%len(q.ring), (dst+m)%len(q.ring), n-m
 	}
 	q.p.NbFetchAdd64(victim, q.meta, wShared, -k*oneX, &q.nbOld)
+	for i, v := range next {
+		q.p.NbLoad64(v, q.meta, wShared, &q.probed[i])
+	}
 	q.p.Flush()
-	return q.stolen(b, k, s)
+	q.top, q.topOff = q.top+k, dst
+	q.charge(0)
 }
 
 // liveRange returns the bounds [bottom, top) of this rank's own queue for

@@ -132,17 +132,17 @@ func (q *taskQueue) addLocked(proc int, wire []byte, s *Stats) bool {
 // remote sequence is pipelined into two completion rounds under the lock —
 // (bottom, top) loads, then transfer+mark+publish — instead of up to five
 // sequential round trips, mirroring how Scioto's ARMCI implementation
-// overlaps its queue transfers with non-blocking one-sided operations.
+// overlaps its queue transfers with non-blocking one-sided operations. The
+// tasks it took wait in the queue's batch (stolen) for the thief to push.
 //
 //scioto:noalloc
-func (q *taskQueue) stealLocked(victim, chunk int, markDirty bool, s *Stats) (*stealBatch, stealResult) {
+func (q *taskQueue) stealLocked(victim, chunk int, markDirty bool, s *Stats) (int64, stealResult) {
 	t0 := q.obs.now()
 	if !q.p.TryLock(victim, q.lock) {
 		// A failed probe is the contended window: the victim's lock was
 		// held by someone else for the whole TryLock round trip.
 		q.obs.lockWait(t0, victim)
-		s.StealsBusy++
-		return nil, stealBusy
+		return 0, stealBusy
 	}
 	q.heldLock = victim
 	lockT := q.obs.now()
@@ -154,14 +154,14 @@ func (q *taskQueue) stealLocked(victim, chunk int, markDirty bool, s *Stats) (*s
 	if avail <= 0 {
 		q.p.Unlock(victim, q.lock)
 		q.unlocked(lockT, victim)
-		s.StealsEmpty++
-		return nil, stealEmpty
+		return 0, stealEmpty
 	}
-	k := int64(chunk)
-	if k > avail {
-		k = avail
+	k := min(int64(chunk), avail)
+	if n := int(k) * q.slotSize; cap(q.batch) < n {
+		//scioto:alloc-ok grows the queue's batch buffer to the largest steal so far; never per steal once it has
+		q.batch = make([]byte, n)
 	}
-	b, buf := q.take(k)
+	buf := q.batch[:int(k)*q.slotSize]
 	// The extent Gets, the dirty mark, and the store publishing the new
 	// steal index leave as one pipelined batch. Overlapping the store with
 	// the Gets is safe because operations to one target apply in issue
@@ -169,7 +169,7 @@ func (q *taskQueue) stealLocked(victim, chunk int, markDirty bool, s *Stats) (*s
 	// and push fresh work onto the stolen slots — before the Gets have
 	// read them. All must still complete before Unlock releases the
 	// region.
-	cut := q.extent(bottom, k)
+	cut := min(len(buf), len(q.ring)-q.slotOff(bottom))
 	q.p.NbGet(buf[:cut], victim, q.data, q.slotOff(bottom))
 	if cut < len(buf) {
 		q.p.NbGet(buf[cut:], victim, q.data, 0)
@@ -182,5 +182,10 @@ func (q *taskQueue) stealLocked(victim, chunk int, markDirty bool, s *Stats) (*s
 	q.p.Flush()
 	q.p.Unlock(victim, q.lock)
 	q.unlocked(lockT, victim)
-	return q.stolen(b, k, s)
+	return k, stealOK
+}
+
+// stolen is slot i of the batch the last locked steal took.
+func (q *taskQueue) stolen(i int64) []byte {
+	return q.batch[int(i)*q.slotSize : int(i+1)*q.slotSize]
 }

@@ -49,9 +49,8 @@ func TestLockedQueueReleasesOnEveryPath(t *testing.T) {
 			_, res := q.stealLocked(1, 2, false, &s)
 			check("steal empty", 1, res == stealEmpty)
 			check("add to 1", 1, q.addLocked(1, mkWire(8, 9), &s))
-			batch, res := q.stealLocked(1, 2, true, &s)
+			_, res = q.stealLocked(1, 2, true, &s)
 			check("steal", 1, res == stealOK)
-			batch.recycle()
 		}
 		p.Barrier()
 	}); err != nil {

@@ -71,18 +71,17 @@ func TestQueueRemoteAddThenSteal(t *testing.T) {
 		p.Barrier()
 		if p.Rank() == 0 {
 			// Steal back from rank 1's shared region.
-			batch, res := q.steal(1, 4, false, &s)
-			if res != stealOK || len(batch.slots) != 4 {
-				panic(fmt.Sprintf("steal: %v", res))
+			if k, res := q.steal(1, 4, false, &s); res != stealOK || k != 4 {
+				panic(fmt.Sprintf("steal: %v, %d tasks", res, k))
 			}
-			// The last prepended values sit at the lowest indices: 5,4,3,2.
-			for i, slot := range batch.slots {
-				want := int64(5 - i)
-				if got := pgas.GetI64(decodeTask(slot).Body()); got != want {
-					panic(fmt.Sprintf("steal slot %d = %d, want %d", i, got, want))
+			// The last prepended values sit at the lowest indices, 5,4,3,2,
+			// and land in that order at the thief's top: pops return 2,3,4,5.
+			for want := int64(2); want <= 5; want++ {
+				tk, ok := q.popPrivate(&s)
+				if got := pgas.GetI64(tk.Body()); !ok || got != want {
+					panic(fmt.Sprintf("landed task popped as %d, want %d", got, want))
 				}
 			}
-			batch.recycle()
 		}
 	})
 }
@@ -308,25 +307,18 @@ func TestQueueStealConcurrencyStress(t *testing.T) {
 			}
 			p.Store64(0, done, 0, 1)
 		} else {
-			for p.Load64(0, done, 0) == 0 {
-				batch, res := q.steal(1, 7, false, &s)
-				if res == stealOK {
-					for _, slot := range batch.slots {
-						seen[pgas.GetI64(decodeTask(slot).Body())]++
-					}
-					batch.recycle()
-				}
-			}
-			// Final sweep after the producer finished.
+			// Steals land in this rank's ring, to be popped; once the
+			// producer has finished, a final sweep until one finds nothing.
 			for {
-				batch, res := q.steal(1, 7, false, &s)
-				if res != stealOK {
+				finished := p.Load64(0, done, 0) != 0
+				k, _ := q.steal(1, 7, false, &s)
+				for i := k; i > 0; i-- {
+					tk, _ := q.popPrivate(&s)
+					seen[pgas.GetI64(tk.Body())]++
+				}
+				if finished && k == 0 {
 					break
 				}
-				for _, slot := range batch.slots {
-					seen[pgas.GetI64(decodeTask(slot).Body())]++
-				}
-				batch.recycle()
 			}
 		}
 		p.Barrier()

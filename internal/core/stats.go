@@ -26,15 +26,23 @@ type Stats struct {
 	TasksReacquired int64
 
 	// StealAttempts counts idle rounds that tried to steal: on a split
-	// queue one probe round, which reads up to two victims' packed words.
+	// queue one probe round, which reads up to two victims' packed words,
+	// or one round that claimed on a word read ahead (StealsAhead) and, had
+	// that claim lost, went on from the words its flush reloaded. Each
+	// attempt ends as exactly one of StealsOK, StealsEmpty and StealsBusy.
 	StealAttempts int64
 	StealsOK      int64
-	StealsEmpty   int64 // every probed victim's shared portion held nothing
+	// StealsAhead counts the StealsOK whose claim was won on a word read
+	// ahead by the previous steal's transfer, with no probe of its own.
+	StealsAhead int64
+	StealsEmpty int64 // every probed victim's shared portion held nothing
 	// StealsBusy: on a split queue, the only tasks the probe saw sat behind
 	// another thief's claim still being copied or a remote adder at work,
-	// or this thief's claim CAS lost to a concurrent change of the word; on
-	// a locked queue, the TryLock failed. Either way the next idle round
-	// draws fresh random victims.
+	// or this thief's claim CAS lost to a concurrent change of the word (a
+	// lost claim on a word read ahead is not one by itself: the round goes
+	// on), or its own ring had no room to land a claim in; on a locked
+	// queue, the TryLock failed. Either way the next idle round draws fresh
+	// random victims.
 	StealsBusy  int64
 	TasksStolen int64
 	// DirtyMarksSent and DirtyMarksElided count §5.3's decision for a
@@ -69,6 +77,20 @@ type Stats struct {
 	WorkTime time.Duration // virtual/wall time the phase loop spent holding local work
 }
 
+// steal counts one steal attempt that ended as res, having taken k tasks.
+func (s *Stats) steal(res stealResult, k int64) {
+	s.StealAttempts++
+	switch res {
+	case stealOK:
+		s.StealsOK++
+		s.TasksStolen += k
+	case stealEmpty:
+		s.StealsEmpty++
+	case stealBusy:
+		s.StealsBusy++
+	}
+}
+
 // add accumulates other into s.
 func (s *Stats) add(o *Stats) {
 	s.TasksAdded += o.TasksAdded
@@ -85,6 +107,7 @@ func (s *Stats) add(o *Stats) {
 	s.TasksReacquired += o.TasksReacquired
 	s.StealAttempts += o.StealAttempts
 	s.StealsOK += o.StealsOK
+	s.StealsAhead += o.StealsAhead
 	s.StealsEmpty += o.StealsEmpty
 	s.StealsBusy += o.StealsBusy
 	s.TasksStolen += o.TasksStolen
@@ -104,13 +127,16 @@ func (s *Stats) add(o *Stats) {
 }
 
 // asSlice flattens the counters for cross-process reduction. The order must
-// match fromSlice.
+// match fromSlice. StealsBusy is left out: every attempt ends as exactly one
+// of StealsOK, StealsEmpty and StealsBusy (Stats.steal), so fromSlice
+// restores it as the attempts the other two leave, and the reduction need
+// not carry it.
 func (s *Stats) asSlice() []int64 {
 	return []int64{
 		s.TasksAdded, s.TasksExecuted, s.ExecutedLocal, s.InlineExecs,
 		s.LocalInserts, s.LocalSharedInserts, s.RemoteInserts, s.LocalGets,
 		s.Releases, s.TasksReleased, s.Reacquires, s.TasksReacquired,
-		s.StealAttempts, s.StealsOK, s.StealsEmpty, s.StealsBusy,
+		s.StealAttempts, s.StealsOK, s.StealsEmpty, s.StealsAhead,
 		s.TasksStolen, s.DirtyMarksSent, s.DirtyMarksElided,
 		s.WavesSeen, s.Votes, s.BlackVotes, s.TermCounterOps,
 		s.DeferredRegistered, s.DeferredLaunched,
@@ -127,7 +153,8 @@ func (s *Stats) fromSlice(v []int64) {
 	s.TasksAdded, s.TasksExecuted, s.ExecutedLocal, s.InlineExecs = v[0], v[1], v[2], v[3]
 	s.LocalInserts, s.LocalSharedInserts, s.RemoteInserts, s.LocalGets = v[4], v[5], v[6], v[7]
 	s.Releases, s.TasksReleased, s.Reacquires, s.TasksReacquired = v[8], v[9], v[10], v[11]
-	s.StealAttempts, s.StealsOK, s.StealsEmpty, s.StealsBusy = v[12], v[13], v[14], v[15]
+	s.StealAttempts, s.StealsOK, s.StealsEmpty, s.StealsAhead = v[12], v[13], v[14], v[15]
+	s.StealsBusy = s.StealAttempts - s.StealsOK - s.StealsEmpty
 	s.TasksStolen, s.DirtyMarksSent, s.DirtyMarksElided = v[16], v[17], v[18]
 	s.WavesSeen, s.Votes, s.BlackVotes, s.TermCounterOps = v[19], v[20], v[21], v[22]
 	s.DeferredRegistered, s.DeferredLaunched = v[23], v[24]
@@ -139,7 +166,7 @@ func (s *Stats) fromSlice(v []int64) {
 func (s *Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "exec=%d (local %d, inline %d) added=%d", s.TasksExecuted, s.ExecutedLocal, s.InlineExecs, s.TasksAdded)
-	fmt.Fprintf(&b, " steals=%d/%d (empty %d, busy %d) stolen=%d", s.StealsOK, s.StealAttempts, s.StealsEmpty, s.StealsBusy, s.TasksStolen)
+	fmt.Fprintf(&b, " steals=%d/%d (ahead %d, empty %d, busy %d) stolen=%d", s.StealsOK, s.StealAttempts, s.StealsAhead, s.StealsEmpty, s.StealsBusy, s.TasksStolen)
 	fmt.Fprintf(&b, " rel=%d reacq=%d dirty=%d(elided %d)", s.Releases, s.Reacquires, s.DirtyMarksSent, s.DirtyMarksElided)
 	fmt.Fprintf(&b, " waves=%d votes=%d black=%d", s.WavesSeen, s.Votes, s.BlackVotes)
 	if s.Recoveries > 0 {

@@ -65,8 +65,10 @@ func completions(log []string) [][]string {
 // stealRound runs one idle round's steal on rank 0 of a dsim world of n
 // ranks and returns what it issued, cut into completion points, with the
 // round's counters. When stocked, every other rank first puts tasks in
-// its shared portion, so any victim has something to claim.
-func stealRound(t *testing.T, n int, stocked bool, cfg Config) (rounds [][]string, s Stats) {
+// its shared portion, so any victim has something to claim. before, when
+// not nil, runs on rank 0 ahead of the recorded round, unrecorded: a
+// steal there leaves the round its read-ahead.
+func stealRound(t *testing.T, n int, stocked bool, cfg Config, before func(tc *TC, task *Task)) (rounds [][]string, s Stats) {
 	t.Helper()
 	err := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3}).Run(func(p pgas.Proc) {
 		r := &opRecorder{Kernel: p}
@@ -81,10 +83,12 @@ func stealRound(t *testing.T, n int, stocked bool, cfg Config) (rounds [][]strin
 		}
 		p.Barrier()
 		if p.Rank() == 0 {
-			r.on = true
-			if b := tc.steal(); b != nil {
-				b.recycle()
+			if before != nil {
+				before(tc, task)
 			}
+			tc.ClearStats()
+			r.on = true
+			tc.steal()
 			r.on = false
 			rounds, s = completions(r.log), tc.Stats()
 		}
@@ -99,22 +103,51 @@ func stealRound(t *testing.T, n int, stocked bool, cfg Config) (rounds [][]strin
 // victimOf is the rank an entry "Op rN ..." addresses.
 func victimOf(e string) string { return strings.Fields(e)[1] }
 
+// readAhead reports whether the tail of a completion point is the
+// read-ahead of the next round: two NbLoad64s of the packed words of two
+// distinct ranks, neither rank 0.
+func readAhead(point []string) bool {
+	if len(point) < 2 {
+		return false
+	}
+	a, b := point[len(point)-2], point[len(point)-1]
+	return strings.HasPrefix(a, "NbLoad64 ") && strings.HasSuffix(a, " w1") && strings.HasPrefix(b, "NbLoad64 ") &&
+		strings.HasSuffix(b, " w1") && victimOf(a) != victimOf(b) && victimOf(a) != "r0" && victimOf(b) != "r0"
+}
+
+// landing checks a transfer's completion point: the NbGets from v, the
+// fetch-add retiring the claim, and the next round's read-ahead.
+func landing(point []string, v string) bool {
+	return len(point) >= 4 && point[0] == "NbGet "+v && point[len(point)-3] == "NbFetchAdd64 "+v+" w1" && readAhead(point)
+}
+
 // TestStealRoundTrips pins the thief's round trips. At P = 4 an empty
 // round reads two distinct victims, neither this rank, in one flushed
-// batch. A marked successful steal completes at three points: the probe,
-// the dirty mark and the claim CAS together (mark first), and the copy
-// with the fetch-add retiring the claim; an unmarked claim is one blocking
-// CAS instead. At P = 2, and under the counter detector at any P, the
-// probe is one blocking load.
+// batch. A phase's first successful steal completes at three points: the
+// probe; the claim, which is the dirty mark and the claim CAS together
+// (mark first) when marked and one blocking CAS when not; and the
+// landing: the copy, the fetch-add retiring the claim and the read-ahead
+// of the next round's two victims. A steal on a claimable word read ahead
+// completes at two: the [mark,] CAS with both victims' words reloaded
+// behind it, then the landing. Had that word moved, the CAS loses and the
+// round claims on what the reload saw: three points. Had no word read
+// ahead been claimable, the round is an empty probe that sends nothing,
+// and the next round probes afresh. At P = 2 the probe
+// is one blocking load; under the counter detector it is too, and no
+// landing reads ahead; a locked queue keeps the paper's sequence and
+// pushes what it took.
 func TestStealRoundTrips(t *testing.T) {
 	base := Config{MaxBodySize: 8, ChunkSize: 2, MaxTasks: 16}
 	marked := base
 	marked.DisableColoringOpt = true // mark every claim
+	steal := func(tc *TC, _ *Task) {
+		if tc.steal() == 0 {
+			panic("the warm-up steal took nothing")
+		}
+	}
 
-	rounds, s := stealRound(t, 4, false, base)
-	if len(rounds) != 1 || len(rounds[0]) != 2 || !strings.HasPrefix(rounds[0][0], "NbLoad64") ||
-		!strings.HasPrefix(rounds[0][1], "NbLoad64") || victimOf(rounds[0][0]) == victimOf(rounds[0][1]) ||
-		victimOf(rounds[0][0]) == "r0" || victimOf(rounds[0][1]) == "r0" {
+	rounds, s := stealRound(t, 4, false, base, nil)
+	if len(rounds) != 1 || len(rounds[0]) != 2 || !readAhead(rounds[0]) {
 		t.Errorf("P=4 empty round completed as %q, want two NbLoad64 of two distinct other ranks in one Flush", rounds)
 	}
 	if s.StealAttempts != 1 || s.StealsEmpty != 1 {
@@ -125,14 +158,15 @@ func TestStealRoundTrips(t *testing.T) {
 		name  string
 		cfg   Config
 		claim func(v string) []string
+		mark  []string
 		sent  int64
 	}{
-		{"marked", marked, func(v string) []string { return []string{"NbFetchAdd64 " + v + " w3", "NbCAS64 " + v + " w1"} }, 1},
-		{"unmarked", base, func(v string) []string { return []string{"CAS64 " + v + " w1"} }, 0},
+		{"marked", marked, func(v string) []string { return []string{"NbFetchAdd64 " + v + " w3", "NbCAS64 " + v + " w1"} }, []string{"NbFetchAdd64 w3"}, 1},
+		{"unmarked", base, func(v string) []string { return []string{"CAS64 " + v + " w1"} }, nil, 0},
 	} {
-		rounds, s := stealRound(t, 4, true, c.cfg)
+		rounds, s := stealRound(t, 4, true, c.cfg, nil)
 		if len(rounds) != 3 || len(rounds[0]) != 2 {
-			t.Errorf("P=4 %s steal completed at %d points: %q, want 3 after a two-victim probe", c.name, len(rounds), rounds)
+			t.Errorf("P=4 %s first steal completed at %d points: %q, want 3 after a two-victim probe", c.name, len(rounds), rounds)
 			continue
 		}
 		v := victimOf(rounds[1][0])
@@ -142,23 +176,111 @@ func TestStealRoundTrips(t *testing.T) {
 		if want := c.claim(v); !slices.Equal(rounds[1], want) {
 			t.Errorf("P=4 %s claim completed as %q, want %q", c.name, rounds[1], want)
 		}
-		copyOut := rounds[2]
-		if len(copyOut) < 2 || copyOut[0] != "NbGet "+v || copyOut[len(copyOut)-1] != "NbFetchAdd64 "+v+" w1" {
-			t.Errorf("P=4 %s copy completed as %q, want NbGets then the retiring NbFetchAdd64 on %s", c.name, copyOut, v)
+		if !landing(rounds[2], v) {
+			t.Errorf("P=4 %s landing completed as %q, want NbGets, the retiring NbFetchAdd64 on %s and the read-ahead", c.name, rounds[2], v)
 		}
-		if s.StealsOK != 1 || s.DirtyMarksSent != c.sent {
-			t.Errorf("P=4 %s steal counted %d ok, %d marks sent, want 1 and %d", c.name, s.StealsOK, s.DirtyMarksSent, c.sent)
+		if s.StealsOK != 1 || s.StealsAhead != 0 || s.DirtyMarksSent != c.sent {
+			t.Errorf("P=4 %s first steal counted %d ok, %d ahead, %d marks sent, want 1, 0 and %d", c.name, s.StealsOK, s.StealsAhead, s.DirtyMarksSent, c.sent)
+		}
+
+		// A hit: the words read ahead are claimable as they were read.
+		rounds, s = stealRound(t, 4, true, c.cfg, steal)
+		var guess []string
+		if len(rounds) == 2 {
+			guess = rounds[0]
+		}
+		m := len(c.mark)
+		if len(guess) != m+3 || !readAhead(guess) || !strings.HasPrefix(guess[m], "NbCAS64 ") {
+			t.Errorf("P=4 %s read-ahead hit completed as %q, want 2 points: [mark,] NbCAS64 and two reloads, then the landing", c.name, rounds)
+			continue
+		}
+		v = victimOf(guess[m])
+		if want := c.claim(v); m > 0 && !slices.Equal(guess[:m+1], want) || !slices.Contains(guess[m+1:], "NbLoad64 "+v+" w1") {
+			t.Errorf("P=4 %s read-ahead claim completed as %q, want %q then a reload of %s behind the CAS", c.name, guess, want, v)
+		}
+		if !landing(rounds[1], v) {
+			t.Errorf("P=4 %s read-ahead landing completed as %q", c.name, rounds[1])
+		}
+		if s.StealAttempts != 1 || s.StealsOK != 1 || s.StealsAhead != 1 || s.DirtyMarksSent != c.sent {
+			t.Errorf("P=4 %s read-ahead hit counted %d attempts, %d ok, %d ahead, %d marks sent, want 1, 1, 1 and %d",
+				c.name, s.StealAttempts, s.StealsOK, s.StealsAhead, s.DirtyMarksSent, c.sent)
+		}
+
+		// A miss: every other rank's word moves (rank 0 adds a task to
+		// each) between the read-ahead and the round.
+		rounds, s = stealRound(t, 4, true, c.cfg, func(tc *TC, task *Task) {
+			steal(tc, task)
+			for r := 1; r < 4; r++ {
+				if err := tc.Add(r, AffinityLow, task); err != nil {
+					panic(err)
+				}
+			}
+		})
+		if len(rounds) != 3 || len(rounds[0]) != m+3 || !readAhead(rounds[0]) || !strings.HasPrefix(rounds[0][m], "NbCAS64 ") {
+			t.Errorf("P=4 %s read-ahead miss completed as %q, want 3 points: the lost guess with its reloads, a claim, the landing", c.name, rounds)
+			continue
+		}
+		v = victimOf(rounds[1][len(rounds[1])-1])
+		if want := c.claim(v); !slices.Equal(rounds[1], want) || !landing(rounds[2], v) {
+			t.Errorf("P=4 %s read-ahead miss claimed as %q and landed as %q, want %q then the landing", c.name, rounds[1], rounds[2], want)
+		}
+		if s.StealAttempts != 1 || s.StealsOK != 1 || s.StealsAhead != 0 || s.StealsBusy != 0 || s.DirtyMarksSent != 2*c.sent {
+			t.Errorf("P=4 %s read-ahead miss counted %d attempts, %d ok, %d ahead, %d busy, %d marks sent, want 1, 1, 0, 0 and %d",
+				c.name, s.StealAttempts, s.StealsOK, s.StealsAhead, s.StealsBusy, s.DirtyMarksSent, 2*c.sent)
 		}
 	}
 
-	rounds, _ = stealRound(t, 2, false, base)
+	rounds, s = stealRound(t, 4, true, base, func(tc *TC, task *Task) {
+		steal(tc, task)
+		tc.q.probed = [2]int64{} // as read ahead: both shared portions empty
+	})
+	if len(rounds) != 0 || s.StealAttempts != 1 || s.StealsEmpty != 1 {
+		t.Errorf("P=4 round on empty words read ahead completed as %q with %d attempts, %d empty; want nothing sent, 1 and 1", rounds, s.StealAttempts, s.StealsEmpty)
+	}
+
+	rounds, _ = stealRound(t, 2, false, base, nil)
 	if want := [][]string{{"Load64 r1 w1"}}; !slices.EqualFunc(rounds, want, slices.Equal[[]string]) {
 		t.Errorf("P=2 empty round completed as %q, want %q", rounds, want)
 	}
 	counter := base
 	counter.Termination = TermCounter
-	if rounds, _ = stealRound(t, 4, false, counter); len(rounds) != 1 || len(rounds[0]) != 1 || !strings.HasPrefix(rounds[0][0], "Load64 ") {
+	if rounds, _ = stealRound(t, 4, false, counter, nil); len(rounds) != 1 || len(rounds[0]) != 1 || !strings.HasPrefix(rounds[0][0], "Load64 ") {
 		t.Errorf("P=4 empty round under the counter detector completed as %q, want one blocking Load64", rounds)
+	}
+	// A steal under the counter detector, and a locked queue's, complete
+	// as they always have: no read-ahead, and on a locked queue the
+	// paper's sequence, then a locked push per task taken.
+	locked := base
+	locked.QueueMode = ModeLocked
+	push := []string{"CAS64 r0", "Load64 r0 w2", "Load64 r0 w0", "Store64 r0 w2", "CAS64 r0"}
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		steal func(v string) [][]string
+	}{
+		{"counter", counter, func(v string) [][]string {
+			return [][]string{{"Load64 " + v + " w1"}, {"CAS64 " + v + " w1"}, {"NbGet " + v, "NbFetchAdd64 " + v + " w1"}}
+		}},
+		{"locked", locked, func(v string) [][]string {
+			r := [][]string{{"CAS64 " + v}, {"NbLoad64 " + v + " w0", "NbLoad64 " + v + " w2"}, {"NbGet " + v, "NbStore64 " + v + " w0"}, {"CAS64 " + v}}
+			for i := 0; i < 2; i++ {
+				for _, e := range push {
+					r = append(r, []string{e})
+				}
+			}
+			return r
+		}},
+	} {
+		for _, n := range []int{2, 4} {
+			rounds, _ := stealRound(t, n, true, c.cfg, nil)
+			if len(rounds) == 0 || len(rounds[0]) != 1 {
+				t.Errorf("P=%d %s steal completed as %q", n, c.name, rounds)
+				continue
+			}
+			if want := c.steal(victimOf(rounds[0][0])); !slices.EqualFunc(rounds, want, slices.Equal[[]string]) {
+				t.Errorf("P=%d %s steal completed as %q, want %q", n, c.name, rounds, want)
+			}
+		}
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 	"scioto/internal/pgas/shm"
 )
 
-// Roles of TestSplitQueueRaceStress: rank 0 owns the queue, the next three
-// ranks steal from it and the last two add to it remotely.
+// Roles of TestSplitQueueRaceStress: rank 0 owns the queue the next three
+// ranks steal from, landing what they take in their own queues, and the
+// last two ranks add to all four remotely.
 const (
 	stressThieves = 3
 	stressAdders  = 2
@@ -47,11 +48,14 @@ func stressTag(wire []byte) (int64, error) {
 // TestSplitQueueRaceStress drives the real split queue on shm, where ranks
 // are goroutines and every operation is a real atomic or copy, so `make
 // race` sees the protocol itself: the owner pushes, pops, releases and
-// reacquires, three thieves claim from its packed word and two remote
-// adders prepend to it, on a ring of eight slots that wraps hundreds of
-// times and is full much of the time. Every descriptor carries a tag in
-// every word of its body; each tag must be consumed exactly once and no
-// descriptor may arrive torn.
+// reacquires, three thieves claim from its packed word and land what they
+// claim in their own rings, and two remote adders prepend to all four
+// queues, on rings of eight slots that wrap hundreds of times and are full
+// much of the time. A thief consumes slowly — a pop or two a round, and
+// the adders' tasks only by reacquiring them — so that its landings and
+// the adds to its ring meet on a ring with little room. Every descriptor
+// carries a tag in every word of its body; each tag must be consumed
+// exactly once and no descriptor may arrive torn.
 func TestSplitQueueRaceStress(t *testing.T) {
 	perProducer := int64(20000)
 	if testing.Short() {
@@ -119,21 +123,23 @@ func TestSplitQueueRaceStress(t *testing.T) {
 				}
 			case me <= stressThieves:
 				for running() {
-					batch, res := q.steal(0, 3, me == 1, &s)
+					k, _ := q.steal(0, 3, me == 1, &s)
+					stole[me].Add(k)
 					runtime.Gosched()
-					if res != stealOK {
-						continue
+					for burst := p.Rand().Intn(3); burst > 0; burst-- {
+						tk, ok := q.popPrivate(&s)
+						if !ok && q.reacquire(&s) {
+							tk, ok = q.popPrivate(&s)
+						}
+						if ok {
+							consume(tk.wire())
+						}
 					}
-					for _, slot := range batch.slots {
-						consume(slot[:wireLen(slot)])
-					}
-					stole[me].Add(int64(len(batch.slots)))
-					batch.recycle()
 				}
 			default:
 				base := perProducer * (me - stressThieves)
 				for next := int64(0); next < perProducer && violation.Load() == nil; {
-					if q.addRemote(0, stressWire(task, base+next), &s) {
+					if q.addRemote(p.Rand().Intn(1+stressThieves), stressWire(task, base+next), &s) {
 						next++
 					} else {
 						adderFull.Add(1)
@@ -142,8 +148,8 @@ func TestSplitQueueRaceStress(t *testing.T) {
 				}
 			}
 			p.Barrier()
-			if w := p.Load64(0, q.meta, wShared); violation.Load() == nil && (wordN(w) != 0 || wordBusy(w)) {
-				err := fmt.Errorf("drained queue's word: n %d, x %d, a %d", wordN(w), wordX(w), wordA(w))
+			if w := p.Load64(int(me), q.meta, wShared); violation.Load() == nil && (wordN(w) != 0 || wordBusy(w)) {
+				err := fmt.Errorf("rank %d's drained queue's word: n %d, x %d, a %d", me, wordN(w), wordX(w), wordA(w))
 				violation.CompareAndSwap(nil, &err)
 			}
 		})

@@ -94,8 +94,12 @@ type TC struct {
 
 	callbacks []TaskFunc
 
-	stats      Stats
-	pair       [2]int // an idle round's victims (pickVictims)
+	stats Stats
+	pair  [2]int // an idle round's victims (pickVictims)
+	// ahead, when not nil, are the next idle round's victims, drawn by the
+	// last steal's transfer, whose flush read their packed words into the
+	// queue's probed (read-ahead; see steal).
+	ahead      []int
 	processing bool
 	running    bool // the phase loop is inside a callback
 	sinceOrder int  // release checks since the last ordered one
@@ -448,8 +452,11 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 	// writes outside Process, and a barrier is behind the last write (the
 	// previous phase's exit, NewTC's, Reset's or recovery's). The counter
 	// detector is NOT reset: seeding adds have charged it already.
+	// A phase's first steal probes: no word read ahead outlives a phase,
+	// nor (Process re-enters here) a recovery epoch.
 	p := tc.rt.p
 	tc.td.reset()
+	tc.ahead = nil
 	p.Barrier()
 	tc.processing = true
 
@@ -476,10 +483,8 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 			busy, mark = false, tc.charge(&tc.stats.WorkTime, mark)
 		}
 		if !tc.cfg.DisableStealing && n > 1 {
-			if batch := tc.steal(); batch != nil {
+			if tc.steal() > 0 {
 				tc.td.noteBalance()
-				tc.enqueueStolen(batch.slots)
-				batch.recycle()
 				tc.obs.setQueueDepth(tc.q.totalCountHint())
 				continue
 			}
@@ -541,20 +546,10 @@ func (tc *TC) charge(total *time.Duration, mark time.Duration) time.Duration {
 	return now
 }
 
-// enqueueStolen pushes stolen slot images onto the local queue. A push
-// copies the slot bytes, so the caller may recycle the batch afterwards.
-//
-//scioto:journal-exempt stolen descriptors carry the journal reference stamped at the origin rank's Add; re-recording here would double-count them
-func (tc *TC) enqueueStolen(slots [][]byte) {
-	for _, slot := range slots {
-		tc.requeue(slot)
-	}
-}
-
 // requeue re-inserts an already-journaled descriptor image into the local
-// queue (stolen tasks and recovery replays — both carry their journal
-// reference in the header, so they must NOT be journalized again). A full
-// queue falls back to inline execution, as in Add.
+// queue (a locked queue's stolen tasks and recovery replays — both carry
+// their journal reference in the header, so they must NOT be journalized
+// again). A full queue falls back to inline execution, as in Add.
 //
 //scioto:journaled callers pass descriptors whose journal record already exists (stolen images or recovery replays)
 //scioto:noalloc
@@ -610,23 +605,71 @@ func (tc *TC) GlobalStats() Stats {
 	return total
 }
 
-// steal is an idle round's steal attempt; it returns the batch taken, or
-// nil. A split queue probes the round's victims in one round trip and
-// claims from the best of them, deciding §5.3's mark for that victim only
-// then; a locked queue keeps the paper's sequence on one random victim.
+// steal is an idle round's steal attempt; it returns how many tasks it
+// took. A locked queue keeps the paper's sequence on one random victim and
+// pushes what it took onto its own ring. A split queue probes the round's
+// victims in one round trip and claims from the best of them, deciding
+// §5.3's mark for that victim only then; what it claims lands at its own
+// top (taskQueue.land).
+//
+// Where the pair rule applies (paired), a split queue also reads ahead:
+// the transfer's flush reads the words of the next round's victims, which
+// are that round's probe. If one of them was claimable, the round claims
+// on it at once — one flush of the mark, the CAS and both words reloaded —
+// so a won guess steals in two round trips; a lost one has probed both
+// victims afresh and goes on as a probed round would. If none was, the
+// round is an empty or busy probe that sent nothing.
+//
+//scioto:journal-exempt a locked steal's descriptors carry the journal reference stamped at the origin rank's Add; re-recording them would double-count them
+//scioto:noalloc
+func (tc *TC) steal() (k int64) {
+	t0 := tc.obs.now()
+	q := tc.q
+	victim, w, res := 0, int64(0), stealOK
+	switch vs := tc.ahead; {
+	case q.mode == ModeLocked:
+		victim = tc.pickVictims()[0]
+		k, res = q.stealLocked(victim, tc.cfg.ChunkSize, tc.markFor(victim), &tc.stats)
+	case vs == nil:
+		victim, w, res = q.probe(tc.pickVictims())
+	default:
+		tc.ahead = nil
+		if victim, w, res = q.pick(vs); res == stealOK {
+			if k = tc.claim(victim, w, vs); k > 0 {
+				tc.stats.StealsAhead++
+			} else {
+				victim, w, res = q.pick(vs)
+			}
+		}
+	}
+	if res == stealOK && k == 0 {
+		if k = tc.claim(victim, w, nil); k == 0 {
+			res = stealBusy
+		}
+	}
+	tc.stats.steal(res, k)
+	tc.obs.steal(t0, victim, res, k)
+	for i := int64(0); i < k && q.mode == ModeLocked; i++ {
+		tc.requeue(q.stolen(i))
+	}
+	return k
+}
+
+// claim is one claim on a split queue's victim, whose word was read as w,
+// and the landing of what it won (refresh: see taskQueue.claim). Where the
+// pair rule applies, the landing's flush reads ahead the words of the
+// victims it draws for the next idle round.
 //
 //scioto:noalloc
-func (tc *TC) steal() (b *stealBatch) {
-	t0 := tc.obs.now()
-	vs := tc.pickVictims()
-	victim, w, res := vs[0], int64(0), stealOK
-	if tc.cfg.QueueMode == ModeLocked {
-		b, res = tc.q.steal(victim, tc.cfg.ChunkSize, tc.markFor(victim), &tc.stats)
-	} else if victim, w, res = tc.q.probe(vs, &tc.stats); res == stealOK {
-		b, res = tc.q.claim(victim, w, tc.cfg.ChunkSize, tc.markFor(victim), &tc.stats)
+func (tc *TC) claim(victim int, w int64, refresh []int) int64 {
+	k := tc.q.claim(victim, w, tc.cfg.ChunkSize, tc.markFor(victim), refresh, &tc.stats)
+	if k > 0 {
+		if tc.paired() {
+			tc.ahead = tc.pickVictims()
+		}
+		tc.q.land(victim, w, k, tc.ahead)
 	}
-	tc.obs.steal(t0, victim, res, b)
-	return b
+	return k
 }
 
 // markFor is §5.3's rule for a claim on victim under the wave detector:
@@ -640,13 +683,18 @@ func (tc *TC) markFor(victim int) bool {
 	return tc.ctd == nil && mark
 }
 
+// paired is the pair rule: a split queue under the wave detector probes
+// two victims a round and reads ahead. The counter detector keeps one
+// victim and no read-ahead: its passive ranks load the counter on rank 0
+// every round, and on dsim a pair's flushed loads are booked on rank 0's
+// interface as they are issued, so the working ranks' blocking counter
+// updates never find it free.
+func (tc *TC) paired() bool { return tc.cfg.QueueMode == ModeSplit && tc.ctd == nil }
+
 // pickVictims draws an idle round's victims into tc.pair, uniformly at
-// random among the other live ranks: two distinct ones on a split queue
-// under the wave detector with two live peers or more, else one, drawn as
-// a lone victim always was. The counter detector keeps one: its passive
-// ranks load the counter on rank 0 every round, and on dsim a pair's
-// flushed loads are booked on rank 0's interface as they are issued, so
-// the working ranks' blocking counter updates never find it free.
+// random among the other live ranks: two distinct ones where the pair rule
+// applies and there are two live peers or more, else one, drawn as a lone
+// victim always was.
 //
 //scioto:noalloc
 func (tc *TC) pickVictims() []int {
@@ -663,7 +711,7 @@ func (tc *TC) pickVictims() []int {
 		v = tc.nthPeer(p.Rand().Intn(peers), -1)
 	}
 	tc.pair[0] = v
-	if peers < 2 || tc.cfg.QueueMode == ModeLocked || tc.ctd != nil {
+	if peers < 2 || !tc.paired() {
 		return tc.pair[:1]
 	}
 	tc.pair[1] = tc.nthPeer(p.Rand().Intn(peers-1), v)

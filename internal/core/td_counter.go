@@ -49,6 +49,7 @@ type ctrDetector struct {
 	seg pgas.Seg // one word on rank 0: outstanding task count
 
 	pendingDones int64 // executed tasks not yet flushed to the counter
+	old          int64 // the discarded result of a counter update
 
 	stats *Stats
 }
@@ -71,7 +72,19 @@ func (cd *ctrDetector) reset() {
 // noteAdd eagerly charges one outstanding task. Must be called before the
 // task is enqueued anywhere.
 func (cd *ctrDetector) noteAdd() {
-	cd.p.FetchAdd64(0, cd.seg, 0, 1)
+	cd.update(1)
+}
+
+// update adds d to the counter in one round trip, issued non-blocking and
+// flushed: on dsim a flushed op books its slot on the host's interface as
+// it is issued, where a blocking one waits for the interface to come free
+// and, with every passive rank polling the counter's host, can lose that
+// wait to lower-ranked pollers for good (the full-size counter ablation
+// stalled so). On the other transports the two forms are the same round
+// trip.
+func (cd *ctrDetector) update(d int64) {
+	cd.p.NbFetchAdd64(0, cd.seg, 0, d, &cd.old)
+	cd.p.Flush()
 	cd.stats.TermCounterOps++
 }
 
@@ -88,8 +101,7 @@ func (cd *ctrDetector) flush() {
 	if cd.pendingDones == 0 {
 		return
 	}
-	cd.p.FetchAdd64(0, cd.seg, 0, -cd.pendingDones)
-	cd.stats.TermCounterOps++
+	cd.update(-cd.pendingDones)
 	cd.pendingDones = 0
 }
 

@@ -119,9 +119,12 @@ func TestSciotoTinyQueueInlineFallback(t *testing.T) {
 
 // TestAttributionCountsEachOccurrenceOnce: a 2-rank traversal on dsim with
 // recording on. From the per-rank dumps alone, the attribution report
-// must count one task_exec interval per executed task and one
-// steal_window interval per steal attempt — every occurrence is one
-// closed span record, not a begin/end event pair beside an interval.
+// must count one task_exec interval per executed task, and the dumps must
+// hold one steal record per steal attempt, of which the report counts
+// every one that took time as one steal_window interval — every
+// occurrence is one closed span record, not a begin/end event pair beside
+// an interval. (A round on words read ahead that were not claimable sends
+// nothing and takes no virtual time: a record, but no busy interval.)
 func TestAttributionCountsEachOccurrenceOnce(t *testing.T) {
 	const n = 2
 	cfg := uts.DriverConfig{
@@ -174,7 +177,21 @@ func TestAttributionCountsEachOccurrenceOnce(t *testing.T) {
 	if got := intervals["task_exec"]; got != tasks.TasksExecuted {
 		t.Errorf("task_exec intervals = %d, want one per executed task (%d)", got, tasks.TasksExecuted)
 	}
-	if got := intervals["steal_window"]; got != tasks.StealAttempts {
-		t.Errorf("steal_window intervals = %d, want one per steal attempt (%d)", got, tasks.StealAttempts)
+	var steals, timed int64
+	for _, d := range dumps {
+		for _, r := range d.Records {
+			if d.Kinds[r[0]].Name == "steal_window" {
+				steals++
+				if r[2] > r[1] {
+					timed++
+				}
+			}
+		}
+	}
+	if steals != tasks.StealAttempts || timed == 0 {
+		t.Errorf("%d steal records (%d of them timed), want one per steal attempt (%d)", steals, timed, tasks.StealAttempts)
+	}
+	if got := intervals["steal_window"]; got != timed {
+		t.Errorf("steal_window intervals = %d, want one per timed steal record (%d)", got, timed)
 	}
 }
