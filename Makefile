@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet chaos chaos-recovery bench-smoke bench-compare bench-harness fuzz-smoke loc obs-smoke serve-smoke all
+.PHONY: build test race lint vet chaos chaos-recovery bench-smoke bench-compare bench-harness dsim-seeds fuzz-smoke loc obs-smoke serve-smoke all
 
 all: build lint test
 
@@ -73,6 +73,13 @@ bench-smoke:
 # repository benchmark below, not here. CI runs the same target.
 bench-compare:
 	bash scripts/bench_compare.sh
+
+# The uts-dsim64 seed table a virtual-time claim is stated with: the
+# repository benchmark on seeds 1-10 with 20-s windows, one row per seed
+# (tasks_per_s, round_p50_ms, speedup). Virtual time, so any host prints
+# the same table; run it on the parent and on the change. ~6 minutes.
+dsim-seeds:
+	bash scripts/dsim_seeds.sh
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a nested module
 # that `go test ./...` from the root does not reach; its own tests keep it

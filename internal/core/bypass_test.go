@@ -160,14 +160,14 @@ func (w *holdWitness) leaving() {
 func (w *holdWitness) Issue(op *pgas.Op) pgas.Nb { defer w.leaving(); return w.Kernel.Issue(op) }
 func (w *holdWitness) Flush()                    { defer w.leaving(); w.Kernel.Flush() }
 
-// TestRecoveryRequeuesHeldTask: rank 2 dies at op 22, a Load64 of its own
+// TestRecoveryRequeuesHeldTask: rank 2 dies at op 20, a Load64 of its own
 // packed word, and the fault unwinds survivors in the release check after
 // a spawning callback, holding its first child. Recovery puts the held
 // task back on the ring before the claims scan, so the replay is exact:
 // each rank's depth-4 ternary tree of 121 tasks is durably completed
 // once. Without that requeue held tasks run twice (493 of 484).
 func TestRecoveryRequeuesHeldTask(t *testing.T) {
-	const n, pin, pinOp = 4, 22, "Load64"
+	const n, pin, pinOp = 4, 20, "Load64"
 	var crashedAt string
 	var unwound int
 	w := faulty.Wrap(dsim.NewWorld(dsim.Config{NProcs: n, Seed: 3, Survivable: true}), faulty.Config{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,11 +103,14 @@ func quietWord(p pgas.Proc, q *taskQueue) {
 // their own private end, their own shared end and other ranks' shared ends
 // (remote adds), on rings of eight tasks that are full much of the time,
 // so that steals, releases, reacquires, remote adds and the inline
-// fallback all interleave, and claims on words read ahead are won and
-// lost. Every task carries an identity and is marked when it runs: each
-// created task exactly once. No run may touch a queue lock, and every
-// copy out of a victim's ring follows a claim on it that was won
-// (copyChecker).
+// fallback all interleave, claims on words read ahead are won and lost,
+// and from three ranks up claims on predicted words (a word busy with
+// another thief's claim, taken as the quiet word its retire leaves) are
+// won: with a chunk of one a claim takes half of a shared portion, so it
+// leaves tasks behind for a second thief. Every task carries an identity
+// and is marked when it runs: each created task exactly once. No run may
+// touch a queue lock, and every copy out of a victim's ring follows a
+// claim on it that was won (copyChecker).
 func TestClaimExactlyOnceAcrossSeeds(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
@@ -114,7 +118,7 @@ func TestClaimExactlyOnceAcrossSeeds(t *testing.T) {
 	}
 	const perRank = 1 << 12 // identities a rank may hand out
 	for _, n := range []int{2, 3, 8} {
-		var steals, ahead, guesses, remoteAdds, inline int64
+		var steals, ahead, predicted, guesses, remoteAdds, inline int64
 		for seed := int64(0); seed < seeds; seed++ {
 			created := make([]int, n)
 			ran := make([][perRank]int8, n)
@@ -123,7 +127,7 @@ func TestClaimExactlyOnceAcrossSeeds(t *testing.T) {
 				me := p.Rank()
 				c := &copyChecker{Kernel: p, won: -1, guess: &guessed}
 				c.Bind(c)
-				tc := NewTC(Attach(&lockCounter{Proc: c, locks: &locks}), Config{MaxBodySize: 16, ChunkSize: 2, MaxTasks: 8})
+				tc := NewTC(Attach(&lockCounter{Proc: c, locks: &locks}), Config{MaxBodySize: 16, ChunkSize: 1, MaxTasks: 8})
 				c.q = tc.q
 				child := NewTask(0, 16)
 				var h Handle
@@ -168,6 +172,7 @@ func TestClaimExactlyOnceAcrossSeeds(t *testing.T) {
 				if g := tc.GlobalStats(); me == 0 {
 					steals += g.StealsOK
 					ahead += g.StealsAhead
+					predicted += g.StealsPredicted
 					remoteAdds += g.RemoteInserts
 					inline += g.InlineExecs
 				}
@@ -191,13 +196,93 @@ func TestClaimExactlyOnceAcrossSeeds(t *testing.T) {
 				}
 			}
 		}
-		if steals == 0 || ahead == 0 || remoteAdds == 0 || inline == 0 {
-			t.Fatalf("P=%d: vacuous sweep: %d steals (%d on a word read ahead), %d remote adds, %d inline executions", n, steals, ahead, remoteAdds, inline)
+		if steals == 0 || ahead == 0 || remoteAdds == 0 || inline == 0 || n > 2 && predicted == 0 {
+			t.Fatalf("P=%d: vacuous sweep: %d steals (%d on a word read ahead, %d on a predicted word), %d remote adds, %d inline executions",
+				n, steals, ahead, predicted, remoteAdds, inline)
 		}
 		if ahead != guesses {
 			t.Fatalf("P=%d: %d steals counted ahead, but %d claims were won on a reloading NbCAS64", n, ahead, guesses)
 		}
-		t.Logf("P=%d: %d seeds, %d steals (%d on a word read ahead), %d remote adds, %d inline executions", n, seeds, steals, ahead, remoteAdds, inline)
+		t.Logf("P=%d: %d seeds, %d steals (%d on a word read ahead, %d on a predicted word), %d remote adds, %d inline executions",
+			n, seeds, steals, ahead, predicted, remoteAdds, inline)
+	}
+}
+
+// TestPredictedClaimWaitsForTheRetire: a claim on a predicted word on
+// three dsim ranks. Rank 0 holds eight shared tasks; thief A (rank 1)
+// claims four of them and has not copied them yet, so thief B (rank 2)
+// probes a word busy with A's claim. B picks the quiet word A's retire
+// will leave; its claim on that word loses, as busy, while A's claim is
+// still out, and the same claim wins once A has landed, taking two of the
+// four tasks A left — each task landing on one thief only.
+func TestPredictedClaimWaitsForTheRetire(t *testing.T) {
+	const victim, a, b = 0, 1, 2
+	var busy, won, predictedEarly, predicted int64
+	var landed [3][]int64
+	err := dsim.NewWorld(dsim.Config{NProcs: 3, Seed: 1}).Run(func(p pgas.Proc) {
+		me := p.Rank()
+		tc := NewTC(Attach(p), Config{MaxBodySize: 8, ChunkSize: 2, MaxTasks: 16})
+		task := NewTask(tc.Register(func(*TC, *Task) {}), 8)
+		for i := 0; me == victim && i < 8; i++ {
+			pgas.PutI64(task.Body(), int64(i))
+			if err := tc.Add(victim, AffinityLow, task); err != nil {
+				panic(err)
+			}
+		}
+		q, s := tc.q, &tc.stats
+		p.Barrier()
+		var w, k int64
+		if me == a {
+			_, w, _ = q.probe([]int{victim})
+			if k = q.claim(victim, w, 2, false, nil, s); k != 4 {
+				panic(fmt.Sprintf("thief A claimed %d tasks, want 4", k))
+			}
+		}
+		p.Barrier()
+		var res stealResult
+		if me == b {
+			k, res = q.steal(victim, 2, false, s)
+			busy, predictedEarly = int64(res), s.StealsPredicted
+			if k != 0 || !q.predicted {
+				panic(fmt.Sprintf("thief B took %d tasks on a word it predicted: %v; want a lost claim on one", k, q.predicted))
+			}
+		}
+		p.Barrier()
+		if me == a {
+			q.land(victim, w, k, nil)
+		}
+		p.Barrier()
+		if me == b {
+			// The word B read is still in probed: the same pick, the same
+			// predicted word, now current.
+			if _, w, res = q.pick([]int{victim}); res != stealOK || !q.predicted {
+				panic(fmt.Sprintf("thief B's pick on the word it read: %v, predicted %v", res, q.predicted))
+			}
+			if k = q.claim(victim, w, 2, false, nil, s); k > 0 {
+				q.land(victim, w, k, nil)
+			}
+			won, predicted = k, s.StealsPredicted
+		}
+		if me != victim {
+			for t, ok := q.popPrivate(s); ok; t, ok = q.popPrivate(s) {
+				landed[me] = append(landed[me], pgas.GetI64(t.Body()))
+			}
+		}
+		p.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if busy != int64(stealBusy) || predictedEarly != 0 {
+		t.Errorf("thief B's claim before the retire ended as %d with %d predicted claims won, want busy (%d) and none", busy, predictedEarly, stealBusy)
+	}
+	if won != 2 || predicted != 1 {
+		t.Errorf("thief B's claim after the retire took %d tasks, %d predicted claims won; want 2 and 1", won, predicted)
+	}
+	got := append(slices.Clone(landed[a]), landed[b]...)
+	slices.Sort(got)
+	if want := []int64{2, 3, 4, 5, 6, 7}; len(landed[a]) != 4 || !slices.Equal(got, want) {
+		t.Errorf("thief A landed %v and thief B %v, want four and two of the tasks %v, each once", landed[a], landed[b], want)
 	}
 }
 

@@ -158,6 +158,9 @@ type taskQueue struct {
 	// allocation per steal.
 	nbBottom, nbLimit int64
 	probed            [2]int64
+	// predicted: the word pick chose is the quiet word a claim in flight
+	// will leave, not one it read.
+	predicted bool
 
 	// batch holds the slot images a locked steal took (stolen) until the
 	// thief has pushed them onto its own ring; a split queue's claims land
@@ -515,13 +518,21 @@ func (q *taskQueue) probe(vs []int) (victim int, w int64, res stealResult) {
 }
 
 // pick chooses among the words of vs in probed: the victim with the most
-// shared tasks on a quiet word. The attempt is stealEmpty when every
-// victim's shared portion was empty, stealBusy when the tasks it saw sit
-// behind a claim being copied or an adder at work.
+// shared tasks on a claimable word. A quiet word is claimable, and so is a
+// word busy only because a claim is being copied out of it (x > 0, a = 0):
+// pick takes it as the quiet word that claim's retirement will leave,
+// w − x·oneX (predicted), which the claim's CAS wins once the retire has
+// landed and nothing else has moved the word. The attempt is stealEmpty
+// when every victim's shared portion was empty, stealBusy when the tasks
+// it saw sit behind an adder at work.
 func (q *taskQueue) pick(vs []int) (victim int, w int64, res stealResult) {
 	victim, res = vs[0], stealEmpty
 	for i, v := range vs {
-		switch pw := q.probed[i]; {
+		pw := q.probed[i]
+		if wordA(pw) == 0 {
+			pw -= wordX(pw) * oneX
+		}
+		switch {
 		case wordN(pw) == 0:
 		case wordBusy(pw):
 			if res == stealEmpty {
@@ -529,6 +540,7 @@ func (q *taskQueue) pick(vs []int) (victim int, w int64, res stealResult) {
 			}
 		case res != stealOK || wordN(pw) > wordN(w):
 			victim, w, res = v, pw, stealOK
+			q.predicted = pw != q.probed[i]
 		}
 	}
 	return victim, w, res
@@ -575,23 +587,26 @@ func (q *taskQueue) claim(victim int, w int64, chunk int, markDirty bool, refres
 	}
 	moved := emod(bottom+k, 2*int64(q.capacity)) - bottom
 	claimed := w + moved*oneB + k*(oneX-oneN)
+	var won bool
 	if !markDirty && refresh == nil {
-		if !q.p.CAS64(victim, q.meta, wShared, w, claimed) {
-			return 0
+		won = q.p.CAS64(victim, q.meta, wShared, w, claimed)
+	} else {
+		if markDirty {
+			q.p.NbFetchAdd64(victim, q.meta, wDirty, 1, &q.nbOld)
+			s.DirtyMarksSent++
 		}
-		return k
+		q.p.NbCAS64(victim, q.meta, wShared, w, claimed, &q.nbSwapped)
+		for i, v := range refresh {
+			q.p.NbLoad64(v, q.meta, wShared, &q.probed[i])
+		}
+		q.p.Flush()
+		won = q.nbSwapped != 0
 	}
-	if markDirty {
-		q.p.NbFetchAdd64(victim, q.meta, wDirty, 1, &q.nbOld)
-		s.DirtyMarksSent++
-	}
-	q.p.NbCAS64(victim, q.meta, wShared, w, claimed, &q.nbSwapped)
-	for i, v := range refresh {
-		q.p.NbLoad64(v, q.meta, wShared, &q.probed[i])
-	}
-	q.p.Flush()
-	if q.nbSwapped == 0 {
+	if !won {
 		return 0
+	}
+	if q.predicted {
+		s.StealsPredicted++
 	}
 	return k
 }

@@ -126,13 +126,13 @@ func treeNodes(n int) int64 {
 func TestRecoveryExactReplaySHM(t *testing.T) {
 	const n = 4
 	// Crash points pinned (with the seeds below) inside the processing
-	// phase, after its three barriers of two Sends each: ops 10 to ~34 are
-	// what rank 2 issues while it works through its own tree — the ordered
-	// release checks, the fetch-adds that release and the CASes that
-	// reacquire — on most runs, though a thief that empties its queue
-	// early leaves it probing (how long it then probes for work before the
-	// phase terminates is the host scheduler's choice, and the phase has
-	// ended by op 35 on a fast run). Faults landing in setup or teardown
+	// phase, after its two barriers of two Sends each and the detector
+	// reset's one Store64: ops 6 to ~30 are what rank 2 issues while it
+	// works through its own tree — the ordered release checks, the
+	// fetch-adds that release and the CASes that reacquire — on most runs,
+	// though a thief that empties its queue early leaves it probing (how
+	// long it then probes for work before the phase terminates is the host
+	// scheduler's choice, and the phase has ended by op 43 on a fast run). Faults landing in setup or teardown
 	// collectives are outside the recoverable window by design (see
 	// DESIGN.md "Recovery").
 	for _, crashAfter := range []int64{13, 21, 29} {
@@ -156,14 +156,14 @@ func TestRecoveryExactReplaySHM(t *testing.T) {
 }
 
 // TestRecoveryExactReplayDSim: the same healing on the deterministic
-// transport, at crash points in rank 2's release checks (15, a Load64 of
+// transport, at crash points in rank 2's release checks (13, a Load64 of
 // its own packed word), between a release and the reacquire that follows
-// (26, the Load64 after the third FetchAdd64), and at its first probe of
-// rank 3's packed word once it has run out of work (43; the phase is 57
+// (24, the Load64 after the third FetchAdd64), and at its first probe of
+// rank 3's packed word once it has run out of work (41; the phase is 47
 // ops).
 func TestRecoveryExactReplayDSim(t *testing.T) {
 	const n = 4
-	for _, pin := range []crashPin{{15, "Load64"}, {26, "Load64"}, {43, "NbLoad64"}} {
+	for _, pin := range []crashPin{{13, "Load64"}, {24, "Load64"}, {41, "NbLoad64"}} {
 		pin := pin
 		t.Run(fmt.Sprintf("crashAfter=%d", pin.ops), func(t *testing.T) {
 			out, err := runRecoveryTree(t, func() pgas.World {
@@ -237,10 +237,10 @@ func TestRecoveryLockedQueueDSim(t *testing.T) {
 	}{
 		// Every attempt of a contended Lock is an op of the fault stream (the
 		// lock is CAS64s issued by pgas.Front), and so is each of a
-		// barrier's two Sends; rank 2's phase is ops 308 to 632. Both pins
+		// barrier's two Sends; rank 2's phase is ops 306 to 637. Both pins
 		// land on a Load64 of its own queue's words.
-		{"after first task", 316, 1, false}, // its first callback starts after op 312, its second after op 319
-		{"survivor unwound inside a steal", 381, -1, true},
+		{"after first task", 314, 1, false}, // its first callback starts after op 310, its second after op 317
+		{"survivor unwound inside a steal", 379, -1, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// The run ends near 2 ms of virtual time. A queue lock that
@@ -303,7 +303,7 @@ func TestRecoveryDeterministicDSim(t *testing.T) {
 	run := func() recoveryOutcome {
 		out, err := runRecoveryTree(t, func() pgas.World {
 			return dsim.NewWorld(dsim.Config{NProcs: n, Seed: 7, Survivable: true})
-		}, n, 1, crashPin{37, "NbLoad64"}, 99) // rank 1's first probe of rank 3's packed word
+		}, n, 1, crashPin{35, "NbLoad64"}, 99) // rank 1's first probe of rank 3's packed word
 		if err != nil {
 			t.Fatalf("survivable world failed: %v", err)
 		}

@@ -35,14 +35,18 @@ type Stats struct {
 	// StealsAhead counts the StealsOK whose claim was won on a word read
 	// ahead by the previous steal's transfer, with no probe of its own.
 	StealsAhead int64
-	StealsEmpty int64 // every probed victim's shared portion held nothing
+	// StealsPredicted counts the StealsOK whose claim was won on a
+	// predicted word: the quiet word another thief's claim, still being
+	// copied when this one read the word, left on retiring (taskQueue.pick).
+	StealsPredicted int64
+	StealsEmpty     int64 // every probed victim's shared portion held nothing
 	// StealsBusy: on a split queue, the only tasks the probe saw sat behind
-	// another thief's claim still being copied or a remote adder at work,
-	// or this thief's claim CAS lost to a concurrent change of the word (a
-	// lost claim on a word read ahead is not one by itself: the round goes
-	// on), or its own ring had no room to land a claim in; on a locked
-	// queue, the TryLock failed. Either way the next idle round draws fresh
-	// random victims.
+	// a remote adder at work, or this thief's claim CAS lost to a
+	// concurrent change of the word — a claim on a predicted word loses so
+	// while the claim it waits on has not retired — (a lost claim on a word
+	// read ahead is not one by itself: the round goes on), or its own ring
+	// had no room to land a claim in; on a locked queue, the TryLock
+	// failed. Either way the next idle round draws fresh random victims.
 	StealsBusy  int64
 	TasksStolen int64
 	// DirtyMarksSent and DirtyMarksElided count §5.3's decision for a
@@ -108,6 +112,7 @@ func (s *Stats) add(o *Stats) {
 	s.StealAttempts += o.StealAttempts
 	s.StealsOK += o.StealsOK
 	s.StealsAhead += o.StealsAhead
+	s.StealsPredicted += o.StealsPredicted
 	s.StealsEmpty += o.StealsEmpty
 	s.StealsBusy += o.StealsBusy
 	s.TasksStolen += o.TasksStolen
@@ -137,7 +142,7 @@ func (s *Stats) asSlice() []int64 {
 		s.LocalInserts, s.LocalSharedInserts, s.RemoteInserts, s.LocalGets,
 		s.Releases, s.TasksReleased, s.Reacquires, s.TasksReacquired,
 		s.StealAttempts, s.StealsOK, s.StealsEmpty, s.StealsAhead,
-		s.TasksStolen, s.DirtyMarksSent, s.DirtyMarksElided,
+		s.StealsPredicted, s.TasksStolen, s.DirtyMarksSent, s.DirtyMarksElided,
 		s.WavesSeen, s.Votes, s.BlackVotes, s.TermCounterOps,
 		s.DeferredRegistered, s.DeferredLaunched,
 		s.Recoveries, s.TasksRecovered, s.SalvagedExecs,
@@ -146,7 +151,7 @@ func (s *Stats) asSlice() []int64 {
 }
 
 // statsWords is the number of words asSlice produces.
-const statsWords = 30
+const statsWords = 31
 
 // fromSlice restores counters flattened by asSlice.
 func (s *Stats) fromSlice(v []int64) {
@@ -155,18 +160,18 @@ func (s *Stats) fromSlice(v []int64) {
 	s.Releases, s.TasksReleased, s.Reacquires, s.TasksReacquired = v[8], v[9], v[10], v[11]
 	s.StealAttempts, s.StealsOK, s.StealsEmpty, s.StealsAhead = v[12], v[13], v[14], v[15]
 	s.StealsBusy = s.StealAttempts - s.StealsOK - s.StealsEmpty
-	s.TasksStolen, s.DirtyMarksSent, s.DirtyMarksElided = v[16], v[17], v[18]
-	s.WavesSeen, s.Votes, s.BlackVotes, s.TermCounterOps = v[19], v[20], v[21], v[22]
-	s.DeferredRegistered, s.DeferredLaunched = v[23], v[24]
-	s.Recoveries, s.TasksRecovered, s.SalvagedExecs = v[25], v[26], v[27]
-	s.IdleTime, s.WorkTime = time.Duration(v[28]), time.Duration(v[29])
+	s.StealsPredicted, s.TasksStolen, s.DirtyMarksSent, s.DirtyMarksElided = v[16], v[17], v[18], v[19]
+	s.WavesSeen, s.Votes, s.BlackVotes, s.TermCounterOps = v[20], v[21], v[22], v[23]
+	s.DeferredRegistered, s.DeferredLaunched = v[24], v[25]
+	s.Recoveries, s.TasksRecovered, s.SalvagedExecs = v[26], v[27], v[28]
+	s.IdleTime, s.WorkTime = time.Duration(v[29]), time.Duration(v[30])
 }
 
 // String renders the headline counters compactly.
 func (s *Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "exec=%d (local %d, inline %d) added=%d", s.TasksExecuted, s.ExecutedLocal, s.InlineExecs, s.TasksAdded)
-	fmt.Fprintf(&b, " steals=%d/%d (ahead %d, empty %d, busy %d) stolen=%d", s.StealsOK, s.StealAttempts, s.StealsAhead, s.StealsEmpty, s.StealsBusy, s.TasksStolen)
+	fmt.Fprintf(&b, " steals=%d/%d (ahead %d, predicted %d, empty %d, busy %d) stolen=%d", s.StealsOK, s.StealAttempts, s.StealsAhead, s.StealsPredicted, s.StealsEmpty, s.StealsBusy, s.TasksStolen)
 	fmt.Fprintf(&b, " rel=%d reacq=%d dirty=%d(elided %d)", s.Releases, s.Reacquires, s.DirtyMarksSent, s.DirtyMarksElided)
 	fmt.Fprintf(&b, " waves=%d votes=%d black=%d", s.WavesSeen, s.Votes, s.BlackVotes)
 	if s.Recoveries > 0 {

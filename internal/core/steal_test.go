@@ -12,13 +12,15 @@ import (
 
 // opRecorder is a kernel that logs, while on, every one-sided operation
 // and Flush its rank issues, as "NbLoad64 r1 w1" (the op, its target and,
-// for a queue metadata word, the word) or "Flush".
+// for a queue metadata word, the word) or "Flush". flushed, when not nil,
+// runs once, unrecorded, when the next recorded Flush has completed.
 type opRecorder struct {
 	pgas.Front
 	pgas.Kernel
-	meta pgas.Seg
-	on   bool
-	log  []string
+	meta    pgas.Seg
+	on      bool
+	log     []string
+	flushed func()
 }
 
 func (r *opRecorder) Unwrap() pgas.Kernel { return r.Kernel }
@@ -35,10 +37,15 @@ func (r *opRecorder) Issue(op *pgas.Op) pgas.Nb {
 }
 
 func (r *opRecorder) Flush() {
+	r.Kernel.Flush()
 	if r.on {
 		r.log = append(r.log, "Flush")
+		if f := r.flushed; f != nil {
+			r.on, r.flushed = false, nil
+			f()
+			r.on = true
+		}
 	}
-	r.Kernel.Flush()
 }
 
 // completions cuts a log into the points at which operations complete: a
@@ -132,7 +139,10 @@ func landing(point []string, v string) bool {
 // behind it, then the landing. Had that word moved, the CAS loses and the
 // round claims on what the reload saw: three points. Had no word read
 // ahead been claimable, the round is an empty probe that sends nothing,
-// and the next round probes afresh. At P = 2 the probe
+// and the next round probes afresh. A claim on a predicted word — one
+// read busy with another thief's claim, taken as the quiet word its
+// retire leaves — costs what a claim on a word read quiet costs: three
+// points after a probe. At P = 2 the probe
 // is one blocking load; under the counter detector it is too, and no
 // landing reads ahead; a locked queue keeps the paper's sequence and
 // pushes what it took.
@@ -181,6 +191,32 @@ func TestStealRoundTrips(t *testing.T) {
 		}
 		if s.StealsOK != 1 || s.StealsAhead != 0 || s.DirtyMarksSent != c.sent {
 			t.Errorf("P=4 %s first steal counted %d ok, %d ahead, %d marks sent, want 1, 0 and %d", c.name, s.StealsOK, s.StealsAhead, s.DirtyMarksSent, c.sent)
+		}
+
+		// A predicted claim: every other rank's word reads busy with a claim
+		// of two still being copied, which retires once the probe has
+		// completed. The round claims on the quiet word the retire leaves,
+		// at the points of a claim on a word probed quiet.
+		inFlight := func(tc *TC, x int64) {
+			for r := 1; r < 4; r++ {
+				tc.rt.p.FetchAdd64(r, tc.q.meta, wShared, x)
+			}
+		}
+		rounds, s = stealRound(t, 4, true, c.cfg, func(tc *TC, _ *Task) {
+			inFlight(tc, 2*oneX)
+			tc.rt.p.(*opRecorder).flushed = func() { inFlight(tc, -2*oneX) }
+		})
+		if len(rounds) != 3 || len(rounds[0]) != 2 {
+			t.Errorf("P=4 %s predicted claim completed at %d points: %q, want 3 after a two-victim probe", c.name, len(rounds), rounds)
+			continue
+		}
+		v = victimOf(rounds[1][0])
+		if want := c.claim(v); !slices.Equal(rounds[1], want) || !landing(rounds[2], v) {
+			t.Errorf("P=4 %s predicted claim completed as %q then %q, want %q then the landing", c.name, rounds[1], rounds[2], want)
+		}
+		if s.StealsOK != 1 || s.StealsPredicted != 1 || s.StealsBusy != 0 || s.DirtyMarksSent != c.sent {
+			t.Errorf("P=4 %s predicted claim counted %d ok, %d predicted, %d busy, %d marks sent, want 1, 1, 0 and %d",
+				c.name, s.StealsOK, s.StealsPredicted, s.StealsBusy, s.DirtyMarksSent, c.sent)
 		}
 
 		// A hit: the words read ahead are claimable as they were read.

@@ -14,9 +14,9 @@
 //   - chunked work stealing from the shared tail of randomly chosen
 //     victims, with affinity-based task placement so low-affinity tasks
 //     are stolen first,
-//   - wave-based termination detection over a binary spanning tree with
-//     white/black token coloring and the paper's §5.3 dirty-marking
-//     elision optimization,
+//   - wave-based termination detection over a 4-ary spanning tree (the
+//     paper's is binary; see td.go) with white/black token coloring and
+//     the paper's §5.3 dirty-marking elision optimization,
 //   - common local objects (CLOs) giving tasks access to a per-process
 //     instance of collectively registered objects wherever they execute.
 package core

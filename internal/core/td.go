@@ -3,34 +3,35 @@ package core
 import "scioto/internal/pgas"
 
 // Termination detection, following Section 5.2 of the paper: a wave-based
-// algorithm in the style of Francez and Rodeh. A binary spanning tree is
-// mapped onto the process space (rank r's children are 2r+1 and 2r+2). The
-// root starts a token wave that is split on the way down the tree; as
-// processes become passive they combine their children's tokens with their
-// own color and pass the result up. Tokens are white unless the process (or
-// one of its children) performed a load-balancing operation since its last
-// vote, or a thief marked the process dirty; a black token at the root
-// forces another wave, a white one means global termination.
+// algorithm in the style of Francez and Rodeh over a spanning tree of the
+// processes. The tree is a 4-ary heap (rank r's children are 4r+1 … 4r+4,
+// its parent (r−1)/4): a wave crosses the tree twice, down and up, so the
+// depth, ⌈log₄⌉ of P rather than the paper's binary ⌈log₂⌉, is what the
+// detection costs after the last task. The root starts a token wave that is
+// split on the way down the tree; as processes become passive they combine
+// their children's tokens with their own color and pass the result up.
+// Tokens are white unless the process (or one of its children) performed a
+// load-balancing operation since its last vote, or a thief marked the
+// process dirty; a black token at the root forces another wave, a white one
+// means global termination.
 //
-// The §5.3 token coloring optimization is implemented in TC.processLoop:
-// a thief skips marking its victim dirty when the thief has not yet voted
-// in the wave it knows about, or when the victim votes before the thief
-// (i.e. the victim is a descendant of the thief in the spanning tree).
+// The §5.3 token coloring optimization is implemented in TC.markFor: a
+// thief skips marking its victim dirty when the thief has not yet voted in
+// the wave it knows about, or when the victim votes before the thief (the
+// victim is a descendant of the thief in the spanning tree: votesBefore).
 //
 // Word-cell protocol (one word segment per process):
 //
-//	cell 0 (down):  wave number written by the parent; termSignal means
-//	                global termination; 0 means empty.
-//	cell 1 (up[0]): vote from the left child: wave*4 + 2 + color.
-//	cell 2 (up[1]): vote from the right child.
+//	cell 0 (down):     wave number written by the parent; termSignal means
+//	                   global termination; 0 means empty.
+//	cell 1+i (up[i]):  vote from the child in slot i: wave*4 + 2 + color.
 //
 // Votes encode the wave so a slow parent cannot confuse waves; down cells
 // only ever increase (waves are numbered from 1).
 const (
-	tdDown  = 0
-	tdUpL   = 1
-	tdUpR   = 2
-	nTDCell = 3
+	tdArity = 4 // children per node of the spanning tree
+	tdDown  = 0 // the up cells follow it, one per child slot
+	nTDCell = 1 + tdArity
 
 	termSignal = -1
 )
@@ -47,20 +48,6 @@ func encodeVote(wave int64, color int64) int64 { return wave*4 + 2 + color }
 // decodeVote unpacks an up-cell value.
 func decodeVote(v int64) (wave int64, color int64) { return (v - 2) / 4, (v - 2) % 4 }
 
-// IsDescendant reports whether rank v is a (possibly indirect) descendant
-// of rank t in the binary spanning tree, i.e. whether v votes before t
-// (the paper's votes-before relation "v -> t"). A rank is not its own
-// descendant.
-func IsDescendant(v, t int) bool {
-	if v <= t {
-		return false
-	}
-	for v > t {
-		v = (v - 1) / 2
-	}
-	return v == t
-}
-
 // termDetector is the per-process termination detection state for one
 // processing phase of a task collection.
 //
@@ -68,8 +55,8 @@ func IsDescendant(v, t int) bool {
 // ranks in rank order. At creation every rank is live, so compact index
 // equals rank and the tree matches the paper's fixed layout. After a rank
 // death, rebuild renumbers the survivors and re-roots the tree at the
-// lowest live rank, preserving the binary-heap shape (compact index c's
-// children are 2c+1 and 2c+2) over P−1 members.
+// lowest live rank, preserving the heap shape (compact index c's children
+// are tdArity·c+1 … tdArity·c+tdArity) over P−1 members.
 type termDetector struct {
 	p   pgas.Proc
 	seg pgas.Seg
@@ -115,7 +102,7 @@ func newTermDetector(p pgas.Proc, stats *Stats) *termDetector {
 // rebuild remaps the spanning tree onto the live membership: survivors are
 // renumbered by compact index (position among live ranks, in rank order),
 // the root becomes the lowest live rank, and parent/children links are
-// recomputed from the compact binary-heap shape. Local operation; callers
+// recomputed from the compact heap shape. Local operation; callers
 // must follow with reset (collectively) before the next wave.
 func (td *termDetector) rebuild(alive []bool) {
 	n := td.p.NProcs()
@@ -137,37 +124,38 @@ func (td *termDetector) rebuild(alive []bool) {
 	td.isRoot = me == 0
 	td.parent = -1
 	if me > 0 {
-		td.parent = byCi[(me-1)/2]
+		td.parent = byCi[(me-1)/tdArity]
 	}
 	td.children = td.children[:0]
-	for _, c := range []int{2*me + 1, 2*me + 2} {
-		if c < td.nLive {
-			td.children = append(td.children, byCi[c])
-		}
+	for c := tdArity*me + 1; c <= tdArity*me+tdArity && c < td.nLive; c++ {
+		td.children = append(td.children, byCi[c])
 	}
 }
 
 // votesBefore reports whether rank v votes before rank t in the current
-// tree — i.e. v is a (possibly indirect) descendant of t over the compact
-// live indices. This is the membership-aware form of IsDescendant.
+// tree (the paper's votes-before relation "v -> t"): v is a descendant of
+// t over the compact live indices. A rank does not vote before itself.
 func (td *termDetector) votesBefore(v, t int) bool {
 	cv, ct := td.ci[v], td.ci[t]
 	if cv < 0 || ct < 0 || cv <= ct {
 		return false
 	}
 	for cv > ct {
-		cv = (cv - 1) / 2
+		cv = (cv - 1) / tdArity
 	}
 	return cv == ct
 }
 
 // reset prepares the detector for a new processing phase: it zeroes this
-// rank's own cells, with a barrier on both sides (handled by the TC).
+// rank's down cell and the up cells its children write (a leaf's one cell),
+// with a barrier behind it (handled by the TC). The up cells of slots no
+// child fills are never read.
 func (td *termDetector) reset() {
 	me := td.p.Rank()
 	td.p.Store64(me, td.seg, tdDown, 0)
-	td.p.Store64(me, td.seg, tdUpL, 0)
-	td.p.Store64(me, td.seg, tdUpR, 0)
+	for _, c := range td.children {
+		td.p.Store64(me, td.seg, td.upCellOf(c), 0)
+	}
 	td.wave = 0
 	td.forwarded = false
 	td.voted = false
@@ -185,14 +173,11 @@ func (td *termDetector) noteBalance() { td.balancedSinceVote = true }
 // wave it has observed (the thief-side input to the coloring optimization).
 func (td *termDetector) hasVoted() bool { return td.voted }
 
-// upCellOf returns the up-cell index on the parent that this rank writes.
-// Laterality follows the rank's compact index, so the cell assignment
-// stays collision-free after a rebuild.
+// upCellOf returns the up-cell index on the parent that rank writes: its
+// child slot, which follows the rank's compact index, so the cell
+// assignment stays collision-free after a rebuild.
 func (td *termDetector) upCellOf(rank int) int {
-	if td.ci[rank]%2 == 1 {
-		return tdUpL
-	}
-	return tdUpR
+	return 1 + (td.ci[rank]-1)%tdArity
 }
 
 // step advances the detector. passive must be true iff the caller is idle

@@ -23,8 +23,8 @@ import (
 type TerminationMode int
 
 const (
-	// TermWave is the paper's wave-based algorithm over a binary spanning
-	// tree with token coloring (default).
+	// TermWave is the paper's wave-based algorithm with token coloring,
+	// over a 4-ary spanning tree where the paper's is binary (default).
 	TermWave TerminationMode = iota
 	// TermCounter uses an eager global outstanding-task counter hosted on
 	// rank 0.

@@ -144,12 +144,13 @@ func TestRunRecover(t *testing.T) {
 			Transport: tr,
 			Seed:      9,
 			Recover:   true,
-			// Op 16 is, on dsim, the rank's second reacquire, a CAS64: ops
-			// 8 to 24 are what it issues while it works through its own
+			// Op 14 is, on dsim, the rank's second reacquire, a CAS64: ops
+			// 6 to 22 are what it issues while it works through its own
 			// fifty tasks, after two barriers of two Sends each and the
-			// detector reset's three Store64s; the phase can be over by op
-			// 27. On shm what thieves took decides which of those ops it is.
-			Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 2, CrashAfterOps: 16,
+			// detector reset's one Store64 (rank 2 is a leaf of the wave
+			// tree); the phase can be over by op 25. On shm what thieves
+			// took decides which of those ops it is.
+			Faults: &scioto.FaultConfig{Seed: 9, CrashRank: 2, CrashAfterOps: 14,
 				Observe: func(_ time.Duration, _ int, kind, op string, _ int) {
 					if kind == "crash" {
 						crashedAt = op
