@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"scioto/internal/pgas"
 )
@@ -20,7 +19,8 @@ import (
 // popped-but-not-yet-executed when the fault unwound a survivor.
 //
 // Protocol, after every survivor has observed the fault and entered
-// recovery (one-sided barrier over the live membership):
+// recovery (a Barrier, which SurviveFault has moved onto the live
+// membership):
 //
 //  1. Claims. Every survivor scans its own queue and reports, to each
 //     live home, the journal slots it still holds; slots homed on the
@@ -60,38 +60,22 @@ const (
 	tagRecoverRemap  int32 = -0x7ec1
 )
 
-// recovery is the per-rank membership and rendezvous state.
+// recovery is the per-rank membership state.
 type recovery struct {
-	p   pgas.Proc
 	res pgas.Resilient
 
 	alive  []bool
 	nAlive int
 	epoch  int64
 
-	seg   pgas.Seg // [0] barrier arrivals (leader-hosted), [1] release round
-	round int64
-
 	inRecovery bool
 
 	depRemap map[Dep]Dep // deferred handles re-homed off dead ranks
 }
 
-const (
-	wRecArrive  = 0
-	wRecRelease = 1
-	nRecWords   = 2
-)
-
-// newRecovery collectively allocates the rendezvous words.
-func newRecovery(p pgas.Proc, res pgas.Resilient) *recovery {
-	rec := &recovery{
-		p:      p,
-		res:    res,
-		alive:  make([]bool, p.NProcs()),
-		nAlive: p.NProcs(),
-		seg:    p.AllocWords(nRecWords),
-	}
+// newRecovery starts with every rank alive.
+func newRecovery(nprocs int, res pgas.Resilient) *recovery {
+	rec := &recovery{res: res, alive: make([]bool, nprocs), nAlive: nprocs}
 	for i := range rec.alive {
 		rec.alive[i] = true
 	}
@@ -116,32 +100,6 @@ func (rec *recovery) healer() int {
 		}
 	}
 	panic("core: no live ranks")
-}
-
-// liveBarrier synchronizes the live ranks with one-sided operations only.
-// pgas.Front's barrier runs over the live ranks too once SurviveFault has
-// moved this rank's fault epoch (pgas/barrier.go), but during the protocol
-// the rendezvous stays explicit and self-contained.
-func (rec *recovery) liveBarrier() {
-	rec.round++
-	leader := rec.healer()
-	me := rec.p.Rank()
-	if me == leader {
-		for rec.p.Load64(me, rec.seg, wRecArrive) < int64(rec.nAlive-1) {
-			runtime.Gosched()
-		}
-		rec.p.Store64(me, rec.seg, wRecArrive, 0)
-		for r, a := range rec.alive {
-			if a && r != me {
-				rec.p.Store64(r, rec.seg, wRecRelease, rec.round)
-			}
-		}
-		return
-	}
-	rec.p.FetchAdd64(leader, rec.seg, wRecArrive, 1)
-	for rec.p.Load64(me, rec.seg, wRecRelease) < rec.round {
-		runtime.Gosched()
-	}
 }
 
 // remapDep resolves a Dep handle through the post-recovery remap table.
@@ -238,8 +196,9 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	}
 
 	// Rendezvous: from here on every live rank is inside recovery and no
-	// queue or journal mutates outside the protocol.
-	rec.liveBarrier()
+	// queue or journal mutates outside the protocol. SurviveFault moved
+	// this rank's fault epoch, so the barrier runs over the survivors.
+	p.Barrier()
 
 	// --- Claims: scan our own queue and report what we hold. ----------
 	bottom, top := tc.q.liveRange()
@@ -328,7 +287,7 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 
 	// --- Heal the termination tree and re-enter. -----------------------
 	tc.td.rebuild(rec.alive)
-	rec.liveBarrier()
+	p.Barrier()
 	// Abandoned pending launch records (ours) are safe to drop only now:
 	// every pool owner has finished reading launcher journal states, so
 	// nobody can mistake the freed slot for a progressed launch.
@@ -344,38 +303,24 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 // locally. Claims whose journal entry went live (or further) are covered by
 // the launcher's replay and are merely released. Returns the relaunch count.
 func (tc *TC) sweepDeferred() int64 {
-	rec := tc.rec
 	pool := tc.deps
 	p := tc.rt.p
 	me := p.Rank()
-	buf := make([]byte, pool.slotSize)
 	relaunched := int64(0)
 	for s := 0; s < pool.slots; s++ {
 		v := p.Load64(me, pool.ctr, s)
 		if v == depFree || v > 0 {
 			continue
 		}
-		if isDepClaim(v) {
-			launcher, js := decodeDepClaim(v)
-			st := jPending
-			if rec.alive[launcher] {
-				st = p.Load64(launcher, tc.jn.state, js)
-			} else if sv, ok := rec.res.SalvageLoad64(launcher, tc.jn.state, js); ok {
-				st = sv
-			}
-			if st != jPending {
-				// The launcher recorded a replayable journal entry before
-				// it stopped; its replay (live launcher) or the healer's
-				// salvage (dead launcher) covers the task.
-				p.Store64(me, pool.ctr, s, depFree)
-				continue
-			}
+		if isDepClaim(v) && tc.launchState(v) != jPending {
+			// The launcher recorded a replayable journal entry before it
+			// stopped; its replay (live launcher) or the healer's salvage
+			// (dead launcher) covers the task.
+			p.Store64(me, pool.ctr, s, depFree)
+			continue
 		}
 		off := s * pool.slotSize
-		copy(buf, p.Local(pool.data)[off:off+pool.slotSize])
-		t := decodeTask(buf)
-		tc.journalize(t)
-		tc.requeue(t.wire())
+		tc.rehome(p.Local(pool.data)[off : off+pool.slotSize])
 		tc.stats.DeferredLaunched++
 		relaunched++
 		p.Store64(me, pool.ctr, s, depFree)
@@ -405,9 +350,7 @@ func (tc *TC) salvageDeadJournal(dead int, claimed map[int64]bool, salvagedExecs
 			if !rec.res.Salvage(buf, dead, jn.data, s*jn.slotSize) {
 				panic(fmt.Sprintf("core: cannot salvage journal data of dead rank %d", dead))
 			}
-			t := decodeTask(buf)
-			tc.journalize(t) // re-home under our own journal
-			tc.requeue(t.wire())
+			tc.rehome(buf)
 			replayed++
 		case st >= jDoneBase && int(st-jDoneBase) == dead:
 			// The dead rank added and executed this task itself; its
@@ -431,73 +374,83 @@ func (tc *TC) salvageDeadJournal(dead int, claimed map[int64]bool, salvagedExecs
 // directly. Runs (and sends) even when the pool is empty so receivers can
 // Recv unconditionally. Returns the number of direct launches.
 func (tc *TC) salvageDeadDeferred(dead int) int64 {
+	pool := tc.deps
+	if pool == nil {
+		return 0
+	}
 	rec := tc.rec
 	p := tc.rt.p
 	launched := int64(0)
 	var remap []byte
-	if tc.deps != nil {
-		pool := tc.deps
-		buf := make([]byte, pool.slotSize)
-		for s := 0; s < pool.slots; s++ {
-			ctr, ok := rec.res.SalvageLoad64(dead, pool.ctr, s)
-			if !ok {
-				panic(fmt.Sprintf("core: cannot salvage deferred pool of dead rank %d", dead))
-			}
-			if ctr == depFree {
-				continue
-			}
-			if isDepClaim(ctr) {
-				// A launcher claimed this entry before the rank died. If
-				// its journal record went live the launch is replayable
-				// (the launcher's own replay, or our journal salvage when
-				// the dead rank was satisfying its own dep) — skip it.
-				launcher, js := decodeDepClaim(ctr)
-				st := jPending
-				if rec.alive[launcher] {
-					st = p.Load64(launcher, tc.jn.state, js)
-				} else if sv, sok := rec.res.SalvageLoad64(launcher, tc.jn.state, js); sok {
-					st = sv
-				}
-				if st != jPending {
-					continue
-				}
-			}
-			if !rec.res.Salvage(buf, dead, pool.data, s*pool.slotSize) {
-				panic(fmt.Sprintf("core: cannot salvage deferred pool data of dead rank %d", dead))
-			}
-			t := decodeTask(buf)
-			if ctr <= 0 {
-				// Satisfied but never launched: run it from here.
-				tc.journalize(t)
-				tc.requeue(t.wire())
-				tc.stats.DeferredLaunched++
-				launched++
-				continue
-			}
-			nd, err := tc.AddDeferred(t.Affinity(), t, int(ctr))
-			if err != nil {
-				panic(fmt.Sprintf("core: re-registering salvaged deferred task: %v", err))
-			}
-			if rec.depRemap == nil {
-				rec.depRemap = make(map[Dep]Dep)
-			}
-			od := Dep{Proc: int32(dead), Slot: int32(s)}
-			rec.depRemap[od] = nd
-			entry := make([]byte, 2*DepBytes)
-			EncodeDep(entry, od)
-			EncodeDep(entry[DepBytes:], nd)
-			remap = append(remap, entry...)
+	buf := make([]byte, pool.slotSize)
+	for s := 0; s < pool.slots; s++ {
+		ctr, ok := rec.res.SalvageLoad64(dead, pool.ctr, s)
+		if !ok {
+			panic(fmt.Sprintf("core: cannot salvage deferred pool of dead rank %d", dead))
 		}
-	}
-	for r := 0; r < p.NProcs(); r++ {
-		if r == p.Rank() || !rec.alive[r] {
+		if ctr == depFree {
 			continue
 		}
-		if tc.deps != nil {
+		// A launcher claimed this entry before the rank died. If its
+		// journal record went live the launch is replayable (the
+		// launcher's own replay, or our journal salvage when the dead rank
+		// was satisfying its own dep) — skip it.
+		if isDepClaim(ctr) && tc.launchState(ctr) != jPending {
+			continue
+		}
+		if !rec.res.Salvage(buf, dead, pool.data, s*pool.slotSize) {
+			panic(fmt.Sprintf("core: cannot salvage deferred pool data of dead rank %d", dead))
+		}
+		if ctr <= 0 {
+			// Satisfied but never launched: run it from here.
+			tc.rehome(buf)
+			tc.stats.DeferredLaunched++
+			launched++
+			continue
+		}
+		t := decodeTask(buf)
+		nd, err := tc.AddDeferred(t.Affinity(), t, int(ctr))
+		if err != nil {
+			panic(fmt.Sprintf("core: re-registering salvaged deferred task: %v", err))
+		}
+		if rec.depRemap == nil {
+			rec.depRemap = make(map[Dep]Dep)
+		}
+		od := Dep{Proc: int32(dead), Slot: int32(s)}
+		rec.depRemap[od] = nd
+		entry := make([]byte, 2*DepBytes)
+		EncodeDep(entry, od)
+		EncodeDep(entry[DepBytes:], nd)
+		remap = append(remap, entry...)
+	}
+	for r := 0; r < p.NProcs(); r++ {
+		if r != p.Rank() && rec.alive[r] {
 			p.Send(r, tagRecoverRemap, remap)
 		}
 	}
 	return launched
+}
+
+// rehome relaunches the descriptor image in buf from this rank: a task of
+// its own, recorded in this rank's journal and queued here.
+func (tc *TC) rehome(buf []byte) {
+	t := decodeTask(buf)
+	tc.journalize(t)
+	tc.requeue(t.wire())
+}
+
+// launchState is the journal state of the launch a deferred entry's claim
+// names: read from a live launcher's journal, salvaged from a dead one's,
+// or jPending when the dead one's cannot be read.
+func (tc *TC) launchState(claim int64) int64 {
+	launcher, js := decodeDepClaim(claim)
+	if tc.rec.alive[launcher] {
+		return tc.rt.p.Load64(launcher, tc.jn.state, js)
+	}
+	if st, ok := tc.rec.res.SalvageLoad64(launcher, tc.jn.state, js); ok {
+		return st
+	}
+	return jPending
 }
 
 // installDepRemap decodes the healer's remap broadcast.

@@ -161,7 +161,7 @@ func NewTC(rt *Runtime, cfg Config) *TC {
 		// so every rank takes this branch congruently.
 		if res, ok := pgas.Find[pgas.Resilient](rt.p); ok {
 			tc.jn = newJournal(rt.p, 2*cfg.MaxTasks, slotSize)
-			tc.rec = newRecovery(rt.p, res)
+			tc.rec = newRecovery(rt.NProcs(), res)
 		}
 	}
 	tc.SetObserver(rt.obs)

@@ -265,19 +265,7 @@ func (p *proc) Flush() {
 	p.nb = p.nb[:0]
 }
 
-// RelaxedLoad64 observes the process's own word as of its last yield point
-// (no token handshake), modeling a relaxed-memory read. The value must be
-// treated as a hint unless remote processes never write the word.
-func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 {
-	return p.w.wordSegs[seg][p.rank][idx]
-}
-
-// RelaxedStore64 writes the process's own word without yielding. It must
-// only be used for words that remote processes never access; use
-// Store64(Rank(), ...) for owner words that thieves read.
-func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
-	p.w.wordSegs[seg][p.rank][idx] = val
-}
+func (p *proc) LocalWords(seg pgas.Seg) []int64 { return p.w.wordSegs[seg][p.rank] }
 
 // --- Two-sided messages -------------------------------------------------------
 

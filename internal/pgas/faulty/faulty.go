@@ -27,13 +27,14 @@
 // is what lets it compose over the tcp transport, where each rank's
 // wrapped Proc lives in a separate OS process.
 //
-// Purely local accessors (Rank, NProcs, Local, RelaxedLoad64,
-// RelaxedStore64, Clock), collective allocation and Flush are never
-// faulted: faults model the network, not the local heap. They are not even
-// intercepted — the wrapper embeds the kernel below it and overrides only
-// what it faults, so those calls are the inner kernel's own methods. The
+// Purely local accessors (Rank, NProcs, Local, LocalWords, Clock),
+// collective allocation and Flush are never faulted: faults model the
+// network, not the local heap. They are not even intercepted — the wrapper
+// embeds the kernel below it and overrides only what it faults, so those
+// calls are the inner kernel's own methods. The relaxed word ops and the
 // clock methods (Compute, Charge, Now, Rand) are its Front's, over the
-// inner kernel's Clock, so they see the same clock as the transport.
+// inner kernel's LocalWords and Clock, so they see the transport's words
+// and clock.
 package faulty
 
 import (

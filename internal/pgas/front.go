@@ -131,9 +131,10 @@ const NbPending Nb = 1
 // The lock methods (lock.go) are built on CAS64 here too, the barrier
 // and AllReduce (barrier.go, allreduce.go) on Send and Recv, and the clock
 // methods (clock.go) on the kernel's Clock.
+// The owner's relaxed word ops are sync/atomic on LocalWords' slice.
 // A transport or wrapper embeds a Front in its Kernel type and binds it to
 // itself, which makes that type a Proc whose owner-side accessors (Local,
-// the relaxed words) are still its own methods, one dispatch away.
+// LocalWords) are still its own methods, one dispatch away.
 // Kernel code must not call the Front methods of its own value from inside
 // Issue: they would overwrite the descriptor being served.
 type Front struct {
@@ -149,6 +150,10 @@ type Front struct {
 
 	tag int64  // this rank's holder tag in a lock cell: rank + 1 (lock.go)
 	clk *Clock // the kernel's clock (clock.go)
+
+	// words[seg] is LocalWords(seg), resolved on the segment's first
+	// relaxed op; the slice is stable, so it is never resolved again.
+	words [][]int64
 
 	// The collectives (barrier.go, allreduce.go): the world size, the
 	// kernel's membership when it is Resilient, and the member list as of
@@ -297,6 +302,35 @@ func (f *Front) NbCAS64(proc int, seg Seg, idx int, old, new int64, swapped *int
 	h := f.k.Issue(op)
 	op.Out = nil
 	return f.number(h)
+}
+
+// RelaxedLoad64 is Proc's owner-side load. The access is sync/atomic, so
+// it is sequentially consistent with every word op on the cell; relaxed
+// means no yield, no charge and no ordering against ops still in flight.
+func (f *Front) RelaxedLoad64(seg Seg, idx int) int64 {
+	return atomic.LoadInt64(&f.own(seg)[idx])
+}
+
+// RelaxedStore64 is Proc's owner-side store, sync/atomic like the load.
+func (f *Front) RelaxedStore64(seg Seg, idx int, val int64) {
+	atomic.StoreInt64(&f.own(seg)[idx], val)
+}
+
+// own is this rank's instance of word segment seg: a table hit, inlined
+// into the relaxed ops, or the out-of-line first resolution.
+func (f *Front) own(seg Seg) []int64 {
+	if int(seg) < len(f.words) && f.words[seg] != nil {
+		return f.words[seg]
+	}
+	return f.resolve(seg)
+}
+
+func (f *Front) resolve(seg Seg) []int64 {
+	for len(f.words) <= int(seg) {
+		f.words = append(f.words, nil)
+	}
+	f.words[seg] = f.k.LocalWords(seg)
+	return f.words[seg]
 }
 
 // Wait completes h by completing everything pending, which the contract

@@ -18,9 +18,10 @@ type recKernel struct {
 	vt      time.Duration   // clk's time when clk is virtual
 	casAt   []time.Duration // vt at each CAS64 issued
 	log     []string
-	pending bool   // leave non-blocking issues pending
-	word    int64  // what word ops read; a CAS whose Old matches it swaps it
-	reply   []byte // what every Recv returns
+	pending bool    // leave non-blocking issues pending
+	word    int64   // what word ops read; a CAS whose Old matches it swaps it
+	reply   []byte  // what every Recv returns
+	cells   []int64 // what LocalWords returns, for every segment
 	// busy, when > 0, counts failed CASes until word turns 0: a lock whose
 	// holder releases it after that many attempts.
 	busy int
@@ -86,12 +87,9 @@ func (k *recKernel) AllocWords(n int) Seg { k.rec("AllocWords %d", n); return 0 
 func (k *recKernel) Local(seg Seg) []byte { k.rec("Local %d", seg); return nil }
 func (k *recKernel) Flush()               { k.rec("Flush") }
 func (k *recKernel) Clock() *Clock        { k.rec("Clock"); return &k.clk }
-func (k *recKernel) RelaxedLoad64(seg Seg, idx int) int64 {
-	k.rec("RelaxedLoad64 %d %d", seg, idx)
-	return 0
-}
-func (k *recKernel) RelaxedStore64(seg Seg, idx int, v int64) {
-	k.rec("RelaxedStore64 %d %d %d", seg, idx, v)
+func (k *recKernel) LocalWords(seg Seg) []int64 {
+	k.rec("LocalWords %d", seg)
+	return k.cells
 }
 func (k *recKernel) Send(to int, tag int32, data []byte) {
 	k.rec("Send %d %d %d", to, tag, len(data))
@@ -109,7 +107,8 @@ func (k *recKernel) TryRecv(from int, tag int32) ([]byte, int, bool) {
 // reach the kernel as exactly one call — or, for the clock methods Front
 // serves from the Clock it took at Bind, as none, and for the barrier as
 // the Sends and Recvs of dsim's dissemination sequence, for AllReduce as
-// those of recursive doubling — and for the typed
+// those of recursive doubling, for the relaxed word ops as at most one
+// LocalWords per segment, on its first use — and for the typed
 // one-sided methods as one Issue with the kind, nb flag, target, segment,
 // offset and byte count the method's own implementation used to act on (an
 // uncontended Lock, TryLock or Unlock is one CAS64 of the lock's cell, 0
@@ -121,6 +120,10 @@ func (k *recKernel) TryRecv(from int, tag int32) ([]byte, int, bool) {
 func TestFrontEquivalence(t *testing.T) {
 	var out int64
 	buf := make([]byte, 16)
+	k := newRec(false)
+	k.pending = true
+	k.reply = make([]byte, 24) // the partner's vector in the AllReduce row
+	k.cells = make([]int64, 4)
 	rows := []struct {
 		name string
 		call func(p Proc)
@@ -154,8 +157,18 @@ func TestFrontEquivalence(t *testing.T) {
 		{"AllocWords", func(p Proc) { p.AllocWords(4) }, "AllocWords 4"},
 		{"AllocLock", func(p Proc) { p.AllocLock() }, "AllocWords 1"},
 		{"Local", func(p Proc) { p.Local(2) }, "Local 2"},
-		{"RelaxedLoad64", func(p Proc) { p.RelaxedLoad64(3, 1) }, "RelaxedLoad64 3 1"},
-		{"RelaxedStore64", func(p Proc) { p.RelaxedStore64(3, 1, 6) }, "RelaxedStore64 3 1 6"},
+		{"LocalWords", func(p Proc) { p.LocalWords(3) }, "LocalWords 3"},
+		// The relaxed ops resolve a segment's LocalWords on its first use
+		// and reach the kernel with nothing after that; what they store
+		// lands in the kernel's slice.
+		{"RelaxedLoad64", func(p Proc) {
+			p.RelaxedStore64(3, 1, 6)
+			if got := p.RelaxedLoad64(3, 1); got != 6 || k.cells[1] != 6 {
+				t.Errorf("RelaxedLoad64 read %d and the cell holds %d after a store of 6", got, k.cells[1])
+			}
+			p.RelaxedLoad64(3, 0)
+		}, "LocalWords 3"},
+		{"RelaxedStore64", func(p Proc) { p.RelaxedStore64(3, 0, 7); p.RelaxedStore64(1, 2, 8) }, "LocalWords 1"},
 		{"Lock", func(p Proc) { p.Lock(1, 2); p.Unlock(1, 2) }, "Issue CAS64 nb=false target=1 seg=2 off=0 bytes=8 val=1 old=0"},
 		{"TryLock", func(p Proc) { p.TryLock(1, 2) }, "Issue CAS64 nb=false target=1 seg=2 off=0 bytes=8 val=1 old=0"},
 		{"Unlock", func(p Proc) { p.Unlock(1, 2) }, "Issue CAS64 nb=false target=1 seg=2 off=0 bytes=8 val=0 old=1"},
@@ -172,9 +185,6 @@ func TestFrontEquivalence(t *testing.T) {
 	if got, want := len(rows), methods.NumMethod()-1; got != want { // Issue is the level checked, not a row
 		t.Errorf("%d rows for %d Proc methods", got, want)
 	}
-	k := newRec(false)
-	k.pending = true
-	k.reply = make([]byte, 24) // the partner's vector in the AllReduce row
 	for _, row := range rows {
 		k.word = 0
 		if row.name == "Unlock" {
@@ -202,8 +212,8 @@ func TestFrontEquivalence(t *testing.T) {
 			t.Errorf("%s reached the kernel as %q, want %q", row.name, k.log, want)
 		}
 	}
-	if n := reflect.TypeOf((*Kernel)(nil)).Elem().NumMethod(); n != 13 {
-		t.Errorf("Kernel has %d methods, want 13", n)
+	if n := reflect.TypeOf((*Kernel)(nil)).Elem().NumMethod(); n != 12 {
+		t.Errorf("Kernel has %d methods, want 12", n)
 	}
 }
 

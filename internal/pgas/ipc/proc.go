@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"scioto/internal/pgas"
 	"scioto/internal/trace"
@@ -158,16 +159,8 @@ func (p *proc) Local(seg pgas.Seg) []byte {
 	return p.dataAt(p.rank, seg, 0, int(p.dataLen[seg]))
 }
 
-// The relaxed owner-side accessors still use atomics: the words are
-// shared with other processes, and on the hardware level a plain load of
-// a concurrently-CASed word is exactly what atomics make well-defined.
-
-func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 {
-	return p.m.load(p.wordAt(p.rank, seg, idx))
-}
-
-func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
-	p.m.store(p.wordAt(p.rank, seg, idx), val)
+func (p *proc) LocalWords(seg pgas.Seg) []int64 {
+	return unsafe.Slice(p.m.word(p.m.l.arena(p.rank)+p.wordOff[seg]), p.wordLen[seg])
 }
 
 // Two-sided messages ride per-(sender, receiver) byte rings in the

@@ -10,10 +10,11 @@
 // the two collectives).
 //
 // Two interfaces split the work. Proc is what a SPMD body calls. Kernel is
-// what a transport implements: 13 methods, in which every one-sided
+// what a transport implements: 12 methods, in which every one-sided
 // operation, blocking or not, is one Op descriptor passed to Issue. Front
 // derives the rest of Proc from a Kernel, once: the typed one-sided
-// methods; the remote locks, an algorithm over CAS64 (lock.go); the
+// methods; the owner's relaxed word ops, sync/atomic on the slice
+// LocalWords returns; the remote locks, an algorithm over CAS64 (lock.go); the
 // collectives, a dissemination barrier and a recursive-doubling all-reduce
 // over Send and Recv (barrier.go, allreduce.go); and
 // time and randomness — a kernel hands out its rank's Clock (clock.go),
@@ -129,7 +130,7 @@ type World interface {
 // implements. Everything else a SPMD body calls — the typed one-sided
 // methods of Proc, handle numbering, Wait, the clock's methods — is
 // derived from it once, by Front — the collectives too, over Send and Recv.
-// Adding a transport means implementing these 13 methods; see DESIGN.md
+// Adding a transport means implementing these 12 methods; see DESIGN.md
 // "Transports" for the contract of each group.
 //
 // A Kernel must only be used from the goroutine that received it from
@@ -160,6 +161,13 @@ type Kernel interface {
 	// touch: that is still the protocol's to decide, and the localescape
 	// lint asks for a justified exemption wherever a slice is kept.
 	Local(seg Seg) []byte
+	// LocalWords returns this process's own instance of word segment seg,
+	// under Local's contract: stable for the life of the world, never
+	// faulted, never timed. Its cells are shared with remote word ops, so
+	// only sync/atomic touches them. Front resolves it once per segment for
+	// RelaxedLoad64 and RelaxedStore64; the relaxedword lint flags a call
+	// outside package pgas, where the slice would bypass its word rules.
+	LocalWords(seg Seg) []int64
 
 	// Issue performs the one-sided operation op describes (see Op). A
 	// blocking op (op.Nb unset) is complete when Issue returns and the
@@ -171,16 +179,6 @@ type Kernel interface {
 	// Flush blocks until every pending non-blocking operation issued by
 	// this process has completed.
 	Flush()
-
-	// RelaxedLoad64 reads word idx of this process's own instance of seg
-	// without establishing a global ordering. It is intended for owner-side
-	// fast paths on words that remote processes either never write or that
-	// the caller treats as a hint to be re-validated under a lock.
-	RelaxedLoad64(seg Seg, idx int) int64
-	// RelaxedStore64 writes word idx of this process's own instance of seg
-	// without establishing a global ordering. It must only be used for
-	// words that remote processes never write.
-	RelaxedStore64(seg Seg, idx int, val int64)
 
 	// Send delivers data (copied) to process to with the given tag.
 	Send(to int, tag int32, data []byte)
@@ -217,6 +215,16 @@ type Proc interface {
 	// folds in into acc, must not keep in, and must be commutative and
 	// associative, which makes the result identical on every process.
 	AllReduce(vec []int64, op func(acc, in []int64))
+
+	// RelaxedLoad64 reads word idx of this process's own instance of seg
+	// without establishing a global ordering. It is intended for owner-side
+	// fast paths on words that remote processes either never write or that
+	// the caller treats as a hint to be re-validated under a lock.
+	RelaxedLoad64(seg Seg, idx int) int64
+	// RelaxedStore64 writes word idx of this process's own instance of seg
+	// without establishing a global ordering. It must only be used for
+	// words that remote processes never write.
+	RelaxedStore64(seg Seg, idx int, val int64)
 
 	// Compute models d units of local computation: on a virtual clock
 	// (dsim) the process's time advances by d scaled by its speed factor;

@@ -15,6 +15,7 @@ package pgastest
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -471,20 +472,29 @@ func RunLocalStable(t *testing.T, f Factory) {
 	t.Run("LocalStable", func(t *testing.T) { testLocalStable(t, f) })
 }
 
-// testLocalStable: Local returns the same backing array, length and
-// capacity on every call — across a Barrier and after later allocations —
-// and that array is the instance remote operations reach (pgas.Proc.Local).
-// Only the array's identity is kept across the barrier, never the slice.
+// testLocalStable: Local and LocalWords return the same backing array,
+// length and capacity on every call — across a Barrier and after later
+// allocations — and that array is the instance remote operations reach
+// (pgas.Kernel.Local, LocalWords). Only the array's identity is kept
+// across the barrier, never the slice.
 func testLocalStable(t *testing.T, f Factory) {
 	w := f(2)
 	run(t, w, func(p pgas.Proc) {
 		seg := p.AllocData(64)
+		ws := p.AllocWords(4)
 		loc := p.Local(seg)
+		//lint:ignore relaxedword the conformance case checks the slice Front resolves once
+		lw := p.LocalWords(ws)
 		base, n, c := &loc[0], len(loc), cap(loc)
+		wbase, wn, wc := &lw[0], len(lw), cap(lw)
 		same := func(when string) {
 			s := p.Local(seg)
 			if &s[0] != base || len(s) != n || cap(s) != c {
 				panic(fmt.Sprintf("rank %d: Local %s is another slice (len %d, cap %d; first: len %d, cap %d)", p.Rank(), when, len(s), cap(s), n, c))
+			}
+			//lint:ignore relaxedword the conformance case checks the slice Front resolves once
+			if s := p.LocalWords(ws); &s[0] != wbase || len(s) != wn || cap(s) != wc {
+				panic(fmt.Sprintf("rank %d: LocalWords %s is another slice (len %d, cap %d; first: len %d, cap %d)", p.Rank(), when, len(s), cap(s), wn, wc))
 			}
 		}
 		same("called again")
@@ -496,12 +506,17 @@ func testLocalStable(t *testing.T, f Factory) {
 		}
 		same("after later allocations")
 		p.Local(seg)[0] = byte(10 + p.Rank())
+		//lint:ignore relaxedword the conformance case checks the slice Front resolves once
+		atomic.StoreInt64(&p.LocalWords(ws)[3], int64(20+p.Rank()))
 		p.Barrier()
 		var b [1]byte
 		other := 1 - p.Rank()
 		p.Get(b[:], other, seg, 0)
 		if b[0] != byte(10+other) {
 			panic(fmt.Sprintf("rank %d: Get of rank %d's first byte = %d, want what it wrote through Local", p.Rank(), other, b[0]))
+		}
+		if v := p.Load64(other, ws, 3); v != int64(20+other) {
+			panic(fmt.Sprintf("rank %d: Load64 of rank %d's word 3 = %d, want what it stored through LocalWords", p.Rank(), other, v))
 		}
 		p.Barrier()
 	})

@@ -339,13 +339,7 @@ func (p *proc) Flush() {}
 
 func (p *proc) Local(seg pgas.Seg) []byte { return p.w.tab.Load().data[seg][p.rank] }
 
-func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 {
-	return atomic.LoadInt64(&p.w.tab.Load().words[seg][p.rank][idx])
-}
-
-func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
-	atomic.StoreInt64(&p.w.tab.Load().words[seg][p.rank][idx], val)
-}
+func (p *proc) LocalWords(seg pgas.Seg) []int64 { return p.w.tab.Load().words[seg][p.rank] }
 
 func (p *proc) Send(to int, tag int32, data []byte) {
 	p.check()

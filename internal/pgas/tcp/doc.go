@@ -84,9 +84,8 @@
 // Each rank runs an accept loop whose per-connection handlers apply
 // requests to the rank's local symmetric heap — the ARMCI data-server
 // pattern. Word operations use sync/atomic on the owner's cells and
-// accumulates serialize on a per-rank mutex, so owner-side Local,
-// RelaxedLoad64 and RelaxedStore64 observe exactly the shm transport's
-// semantics. A handler applies and answers one connection's requests in
+// accumulates serialize on a per-rank mutex, so owner-side Local and
+// LocalWords observe exactly the shm transport's semantics. A handler applies and answers one connection's requests in
 // frame order, on its own goroutine; an opSend is answered before its
 // message is delivered to the mailbox, so a receiver that takes the
 // message and exits has not left its sender waiting on the reply.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"scioto/internal/pgas"
@@ -508,18 +507,7 @@ func (p *proc) Flush() {
 	p.nbConns = p.nbConns[:0]
 }
 
-// The relaxed owner-side accessors use the same atomics as the word ops:
-// the cells are shared with service goroutines, so plain loads would be
-// data races under the Go memory model even where the algorithm tolerates
-// stale values.
-
-func (p *proc) RelaxedLoad64(seg pgas.Seg, idx int) int64 {
-	return atomic.LoadInt64(&p.own.heap.wordSeg(int(seg))[idx])
-}
-
-func (p *proc) RelaxedStore64(seg pgas.Seg, idx int, val int64) {
-	atomic.StoreInt64(&p.own.heap.wordSeg(int(seg))[idx], val)
-}
+func (p *proc) LocalWords(seg pgas.Seg) []int64 { return p.own.heap.wordSeg(int(seg)) }
 
 func (p *proc) Send(to int, tag int32, data []byte) {
 	if to == p.rank {

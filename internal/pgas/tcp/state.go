@@ -17,7 +17,7 @@ import (
 // transport: callers coordinate overlapping Get/Put at the application
 // protocol level. Word cells are accessed with sync/atomic by both the
 // owner and the service goroutines, and accumulates serialize on accMu,
-// so owner-side Local/RelaxedLoad64 semantics match shm.
+// so owner-side Local/LocalWords semantics match shm.
 type heap struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -33,42 +33,30 @@ func newHeap() *heap {
 	return h
 }
 
-func (h *heap) addData(nbytes int) int {
+// The heap's two segment tables, data and words, are grown and read the
+// same way: addSeg appends an instance and wakes whoever waits for it, and
+// segAt returns one, waiting until the owner's collective schedule has
+// allocated it.
+func (h *heap) addData(nbytes int) int  { return addSeg(h, &h.data, nbytes) }
+func (h *heap) addWords(nwords int) int { return addSeg(h, &h.words, nwords) }
+func (h *heap) dataSeg(s int) []byte    { return segAt(h, &h.data, s) }
+func (h *heap) wordSeg(s int) []int64   { return segAt(h, &h.words, s) }
+
+func addSeg[T any](h *heap, table *[][]T, n int) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.data = append(h.data, make([]byte, nbytes))
+	*table = append(*table, make([]T, n))
 	h.cond.Broadcast()
-	return len(h.data) - 1
+	return len(*table) - 1
 }
 
-func (h *heap) addWords(nwords int) int {
+func segAt[T any](h *heap, table *[][]T, s int) []T {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.words = append(h.words, make([]int64, nwords))
-	h.cond.Broadcast()
-	return len(h.words) - 1
-}
-
-// dataSeg returns the local instance of data segment seg, waiting until
-// the owner's collective schedule has allocated it.
-func (h *heap) dataSeg(seg int) []byte {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for seg >= len(h.data) {
+	for s >= len(*table) {
 		h.cond.Wait()
 	}
-	return h.data[seg]
-}
-
-// wordSeg returns the local instance of word segment seg, waiting until
-// allocated.
-func (h *heap) wordSeg(seg int) []int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for seg >= len(h.words) {
-		h.cond.Wait()
-	}
-	return h.words[seg]
+	return (*table)[s]
 }
 
 // window returns bytes [off, off+n) of data segment seg, waiting for the

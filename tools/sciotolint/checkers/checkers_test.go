@@ -8,7 +8,7 @@ import (
 )
 
 func TestRelaxedWord(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), checkers.RelaxedWord, "relaxedword")
+	analysistest.Run(t, analysistest.TestData(), checkers.RelaxedWord, "relaxedword", "pgas")
 }
 
 func TestNbComplete(t *testing.T) {

@@ -22,10 +22,17 @@ import (
 // silently lose a concurrent remote update; a relaxed *load* of one yields
 // a value a remote operation may already have replaced and is only
 // tolerable as an explicitly annotated hint.
+//
+// The relaxed ops are pgas.Front's, over the owner's word slice the kernel
+// hands out as LocalWords. A caller outside package pgas that held that
+// slice could touch any word of it unseen by the rule above, so a
+// LocalWords call anywhere else is flagged too (a transport's own method,
+// declared in its package, is not a pgas method and is not matched).
 var RelaxedWord = &analysis.Analyzer{
 	Name: "relaxedword",
 	Doc: "flags RelaxedLoad64/RelaxedStore64 whose word index is a remotely-written " +
-		"metadata word (wShared, wBottom, wDirty); relaxed access is only legal on owner-private words",
+		"metadata word (wShared, wBottom, wDirty), and LocalWords outside package pgas; " +
+		"relaxed access is only legal on owner-private words",
 	Run: runRelaxedWord,
 }
 
@@ -45,6 +52,12 @@ func runRelaxedWord(pass *analysis.Pass) error {
 			return
 		}
 		name, ok := pgasMethod(pass.TypesInfo, call)
+		if ok && name == "LocalWords" && pass.Pkg.Name() != pgasPkgName {
+			pass.Reportf(call.Pos(),
+				"LocalWords outside package pgas: the owner's word slice reaches every word, "+
+					"remotely written ones included — use RelaxedLoad64/RelaxedStore64 or the ordered word ops")
+			return
+		}
 		if !ok || (name != "RelaxedLoad64" && name != "RelaxedStore64") {
 			return
 		}

@@ -34,6 +34,7 @@ type Proc interface {
 	CAS64(proc int, seg Seg, idx int, old, new int64) bool
 	RelaxedLoad64(seg Seg, idx int) int64
 	RelaxedStore64(seg Seg, idx int, val int64)
+	LocalWords(seg Seg) []int64
 
 	NbGet(dst []byte, proc int, seg Seg, off int) Nb
 	NbPut(proc int, seg Seg, off int, src []byte) Nb

@@ -34,6 +34,11 @@ func goodOwnerWords(p pgas.Proc, meta pgas.Seg) int64 {
 	return p.RelaxedLoad64(meta, wTop)
 }
 
+// The owner's word slice outside package pgas reaches wShared unseen.
+func badLocalWords(p pgas.Proc, meta pgas.Seg) int64 {
+	return p.LocalWords(meta)[wShared] // want `LocalWords outside package pgas`
+}
+
 // Ordered operations on remotely-written words are always legal.
 func goodOrdered(p pgas.Proc, meta pgas.Seg) int64 {
 	p.Store64(p.Rank(), meta, wBottom, 0)

@@ -4,7 +4,8 @@
 //
 //	relaxedword — RelaxedLoad64/RelaxedStore64 on a metadata word that
 //	              remote processes write (wShared, wBottom, wDirty): relaxed access
-//	              is only legal on owner-private words.
+//	              is only legal on owner-private words; and LocalWords outside
+//	              package pgas, whose slice reaches every word unseen.
 //	nbcomplete  — an issued non-blocking op (NbGet, NbPut, NbLoad64,
 //	              NbStore64, NbFetchAdd64, NbCAS64) whose handle is never completed
 //	              with Wait or Flush before a return or an Unlock: results
