@@ -102,8 +102,7 @@ func TestRootSurplusStolenMidSpawn(t *testing.T) {
 }
 
 // TestArmedRecoveryKeepsSpawnsSilent: with recovery armed a callback's
-// local adds issue no checked operation — a fault delivered inside a
-// callback would lose the rest of it — while unarmed the same callbacks
+// local adds issue no checked operation, while unarmed the same callbacks
 // run the release check, whose ordered loads are operations.
 func TestArmedRecoveryKeepsSpawnsSilent(t *testing.T) {
 	for _, armed := range []bool{true, false} {

@@ -537,9 +537,7 @@ func TestRecoveryOfAbandonedClaims(t *testing.T) {
 				tc := NewTC(rt, Config{MaxBodySize: 8, ChunkSize: 3, MaxTasks: 256, DisableColoringOpt: c.marked})
 				// A parent creates one child and a child nothing, so the
 				// tasks created are twice the parents whatever is lost to a
-				// fault. Only the rank that dies adds remotely: a fault
-				// delivered inside a survivor's callback would lose the
-				// rest of that callback by design, and the count with it.
+				// fault. Only the rank that dies adds remotely.
 				child := NewTask(0, 8)
 				child.SetHandle(tc.Register(func(tc *TC, task *Task) {
 					p.Compute(5 * time.Microsecond)

@@ -136,9 +136,8 @@ func TestMirrorsFollowPublishedWords(t *testing.T) {
 				rt := Attach(f)
 				rt.EnableRecovery()
 				tc := NewTC(rt, Config{MaxBodySize: 8, ChunkSize: 8, MaxTasks: 256, QueueMode: c.mode})
-				// Callbacks add nothing: a locked-mode add is checked
-				// communication, and a fault delivered inside a callback
-				// loses the rest of that callback by design.
+				// Callbacks add nothing: the faults are meant for the
+				// queue's own operations.
 				task := NewTask(tc.Register(func(tc *TC, _ *Task) { tc.Proc().Compute(5 * time.Microsecond) }), 8)
 				// Rank 1 starts empty: whatever it runs it stole and pushed
 				// first.

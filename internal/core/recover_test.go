@@ -224,9 +224,8 @@ func (f *lockWitness) Unlock(proc int, id pgas.LockID) {
 // TestRecoveryLockedQueueDSim is the ModeLocked row of the matrix: rank 2
 // dies once it has run its first task, and again at a point where the fault
 // unwinds a survivor inside a steal, the victim's queue lock held (recovery
-// must drop it: taskQueue.releaseHeldLock). Tasks add nothing: on a locked
-// queue every add is checked communication, and a fault delivered inside a
-// callback loses the rest of that callback by design.
+// must drop it: taskQueue.releaseHeldLock). Tasks add nothing, so the pins
+// fall in the queue's own operations.
 func TestRecoveryLockedQueueDSim(t *testing.T) {
 	const n, seeded = 4, 60
 	for _, c := range []struct {
@@ -319,18 +318,21 @@ func TestRecoveryDeterministicDSim(t *testing.T) {
 }
 
 // TestRecoveryWithDeferredDeps: the dead rank holds registered-but-pending
-// deferred tasks; the healer salvages its pool, re-registers them, and
-// remaps outstanding handles so late Satisfy calls still launch them.
+// deferred tasks; the healer salvages their journal records, re-registers
+// them, and remaps outstanding handles so late Satisfy calls still launch
+// them.
 func TestRecoveryWithDeferredDeps(t *testing.T) {
 	const n = 4
-	// Op 33 is inside the phase, in rank 2's probing once its own tasks
-	// ran: past the set-up barrier and the phase's two, two Sends each.
-	hook, check := crashPin{33, "!Send"}.observe(t)
+	// Op 23 is inside the phase on every schedule: set-up is the NewTC
+	// barrier's two Sends and the satisfier's remote add (ops 1-6), and
+	// rank 2's shortest phase on shm reaches op 25 before its exit
+	// barrier.
+	hook, check := crashPin{23, "!Send"}.observe(t)
 	defer check()
 	w := faulty.Wrap(shm.NewWorld(shm.Config{NProcs: n, Seed: 5, Survivable: true}), faulty.Config{
 		Seed:          11,
 		CrashRank:     2,
-		CrashAfterOps: 33,
+		CrashAfterOps: 23,
 		Observe:       hook,
 	})
 	var mu sync.Mutex

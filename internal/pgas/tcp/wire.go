@@ -110,23 +110,15 @@ func writeFrameSeq(w io.Writer, seq uint32, head, tail []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed frame into a fresh buffer. It is
-// used on the bootstrap paths (rendezvous, hello, heartbeat), where the
-// caller may retain the bytes and allocation is irrelevant.
+// readFrame reads one length-prefixed frame into a buffer the caller
+// keeps. It is used on the bootstrap paths (rendezvous, hello, heartbeat),
+// where the caller may retain the bytes and allocation is irrelevant.
 func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	fb, err := readFrameP(r)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("tcp: frame length %d exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return fb.b, nil // the caller keeps the bytes; the pool goes without
 }
 
 // readFrameP reads one length-prefixed frame into a pooled buffer. The

@@ -288,24 +288,21 @@ func (d *Daemon) requeueLost() {
 	}
 }
 
-// satisfyOne applies one Satisfy to a deferred task. The last one makes
-// the pool launch the task onto the gateway's queue, and is counted
-// before the call: a fault that unwinds a final Satisfy after its
-// decrement leaves the launch to the recovery sweep, while one that
-// unwinds it before leaves a task that is not in flight — which the
-// settle that follows every recovery re-queues like any other lost task.
-// Counted after, the first case would launch a task the gateway still
-// believes deferred and drop its result. Caller holds d.mu.
+// satisfyOne applies one Satisfy to a deferred task. The call is counted
+// before it is made, and the last one as a launch: with recovery armed a
+// Satisfy that a fault unwinds still lands — owed by the collection until
+// Process has healed the fault, or, unwound past its decrement, replayed
+// with the task's record — so the gateway never issues one twice. Caller
+// holds d.mu.
 func (d *Daemon) satisfyOne(tc *core.TC, sub *submission, i int) {
 	t := &sub.tasks[i]
-	if t.applied+1 == len(t.deps) {
+	if t.applied++; t.applied == len(t.deps) {
 		t.phase = taskInFlight
 		d.deferred--
 		d.inFlight++
 		d.m.deferredWaiting.Set(int64(d.deferred))
 	}
 	tc.Satisfy(t.dep)
-	t.applied++
 }
 
 // deliver routes one completion record from rank: append to the

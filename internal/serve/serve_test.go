@@ -581,16 +581,16 @@ func (ww *watched) counter(rank int, name string) int64 {
 // carries every result, every survivor is back in a second phase, and the
 // drain handshake completes with a clean world exit.
 //
-// Op-count pinning (faulty.Ops): worker set-up (dep-pool init + journal)
-// costs 1024 checked ops on rank 2, and a barrier ends it. With nothing
-// submitted yet the one phase opens — detector reset (one Store64: rank 2
+// Op-count pinning (faulty.Ops): worker set-up is NewTC's barrier, two
+// Sends on rank 2 (with recovery armed no deferred pool is initialised).
+// With nothing submitted yet the one phase opens — detector reset (one Store64: rank 2
 // is a leaf of the wave tree), barrier; a barrier is two Sends at four
 // ranks — and the rank sits through parkAfter idle rounds and the one
 // that raises its flag (a look at its own queue word and a steal probe of
 // two victims each), looks once more
-// and parks in Recv having issued 1042 ops, the same on every run because
-// the test submits only once the daemon is idle. The wake is then op 1043
-// (the flag comes down), the reacquire of what the gateway dealt 1044-45,
+// and parks in Recv having issued 18 ops, the same on every run because
+// the test submits only once the daemon is idle. The wake is then op 19
+// (the flag comes down), the reacquire of what the gateway dealt 20-21,
 // and every task after that one completion mark in the gateway's journal
 // — records ride in the burst, so a task costs no Send. There is no
 // per-batch barrier or detector reset to step over any more, and no
@@ -606,8 +606,8 @@ func TestServeWorkerCrashRecovers(t *testing.T) {
 		ops  int64
 		op   string // the operation the crash must interrupt, if that is certain
 	}{
-		{"first op after a wake", 1043, "Store64"}, // its own flag: died parked, as far as anyone else can tell
-		{"mid-burst", 1049, ""},                    // left alone, its fourth task's completion mark
+		{"first op after a wake", 19, "Store64"}, // its own flag: died parked, as far as anyone else can tell
+		{"mid-burst", 25, ""},                    // left alone, its fourth task's completion mark
 	} {
 		t.Run(pin.name, func(t *testing.T) {
 			var crashed atomic.Bool

@@ -19,16 +19,17 @@
 # same healing works in the shipped binary under env-driven injection.
 # Run via `make chaos-recovery`; CI runs the same target.
 #
-# Op-count pinning: worker setup (dep-pool init + journal) costs 1024
-# checked ops on rank 2 (faulty.Ops), and a barrier ends it. The daemon's
+# Op-count pinning: worker set-up is NewTC's barrier, two Sends on rank 2
+# (faulty.Ops; with recovery armed deferred tasks are journal records, so
+# no pool is initialised). The daemon's
 # one phase then opens — detector reset (one Store64: rank 2 is a leaf of
 # the wave tree), barrier; a barrier is two Sends at four ranks — and with nothing submitted yet the rank sits
 # through its idle rounds (serve's parkAfter of them and the one that
 # raises its parked flag: a look at its own queue word and a steal probe
 # each, which at four ranks reads two victims), looks once more and
-# blocks in Recv having issued 1042 ops: the same on every run, because
-# curl arrives long after. The wake is op 1043 (the flag comes down), the
-# reacquire of what the gateway dealt 1044-45, then one completion mark per
+# blocks in Recv having issued 18 ops: the same on every run, because
+# curl arrives long after. The wake is op 19 (the flag comes down), the
+# reacquire of what the gateway dealt 20-21, then one completion mark per
 # task — results ride in bursts, so a task costs no Send. Past the wake the sequence is the schedule's: with
 # four ranks on fewer processors a woken rank may find its queue already
 # emptied by thieves, and the later pins land in a probe or a steal
@@ -142,13 +143,13 @@ print(n)
 }
 
 # The op pins hold on both transports: faulty counts rank 2's own
-# checked operations, and the setup sequence (dep-pool init + journal)
-# that dominates the count is identical core code on shm and ipc.
+# checked operations, and the set-up and idle sequence before the wake is
+# identical core code on shm and ipc.
 for tr in shm ipc; do
-	run_scenario "$tr" "crash-on-wake" 1043 "$(spin_tasks 200)" 200 Store64
-	run_scenario "$tr" "crash-in-reacquire" 1045 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-after-first-task" 1047 "$(spin_tasks 200)" 200
-	run_scenario "$tr" "crash-with-deferred-deps" 1047 "$(dep_tasks 200)" 200
+	run_scenario "$tr" "crash-on-wake" 19 "$(spin_tasks 200)" 200 Store64
+	run_scenario "$tr" "crash-in-reacquire" 21 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-after-first-task" 23 "$(spin_tasks 200)" 200
+	run_scenario "$tr" "crash-with-deferred-deps" 23 "$(dep_tasks 200)" 200
 done
 
 echo "PASS: recovery matrix (2 transports x 4 scenarios, seed-pinned SCIOTO_FAULT_*)"
