@@ -558,10 +558,8 @@ func TestDeterministicOnDsim(t *testing.T) {
 				tc.Add(0, core.AffinityHigh, root)
 			}
 			tc.Process()
-			if p.Rank() == 0 {
-				out = tc.GlobalStats()
-			} else {
-				tc.GlobalStats()
+			if g := tc.GlobalStats(); p.Rank() == 0 {
+				out = g
 			}
 		}); err != nil {
 			t.Fatal(err)
