@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"scioto/internal/core"
 	"scioto/internal/pgas"
+	"scioto/internal/pgas/dsim"
 	"scioto/internal/uts"
 )
 
@@ -270,4 +272,38 @@ func TestAblationsQuickGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "testdata/ablations_quick.golden", b.String())
+}
+
+// TestCounterAblationTerminates runs the full-size counter row of
+// `sciotobench -exp ablations` (P = 16: two victims a round and a blocking
+// counter update per task) under a bound of about eight times its virtual
+// time. Every passive rank polls the counter's host while the working
+// ranks update it; if the host's interface let later polls overtake an
+// update, the run would never detect termination.
+func TestCounterAblationTerminates(t *testing.T) {
+	want, err := uts.Sequential(uts.TreeMedium, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ClusterConfig(16, 5)
+	cfg.MaxVirtualTime = time.Second
+	var nodes int64
+	if err := dsim.NewWorld(cfg).Run(func(p pgas.Proc) {
+		st, _, err := uts.RunScioto(p, uts.DriverConfig{
+			Tree:        uts.TreeMedium,
+			PerNodeCost: OpteronNodeCost,
+			TC:          core.Config{ChunkSize: 10, MaxTasks: 1 << 15, Termination: core.TermCounter},
+		})
+		if err != nil {
+			panic(err)
+		}
+		if p.Rank() == 0 {
+			nodes = st.Nodes
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if nodes != want.Nodes {
+		t.Errorf("counted %d nodes, want %d", nodes, want.Nodes)
+	}
 }

@@ -143,9 +143,9 @@ func landing(point []string, v string) bool {
 // read busy with another thief's claim, taken as the quiet word its
 // retire leaves — costs what a claim on a word read quiet costs: three
 // points after a probe. At P = 2 the probe
-// is one blocking load; under the counter detector it is too, and no
-// landing reads ahead; a locked queue keeps the paper's sequence and
-// pushes what it took.
+// is one blocking load. The counter detector steals as the wave detector
+// does; a locked queue keeps the paper's sequence and pushes what it
+// took.
 func TestStealRoundTrips(t *testing.T) {
 	base := Config{MaxBodySize: 8, ChunkSize: 2, MaxTasks: 16}
 	marked := base
@@ -278,44 +278,42 @@ func TestStealRoundTrips(t *testing.T) {
 	if want := [][]string{{"Load64 r1 w1"}}; !slices.EqualFunc(rounds, want, slices.Equal[[]string]) {
 		t.Errorf("P=2 empty round completed as %q, want %q", rounds, want)
 	}
+	// The counter detector steals as the wave detector does unmarked: the
+	// pair probe (one blocking load at P = 2), the blocking CAS, and the
+	// landing reading ahead.
 	counter := base
 	counter.Termination = TermCounter
-	if rounds, _ = stealRound(t, 4, false, counter, nil); len(rounds) != 1 || len(rounds[0]) != 1 || !strings.HasPrefix(rounds[0][0], "Load64 ") {
-		t.Errorf("P=4 empty round under the counter detector completed as %q, want one blocking Load64", rounds)
+	if rounds, _ = stealRound(t, 4, false, counter, nil); len(rounds) != 1 || len(rounds[0]) != 2 || !readAhead(rounds[0]) {
+		t.Errorf("P=4 empty round under the counter detector completed as %q, want two NbLoad64 of two distinct other ranks in one Flush", rounds)
 	}
-	// A steal under the counter detector, and a locked queue's, complete
-	// as they always have: no read-ahead, and on a locked queue the
-	// paper's sequence, then a locked push per task taken.
+	if rounds, _ = stealRound(t, 2, true, counter, nil); len(rounds) != 3 ||
+		!slices.EqualFunc(rounds, [][]string{{"Load64 r1 w1"}, {"CAS64 r1 w1"}, {"NbGet r1", "NbFetchAdd64 r1 w1", "NbLoad64 r1 w1"}}, slices.Equal[[]string]) {
+		t.Errorf("P=2 counter steal completed as %q, want the probe, the CAS and the landing reading r1 ahead", rounds)
+	}
+	if rounds, _ = stealRound(t, 4, true, counter, nil); len(rounds) != 3 || !readAhead(rounds[0]) ||
+		!slices.Equal(rounds[1], []string{"CAS64 " + victimOf(rounds[1][0]) + " w1"}) || !landing(rounds[2], victimOf(rounds[1][0])) {
+		t.Errorf("P=4 counter steal completed as %q, want a two-victim probe, the CAS and the landing", rounds)
+	}
+	// A locked queue's steal keeps the paper's sequence, then a locked
+	// push per task taken.
 	locked := base
 	locked.QueueMode = ModeLocked
 	push := []string{"CAS64 r0", "Load64 r0 w2", "Load64 r0 w0", "Store64 r0 w2", "CAS64 r0"}
-	for _, c := range []struct {
-		name  string
-		cfg   Config
-		steal func(v string) [][]string
-	}{
-		{"counter", counter, func(v string) [][]string {
-			return [][]string{{"Load64 " + v + " w1"}, {"CAS64 " + v + " w1"}, {"NbGet " + v, "NbFetchAdd64 " + v + " w1"}}
-		}},
-		{"locked", locked, func(v string) [][]string {
-			r := [][]string{{"CAS64 " + v}, {"NbLoad64 " + v + " w0", "NbLoad64 " + v + " w2"}, {"NbGet " + v, "NbStore64 " + v + " w0"}, {"CAS64 " + v}}
-			for i := 0; i < 2; i++ {
-				for _, e := range push {
-					r = append(r, []string{e})
-				}
+	for _, n := range []int{2, 4} {
+		rounds, _ := stealRound(t, n, true, locked, nil)
+		if len(rounds) == 0 || len(rounds[0]) != 1 {
+			t.Errorf("P=%d locked steal completed as %q", n, rounds)
+			continue
+		}
+		v := victimOf(rounds[0][0])
+		want := [][]string{{"CAS64 " + v}, {"NbLoad64 " + v + " w0", "NbLoad64 " + v + " w2"}, {"NbGet " + v, "NbStore64 " + v + " w0"}, {"CAS64 " + v}}
+		for i := 0; i < 2; i++ {
+			for _, e := range push {
+				want = append(want, []string{e})
 			}
-			return r
-		}},
-	} {
-		for _, n := range []int{2, 4} {
-			rounds, _ := stealRound(t, n, true, c.cfg, nil)
-			if len(rounds) == 0 || len(rounds[0]) != 1 {
-				t.Errorf("P=%d %s steal completed as %q", n, c.name, rounds)
-				continue
-			}
-			if want := c.steal(victimOf(rounds[0][0])); !slices.EqualFunc(rounds, want, slices.Equal[[]string]) {
-				t.Errorf("P=%d %s steal completed as %q, want %q", n, c.name, rounds, want)
-			}
+		}
+		if !slices.EqualFunc(rounds, want, slices.Equal[[]string]) {
+			t.Errorf("P=%d locked steal completed as %q, want %q", n, rounds, want)
 		}
 	}
 }

@@ -697,13 +697,13 @@ func (tc *TC) GlobalStats() Stats {
 // §5.3's mark for that victim only then; what it claims lands at its own
 // top (taskQueue.land).
 //
-// Where the pair rule applies (paired), a split queue also reads ahead:
-// the transfer's flush reads the words of the next round's victims, which
-// are that round's probe. If one of them was claimable, the round claims
-// on it at once — one flush of the mark, the CAS and both words reloaded —
-// so a won guess steals in two round trips; a lost one has probed both
-// victims afresh and goes on as a probed round would. If none was, the
-// round is an empty or busy probe that sent nothing.
+// A split queue also reads ahead: the transfer's flush reads the words of
+// the next round's victims, which are that round's probe. If one of them
+// was claimable, the round claims on it at once — one flush of the mark,
+// the CAS and both words reloaded — so a won guess steals in two round
+// trips; a lost one has probed both victims afresh and goes on as a probed
+// round would. If none was, the round is an empty or busy probe that sent
+// nothing.
 //
 //scioto:journal-exempt a locked steal's descriptors carry the journal reference stamped at the origin rank's Add; re-recording them would double-count them
 //scioto:noalloc
@@ -741,17 +741,15 @@ func (tc *TC) steal() (k int64) {
 }
 
 // claim is one claim on a split queue's victim, whose word was read as w,
-// and the landing of what it won (refresh: see taskQueue.claim). Where the
-// pair rule applies, the landing's flush reads ahead the words of the
-// victims it draws for the next idle round.
+// and the landing of what it won (refresh: see taskQueue.claim). The
+// landing's flush reads ahead the words of the victims it draws for the
+// next idle round.
 //
 //scioto:noalloc
 func (tc *TC) claim(victim int, w int64, refresh []int) int64 {
 	k := tc.q.claim(victim, w, tc.cfg.ChunkSize, tc.markFor(victim), refresh, &tc.stats)
 	if k > 0 {
-		if tc.paired() {
-			tc.ahead = tc.pickVictims()
-		}
+		tc.ahead = tc.pickVictims()
 		tc.q.land(victim, w, k, tc.ahead)
 	}
 	return k
@@ -768,18 +766,10 @@ func (tc *TC) markFor(victim int) bool {
 	return tc.ctd == nil && mark
 }
 
-// paired is the pair rule: a split queue under the wave detector probes
-// two victims a round and reads ahead. The counter detector keeps one
-// victim and no read-ahead: its passive ranks load the counter on rank 0
-// every round, and on dsim a pair's flushed loads are booked on rank 0's
-// interface as they are issued, so the working ranks' blocking counter
-// updates never find it free.
-func (tc *TC) paired() bool { return tc.cfg.QueueMode == ModeSplit && tc.ctd == nil }
-
 // pickVictims draws an idle round's victims into tc.pair, uniformly at
-// random among the other live ranks: two distinct ones where the pair rule
-// applies and there are two live peers or more, else one, drawn as a lone
-// victim always was.
+// random among the other live ranks: two distinct ones on a split queue
+// with two live peers or more, else one, drawn as a lone victim always
+// was.
 //
 //scioto:noalloc
 func (tc *TC) pickVictims() []int {
@@ -796,7 +786,7 @@ func (tc *TC) pickVictims() []int {
 		v = tc.nthPeer(p.Rand().Intn(peers), -1)
 	}
 	tc.pair[0] = v
-	if peers < 2 || !tc.paired() {
+	if peers < 2 || tc.q.mode == ModeLocked {
 		return tc.pair[:1]
 	}
 	tc.pair[1] = tc.nthPeer(p.Rand().Intn(peers-1), v)

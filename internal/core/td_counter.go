@@ -49,7 +49,6 @@ type ctrDetector struct {
 	seg pgas.Seg // one word on rank 0: outstanding task count
 
 	pendingDones int64 // executed tasks not yet flushed to the counter
-	old          int64 // the discarded result of a counter update
 
 	stats *Stats
 }
@@ -75,16 +74,9 @@ func (cd *ctrDetector) noteAdd() {
 	cd.update(1)
 }
 
-// update adds d to the counter in one round trip, issued non-blocking and
-// flushed: on dsim a flushed op books its slot on the host's interface as
-// it is issued, where a blocking one waits for the interface to come free
-// and, with every passive rank polling the counter's host, can lose that
-// wait to lower-ranked pollers for good (the full-size counter ablation
-// stalled so). On the other transports the two forms are the same round
-// trip.
+// update adds d to the counter in one round trip.
 func (cd *ctrDetector) update(d int64) {
-	cd.p.NbFetchAdd64(0, cd.seg, 0, d, &cd.old)
-	cd.p.Flush()
+	cd.p.FetchAdd64(0, cd.seg, 0, d)
 	cd.stats.TermCounterOps++
 }
 

@@ -64,9 +64,9 @@ type Config struct {
 	// Occupancy, when nonzero, models serialization at the target of
 	// remote one-sided operations (NIC/memory-controller occupancy): each
 	// remote operation against a process occupies that process's interface
-	// for Occupancy + PerByte*n, and operations arriving while it is busy
-	// queue behind it. This is what turns a shared global counter into a
-	// hot spot at scale.
+	// for Occupancy + PerByte*n, and operations issued while it is busy
+	// queue behind it, in issue order. This is what turns a shared global
+	// counter into a hot spot at scale.
 	Occupancy time.Duration
 	// SpeedFactor, when non-nil, returns the computation cost multiplier
 	// for a rank (1.0 = nominal, larger = slower processor).
@@ -154,7 +154,7 @@ type world struct {
 	// unacknowledged death.
 	deadRanks []bool
 	faultSeq  int64
-	fault     *pgas.FaultError // latest registered death (root attribution)
+	fault     *pgas.FaultError // the latest death not on another's fault (root attribution)
 
 	err error
 }
@@ -202,10 +202,11 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 	w.ready.pop().resumeCh <- struct{}{}
 	<-w.done
 	if w.cfg.Survivable && w.err == nil && w.fault != nil {
-		// Recovered run: every rank that exited with an error is a
-		// registered death, so the survivors healed around it.
+		// Recovered run: every rank that exited with an error died of its
+		// own fault, so the survivors healed around it. One that died on
+		// another rank's fault did not heal.
 		for _, p := range w.procs {
-			if p.err != nil && !w.deadRanks[p.rank] {
+			if fe, ok := p.err.(*pgas.FaultError); ok && fe.Rank != p.rank {
 				return w.fault
 			}
 		}
@@ -342,21 +343,21 @@ func (w *world) wake(p *proc) {
 	w.ready.push(p)
 }
 
-// registerDeath records a rank death in survivable mode: a fresh death
-// (one not already attributed to an earlier-registered dead rank — the
-// cascade of survivors dying on unrecoverable clones re-reports the same
-// root rank) bumps the fault sequence so every survivor observes it once
-// and wakes survivors parked in Recv so their next yield delivers the fault.
+// registerDeath records p's death in survivable mode: it bumps the fault
+// sequence so every survivor observes it once, and wakes survivors parked
+// in Recv so their next yield delivers the fault. A rank that dies on a
+// clone of an earlier death (a cascade: the clone names the root rank) is
+// registered too, so no survivor waits on it, while the world keeps the
+// root's fault as its attribution.
 func (w *world) registerDeath(p *proc) {
 	fe, ok := p.err.(*pgas.FaultError)
 	if !ok {
 		fe = &pgas.FaultError{Rank: p.rank, Phase: "exit", Err: p.err}
 	}
-	if fe.Rank < 0 || fe.Rank >= w.cfg.NProcs || w.deadRanks[fe.Rank] {
-		return
+	w.deadRanks[p.rank] = true
+	if fe.Rank == p.rank || w.fault == nil {
+		w.fault = fe
 	}
-	w.deadRanks[fe.Rank] = true
-	w.fault = fe
 	w.faultSeq++
 	for _, q := range w.procs {
 		if q.state == stateWaiting {

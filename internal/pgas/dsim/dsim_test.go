@@ -270,6 +270,47 @@ func TestOccupancySerializesHotTarget(t *testing.T) {
 	}
 }
 
+// TestBoundedWaiting: a blocking op into a target that 62 ranks keep
+// polling with flushed loads is served in issue order. It waits for the
+// slots booked before it was issued, at most one per poller, and no slot a
+// poller books after it: it completes within its latency plus 62
+// occupancies, long before the polling stops.
+func TestBoundedWaiting(t *testing.T) {
+	const (
+		n       = 64
+		latency = 2 * time.Microsecond
+		occ     = 300 * time.Nanosecond
+		polling = 200 * time.Microsecond
+	)
+	var elapsed time.Duration
+	w := dsim.NewWorld(dsim.Config{NProcs: n, Seed: 1, Latency: latency, Occupancy: occ})
+	if err := w.Run(func(p pgas.Proc) {
+		ws := p.AllocWords(1)
+		p.Barrier()
+		t0 := p.Now()
+		switch p.Rank() {
+		case 0:
+		case 1:
+			p.Compute(20 * time.Microsecond) // the pollers hold the interface by now
+			t1 := p.Now()
+			p.Load64(0, ws, 0)
+			elapsed = p.Now() - t1
+		default:
+			var v int64
+			for p.Now()-t0 < polling {
+				p.NbLoad64(0, ws, 0, &v)
+				p.Flush()
+			}
+		}
+		p.Barrier()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if bound := latency + (n-2)*occ; elapsed < latency || elapsed > bound {
+		t.Errorf("blocking Load64 behind %d pollers took %v, want between %v and %v", n-2, elapsed, latency, bound)
+	}
+}
+
 // TestOccupancyIdleTargetCheap: with no contention, occupancy adds no
 // latency to the initiator.
 func TestOccupancyIdleTargetCheap(t *testing.T) {

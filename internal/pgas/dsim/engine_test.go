@@ -185,11 +185,11 @@ func TestEngineOrderGolden(t *testing.T) {
 		{"random/P=2", engineConfig(2), func(l *schedLog) func(pgas.Proc) { return engineProgram(l, 40) },
 			"419:6c5ab39de6a90fe4", "<nil>"},
 		{"random/P=5", engineConfig(5), func(l *schedLog) func(pgas.Proc) { return engineProgram(l, 40) },
-			"1128:d96d66340a75210c", "<nil>"},
+			"1128:358dee6c8acd3a95", "<nil>"},
 		{"random/P=64", engineConfig(64), func(l *schedLog) func(pgas.Proc) { return engineProgram(l, 24) },
-			"11939:75032549dc20b25a", "<nil>"},
+			"11939:ce1b5f7e14c4e5dd", "<nil>"},
 		{"survivable-death/P=5", withSurvivable(engineConfig(5)), deathProgram,
-			"35:5952a18dd9944613", "<nil>"},
+			"35:5eee5ed6af108daa", "<nil>"},
 		{"max-virtual-time/P=3", withMaxVirtualTime(engineConfig(3), 60*time.Microsecond), runawayProgram,
 			"166:fbac28f342bcfda2", "dsim: virtual time 60.1µs exceeded MaxVirtualTime 60µs"},
 		{"deadlock/P=4", engineConfig(4), deadlockProgram,

@@ -102,11 +102,11 @@ func (p *proc) ordered(cost time.Duration) {
 
 // orderedRemote charges the cost of a one-sided operation of n payload
 // bytes targeting the given process and yields so the caller may perform
-// it. When the Occupancy model is enabled and the target is remote, the
-// operation additionally queues behind other remote operations occupying
-// the target's interface, and then occupies it itself — the serialization
-// that makes hot objects (a shared counter, a popular victim's queue lock)
-// scale poorly.
+// it. A remote operation first yields to its issue point, where it books
+// its slot on the target's interface behind every slot booked before it
+// (reserve), and then completes once, at the later of its round trip and
+// its slot's start — the serialization that makes hot objects (a shared
+// counter, a popular victim's queue lock) scale poorly.
 func (p *proc) orderedRemote(target, n int) {
 	// A blocking one-sided operation may not overtake pending non-blocking
 	// ones: the Proc contract orders them per origin-target pair (on tcp
@@ -115,21 +115,34 @@ func (p *proc) orderedRemote(target, n int) {
 	if len(p.nb) > 0 {
 		p.Flush()
 	}
-	p.ordered(p.opCost(target, n))
-	if target == p.rank || p.w.cfg.Occupancy == 0 {
-		return
-	}
-	for {
-		busy := p.w.busyUntil[target]
-		if p.clock >= busy {
-			break
-		}
-		p.clock = busy
+	if target != p.rank {
 		p.yield()
 	}
-	nic := p.clock + p.w.cfg.Occupancy + time.Duration(n)*p.w.cfg.PerByte
-	p.w.busyUntil[target] = nic
-	p.rec.Record(trace.DsimNIC, p.clock, nic, int64(target), 0)
+	done := p.clock + p.opCost(target, n)
+	if start, _ := p.reserve(target, p.clock, n); start > done {
+		done = start
+	}
+	p.clock = done
+	p.yield()
+}
+
+// reserve books n payload bytes' service on target's interface for an
+// operation issued at virtual time at: the slot starts when the interface
+// is next free, or at at, and the interface stays busy until end. It is
+// the one writer of busyUntil. Its callers hold the token at at, so every
+// operation issued earlier has booked: the interface serves remote
+// operations, blocking and flushed alike, in the order they are issued.
+// Local operations and a machine without Occupancy book nothing
+// (start = end = at).
+func (p *proc) reserve(target int, at time.Duration, n int) (start, end time.Duration) {
+	if target == p.rank || p.w.cfg.Occupancy == 0 {
+		return at, at
+	}
+	start = max(p.w.busyUntil[target], at)
+	end = start + p.w.cfg.Occupancy + time.Duration(n)*p.w.cfg.PerByte
+	p.w.busyUntil[target] = end
+	p.rec.Record(trace.DsimNIC, start, end, int64(target), 0)
+	return start, end
 }
 
 // opCost is the cost of a one-sided operation of n payload bytes targeting
@@ -188,12 +201,15 @@ func (p *proc) apply(op *pgas.Op) {
 	op.ApplyData(p.w.dataSegs[op.Seg][op.Target][op.Off : op.Off+op.Bytes()])
 }
 
-// Issue has two charging rules. A blocking operation pays its own latency
-// and target occupancy in full, then moves its data. A non-blocking one
-// models communication/latency overlap: issuing is nearly free (one local
+// Issue has two charging rules over one booking rule. Every remote
+// operation books its slot on the target's interface when it is issued
+// (reserve), so the interface serves operations in issue order. A blocking
+// operation then completes at the later of its round trip and its slot's
+// start, and moves its data. A non-blocking one models
+// communication/latency overlap: issuing is nearly free (one local
 // injection cost, no yield), and completion at Flush charges max(op
-// latencies) — the transfers travel the network concurrently — plus each
-// operation's NIC occupancy at its target, instead of the serial sum the
+// latencies) — the transfers travel the network concurrently — or the end
+// of the batch's last slot, if later, instead of the serial sum the
 // blocking path pays. This is the model that moves the Table 1 / Figure 7
 // virtual-time numbers.
 //
@@ -215,47 +231,24 @@ func (p *proc) Issue(op *pgas.Op) pgas.Nb {
 
 func (p *proc) Local(seg pgas.Seg) []byte { return p.w.dataSegs[seg][p.rank] }
 
-// Flush completes every pending operation. The batch is charged
-// max(op latencies) — the round trips overlap — plus per-op NIC occupancy
-// at each target: every target's interface serializes the batch's
-// operations in issue order starting from its current busy horizon (or the
-// batch start, whichever is later), and the flush completes when both the
-// slowest round trip and every occupancy drain have finished. Unlike the
-// blocking path, the drain overlaps the latency advance: the requests are
-// already in flight on the wire, so a small trailing op rides behind a
-// bulk transfer instead of paying its serialization time again — the
-// pipelining win the non-blocking layer exists for. Other processes still
-// observe the advanced busy horizons and queue behind them.
+// Flush completes every pending operation. The batch yields to its start,
+// books its slots there in issue order (reserve), and completes when both
+// the slowest round trip and the last of its slots have finished. Unlike
+// the blocking path, the occupancy overlaps the latency advance: the
+// requests are already in flight on the wire, so a small trailing op rides
+// behind a bulk transfer instead of paying its serialization time again —
+// the pipelining win the non-blocking layer exists for.
 func (p *proc) Flush() {
 	if len(p.nb) == 0 {
 		return
 	}
+	p.yield() // the batch's issue point: every operation issued earlier has booked
 	start := p.clock
-	var maxCost time.Duration
+	end := start
 	for i := range p.nb {
-		if c := p.opCost(p.nb[i].Target, p.nb[i].Bytes()); c > maxCost {
-			maxCost = c
-		}
-	}
-	end := start + maxCost
-	if p.w.cfg.Occupancy > 0 {
-		for i := range p.nb {
-			op := &p.nb[i]
-			if op.Target == p.rank {
-				continue
-			}
-			nic := p.w.busyUntil[op.Target]
-			if nic < start {
-				nic = start
-			}
-			svc0 := nic
-			nic += p.w.cfg.Occupancy + time.Duration(op.Bytes())*p.w.cfg.PerByte
-			p.w.busyUntil[op.Target] = nic
-			p.rec.Record(trace.DsimNIC, svc0, nic, int64(op.Target), 0)
-			if nic > end {
-				end = nic
-			}
-		}
+		op := &p.nb[i]
+		_, nic := p.reserve(op.Target, start, op.Bytes())
+		end = max(end, start+p.opCost(op.Target, op.Bytes()), nic)
 	}
 	p.ordered(end - start)
 	for i := range p.nb {

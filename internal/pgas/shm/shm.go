@@ -102,28 +102,27 @@ func NewWorld(cfg Config) pgas.World {
 
 func (w *world) NProcs() int { return w.cfg.NProcs }
 
-// fail registers the first rank death and wakes every parked goroutine.
+// fail registers rank's death of fe and wakes every parked goroutine.
 // Later deaths (the cascade of survivors panicking on their next
 // operation) are ignored: the first fault is the root cause.
 //
-// In survivable mode each distinct rank death is registered (bumping
-// faultSeq so every survivor observes it once) and the world keeps
-// operating.
-func (w *world) fail(fe *pgas.FaultError) {
+// In survivable mode every death is registered (bumping faultSeq so every
+// survivor observes it once) and the world keeps operating. A rank that
+// dies on a clone of an earlier death (the clone names the root rank) is
+// registered too, so no survivor waits on it, while the world keeps the
+// root's fault as its attribution.
+func (w *world) fail(rank int, fe *pgas.FaultError) {
 	if w.cfg.Survivable {
 		w.deadMu.Lock()
-		fresh := fe.Rank >= 0 && fe.Rank < w.cfg.NProcs && !w.deadRanks[fe.Rank]
-		if fresh {
-			w.deadRanks[fe.Rank] = true
+		w.deadRanks[rank] = true
+		if fe.Rank == rank || w.fault.Load() == nil {
 			w.fault.Store(fe)
-			w.faultSeq.Add(1)
 		}
+		w.faultSeq.Add(1)
+		root := w.fault.Load()
 		w.deadMu.Unlock()
-		if !fresh {
-			return
-		}
 		for _, b := range w.boxes {
-			b.fail(fe)
+			b.fail(root)
 		}
 		return
 	}
@@ -164,7 +163,7 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 						// for errors.As / pgas.AsFault.
 						errs[rank] = fe
 						fmt.Fprintf(os.Stderr, "shm: rank %d: %v\n", rank, fe)
-						w.fail(fe)
+						w.fail(rank, fe)
 						return
 					}
 					buf := make([]byte, 16<<10)
@@ -174,7 +173,7 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 					// be blocked in collectives this rank will never
 					// reach, so the error must not wait for Run to return.
 					fmt.Fprintf(os.Stderr, "%v\n", errs[rank])
-					w.fail(&pgas.FaultError{
+					w.fail(rank, &pgas.FaultError{
 						Rank:  rank,
 						Phase: "exit",
 						Err:   fmt.Errorf("rank %d panicked: %v", rank, rec),
@@ -193,11 +192,12 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 	// entry carries the stack, so prefer it over the synthesized fault.
 	if fe := w.fault.Load(); fe != nil {
 		if w.cfg.Survivable {
-			// Recovered run: every rank that is not marked dead finished
-			// cleanly, so the survivors healed around the death(s).
+			// Recovered run: every rank that exited with an error died of
+			// its own fault, so the survivors healed around the death(s).
+			// One that died on another rank's fault did not heal.
 			recovered := true
 			for r, err := range errs {
-				if err != nil && !w.deadRanks[r] {
+				if c, ok := err.(*pgas.FaultError); ok && c.Rank != r {
 					recovered = false
 					break
 				}

@@ -1,6 +1,7 @@
 package pgas_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -65,6 +66,65 @@ func TestRunStartsAFreshMachine(t *testing.T) {
 			run(w, true)
 			if again, fresh := run(w, false), run(newWorld(), false); again != fresh {
 				t.Fatalf("a second run differs from a fresh world's first run:\n second %s\n fresh  %s", again, fresh)
+			}
+		})
+	}
+}
+
+// TestCascadeDeathIsRegistered: a survivor that dies on the clone of an
+// earlier death is a death too, on both in-process kernels. Rank 2 crashes;
+// rank 3 returns on the clone without surviving it; ranks 0 and 1 survive
+// rank 2 and wait on rank 3, whose death must wake them. Run then returns
+// rank 2's fault.
+func TestCascadeDeathIsRegistered(t *testing.T) {
+	const n, tag = 4, 7
+	worlds := map[string]pgas.World{
+		"dsim": dsim.NewWorld(dsim.Config{NProcs: n, Seed: 1, Survivable: true}),
+		"shm":  shm.NewWorld(shm.Config{NProcs: n, Seed: 1, Survivable: true}),
+	}
+	for name, w := range worlds {
+		t.Run(name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				done <- w.Run(func(p pgas.Proc) {
+					if p.Rank() != 2 {
+						p.Send(2, tag, nil) // rank 2 dies after every rank is here
+					}
+					switch p.Rank() {
+					case 2:
+						for _, r := range []int{0, 1, 3} {
+							p.Recv(r, tag)
+						}
+						panic(&pgas.FaultError{Rank: 2, Phase: "test", Err: errors.New("rank 2 crashes")})
+					case 3:
+						p.Compute(50 * time.Millisecond) // the survivors acknowledge rank 2 first
+						p.Recv(2, tag)
+					default:
+						var alive []bool
+						func() {
+							defer func() {
+								r := recover()
+								fe, ok := r.(*pgas.FaultError)
+								if !ok {
+									panic(r)
+								}
+								alive, _ = p.(pgas.Resilient).SurviveFault(fe)
+							}()
+							p.Recv(2, tag)
+						}()
+						if alive[3] {
+							p.Recv(3, tag) // rank 3 never sends: its death must wake us
+						}
+					}
+				})
+			}()
+			select {
+			case err := <-done:
+				if fe, ok := pgas.AsFault(err); !ok || fe.Rank != 2 {
+					t.Fatalf("Run returned %v, want rank 2's fault", err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("the survivors still wait on rank 3, which died on rank 2's fault")
 			}
 		})
 	}
