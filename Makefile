@@ -135,7 +135,7 @@ loc:
 	@echo "repo           $$($(SRC) | xargs cat | $(LOC))"
 	@echo "obs            $$(find internal/trace internal/obs internal/pgas/instr cmd/sciototrace -name '*.go' ! -name '*_test.go' | xargs cat | $(LOC))"
 	@echo "tools          $$(find tools -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | $(LOC)) (tools/sciotolint without its analysistest fixtures; not in the repo line)"
-	@echo "spi            Kernel $$(awk '/^type Kernel interface/ {k=1; next} k && /^}/ {k=0} k && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n+0}' internal/pgas/pgas.go) methods;" \
+	@echo "spi            $$(for i in Kernel Resilient; do printf '%s %s, ' $$i $$(awk '/^type '$$i' interface/ {k=1; next} k && /^}/ {k=0} k && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n+0}' internal/pgas/pgas.go); done | sed 's/, $$//') methods;" \
 		"faulty proc $$(grep -c '^func (p \*proc)' internal/pgas/faulty/faulty.go), instr proc $$(grep -c '^func (p \*proc)' internal/pgas/instr/proc.go);" \
 		"capability assertions $$($(SRC) | xargs grep -E '\.\((pgas\.)?Resilient\)|\.\((trace\.)?Attacher\)' | grep -vc '^[^:]*:[[:space:]]*//')"
 

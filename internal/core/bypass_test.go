@@ -101,40 +101,6 @@ func TestRootSurplusStolenMidSpawn(t *testing.T) {
 	}
 }
 
-// TestArmedRecoveryKeepsSpawnsSilent: with recovery armed a callback's
-// local adds issue no checked operation, while unarmed the same callbacks
-// run the release check, whose ordered loads are operations.
-func TestArmedRecoveryKeepsSpawnsSilent(t *testing.T) {
-	for _, armed := range []bool{true, false} {
-		var inCallbacks int64 // over all ranks: dsim runs one rank at a time
-		w := faulty.Wrap(dsim.NewWorld(dsim.Config{NProcs: 4, Seed: 3, Survivable: true}),
-			faulty.Config{CrashRank: faulty.NoCrash})
-		if err := w.Run(func(p pgas.Proc) {
-			rt := Attach(p)
-			if armed {
-				rt.EnableRecovery()
-			}
-			tc := NewTC(rt, Config{MaxBodySize: 8, MaxTasks: 1024})
-			spawn := spawner(16)
-			root := NewTask(tc.Register(func(tc *TC, t *Task) {
-				ops := faulty.Ops(p)
-				spawn(tc, t)
-				inCallbacks += faulty.Ops(p) - ops
-			}), 8)
-			root.Body()[0] = 2
-			if err := tc.Add(p.Rank(), AffinityHigh, root); err != nil {
-				panic(err)
-			}
-			tc.Process()
-		}); err != nil {
-			t.Fatalf("armed=%v: %v", armed, err)
-		}
-		if armed != (inCallbacks == 0) {
-			t.Errorf("armed=%v: the callbacks issued %d operations", armed, inCallbacks)
-		}
-	}
-}
-
 // holdWitness is a proc over the transport's that counts the faults
 // unwinding its rank while its collection holds a bypassed task.
 type holdWitness struct {

@@ -16,10 +16,11 @@ import (
 // from its registration on: its state word counts down its dependencies.
 //
 // Because both segments live on the symmetric heap, a surviving rank can
-// read a dead rank's journal post-mortem (pgas.Resilient.Salvage) and
-// compute the lost task set: slots still live whose descriptors are not
-// present in any live rank's queue. See recover.go for the healing
-// protocol and DESIGN.md "Recovery" for the invariants.
+// read a dead rank's journal post-mortem, with ordinary one-sided reads
+// once SurviveFault acknowledged the death, and compute the lost task
+// set: slots still live whose descriptors are not present in any live
+// rank's queue. See recover.go for the healing protocol and DESIGN.md
+// "Recovery" for the invariants.
 //
 // Slot state machine (one word per slot, in the state segment):
 //
@@ -119,8 +120,7 @@ func (j *journal) alloc() int {
 }
 
 // credit counts a durable completion by executor e in its tally word.
-// Tally words are owner-written only (peers read them solely post-mortem
-// via Salvage).
+// Tally words are owner-written only (peers read them solely post-mortem).
 //
 //scioto:noalloc
 func (j *journal) credit(e int) {
@@ -160,7 +160,7 @@ func (j *journal) markDone(home, slot, executor int) {
 }
 
 // setWord stores one of this rank's own phase and execution words. Relaxed:
-// peers read them only post-mortem, through Salvage.
+// peers read them only post-mortem.
 //
 //scioto:noalloc
 func (j *journal) setWord(idx int, v int64) { j.p.RelaxedStore64(j.state, idx, v) }
@@ -175,12 +175,28 @@ func (j *journal) begin(wire []byte, skip int64) {
 	j.setWord(j.execIdx(), 1+skip)
 }
 
-// doneBy counts, in a journal whose state words load reads, durable
+// states reads rank's journal state words: this rank's by relaxed loads,
+// another's — a dead rank's, quiescent — by one NbLoad64 per word and a
+// single Flush.
+func (j *journal) states(rank int) []int64 {
+	st := make([]int64, j.execIdx()+1)
+	for i := range st {
+		if rank == j.p.Rank() {
+			st[i] = j.p.RelaxedLoad64(j.state, i)
+		} else {
+			j.p.NbLoad64(rank, j.state, i, &st[i])
+		}
+	}
+	j.p.Flush()
+	return st
+}
+
+// doneBy counts, in a journal whose state words are st, durable
 // completions credited to executor e: done slots naming e plus its tally.
-func (j *journal) doneBy(e int, load func(idx int) int64) int64 {
-	n := load(j.tallyIdx(e))
-	for s := 0; s < j.slots; s++ {
-		if load(s) == jDone(e) {
+func (j *journal) doneBy(e int, st []int64) int64 {
+	n := st[j.tallyIdx(e)]
+	for _, v := range st[:j.slots] {
+		if v == jDone(e) {
 			n++
 		}
 	}

@@ -30,8 +30,10 @@ import (
 //     recovery reads the dead journal.
 //  2. Replay. Every live home re-inserts its own live-but-unclaimed
 //     slots into its queue (they keep their journal record). The healer
-//     additionally salvages the dead rank's journal one-sidedly,
-//     re-homes its live-and-unclaimed descriptors into the healer's own
+//     additionally salvages the dead rank's journal with ordinary
+//     one-sided ops (SurviveFault left it addressable and quiescent): its
+//     state words in one flushed batch of NbLoad64s, then the images it
+//     needs. It re-homes the live-and-unclaimed descriptors into its own
 //     journal, and credits the dead rank's durable completions in every
 //     dead journal to Stats.SalvagedExecs — the exactness invariant is
 //
@@ -135,15 +137,14 @@ func (rec *recovery) remapDep(d Dep) Dep {
 }
 
 // heals acknowledges fe's death (SurviveFault) and returns the phase the
-// dead rank died in — its phase word, read from its salvaged memory — or
+// dead rank died in — its phase word, read from its quiescent memory — or
 // 0 if recovery does not heal it.
 func (tc *TC) heals(fe *pgas.FaultError) (alive []bool, phase int64) {
 	alive, ok := tc.rec.res.SurviveFault(fe)
-	v, _ := tc.rec.res.SalvageLoad64(fe.Rank, tc.jn.state, tc.jn.phaseIdx())
 	if !ok {
-		v = 0
+		return alive, 0
 	}
-	return alive, v
+	return alive, tc.rt.p.Load64(fe.Rank, tc.jn.state, tc.jn.phaseIdx())
 }
 
 // faultPhase returns, for r recovered from a collection operation
@@ -273,16 +274,11 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	healer := rec.healer()
 	tc.obs.recoverBegin(dead, rec.epoch)
 
-	// Interrupted executions: the one the fault cut short here (one a
-	// recovery left us to resume is listed already), and the healer takes
-	// the dead rank's. The spill is dropped: its tasks are live records in
-	// no queue.
-	for _, r := range []int{me, dead} {
-		if v, _ := rec.res.SalvageLoad64(r, tc.jn.state, tc.jn.execIdx()); v > 0 && (r == me && tc.executing || r != me && me == healer) {
-			img := make([]byte, tc.jn.slotSize)
-			rec.res.Salvage(img, r, tc.jn.data, tc.jn.slots*tc.jn.slotSize)
-			tc.resumes = append(tc.resumes, resumed{img, v - 1})
-		}
+	// The execution the fault cut short here (one a recovery left us to
+	// resume is listed already). The spill is dropped: its tasks are live
+	// records in no queue.
+	if v := p.RelaxedLoad64(tc.jn.state, tc.jn.execIdx()); v > 0 && tc.executing {
+		tc.resumes = append(tc.resumes, resumed{append([]byte(nil), tc.jn.slotBytes(tc.jn.slots)...), v - 1})
 	}
 	tc.executing, tc.spill = false, nil
 
@@ -300,12 +296,24 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	// this rank's fault epoch, so the barrier runs over the survivors.
 	p.Barrier()
 
+	// Our journal is read relaxed: the rendezvous ordered every store. The
+	// healer reads the dead rank's in one batch, and takes the execution
+	// the death cut short.
+	own := tc.jn.states(me)
+	var dj []int64
+	if me == healer {
+		dj = tc.jn.states(dead)
+		if v := dj[tc.jn.execIdx()]; v > 0 {
+			img := make([]byte, tc.jn.slotSize)
+			p.Get(img, dead, tc.jn.data, tc.jn.slots*tc.jn.slotSize)
+			tc.resumes = append(tc.resumes, resumed{img, v - 1})
+		}
+	}
+
 	// --- Claims: every survivor tells every other the tasks it holds —
 	// its queue, and those of the executions it resumes — as (home, slot)
 	// pairs, after its durable credits to the dead executor. ------------
-	// Our journal is read relaxed: the rendezvous ordered every store.
-	local := func(i int) int64 { return p.RelaxedLoad64(tc.jn.state, i) }
-	held := []int64{tc.jn.doneBy(dead, local)}
+	held := []int64{tc.jn.doneBy(dead, own)}
 	hold := func(ref []byte) {
 		if home := wireJHome(ref); home >= 0 { // else unjournaled (pre-recovery descriptor)
 			held = append(held, int64(home), int64(wireJSlot(ref)))
@@ -351,8 +359,8 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 
 	// --- Replay our own live-but-unclaimed records. --------------------
 	replayed := int64(len(tc.resumes))
-	for s := 0; s < tc.jn.slots; s++ {
-		if local(s) != jLive || claimed[[2]int64{int64(me), int64(s)}] {
+	for s, v := range own[:tc.jn.slots] {
+		if v != jLive || claimed[[2]int64{int64(me), int64(s)}] {
 			continue
 		}
 		tc.requeue(tc.jn.slotBytes(s))
@@ -361,12 +369,14 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 
 	// --- Healer: salvage the dead rank's journal. -----------------------
 	if me == healer {
-		replayed += tc.salvageDeadJournal(dead, claimed)
+		replayed += tc.salvageDeadJournal(dead, dj, claimed)
 		// The dead rank's completions in the journals no survivor reports:
 		// its own, and those of ranks that died before it.
 		for r, a := range rec.alive {
-			if !a {
-				salvagedExecs += tc.jn.doneBy(dead, func(i int) int64 { v, _ := rec.res.SalvageLoad64(r, tc.jn.state, i); return v })
+			if r == dead {
+				salvagedExecs += tc.jn.doneBy(dead, dj)
+			} else if !a {
+				salvagedExecs += tc.jn.doneBy(dead, tc.jn.states(r))
 			}
 		}
 		tc.stats.SalvagedExecs += salvagedExecs
@@ -386,40 +396,30 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	tc.obs.recoverEnd(dead, rec.epoch)
 }
 
-// salvageDeadJournal reads the dead rank's journal one-sidedly on this
-// (healer) rank: live-and-unclaimed descriptors are re-homed into this
-// rank's journal and queue, deferred ones are re-registered here with
-// their remaining counts (the handle remap goes to every survivor when
-// the collection has the dependency API). Returns the number of
-// descriptors replayed.
-func (tc *TC) salvageDeadJournal(dead int, claimed map[[2]int64]bool) int64 {
-	rec := tc.rec
+// salvageDeadJournal reads the dead rank's journal, whose state words are
+// st, one-sidedly on this (healer) rank: live-and-unclaimed descriptors
+// are re-homed into this rank's journal and queue, deferred ones are
+// re-registered here with their remaining counts (the handle remap goes
+// to every survivor when the collection has the dependency API). Returns
+// the number of descriptors replayed.
+func (tc *TC) salvageDeadJournal(dead int, st []int64, claimed map[[2]int64]bool) int64 {
 	jn := tc.jn
 	p := tc.rt.p
 	buf := make([]byte, jn.slotSize)
-	salvage := func(s int) {
-		if !rec.res.Salvage(buf, dead, jn.data, s*jn.slotSize) {
-			panic(fmt.Sprintf("core: cannot salvage journal data of dead rank %d", dead))
-		}
-	}
 	replayed := int64(0)
 	var remap []byte
-	for s := 0; s < jn.slots; s++ {
-		st, ok := rec.res.SalvageLoad64(dead, jn.state, s)
-		if !ok {
-			panic(fmt.Sprintf("core: cannot salvage journal of dead rank %d", dead))
-		}
+	for s, v := range st[:jn.slots] {
 		switch {
-		case st == jLive && !claimed[[2]int64{int64(dead), int64(s)}]:
-			salvage(s)
+		case v == jLive && !claimed[[2]int64{int64(dead), int64(s)}]:
+			p.Get(buf, dead, jn.data, s*jn.slotSize)
 			tc.rehome(buf)
 			replayed++
-		case st > jLive:
-			salvage(s)
+		case v > jLive:
+			p.Get(buf, dead, jn.data, s*jn.slotSize)
 			t := decodeTask(buf)
 			js := jn.alloc()
 			t.setJournalRef(p.Rank(), js)
-			jn.record(js, t.wire(), st)
+			jn.record(js, t.wire(), v)
 			remap = append(remap, make([]byte, 2*DepBytes)...)
 			EncodeDep(remap[len(remap)-2*DepBytes:], Dep{Proc: int32(dead), Slot: int32(s)})
 			EncodeDep(remap[len(remap)-DepBytes:], Dep{Proc: int32(p.Rank()), Slot: int32(js)})
@@ -427,7 +427,7 @@ func (tc *TC) salvageDeadJournal(dead int, claimed map[[2]int64]bool) int64 {
 	}
 	tc.installDepRemap(remap)
 	for r := 0; r < p.NProcs() && tc.cfg.MaxDeferred > 0; r++ {
-		if r != p.Rank() && rec.alive[r] {
+		if r != p.Rank() && tc.rec.alive[r] {
 			p.Send(r, tagRecoverRemap, remap)
 		}
 	}

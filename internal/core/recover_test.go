@@ -60,9 +60,9 @@ func (c crashPin) observe(t *testing.T) (hook func(time.Duration, int, string, s
 // wrapped with a deterministic one-shot crash of crashRank at pin, with
 // work-replay recovery armed. Every rank seeds one root task; each task
 // of depth > 0 spawns `branch` children locally. Reports rank 0's global
-// stats. The callbacks only perform local adds (no checked communication),
-// so task execution is atomic with respect to fault delivery and the
-// replay accounting must be exact.
+// stats. The callbacks only perform local adds; an execution a fault cuts
+// short in an add's release check is resumed past the adds that landed,
+// so the replay accounting must be exact.
 func runRecoveryTree(t *testing.T, mk func() pgas.World, n, crashRank int, pin crashPin, seed int64) (recoveryOutcome, error) {
 	t.Helper()
 	hook, check := pin.observe(t)
@@ -158,12 +158,14 @@ func TestRecoveryExactReplaySHM(t *testing.T) {
 // TestRecoveryExactReplayDSim: the same healing on the deterministic
 // transport, at crash points in rank 2's release checks (13, a Load64 of
 // its own packed word), between a release and the reacquire that follows
-// (24, the Load64 after the third FetchAdd64), and at its first probe of
-// rank 3's packed word once it has run out of work (41; the phase is 47
+// (33, the Load64 after the third FetchAdd64: the release check of a
+// callback's second add — its first is held — so the healer resumes that
+// execution past the two adds that landed), and at its first probe once
+// it has run out of work (41, of rank 0's packed word; the phase is 57
 // ops).
 func TestRecoveryExactReplayDSim(t *testing.T) {
 	const n = 4
-	for _, pin := range []crashPin{{13, "Load64"}, {24, "Load64"}, {41, "NbLoad64"}} {
+	for _, pin := range []crashPin{{13, "Load64"}, {33, "Load64"}, {41, "NbLoad64"}} {
 		pin := pin
 		t.Run(fmt.Sprintf("crashAfter=%d", pin.ops), func(t *testing.T) {
 			out, err := runRecoveryTree(t, func() pgas.World {
@@ -302,7 +304,7 @@ func TestRecoveryDeterministicDSim(t *testing.T) {
 	run := func() recoveryOutcome {
 		out, err := runRecoveryTree(t, func() pgas.World {
 			return dsim.NewWorld(dsim.Config{NProcs: n, Seed: 7, Survivable: true})
-		}, n, 1, crashPin{35, "NbLoad64"}, 99) // rank 1's first probe of rank 3's packed word
+		}, n, 1, crashPin{45, "NbLoad64"}, 99) // rank 1's first probe of rank 3's packed word
 		if err != nil {
 			t.Fatalf("survivable world failed: %v", err)
 		}

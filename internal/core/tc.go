@@ -322,9 +322,8 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 		tc.held, ok = true, true
 	case proc == me && affinity >= affinityThreshold:
 		// Mid-spawn release: a spawning task's surplus is stealable before
-		// it returns. Not with recovery armed, where a callback's local
-		// adds must stay free of communication (DESIGN.md "Recovery").
-		if ok = tc.q.pushPrivate(wire, &tc.stats); ok && tc.running && tc.jn == nil {
+		// it returns.
+		if ok = tc.q.pushPrivate(wire, &tc.stats); ok && tc.running {
 			tc.releaseCheck()
 		}
 	default:

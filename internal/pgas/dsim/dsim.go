@@ -80,7 +80,7 @@ type Config struct {
 	// containment: a rank death is delivered to each survivor exactly once
 	// (as a *pgas.FaultError panic from its next yielding operation),
 	// barriers disseminate over the live membership, and the dead rank's
-	// memory stays readable through the pgas.Resilient salvage operations
+	// memory stays reachable by every one-sided op, charged as any other
 	// (a lock it held stays held until pgas.BreakLock). Deterministic:
 	// deaths are registered when the dead rank gives up the token, a
 	// fixed point in virtual time. Run returns nil when every surviving

@@ -381,24 +381,3 @@ func (p *proc) Membership() (alive []bool, epoch int64) {
 	}
 	return alive, p.ackedSeq
 }
-
-// Salvage reads a dead (or any) rank's data segment, charged as a normal
-// one-sided get.
-func (p *proc) Salvage(dst []byte, rank int, seg pgas.Seg, off int) bool {
-	if !p.w.cfg.Survivable {
-		return false
-	}
-	p.orderedRemote(rank, len(dst))
-	copy(dst, p.w.dataSegs[seg][rank][off:off+len(dst)])
-	return true
-}
-
-// SalvageLoad64 reads a dead (or any) rank's word, charged as a normal
-// one-sided load.
-func (p *proc) SalvageLoad64(rank int, seg pgas.Seg, idx int) (int64, bool) {
-	if !p.w.cfg.Survivable {
-		return 0, false
-	}
-	p.orderedRemote(rank, 8)
-	return p.w.wordSegs[seg][rank][idx], true
-}

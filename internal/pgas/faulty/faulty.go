@@ -189,9 +189,6 @@ var _ pgas.Proc = (*proc)(nil)
 
 // Unwrap exposes the wrapped layer to pgas.Find, which is how the inner
 // transport's capabilities (pgas.Resilient, trace.Attacher) stay reachable.
-// The salvage path is therefore never fault-injected: it models
-// post-mortem memory access, not live network traffic, and runs during
-// recovery when a second injected fault would just re-kill the healer.
 func (p *proc) Unwrap() pgas.Kernel { return p.Kernel }
 
 // observe reports one injected fault to the configured observer, just

@@ -123,10 +123,10 @@ func newProc(inner pgas.Kernel, reg *obs.Registry) *proc {
 }
 
 // Unwrap exposes the wrapped layer to pgas.Find, which is how the inner
-// transport's capabilities stay reachable. Salvage traffic is therefore
-// left out of the latency histograms: it is recovery-path, not
-// steady-state. The wrapper records no occupancy of its own either: its
-// view of latency is already covered by the histograms.
+// transport's capabilities stay reachable. Recovery's reads of a dead
+// rank are ordinary one-sided ops, timed like any other. The wrapper
+// records no occupancy of its own: its view of latency is already
+// covered by the histograms.
 func (p *proc) Unwrap() pgas.Kernel { return p.Kernel }
 
 // observe records one completed operation's latency against start and

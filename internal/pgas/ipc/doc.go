@@ -84,7 +84,7 @@
 // delivered to each survivor exactly once, acknowledged via
 // pgas.Resilient.SurviveFault, barriers complete over the live
 // membership (pgas.Resilient.Membership reads the dead flags), and the
-// dead rank's arena stays mapped and readable through
-// Salvage/SalvageLoad64 — which is what lets the runtime's work-replay
-// recovery reconstruct a dead rank's journal from its still-mapped heap.
+// dead rank's arena stays mapped and reachable by every one-sided op —
+// which is what lets the runtime's work-replay recovery reconstruct a
+// dead rank's journal from its still-mapped heap.
 package ipc

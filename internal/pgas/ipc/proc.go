@@ -282,10 +282,10 @@ func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
 	return nil, -1, false
 }
 
-// pgas.Resilient: survivable-mode fault acknowledgement and post-mortem
-// access to a dead rank's symmetric memory. The registrar's faultSeq bump
-// is the release edge ordering the dead rank's final (pre-registration)
-// writes before any salvage read that observed the bump.
+// pgas.Resilient: survivable-mode fault acknowledgement. The dead rank's
+// arena stays mapped after its process died, and the registrar's faultSeq
+// bump is the release edge ordering its final (pre-registration) writes
+// before any one-sided read that observed the bump.
 
 // SurviveFault acknowledges every death registered so far and returns the
 // live membership. ok is false when the world is not survivable.
@@ -309,22 +309,4 @@ func (p *proc) Membership() (alive []bool, epoch int64) {
 		alive[r] = p.m.load(p.m.l.deadFlag(r)) == 0
 	}
 	return alive, p.ackedSeq
-}
-
-// Salvage reads a dead (or any) rank's data segment directly: the arena
-// stays mapped after the process that owned it died.
-func (p *proc) Salvage(dst []byte, rank int, seg pgas.Seg, off int) bool {
-	if !p.cfg.Survivable {
-		return false
-	}
-	copy(dst, p.dataAt(rank, seg, off, len(dst)))
-	return true
-}
-
-// SalvageLoad64 reads a dead (or any) rank's word segment directly.
-func (p *proc) SalvageLoad64(rank int, seg pgas.Seg, idx int) (int64, bool) {
-	if !p.cfg.Survivable {
-		return 0, false
-	}
-	return p.m.load(p.wordAt(rank, seg, idx)), true
 }

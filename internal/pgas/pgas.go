@@ -321,14 +321,15 @@ type Proc interface {
 }
 
 // Resilient is the optional fault-survival extension of Proc. A transport
-// that can outlive the death of a rank — marking it dead, reporting the
-// live membership the collectives run over, and exposing the dead rank's
-// symmetric heap for post-mortem reads — implements Resilient on its
+// that can outlive the death of a rank — marking it dead and reporting the
+// live membership the collectives run over — implements Resilient on its
 // Kernel type; the runtime and Front's collectives look it up with Find,
-// which sees through the wrappers. The core runtime's work-replay recovery
-// requires it; on a transport without it (or one that returns ok=false) a
-// fault stays fatal and the job unwinds as before, and the collectives run
-// over every rank.
+// which sees through the wrappers. Once SurviveFault has acknowledged a
+// death, the dead rank's symmetric heap stays addressable by every
+// ordinary one-sided op, because it is quiescent. The core runtime's
+// work-replay recovery requires it; on a transport without it (or one
+// that returns ok=false) a fault stays fatal and the job unwinds as
+// before, and the collectives run over every rank.
 type Resilient interface {
 	// SurviveFault transitions the world into a recovery epoch after fe:
 	// the faulted rank is marked dead and subsequent Barriers and
@@ -345,16 +346,6 @@ type Resilient interface {
 	// the live bitmap (indexed by rank) as of now; nil means every rank.
 	// Front's collectives rebuild their member list when the epoch changes.
 	Membership() (alive []bool, epoch int64)
-
-	// Salvage copies len(dst) bytes from data segment seg of the DEAD
-	// process rank at offset off. Only valid after SurviveFault marked the
-	// rank dead (its memory is quiescent); reports false if the transport
-	// cannot reach the dead rank's heap.
-	Salvage(dst []byte, rank int, seg Seg, off int) bool
-
-	// SalvageLoad64 reads word idx of word segment seg of the DEAD process
-	// rank. Same validity rules as Salvage.
-	SalvageLoad64(rank int, seg Seg, idx int) (int64, bool)
 }
 
 // Transport names a pgas implementation, for command-line selection.

@@ -13,7 +13,8 @@ import (
 // (pgas/barrier.go, pgas/allreduce.go). The barrier's plain cases are in
 // the main group; the all-reduce's are here, and the LiveMembership cases
 // hold a survivable transport's Membership and fault delivery to the
-// collectives' contract across a death.
+// collectives' contract across a death. DeadHeapReadable holds it to the
+// pgas.Resilient contract's reads of a dead rank's heap.
 
 // midBarrierDeath is a wrapper that puts a death in the middle of the first
 // barrier. On rank dead, the barrier's second Send — the start of its
@@ -67,13 +68,7 @@ func testBarrierLiveMembership(t *testing.T, f Factory) {
 		p := &midBarrierDeath{Kernel: bare, dead: dead, parked: 0}
 		p.Bind(p)
 		p.ws = p.AllocWords(1)
-		survive := surviving(p, dead)
-		for acked := survive(p.Barrier); !acked; {
-			acked = survive(func() {
-				p.Load64(p.Rank(), p.ws, 0)
-				p.Compute(time.Microsecond)
-			})
-		}
+		acknowledge(p, dead, awaitDeath(p, dead, p.ws, p.Barrier))
 		for phase := int64(1); phase <= 6; phase++ {
 			if writer := live[phase%3]; p.Rank() == writer {
 				p.Compute(200 * time.Microsecond)
@@ -90,30 +85,80 @@ func testBarrierLiveMembership(t *testing.T, f Factory) {
 	})
 }
 
-// surviving returns a runner for p's operations in a survivable world in
-// which rank dead dies: it runs op and reports whether op delivered the
-// death, which it acknowledges (SurviveFault) when it did.
-func surviving(p pgas.Proc, dead int) func(op func()) (acked bool) {
+// unwound runs op and returns the FaultError of rank dead's death if that
+// unwound it, nil if op returned; any other panic propagates.
+func unwound(dead int, op func()) (fe *pgas.FaultError) {
+	defer func() {
+		if r := recover(); r != nil {
+			if fe, _ = r.(*pgas.FaultError); fe == nil || fe.Rank != dead {
+				panic(r)
+			}
+		}
+	}()
+	op()
+	return nil
+}
+
+// awaitDeath runs op and then polls a word of p's own segment ws until
+// rank dead's death has unwound the rank, and returns that death.
+func awaitDeath(p pgas.Proc, dead int, ws pgas.Seg, op func()) *pgas.FaultError {
+	return unwound(dead, func() {
+		op()
+		for {
+			p.Load64(p.Rank(), ws, 0)
+			p.Compute(time.Microsecond)
+		}
+	})
+}
+
+// acknowledge acknowledges rank dead's death fe (SurviveFault), which must
+// leave dead out of the live membership.
+func acknowledge(p pgas.Proc, dead int, fe *pgas.FaultError) {
 	res, ok := pgas.Find[pgas.Resilient](p)
 	if !ok {
 		panic("the transport is not pgas.Resilient")
 	}
-	return func(op func()) (acked bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				fe, isFault := r.(*pgas.FaultError)
-				if !isFault || fe.Rank != dead {
-					panic(r)
-				}
-				if alive, ok := res.SurviveFault(fe); !ok || alive[dead] {
-					panic(fmt.Sprintf("SurviveFault = (%v, %t), want rank %d dead", alive, ok, dead))
-				}
-				acked = true
-			}
-		}()
-		op()
-		return false
+	if alive, ok := res.SurviveFault(fe); !ok || alive[dead] {
+		panic(fmt.Sprintf("SurviveFault = (%v, %t), want rank %d dead", alive, ok, dead))
 	}
+}
+
+// testDeadHeapReadable: of three ranks, rank 1 writes its data and word
+// segments and dies. A survivor polls until the death unwinds it; before
+// it acknowledges the death, a Get, a Load64 and an NbLoad64 + Flush of
+// the dead rank each unwind with that death's FaultError, and once
+// SurviveFault has acknowledged it the same reads return what the dead
+// rank last wrote. f must create survivable worlds.
+func testDeadHeapReadable(t *testing.T, f Factory) {
+	const n, dead = 3, 1
+	run(t, f(n), func(p pgas.Proc) {
+		ds, ws := p.AllocData(8), p.AllocWords(2)
+		if p.Rank() == dead {
+			p.Put(dead, ds, 0, []byte("lastword"))
+			p.Store64(dead, ws, 0, 41)
+			p.Store64(dead, ws, 1, 42)
+			panic("dying after its writes")
+		}
+		got, w := make([]byte, 8), [2]int64{}
+		reads := []func(){
+			func() { p.Get(got, dead, ds, 0) },
+			func() { w[0] = p.Load64(dead, ws, 0) },
+			func() { p.NbLoad64(dead, ws, 1, &w[1]); p.Flush() },
+		}
+		fe := awaitDeath(p, dead, ws, func() {})
+		for i, read := range reads {
+			if unwound(dead, read) == nil {
+				panic(fmt.Sprintf("rank %d: read %d of the dead rank returned before its death was acknowledged", p.Rank(), i))
+			}
+		}
+		acknowledge(p, dead, fe)
+		for _, read := range reads {
+			read()
+		}
+		if string(got) != "lastword" || w != [2]int64{41, 42} {
+			panic(fmt.Sprintf("rank %d read the dead rank's heap as %q, %v; want \"lastword\", [41 42]", p.Rank(), got, w))
+		}
+	})
 }
 
 // testAllReduce: at every P of {1, 2, 3, 5, 8}, a Sum and a max all-reduce
@@ -181,9 +226,11 @@ func testAllReduceLiveMembership(t *testing.T, f Factory) {
 			panic(fmt.Sprintf("rank %d dying between two all-reduces", dead))
 		}
 		p.Store64(dead, left, me, 1)
-		if !surviving(p, dead)(func() { p.AllReduce(vec, pgas.Sum) }) {
+		fe := unwound(dead, func() { p.AllReduce(vec, pgas.Sum) })
+		if fe == nil {
 			panic(fmt.Sprintf("rank %d left an all-reduce the dead rank never entered", me))
 		}
+		acknowledge(p, dead, fe)
 		for i := int64(0); i < 4; i++ {
 			vec[0] = int64(me) + 1 + i
 			p.AllReduce(vec, pgas.Sum)

@@ -212,25 +212,18 @@ func testDeadHolder(t *testing.T, f Factory) {
 	run(t, f(n), func(p pgas.Proc) {
 		lk := p.AllocLock()
 		ws := p.AllocWords(2) // on rank 0 — [0]: the lock is held, [1]: entries under the lock
-		survive := surviving(p, dead)
 		// The death may be delivered as early as this barrier: the dead
 		// rank can leave it while a survivor still has a round to send it.
-		acked := survive(p.Barrier)
+		fe := unwound(dead, p.Barrier)
 		if p.Rank() == dead {
-			func() {
-				p.Lock(0, lk)
-				p.Store64(0, ws, 0, 1)
-				panic("dying with the lock held")
-			}()
+			p.Lock(0, lk)
+			p.Store64(0, ws, 0, 1)
+			panic("dying with the lock held")
 		}
-		// Poll until the death is delivered (it is, exactly once, out of
-		// some operation), and acknowledge it.
-		for !acked {
-			acked = survive(func() {
-				p.Load64(0, ws, 0)
-				p.Compute(time.Microsecond)
-			})
+		if fe == nil {
+			fe = awaitDeath(p, dead, ws, func() {})
 		}
+		acknowledge(p, dead, fe)
 		if p.Load64(0, ws, 0) != 1 {
 			panic("rank 1 died before it took the lock")
 		}

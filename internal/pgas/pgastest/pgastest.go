@@ -68,6 +68,7 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	if opts.Survivable != nil {
 		t.Run("BarrierLiveMembership", func(t *testing.T) { testBarrierLiveMembership(t, opts.Survivable) })
 		t.Run("AllReduceLiveMembership", func(t *testing.T) { testAllReduceLiveMembership(t, opts.Survivable) })
+		t.Run("DeadHeapReadable", func(t *testing.T) { testDeadHeapReadable(t, opts.Survivable) })
 	}
 	t.Run("SendRecvPingPong", func(t *testing.T) { testPingPong(t, newWorld) })
 	t.Run("SendRecvAnySource", func(t *testing.T) { testAnySource(t, newWorld) })

@@ -49,8 +49,8 @@ type Config struct {
 	// after which the survivor acknowledges it via SurviveFault and the
 	// world keeps operating over the live membership — barriers complete
 	// with live arrivals and the dead rank's symmetric memory stays
-	// readable through the pgas.Resilient salvage operations. Run returns
-	// nil when every surviving rank finishes cleanly.
+	// reachable by every one-sided op. Run returns nil when every
+	// surviving rank finishes cleanly.
 	Survivable bool
 }
 
@@ -368,11 +368,11 @@ func (p *proc) TryRecv(from int, tag int32) ([]byte, int, bool) {
 	return m.data, m.from, true
 }
 
-// pgas.Resilient: survivable-mode fault acknowledgement and post-mortem
-// access to a dead rank's symmetric memory. The dying goroutine's final
-// writes happen-before fail() registers the death (release on w.fault),
-// and the survivor's check() load acquired it before panicking, so
-// salvage reads here are ordered after everything the dead rank wrote.
+// pgas.Resilient: survivable-mode fault acknowledgement. The dying
+// goroutine's final writes happen-before fail() registers the death
+// (release on w.fault), and the survivor's check() load acquired it
+// before panicking, so its later one-sided reads of the dead rank's
+// memory are ordered after everything the dead rank wrote.
 
 var _ pgas.Resilient = (*proc)(nil)
 
@@ -401,21 +401,4 @@ func (p *proc) Membership() (alive []bool, epoch int64) {
 	}
 	w.deadMu.Unlock()
 	return alive, p.ackedSeq
-}
-
-// Salvage reads a dead (or any) rank's data segment directly.
-func (p *proc) Salvage(dst []byte, rank int, seg pgas.Seg, off int) bool {
-	if !p.w.cfg.Survivable {
-		return false
-	}
-	copy(dst, p.w.tab.Load().data[seg][rank][off:off+len(dst)])
-	return true
-}
-
-// SalvageLoad64 reads a dead (or any) rank's word segment directly.
-func (p *proc) SalvageLoad64(rank int, seg pgas.Seg, idx int) (int64, bool) {
-	if !p.w.cfg.Survivable {
-		return 0, false
-	}
-	return atomic.LoadInt64(&p.w.tab.Load().words[seg][rank][idx]), true
 }
