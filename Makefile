@@ -122,7 +122,11 @@ fuzz-smoke:
 # pgas.Find (what a wrapper would have to forward by hand). The ablation
 # baselines line is the part of internal/core that exists only for the
 # paper's comparisons: the locked queue (Figure 7's No-Split series) and
-# counter termination.
+# counter termination. The recovery line is the seam's gate: the nil tests
+# of the recovery state (tc.rec, the journal, a *recovery argument) left
+# in tc.go and deps.go, and the TC fields holding recovery state — rec and
+# the journal plus the nine execution fields recover.go once kept on TC
+# (executing … rejoin), so one moved back shows.
 LOC = awk '!/^[[:space:]]*($$|\/\/)/ {n++} END {print n+0}'
 SRC = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './tools/*' ! -path './.bench_build/*'
 loc:
@@ -138,6 +142,7 @@ loc:
 	@echo "spi            $$(for i in Kernel Resilient; do printf '%s %s, ' $$i $$(awk '/^type '$$i' interface/ {k=1; next} k && /^}/ {k=0} k && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n+0}' internal/pgas/pgas.go); done | sed 's/, $$//') methods;" \
 		"faulty proc $$(grep -c '^func (p \*proc)' internal/pgas/faulty/faulty.go), instr proc $$(grep -c '^func (p \*proc)' internal/pgas/instr/proc.go);" \
 		"capability assertions $$($(SRC) | xargs grep -E '\.\((pgas\.)?Resilient\)|\.\((trace\.)?Attacher\)' | grep -vc '^[^:]*:[[:space:]]*//')"
+	@echo "recovery       nil tests in tc.go + deps.go $$(cat internal/core/tc.go internal/core/deps.go | grep -E '\b(rec|jn) [!=]= nil' | grep -vc 'recover()'), TC recovery fields $$(awk '/^type TC struct/ {k=1; next} k && /^}/ {k=0} k && /^\t(rec|jn|executing|effects|skip|spill|owed|resumes|pending|phases|rejoin)[ ,\t]/ {n++} END {print n+0}' internal/core/tc.go)"
 
 # End-to-end observability smoke: UTS on shm with the live endpoint and
 # trace dumps on, a mid-run /metrics + /healthz scrape, and a 2-rank

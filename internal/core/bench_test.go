@@ -77,21 +77,31 @@ func BenchmarkOwnerPath(b *testing.B) {
 // mode, with observability off and with an observer recording into a
 // retaining recorder, and neither does taking in a steal's tasks, a whole
 // phase through the loop, with an idle hook installed or without, or a
-// phase of spawning callbacks (the bypass and the mid-spawn release).
+// phase of spawning callbacks (the bypass and the mid-spawn release). The
+// same holds armed, with recovery on a survivable world: the journal
+// record, the execution record and done-mark, and the collectives' look
+// at the membership.
 func TestOwnerPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs in normal builds")
 	}
 	const chunk = 4
 	for _, mode := range []QueueMode{ModeSplit, ModeLocked} {
-		for _, observed := range []bool{false, true} {
-			name := fmt.Sprintf("%v/observed=%v", mode, observed)
-			if err := shm.NewWorld(shm.Config{NProcs: 1, Seed: 6}).Run(func(p pgas.Proc) {
+		for _, c := range []struct{ observed, armed bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			observed := c.observed
+			name := fmt.Sprintf("%v/observed=%v/armed=%v", mode, observed, c.armed)
+			if err := shm.NewWorld(shm.Config{NProcs: 1, Seed: 6, Survivable: c.armed}).Run(func(p pgas.Proc) {
 				rt := Attach(p)
+				if c.armed {
+					rt.EnableRecovery()
+				}
 				if observed {
 					rt.SetObserver(NewObserver(p, nil, trace.NewRecorder(0, 1<<10, nil)))
 				}
 				tc := NewTC(rt, Config{MaxBodySize: 24, QueueMode: mode})
+				if (tc.rec != nil) != c.armed {
+					panic("recovery is not armed as asked")
+				}
 				ran := 0
 				task := NewTask(tc.Register(func(*TC, *Task) { ran++ }), 24)
 				tree := NewTask(tc.Register(spawner(10)), 24)

@@ -62,8 +62,12 @@ type depPool struct {
 
 const depFree = -1
 
-// newDepPool collectively allocates the pool and marks every slot free.
-func newDepPool(p pgas.Proc, slots, slotSize int) *depPool {
+// newDepPool collectively allocates the pool and marks every slot free, or
+// returns the view of rec's journal when recovery is armed.
+func newDepPool(p pgas.Proc, slots, slotSize int, rec *recovery) *depPool {
+	if rec != nil {
+		return &depPool{slots: rec.jn.slots, slotSize: slotSize, data: rec.jn.data, ctr: rec.jn.state, base: jLive}
+	}
 	pool := &depPool{slots: slots, slotSize: slotSize, data: p.AllocData(slots * slotSize), ctr: p.AllocWords(slots)}
 	for i := 0; i < slots; i++ {
 		p.Store64(p.Rank(), pool.ctr, i, depFree)
@@ -101,12 +105,10 @@ func (tc *TC) AddDeferred(affinity int32, t *Task, deps int) (Dep, error) {
 	t.setAffinity(affinity)
 	t.setOrigin(me)
 	slot := -1
-	if tc.jn != nil {
+	if tc.rec != nil {
 		// A journal record, written with no communication: a seeding rank
 		// meets a peer's death only in its adds (deferFault).
-		slot = tc.jn.alloc()
-		t.setJournalRef(me, slot)
-		tc.jn.record(slot, t.wire(), jLive+int64(deps))
+		slot = tc.rec.jn.journalize(t, jLive+int64(deps))
 	} else {
 		for s := 0; s < pool.slots && slot < 0; s++ {
 			if p.Load64(me, pool.ctr, s) == depFree {
@@ -136,38 +138,28 @@ func (tc *TC) AddDeferred(affinity int32, t *Task, deps int) (Dep, error) {
 // execution that made it, which skips the edges that had (recover.go), or,
 // made outside any execution, from the collection's owed list once
 // Process has healed the fault.
-//
-//scioto:journal-exempt with recovery armed the launched descriptor is its own journal record, read back with its reference; without it there is no journal
 func (tc *TC) Satisfy(d Dep) {
 	pool := tc.pool()
-	p := tc.rt.p
-	owed := false
-	if tc.jn != nil {
-		if tc.replayed() {
-			return // an edge the first run of a resumed execution applied
-		}
-		if owed = !tc.executing; owed {
-			tc.owed = append(tc.owed, d)
-		}
-		if tc.pending != nil {
-			return
-		}
-		if !tc.processing {
-			defer tc.deferFault()
-		}
-		d = tc.rec.remapDep(d)
+	if tc.rec == nil {
+		tc.satisfy(pool, d)
+		return
 	}
+	tc.effect(func() { tc.rec.owe(d) }, func() { tc.satisfy(pool, tc.rec.remapDep(d)) })
+}
+
+// satisfy applies one dependency edge, d's, and launches the task when it
+// was the last.
+//
+//scioto:journal-exempt with recovery armed the launched descriptor is its own journal record, read back with its reference; without it there is no journal
+func (tc *TC) satisfy(pool *depPool, d Dep) {
+	p := tc.rt.p
 	target := int(d.Proc)
 	slot := int(d.Slot)
 	if target < 0 || target >= p.NProcs() || slot < 0 || slot >= pool.slots {
 		panic(fmt.Sprintf("core: Satisfy of invalid dep %+v", d))
 	}
 	old := p.FetchAdd64(target, pool.ctr, slot, -1)
-	if owed {
-		tc.owed = tc.owed[:len(tc.owed)-1]
-	} else if tc.jn != nil {
-		tc.landed()
-	}
+	tc.rec.applied()
 	switch {
 	case old <= pool.base:
 		panic(fmt.Sprintf("core: Satisfy of dep %+v with count %d (unregistered or over-satisfied)", d, old-pool.base))
@@ -179,15 +171,13 @@ func (tc *TC) Satisfy(d Dep) {
 	p.Get(buf, target, pool.data, slot*pool.slotSize)
 	task := decodeTask(buf)
 	tc.stats.DeferredLaunched++
-	var err error
-	if tc.jn != nil {
-		err = tc.addJournaled(target, task)
-	} else {
-		// Free the slot once the descriptor is copied out.
+	if tc.rec == nil {
+		// Free the slot once the descriptor is copied out: the launch is
+		// this rank's add.
 		p.Store64(target, pool.ctr, slot, depFree)
-		err = tc.Add(target, task.Affinity(), task)
+		task.setOrigin(p.Rank())
 	}
-	if err != nil {
+	if err := tc.addJournaled(target, task); err != nil {
 		panic(fmt.Sprintf("core: launching deferred task: %v", err))
 	}
 }

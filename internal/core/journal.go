@@ -64,18 +64,6 @@ type journal struct {
 	depth  int64 // owner-side live-record estimate (journal-depth gauge)
 }
 
-// newJournal collectively allocates the journal segments. All ranks must
-// call it with identical parameters.
-func newJournal(p pgas.Proc, slots, slotSize int) *journal {
-	return &journal{
-		p:        p,
-		slots:    slots,
-		slotSize: slotSize,
-		data:     p.AllocData((slots + 1) * slotSize),
-		state:    p.AllocWords(slots + p.NProcs() + 2),
-	}
-}
-
 // errJournalFull is pre-boxed so the allocation-free journal paths can
 // panic without a heap allocation at the call site.
 var errJournalFull any = "core: work-replay journal full; raise Config.MaxTasks"
@@ -127,13 +115,17 @@ func (j *journal) credit(e int) {
 	j.p.RelaxedStore64(j.state, j.tallyIdx(e), j.p.RelaxedLoad64(j.state, j.tallyIdx(e))+1)
 }
 
-// record journals a task descriptor image in slot with state st (jLive,
-// or a deferred task's count above it). The caller must already have
-// stamped the journal reference (home = this rank, slot) into wire — see
-// TC.journalize, which allocates first and stamps before calling.
+// journalize records t, live or deferred (st: jLive, or a deferred task's
+// count above it), in a free slot of this rank's journal, which it returns,
+// and stamps the (home, slot) reference into t's header first, so the
+// record travels with the task.
 //
 //scioto:noalloc
-func (j *journal) record(slot int, wire []byte, st int64) {
+func (j *journal) journalize(t *Task, st int64) int {
+	slot := j.alloc()
+	pgas.PutI32(t.buf[hdrJHome:], int32(j.p.Rank()))
+	pgas.PutI32(t.buf[hdrJSlot:], int32(slot))
+	wire := t.wire()
 	off := slot * j.slotSize
 	copy(j.p.Local(j.data)[off:off+len(wire)], wire)
 	// Relaxed: the descriptor bytes above are only read post-mortem
@@ -141,6 +133,7 @@ func (j *journal) record(slot int, wire []byte, st int64) {
 	// record live — and that one read the count this store published.
 	j.p.RelaxedStore64(j.state, slot, st)
 	j.depth++
+	return slot
 }
 
 // markDone durably records that executor ran the task journaled at
@@ -170,8 +163,7 @@ func (j *journal) setWord(idx int, v int64) { j.p.RelaxedStore64(j.state, idx, v
 //
 //scioto:noalloc
 func (j *journal) begin(wire []byte, skip int64) {
-	off := j.slots * j.slotSize
-	copy(j.p.Local(j.data)[off:off+len(wire)], wire)
+	copy(j.slotBytes(j.slots), wire)
 	j.setWord(j.execIdx(), 1+skip)
 }
 

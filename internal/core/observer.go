@@ -242,9 +242,11 @@ func (o *Observer) waveRestart(t0 time.Duration, w int64) {
 	}
 }
 
-func (o *Observer) recoverBegin(dead int, epoch int64) {
+// recoverEdge reports a recovery epoch's start (trace.RecoverBegin) or end
+// (trace.RecoverEnd) around the death of rank dead.
+func (o *Observer) recoverEdge(k trace.Kind, dead int, epoch int64) {
 	if o != nil {
-		o.instant(trace.RecoverBegin, int64(dead), epoch)
+		o.instant(k, int64(dead), epoch)
 	}
 }
 
@@ -258,20 +260,16 @@ func (o *Observer) recoverReplay(replayed, salvaged int64) {
 	}
 }
 
-func (o *Observer) recoverEnd(dead int, epoch int64) {
-	if o != nil {
-		o.instant(trace.RecoverEnd, int64(dead), epoch)
-	}
-}
-
 func (o *Observer) setQueueDepth(n int64) {
 	if o != nil {
 		o.queueDepth.Set(n)
 	}
 }
 
-func (o *Observer) setJournalDepth(n int64) {
-	if o != nil {
-		o.journalDepth.Set(n)
+// setJournalDepth reports the live records of rec's journal, if recovery
+// is armed.
+func (o *Observer) setJournalDepth(rec *recovery) {
+	if o != nil && rec != nil {
+		o.journalDepth.Set(rec.jn.depth)
 	}
 }

@@ -2,14 +2,29 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"scioto/internal/pgas"
+	"scioto/internal/trace"
 )
 
 // Work-replay recovery: the healing protocol survivors run when a peer
 // dies inside a task-parallel phase. The protocol reconstructs the exact
 // set of lost tasks from the replay journals (journal.go) and re-inserts
 // them, then re-roots the termination tree around the dead member.
+//
+// The seam. TC's one recovery field is rec, nil when recovery is off, and
+// the task-parallel loop calls it at fixed points only, each a no-op on a
+// nil rec or behind Add's one test:
+//
+//   - on add: addRecorded (Add's journal record) and effect, the one
+//     durable-effect wrapper of an Add and a Satisfy;
+//   - at an execution's start and end: begin, and end's done-mark;
+//   - at a phase attempt's entry and exit: enter (a carried fault, the
+//     rejoin barrier, the phase word), finishInterrupted, exit;
+//   - for a full queue: spill, and unspill in popLocal;
+//   - on a fault: canRecover, then recoverFromFault;
+//   - for membership: live and peers.
 //
 // Ground truth: every task is journaled, at insertion, in its *home*
 // (adding) rank's journal, and its completion is a single durable store
@@ -55,7 +70,7 @@ import (
 //     any execution and cut short are owed and applied then too.
 //  4. The termination tree is rebuilt over the live membership
 //     (td.rebuild) and the phase re-enters: recovery's last barrier
-//     (processOnce's rejoin), then its collective reset.
+//     (enter's rejoin), then its collective reset.
 //
 // Policy: a death is healed only inside the dead rank's phase, from its
 // entry to Process until it leaves the exit barrier (its phase word). A
@@ -75,17 +90,35 @@ const (
 	tagRecoverRemap  int32 = -0x7ec1
 )
 
-// recovery is the per-rank membership state.
+// recovery is one rank's work-replay state: its journal, the live
+// membership, and the execution the phase loop is running.
 type recovery struct {
+	jn  journal
 	res pgas.Resilient
+	me  int
 
-	alive  []bool
-	nAlive int
-	epoch  int64
-
-	inRecovery bool
-
+	alive    []bool
+	nAlive   int
+	epoch    int64
 	depRemap map[Dep]Dep // deferred handles re-homed off dead ranks
+
+	// executing is set inside an execution, which never nests in another
+	// (spill); effects counts the durable effects — children journaled,
+	// dependency edges applied — it has made, of which a resumed execution
+	// skips the first skip. spilled holds the tasks a full queue left out,
+	// which the phase loop runs next; owed the Satisfy calls made outside
+	// any execution whose edge has not landed; resumes the executions to
+	// finish when the phase re-opens; pending a fault met outside Process
+	// that Process is to heal. phases counts the calls of Process; rejoin
+	// is set from a recovery until the phase re-opens.
+	executing     bool
+	effects, skip int64
+	spilled       []*Task
+	owed          []Dep
+	resumes       []resumed
+	pending       *pgas.FaultError
+	phases        int64
+	rejoin        bool
 }
 
 // resumed is an execution a fault cut short: its task's image, and how
@@ -95,33 +128,146 @@ type resumed struct {
 	skip int64
 }
 
-// newRecovery starts with every rank alive.
-func newRecovery(nprocs int, res pgas.Resilient) *recovery {
-	rec := &recovery{res: res, alive: make([]bool, nprocs), nAlive: nprocs}
+// newRecovery collectively allocates the journal — slots descriptor images
+// of slotSize bytes plus the execution image, and its state words — with
+// every rank alive. It returns nil (recovery off) on a transport that
+// cannot survive a death; every rank decides alike.
+func newRecovery(p pgas.Proc, slots, slotSize int) *recovery {
+	res, ok := pgas.Find[pgas.Resilient](p)
+	if !ok {
+		return nil
+	}
+	n := p.NProcs()
+	rec := &recovery{res: res, me: p.Rank(), alive: make([]bool, n), nAlive: n, jn: journal{
+		p: p, slots: slots, slotSize: slotSize,
+		data:  p.AllocData((slots + 1) * slotSize),
+		state: p.AllocWords(slots + n + 2),
+	}}
 	for i := range rec.alive {
 		rec.alive[i] = true
 	}
 	return rec
 }
 
-// canRecover reports whether this rank can heal around fe: the fault names
-// a live peer (not this rank, which would be its own death unwinding), the
-// dead rank is not the root, and we are not already inside recovery (a
-// second fault while healing stays fatal).
-func (rec *recovery) canRecover(fe *pgas.FaultError, me int) bool {
-	return !rec.inRecovery &&
-		fe.Rank > 0 && fe.Rank < len(rec.alive) &&
-		fe.Rank != me && rec.alive[fe.Rank]
+// live reports whether rank is alive: every rank is with recovery off.
+func (rec *recovery) live(rank int) bool { return rec == nil || rec.alive[rank] }
+
+// peers is the number of live ranks other than this one, of n ranks.
+func (rec *recovery) peers(n int) int {
+	if rec == nil {
+		return n - 1
+	}
+	return rec.nAlive - 1
 }
 
-// healer returns the lowest live rank.
-func (rec *recovery) healer() int {
-	for r, a := range rec.alive {
-		if a {
-			return r
-		}
+// spill keeps t, a task a full queue turned away, to run as the phase
+// loop's next task (unspill), and reports whether it did; with recovery
+// off the caller runs it inline. No execution nests in another, so the one
+// execution record says how far a cut-short one got; a spilled task is a
+// live journal record in no queue, which recovery replays.
+func (rec *recovery) spill(t *Task) bool {
+	if rec == nil {
+		return false
 	}
-	panic("core: no live ranks")
+	rec.spilled = append(rec.spilled, t)
+	return true
+}
+
+// unspill takes the last spilled task, if any.
+//
+//scioto:noalloc
+func (rec *recovery) unspill() (*Task, bool) {
+	if rec == nil || len(rec.spilled) == 0 {
+		return nil, false
+	}
+	t := rec.spilled[len(rec.spilled)-1]
+	rec.spilled = rec.spilled[:len(rec.spilled)-1]
+	return t, true
+}
+
+// begin records the start of t's execution, with the effects a resumed
+// one's first run landed, so that a fault cutting it short resumes it.
+// The record holds t's image, journal reference included: the callback
+// may reuse the descriptor for the tasks it adds.
+//
+//scioto:noalloc
+func (rec *recovery) begin(t *Task) {
+	if rec != nil {
+		rec.jn.begin(t.wire(), rec.skip)
+		rec.executing, rec.effects = true, 0
+	}
+}
+
+// end marks the running execution's task done: the execution's last
+// durable effect, after the children its callback journaled and the
+// dependency edges it applied — a single store naming this executor into
+// the task's home journal, or, the home dead, a credit in this rank's own
+// tally. See DESIGN.md "Recovery".
+//
+//scioto:noalloc
+func (rec *recovery) end() {
+	if rec != nil {
+		rec.done()
+	}
+}
+
+// done is end's body.
+//
+//scioto:noalloc
+func (rec *recovery) done() {
+	jn := &rec.jn
+	img := jn.slotBytes(jn.slots)
+	switch home := wireJHome(img); {
+	case home >= 0 && rec.alive[home]:
+		jn.markDone(home, wireJSlot(img), rec.me)
+	case home >= 0:
+		jn.credit(rec.me)
+	}
+	jn.setWord(jn.execIdx(), 0)
+	rec.executing, rec.skip = false, 0
+}
+
+// enter opens an attempt at a phase (processOnce). A recovery's re-entry
+// passes recovery's last barrier, past which no survivor is inside
+// recovery, where a death is fatal, so a death from there on is healed
+// however far each survivor got. Any other attempt opens the next call of
+// Process, and returns a fault met outside Process, which the caller heals
+// before anything else (a recovery sets no fault pending). The phase word
+// then names the phase.
+func (rec *recovery) enter() *pgas.FaultError {
+	if rec == nil {
+		return nil
+	}
+	switch fe := rec.pending; {
+	case rec.rejoin:
+		rec.rejoin = false
+		rec.jn.p.Barrier()
+	case fe != nil:
+		rec.phases, rec.pending = rec.phases+1, nil
+		return fe
+	default:
+		rec.phases++
+	}
+	rec.jn.setWord(rec.jn.phaseIdx(), rec.phases)
+	return nil
+}
+
+// exit clears the phase word past the exit barrier: a death from there on
+// is outside the phase, and no survivor is inside Process to heal it.
+func (rec *recovery) exit() {
+	if rec != nil {
+		rec.jn.setWord(rec.jn.phaseIdx(), 0)
+	}
+}
+
+// canRecover reports whether this rank can heal around fe: recovery is
+// on, the fault names a live peer (not this rank, which would be its own
+// death unwinding), and the dead rank is not the root. A fault inside
+// recovery is not offered: recoverFromFault runs outside processOnce's
+// capture, so a second fault while healing stays fatal.
+func (rec *recovery) canRecover(fe *pgas.FaultError) bool {
+	return rec != nil && fe.Rank > 0 && fe.Rank < len(rec.alive) &&
+		fe.Rank != rec.me && rec.alive[fe.Rank]
 }
 
 // remapDep resolves a Dep handle through the post-recovery remap table.
@@ -136,26 +282,19 @@ func (rec *recovery) remapDep(d Dep) Dep {
 	return nd
 }
 
-// heals acknowledges fe's death (SurviveFault) and returns the phase the
-// dead rank died in — its phase word, read from its quiescent memory — or
-// 0 if recovery does not heal it.
-func (tc *TC) heals(fe *pgas.FaultError) (alive []bool, phase int64) {
-	alive, ok := tc.rec.res.SurviveFault(fe)
-	if !ok {
-		return alive, 0
+// heals returns, for v recovered from a panic, the peer death it carries,
+// acknowledged (SurviveFault), with the live membership and the phase that
+// death is healed in: the dead rank's phase word, read from its quiescent
+// memory, or 0 if recovery does not heal it.
+func (rec *recovery) heals(v any) (fe *pgas.FaultError, alive []bool, phase int64) {
+	fe, ok := v.(*pgas.FaultError)
+	if !ok || !rec.canRecover(fe) {
+		return nil, nil, 0
 	}
-	return alive, tc.rt.p.Load64(fe.Rank, tc.jn.state, tc.jn.phaseIdx())
-}
-
-// faultPhase returns, for r recovered from a collection operation
-// outside Process, the peer death it carries and the phase that death is
-// healed in (its dead rank's phase word), or 0 if it unwinds.
-func (tc *TC) faultPhase(r any) (*pgas.FaultError, int64) {
-	if fe, ok := r.(*pgas.FaultError); ok && tc.rec.canRecover(fe, tc.rt.Rank()) {
-		_, ph := tc.heals(fe)
-		return fe, ph
+	if alive, ok = rec.res.SurviveFault(fe); !ok {
+		return fe, alive, 0
 	}
-	return nil, 0
+	return fe, alive, rec.jn.p.Load64(fe.Rank, rec.jn.state, rec.jn.phaseIdx())
 }
 
 // deferFault, deferred by an Add or Satisfy outside Process, carries a
@@ -164,13 +303,13 @@ func (tc *TC) faultPhase(r any) (*pgas.FaultError, int64) {
 // Until then the rank communicates no more through the collection: an Add
 // only journals its task, a Satisfy is owed, and a collective is skipped.
 // Any other fault unwinds.
-func (tc *TC) deferFault() {
+func (rec *recovery) deferFault() {
 	if r := recover(); r != nil {
-		fe, ph := tc.faultPhase(r)
-		if ph <= tc.phases {
+		fe, _, ph := rec.heals(r)
+		if ph <= rec.phases {
 			panic(r)
 		}
-		tc.pending = fe
+		rec.pending = fe
 	}
 }
 
@@ -180,22 +319,23 @@ func (tc *TC) deferFault() {
 // its exit barrier) is healed here, and f runs again: every other
 // survivor is inside Process, or heals it where it met it too.
 func (tc *TC) collective(f func()) {
-	if tc.rec == nil {
+	rec := tc.rec
+	if rec == nil {
 		f()
 		return
 	}
-	for again := true; again && tc.pending == nil; {
+	for again := true; again && rec.pending == nil; {
 		again = false
 		func() {
 			defer func() {
 				r := recover()
-				switch fe, ph := tc.faultPhase(r); {
+				switch fe, _, ph := rec.heals(r); {
 				case r == nil:
-				case ph > tc.phases:
-					tc.pending = fe
-				case ph > 0 && ph == tc.phases:
+				case ph > rec.phases:
+					rec.pending = fe
+				case ph > 0 && ph == rec.phases:
 					tc.recoverFromFault(fe)
-					tc.process()
+					tc.Process()
 					again = true
 				default:
 					panic(r)
@@ -210,36 +350,95 @@ func (tc *TC) collective(f func()) {
 // execution landed in the first run of a resumed one, and counts it.
 //
 //scioto:noalloc
-func (tc *TC) replayed() bool {
-	if !tc.executing || tc.effects >= tc.skip {
+func (rec *recovery) replayed() bool {
+	if !rec.executing || rec.effects >= rec.skip {
 		return false
 	}
-	tc.effects++
+	rec.effects++
 	return true
 }
 
 // landed counts a durable effect of the running execution in its record.
 //
 //scioto:noalloc
-func (tc *TC) landed() {
-	if tc.executing {
-		tc.effects++
-		tc.jn.setWord(tc.jn.execIdx(), 1+tc.effects)
+func (rec *recovery) landed() {
+	if rec.executing {
+		rec.effects++
+		rec.jn.setWord(rec.jn.execIdx(), 1+rec.effects)
+	}
+}
+
+// effect makes one durable effect of an Add or a Satisfy, with recovery
+// armed, exactly once. A resumed execution skips the effects its first run
+// landed. Otherwise note makes the effect's local part — an Add's journal
+// record, a Satisfy's entry on the owed list — and send its communication,
+// unless a fault is pending: until Process heals it the rank communicates
+// no more through the collection. Outside Process a death send meets in
+// the phase to come is carried there (deferFault).
+//
+//scioto:noalloc
+func (tc *TC) effect(note, send func()) {
+	rec := tc.rec
+	if rec.replayed() {
+		return
+	}
+	note()
+	if rec.pending != nil {
+		return
+	}
+	if !tc.processing {
+		defer rec.deferFault()
+	}
+	send()
+}
+
+// addRecorded is Add with recovery armed: the task is journaled, which is
+// the durable effect a resumed execution skips, before it is handed over.
+// While a fault is pending the record is live and in no queue: recovery
+// queues it.
+//
+//scioto:noalloc
+func (tc *TC) addRecorded(proc int, t *Task) (err error) {
+	tc.effect(func() {
+		tc.rec.jn.journalize(t, jLive)
+		tc.rec.landed()
+	}, func() { err = tc.addJournaled(proc, t) })
+	return err
+}
+
+// owe puts d on the owed list while its edge is not applied, when no
+// execution makes it (one that does is resumed instead).
+func (rec *recovery) owe(d Dep) {
+	if !rec.executing {
+		rec.owed = append(rec.owed, d)
+	}
+}
+
+// applied counts a dependency edge that landed: in the running execution's
+// record, or off the owed list.
+func (rec *recovery) applied() {
+	switch {
+	case rec == nil:
+	case rec.executing:
+		rec.landed()
+	default:
+		rec.owed = rec.owed[:len(rec.owed)-1]
 	}
 }
 
 // finishInterrupted runs, as a phase re-opens after a recovery, what the
 // fault cut short: the executions to resume, then the owed Satisfy calls.
 func (tc *TC) finishInterrupted() {
-	for len(tc.resumes) > 0 {
-		r := tc.resumes[0]
-		tc.resumes = tc.resumes[1:]
-		tc.skip = r.skip
+	rec := tc.rec
+	for rec != nil && len(rec.resumes) > 0 {
+		r := rec.resumes[0]
+		rec.resumes = rec.resumes[1:]
+		rec.skip = r.skip
 		tc.execute(decodeTask(r.img))
 	}
-	for len(tc.owed) > 0 {
-		d := tc.owed[0]
-		tc.owed = tc.owed[1:]
+	for rec != nil && len(rec.owed) > 0 {
+		d := rec.owed[0]
+		rec.owed = rec.owed[1:]
 		tc.Satisfy(d)
 	}
 }
@@ -247,18 +446,15 @@ func (tc *TC) finishInterrupted() {
 // recoverFromFault heals the collection around the rank fe attributes and
 // returns with the phase ready to re-enter. Called by every survivor from
 // Process after processOnce captured a recoverable fault.
-func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
-	rec := tc.rec
-	rec.inRecovery = true
-	defer func() { rec.inRecovery = false }()
+func (tc *TC) recoverFromFault(fault *pgas.FaultError) {
+	rec, jn := tc.rec, &tc.rec.jn
 	// A death inside recovery is fatal on every survivor alike: they read
 	// this word. The phase word is set again once every survivor is out
-	// (processOnce's rejoin barrier).
-	tc.jn.setWord(tc.jn.phaseIdx(), 0)
-
-	alive, ph := tc.heals(fe)
-	if ph == 0 || ph != tc.phases {
-		panic(fe)
+	// (enter's rejoin barrier).
+	jn.setWord(jn.phaseIdx(), 0)
+	fe, alive, ph := rec.heals(fault)
+	if ph == 0 || ph != rec.phases {
+		panic(fault)
 	}
 	dead := fe.Rank
 	copy(rec.alive, alive)
@@ -271,16 +467,16 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	rec.epoch++
 	p := tc.rt.p
 	me := p.Rank()
-	healer := rec.healer()
-	tc.obs.recoverBegin(dead, rec.epoch)
+	healer := slices.Index(rec.alive, true)
+	tc.obs.recoverEdge(trace.RecoverBegin, dead, rec.epoch)
 
 	// The execution the fault cut short here (one a recovery left us to
 	// resume is listed already). The spill is dropped: its tasks are live
 	// records in no queue.
-	if v := p.RelaxedLoad64(tc.jn.state, tc.jn.execIdx()); v > 0 && tc.executing {
-		tc.resumes = append(tc.resumes, resumed{append([]byte(nil), tc.jn.slotBytes(tc.jn.slots)...), v - 1})
+	if v := p.RelaxedLoad64(jn.state, jn.execIdx()); v > 0 && rec.executing {
+		rec.resumes = append(rec.resumes, resumed{append([]byte(nil), jn.slotBytes(jn.slots)...), v - 1})
 	}
-	tc.executing, tc.spill = false, nil
+	rec.executing, rec.spilled = false, nil
 
 	// A fault delivered mid-critical-section unwound with a queue lock
 	// held (ModeLocked), and the dead rank may have died holding ours;
@@ -299,21 +495,21 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	// Our journal is read relaxed: the rendezvous ordered every store. The
 	// healer reads the dead rank's in one batch, and takes the execution
 	// the death cut short.
-	own := tc.jn.states(me)
+	own := jn.states(me)
 	var dj []int64
 	if me == healer {
-		dj = tc.jn.states(dead)
-		if v := dj[tc.jn.execIdx()]; v > 0 {
-			img := make([]byte, tc.jn.slotSize)
-			p.Get(img, dead, tc.jn.data, tc.jn.slots*tc.jn.slotSize)
-			tc.resumes = append(tc.resumes, resumed{img, v - 1})
+		dj = jn.states(dead)
+		if v := dj[jn.execIdx()]; v > 0 {
+			img := make([]byte, jn.slotSize)
+			p.Get(img, dead, jn.data, jn.slots*jn.slotSize)
+			rec.resumes = append(rec.resumes, resumed{img, v - 1})
 		}
 	}
 
 	// --- Claims: every survivor tells every other the tasks it holds —
 	// its queue, and those of the executions it resumes — as (home, slot)
 	// pairs, after its durable credits to the dead executor. ------------
-	held := []int64{tc.jn.doneBy(dead, own)}
+	held := []int64{jn.doneBy(dead, own)}
 	hold := func(ref []byte) {
 		if home := wireJHome(ref); home >= 0 { // else unjournaled (pre-recovery descriptor)
 			held = append(held, int64(home), int64(wireJSlot(ref)))
@@ -326,11 +522,11 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 		if wireJHome(ref) == dead {
 			// Its record is in a journal no later recovery reads: the
 			// task is recorded here instead, in place, and held.
-			tc.journalize(&Task{buf: ref[:wireLen(ref)]})
+			jn.journalize(&Task{buf: ref[:wireLen(ref)]}, jLive)
 			hold(ref)
 		}
 	}
-	for _, r := range tc.resumes {
+	for _, r := range rec.resumes {
 		hold(r.img)
 	}
 	msg := make([]byte, 8*len(held))
@@ -358,12 +554,12 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 	}
 
 	// --- Replay our own live-but-unclaimed records. --------------------
-	replayed := int64(len(tc.resumes))
-	for s, v := range own[:tc.jn.slots] {
+	replayed := int64(len(rec.resumes))
+	for s, v := range own[:jn.slots] {
 		if v != jLive || claimed[[2]int64{int64(me), int64(s)}] {
 			continue
 		}
-		tc.requeue(tc.jn.slotBytes(s))
+		tc.requeue(jn.slotBytes(s))
 		replayed++
 	}
 
@@ -374,16 +570,16 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 		// its own, and those of ranks that died before it.
 		for r, a := range rec.alive {
 			if r == dead {
-				salvagedExecs += tc.jn.doneBy(dead, dj)
+				salvagedExecs += jn.doneBy(dead, dj)
 			} else if !a {
-				salvagedExecs += tc.jn.doneBy(dead, tc.jn.states(r))
+				salvagedExecs += jn.doneBy(dead, jn.states(r))
 			}
 		}
 		tc.stats.SalvagedExecs += salvagedExecs
 	} else if tc.cfg.MaxDeferred > 0 {
 		// Receive the deferred-handle remap the healer broadcasts.
 		buf, _ := p.Recv(healer, tagRecoverRemap)
-		tc.installDepRemap(buf)
+		rec.installDepRemap(buf)
 	}
 
 	tc.stats.TasksRecovered += replayed
@@ -392,8 +588,8 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 
 	// --- Heal the termination tree and re-enter. -----------------------
 	tc.td.rebuild(rec.alive)
-	tc.rejoin = true
-	tc.obs.recoverEnd(dead, rec.epoch)
+	rec.rejoin = true
+	tc.obs.recoverEdge(trace.RecoverEnd, dead, rec.epoch)
 }
 
 // salvageDeadJournal reads the dead rank's journal, whose state words are
@@ -403,7 +599,7 @@ func (tc *TC) recoverFromFault(fe *pgas.FaultError) {
 // to every survivor when the collection has the dependency API). Returns
 // the number of descriptors replayed.
 func (tc *TC) salvageDeadJournal(dead int, st []int64, claimed map[[2]int64]bool) int64 {
-	jn := tc.jn
+	rec, jn := tc.rec, &tc.rec.jn
 	p := tc.rt.p
 	buf := make([]byte, jn.slotSize)
 	replayed := int64(0)
@@ -412,39 +608,29 @@ func (tc *TC) salvageDeadJournal(dead int, st []int64, claimed map[[2]int64]bool
 		switch {
 		case v == jLive && !claimed[[2]int64{int64(dead), int64(s)}]:
 			p.Get(buf, dead, jn.data, s*jn.slotSize)
-			tc.rehome(buf)
+			t := decodeTask(buf)
+			jn.journalize(t, jLive)
+			tc.requeue(t.wire())
 			replayed++
 		case v > jLive:
 			p.Get(buf, dead, jn.data, s*jn.slotSize)
-			t := decodeTask(buf)
-			js := jn.alloc()
-			t.setJournalRef(p.Rank(), js)
-			jn.record(js, t.wire(), v)
+			js := jn.journalize(decodeTask(buf), v)
 			remap = append(remap, make([]byte, 2*DepBytes)...)
 			EncodeDep(remap[len(remap)-2*DepBytes:], Dep{Proc: int32(dead), Slot: int32(s)})
 			EncodeDep(remap[len(remap)-DepBytes:], Dep{Proc: int32(p.Rank()), Slot: int32(js)})
 		}
 	}
-	tc.installDepRemap(remap)
+	rec.installDepRemap(remap)
 	for r := 0; r < p.NProcs() && tc.cfg.MaxDeferred > 0; r++ {
-		if r != p.Rank() && tc.rec.alive[r] {
+		if r != p.Rank() && rec.alive[r] {
 			p.Send(r, tagRecoverRemap, remap)
 		}
 	}
 	return replayed
 }
 
-// rehome relaunches the descriptor image in buf from this rank: a task of
-// its own, recorded in this rank's journal and queued here.
-func (tc *TC) rehome(buf []byte) {
-	t := decodeTask(buf)
-	tc.journalize(t)
-	tc.requeue(t.wire())
-}
-
 // installDepRemap decodes the healer's remap broadcast.
-func (tc *TC) installDepRemap(buf []byte) {
-	rec := tc.rec
+func (rec *recovery) installDepRemap(buf []byte) {
 	if rec.depRemap == nil {
 		rec.depRemap = make(map[Dep]Dep)
 	}

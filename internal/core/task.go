@@ -90,18 +90,6 @@ func NewTask(h Handle, bodySize int) *Task {
 	return t
 }
 
-// jHome returns the rank whose journal tracks this task (-1: unjournaled).
-func (t *Task) jHome() int { return int(pgas.GetI32(t.buf[hdrJHome:])) }
-
-// jSlot returns the task's slot in its home rank's journal.
-func (t *Task) jSlot() int { return int(pgas.GetI32(t.buf[hdrJSlot:])) }
-
-// setJournalRef stamps the journal home/slot pair into the header.
-func (t *Task) setJournalRef(home, slot int) {
-	pgas.PutI32(t.buf[hdrJHome:], int32(home))
-	pgas.PutI32(t.buf[hdrJSlot:], int32(slot))
-}
-
 // Handle returns the task's callback handle.
 func (t *Task) Handle() Handle { return Handle(pgas.GetI32(t.buf[hdrHandle:])) }
 

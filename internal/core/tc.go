@@ -89,8 +89,7 @@ type TC struct {
 	td   *termDetector
 	ctd  *ctrDetector // non-nil iff Config.Termination == TermCounter
 	deps *depPool
-	jn   *journal  // non-nil iff work-replay recovery is enabled
-	rec  *recovery // non-nil iff work-replay recovery is enabled
+	rec  *recovery // non-nil iff work-replay recovery is armed (recover.go)
 
 	callbacks []TaskFunc
 
@@ -109,26 +108,6 @@ type TC struct {
 	// returns it first, so a spawning task's first child runs without a pop.
 	hold Task
 	held bool
-
-	// Recovery's execution state (recover.go). executing is set inside an
-	// execution, which never nests in another (spill); effects counts the
-	// durable effects — children journaled, dependency edges applied — it
-	// has made, of which a resumed execution skips the first skip. spill
-	// holds the tasks a full queue left out, which the phase loop runs
-	// next; owed the Satisfy calls made outside any execution whose edge
-	// has not landed; resumes the executions to finish when the phase
-	// re-opens; pending a fault met outside Process that Process is to
-	// heal. phases counts the calls of Process; rejoin is set from a
-	// recovery until the phase re-opens.
-	executing bool
-	effects   int64
-	skip      int64
-	spill     []*Task
-	owed      []Dep
-	resumes   []resumed
-	pending   *pgas.FaultError
-	phases    int64
-	rejoin    bool
 
 	obs *Observer // nil = observability disabled
 
@@ -176,15 +155,10 @@ func NewTC(rt *Runtime, cfg Config) *TC {
 		// queue capacity so remote adds beyond the local patch still fit.
 		// Collective allocations — the facade enables recovery uniformly,
 		// so every rank takes this branch congruently.
-		if res, ok := pgas.Find[pgas.Resilient](rt.p); ok {
-			tc.jn = newJournal(rt.p, 2*cfg.MaxTasks, slotSize)
-			tc.rec = newRecovery(rt.NProcs(), res)
-		}
+		tc.rec = newRecovery(rt.p, 2*cfg.MaxTasks, slotSize)
 	}
-	if cfg.MaxDeferred > 0 && tc.jn == nil {
-		tc.deps = newDepPool(rt.p, cfg.MaxDeferred, slotSize)
-	} else if cfg.MaxDeferred > 0 {
-		tc.deps = &depPool{slots: tc.jn.slots, slotSize: slotSize, data: tc.jn.data, ctr: tc.jn.state, base: jLive}
+	if cfg.MaxDeferred > 0 {
+		tc.deps = newDepPool(rt.p, cfg.MaxDeferred, slotSize, tc.rec)
 	}
 	tc.SetObserver(rt.obs)
 	tc.collective(rt.p.Barrier)
@@ -264,25 +238,8 @@ func (tc *TC) Add(proc int, affinity int32, t *Task) error {
 	}
 	t.setAffinity(affinity)
 	t.setOrigin(tc.rt.Rank())
-	if tc.jn != nil {
+	if tc.rec != nil {
 		return tc.addRecorded(proc, t)
-	}
-	return tc.addJournaled(proc, t)
-}
-
-// addRecorded is Add with recovery armed: the task is journaled, which is
-// the durable effect a resumed execution skips, before it is handed over.
-func (tc *TC) addRecorded(proc int, t *Task) error {
-	if tc.replayed() {
-		return nil
-	}
-	tc.journalize(t)
-	tc.landed()
-	if tc.pending != nil {
-		return nil // the record is live and in no queue: recovery queues it here
-	}
-	if !tc.processing {
-		defer tc.deferFault()
 	}
 	return tc.addJournaled(proc, t)
 }
@@ -296,7 +253,7 @@ func (tc *TC) addRecorded(proc int, t *Task) error {
 //scioto:journaled every caller records the descriptor (journalize) or passes a journal record's own image
 func (tc *TC) addJournaled(proc int, t *Task) error {
 	me := tc.rt.Rank()
-	if tc.rec != nil && !tc.rec.alive[proc] {
+	if !tc.rec.live(proc) {
 		// Destination died in an earlier epoch: keep the work on this
 		// rank. The journal record covers it like any local add.
 		proc = me
@@ -350,31 +307,14 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 }
 
 // runInline is the full-queue fallback: the task runs now, from a
-// descriptor of its own (the caller's is live). With recovery armed it is
-// spilled instead, to run as the phase loop's next task (popLocal): no
-// execution nests in another, so the one execution record (journal.go)
-// says how far a cut-short one got. A spilled task is a live journal
-// record in no queue, which recovery replays.
+// descriptor of its own (the caller's is live), unless recovery spills it
+// to run as the phase loop's next task.
 func (tc *TC) runInline(wire []byte) {
 	tc.stats.InlineExecs++
 	tc.obs.inline()
-	t := decodeTask(wire)
-	if tc.jn != nil {
-		tc.spill = append(tc.spill, t)
-		return
+	if t := decodeTask(wire); !tc.rec.spill(t) {
+		tc.execute(t)
 	}
-	tc.execute(t)
-}
-
-// journalize records t, live, in this rank's replay journal (recovery
-// armed) and stamps the (home, slot) reference into its header. Without
-// recovery the header keeps its unjournaled (-1) marker.
-//
-//scioto:noalloc
-func (tc *TC) journalize(t *Task) {
-	slot := tc.jn.alloc()
-	t.setJournalRef(tc.rt.Rank(), slot)
-	tc.jn.record(slot, t.wire(), jLive)
 }
 
 // execute dispatches a task to its callback.
@@ -386,16 +326,9 @@ func (tc *TC) execute(t *Task) {
 		//scioto:alloc-ok formats the message of a panic no healthy run reaches
 		panic(fmt.Sprintf("core: executing task with unregistered handle %d", h))
 	}
-	home, slot := -1, 0
-	if tc.jn != nil {
-		// The journal reference is read before the callback, which may
-		// reuse the descriptor for the tasks it adds. The execution is
-		// recorded, with the effects a resumed one's first run landed, so
-		// that a fault cutting it short resumes it (recover.go).
-		home, slot = t.jHome(), t.jSlot()
-		tc.jn.begin(t.wire(), tc.skip)
-		tc.executing, tc.effects = true, 0
-	}
+	// Recovery records the execution here and marks its task done once the
+	// callback's durable effects landed (recover.go).
+	tc.rec.begin(t)
 	// The clock is read per task only when someone consumes the duration:
 	// an observer (exec span and latency histogram) or the exec hook.
 	var d time.Duration
@@ -407,20 +340,7 @@ func (tc *TC) execute(t *Task) {
 	} else {
 		tc.callbacks[h](tc, t)
 	}
-	if tc.jn != nil {
-		// The done-mark is the execution's last durable effect: a single
-		// store naming this executor, after the children its callback
-		// journaled and the dependency edges it applied. See DESIGN.md
-		// "Recovery".
-		switch me := tc.rt.Rank(); {
-		case home >= 0 && tc.rec.alive[home]:
-			tc.jn.markDone(home, slot, me)
-		case home >= 0: // a dead home: our own tally holds the completion
-			tc.jn.credit(me)
-		}
-		tc.jn.setWord(tc.jn.execIdx(), 0)
-		tc.executing, tc.skip = false, 0
-	}
+	tc.rec.end()
 	tc.stats.TasksExecuted++
 	if t.Origin() == tc.rt.Rank() {
 		tc.stats.ExecutedLocal++
@@ -440,9 +360,7 @@ func (tc *TC) execute(t *Task) {
 //
 //scioto:noalloc
 func (tc *TC) popLocal() (*Task, bool) {
-	if n := len(tc.spill); n > 0 {
-		t := tc.spill[n-1]
-		tc.spill = tc.spill[:n-1]
+	if t, ok := tc.rec.unspill(); ok {
 		return t, true
 	}
 	if tc.cfg.QueueMode == ModeLocked {
@@ -473,12 +391,6 @@ func (tc *TC) popLocal() (*Task, bool) {
 // re-rooting the termination tree — and re-enter the phase until it
 // terminates over the live membership.
 func (tc *TC) Process() {
-	tc.phases++
-	tc.process()
-}
-
-// process runs the phase, healing every death in it, until it terminates.
-func (tc *TC) process() {
 	for fe := tc.processOnce(); fe != nil; fe = tc.processOnce() {
 		tc.recoverFromFault(fe)
 	}
@@ -496,20 +408,20 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 	// fault names a peer, recovery is on, and the dead rank is not the
 	// root — the fault is captured instead of rethrown.
 	defer func() {
-		if rec := recover(); rec != nil {
-			fe, ok := rec.(*pgas.FaultError)
+		if r := recover(); r != nil {
+			fe, ok := r.(*pgas.FaultError)
 			if !ok {
-				panic(rec)
+				panic(r)
 			}
 			if fe.Detail == "" {
 				fe.Detail = "task-parallel phase (TC.Process)"
 			}
-			if tc.rec != nil && tc.rec.canRecover(fe, tc.rt.Rank()) {
+			if tc.rec.canRecover(fe) {
 				tc.processing, tc.running = false, false
 				fault = fe
 				return
 			}
-			panic(rec)
+			panic(r)
 		}
 	}()
 	// One barrier: each rank zeroes only its own wave cells, which nobody
@@ -519,19 +431,8 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 	// A phase's first steal probes: no word read ahead outlives a phase,
 	// nor (Process re-enters here) a recovery epoch.
 	p := tc.rt.p
-	if tc.jn != nil {
-		if fe := tc.pending; fe != nil {
-			tc.pending = nil
-			return fe
-		}
-		if tc.rejoin {
-			// Recovery's last barrier: past it no survivor is inside
-			// recovery, where a death is fatal, so a death from here on is
-			// healed however far each survivor got.
-			tc.rejoin = false
-			p.Barrier()
-		}
-		tc.jn.setWord(tc.jn.phaseIdx(), tc.phases)
+	if fe := tc.rec.enter(); fe != nil {
+		return fe
 	}
 	tc.td.reset()
 	tc.ahead = nil
@@ -569,9 +470,7 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 			}
 			tc.obs.setQueueDepth(0)
 		}
-		if tc.jn != nil {
-			tc.obs.setJournalDepth(tc.jn.depth)
-		}
+		tc.obs.setJournalDepth(tc.rec)
 		if tc.idleHook != nil && tc.idleHook(tc) {
 			runtime.Gosched()
 			continue
@@ -598,11 +497,7 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 
 	tc.processing = false
 	p.Barrier()
-	if tc.jn != nil {
-		// Past the exit barrier a death is outside the phase: no survivor
-		// is inside Process to heal it.
-		tc.jn.setWord(tc.jn.phaseIdx(), 0)
-	}
+	tc.rec.exit()
 	return nil
 }
 
@@ -773,15 +668,12 @@ func (tc *TC) markFor(victim int) bool {
 //scioto:noalloc
 func (tc *TC) pickVictims() []int {
 	p := tc.rt.p
-	peers := tc.rt.NProcs() - 1
-	if tc.rec != nil {
-		peers = tc.rec.nAlive - 1
-	}
+	peers := tc.rec.peers(tc.rt.NProcs())
 	v := p.Rand().Intn(tc.rt.NProcs() - 1)
 	if v >= tc.rt.Rank() {
 		v++
 	}
-	if tc.rec != nil && !tc.rec.alive[v] {
+	if !tc.rec.live(v) {
 		v = tc.nthPeer(p.Rand().Intn(peers), -1)
 	}
 	tc.pair[0] = v
@@ -796,7 +688,7 @@ func (tc *TC) pickVictims() []int {
 // skip.
 func (tc *TC) nthPeer(k, skip int) int {
 	for r := 0; ; r++ {
-		if r != tc.rt.Rank() && r != skip && (tc.rec == nil || tc.rec.alive[r]) {
+		if r != tc.rt.Rank() && r != skip && tc.rec.live(r) {
 			if k--; k < 0 {
 				return r
 			}

@@ -203,14 +203,20 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 	<-w.done
 	if w.cfg.Survivable && w.err == nil && w.fault != nil {
 		// Recovered run: every rank that exited with an error died of its
-		// own fault, so the survivors healed around it. One that died on
-		// another rank's fault did not heal.
+		// own *pgas.FaultError and one finished cleanly, so the survivors
+		// healed around the death(s). One that died on another rank's
+		// fault did not heal, and a plain panic is a failure, not a death.
+		clean := false
 		for _, p := range w.procs {
-			if fe, ok := p.err.(*pgas.FaultError); ok && fe.Rank != p.rank {
+			if fe, ok := p.err.(*pgas.FaultError); p.err != nil && (!ok || fe.Rank != p.rank) {
 				return w.fault
 			}
+			clean = clean || p.err == nil
 		}
-		return nil
+		if clean {
+			return nil
+		}
+		return w.fault
 	}
 	return w.err
 }

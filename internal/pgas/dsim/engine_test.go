@@ -2,6 +2,7 @@ package dsim_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -227,7 +228,7 @@ func deathProgram(log *schedLog) func(pgas.Proc) {
 				p.FetchAdd64(i%4, words, 0, 1)
 				log.note(p)
 			}
-			panic("rank 4 dies")
+			panic(&pgas.FaultError{Rank: dead, Phase: "test", Err: errors.New("rank 4 dies")})
 		}
 		for acked := false; !acked; {
 			func() {

@@ -35,6 +35,8 @@ type proc struct {
 	// (survivable mode); yield() panics a fault clone while it lags the
 	// world's sequence, and SurviveFault advances it.
 	ackedSeq int64
+	// alive is the bitmap Membership fills and returns (survivable mode).
+	alive []bool
 
 	// Pending non-blocking operations, completed (and their data movement
 	// performed) at the next Flush. Descriptors are held by value so the
@@ -364,20 +366,22 @@ func (p *proc) SurviveFault(fe *pgas.FaultError) (alive []bool, ok bool) {
 	}
 	p.ackedSeq = p.w.faultSeq
 	alive, _ = p.Membership()
-	return alive, true
+	return append([]bool(nil), alive...), true
 }
 
 // Membership reports the acknowledged fault sequence and the ranks not
-// registered dead. Reading deadRanks is token-ordered: only the token
-// holder mutates it.
+// registered dead, in the proc's own bitmap. Reading deadRanks is
+// token-ordered: only the token holder mutates it.
 func (p *proc) Membership() (alive []bool, epoch int64) {
 	w := p.w
 	if !w.cfg.Survivable {
 		return nil, 0
 	}
-	alive = make([]bool, w.cfg.NProcs)
-	for r := range alive {
-		alive[r] = !w.deadRanks[r]
+	if p.alive == nil {
+		p.alive = make([]bool, w.cfg.NProcs)
 	}
-	return alive, p.ackedSeq
+	for r := range p.alive {
+		p.alive[r] = !w.deadRanks[r]
+	}
+	return p.alive, p.ackedSeq
 }

@@ -32,6 +32,8 @@ type proc struct {
 	// ackedSeq is the fault sequence this rank has acknowledged
 	// (survivable mode; see pgas.Resilient). Own-goroutine only.
 	ackedSeq int64
+	// alive is the bitmap Membership fills and returns (survivable mode).
+	alive []bool
 
 	// inbox is the receiver-local message queue: shared rings are drained
 	// into it in ring order, and tag/source matching removes from it, so
@@ -295,18 +297,20 @@ func (p *proc) SurviveFault(fe *pgas.FaultError) (alive []bool, ok bool) {
 	}
 	p.ackedSeq = p.m.load(p.m.l.faultSeq)
 	alive, _ = p.Membership()
-	return alive, true
+	return append([]bool(nil), alive...), true
 }
 
 // Membership reports the acknowledged fault sequence and the ranks whose
-// dead flag is clear.
+// dead flag is clear, in the proc's own bitmap.
 func (p *proc) Membership() (alive []bool, epoch int64) {
 	if !p.cfg.Survivable {
 		return nil, 0
 	}
-	alive = make([]bool, p.cfg.NProcs)
-	for r := range alive {
-		alive[r] = p.m.load(p.m.l.deadFlag(r)) == 0
+	if p.alive == nil {
+		p.alive = make([]bool, p.cfg.NProcs)
 	}
-	return alive, p.ackedSeq
+	for r := range p.alive {
+		p.alive[r] = p.m.load(p.m.l.deadFlag(r)) == 0
+	}
+	return p.alive, p.ackedSeq
 }

@@ -147,16 +147,19 @@ func (g *region) registered([]launch.Report) (reporter int, fe *pgas.FaultError)
 	return fe.Rank, fe
 }
 
-// recovered is the survivable world's verdict: a death happened, but every
-// rank not registered dead finished cleanly — the job completed despite
-// the fault.
+// recovered is the survivable world's verdict: a death happened, every
+// rank that failed is registered dead and died — of its own
+// *pgas.FaultError, or by a signal the launcher did not send — and a rank
+// finished cleanly, so the job completed despite the fault. A plain panic
+// is a failure, not a death.
 func (g *region) recovered(reports []launch.Report) bool {
 	for _, r := range reports {
-		if g.m.load(g.m.l.deadFlag(r.Rank)) == 0 {
+		died := r.Signal || r.Fault != nil && r.Fault.Rank == r.Rank
+		if !died || g.m.load(g.m.l.deadFlag(r.Rank)) == 0 {
 			return false
 		}
 	}
-	return g.m.load(g.m.l.faultSeq) > 0
+	return len(reports) < g.cfg.NProcs && g.m.load(g.m.l.faultSeq) > 0
 }
 
 // join is the rank-side boot step: map the inherited region, check it is

@@ -344,7 +344,10 @@ type Resilient interface {
 	// Membership reports the fault epoch this rank has acknowledged — the
 	// number of deaths its SurviveFault calls took in, 0 before any — and
 	// the live bitmap (indexed by rank) as of now; nil means every rank.
-	// Front's collectives rebuild their member list when the epoch changes.
+	// The bitmap is the kernel's and valid until this rank's next call, so
+	// a collective's check of the epoch allocates nothing; SurviveFault's
+	// is the caller's own. Front's collectives rebuild their member list
+	// when the epoch changes.
 	Membership() (alive []bool, epoch int64)
 }
 

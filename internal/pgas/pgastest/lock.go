@@ -1,6 +1,7 @@
 package pgastest
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -218,7 +219,7 @@ func testDeadHolder(t *testing.T, f Factory) {
 		if p.Rank() == dead {
 			p.Lock(0, lk)
 			p.Store64(0, ws, 0, 1)
-			panic("dying with the lock held")
+			panic(&pgas.FaultError{Rank: dead, Phase: "test", Err: errors.New("dying with the lock held")})
 		}
 		if fe == nil {
 			fe = awaitDeath(p, dead, ws, func() {})

@@ -193,14 +193,17 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 	if fe := w.fault.Load(); fe != nil {
 		if w.cfg.Survivable {
 			// Recovered run: every rank that exited with an error died of
-			// its own fault, so the survivors healed around the death(s).
-			// One that died on another rank's fault did not heal.
-			recovered := true
+			// its own *pgas.FaultError and one finished cleanly, so the
+			// survivors healed around the death(s). One that died on
+			// another rank's fault did not heal, and a plain panic is a
+			// failure, not a death.
+			recovered := false
 			for r, err := range errs {
-				if c, ok := err.(*pgas.FaultError); ok && c.Rank != r {
+				if c, ok := err.(*pgas.FaultError); err != nil && (!ok || c.Rank != r) {
 					recovered = false
 					break
 				}
+				recovered = recovered || err == nil
 			}
 			if recovered {
 				return nil
@@ -235,6 +238,8 @@ type proc struct {
 	// (survivable mode). check() panics once per unacknowledged death;
 	// SurviveFault advances it. Only touched by the proc's own goroutine.
 	ackedSeq int64
+	// alive is the bitmap Membership fills and returns (survivable mode).
+	alive []bool
 }
 
 var _ pgas.Proc = (*proc)(nil)
@@ -384,21 +389,23 @@ func (p *proc) SurviveFault(fe *pgas.FaultError) (alive []bool, ok bool) {
 	}
 	p.ackedSeq = p.w.faultSeq.Load()
 	alive, _ = p.Membership()
-	return alive, true
+	return append([]bool(nil), alive...), true
 }
 
 // Membership reports the acknowledged fault sequence and the ranks not
-// registered dead.
+// registered dead, in the proc's own bitmap.
 func (p *proc) Membership() (alive []bool, epoch int64) {
 	w := p.w
 	if !w.cfg.Survivable {
 		return nil, 0
 	}
-	alive = make([]bool, w.cfg.NProcs)
+	if p.alive == nil {
+		p.alive = make([]bool, w.cfg.NProcs)
+	}
 	w.deadMu.Lock()
-	for r := range alive {
-		alive[r] = !w.deadRanks[r]
+	for r := range p.alive {
+		p.alive[r] = !w.deadRanks[r]
 	}
 	w.deadMu.Unlock()
-	return alive, p.ackedSeq
+	return p.alive, p.ackedSeq
 }

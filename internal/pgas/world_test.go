@@ -55,7 +55,7 @@ func TestRunStartsAFreshMachine(t *testing.T) {
 				seen[me] = append(seen[me], int64(p.Now()))
 			}
 			if die && me == 1 {
-				panic("the first run ends with a death")
+				panic(&pgas.FaultError{Rank: me, Phase: "test", Err: errors.New("the first run ends with a death")})
 			}
 		})
 		return fmt.Sprint(seen, err)
@@ -68,6 +68,46 @@ func TestRunStartsAFreshMachine(t *testing.T) {
 				t.Fatalf("a second run differs from a fresh world's first run:\n second %s\n fresh  %s", again, fresh)
 			}
 		})
+	}
+}
+
+// TestOnlyOwnFaultsHeal: a survivable in-process world's Run returns nil
+// only when every rank that failed died of its own *pgas.FaultError and a
+// rank finished cleanly. A plain panic — a failed assertion, a broken
+// invariant — is a failure, not a death, on a non-zero rank and on the
+// only rank alike, and a world whose every rank died healed nothing.
+func TestOnlyOwnFaultsHeal(t *testing.T) {
+	worlds := map[string]func(n int) pgas.World{
+		"dsim": func(n int) pgas.World { return dsim.NewWorld(dsim.Config{NProcs: n, Seed: 1, Survivable: true}) },
+		"shm":  func(n int) pgas.World { return shm.NewWorld(shm.Config{NProcs: n, Seed: 1, Survivable: true}) },
+	}
+	for _, c := range []struct {
+		name   string
+		n      int
+		typed  bool
+		healed bool
+	}{
+		{"plain panic on rank 1 of 2", 2, false, false},
+		{"plain panic on the only rank", 1, false, false},
+		{"own fault on rank 1 of 2", 2, true, true},
+		{"own fault on the only rank", 1, true, false},
+	} {
+		for name, newWorld := range worlds {
+			t.Run(name+"/"+c.name, func(t *testing.T) {
+				err := newWorld(c.n).Run(func(p pgas.Proc) {
+					if p.Rank() != c.n-1 {
+						return
+					}
+					if c.typed {
+						panic(&pgas.FaultError{Rank: p.Rank(), Phase: "test", Err: errors.New("dies")})
+					}
+					panic("assertion failed")
+				})
+				if healed := err == nil; healed != c.healed {
+					t.Fatalf("Run returned %v, want healed = %v", err, c.healed)
+				}
+			})
+		}
 	}
 }
 

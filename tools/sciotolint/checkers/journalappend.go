@@ -23,9 +23,9 @@ import (
 // primitives as methods. A function whose body (including nested function
 // literals) inserts into a queue — by calling a primitive directly, or by
 // calling a package-local function marked as inheriting the obligation —
-// must witness a journal append in the same body: a call to journalize,
-// journalizePending, or slotBytes (descriptor bytes read back out of the
-// journal are by definition already recorded).
+// must witness a journal append in the same body: a call to journalize
+// (journal.journalize, the one append), or slotBytes (descriptor bytes
+// read back out of the journal are by definition already recorded).
 //
 // Two directives, written in a function's doc comment with a mandatory
 // justification, adjust the obligation:
@@ -56,7 +56,7 @@ var JournalAppend = &analysis.Analyzer{
 // calls that prove the descriptor is in the replay journal.
 var (
 	jaPrimitives = map[string]bool{"pushPrivate": true, "pushLocked": true, "addRemote": true}
-	jaWitnesses  = map[string]bool{"journalize": true, "journalizePending": true, "slotBytes": true}
+	jaWitnesses  = map[string]bool{"journalize": true, "slotBytes": true}
 )
 
 const (
@@ -200,7 +200,7 @@ func runJournalAppend(pass *analysis.Pass) error {
 			for _, m := range muts {
 				pass.Reportf(m.pos.Pos(),
 					"queue mutation %s in %s with no journal append on the path: "+
-						"call journalize/journalizePending first, or mark %s %s / %s with a justification",
+						"call journalize first, or mark %s %s / %s with a justification",
 					m.name, fd.Name.Name, fd.Name.Name, jaMarkJournaled, jaMarkExempt)
 			}
 		}

@@ -11,7 +11,7 @@ func (q *queue) pushLocked(wire []byte) bool    { q.n++; return true }
 func (q *queue) addRemote(p int, w []byte) bool { q.n++; return true }
 func (q *queue) popPrivate() ([]byte, bool)     { return nil, false }
 
-// tc stands in for core.TC, with the journal witnesses.
+// tc stands in for core.TC; its journal has the two witnesses.
 type tc struct {
 	q  *queue
 	jn *journal
@@ -19,20 +19,18 @@ type tc struct {
 
 type journal struct{ b []byte }
 
-func (j *journal) slotBytes(s int) []byte { return j.b }
-
-func (t *tc) journalize(wire []byte)            {}
-func (t *tc) journalizePending(wire []byte) int { return 0 }
+func (j *journal) slotBytes(s int) []byte     { return j.b }
+func (j *journal) journalize(wire []byte) int { return 0 }
 
 // goodAdd journals before pushing: the canonical insert path.
 func (t *tc) goodAdd(wire []byte) {
-	t.journalize(wire)
+	t.jn.journalize(wire)
 	t.q.pushPrivate(wire)
 }
 
-// goodDeferred uses the pending-state witness.
-func (t *tc) goodDeferred(wire []byte) {
-	t.journalizePending(wire)
+// goodRemote journals before a remote add just the same.
+func (t *tc) goodRemote(wire []byte) {
+	t.jn.journalize(wire)
 	t.q.addRemote(1, wire)
 }
 
@@ -45,7 +43,7 @@ func (t *tc) goodReplay(s int) {
 // goodClosure journals in the outer body and pushes from a literal: the
 // obligation is checked at declaration granularity.
 func (t *tc) goodClosure(wire []byte) func() {
-	t.journalize(wire)
+	t.jn.journalize(wire)
 	return func() { t.q.pushPrivate(wire) }
 }
 
@@ -71,7 +69,7 @@ func (t *tc) requeue(wire []byte) {
 
 // goodCaller discharges the propagated obligation locally.
 func (t *tc) goodCaller(wire []byte) {
-	t.journalize(wire)
+	t.jn.journalize(wire)
 	t.requeue(wire)
 }
 
@@ -109,6 +107,6 @@ func staleJournaled(t *tc) { // want `stale //scioto:journaled directive on stal
 //
 //scioto:journaled
 func malformedMark(t *tc, wire []byte) { // want `malformed //scioto:journaled directive`
-	t.journalize(wire)
+	t.jn.journalize(wire)
 	t.q.pushPrivate(wire)
 }
