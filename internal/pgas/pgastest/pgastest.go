@@ -69,6 +69,7 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 		t.Run("BarrierLiveMembership", func(t *testing.T) { testBarrierLiveMembership(t, opts.Survivable) })
 		t.Run("AllReduceLiveMembership", func(t *testing.T) { testAllReduceLiveMembership(t, opts.Survivable) })
 		t.Run("DeadHeapReadable", func(t *testing.T) { testDeadHeapReadable(t, opts.Survivable) })
+		t.Run("PanicIsNoHealedDeath", func(t *testing.T) { testPanicPropagates(t, opts.Survivable, opts, true) })
 	}
 	t.Run("SendRecvPingPong", func(t *testing.T) { testPingPong(t, newWorld) })
 	t.Run("SendRecvAnySource", func(t *testing.T) { testAnySource(t, newWorld) })
@@ -79,7 +80,7 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	RunLocalStable(t, newWorld)
 	t.Run("SingleProc", func(t *testing.T) { testSingleProc(t, newWorld) })
 	t.Run("EmptyBodyRelaunch", func(t *testing.T) { testEmptyBodyRelaunch(t, newWorld) })
-	t.Run("PanicPropagates", func(t *testing.T) { testPanicPropagates(t, newWorld, opts) })
+	t.Run("PanicPropagates", func(t *testing.T) { testPanicPropagates(t, newWorld, opts, false) })
 	t.Run("RandDeterministicPerRank", func(t *testing.T) { testRand(t, newWorld, opts) })
 	t.Run("ClockPerRank", func(t *testing.T) { testClockPerRank(t, newWorld) })
 	t.Run("NbCompletionOrdering", func(t *testing.T) { testNbCompletionOrdering(t, newWorld) })
@@ -562,11 +563,18 @@ func testEmptyBodyRelaunch(t *testing.T, f Factory) {
 	}
 }
 
-func testPanicPropagates(t *testing.T, f Factory, opts Options) {
+// testPanicPropagates: a rank's plain panic fails Run. On a survivable
+// world (heal) it does so although the survivor acknowledges the death:
+// a plain panic is a failure, and only a rank's own *pgas.FaultError is a
+// death the world heals.
+func testPanicPropagates(t *testing.T, f Factory, opts Options, heal bool) {
 	w := f(2)
 	err := w.Run(func(p pgas.Proc) {
 		if p.Rank() == 1 {
 			panic("deliberate failure")
+		}
+		if heal {
+			acknowledge(p, 1, unwound(1, p.Barrier))
 		}
 		// Rank 0 does bounded local work and returns; it must not hang.
 		p.Compute(time.Millisecond)
