@@ -57,7 +57,7 @@ chaos-recovery:
 # scf-tcp round (system set-up, guess, one DIIS step) and of the root
 # package's substrate microbenchmarks (UTS child generation, the dense
 # kernels, the dsim engine's kept and handed-over yields and the
-# uts-dsim64 world launch) and of the two multi-process world launches
+# uts-dsim64 and serve-shm world launches) and of the two multi-process world launches
 # (ipc and tcp: spawn two rank processes, one barrier, reap). A smoke
 # test, not a measurement: it proves they still build and run. The paper's tables and figures are pinned in
 # virtual time by the golden tests of internal/bench, which tier-1 runs.

@@ -14,6 +14,7 @@ import (
 	"scioto/internal/core"
 	"scioto/internal/linalg"
 	"scioto/internal/pgas"
+	"scioto/internal/pgas/shm"
 	"scioto/internal/scf"
 	"scioto/internal/uts"
 )
@@ -94,6 +95,22 @@ func BenchmarkDsimWorldLaunch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := bench.ClusterWorld(64, 1).Run(func(p pgas.Proc) {
 			core.NewTC(core.Attach(p), core.Config{MaxBodySize: uts.NodeBytes, ChunkSize: 10, MaxTasks: 1 << 13})
+			p.Barrier()
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShmWorldLaunch is the world part of the set-up cycle of the
+// benchmark's serve-shm workload: a 2-rank shm world that creates the serve
+// daemon's task collection (301-byte slots, 16,384 tasks per rank, 1,024
+// deferred) and meets at a barrier.
+func BenchmarkShmWorldLaunch(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := shm.NewWorld(shm.Config{NProcs: 2, Seed: 1}).Run(func(p pgas.Proc) {
+			core.NewTC(core.Attach(p), core.Config{MaxBodySize: 301 - core.HeaderBytes, MaxTasks: 1 << 14, MaxDeferred: 1024})
 			p.Barrier()
 		}); err != nil {
 			b.Fatal(err)

@@ -38,9 +38,7 @@ package dsim
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"syscall"
 	"time"
 
 	"scioto/internal/pgas"
@@ -120,13 +118,6 @@ type message struct {
 	arrival time.Duration
 }
 
-// mapThreshold is the per-rank size from which a data segment's instances
-// come from one anonymous mapping instead of the Go heap. The kernel zeroes
-// a mapped page on first touch, so a world pays only for the pages it uses:
-// the task rings of a short run are mostly never touched, and make would
-// zero all of them at every launch.
-const mapThreshold = 64 << 10
-
 type world struct {
 	cfg Config
 
@@ -140,9 +131,9 @@ type world struct {
 	aborting bool          // every proc that next takes the token unwinds
 	done     chan struct{} // closed by the last proc to finish
 
+	segs     pgas.Segments // the data segments' memory; Run releases it
 	dataSegs [][][]byte
 	wordSegs [][][]int64
-	maps     [][]byte // the mappings behind large data segments; Run unmaps them
 
 	// busyUntil[r] is the virtual time until which process r's network
 	// interface is occupied by remote operations (Occupancy model).
@@ -187,11 +178,7 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 		busyUntil: make([]time.Duration, n),
 		deadRanks: make([]bool, n),
 	}
-	defer func() {
-		for _, m := range w.maps {
-			_ = syscall.Munmap(m) // a whole mapping of ours: nothing to undo on error
-		}
-	}()
+	defer w.segs.Release()
 	for r := range w.procs {
 		p := &proc{w: w, rank: r, resumeCh: make(chan struct{})}
 		p.clk = pgas.NewClock(time.Time{}, &p.clock, w.cfg.Seed, r, w.cfg.SpeedFactor)
@@ -380,28 +367,4 @@ func (w *world) deadlockError() error {
 		}
 	}
 	return fmt.Errorf("%s", msg)
-}
-
-// allocData creates the instances of a data segment: on the Go heap below
-// mapThreshold, otherwise from one anonymous mapping, each rank's instance
-// starting on a page boundary.
-func (w *world) allocData(nbytes int) [][]byte {
-	inst := make([][]byte, w.cfg.NProcs)
-	if nbytes < mapThreshold {
-		for i := range inst {
-			inst[i] = make([]byte, nbytes)
-		}
-		return inst
-	}
-	page := os.Getpagesize()
-	stride := (nbytes + page - 1) / page * page
-	mem, err := syscall.Mmap(-1, 0, stride*len(inst), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-	if err != nil {
-		panic(fmt.Sprintf("dsim: mapping a data segment of %d bytes per rank: %v", nbytes, err))
-	}
-	w.maps = append(w.maps, mem)
-	for i := range inst {
-		inst[i] = mem[i*stride : i*stride+nbytes : i*stride+nbytes]
-	}
-	return inst
 }

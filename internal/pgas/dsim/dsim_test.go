@@ -17,9 +17,12 @@ func newWorld(n int) pgas.World {
 }
 
 func TestConformance(t *testing.T) {
-	pgastest.RunConformanceOptions(t, newWorld, pgastest.Options{Survivable: func(n int) pgas.World {
-		return dsim.NewWorld(dsim.Config{NProcs: n, Seed: 1, Survivable: true})
-	}})
+	pgastest.RunConformanceOptions(t, newWorld, pgastest.Options{
+		Survivable: func(n int) pgas.World {
+			return dsim.NewWorld(dsim.Config{NProcs: n, Seed: 1, Survivable: true})
+		},
+		MapsSegments: true,
+	})
 }
 
 // TestVirtualTimeCharges checks the cost model: a remote get must charge at

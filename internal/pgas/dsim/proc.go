@@ -166,7 +166,7 @@ func (p *proc) AllocData(nbytes int) pgas.Seg {
 	seg := p.dataCount
 	w := p.w
 	if seg == len(w.dataSegs) {
-		w.dataSegs = append(w.dataSegs, w.allocData(nbytes))
+		w.dataSegs = append(w.dataSegs, w.segs.Alloc(w.cfg.NProcs, nbytes))
 	} else if got := len(w.dataSegs[seg][0]); got != nbytes {
 		panic(fmt.Sprintf("dsim: collective AllocData size mismatch on rank %d: %d vs %d", p.rank, nbytes, got))
 	}

@@ -182,6 +182,45 @@ func TestSurvivableBarrierSIGKILLMidWait(t *testing.T) {
 	}
 }
 
+// TestOnlyOwnFaultsHeal: a survivable world's Run returns nil when a rank
+// died of its own *pgas.FaultError and another finished cleanly, as on shm
+// and dsim, whether the survivor reaches its completion barrier after the
+// death or waits in it when the death comes. A plain panic is a failure,
+// not a death.
+func TestOnlyOwnFaultsHeal(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		late   int // the rank that sleeps before it returns or dies
+		typed  bool
+		healed bool
+	}{
+		{"own fault on rank 1 of 2", 0, true, true},
+		{"own fault on rank 1 of 2, rank 0 in its completion barrier", 1, true, true},
+		{"plain panic on rank 1 of 2", 0, false, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := ipc.NewWorld(ipc.Config{NProcs: 2, Seed: 1, Survivable: true}).Run(func(p pgas.Proc) {
+				if p.Rank() == c.late {
+					time.Sleep(50 * time.Millisecond)
+				}
+				if p.Rank() == 0 {
+					return
+				}
+				if c.typed {
+					panic(&pgas.FaultError{Rank: p.Rank(), Phase: "test", Err: errors.New("dies")})
+				}
+				panic("assertion failed")
+			})
+			if inRankProcess() {
+				return
+			}
+			if healed := err == nil; healed != c.healed {
+				t.Fatalf("Run returned %v, want healed = %v", err, c.healed)
+			}
+		})
+	}
+}
+
 // TestInjectedCrashOverIPC drives the faulty wrapper across process
 // boundaries: the crashing rank panics with a structured FaultError,
 // which must survive the trip through the shared-file report slot so the

@@ -198,6 +198,35 @@ func (g *region) join(rank int, fd string) (*launch.Rank, error) {
 		// operations or messages in flight against its arena — the region
 		// stays mapped in the survivors, but the program contract is that
 		// Run returns only after every rank finished.
-		Finish: p.Barrier,
+		Finish: p.finish,
 	}, nil
+}
+
+// finish is the completion barrier. On a survivable world a rank that
+// returned from the body has finished cleanly, as on shm and dsim: it
+// acknowledges the deaths registered so far before the barrier, and meets
+// the survivors again when a death interrupts it.
+func (p *proc) finish() {
+	for {
+		p.SurviveFault(nil)
+		if p.completionBarrier() {
+			return
+		}
+	}
+}
+
+// completionBarrier is the barrier; false means a death interrupted it on
+// a survivable world.
+func (p *proc) completionBarrier() (done bool) {
+	if p.cfg.Survivable {
+		defer func() {
+			if rec := recover(); rec != nil {
+				if _, ok := rec.(*pgas.FaultError); !ok {
+					panic(rec)
+				}
+			}
+		}()
+	}
+	p.Barrier()
+	return true
 }

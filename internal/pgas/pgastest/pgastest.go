@@ -15,9 +15,11 @@ package pgastest
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"scioto/internal/pgas"
 )
@@ -43,6 +45,10 @@ type Options struct {
 	// Survivable, when set, creates worlds that outlive a rank's death
 	// (pgas.Resilient with ok=true): the cases that kill a rank run on it.
 	Survivable Factory
+	// MapsSegments marks transports whose large data segments are
+	// pgas.Segments mappings: SegmentContract checks that an instance of
+	// at least pgas.MapThreshold bytes starts on a page boundary.
+	MapsSegments bool
 }
 
 // RunConformance runs the full conformance suite against worlds produced by
@@ -78,6 +84,7 @@ func RunConformanceOptions(t *testing.T, newWorld Factory, opts Options) {
 	t.Run("MessageOrderPerPair", func(t *testing.T) { testMessageOrder(t, newWorld) })
 	t.Run("RelaxedOwnerWords", func(t *testing.T) { testRelaxedWords(t, newWorld) })
 	RunLocalStable(t, newWorld)
+	t.Run("SegmentContract", func(t *testing.T) { testSegmentContract(t, newWorld, opts) })
 	t.Run("SingleProc", func(t *testing.T) { testSingleProc(t, newWorld) })
 	t.Run("EmptyBodyRelaunch", func(t *testing.T) { testEmptyBodyRelaunch(t, newWorld) })
 	t.Run("PanicPropagates", func(t *testing.T) { testPanicPropagates(t, newWorld, opts, false) })
@@ -519,6 +526,52 @@ func testLocalStable(t *testing.T, f Factory) {
 		}
 		if v := p.Load64(other, ws, 3); v != int64(20+other) {
 			panic(fmt.Sprintf("rank %d: Load64 of rank %d's word 3 = %d, want what it stored through LocalWords", p.Rank(), other, v))
+		}
+		p.Barrier()
+	})
+}
+
+// testSegmentContract: a data segment's instances are zero on first
+// touch, have len = cap, are writable to their last byte and are disjoint
+// per rank, on both sides of pgas.MapThreshold, and where the transport
+// maps them an instance at or above it starts on a page boundary.
+func testSegmentContract(t *testing.T, f Factory, opts Options) {
+	const n = 3
+	sizes := []int{pgas.MapThreshold - 8, pgas.MapThreshold, 100_003, 1 << 20}
+	w := f(n)
+	run(t, w, func(p pgas.Proc) {
+		me := p.Rank()
+		segs := make([]pgas.Seg, len(sizes))
+		for k, size := range sizes {
+			segs[k] = p.AllocData(size)
+		}
+		fill := func(k, r int) byte { return byte(16*k + r + 1) }
+		for k, size := range sizes {
+			loc := p.Local(segs[k])
+			if len(loc) != size || cap(loc) != size {
+				panic(fmt.Sprintf("rank %d: %d-byte instance of len %d, cap %d", me, size, len(loc), cap(loc)))
+			}
+			if opts.MapsSegments && size >= pgas.MapThreshold && uintptr(unsafe.Pointer(&loc[0]))%uintptr(os.Getpagesize()) != 0 {
+				panic(fmt.Sprintf("rank %d: %d-byte instance starts off a page boundary", me, size))
+			}
+			if bytes.Count(loc, []byte{0}) != size {
+				panic(fmt.Sprintf("rank %d: %d-byte instance is not zero", me, size))
+			}
+			for i := range loc {
+				loc[i] = fill(k, me)
+			}
+		}
+		p.Barrier()
+		// Every rank filled its whole instance of every segment: an overlap
+		// would show as another instance's byte in one of them.
+		for k, size := range sizes {
+			got := make([]byte, size)
+			for r := 0; r < n; r++ {
+				p.Get(got, r, segs[k], 0)
+				if !bytes.Equal(got, bytes.Repeat([]byte{fill(k, r)}, size)) {
+					panic(fmt.Sprintf("rank %d: rank %d's %d-byte instance does not hold what it wrote", me, r, size))
+				}
+			}
 		}
 		p.Barrier()
 	})

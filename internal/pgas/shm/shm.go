@@ -65,6 +65,7 @@ type world struct {
 	// segment does not race a peer that is still allocating the next one.
 	allocMu sync.Mutex
 	tab     atomic.Pointer[tables]
+	segs    pgas.Segments // the data segments' memory, under allocMu; Run releases it
 
 	accMu []sync.Mutex // per-process accumulate lock (ARMCI_Acc atomicity)
 
@@ -135,16 +136,19 @@ func (w *world) fail(rank int, fe *pgas.FaultError) {
 }
 
 // Run starts a fresh machine every time: no segment, message, death or
-// fault of an earlier run carries over.
+// fault of an earlier run carries over. The large data segments are
+// unmapped before Run returns, which ends the life of every Local slice.
 func (w *world) Run(body func(p pgas.Proc)) error {
 	n := w.cfg.NProcs
 	*w = world{
 		cfg:       w.cfg,
+		segs:      pgas.Segments{Heap: raceBuild},
 		accMu:     make([]sync.Mutex, n),
 		boxes:     make([]*mailbox, n),
 		deadRanks: make([]bool, n),
 	}
 	w.tab.Store(&tables{})
+	defer w.segs.Release()
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
@@ -277,12 +281,8 @@ func (p *proc) AllocData(nbytes int) pgas.Seg {
 	defer w.allocMu.Unlock()
 	seg := p.dataCount
 	if t := w.tab.Load(); seg == len(t.data) {
-		inst := make([][]byte, w.cfg.NProcs)
-		for i := range inst {
-			inst[i] = make([]byte, nbytes)
-		}
 		nt := *t
-		nt.data = append(nt.data, inst)
+		nt.data = append(nt.data, w.segs.Alloc(w.cfg.NProcs, nbytes))
 		w.tab.Store(&nt)
 	} else if got := len(t.data[seg][0]); got != nbytes {
 		panic(fmt.Sprintf("shm: collective AllocData size mismatch on rank %d: %d vs %d", p.rank, nbytes, got))

@@ -15,9 +15,12 @@ import (
 func TestConformance(t *testing.T) {
 	pgastest.RunConformanceOptions(t, func(n int) pgas.World {
 		return shm.NewWorld(shm.Config{NProcs: n, Seed: 1})
-	}, pgastest.Options{Survivable: func(n int) pgas.World {
-		return shm.NewWorld(shm.Config{NProcs: n, Seed: 1, Survivable: true})
-	}})
+	}, pgastest.Options{
+		Survivable: func(n int) pgas.World {
+			return shm.NewWorld(shm.Config{NProcs: n, Seed: 1, Survivable: true})
+		},
+		MapsSegments: !shm.RaceBuild,
+	})
 }
 
 func TestConformanceWithInjectedLatency(t *testing.T) {
