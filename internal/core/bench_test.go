@@ -28,17 +28,21 @@ func ownerCycle(tc *TC, task *Task) {
 // one rank, for both queue disciplines. split-probed adds a second rank
 // that spins empty steal probes on the owner's packed word throughout: the
 // cost of whatever the owner path writes to the cache line the probes
-// read. The steady state allocates nothing (TestOwnerPathZeroAllocs is the
-// hard assertion).
+// read. split-spawn runs phases of a 4-ary tree of empty callbacks, each
+// task added by its parent's callback, and reports ns/task: the bypass,
+// the spawn buffer and its pushes, the pops and the phase loop. The
+// steady state allocates nothing (TestOwnerPathZeroAllocs is the hard
+// assertion).
 func BenchmarkOwnerPath(b *testing.B) {
 	for _, c := range []struct {
-		name   string
-		mode   QueueMode
-		probed bool
+		name          string
+		mode          QueueMode
+		probed, spawn bool
 	}{
-		{"split", ModeSplit, false},
-		{"locked", ModeLocked, false},
-		{"split-probed", ModeSplit, true},
+		{"split", ModeSplit, false, false},
+		{"locked", ModeLocked, false, false},
+		{"split-probed", ModeSplit, true, false},
+		{"split-spawn", ModeSplit, false, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -57,6 +61,10 @@ func BenchmarkOwnerPath(b *testing.B) {
 					}
 					return
 				}
+				if c.spawn {
+					spawnPhases(b, tc)
+					return
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					ownerCycle(tc, task)
@@ -72,12 +80,33 @@ func BenchmarkOwnerPath(b *testing.B) {
 	}
 }
 
+// spawnPhases runs phases of a depth-6 4-ary spawning tree (5,461 tasks)
+// until b.N tasks have run, and reports the time per task.
+func spawnPhases(b *testing.B, tc *TC) {
+	root := NewTask(tc.Register(spawner(4)), 24)
+	b.ResetTimer()
+	for tc.stats.TasksExecuted < int64(b.N) {
+		root.Body()[0] = 6
+		if err := tc.Add(0, AffinityHigh, root); err != nil {
+			panic(err)
+		}
+		tc.Process()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tc.stats.TasksExecuted), "ns/task")
+}
+
+// spawnBranch is the children per callback of the spawning benchmark and
+// allocation gate: more than the spawn buffer holds.
+const spawnBranch = releaseInterval + 2
+
 // TestOwnerPathZeroAllocs is the allocation gate on the owner path: a
 // steady-state Add, pop and execute allocates nothing in either queue
 // mode, with observability off and with an observer recording into a
 // retaining recorder, and neither does taking in a steal's tasks, a whole
 // phase through the loop, with an idle hook installed or without, or a
-// phase of spawning callbacks (the bypass and the mid-spawn release). The
+// phase of spawning callbacks (the bypass, the spawn buffer's pushes and
+// the mid-spawn release). The
 // same holds armed, with recovery on a survivable world: the journal
 // record, the execution record and done-mark, and the collectives' look
 // at the membership.
@@ -104,7 +133,7 @@ func TestOwnerPathZeroAllocs(t *testing.T) {
 				}
 				ran := 0
 				task := NewTask(tc.Register(func(*TC, *Task) { ran++ }), 24)
-				tree := NewTask(tc.Register(spawner(10)), 24)
+				tree := NewTask(tc.Register(spawner(spawnBranch)), 24)
 				if a := testing.AllocsPerRun(200, func() { ownerCycle(tc, task) }); a != 0 {
 					panic(fmt.Sprintf("Add + pop + execute allocates %.2f objects per task, want 0", a))
 				}
@@ -152,16 +181,20 @@ func TestOwnerPathZeroAllocs(t *testing.T) {
 					}
 				}
 				tc.SetIdleHook(nil)
+				// A phase of callbacks that spawn more than releaseInterval
+				// children each: the bypass, then the spawn buffer's pushes,
+				// mid-spawn with its release check and as the callback returns.
+				const treeNodes = 1 + spawnBranch + spawnBranch*spawnBranch
 				before := tc.Stats().TasksExecuted
 				a = testing.AllocsPerRun(50, func() {
-					tree.Body()[0] = 2 // 111 tasks, 11 of them parents
+					tree.Body()[0] = 2
 					if err := tc.Add(0, AffinityHigh, tree); err != nil {
 						panic(err)
 					}
 					tc.Process()
 				})
-				if executed := tc.Stats().TasksExecuted - before; a != 0 || executed != 51*111 {
-					panic(fmt.Sprintf("a phase of spawning callbacks allocates %.2f objects (%d executions), want 0 (%d)", a, executed, 51*111))
+				if executed := tc.Stats().TasksExecuted - before; a != 0 || executed != 51*treeNodes {
+					panic(fmt.Sprintf("a phase of spawning callbacks allocates %.2f objects (%d executions), want 0 (%d)", a, executed, 51*treeNodes))
 				}
 			}); err != nil {
 				t.Errorf("%s: %v", name, err)

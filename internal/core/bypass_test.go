@@ -57,6 +57,171 @@ func TestSpawnBypass(t *testing.T) {
 	}
 }
 
+// TestSpawnBufferPushesOnce: on a split queue a callback's later local
+// children reach the ring in pushes of up to releaseInterval, each one
+// owner charge over their bytes, while every add still counts as a local
+// insert and every task but a held one as a pop. Over a tree whose
+// parents spawn releaseInterval+2 children each — one held, then a push
+// mid-spawn and one as the callback returns — dsim sees the seed's push,
+// a charge per held child and per pop, and two pushes per parent, the
+// first over releaseInterval descriptors.
+func TestSpawnBufferPushesOnce(t *testing.T) {
+	const depth, branch = 2, releaseInterval + 2
+	const parents, nodes = 1 + branch, 1 + branch + branch*branch
+	if err := dsim.NewWorld(dsim.Config{NProcs: 1, Seed: 1}).Run(func(p pgas.Proc) {
+		c := &ownerCounter{Proc: p}
+		tc := NewTC(Attach(c), Config{MaxBodySize: 8})
+		root := NewTask(tc.Register(spawner(branch)), 8)
+		root.Body()[0] = depth
+		if err := tc.Add(0, AffinityHigh, root); err != nil {
+			panic(err)
+		}
+		tc.Process()
+		s := tc.Stats()
+		if s.TasksExecuted != nodes || s.LocalInserts != nodes || s.LocalGets != nodes-parents {
+			panic(fmt.Sprintf("executed %d, inserted %d, popped %d; want %d, %d, %d",
+				s.TasksExecuted, s.LocalInserts, s.LocalGets, nodes, nodes, nodes-parents))
+		}
+		full := 0
+		for _, d := range c.charges {
+			if d == localCost(releaseInterval*len(root.wire())) {
+				full++
+			}
+		}
+		if want := 1 + parents + 2*parents + int(s.LocalGets); len(c.charges) != want || full != parents {
+			panic(fmt.Sprintf("%d owner charges, %d of them over %d descriptors; want %d and %d",
+				len(c.charges), full, releaseInterval, want, parents))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpawnCopyInFirst: a callback's add is copied in before anything can
+// run inline, and what the spawn buffer's push finds no room for runs
+// inline from a copy. Every callback reuses one descriptor on a ring of
+// four: it spawns three local children (one held, two buffered), fills
+// the shared end with three low-affinity adds to its own rank, which do
+// not count the buffer, then spawns once more, which finds the ring with
+// the buffer full and runs at once; its nested callbacks rewrite the
+// descriptor. As the callback returns, its buffer's push finds no room
+// for what it buffered, which runs inline, spawning into the buffer
+// again. Every task identity runs exactly once.
+func TestSpawnCopyInFirst(t *testing.T) {
+	const depth, maxTasks = 3, 1 << 10
+	if err := dsim.NewWorld(dsim.Config{NProcs: 1, Seed: 1}).Run(func(p pgas.Proc) {
+		tc := NewTC(Attach(p), Config{MaxBodySize: 16, MaxTasks: 4})
+		ran := make([]int, maxTasks)
+		created, afterReturn := 0, 0
+		child := NewTask(0, 16)
+		add := func(aff int32, d int64) {
+			pgas.PutI64(child.Body(), int64(created))
+			pgas.PutI64(child.Body()[8:], d)
+			created++
+			if err := tc.Add(0, aff, child); err != nil {
+				panic(err)
+			}
+		}
+		h := tc.Register(func(tc *TC, task *Task) {
+			id, d := pgas.GetI64(task.Body()), pgas.GetI64(task.Body()[8:])
+			ran[id]++
+			if !tc.running {
+				afterReturn++ // inline from a push as a callback returned
+			}
+			if d == 0 {
+				return
+			}
+			for _, aff := range []int32{AffinityHigh, AffinityHigh, AffinityHigh, AffinityLow, AffinityLow, AffinityLow, AffinityHigh} {
+				add(aff, d-1)
+			}
+		})
+		child.SetHandle(h)
+		add(AffinityHigh, depth)
+		tc.Process()
+		for id := 0; id < created; id++ {
+			if ran[id] != 1 {
+				panic(fmt.Sprintf("task %d of %d ran %d times", id, created, ran[id]))
+			}
+		}
+		if s := tc.Stats(); s.InlineExecs == 0 || afterReturn == 0 {
+			panic(fmt.Sprintf("%d inline executions, %d of them from a push as a callback returned; want some of each", s.InlineExecs, afterReturn))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// announcer is a proc that lets adders announce themselves on its rank's
+// packed word once, just as a callback's spawn buffer is pushed mid-spawn
+// and reads the word, and withdraws them at the next read: adders that
+// came after the callback's last add and left again.
+type announcer struct {
+	pgas.Proc
+	tc      *TC
+	adders  int64 // announced, until the next read
+	arrived bool
+}
+
+func (a *announcer) RelaxedLoad64(seg pgas.Seg, idx int) int64 {
+	if tc := a.tc; tc != nil && seg == tc.q.meta && idx == wShared {
+		switch {
+		case a.adders > 0:
+			a.Proc.FetchAdd64(tc.q.me, seg, idx, -a.adders*oneA)
+			a.adders = 0
+		case !a.arrived && tc.running && tc.spawned == releaseInterval:
+			a.arrived, a.adders = true, int64(tc.q.limit)
+			a.Proc.FetchAdd64(tc.q.me, seg, idx, a.adders*oneA)
+		}
+	}
+	return a.Proc.RelaxedLoad64(seg, idx)
+}
+
+// TestSpawnOverflowRunsFromACopy: adders take a mid-spawn push's room
+// between the callback's last add and the push, so the buffered tasks run
+// inline — by then the adders have left, and the inline callbacks spawn
+// into the buffer the overflow came from. It runs from a copy: every task
+// identity, all from one reused descriptor, runs exactly once.
+func TestSpawnOverflowRunsFromACopy(t *testing.T) {
+	const depth, branch = 2, releaseInterval + 1
+	const nodes = 1 + branch + branch*branch
+	if err := dsim.NewWorld(dsim.Config{NProcs: 1, Seed: 1}).Run(func(p pgas.Proc) {
+		a := &announcer{Proc: p}
+		tc := NewTC(Attach(a), Config{MaxBodySize: 16, MaxTasks: 2 * branch})
+		a.tc = tc
+		var ran [nodes]int
+		created := 0
+		child := NewTask(0, 16)
+		add := func(d int64) {
+			pgas.PutI64(child.Body(), int64(created))
+			pgas.PutI64(child.Body()[8:], d)
+			created++
+			if err := tc.Add(0, AffinityHigh, child); err != nil {
+				panic(err)
+			}
+		}
+		child.SetHandle(tc.Register(func(tc *TC, task *Task) {
+			ran[pgas.GetI64(task.Body())]++
+			if d := pgas.GetI64(task.Body()[8:]); d > 0 {
+				for i := 0; i < branch; i++ {
+					add(d - 1)
+				}
+			}
+		}))
+		add(depth)
+		tc.Process()
+		for id, k := range ran {
+			if k != 1 {
+				panic(fmt.Sprintf("task %d of %d ran %d times", id, created, k))
+			}
+		}
+		if s := tc.Stats(); !a.arrived || s.InlineExecs < releaseInterval {
+			panic(fmt.Sprintf("adders arrived: %v; %d inline executions, want at least %d", a.arrived, s.InlineExecs, releaseInterval))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRootSurplusStolenMidSpawn: a root that spawns a thousand children
 // releases its surplus as it adds, so on the cluster model another rank
 // runs one of them before the root's callback has returned.
@@ -102,12 +267,13 @@ func TestRootSurplusStolenMidSpawn(t *testing.T) {
 }
 
 // holdWitness is a proc over the transport's that counts the faults
-// unwinding its rank while its collection holds a bypassed task.
+// unwinding its rank while its collection holds a bypassed task, and
+// those unwinding it while its spawn buffer holds tasks.
 type holdWitness struct {
 	pgas.Front
 	pgas.Kernel
-	tc      *TC
-	unwound *int // over all ranks: dsim runs one rank at a time
+	tc               *TC
+	unwound, spawned *int // over all ranks: dsim runs one rank at a time
 }
 
 func (w *holdWitness) Unwrap() pgas.Kernel { return w.Kernel }
@@ -117,6 +283,9 @@ func (w *holdWitness) leaving() {
 	if rec := recover(); rec != nil {
 		if w.tc != nil && w.tc.held {
 			*w.unwound++
+		}
+		if w.tc != nil && w.tc.spawned > 0 {
+			*w.spawned++
 		}
 		panic(rec)
 	}
@@ -145,7 +314,7 @@ func TestRecoveryRequeuesHeldTask(t *testing.T) {
 	})
 	var total int64
 	if err := w.Run(func(p pgas.Proc) {
-		hw := &holdWitness{Kernel: p, unwound: &unwound}
+		hw := &holdWitness{Kernel: p, unwound: &unwound, spawned: new(int)}
 		hw.Bind(hw)
 		rt := Attach(hw)
 		rt.EnableRecovery()
@@ -172,4 +341,86 @@ func TestRecoveryRequeuesHeldTask(t *testing.T) {
 	if want := int64(n * 121); total != want {
 		t.Fatalf("%d durable completions, want %d", total, want)
 	}
+}
+
+// TestRecoveryReplaysSpawnBuffer sweeps rank 2's death over every
+// operation it issues in the phase of a spawning tree on four dsim ranks,
+// whose callbacks add four children to their own rank with an add to the
+// next rank between the second and the third, so a death can unwind a
+// survivor at that remote add while its spawn buffer holds the second
+// child. The buffered tasks are records of the survivor's in no queue:
+// recovery empties the buffer and replays them, so every healed world
+// durably completes each rank's tree once. The sweep must see such an
+// unwind.
+func TestRecoveryReplaysSpawnBuffer(t *testing.T) {
+	const n, depth, branch = 4, 3, 5
+	const perRank = 1 + branch + branch*branch + branch*branch*branch
+	run := func(crashAt int64) (total, before, after int64, spawned int, err error) {
+		var unwound int
+		fc := faulty.Config{Seed: 7, CrashRank: 2, CrashAfterOps: crashAt}
+		if crashAt == 0 {
+			fc.CrashRank = faulty.NoCrash
+		}
+		w := faulty.Wrap(dsim.NewWorld(dsim.Config{NProcs: n, Seed: 5, Survivable: true, MaxVirtualTime: 50 * time.Millisecond}), fc)
+		err = w.Run(func(p pgas.Proc) {
+			hw := &holdWitness{Kernel: p, unwound: &unwound, spawned: &spawned}
+			hw.Bind(hw)
+			rt := Attach(hw)
+			rt.EnableRecovery()
+			tc := NewTC(rt, Config{MaxBodySize: 8, ChunkSize: 2, MaxTasks: 1024})
+			if p.Rank() != 2 {
+				hw.tc = tc
+			}
+			me := p.Rank()
+			var h Handle
+			h = tc.Register(func(tc *TC, task *Task) {
+				d := task.Body()[0]
+				if d == 0 {
+					return
+				}
+				task.Body()[0] = d - 1
+				for i := 0; i < branch; i++ {
+					dst := me
+					if i == 2 {
+						dst = (me + 1) % n
+					}
+					if err := tc.Add(dst, AffinityHigh, task); err != nil {
+						panic(err)
+					}
+				}
+			})
+			root := NewTask(h, 8)
+			root.Body()[0] = depth
+			if err := tc.Add(me, AffinityHigh, root); err != nil {
+				panic(err)
+			}
+			if me == 2 {
+				before = faulty.Ops(p)
+			}
+			tc.Process()
+			if me == 2 {
+				after = faulty.Ops(p)
+			}
+			if g := tc.GlobalStats(); me == 0 {
+				total = g.TasksExecuted + g.SalvagedExecs
+			}
+		})
+		return total, before, after, spawned, err
+	}
+	total, before, after, _, err := run(0)
+	if err != nil || total != n*perRank {
+		t.Fatalf("uncrashed run: err %v, %d tasks, want %d", err, total, n*perRank)
+	}
+	witnessed := 0
+	for k := before + 1; k <= after; k++ {
+		got, _, _, spawned, err := run(k)
+		if err != nil || got != n*perRank {
+			t.Fatalf("death at op %d: err %v, %d durable completions, want %d", k, err, got, n*perRank)
+		}
+		witnessed += spawned
+	}
+	if witnessed == 0 {
+		t.Fatalf("no death in ops %d..%d unwound a survivor with spawns in its buffer", before+1, after)
+	}
+	t.Logf("%d deaths, %d unwinds with spawns buffered", after-before, witnessed)
 }

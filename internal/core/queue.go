@@ -274,6 +274,14 @@ func (q *taskQueue) occupied(w int64) int64 {
 	return q.top - q.split + wordN(w) + wordX(w) + wordA(w)
 }
 
+// fits reports whether k more tasks fit in the ring. Full at last sight,
+// it looks again with an ordered load, in case thieves have made room
+// since.
+func (q *taskQueue) fits(k int64) bool {
+	return q.occupied(q.sharedHint())+k <= int64(q.limit) ||
+		q.occupied(q.p.Load64(q.me, q.meta, wShared))+k <= int64(q.limit)
+}
+
 // pushPrivate inserts a task descriptor at the owner end of the private
 // portion without locking. It reports false when the queue is full (after
 // an ordered refresh of the packed word). Only a push above the published
@@ -282,12 +290,8 @@ func (q *taskQueue) occupied(w int64) int64 {
 //scioto:noalloc
 func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
 	top := q.top
-	if q.occupied(q.sharedHint()) >= int64(q.limit) {
-		// Full at last sight; an ordered load in case thieves have made
-		// room since.
-		if q.occupied(q.p.Load64(q.me, q.meta, wShared)) >= int64(q.limit) {
-			return false
-		}
+	if !q.fits(1) {
+		return false
 	}
 	off := q.topOff
 	copy(q.ring[off:off+len(wire)], wire)
@@ -301,6 +305,39 @@ func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
 	q.charge(len(wire))
 	s.LocalInserts++
 	return true
+}
+
+// pushBatch puts the first c of the descriptors in batch, one per
+// slotSize bytes, at the owner end of the private portion as one
+// operation, and returns how many fit: the rest are the caller's. Like a
+// landing it raises the mark over all c before it reads the packed word
+// (room), copies the slots that fit, at most two extents as the ring
+// wraps, moves top, and is one bookkeeping charge over the descriptors'
+// bytes.
+//
+//scioto:noalloc
+func (q *taskQueue) pushBatch(batch []byte, c int64, s *Stats) int64 {
+	k := q.room(c)
+	if k == 0 {
+		return 0
+	}
+	src, dst := batch[:int(k)*q.slotSize], q.topOff
+	for len(src) > 0 {
+		m := copy(q.ring[dst:], src)
+		if src, dst = src[m:], dst+m; dst == len(q.ring) {
+			dst = 0
+		}
+	}
+	if q.virtual { // the descriptors' bytes, which only a virtual clock charges
+		n := 0
+		for o := 0; o < int(k)*q.slotSize; o += q.slotSize {
+			n += wireLen(batch[o:])
+		}
+		q.charge(n)
+	}
+	q.top, q.topOff = q.top+k, dst
+	s.LocalInserts += k
+	return k
 }
 
 // popPrivate removes the task at the owner end of the private portion

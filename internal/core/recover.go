@@ -485,7 +485,9 @@ func (tc *TC) recoverFromFault(fault *pgas.FaultError) {
 	// before its target tidies up below.
 	tc.q.releaseHeldLock(rec.alive, dead)
 	p.Flush()
-	tc.held = false // the bypass slot's task is a record of ours in no queue: replayed below
+	// The bypass slot's and the spawn buffer's tasks are records of ours in
+	// no queue: replayed below.
+	tc.held, tc.spawned = false, 0
 
 	// Rendezvous: from here on every live rank is inside recovery and no
 	// queue or journal mutates outside the protocol. SurviveFault moved

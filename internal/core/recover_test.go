@@ -158,14 +158,15 @@ func TestRecoveryExactReplaySHM(t *testing.T) {
 // TestRecoveryExactReplayDSim: the same healing on the deterministic
 // transport, at crash points in rank 2's release checks (13, a Load64 of
 // its own packed word), between a release and the reacquire that follows
-// (33, the Load64 after the third FetchAdd64: the release check of a
-// callback's second add — its first is held — so the healer resumes that
-// execution past the two adds that landed), and at its first probe once
-// it has run out of work (41, of rank 0's packed word; the phase is 57
-// ops).
+// (20, the release check after the second FetchAdd64, a callback's first
+// child held), and at its first probe once it has run out of work (31,
+// of rank 0's packed word; the phase is 47 ops). No callback of this tree
+// communicates: its two later children wait in the spawn buffer, so no
+// death cuts an execution short here (TestRecoveryReplaysSpawnBuffer
+// sweeps callbacks that do).
 func TestRecoveryExactReplayDSim(t *testing.T) {
 	const n = 4
-	for _, pin := range []crashPin{{13, "Load64"}, {33, "Load64"}, {41, "NbLoad64"}} {
+	for _, pin := range []crashPin{{13, "Load64"}, {20, "Load64"}, {31, "NbLoad64"}} {
 		pin := pin
 		t.Run(fmt.Sprintf("crashAfter=%d", pin.ops), func(t *testing.T) {
 			out, err := runRecoveryTree(t, func() pgas.World {
@@ -304,7 +305,7 @@ func TestRecoveryDeterministicDSim(t *testing.T) {
 	run := func() recoveryOutcome {
 		out, err := runRecoveryTree(t, func() pgas.World {
 			return dsim.NewWorld(dsim.Config{NProcs: n, Seed: 7, Survivable: true})
-		}, n, 1, crashPin{45, "NbLoad64"}, 99) // rank 1's first probe of rank 3's packed word
+		}, n, 1, crashPin{35, "NbLoad64"}, 99) // rank 1's first probe of rank 3's packed word
 		if err != nil {
 			t.Fatalf("survivable world failed: %v", err)
 		}

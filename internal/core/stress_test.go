@@ -47,7 +47,14 @@ func stressTag(wire []byte) (int64, error) {
 
 // TestSplitQueueRaceStress drives the real split queue on shm, where ranks
 // are goroutines and every operation is a real atomic or copy, so `make
-// race` sees the protocol itself: the owner pushes, pops, releases and
+// race` sees the protocol itself, first queue by queue (stressQueues),
+// then through whole phases of spawning callbacks (stressSpawns).
+func TestSplitQueueRaceStress(t *testing.T) {
+	t.Run("queues", stressQueues)
+	t.Run("spawns", stressSpawns)
+}
+
+// stressQueues: the owner pushes, pops, releases and
 // reacquires, three thieves claim from its packed word and land what they
 // claim in their own rings, and two remote adders prepend to all four
 // queues, on rings of eight slots that wrap hundreds of times and are full
@@ -56,7 +63,7 @@ func stressTag(wire []byte) (int64, error) {
 // the adds to its ring meet on a ring with little room. Every descriptor
 // carries a tag in every word of its body; each tag must be consumed
 // exactly once and no descriptor may arrive torn.
-func TestSplitQueueRaceStress(t *testing.T) {
+func stressQueues(t *testing.T) {
 	perProducer := int64(20000)
 	if testing.Short() {
 		perProducer = 4000
@@ -178,4 +185,103 @@ func TestSplitQueueRaceStress(t *testing.T) {
 			ownerFull.Load(), adderFull.Load(), stole[1].Load(), stole[2].Load(), stole[3].Load())
 	}
 	t.Fatal("no attempt had every thief steal and both full paths taken; the test exercised too little")
+}
+
+// stressSpawns: phases on four shm ranks with rings of 24 tasks, in
+// which rank 0's trees have callbacks that spawn releaseInterval+3 local
+// children each, so their spawn buffers reach the ring mid-spawn and as
+// they return, while chains of tasks on the other ranks add to rank 0
+// remotely, into the ring those pushes land on, and every rank steals.
+// Full rings send spawns inline at their add and at their push. Every
+// task carries a tag in every word of its body; each tag must run exactly
+// once and no descriptor may arrive torn.
+func stressSpawns(t *testing.T) {
+	const n, body, branch, depth, roots, chain, perLink = 4, stressBody + 8, releaseInterval + 3, 2, 6, 24, 3
+	phases := 12
+	if testing.Short() {
+		phases = 3
+	}
+	perPhase := roots*(1+branch+branch*branch) + (n-1)*chain*(1+perLink)
+	seen := make([]atomic.Int32, phases*perPhase)
+	var tags atomic.Int64
+	var violation atomic.Pointer[error]
+	fail := func(err error) { violation.CompareAndSwap(nil, &err) }
+	var remote, inline atomic.Int64
+	w := faulty.Wrap(shm.NewWorld(shm.Config{NProcs: n, Seed: 17}),
+		faulty.Config{Seed: 9, CrashRank: faulty.NoCrash, DelayProb: 0.02, MaxDelay: 20 * time.Microsecond})
+	err := w.Run(func(p pgas.Proc) {
+		me := p.Rank()
+		tc := NewTC(Attach(p), Config{MaxBodySize: body, ChunkSize: 2, MaxTasks: 24})
+		// tag stamps task with a fresh tag and d in its last body word.
+		tag := func(task *Task, d byte) *Task {
+			stressWire(task, tags.Add(1)-1)
+			task.Body()[stressBody] = d
+			return task
+		}
+		consume := func(task *Task) {
+			id, err := stressTag(task.wire())
+			if err == nil && seen[id].Add(1) != 1 {
+				err = fmt.Errorf("tag %d ran twice", id)
+			}
+			if err != nil {
+				fail(err)
+			}
+		}
+		add := func(dst int, aff int32, task *Task) {
+			if err := tc.Add(dst, aff, task); err != nil {
+				panic(err)
+			}
+		}
+		leafH := tc.Register(func(_ *TC, task *Task) { consume(task) })
+		leaf := NewTask(leafH, body)
+		var spawnH, linkH Handle
+		spawnH = tc.Register(func(tc *TC, task *Task) {
+			consume(task)
+			if d := task.Body()[stressBody]; d > 0 {
+				for i := 0; i < branch; i++ {
+					add(tc.rt.Rank(), AffinityHigh, tag(task, d-1))
+				}
+			}
+		})
+		linkH = tc.Register(func(tc *TC, task *Task) {
+			consume(task)
+			for i := 0; i < perLink; i++ {
+				add(0, int32(i%2)*AffinityHigh, tag(leaf, 0))
+			}
+			if d := task.Body()[stressBody]; d > 0 {
+				add(tc.rt.Rank(), AffinityHigh, tag(task, d-1))
+			}
+		})
+		for ph := 0; ph < phases && violation.Load() == nil; ph++ {
+			if me == 0 {
+				for i := 0; i < roots; i++ {
+					add(0, AffinityHigh, tag(NewTask(spawnH, body), depth))
+				}
+			} else {
+				add(me, AffinityHigh, tag(NewTask(linkH, body), chain-1))
+			}
+			tc.Process()
+		}
+		s := tc.Stats()
+		remote.Add(s.RemoteInserts)
+		inline.Add(s.InlineExecs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := violation.Load(); v != nil {
+		t.Fatal(*v)
+	}
+	if got, want := tags.Load(), int64(phases*perPhase); got != want {
+		t.Fatalf("%d tasks created, want %d", got, want)
+	}
+	for id := range seen {
+		if k := seen[id].Load(); k != 1 {
+			t.Fatalf("tag %d ran %d times", id, k)
+		}
+	}
+	if remote.Load() == 0 || inline.Load() == 0 {
+		t.Fatalf("%d remote adds, %d inline executions: the phases exercised too little", remote.Load(), inline.Load())
+	}
+	t.Logf("%d phases: %d tasks, %d remote adds, %d inline executions", phases, tags.Load(), remote.Load(), inline.Load())
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"scioto/internal/pgas"
@@ -108,6 +109,11 @@ type TC struct {
 	// returns it first, so a spawning task's first child runs without a pop.
 	hold Task
 	held bool
+	// spawn is the spawn buffer: a callback's later local high-affinity
+	// Adds are copied into its releaseInterval slots, spawned of them in
+	// use, and reach the ring in one push (flushSpawn).
+	spawn   []byte
+	spawned int64
 
 	obs *Observer // nil = observability disabled
 
@@ -143,7 +149,7 @@ func NewTC(rt *Runtime, cfg Config) *TC {
 		panic(fmt.Sprintf("core: invalid task collection config %+v", cfg))
 	}
 	slotSize := HeaderBytes + cfg.MaxBodySize
-	tc := &TC{rt: rt, cfg: cfg, hold: Task{buf: make([]byte, slotSize)}}
+	tc := &TC{rt: rt, cfg: cfg, hold: Task{buf: make([]byte, slotSize)}, spawn: make([]byte, releaseInterval*slotSize)}
 	tc.q = newTaskQueue(rt.p, cfg.QueueMode, slotSize, cfg.MaxTasks)
 	tc.td = newTermDetector(rt.p, &tc.stats)
 	if cfg.Termination == TermCounter {
@@ -277,12 +283,10 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 		tc.q.charge(len(wire))
 		tc.stats.LocalInserts++
 		tc.held, ok = true, true
+	case proc == me && affinity >= affinityThreshold && tc.running:
+		ok = tc.buffer(wire)
 	case proc == me && affinity >= affinityThreshold:
-		// Mid-spawn release: a spawning task's surplus is stealable before
-		// it returns.
-		if ok = tc.q.pushPrivate(wire, &tc.stats); ok && tc.running {
-			tc.releaseCheck()
-		}
+		ok = tc.q.pushPrivate(wire, &tc.stats)
 	default:
 		ok = tc.q.addRemote(proc, wire, &tc.stats)
 	}
@@ -304,6 +308,47 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 	tc.stats.TasksAdded++
 	tc.runInline(wire)
 	return nil
+}
+
+// buffer copies a callback's spawn into the spawn buffer and reports
+// whether it did: not when the ring, counting the tasks buffered already,
+// is full, and the caller runs it inline at once. The copy comes first:
+// pushing a full buffer may run tasks inline, whose callbacks may rewrite
+// the caller's descriptor. Every releaseInterval spawns reach the ring,
+// followed by the release check, so a spawning task's surplus is
+// stealable before it returns.
+//
+//scioto:noalloc
+func (tc *TC) buffer(wire []byte) bool {
+	if !tc.q.fits(tc.spawned + 1) {
+		return false
+	}
+	copy(tc.spawn[int(tc.spawned)*tc.q.slotSize:], wire)
+	if tc.spawned++; tc.spawned == releaseInterval {
+		tc.flushSpawn()
+		tc.releaseCheck()
+	}
+	return true
+}
+
+// flushSpawn pushes the spawn buffer, which holds tasks, onto the private
+// end as one push. If adders have filled the ring since the tasks were
+// buffered, the rest run inline, from a copy, the one allocation here: an
+// inline callback may spawn into the buffer.
+//
+//scioto:noalloc
+func (tc *TC) flushSpawn() {
+	c := tc.spawned
+	k := tc.q.pushBatch(tc.spawn, c, &tc.stats)
+	tc.spawned = 0
+	if k == c {
+		return
+	}
+	size := tc.q.slotSize
+	rest := slices.Clone(tc.spawn[int(k)*size : int(c)*size])
+	for o := 0; o < len(rest); o += size {
+		tc.runInline(rest[o : o+wireLen(rest[o:])])
+	}
 }
 
 // runInline is the full-queue fallback: the task runs now, from a
@@ -454,6 +499,9 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 			tc.execute(t)
 			tc.running = false
 			if tc.cfg.QueueMode == ModeSplit {
+				if tc.spawned > 0 {
+					tc.flushSpawn()
+				}
 				tc.releaseCheck()
 			}
 			continue

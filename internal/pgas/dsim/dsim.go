@@ -39,6 +39,7 @@ package dsim
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"scioto/internal/pgas"
@@ -179,8 +180,9 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 		deadRanks: make([]bool, n),
 	}
 	defer w.segs.Release()
+	defer w.recyclePending()
 	for r := range w.procs {
-		p := &proc{w: w, rank: r, resumeCh: make(chan struct{})}
+		p := &proc{w: w, rank: r, resumeCh: make(chan struct{}), nb: *pending.Get().(*[]pgas.Op)}
 		p.clk = pgas.NewClock(time.Time{}, &p.clock, w.cfg.Seed, r, w.cfg.SpeedFactor)
 		p.clk.SetStep(w.cfg.LocalOpCost)
 		w.procs[r], w.ready[r] = p, p // equal clocks in rank order: a heap
@@ -206,6 +208,23 @@ func (w *world) Run(body func(p pgas.Proc)) error {
 		return w.fault
 	}
 	return w.err
+}
+
+// pending keeps the procs' pending-op queues from one world to the next.
+// A recovery reads a peer's journal with one NbLoad64 per word, so a queue
+// that started empty in every world would be regrown, one zeroed large
+// allocation after another, in every world that recovers.
+var pending = sync.Pool{New: func() any { return new([]pgas.Op) }}
+
+// recyclePending returns the procs' pending-op queues to the pool, once
+// every body has ended. A rank that died may have left operations in its
+// queue: they are dropped, and with them the buffers they reference.
+func (w *world) recyclePending() {
+	for _, p := range w.procs {
+		clear(p.nb)
+		nb := p.nb[:0]
+		pending.Put(&nb)
+	}
 }
 
 // run is a process goroutine: it waits for its first token, runs the body,
