@@ -17,7 +17,7 @@ race:
 	$(GO) test -race -short ./...
 
 # sciotolint enforces the PGAS and split-queue invariants (see DESIGN.md)
-# with all eight analyzers, per-package and whole-program. It exits 2 on
+# with all six analyzers, per-package and whole-program. It exits 2 on
 # findings, so this target fails the build when the tree violates an
 # invariant without a justified //lint:ignore. Findings are also written
 # as a JSON array to sciotolint-findings.json (always, even when empty),
@@ -126,7 +126,10 @@ fuzz-smoke:
 # of the recovery state (tc.rec, the journal, a *recovery argument) left
 # in tc.go and deps.go, and the TC fields holding recovery state — rec and
 # the journal plus the nine execution fields recover.go once kept on TC
-# (executing … rejoin), so one moved back shows.
+# (executing … rejoin), so one moved back shows. The directives line counts
+# the annotations the tree carries for the linter outside tools/ and the
+# fixtures, test files included: //scioto: directives and //lint:ignore
+# suppressions.
 LOC = awk '!/^[[:space:]]*($$|\/\/)/ {n++} END {print n+0}'
 SRC = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './tools/*' ! -path './.bench_build/*'
 loc:
@@ -142,6 +145,7 @@ loc:
 	@echo "spi            $$(for i in Kernel Resilient; do printf '%s %s, ' $$i $$(awk '/^type '$$i' interface/ {k=1; next} k && /^}/ {k=0} k && /^\t[A-Z][A-Za-z0-9]*\(/ {n++} END {print n+0}' internal/pgas/pgas.go); done | sed 's/, $$//') methods;" \
 		"faulty proc $$(grep -c '^func (p \*proc)' internal/pgas/faulty/faulty.go), instr proc $$(grep -c '^func (p \*proc)' internal/pgas/instr/proc.go);" \
 		"capability assertions $$($(SRC) | xargs grep -E '\.\((pgas\.)?Resilient\)|\.\((trace\.)?Attacher\)' | grep -vc '^[^:]*:[[:space:]]*//')"
+	@echo "directives     $$(find . -name '*.go' ! -path './tools/*' ! -path '*/testdata/*' | xargs grep -hE '^[[:space:]]*//scioto:' | wc -l) //scioto:, $$(find . -name '*.go' ! -path './tools/*' ! -path '*/testdata/*' | xargs grep -hE '^[[:space:]]*//lint:ignore' | wc -l) //lint:ignore"
 	@echo "recovery       nil tests in tc.go + deps.go $$(cat internal/core/tc.go internal/core/deps.go | grep -E '\b(rec|jn) [!=]= nil' | grep -vc 'recover()'), TC recovery fields $$(awk '/^type TC struct/ {k=1; next} k && /^}/ {k=0} k && /^\t(rec|jn|executing|effects|skip|spill|owed|resumes|pending|phases|rejoin)[ ,\t]/ {n++} END {print n+0}' internal/core/tc.go)"
 
 # End-to-end observability smoke: UTS on shm with the live endpoint and

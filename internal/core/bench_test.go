@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"scioto/internal/pgas"
@@ -109,7 +111,8 @@ const spawnBranch = releaseInterval + 2
 // the mid-spawn release). The
 // same holds armed, with recovery on a survivable world: the journal
 // record, the execution record and done-mark, and the collectives' look
-// at the membership.
+// at the membership. Every world's journal is small enough to wrap, so its
+// scans reclaim done slots and credit their executors.
 func TestOwnerPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs in normal builds")
@@ -127,7 +130,7 @@ func TestOwnerPathZeroAllocs(t *testing.T) {
 				if observed {
 					rt.SetObserver(NewObserver(p, nil, trace.NewRecorder(0, 1<<10, nil)))
 				}
-				tc := NewTC(rt, Config{MaxBodySize: 24, QueueMode: mode})
+				tc := NewTC(rt, Config{MaxBodySize: 24, QueueMode: mode, MaxTasks: 64})
 				if (tc.rec != nil) != c.armed {
 					panic("recovery is not armed as asked")
 				}
@@ -201,6 +204,64 @@ func TestOwnerPathZeroAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStealPhaseZeroAllocs is the allocation gate on a phase's idle
+// rounds: three shm ranks run phases of a spawning tree seeded on rank 0,
+// so ranks 1 and 2 steal through TC.steal — two victims probed per round,
+// the claim, the landing and its read-ahead — and no rank allocates. GC
+// is off, as in TestStealPathZeroAllocs, and the phases must have stolen.
+// The count is the whole process's, in whole objects per phase as
+// testing.AllocsPerRun reports it (which cannot be used here: it runs its
+// function on one thread, and rank 0 then runs its tree before any thief
+// does): the runtime's wait queues and shm's mailboxes, which the
+// barriers block on, grow by a few objects over hundreds of phases, while
+// an allocation per round or per steal is many per phase.
+func TestStealPhaseZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the gate runs in normal builds")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n, phases = 3, 20
+	var allocs [n]uint64
+	var steals int64
+	var mu sync.Mutex
+	if err := shm.NewWorld(shm.Config{NProcs: n, Seed: 8}).Run(func(p pgas.Proc) {
+		tc := NewTC(Attach(p), Config{MaxBodySize: 24, ChunkSize: 2})
+		tree := NewTask(tc.Register(spawner(4)), 24)
+		phase := func() {
+			if p.Rank() == 0 {
+				tree.Body()[0] = 6
+				if err := tc.Add(0, AffinityHigh, tree); err != nil {
+					panic(err)
+				}
+			}
+			tc.Process()
+		}
+		phase() // a rank's first steal seeds its random stream
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < phases; i++ {
+			phase()
+		}
+		runtime.ReadMemStats(&m1)
+		p.Barrier() // every rank has read the count
+		mu.Lock()
+		defer mu.Unlock()
+		allocs[p.Rank()] = (m1.Mallocs - m0.Mallocs) / phases
+		steals += tc.Stats().StealsOK
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for r, a := range allocs {
+		if a != 0 {
+			t.Errorf("rank %d: a phase allocates %d objects, want 0", r, a)
+		}
+	}
+	if steals == 0 {
+		t.Error("the phases stole nothing")
+	}
+	t.Logf("%d steals", steals)
 }
 
 // BenchmarkRemoteSteal times the pipelined steal path end to end on the

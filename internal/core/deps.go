@@ -148,9 +148,9 @@ func (tc *TC) Satisfy(d Dep) {
 }
 
 // satisfy applies one dependency edge, d's, and launches the task when it
-// was the last.
-//
-//scioto:journal-exempt with recovery armed the launched descriptor is its own journal record, read back with its reference; without it there is no journal
+// was the last. With recovery armed the launched descriptor is its own
+// journal record, read back with its reference, so the launch records
+// nothing.
 func (tc *TC) satisfy(pool *depPool, d Dep) {
 	p := tc.rt.p
 	target := int(d.Proc)

@@ -81,8 +81,6 @@ func (j *journal) execIdx() int  { return j.slots + j.p.NProcs() + 1 }
 // holds a live or deferred task — the journal is sized so that only a
 // workload whose outstanding (added-but-unexecuted) task count exceeds the
 // configured bound can reach this.
-//
-//scioto:noalloc
 func (j *journal) alloc() int {
 	for i := 0; i < j.slots; i++ {
 		s := j.cursor
@@ -109,8 +107,6 @@ func (j *journal) alloc() int {
 
 // credit counts a durable completion by executor e in its tally word.
 // Tally words are owner-written only (peers read them solely post-mortem).
-//
-//scioto:noalloc
 func (j *journal) credit(e int) {
 	j.p.RelaxedStore64(j.state, j.tallyIdx(e), j.p.RelaxedLoad64(j.state, j.tallyIdx(e))+1)
 }
@@ -119,8 +115,6 @@ func (j *journal) credit(e int) {
 // count above it), in a free slot of this rank's journal, which it returns,
 // and stamps the (home, slot) reference into t's header first, so the
 // record travels with the task.
-//
-//scioto:noalloc
 func (j *journal) journalize(t *Task, st int64) int {
 	slot := j.alloc()
 	pgas.PutI32(t.buf[hdrJHome:], int32(j.p.Rank()))
@@ -140,8 +134,6 @@ func (j *journal) journalize(t *Task, st int64) int {
 // (home, slot): a single one-sided store, so an injected crash either
 // leaves the task live (it will be resumed or replayed) or completes the
 // count.
-//
-//scioto:noalloc
 func (j *journal) markDone(home, slot, executor int) {
 	if home == j.p.Rank() {
 		// Relaxed: only the unique completer writes a live slot's state;
@@ -154,14 +146,10 @@ func (j *journal) markDone(home, slot, executor int) {
 
 // setWord stores one of this rank's own phase and execution words. Relaxed:
 // peers read them only post-mortem.
-//
-//scioto:noalloc
 func (j *journal) setWord(idx int, v int64) { j.p.RelaxedStore64(j.state, idx, v) }
 
 // begin records the start of an execution of the task whose image is wire,
 // skip of whose effects a first run landed.
-//
-//scioto:noalloc
 func (j *journal) begin(wire []byte, skip int64) {
 	copy(j.slotBytes(j.slots), wire)
 	j.setWord(j.execIdx(), 1+skip)

@@ -33,8 +33,6 @@ func (o OpTimings) String() string {
 // returns the timings (other ranks return zero timings). A steal is timed
 // against a shared portion holding exactly one chunk (stealChunk): a thief
 // takes half of a deeper one, which is not the operation the table names.
-//
-//scioto:journal-exempt raw-queue measurement harness: no TC and no recovery, so the journal discipline does not apply
 func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
 	if p.NProcs() < 2 {
 		panic("core: MeasureOps needs at least 2 processes")
@@ -102,8 +100,6 @@ func MeasureOps(p pgas.Proc, bodySize, chunk, iters int) OpTimings {
 // stealChunk stocks the shared portion of rank 1's queue with exactly
 // chunk tasks (remote adds, untimed) and steals them back in one steal,
 // whose duration it returns; then, untimed, it pops what landed.
-//
-//scioto:journal-exempt raw-queue measurement harness: no TC and no recovery, so the journal discipline does not apply
 func stealChunk(q *taskQueue, wire []byte, chunk int, s *Stats) time.Duration {
 	for i := 0; i < chunk; i++ {
 		if !q.addRemote(1, wire, s) {

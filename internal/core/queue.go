@@ -286,8 +286,6 @@ func (q *taskQueue) fits(k int64) bool {
 // portion without locking. It reports false when the queue is full (after
 // an ordered refresh of the packed word). Only a push above the published
 // mark stores wTop; below it, the slot is one every adder already counts.
-//
-//scioto:noalloc
 func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
 	top := q.top
 	if !q.fits(1) {
@@ -314,8 +312,6 @@ func (q *taskQueue) pushPrivate(wire []byte, s *Stats) bool {
 // (room), copies the slots that fit, at most two extents as the ring
 // wraps, moves top, and is one bookkeeping charge over the descriptors'
 // bytes.
-//
-//scioto:noalloc
 func (q *taskQueue) pushBatch(batch []byte, c int64, s *Stats) int64 {
 	k := q.room(c)
 	if k == 0 {
@@ -344,8 +340,6 @@ func (q *taskQueue) pushBatch(batch []byte, c int64, s *Stats) int64 {
 // without locking and returns it in the queue's descriptor (valid until
 // the next pop). ok is false when the private portion is empty. It
 // publishes nothing: wTop stays a mark above the new top.
-//
-//scioto:noalloc
 func (q *taskQueue) popPrivate(s *Stats) (*Task, bool) {
 	top := q.top
 	if top <= q.split {
@@ -436,8 +430,6 @@ func (q *taskQueue) reacquire(s *Stats) bool {
 // ModeSplit (addShared). It reports false if the target queue is full. proc
 // may equal the caller's rank, which is how local low-affinity adds reach
 // the shared portion.
-//
-//scioto:noalloc
 func (q *taskQueue) addRemote(proc int, wire []byte, s *Stats) bool {
 	if q.mode == ModeSplit {
 		return q.addShared(proc, wire, s)
@@ -471,8 +463,6 @@ func (q *taskQueue) countAdd(proc int, s *Stats) {
 // the adder already counts, so a full answer may come while up to
 // mark - top slots are free. The owner adding to its own shared end
 // checks its exact top instead.
-//
-//scioto:noalloc
 func (q *taskQueue) addShared(proc int, wire []byte, s *Stats) bool {
 	ring := int64(q.capacity)
 	for {
@@ -519,8 +509,6 @@ const (
 // the queue's batch (stolen) for the thief to push. markDirty, when true,
 // increments the victim's dirty counter (termination detection) before
 // the victim can see the tasks gone.
-//
-//scioto:noalloc
 func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (k int64, res stealResult) {
 	var w int64
 	if q.mode != ModeSplit {
@@ -540,8 +528,6 @@ func (q *taskQueue) steal(victim, chunk int, markDirty bool, s *Stats) (k int64,
 // two): it reads their packed words into probed — one victim with a
 // blocking load, two with pipelined loads and one Flush, one round trip
 // either way — and picks the victim to claim from (pick).
-//
-//scioto:noalloc
 func (q *taskQueue) probe(vs []int) (victim int, w int64, res stealResult) {
 	if len(vs) == 1 {
 		q.probed[0] = q.p.Load64(vs[0], q.meta, wShared)
@@ -614,8 +600,6 @@ func (q *taskQueue) room(k int64) int64 {
 // own. refresh, when not nil, are the victims whose words the same flush
 // reloads into probed — the CAS's victim's behind the CAS, so a lost claim
 // has probed afresh. Otherwise an unmarked claim is one blocking CAS.
-//
-//scioto:noalloc
 func (q *taskQueue) claim(victim int, w int64, chunk int, markDirty bool, refresh []int, s *Stats) int64 {
 	n, bottom := wordN(w), wordB(w)
 	k := q.room(min(n, max(int64(chunk), n/2)))
@@ -658,8 +642,6 @@ func (q *taskQueue) claim(victim int, w int64, chunk int, markDirty bool, refres
 // only reads slots it owns. next, when not nil, are the victims of this
 // rank's next idle round, whose words the same flush reads into probed.
 // The landing is one bookkeeping charge, whatever k is.
-//
-//scioto:noalloc
 func (q *taskQueue) land(victim int, w, k int64, next []int) {
 	src, dst, n := q.slotOff(wordB(w)), q.topOff, int(k)*q.slotSize
 	for n > 0 {

@@ -70,8 +70,6 @@ func (q *taskQueue) pushLocked(wire []byte, s *Stats) bool {
 
 // popLocked removes from the owner end under the queue lock (ModeLocked);
 // like popPrivate it returns the queue's descriptor.
-//
-//scioto:noalloc
 func (q *taskQueue) popLocked(s *Stats) (*Task, bool) {
 	me := q.p.Rank()
 	t0 := q.obs.now()
@@ -96,8 +94,6 @@ func (q *taskQueue) popLocked(s *Stats) (*Task, bool) {
 }
 
 // addLocked is addRemote on a ModeLocked queue.
-//
-//scioto:noalloc
 func (q *taskQueue) addLocked(proc int, wire []byte, s *Stats) bool {
 	t0 := q.obs.now()
 	q.p.Lock(proc, q.lock)
@@ -134,8 +130,6 @@ func (q *taskQueue) addLocked(proc int, wire []byte, s *Stats) bool {
 // sequential round trips, mirroring how Scioto's ARMCI implementation
 // overlaps its queue transfers with non-blocking one-sided operations. The
 // tasks it took wait in the queue's batch (stolen) for the thief to push.
-//
-//scioto:noalloc
 func (q *taskQueue) stealLocked(victim, chunk int, markDirty bool, s *Stats) (int64, stealResult) {
 	t0 := q.obs.now()
 	if !q.p.TryLock(victim, q.lock) {
@@ -158,7 +152,6 @@ func (q *taskQueue) stealLocked(victim, chunk int, markDirty bool, s *Stats) (in
 	}
 	k := min(int64(chunk), avail)
 	if n := int(k) * q.slotSize; cap(q.batch) < n {
-		//scioto:alloc-ok grows the queue's batch buffer to the largest steal so far; never per steal once it has
 		q.batch = make([]byte, n)
 	}
 	buf := q.batch[:int(k)*q.slotSize]

@@ -174,8 +174,6 @@ func (rec *recovery) spill(t *Task) bool {
 }
 
 // unspill takes the last spilled task, if any.
-//
-//scioto:noalloc
 func (rec *recovery) unspill() (*Task, bool) {
 	if rec == nil || len(rec.spilled) == 0 {
 		return nil, false
@@ -189,8 +187,6 @@ func (rec *recovery) unspill() (*Task, bool) {
 // one's first run landed, so that a fault cutting it short resumes it.
 // The record holds t's image, journal reference included: the callback
 // may reuse the descriptor for the tasks it adds.
-//
-//scioto:noalloc
 func (rec *recovery) begin(t *Task) {
 	if rec != nil {
 		rec.jn.begin(t.wire(), rec.skip)
@@ -203,8 +199,6 @@ func (rec *recovery) begin(t *Task) {
 // dependency edges it applied — a single store naming this executor into
 // the task's home journal, or, the home dead, a credit in this rank's own
 // tally. See DESIGN.md "Recovery".
-//
-//scioto:noalloc
 func (rec *recovery) end() {
 	if rec != nil {
 		rec.done()
@@ -212,8 +206,6 @@ func (rec *recovery) end() {
 }
 
 // done is end's body.
-//
-//scioto:noalloc
 func (rec *recovery) done() {
 	jn := &rec.jn
 	img := jn.slotBytes(jn.slots)
@@ -348,8 +340,6 @@ func (tc *TC) collective(f func()) {
 
 // replayed reports whether the next durable effect of the running
 // execution landed in the first run of a resumed one, and counts it.
-//
-//scioto:noalloc
 func (rec *recovery) replayed() bool {
 	if !rec.executing || rec.effects >= rec.skip {
 		return false
@@ -359,8 +349,6 @@ func (rec *recovery) replayed() bool {
 }
 
 // landed counts a durable effect of the running execution in its record.
-//
-//scioto:noalloc
 func (rec *recovery) landed() {
 	if rec.executing {
 		rec.effects++
@@ -375,8 +363,6 @@ func (rec *recovery) landed() {
 // unless a fault is pending: until Process heals it the rank communicates
 // no more through the collection. Outside Process a death send meets in
 // the phase to come is carried there (deferFault).
-//
-//scioto:noalloc
 func (tc *TC) effect(note, send func()) {
 	rec := tc.rec
 	if rec.replayed() {
@@ -396,8 +382,6 @@ func (tc *TC) effect(note, send func()) {
 // the durable effect a resumed execution skips, before it is handed over.
 // While a fault is pending the record is live and in no queue: recovery
 // queues it.
-//
-//scioto:noalloc
 func (tc *TC) addRecorded(proc int, t *Task) (err error) {
 	tc.effect(func() {
 		tc.rec.jn.journalize(t, jLive)

@@ -137,9 +137,7 @@ func runSweep(mk func(n int, seed int64) pgas.World, ph sweepPhase, n int, crash
 		w = faulty.Wrap(w, fc)
 	}
 	out.err = w.Run(func(p pgas.Proc) {
-		rt := core.Attach(p)
-		rt.EnableRecovery()
-		tc := core.NewTC(rt, ph.cfg)
+		tc := core.NewCheckedTC(p, ph.cfg)
 		want := ph.seed(tc)
 		if p.Rank() == sweepCrashRank {
 			mu.Lock()

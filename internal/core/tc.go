@@ -230,8 +230,6 @@ func (tc *TC) NewTask(h Handle) *Task {
 // add may find a queue full while the owner has popped slots free, and
 // then runs the task inline. Adds to this rank's own patch, and every add
 // between phases, see the exact top.
-//
-//scioto:journal-exempt with recovery off there is no journal; with it armed, addRecorded journals the task first
 func (tc *TC) Add(proc int, affinity int32, t *Task) error {
 	if int(t.Handle()) < 0 || int(t.Handle()) >= len(tc.callbacks) {
 		return fmt.Errorf("core: task handle %d not registered", t.Handle())
@@ -255,8 +253,6 @@ func (tc *TC) Add(proc int, affinity int32, t *Task) error {
 // and the full-queue inline fallback. Satisfy's launch of a deferred task
 // calls it directly with the task's own record, so the launch is never
 // double-journaled.
-//
-//scioto:journaled every caller records the descriptor (journalize) or passes a journal record's own image
 func (tc *TC) addJournaled(proc int, t *Task) error {
 	me := tc.rt.Rank()
 	if !tc.rec.live(proc) {
@@ -317,8 +313,6 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 // the caller's descriptor. Every releaseInterval spawns reach the ring,
 // followed by the release check, so a spawning task's surplus is
 // stealable before it returns.
-//
-//scioto:noalloc
 func (tc *TC) buffer(wire []byte) bool {
 	if !tc.q.fits(tc.spawned + 1) {
 		return false
@@ -335,8 +329,6 @@ func (tc *TC) buffer(wire []byte) bool {
 // end as one push. If adders have filled the ring since the tasks were
 // buffered, the rest run inline, from a copy, the one allocation here: an
 // inline callback may spawn into the buffer.
-//
-//scioto:noalloc
 func (tc *TC) flushSpawn() {
 	c := tc.spawned
 	k := tc.q.pushBatch(tc.spawn, c, &tc.stats)
@@ -363,12 +355,9 @@ func (tc *TC) runInline(wire []byte) {
 }
 
 // execute dispatches a task to its callback.
-//
-//scioto:noalloc
 func (tc *TC) execute(t *Task) {
 	h := int(t.Handle())
 	if h < 0 || h >= len(tc.callbacks) {
-		//scioto:alloc-ok formats the message of a panic no healthy run reaches
 		panic(fmt.Sprintf("core: executing task with unregistered handle %d", h))
 	}
 	// Recovery records the execution here and marks its task done once the
@@ -402,8 +391,6 @@ func (tc *TC) execute(t *Task) {
 // held one, then the private end; when the private portion is empty,
 // reacquire shared-portion work.
 // The task arrives in the queue's reusable descriptor.
-//
-//scioto:noalloc
 func (tc *TC) popLocal() (*Task, bool) {
 	if t, ok := tc.rec.unspill(); ok {
 		return t, true
@@ -552,8 +539,6 @@ func (tc *TC) processOnce() (fault *pgas.FaultError) {
 // releaseCheck is the phase loop's release step, taken after every task
 // and every local push inside a callback: an ordered look at the packed
 // word every releaseInterval checks, a relaxed one in between.
-//
-//scioto:noalloc
 func (tc *TC) releaseCheck() {
 	tc.sinceOrder++
 	// Fewer than two private tasks: maybeRelease has none to spare.
@@ -577,9 +562,6 @@ func (tc *TC) charge(total *time.Duration, mark time.Duration) time.Duration {
 // queue (a locked queue's stolen tasks and recovery replays — both carry
 // their journal reference in the header, so they must NOT be journalized
 // again). A full queue falls back to inline execution, as in Add.
-//
-//scioto:journaled callers pass descriptors whose journal record already exists (stolen images or recovery replays)
-//scioto:noalloc
 func (tc *TC) requeue(slot []byte) {
 	wire := slot[:wireLen(slot)]
 	var ok bool
@@ -646,9 +628,6 @@ func (tc *TC) GlobalStats() Stats {
 // trips; a lost one has probed both victims afresh and goes on as a probed
 // round would. If none was, the round is an empty or busy probe that sent
 // nothing.
-//
-//scioto:journal-exempt a locked steal's descriptors carry the journal reference stamped at the origin rank's Add; re-recording them would double-count them
-//scioto:noalloc
 func (tc *TC) steal() (k int64) {
 	t0 := tc.obs.now()
 	q := tc.q
@@ -686,8 +665,6 @@ func (tc *TC) steal() (k int64) {
 // and the landing of what it won (refresh: see taskQueue.claim). The
 // landing's flush reads ahead the words of the victims it draws for the
 // next idle round.
-//
-//scioto:noalloc
 func (tc *TC) claim(victim int, w int64, refresh []int) int64 {
 	k := tc.q.claim(victim, w, tc.cfg.ChunkSize, tc.markFor(victim), refresh, &tc.stats)
 	if k > 0 {
@@ -712,8 +689,6 @@ func (tc *TC) markFor(victim int) bool {
 // random among the other live ranks: two distinct ones on a split queue
 // with two live peers or more, else one, drawn as a lone victim always
 // was.
-//
-//scioto:noalloc
 func (tc *TC) pickVictims() []int {
 	p := tc.rt.p
 	peers := tc.rec.peers(tc.rt.NProcs())

@@ -118,8 +118,6 @@ func execServeTask(tc *core.TC, t *core.Task) {
 // and ship it if it has grown a batch's worth or a millisecond old. The
 // elapsed time is the phase loop's own measurement, so buffering reads no
 // clock.
-//
-//scioto:noalloc
 func (r *rank) onExec(_ *core.TC, t *core.Task, elapsed time.Duration) {
 	if r.idle > parkAfter {
 		r.unpark() // found by the look behind the flag

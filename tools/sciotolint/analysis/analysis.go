@@ -35,7 +35,7 @@ type Analyzer struct {
 	// directives. It must be a valid Go identifier.
 	Name string
 
-	// Doc is the one-paragraph documentation, shown by `sciotolint -list`.
+	// Doc is the one-paragraph documentation.
 	Doc string
 
 	// Run applies the analyzer to a single package.
@@ -55,18 +55,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Build describes the package's compile unit (sources plus the export
-	// data of its dependency closure). Analyzers that re-invoke the
-	// compiler (noallocgate) need it; nil when the driver cannot supply
-	// one, in which case such analyzers skip the package.
-	Build *BuildInfo
-
-	// ForTest marks a test-variant package whose non-test files are also
-	// analyzed as the base package. Analyzers whose work is per-unit
-	// rather than per-file (noallocgate compiles the unit) skip variants
-	// to avoid doing everything twice.
-	ForTest bool
 
 	// Report delivers one diagnostic. Set by the driver.
 	Report func(Diagnostic)

@@ -85,9 +85,6 @@ func run(t *testing.T, dir string, a *analysis.Analyzer, pkgpath string) {
 		Files:     lp.files,
 		Pkg:       lp.types,
 		TypesInfo: lp.info,
-		// Import-free fixtures (the noallocgate ones) can be recompiled
-		// with an empty importcfg, so hand every fixture its unit.
-		Build: &analysis.BuildInfo{Dir: lp.dir, SrcFiles: lp.srcFiles},
 		Report: func(d analysis.Diagnostic) {
 			d.Analyzer = a
 			diags = append(diags, d)
@@ -168,15 +165,8 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 				if !ok {
 					continue
 				}
-				text = strings.TrimSpace(text)
-				if rest, ok := strings.CutPrefix(text, "want "); ok {
-					text = rest
-				} else if i := strings.Index(text, "// want "); i >= 0 {
-					// An expectation appended to a directive comment, e.g.
-					// `//scioto:alloc-ok reason // want ...` — one comment
-					// token as far as the parser is concerned.
-					text = text[i+len("// want "):]
-				} else {
+				text, ok = strings.CutPrefix(strings.TrimSpace(text), "want ")
+				if !ok {
 					continue
 				}
 				posn := fset.Position(c.Pos())
@@ -219,11 +209,9 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 
 // loader resolves fixture packages from a GOPATH-style src tree.
 type loadedPkg struct {
-	dir      string
-	srcFiles []string
-	files    []*ast.File
-	types    *types.Package
-	info     *types.Info
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
 }
 
 type loader struct {
@@ -242,7 +230,6 @@ func (ld *loader) load(pkgpath string) (*loadedPkg, error) {
 		return nil, err
 	}
 	var files []*ast.File
-	var srcFiles []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -254,7 +241,6 @@ func (ld *loader) load(pkgpath string) (*loadedPkg, error) {
 			return nil, err
 		}
 		files = append(files, f)
-		srcFiles = append(srcFiles, path)
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
@@ -268,7 +254,7 @@ func (ld *loader) load(pkgpath string) (*loadedPkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", pkgpath, err)
 	}
-	lp := &loadedPkg{dir: dir, srcFiles: srcFiles, files: files, types: tpkg, info: info}
+	lp := &loadedPkg{files: files, types: tpkg, info: info}
 	ld.pkgs[pkgpath] = lp
 	return lp, nil
 }

@@ -21,7 +21,7 @@ import (
 //
 // Instead of go/packages (unavailable here), the loader shells out to
 //
-//	go list -export -json -deps [-test] <patterns>
+//	go list -export -json -deps -test <patterns>
 //
 // which compiles every package in the dependency closure and reports the
 // compiler's export data file for each. Target packages are then parsed
@@ -39,22 +39,6 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-
-	// Build describes how to re-invoke the compiler on this package.
-	// Analyzers that consume compiler diagnostics (noallocgate parses the
-	// escape analysis) need it; nil when the driver cannot supply it
-	// (analysistest fixtures).
-	Build *BuildInfo
-}
-
-// BuildInfo carries the compile-unit inputs of one package: its sources
-// and the export-data locations of its dependency closure, as
-// `go list -export -deps` reports them.
-type BuildInfo struct {
-	Dir         string
-	SrcFiles    []string          // absolute paths of the unit's Go files
-	ImportMap   map[string]string // source import path -> canonical path
-	PackageFile map[string]string // canonical import path -> export data file
 }
 
 // listPackage mirrors the subset of `go list -json` output we consume.
@@ -76,15 +60,10 @@ type listPackage struct {
 	TestGoFiles []string
 }
 
-// Load lists, parses and type-checks the packages named by patterns.
-// includeTests additionally loads the in-package and external test
-// variants of each target.
-func Load(patterns []string, includeTests bool) ([]*Package, error) {
-	args := []string{"list", "-e", "-export", "-json", "-deps"}
-	if includeTests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
+// Load lists, parses and type-checks the packages named by patterns, with
+// the in-package and external test variants of each.
+func Load(patterns []string) ([]*Package, error) {
+	args := append([]string{"list", "-e", "-export", "-json", "-deps", "-test"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -105,15 +84,6 @@ func Load(patterns []string, includeTests bool) ([]*Package, error) {
 		}
 		byPath[lp.ImportPath] = lp
 		order = append(order, lp)
-	}
-
-	// One export-file index for the whole load; every Package's BuildInfo
-	// shares it.
-	packageFile := make(map[string]string)
-	for _, lp := range order {
-		if lp.Export != "" {
-			packageFile[lp.ImportPath] = lp.Export
-		}
 	}
 
 	fset := token.NewFileSet()
@@ -142,28 +112,9 @@ func Load(patterns []string, includeTests bool) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.Build = &BuildInfo{
-			Dir:         lp.Dir,
-			SrcFiles:    absFiles(lp.Dir, lp.GoFiles),
-			ImportMap:   lp.ImportMap,
-			PackageFile: packageFile,
-		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// absFiles resolves file names relative to dir.
-func absFiles(dir string, names []string) []string {
-	out := make([]string, len(names))
-	for i, name := range names {
-		if filepath.IsAbs(name) {
-			out[i] = name
-		} else {
-			out[i] = filepath.Join(dir, name)
-		}
-	}
-	return out
 }
 
 // typecheck parses lp's files and type-checks them, resolving imports

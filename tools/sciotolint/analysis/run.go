@@ -36,8 +36,6 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Build:     pkg.Build,
-				ForTest:   pkg.ForTest != "",
 				Report: func(d Diagnostic) {
 					d.Analyzer = a
 					diags = append(diags, attributed{d, pkg.ForTest})

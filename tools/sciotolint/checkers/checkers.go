@@ -1,8 +1,8 @@
-// Package checkers implements sciotolint's eight analyzers. Each one
+// Package checkers implements sciotolint's six analyzers. Each one
 // machine-checks an invariant of the Scioto runtime's PGAS programming
 // model that is otherwise enforced only by comments (see the Proc contract
 // in internal/pgas/pgas.go and the split-queue discipline in
-// internal/core/queue.go). Six are per-package; two (collcongruence,
+// internal/core/queue.go). Four are per-package; two (collcongruence,
 // obsdeterminism) are whole-program analyzers over the interprocedural
 // call graph.
 package checkers
@@ -20,8 +20,6 @@ var Analyzers = []*analysis.Analyzer{
 	NbComplete,
 	LocalEscape,
 	ProcEscape,
-	NoAllocGate,
-	JournalAppend,
 	CollCongruence,
 	ObsDeterminism,
 }

@@ -23,14 +23,6 @@ func TestProcEscape(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), checkers.ProcEscape, "procescape")
 }
 
-func TestNoAllocGate(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), checkers.NoAllocGate, "noallocgate")
-}
-
-func TestJournalAppend(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), checkers.JournalAppend, "journalappend")
-}
-
 func TestCollCongruence(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), checkers.CollCongruence, "collcongruence")
 }

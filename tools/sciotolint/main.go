@@ -1,5 +1,5 @@
 // Sciotolint enforces the Scioto runtime's PGAS and split-queue invariants
-// that the Go type system cannot express. It bundles eight analyzers; six
+// that the Go type system cannot express. It bundles six analyzers; four
 // are per-package:
 //
 //	relaxedword — RelaxedLoad64/RelaxedStore64 on a metadata word that
@@ -17,13 +17,6 @@
 //	procescape  — a pgas.Proc handed to another goroutine or stored in a
 //	              package variable: a Proc is bound to the goroutine that
 //	              received it from World.Run.
-//	noallocgate — a //scioto:noalloc-annotated function (the steal/insert
-//	              hot paths) in which the compiler's escape analysis
-//	              places a heap allocation: the static form of the
-//	              zero-allocs-per-steal gate, naming the exact line.
-//	journalappend — a task-queue insertion that does not record the
-//	              descriptor in the work-replay journal in the same
-//	              function: recovery cannot replay what was never journaled.
 //
 // and two are whole-program, propagating facts through an
 // interprocedural call graph over every package, test files included:
@@ -40,8 +33,8 @@
 //
 // Usage:
 //
-//	go run ./tools/sciotolint ./...            # all eight analyzers
-//	go run ./tools/sciotolint -json ./...      # findings as a JSON array on stdout
+//	go run ./tools/sciotolint ./...                  # findings as text on stderr
+//	go run ./tools/sciotolint -o findings.json ./... # and as a JSON array in a file
 //
 // Findings are suppressed with a justified staticcheck-style directive on
 // or directly above the offending line:
@@ -56,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"scioto/tools/sciotolint/analysis"
 	"scioto/tools/sciotolint/checkers"
@@ -64,9 +56,6 @@ import (
 
 func main() {
 	fs := flag.NewFlagSet("sciotolint", flag.ExitOnError)
-	list := fs.Bool("list", false, "list analyzers and exit")
-	tests := fs.Bool("tests", true, "also analyze _test.go files")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout instead of text on stderr")
 	outFile := fs.String("o", "", "also write findings as JSON to this file (text still goes to stderr)")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sciotolint [flags] [packages]\n")
@@ -74,22 +63,11 @@ func main() {
 	}
 	fs.Parse(os.Args[1:])
 
-	if *list {
-		for _, a := range checkers.Analyzers {
-			scope := "package"
-			if a.RunProgram != nil {
-				scope = "program"
-			}
-			fmt.Printf("%-14s [%s] %s\n", a.Name, scope, firstLine(a.Doc))
-		}
-		return
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.Load(patterns, *tests)
+	pkgs, err := analysis.Load(patterns)
 	if err != nil {
 		fatal(err)
 	}
@@ -109,14 +87,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *jsonOut {
-		if err := analysis.WriteJSON(os.Stdout, findings); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(os.Stderr, f)
-		}
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
 	}
 	if len(findings) > 0 {
 		os.Exit(2)
@@ -126,11 +98,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "sciotolint: %v\n", err)
 	os.Exit(1)
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -10,14 +10,13 @@ import (
 // TestRepoRunsClean runs the complete analyzer suite — per-package and
 // whole-program — over the entire repository and requires zero findings.
 // This is the regression test behind `make lint`: any new invariant
-// violation, stale suppression, or heap allocation on a
-// //scioto:noalloc path fails `go test ./...` too, not just CI's lint
-// job.
+// violation or stale suppression fails `go test ./...` too, not just CI's
+// lint job.
 func TestRepoRunsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the whole repository; skipped in -short mode")
 	}
-	pkgs, err := analysis.Load([]string{"scioto/..."}, true)
+	pkgs, err := analysis.Load([]string{"scioto/..."})
 	if err != nil {
 		t.Fatalf("loading repository: %v", err)
 	}
