@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"strings"
+	"testing"
 
 	"scioto/internal/pgas"
+	"scioto/internal/pgas/shm"
 )
 
 // rejoinWitness is a proc over the transport's that checks, at each
@@ -55,4 +58,66 @@ func NewCheckedTC(p pgas.Proc, cfg Config) *TC {
 	rt.EnableRecovery()
 	w.tc = NewTC(rt, cfg)
 	return w.tc
+}
+
+// TestRejoinWitnessFlagsDeadHome: the witness's check passes a ring whose
+// descriptors name live homes, or none, and panics on one that names a
+// dead home — the state a healer that requeued a salvaged task without
+// re-homing it would leave behind.
+func TestRejoinWitnessFlagsDeadHome(t *testing.T) {
+	var home int
+	var got [4]string
+	err := shm.NewWorld(shm.Config{NProcs: 2, Seed: 9, Survivable: true}).Run(func(p pgas.Proc) {
+		w := &rejoinWitness{Kernel: p}
+		w.Bind(w)
+		rt := Attach(w)
+		rt.EnableRecovery()
+		w.tc = NewTC(rt, Config{MaxBodySize: 24})
+		tc := w.tc
+		leaf := NewTask(tc.Register(func(*TC, *Task) {}), 24)
+		if p.Rank() == 0 {
+			for i := 0; i < 2; i++ {
+				if err := tc.Add(0, AffinityHigh, leaf); err != nil {
+					panic(err)
+				}
+			}
+			check := func() (msg string) {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				w.check()
+				return ""
+			}
+			slot := tc.q.ring[tc.q.slotOff(tc.q.top-1):]
+			home = wireJHome(slot)
+			got[0] = check()
+			tc.rec.alive[1] = false
+			got[1] = check()
+			pgas.PutI32(slot[hdrJHome:], 1)
+			got[2] = check()
+			pgas.PutI32(slot[hdrJHome:], -1)
+			got[3] = check()
+			pgas.PutI32(slot[hdrJHome:], int32(home))
+			tc.rec.alive[1] = true
+		}
+		tc.Process()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if home != 0 {
+		t.Fatalf("an armed add on rank 0 recorded home %d, want 0", home)
+	}
+	for i, c := range []struct{ ring, want string }{
+		{"every rank alive", ""},
+		{"rank 1 dead, no descriptor homed there", ""},
+		{"a descriptor homed on dead rank 1", "names dead home 1"},
+		{"rank 1 dead, an unjournaled descriptor", ""},
+	} {
+		if (got[i] == "") != (c.want == "") || !strings.Contains(got[i], c.want) {
+			t.Errorf("%s: check panicked with %q, want %q", c.ring, got[i], c.want)
+		}
+	}
 }

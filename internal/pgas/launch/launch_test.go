@@ -3,6 +3,7 @@ package launch
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -197,21 +198,42 @@ func TestCleanExitsBeatBootResult(t *testing.T) {
 // TestFailureBeforeBootKillsWorld: while the bootstrap is incomplete the
 // ranks have nothing to detect a death through, so the launcher must not
 // wait out the grace period — rank 1 fails to join, rank 0 would block
-// forever, and Run still returns promptly, blaming rank 1.
+// forever, and Run still returns promptly, blaming rank 1. Rank 1 fails
+// only once rank 0 has joined (a file in a directory the parent opens), so
+// the kill always finds rank 0 parked in its world, never part-way through
+// replaying the earlier tests, whose output it shares with the parent.
 func TestFailureBeforeBootKillsWorld(t *testing.T) {
 	abort := make(chan struct{})
 	s := xSpec(2)
 	s.Boot = func() error { <-abort; return errors.New("x: rank 1 never checked in") }
 	s.AbortBoot = func() { close(abort) }
+	var dir string
+	s.Open = func() (string, error) {
+		var err error
+		dir, err = os.MkdirTemp("", "launch-boot")
+		return dir, err
+	}
+	s.Close = func() { os.RemoveAll(dir) }
 	join := s.Join
-	s.Join = func(rank int, extra string) (*Rank, error) {
-		if rank == 1 {
-			return nil, errors.New("cannot join")
+	s.Join = func(rank int, dir string) (*Rank, error) {
+		joined := filepath.Join(dir, "joined")
+		if rank == 0 {
+			if err := os.WriteFile(joined, nil, 0o644); err != nil {
+				return nil, err
+			}
+			return join(rank, dir)
 		}
-		return join(rank, extra)
+		for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if _, err := os.Stat(joined); err == nil {
+				break
+			}
+		}
+		return nil, errors.New("cannot join")
 	}
 	start := time.Now()
-	err := NewWorld(s).Run(func(pgas.Proc) { select {} })
+	// Rank 0 sleeps rather than blocking in select {}: with no goroutine
+	// left to run, the runtime would end it as deadlocked before the kill.
+	err := NewWorld(s).Run(func(pgas.Proc) { time.Sleep(time.Hour) })
 	if inRankProcess() {
 		return
 	}
