@@ -7,11 +7,13 @@
 //	sciotobench -exp table1              # one experiment
 //	sciotobench -exp fig7 -quick         # reduced-size run
 //	sciotobench -exp ablations           # design-choice ablation studies
+//	sciotobench -exp recovery            # the tax of arming work-replay recovery
 //	sciotobench -exp transports          # Table 1's ops on shm, ipc and tcp
 //
-// Experiments: table1, fig4, fig5, fig6, fig7, fig8, ablations, all
-// (the paper evaluation, on dsim), plus transports (the Table 1 ops on
-// shm/ipc/tcp, real wall clock), which is not part of all.
+// Experiments: table1, fig4, fig5, fig6, fig7, fig8, ablations, recovery,
+// all (the paper evaluation and those two extensions, on dsim), plus
+// transports (the Table 1 ops on shm/ipc/tcp, real wall clock), which is
+// not part of all.
 package main
 
 import (
@@ -26,7 +28,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig4|fig5|fig6|fig7|fig8|ablations|transports|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig4|fig5|fig6|fig7|fig8|ablations|recovery|transports|all")
 	quick := flag.Bool("quick", false, "reduced problem sizes and process counts")
 	obs := transportflag.ObsFlags()
 	flag.Parse()
@@ -93,6 +95,10 @@ func main() {
 			emit(t)
 		}
 	}
+	if want("recovery") {
+		ran = true
+		emit(bench.Recovery(*quick))
+	}
 	if *exp == "transports" {
 		// Not part of all: the ipc and tcp worlds launch rank processes
 		// that re-execute this binary, and the rank processes must reach
@@ -107,7 +113,7 @@ func main() {
 		emit(bench.Transports(o))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want table1|fig4|fig5|fig6|fig7|fig8|ablations|transports|all)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want table1|fig4|fig5|fig6|fig7|fig8|ablations|recovery|transports|all)\n", *exp)
 		os.Exit(2)
 	}
 	fmt.Printf("total harness time: %s\n", time.Since(start).Round(time.Millisecond))

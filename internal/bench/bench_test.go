@@ -274,6 +274,18 @@ func TestAblationsQuickGolden(t *testing.T) {
 	checkGolden(t, "testdata/ablations_quick.golden", b.String())
 }
 
+// TestRecoveryQuickGolden pins `sciotobench -exp recovery -quick`: each
+// tree's nodes and elapsed virtual ns with recovery off and armed, so a
+// change to what arming costs shows as a moved armed column.
+func TestRecoveryQuickGolden(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# virtual ns of `sciotobench -exp recovery -quick`; see TestRecoveryQuickGolden\n")
+	for _, pt := range recoveryPoints(true) {
+		fmt.Fprintf(&b, "seed=%d nodes=%d off=%d armed=%d\n", pt.seed, pt.nodes, pt.off, pt.armed)
+	}
+	checkGolden(t, "testdata/recovery_quick.golden", b.String())
+}
+
 // TestCounterAblationTerminates runs the full-size counter row of
 // `sciotobench -exp ablations` (P = 16: two victims a round and a blocking
 // counter update per task) under a bound of about eight times its virtual

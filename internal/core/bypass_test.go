@@ -29,9 +29,10 @@ func spawner(branch int) TaskFunc {
 }
 
 // TestSpawnBypass: on a split queue a callback's first local child skips
-// the ring — it is held, and runs next without a pop — so over a whole
-// tree LocalGets is the executed tasks less the parents, while every add
-// still counts as a local insert. A locked queue pops every task.
+// the ring — it is held, pays only its bytes, and runs next without a pop
+// — so over a whole tree LocalGets is the executed tasks less the parents,
+// while every add still counts as a local insert. A locked queue pops
+// every task.
 func TestSpawnBypass(t *testing.T) {
 	const depth, branch, nodes, parents = 4, 3, 121, 40
 	for _, c := range []struct {
@@ -57,21 +58,32 @@ func TestSpawnBypass(t *testing.T) {
 	}
 }
 
-// TestSpawnBufferPushesOnce: on a split queue a callback's later local
-// children reach the ring in pushes of up to releaseInterval, each one
-// owner charge over their bytes, while every add still counts as a local
-// insert and every task but a held one as a pop. Over a tree whose
-// parents spawn releaseInterval+2 children each — one held, then a push
-// mid-spawn and one as the callback returns — dsim sees the seed's push,
-// a charge per held child and per pop, and two pushes per parent, the
-// first over releaseInterval descriptors.
+// TestSpawnBufferPushesOnce pins the owner path's cost rule (localCost):
+// a ring operation pays ringOpCost once, a copy into the hold slot or the
+// spawn buffer only its bytes. Over a tree whose parents spawn
+// releaseInterval+2 children each, dsim's charges between one callback's
+// entry and the next are, for a parent, the held child's bytes and then
+// ⌈(branch−1)/releaseInterval⌉ pushes — one mid-spawn over
+// releaseInterval descriptors, one as the callback returns — and, for a
+// leaf, the next task's pop, one localCost. Before the first callback
+// come the seed's push and its pop.
 func TestSpawnBufferPushesOnce(t *testing.T) {
 	const depth, branch = 2, releaseInterval + 2
 	const parents, nodes = 1 + branch, 1 + branch + branch*branch
+	const pushes = (branch - 1 + releaseInterval - 1) / releaseInterval
 	if err := dsim.NewWorld(dsim.Config{NProcs: 1, Seed: 1}).Run(func(p pgas.Proc) {
 		c := &ownerCounter{Proc: p}
 		tc := NewTC(Attach(c), Config{MaxBodySize: 8})
-		root := NewTask(tc.Register(spawner(branch)), 8)
+		type entry struct {
+			first  int // the callback's first charge
+			parent bool
+		}
+		var entries []entry
+		spawn := spawner(branch)
+		root := NewTask(tc.Register(func(tc *TC, t *Task) {
+			entries = append(entries, entry{len(c.charges), t.Body()[0] > 0})
+			spawn(tc, t)
+		}), 8)
 		root.Body()[0] = depth
 		if err := tc.Add(0, AffinityHigh, root); err != nil {
 			panic(err)
@@ -82,15 +94,37 @@ func TestSpawnBufferPushesOnce(t *testing.T) {
 			panic(fmt.Sprintf("executed %d, inserted %d, popped %d; want %d, %d, %d",
 				s.TasksExecuted, s.LocalInserts, s.LocalGets, nodes, nodes, nodes-parents))
 		}
-		full := 0
-		for _, d := range c.charges {
-			if d == localCost(releaseInterval*len(root.wire())) {
-				full++
+		w := len(root.wire())
+		one, full := localCost(w), localCost(releaseInterval*w)
+		if got := c.charges[:entries[0].first]; len(got) != 2 || got[0] != one || got[1] != one {
+			panic(fmt.Sprintf("charges before the first callback %v; want the seed's push and pop, %v each", got, one))
+		}
+		pops, seen := int64(1), 0
+		for i, e := range entries {
+			end := len(c.charges)
+			if i+1 < len(entries) {
+				end = entries[i+1].first
+			}
+			span := c.charges[e.first:end]
+			if !e.parent {
+				for _, d := range span {
+					if d != one {
+						panic(fmt.Sprintf("leaf %d: charge %v between callbacks; want pops of %v", i, d, one))
+					}
+				}
+				pops += int64(len(span))
+				continue
+			}
+			seen++
+			if span[0] != byteCost(w) {
+				panic(fmt.Sprintf("parent %d: held child charged %v; want its bytes, %v", i, span[0], byteCost(w)))
+			}
+			if len(span) != 1+pushes || span[1] != full || span[2] != localCost((branch-1-releaseInterval)*w) {
+				panic(fmt.Sprintf("parent %d: spawn charges %v; want %v, then %d pushes, the first %v", i, span, byteCost(w), pushes, full))
 			}
 		}
-		if want := 1 + parents + 2*parents + int(s.LocalGets); len(c.charges) != want || full != parents {
-			panic(fmt.Sprintf("%d owner charges, %d of them over %d descriptors; want %d and %d",
-				len(c.charges), full, releaseInterval, want, parents))
+		if seen != parents || pops != s.LocalGets {
+			panic(fmt.Sprintf("%d parents, %d pops charged; want %d and %d", seen, pops, parents, s.LocalGets))
 		}
 	}); err != nil {
 		t.Fatal(err)

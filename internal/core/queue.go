@@ -91,9 +91,21 @@ func wordBusy(w int64) bool { return w>>xShift != 0 }
 // localCost models the owner-side bookkeeping cost of a local queue
 // operation that touches n payload bytes. Calibrated so a 1 kB-body local
 // insert costs ~0.5 µs, matching Table 1.
+//
+// The owner path's cost rule: ringOpCost, the fixed part, is charged once
+// per ring operation — pushPrivate, pushBatch, popPrivate and land, and
+// the locked queue's push and pop — and every descriptor byte an
+// operation moves costs byteCost. A descriptor copied into the hold slot
+// or the spawn buffer touches no ring and pays only its bytes: the held
+// one's as it is copied (chargeCopy), the buffered ones' in the pushBatch
+// that takes them to the ring.
 func localCost(n int) time.Duration {
-	return 200*time.Nanosecond + time.Duration(n)*3/10
+	return ringOpCost + byteCost(n)
 }
+
+const ringOpCost = 200 * time.Nanosecond
+
+func byteCost(n int) time.Duration { return time.Duration(n) * 3 / 10 }
 
 // taskQueue is one process's patch of a task collection: a circular array
 // of fixed-size task descriptor slots in symmetric memory, with metadata
@@ -233,6 +245,15 @@ func (q *taskQueue) reset() {
 func (q *taskQueue) charge(n int) {
 	if q.virtual {
 		q.p.Charge(localCost(n))
+	}
+}
+
+// chargeCopy models the copy of n descriptor bytes that no ring operation
+// carries (the hold slot's): their bytes, without a ring operation's
+// fixed part.
+func (q *taskQueue) chargeCopy(n int) {
+	if q.virtual {
+		q.p.Charge(byteCost(n))
 	}
 }
 

@@ -274,9 +274,10 @@ func (tc *TC) addJournaled(proc int, t *Task) error {
 	case proc == me && tc.cfg.QueueMode == ModeLocked:
 		ok = tc.q.pushLocked(wire, &tc.stats)
 	case proc == me && affinity >= affinityThreshold && tc.running && !tc.held:
-		// Bypass: charged as a push; popLocal takes it without a pop.
+		// Bypass: no ring operation, so only the copy's bytes are
+		// charged; popLocal takes it without a pop.
 		tc.hold.buf = append(tc.hold.buf[:0], wire...)
-		tc.q.charge(len(wire))
+		tc.q.chargeCopy(len(wire))
 		tc.stats.LocalInserts++
 		tc.held, ok = true, true
 	case proc == me && affinity >= affinityThreshold && tc.running:

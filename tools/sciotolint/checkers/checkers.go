@@ -34,7 +34,13 @@ const pgasPkgName = "pgas"
 // pgasMethod reports the method name if call invokes a method declared in
 // a package named "pgas" (i.e. a pgas.Proc or pgas.World interface method).
 func pgasMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return pgasSelector(info, call.Fun)
+}
+
+// pgasSelector reports the method name if e selects a method declared in
+// a package named "pgas": the callee of a call, or a method value.
+func pgasSelector(info *types.Info, e ast.Expr) (string, bool) {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}

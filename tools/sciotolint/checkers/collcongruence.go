@@ -2,6 +2,7 @@ package checkers
 
 import (
 	"go/ast"
+	"go/types"
 	"slices"
 
 	"scioto/tools/sciotolint/analysis"
@@ -24,6 +25,9 @@ import (
 //  2. The rank value flows into the branching function: `helper(p,
 //     p.Rank())` where helper branches on its parameter around an
 //     AllocWords. Inside helper the condition looks rank-unrelated.
+//
+// A collective passed as a method value, `tc.collective(p.Barrier)`, runs
+// inside the call it is passed to: it is a direct collective of that call.
 //
 // This analyzer computes, over the interprocedural call graph, (a) the
 // set of functions that may execute a collective operation and (b) the
@@ -81,7 +85,8 @@ type ccChecker struct {
 }
 
 // directCollectives returns the collective pgas method names called
-// directly in f's body (not through callees, not in nested literals).
+// directly in f's body (not through callees, not in nested literals),
+// counting those passed as method values.
 func directCollectives(f *analysis.Func) []string {
 	var out []string
 	ast.Inspect(f.Body(), func(n ast.Node) bool {
@@ -92,9 +97,22 @@ func directCollectives(f *analysis.Func) []string {
 			if name, ok := pgasMethod(f.Pkg.Info, call); ok && collectiveMethods[name] {
 				out = append(out, name)
 			}
+			out = append(out, collectiveValues(f.Pkg.Info, call)...)
 		}
 		return true
 	})
+	return out
+}
+
+// collectiveValues returns the collective pgas methods passed to call as
+// method values, not called: the call runs them.
+func collectiveValues(info *types.Info, call *ast.CallExpr) []string {
+	var out []string
+	for _, arg := range call.Args {
+		if name, ok := pgasSelector(info, arg); ok && collectiveMethods[name] {
+			out = append(out, name)
+		}
+	}
 	return out
 }
 
@@ -123,6 +141,9 @@ func (c *ccChecker) checkFunc(f *analysis.Func) {
 func (c *ccChecker) checkCall(f *analysis.Func, call *ast.CallExpr, stack []ast.Node) {
 	name, direct := pgasMethod(f.Pkg.Info, call)
 	direct = direct && collectiveMethods[name]
+	if vals := collectiveValues(f.Pkg.Info, call); !direct && len(vals) > 0 {
+		name, direct = vals[0], true
+	}
 	callee := c.prog.ResolveCall(f.Pkg, call)
 	if !direct && (callee == nil || !c.reaches[callee]) {
 		return
@@ -228,6 +249,7 @@ func (c *ccChecker) nodeSeq(f *analysis.Func, n ast.Node) (seq []string, ok bool
 				add(c.nodeSeq(f, arg))
 			}
 			add(c.nodeSeq(f, n.Fun))
+			seq = append(seq, collectiveValues(f.Pkg.Info, n)...)
 			if name, isPgas := pgasMethod(f.Pkg.Info, n); isPgas && collectiveMethods[name] {
 				seq = append(seq, name)
 			} else if callee := c.prog.ResolveCall(f.Pkg, n); callee != nil {
@@ -257,7 +279,8 @@ func (c *ccChecker) nodeReachesCollective(f *analysis.Func, n ast.Node) bool {
 			return false
 		}
 		if call, ok := child.(*ast.CallExpr); ok {
-			if name, isPgas := pgasMethod(f.Pkg.Info, call); isPgas && collectiveMethods[name] {
+			if name, isPgas := pgasMethod(f.Pkg.Info, call); isPgas && collectiveMethods[name] ||
+				len(collectiveValues(f.Pkg.Info, call)) > 0 {
 				found = true
 				return false
 			}

@@ -15,25 +15,32 @@ import (
 // is what turns the SPMD-divergence check into a whole-program property.
 
 // rankTaint holds the fixpoint result: per function, the set of objects
-// (locals and parameters) carrying rank-derived values, and whether the
-// function returns a rank-derived value.
+// (locals and parameters) carrying rank-derived values and whether the
+// function returns a rank-derived value; the struct fields ever assigned
+// the rank itself, and the functions returning it (isRank).
 type rankTaint struct {
 	vars        map[*analysis.Func]map[types.Object]bool
 	returnsRank map[*analysis.Func]bool
+	fields      map[types.Object]bool
+	rankFuncs   map[*analysis.Func]bool
 }
 
 // computeRankTaint runs the taint fixpoint over the program. Taint
 // sources are calls to the pgas Rank method; taint propagates through
 // single-assignment (`me := p.Rank()`), through function returns
 // (`func rankOf(p pgas.Proc) int { return p.Rank() }` makes every
-// `rankOf(p)` call rank-derived), and through call arguments into callee
-// parameters. Function literals are separate functions and do not inherit
+// `rankOf(p)` call rank-derived), through struct fields (`rt.rank =
+// p.Rank()` makes every read of that field rank-derived, whatever the
+// struct value: a runtime caches its rank once), and through call
+// arguments into callee parameters. Function literals are separate functions and do not inherit
 // taint from their definition site (their execution context is unknown),
 // matching how the call graph treats them.
 func computeRankTaint(prog *analysis.Program) *rankTaint {
 	t := &rankTaint{
 		vars:        make(map[*analysis.Func]map[types.Object]bool),
 		returnsRank: make(map[*analysis.Func]bool),
+		fields:      make(map[types.Object]bool),
+		rankFuncs:   make(map[*analysis.Func]bool),
 	}
 	for _, f := range prog.Funcs {
 		t.vars[f] = make(map[types.Object]bool)
@@ -70,6 +77,13 @@ func (t *rankTaint) rankExpr(prog *analysis.Program, f *analysis.Func, e ast.Exp
 				found = true
 				return false
 			}
+		case *ast.SelectorExpr:
+			// A field read is rank-derived by its field alone, not by
+			// the struct it is read from.
+			if sel, ok := f.Pkg.Info.Selections[n]; ok && sel.Kind() == types.FieldVal {
+				found = t.fields[sel.Obj()]
+				return false
+			}
 		case *ast.Ident:
 			if obj := useOrDef(f.Pkg.Info, n); obj != nil && t.vars[f][obj] {
 				found = true
@@ -81,6 +95,24 @@ func (t *rankTaint) rankExpr(prog *analysis.Program, f *analysis.Func, e ast.Exp
 	return found
 }
 
+// isRank reports whether e is the rank itself, not a value computed from
+// it: a Rank call, a field holding the rank, or a call of a function
+// returning one of those. Only such a value makes the field it is stored
+// in a rank field.
+func (t *rankTaint) isRank(prog *analysis.Program, f *analysis.Func, e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		if name, ok := pgasMethod(f.Pkg.Info, e); ok && name == "Rank" {
+			return true
+		}
+		callee := prog.ResolveCall(f.Pkg, e)
+		return callee != nil && t.rankFuncs[callee]
+	case *ast.SelectorExpr:
+		return t.fields[useOrDef(f.Pkg.Info, e.Sel)]
+	}
+	return false
+}
+
 // scanFunc recomputes f's taint facts from the current global state and
 // reports whether anything (f's variable set, its returns-rank bit, or a
 // callee's parameter taint) changed.
@@ -90,6 +122,12 @@ func (t *rankTaint) scanFunc(prog *analysis.Program, f *analysis.Func) bool {
 	mark := func(obj types.Object) {
 		if obj != nil && !t.vars[f][obj] {
 			t.vars[f][obj] = true
+			changed = true
+		}
+	}
+	markField := func(id *ast.Ident) {
+		if v, ok := useOrDef(info, id).(*types.Var); ok && v.IsField() && !t.fields[v] {
+			t.fields[v] = true
 			changed = true
 		}
 	}
@@ -107,8 +145,13 @@ func (t *rankTaint) scanFunc(prog *analysis.Program, f *analysis.Func) bool {
 					if !t.rankExpr(prog, f, rhs) {
 						continue
 					}
-					if id, ok := n.Lhs[i].(*ast.Ident); ok {
-						mark(useOrDef(info, id))
+					switch lhs := n.Lhs[i].(type) {
+					case *ast.Ident:
+						mark(useOrDef(info, lhs))
+					case *ast.SelectorExpr:
+						if t.isRank(prog, f, rhs) {
+							markField(lhs.Sel)
+						}
 					}
 				}
 			}
@@ -120,7 +163,15 @@ func (t *rankTaint) scanFunc(prog *analysis.Program, f *analysis.Func) bool {
 					}
 				}
 			}
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok && t.isRank(prog, f, n.Value) {
+				markField(id)
+			}
 		case *ast.ReturnStmt:
+			if len(n.Results) == 1 && t.isRank(prog, f, n.Results[0]) && !t.rankFuncs[f] {
+				t.rankFuncs[f] = true
+				changed = true
+			}
 			for _, res := range n.Results {
 				if t.rankExpr(prog, f, res) && !t.returnsRank[f] {
 					t.returnsRank[f] = true
